@@ -14,7 +14,7 @@ from .completion import Quantale, build_quantale, closed_sets, embed, m_closure,
 from .errors import ResqError
 from .lambek import Sequent, countermodel_search, derivable, evaluate, parse_sequent
 from .pointalg import build_point_algebra, frp_probe, reduct
-from .relations import Interpretation, RelationalStructure
+from .relations import Interpretation
 from .relrep import generators, hat, represent, represent_pipeline, unitalize
 from .verifier import (
     Exhausted,
@@ -29,7 +29,6 @@ __all__ = [
     "ValidationReport",
     "Quantale",
     "Interpretation",
-    "RelationalStructure",
     "Sequent",
     "VerificationReport",
     "Exhausted",

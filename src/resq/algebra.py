@@ -48,6 +48,15 @@ class FiniteResiduatedSemigroup:
     def n(self) -> int:
         return len(self.names)
 
+    @property
+    def operations(self) -> tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]:
+        """The signature as (condition name, index table) pairs."""
+        return (
+            ("composition", self.comp),
+            ("left-residual", self.lres),
+            ("right-residual", self.rres),
+        )
+
     def le(self, i: int, j: int) -> bool:
         return bool(self.leq[i] >> j & 1)
 

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes are uniform across subcommands: 0 success / all conditions pass,
-1 semantic violation or an exhausted search, 2 input error, 3 resource limit.
-Every subcommand renders the same payload as text or JSON (--format).
+1 semantic violation or an exhausted search, 2 input error, 3 resource limit
+(node budget or recursion depth).  Every subcommand renders the same payload
+as text or JSON (--format); errors are one line on stderr.
 """
 
 from __future__ import annotations
@@ -41,25 +42,36 @@ def _fail_input(message: str) -> None:
     sys.exit(EXIT_INPUT)
 
 
-def _load_algebra(path: str) -> algebra.FiniteResiduatedSemigroup:
+def _fail_resource(exc: ResourceLimitError) -> None:
+    click.echo(f"error: {exc}", err=True)
+    sys.exit(EXIT_RESOURCE)
+
+
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
-            return algebra.parse_algebra(handle.read())
+            return handle.read()
     except FileNotFoundError:
         _fail_input(f"no such file: {path}")
+    except OSError as exc:
+        _fail_input(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError:
+        _fail_input(f"{path} is not UTF-8 text")
+
+
+def _load_algebra(path: str) -> algebra.FiniteResiduatedSemigroup:
+    text = _read_text(path)
+    try:
+        return algebra.parse_algebra(text)
+    except NoResidualError as exc:
+        click.echo(f"error: not a residuated semigroup: {exc}; run decide for details", err=True)
+        sys.exit(EXIT_VIOLATION)
     except ParseError as exc:
         _fail_input(str(exc))
 
 
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True
-)
-jobs_option = click.option(
-    "--jobs",
-    type=int,
-    default=1,
-    show_default=True,
-    help="Worker parallelism; 1 keeps the deterministic serial mode.",
 )
 
 
@@ -73,11 +85,7 @@ def main() -> None:
 @format_option
 def decide(path: str, fmt: str) -> None:
     """Decide whether a file denotes a residuated semigroup (hence representable)."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except FileNotFoundError:
-        _fail_input(f"no such file: {path}")
+    text = _read_text(path)
     reason = None
     try:
         A = algebra.parse_algebra(text)
@@ -161,9 +169,8 @@ generators_option = click.option(
     help="Also write the bare dump (the verify subcommand's input) to this file.",
 )
 @format_option
-@jobs_option
 def represent(path: str, unitalize: str, generators_mode: str, output_path: str | None,
-              fmt: str, jobs: int) -> None:
+              fmt: str) -> None:
     """Build a relational representation, verify it, and dump it."""
     A = _load_algebra(path)
     report = algebra.validate(A)
@@ -196,10 +203,9 @@ def _render_represent(payload: dict):
 
 
 def _render_verification(verification: dict):
-    for name in ("order-iff", "composition", "left-residual", "right-residual", "join"):
-        if name not in verification:
+    for name, entry in verification.items():
+        if name == "all_pass":
             continue
-        entry = verification[name]
         line = f"{name}: {entry['status']}"
         if "witness" in entry:
             w = entry["witness"]
@@ -217,12 +223,10 @@ def _render_verification(verification: dict):
 def verify(algebra_path: str, dump_path: str, fmt: str) -> None:
     """Check a representation dump against the four defining conditions."""
     A = _load_algebra(algebra_path)
+    text = _read_text(dump_path)
     try:
-        with open(dump_path, encoding="utf-8") as handle:
-            interp = relrep.parse_interpretation(handle.read(), A)
-    except FileNotFoundError:
-        _fail_input(f"no such file: {dump_path}")
-    except (ParseError, ResqError, ValueError, KeyError) as exc:
+        interp = relrep.parse_interpretation(text, A)
+    except (ResqError, ValueError, KeyError) as exc:
         _fail_input(str(exc))
     check = verifier.check_representation(A, interp)
     payload = {
@@ -241,18 +245,16 @@ def verify(algebra_path: str, dump_path: str, fmt: str) -> None:
 @click.option("--node-budget", type=int, default=None, help="Overrides RESQ_NODE_BUDGET.")
 @click.option("--no-symmetry", is_flag=True, help="Disable base-point symmetry breaking.")
 @format_option
-@jobs_option
 def search(path: str, max_base: int, node_budget: int | None, no_symmetry: bool,
-           fmt: str, jobs: int) -> None:
+           fmt: str) -> None:
     """Brute-force search for a representation over a bounded base."""
     A = _load_algebra(path)
     try:
         outcome = verifier.search_representation(
-            A, max_base, signature="rs", node_budget=node_budget, symmetry=not no_symmetry
+            A, max_base, node_budget=node_budget, symmetry=not no_symmetry
         )
     except ResourceLimitError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
+        _fail_resource(exc)
     if isinstance(outcome, verifier.Exhausted):
         payload = {"command": "search", "verdict": "exhausted", "max_base": outcome.max_base}
         _emit(payload, fmt, lambda p: [f"exhausted: no representation over any base <= {max_base}"])
@@ -291,8 +293,7 @@ def pointalg_cmd(generator_text: str, max_base: int, node_budget: int | None, fm
     try:
         result, stats = pointalg.frp_probe(S, max_base, node_budget=node_budget)
     except ResourceLimitError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
+        _fail_resource(exc)
     payload = {
         "command": "pointalg",
         "generators": [pointalg.render_element(m) for m in masks],
@@ -342,8 +343,7 @@ def prove(sequent_text: str, node_budget: int | None, trace: bool, fmt: str) -> 
     try:
         proof = lambek.prove(s, node_budget=node_budget)
     except ResourceLimitError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
+        _fail_resource(exc)
     payload = {
         "command": "lambek-prove",
         "sequent": lambek.format_sequent(s),
@@ -386,8 +386,7 @@ def counter(sequent_text: str, max_base: int, max_atom_relations: int | None,
             s, max_base=max_base, max_atom_relations=max_atom_relations, node_budget=node_budget
         )
     except ResourceLimitError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
+        _fail_resource(exc)
     payload = {"command": "lambek-counter", "sequent": lambek.format_sequent(s)}
     if isinstance(result, verifier.Exhausted):
         payload["verdict"] = "exhausted"
@@ -417,9 +416,9 @@ def _render_counter(payload: dict):
 def eval_cmd(sequent_text: str, model_path: str, fmt: str) -> None:
     """Evaluate a sequent in a model given as JSON: {"base": n, "valuation": {...}}."""
     s = _parse_sequent(sequent_text)
+    text = _read_text(model_path)
     try:
-        with open(model_path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+        raw = json.loads(text)
         base = int(raw["base"])
         valuation = tuple(
             (name, rel.relation_from_pairs(base, pairs))
@@ -427,8 +426,8 @@ def eval_cmd(sequent_text: str, model_path: str, fmt: str) -> None:
         )
         model = lambek.RelationalModel(base_size=base, valuation=valuation)
         holds = lambek.evaluate(s, model)
-    except FileNotFoundError:
-        _fail_input(f"no such file: {model_path}")
+    except ResourceLimitError as exc:
+        _fail_resource(exc)
     except (KeyError, ValueError, TypeError, json.JSONDecodeError, ResqError) as exc:
         _fail_input(str(exc))
     payload = {"command": "lambek-eval", "sequent": lambek.format_sequent(s), "holds": holds}

@@ -38,6 +38,11 @@ class Quantale:
     def size(self) -> int:
         return len(self.masks)
 
+    @property
+    def operations(self) -> tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]:
+        """The signature as (condition name, index table) pairs."""
+        return (("composition", self.comp), ("join", self.sup))
+
     def le(self, i: int, j: int) -> bool:
         return bool(self.leq[i] >> j & 1)
 

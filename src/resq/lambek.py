@@ -10,10 +10,11 @@ residuated semigroups of relations, which have no unit.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from . import relations as rel
-from .errors import MissingAtomError, ParseError
+from .errors import MissingAtomError, ParseError, ResourceLimitError
 from .relations import Relation
 from .verifier import Exhausted, NodeBudget
 
@@ -21,6 +22,10 @@ ATOM_RE = re.compile(r"[a-z][a-z0-9]*")
 
 DEFAULT_PROVER_BUDGET = 1_000_000
 DEFAULT_COUNTER_BUDGET = 10_000_000
+
+# deepest parenthesis nesting the recursive-descent parser accepts; each level
+# costs three stack frames, well inside the default recursion limit
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -91,6 +96,7 @@ class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -109,11 +115,15 @@ class _Tokens:
 def _parse_factor(t: _Tokens) -> Formula:
     ch = t.peek()
     if ch == "(":
+        if t.depth == MAX_NESTING:
+            t.error(f"parentheses nested deeper than {MAX_NESTING}")
         t.pos += 1
+        t.depth += 1
         f = _parse_formula(t)
         if t.peek() != ")":
             t.error("expected ')'")
         t.pos += 1
+        t.depth -= 1
         return f
     match = ATOM_RE.match(t.text, t.pos) if ch is not None else None
     if not match:
@@ -183,6 +193,15 @@ def format_sequent(s: Sequent) -> str:
     return ", ".join(format_formula(f) for f in s.antecedent) + " |- " + format_formula(s.succedent)
 
 
+def _too_deep() -> ResourceLimitError:
+    """The error for a formula too deep for the recursive procedures.
+
+    Products chain without parentheses, so formula depth is bounded only by
+    the input length; recursion over it can exhaust the interpreter stack.
+    """
+    return ResourceLimitError(sys.getrecursionlimit(), "formula too deep for the recursion limit")
+
+
 # ---------------------------------------------------------------------------
 # backward proof search
 
@@ -197,7 +216,10 @@ class ProofNode:
 def prove(s: Sequent, node_budget: int | None = None) -> ProofNode | None:
     budget = NodeBudget(node_budget, default=DEFAULT_PROVER_BUDGET)
     memo: dict[tuple, ProofNode | None] = {}
-    return _prove(s.antecedent, s.succedent, memo, budget)
+    try:
+        return _prove(s.antecedent, s.succedent, memo, budget)
+    except RecursionError:
+        raise _too_deep() from None
 
 
 def derivable(s: Sequent, node_budget: int | None = None) -> bool:
@@ -305,10 +327,13 @@ def formula_value(f: Formula, M: RelationalModel) -> Relation:
 
 def evaluate(s: Sequent, M: RelationalModel) -> bool:
     """Whether the composed antecedent value is contained in the succedent value."""
-    value = formula_value(s.antecedent[0], M)
-    for f in s.antecedent[1:]:
-        value = rel.rel_compose(value, formula_value(f, M))
-    return rel.rel_subset(value, formula_value(s.succedent, M))
+    try:
+        value = formula_value(s.antecedent[0], M)
+        for f in s.antecedent[1:]:
+            value = rel.rel_compose(value, formula_value(f, M))
+        return rel.rel_subset(value, formula_value(s.succedent, M))
+    except RecursionError:
+        raise _too_deep() from None
 
 
 def countermodel_search(
@@ -327,7 +352,10 @@ def countermodel_search(
     relative to the truncated enumeration.
     """
     budget = NodeBudget(node_budget, default=DEFAULT_COUNTER_BUDGET)
-    atoms = sequent_atoms(s)
+    try:
+        atoms = sequent_atoms(s)
+    except RecursionError:
+        raise _too_deep() from None
 
     def assignments(candidate_lists, index):
         if index == len(candidate_lists):

@@ -167,6 +167,11 @@ class SPStructure:
     join: tuple[tuple[int, ...], ...]
     comp: tuple[tuple[int, ...], ...]
 
+    @property
+    def operations(self) -> tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]:
+        """The signature as (condition name, index table) pairs."""
+        return (("composition", self.comp), ("join", self.join))
+
     def le(self, i: int, j: int) -> bool:
         return self.join[i][j] == j
 
@@ -240,7 +245,7 @@ def frp_probe(S: SPStructure, max_base: int, node_budget: int | None = None):
     """
     budget = NodeBudget(node_budget)
     start = time.perf_counter()
-    result = search_representation(S, max_base, signature="sp", budget=budget)
+    result = search_representation(S, max_base, budget=budget)
     stats = ProbeStats(
         nodes=budget.used, seconds=time.perf_counter() - start, max_base=max_base
     )

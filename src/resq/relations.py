@@ -181,19 +181,3 @@ class Interpretation:
 
     def relation_of(self, element: int) -> Relation:
         return self.relations[element]
-
-
-@dataclass(frozen=True)
-class RelationalStructure:
-    """A finite base together with a named family of relations over it."""
-
-    base_labels: tuple[str, ...]
-    relations: tuple[tuple[str, Relation], ...]
-
-    def __post_init__(self):
-        names = [name for name, _ in self.relations]
-        if len(set(names)) != len(names):
-            raise ValueError("relation names must be unique")
-        for name, r in self.relations:
-            if len(r) != len(self.base_labels):
-                raise DimensionMismatch(f"relation {name!r} does not match the base size")

@@ -13,10 +13,11 @@ import json
 from dataclasses import dataclass
 
 from . import relations as rel
+from . import verifier
 from .algebra import FiniteResiduatedSemigroup
 from .completion import Quantale, build_quantale, check_quantale_laws, embed
 from .errors import ParseError
-from .relations import Interpretation, Relation, RelationalStructure
+from .relations import Interpretation, Relation
 
 GENERATOR_MODES = ("all", "join-irreducible")
 
@@ -116,65 +117,6 @@ def unitalize(Q: Quantale, check: bool = True) -> Quantale:
 
 
 @dataclass(frozen=True)
-class ClauseResult:
-    name: str
-    passed: bool
-    witness: tuple[int, int] | None
-
-
-@dataclass(frozen=True)
-class HatCheckReport:
-    clauses: tuple[ClauseResult, ...]
-
-    def clause(self, name: str) -> ClauseResult:
-        for c in self.clauses:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
-def hat_isomorphism_check(Q: Quantale, G: GeneratorSet) -> HatCheckReport:
-    """Check the hat map clause by clause, with a witness pair on failure.
-
-    Clauses: order preservation, order reflection, composition preservation
-    (relational composition over the carrier), and whether the hat of a join
-    is the union of the hats.  Each clause is reported separately; none is
-    fatal here.
-    """
-    hats = [hat(Q, G, a) for a in range(Q.size)]
-
-    def first_failure(predicate):
-        for a in range(Q.size):
-            for b in range(Q.size):
-                if not predicate(a, b):
-                    return (a, b)
-        return None
-
-    monotone = first_failure(
-        lambda a, b: not Q.le(a, b) or rel.rel_subset(hats[a], hats[b])
-    )
-    reflect = first_failure(
-        lambda a, b: not rel.rel_subset(hats[a], hats[b]) or Q.le(a, b)
-    )
-    composition = first_failure(
-        lambda a, b: rel.rel_compose(hats[a], hats[b]) == hats[Q.comp[a][b]]
-    )
-    join_union = first_failure(
-        lambda a, b: rel.rel_union(hats[a], hats[b]) == hats[Q.sup[a][b]]
-    )
-    clauses = tuple(
-        ClauseResult(name, witness is None, witness)
-        for name, witness in (
-            ("order-monotone", monotone),
-            ("order-reflect", reflect),
-            ("composition", composition),
-            ("join-union", join_union),
-        )
-    )
-    return HatCheckReport(clauses=clauses)
-
-
-@dataclass(frozen=True)
 class RepresentResult:
     interpretation: Interpretation
     quantale: Quantale
@@ -191,9 +133,11 @@ def represent_pipeline(
 ) -> RepresentResult:
     """Full pipeline: completion, optional unitalization, generators, hat map.
 
-    unitalize_mode "auto" adjoins a unit exactly when the hat map fails order
-    reflection on the plain completion; "on" always adjoins one (a no-op for
-    quantales that already have a unit) and "off" never does.
+    unitalize_mode "auto" adjoins a unit exactly when the hats of the plain
+    completion fail the order condition of check_representation (they always
+    preserve the order, since a;q is monotone in a, so this is a failure of
+    order reflection); "on" always adjoins one (a no-op for quantales that
+    already have a unit) and "off" never does.
     """
     if unitalize_mode not in ("on", "off", "auto"):
         raise ValueError(f"unknown unitalize mode {unitalize_mode!r}")
@@ -202,8 +146,14 @@ def represent_pipeline(
     if unitalize_mode == "on":
         use_unit = not Q0.unital
     elif unitalize_mode == "auto":
-        report = hat_isomorphism_check(Q0, generators(Q0, generators_mode))
-        use_unit = not report.clause("order-reflect").passed
+        G0 = generators(Q0, generators_mode)
+        hats = Interpretation(
+            algebra=Q0,
+            base_labels=Q0.labels,
+            relations=tuple(hat(Q0, G0, a) for a in range(Q0.size)),
+        )
+        report = verifier.check_representation(Q0, hats)
+        use_unit = not report.condition("order-iff").passed
     else:
         use_unit = False
     Q = unitalize(Q0) if use_unit else Q0
@@ -260,16 +210,17 @@ def format_interpretation(I: Interpretation) -> str:
     return "\n".join(format_interpretation_lines(interpretation_payload(I))) + "\n"
 
 
-def parse_relational_structure(text: str) -> RelationalStructure:
-    """Read a representation dump (text or its JSON mirror)."""
+def parse_interpretation(text: str, A) -> Interpretation:
+    """Read a representation dump (text or its JSON mirror) and bind its
+    relations to A's elements."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         payload = json.loads(text)
         base = tuple(str(x) for x in payload["base"])
-        named = [(name, pairs) for name, pairs in payload["relations"].items()]
+        named = dict(payload["relations"])
     else:
         base = ()
-        named = []
+        named = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -279,34 +230,23 @@ def parse_relational_structure(text: str) -> RelationalStructure:
             elif line.startswith("rel "):
                 head, _, rest = line.partition(":")
                 name = head[len("rel "):].strip()
+                if name in named:
+                    raise ParseError(f"second relation for element {name!r}", lineno)
                 pairs = []
                 for token in rest.split():
                     if not (token.startswith("(") and token.endswith(")")):
                         raise ParseError(f"expected (x,y), got {token!r}", lineno)
                     x, _, y = token[1:-1].partition(",")
                     pairs.append([int(x), int(y)])
-                named.append((name, pairs))
+                named[name] = pairs
             else:
                 raise ParseError(f"unexpected line {line!r}", lineno)
         if not base:
             raise ParseError("missing base line")
-    return RelationalStructure(
-        base_labels=base,
-        relations=tuple(
-            (name, rel.relation_from_pairs(len(base), pairs)) for name, pairs in named
-        ),
-    )
-
-
-def parse_interpretation(text: str, A) -> Interpretation:
-    """Read a representation dump and bind its relations to A's elements."""
-    structure = parse_relational_structure(text)
-    named = dict(structure.relations)
-    relations = []
+    relations = {name: rel.relation_from_pairs(len(base), pairs) for name, pairs in named.items()}
     for name in A.names:
-        if name not in named:
+        if name not in relations:
             raise ParseError(f"dump has no relation for element {name!r}")
-        relations.append(named[name])
     return Interpretation(
-        algebra=A, base_labels=structure.base_labels, relations=tuple(relations)
+        algebra=A, base_labels=base, relations=tuple(relations[name] for name in A.names)
     )

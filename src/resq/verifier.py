@@ -1,11 +1,13 @@
 """Exhaustive representation checking and bounded brute-force search.
 
-The checker evaluates the four defining conditions of a representation (order
-faithfulness, composition, and both residual conditions) against explicit
-relational operations, reporting the lexicographically first witness per
-failed condition.  The search enumerates relation assignments over growing
-bases with constraint propagation and base-point symmetry breaking, and
-re-verifies anything it returns.
+A structure lists its signature as (condition name, index table) pairs in its
+``operations``; each name stands for one relational operation (composition,
+a residual, union).  The checker evaluates order faithfulness plus one
+condition per listed operation against the explicit relational operation,
+reporting the lexicographically first witness per failed condition.  The
+search enumerates relation assignments over growing bases with constraint
+propagation and base-point symmetry breaking, and re-verifies anything it
+returns.
 """
 
 from __future__ import annotations
@@ -19,8 +21,19 @@ from .relations import Interpretation, Relation
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
-RS_CONDITIONS = ("order-iff", "composition", "left-residual", "right-residual")
-SP_CONDITIONS = ("order-iff", "composition", "join")
+
+def _relational_ops() -> dict:
+    """The relational operation that interprets each operation condition name.
+
+    Built per call, so the kernel functions are looked up on the relations
+    module each time and wrappers installed there see every call.
+    """
+    return {
+        "composition": rel.rel_compose,
+        "left-residual": rel.rel_lres,
+        "right-residual": rel.rel_rres,
+        "join": rel.rel_union,
+    }
 
 
 def default_node_budget(default: int = DEFAULT_NODE_BUDGET) -> int:
@@ -109,25 +122,16 @@ def _order_condition(le, I: Interpretation, n: int) -> ConditionResult:
     return ConditionResult("order-iff", True, None)
 
 
-def check_representation(A, I: Interpretation) -> VerificationReport:
-    """Evaluate all four representation conditions; every condition is always checked."""
-    n = A.n
-    conditions = (
-        _order_condition(A.le, I, n),
-        _table_condition("composition", A.comp, rel.rel_compose, I, n),
-        _table_condition("left-residual", A.lres, rel.rel_lres, I, n),
-        _table_condition("right-residual", A.rres, rel.rel_rres, I, n),
-    )
-    return VerificationReport(conditions=conditions)
+def check_representation(S, I: Interpretation) -> VerificationReport:
+    """Evaluate order faithfulness and one condition per operation of S.
 
-
-def check_sp_representation(S, I: Interpretation) -> VerificationReport:
-    """Join-semilattice variant: order (derived from the join), composition, join-as-union."""
-    n = len(S.names)
-    conditions = (
-        _order_condition(S.le, I, n),
-        _table_condition("composition", S.comp, rel.rel_compose, I, n),
-        _table_condition("join", S.join, rel.rel_union, I, n),
+    S lists its operations as (condition name, index table) pairs; every
+    condition is always checked.
+    """
+    n = len(S.comp)
+    ops = _relational_ops()
+    conditions = (_order_condition(S.le, I, n),) + tuple(
+        _table_condition(name, table, ops[name], I, n) for name, table in S.operations
     )
     return VerificationReport(conditions=conditions)
 
@@ -150,55 +154,41 @@ class Exhausted:
 def search_representation(
     struct,
     max_base: int,
-    signature: str = "rs",
     node_budget: int | None = None,
     symmetry: bool = True,
     budget: NodeBudget | None = None,
 ):
     """Backtracking search for a representation over bases of size 1..max_base.
 
-    signature "rs" expects a FiniteResiduatedSemigroup and enforces all four
-    conditions; "sp" expects a join-semilattice-ordered semigroup (join and
-    comp tables) and enforces order, composition and join-as-union.  Values
-    forced by already-assigned operands are propagated instead of branched,
-    and the first branched element ranges over base-permutation orbit
-    representatives only, which never changes the verdict.  Found results are
-    re-verified before being returned.
+    Enforces order faithfulness and every operation the structure lists, so
+    the same search serves residuated semigroups and the join/composition
+    reducts of the point algebra.  Values forced by already-assigned operands
+    are propagated instead of branched, and the first branched element ranges
+    over base-permutation orbit representatives only, which never changes the
+    verdict.  Found results are re-verified before being returned.
     """
-    if signature not in ("rs", "sp"):
-        raise ValueError(f"unknown signature {signature!r}")
     if budget is None:
         budget = NodeBudget(node_budget)
     for k in range(1, max_base + 1):
-        assignment = _search_base(struct, k, signature, budget, symmetry)
+        assignment = _search_base(struct, k, budget, symmetry)
         if assignment is not None:
             interp = Interpretation(
                 algebra=struct,
                 base_labels=tuple(str(i) for i in range(k)),
                 relations=assignment,
             )
-            checker = check_representation if signature == "rs" else check_sp_representation
-            report = checker(struct, interp)
+            report = check_representation(struct, interp)
             if not report.all_pass:
                 raise AssertionError("search returned an assignment that fails verification")
             return interp
     return Exhausted(max_base)
 
 
-def _search_base(struct, k: int, signature: str, budget: NodeBudget, symmetry: bool):
+def _search_base(struct, k: int, budget: NodeBudget, symmetry: bool):
     n = len(struct.names)
     le = struct.le
-    if signature == "rs":
-        op_tables = (
-            (struct.comp, rel.rel_compose),
-            (struct.lres, rel.rel_lres),
-            (struct.rres, rel.rel_rres),
-        )
-    else:
-        op_tables = (
-            (struct.comp, rel.rel_compose),
-            (struct.join, rel.rel_union),
-        )
+    ops = _relational_ops()
+    op_tables = tuple((table, ops[name]) for name, table in struct.operations)
 
     # derivations[c] lists (table, op, a, b) with table[a][b] == c: once a and
     # b are assigned the value of c is forced, and conversely an assigned c

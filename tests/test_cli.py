@@ -70,6 +70,34 @@ def test_decide_missing_file(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("content", [None, b"elements: \xff\n"], ids=["directory", "not-utf8"])
+def test_unreadable_file_exit_two(runner, tmp_path, content):
+    path = tmp_path / "input.alg"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    for command in ("decide", "represent"):
+        result = runner.invoke(main, [command, str(path)], catch_exceptions=False)
+        assert result.exit_code == 2
+        assert len(result.output.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["represent", "complete", "verify", "search"])
+def test_algebra_without_residuals_exit_one(runner, tmp_path, command):
+    path = tmp_path / "antichain.alg"
+    path.write_text("elements: a b\nleq:\ncomp: a;a=a a;b=a b;a=a b;b=a\n")
+    dump = tmp_path / "antichain.rep"
+    dump.write_text("base: 0\nrel a: (0,0)\nrel b: (0,0)\n")
+    args = [command, str(path)] + ([str(dump)] if command == "verify" else [])
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 1
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: not a residuated semigroup: ")
+    assert lines[0].endswith("run decide for details")
+
+
 def test_unknown_subcommand_usage_error(runner):
     result = runner.invoke(main, ["frobnicate"])
     assert result.exit_code == 2
@@ -152,6 +180,16 @@ def test_verify_rejects_bad_dump(runner, tmp_path):
     rep.write_text("rel x: (0,0)\n")
     result = runner.invoke(main, ["verify", str(path), str(rep)])
     assert result.exit_code == 2
+
+
+def test_verify_rejects_duplicate_relation(runner, tmp_path):
+    path = tmp_path / "one.alg"
+    path.write_text(ONE)
+    rep = tmp_path / "one.rep"
+    rep.write_text("base: q\nrel x: (0,0)\nrel x:\n")
+    result = runner.invoke(main, ["verify", str(path), str(rep)], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert "second relation for element 'x'" in result.output
 
 
 def test_search_found_one_element(runner, tmp_path):
@@ -263,6 +301,25 @@ def test_lambek_eval_missing_atom(runner, tmp_path):
     model_path.write_text(json.dumps({"base": 1, "valuation": {"p": [[0, 0]]}}))
     result = runner.invoke(main, ["lambek", "eval", "p |- q", str(model_path)])
     assert result.exit_code == 2
+
+
+DEEP_PARENTHESES = "(" * 3000 + "p" + ")" * 3000 + " |- p"
+LONG_PRODUCT = "*".join(["p"] * 1500) + " |- p"
+
+
+@pytest.mark.parametrize("command", ["prove", "counter", "eval"])
+@pytest.mark.parametrize(
+    "sequent, code", [(DEEP_PARENTHESES, 2), (LONG_PRODUCT, 3)], ids=["nested", "product"]
+)
+def test_lambek_deep_sequent_documented_exit(runner, tmp_path, command, sequent, code):
+    # the parser takes at most MAX_NESTING levels of parentheses; a long
+    # product parses but is too deep for the recursive procedures
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"base": 1, "valuation": {"p": [[0, 0]]}}))
+    args = ["lambek", command, sequent] + ([str(model_path)] if command == "eval" else [])
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == code
+    assert len(result.output.strip().splitlines()) == 1
 
 
 def test_deterministic_json_output(runner, c2_file):

@@ -15,7 +15,7 @@ from resq.pointalg import (
     render_element,
 )
 from resq.relations import Interpretation
-from resq.verifier import check_sp_representation
+from resq.verifier import check_representation
 from resq.errors import ResourceLimitError
 
 
@@ -108,7 +108,7 @@ def test_probe_lt_eq_found_at_base_two(P):
     result, stats = frp_probe(S, 3)
     assert isinstance(result, Interpretation)
     assert result.base_size == 2
-    assert check_sp_representation(S, result).all_pass
+    assert check_representation(S, result).all_pass
     assert stats.nodes > 0 and stats.max_base == 3
 
 
@@ -119,7 +119,7 @@ def test_probe_lt_found_at_base_one(P):
     assert result.base_size == 1
     # the one explicitly idempotent witness also verifies
     explicit = Interpretation(algebra=S, base_labels=("0",), relations=((1,),))
-    assert check_sp_representation(S, explicit).all_pass
+    assert check_representation(S, explicit).all_pass
 
 
 def test_probe_lt_gt_regression(P):
@@ -129,7 +129,7 @@ def test_probe_lt_gt_regression(P):
     result, stats = frp_probe(S, 3)
     assert isinstance(result, Interpretation)
     assert result.base_size == 3
-    assert check_sp_representation(S, result).all_pass
+    assert check_representation(S, result).all_pass
 
 
 def test_probe_budget_error(P):
@@ -143,4 +143,4 @@ def test_probe_results_reverify(P):
         S = reduct(P, gens)
         result, _ = frp_probe(S, 2)
         if isinstance(result, Interpretation):
-            assert check_sp_representation(S, result).all_pass
+            assert check_representation(S, result).all_pass

@@ -3,10 +3,10 @@ import pytest
 from resq import algebra, relrep, verifier
 from resq import relations as rel
 from resq.completion import build_quantale
+from resq.relations import Interpretation
 from resq.relrep import (
     generators,
     hat,
-    hat_isomorphism_check,
     parse_interpretation,
     represent,
     represent_pipeline,
@@ -109,20 +109,28 @@ def test_unitalize_satisfies_quantale_laws(corpus_all):
         check_quantale_laws(unitalize(build_quantale(A)))
 
 
+def hat_interpretation(Q):
+    G = generators(Q, "all")
+    return Interpretation(
+        algebra=Q, base_labels=Q.labels, relations=tuple(hat(Q, G, a) for a in range(Q.size))
+    )
+
+
 def test_hat_check_reflection_fails_on_c2_without_unit(c2):
     Q = build_quantale(c2)
-    report = hat_isomorphism_check(Q, generators(Q, "all"))
-    clause = report.clause("order-reflect")
-    assert not clause.passed and clause.witness == (1, 0)
-    assert report.clause("composition").passed
-    assert report.clause("order-monotone").passed
+    report = verifier.check_representation(Q, hat_interpretation(Q))
+    order = report.condition("order-iff")
+    # the hats preserve the order, so the witness is a failure of reflection
+    assert not order.passed and order.witness == (1, 0)
+    assert not Q.le(1, 0)
+    assert report.condition("composition").passed
 
 
 def test_hat_check_reflection_passes_after_unitalization(c2):
     U = unitalize(build_quantale(c2))
-    report = hat_isomorphism_check(U, generators(U, "all"))
-    assert report.clause("order-reflect").passed
-    assert report.clause("composition").passed
+    report = verifier.check_representation(U, hat_interpretation(U))
+    assert report.condition("order-iff").passed
+    assert report.condition("composition").passed
 
 
 def test_represent_one_element():

@@ -8,7 +8,6 @@ from resq.verifier import (
     Exhausted,
     NodeBudget,
     check_representation,
-    check_sp_representation,
     check_union_transitive,
     search_representation,
 )
@@ -146,10 +145,10 @@ def test_search_c2_exhausted_at_base_four(c2):
 def test_sp_search_point_reduct_found_at_base_two():
     P = pointalg.build_point_algebra()
     S = pointalg.reduct(P, [pointalg.ATOM_LT, pointalg.ATOM_EQ])
-    found = search_representation(S, 2, signature="sp")
+    found = search_representation(S, 2)
     assert isinstance(found, Interpretation)
     assert found.base_size == 2
-    assert check_sp_representation(S, found).all_pass
+    assert check_representation(S, found).all_pass
 
 
 def test_sp_explicit_witness_for_point_reduct():
@@ -164,24 +163,24 @@ def test_sp_explicit_witness_for_point_reduct():
             rel.relation_from_pairs(2, [(0, 0), (0, 1), (1, 1)]),
         ),
     )
-    assert check_sp_representation(S, interp).all_pass
+    assert check_representation(S, interp).all_pass
 
 
 def test_symmetry_breaking_preserves_verdicts(c2):
     P = pointalg.build_point_algebra()
     cases = [
-        (c2, "rs"),
-        (algebra.parse_algebra(ONE), "rs"),
-        (pointalg.reduct(P, [pointalg.ATOM_LT, pointalg.ATOM_EQ]), "sp"),
-        (pointalg.reduct(P, [pointalg.ATOM_LT, pointalg.ATOM_GT]), "sp"),
+        c2,
+        algebra.parse_algebra(ONE),
+        pointalg.reduct(P, [pointalg.ATOM_LT, pointalg.ATOM_EQ]),
+        pointalg.reduct(P, [pointalg.ATOM_LT, pointalg.ATOM_GT]),
     ]
-    for struct, sig in cases:
-        with_sym = search_representation(struct, 2, signature=sig, symmetry=True)
-        without = search_representation(struct, 2, signature=sig, symmetry=False)
+    for struct in cases:
+        with_sym = search_representation(struct, 2, symmetry=True)
+        without = search_representation(struct, 2, symmetry=False)
         assert isinstance(with_sym, Exhausted) == isinstance(without, Exhausted)
 
 
-def naive_search(struct, k, checker):
+def naive_search(struct, k):
     import itertools
 
     n = len(struct.names)
@@ -189,7 +188,7 @@ def naive_search(struct, k, checker):
         interp = Interpretation(
             algebra=struct, base_labels=tuple(map(str, range(k))), relations=combo
         )
-        if checker(struct, interp).all_pass:
+        if check_representation(struct, interp).all_pass:
             return interp
     return None
 
@@ -200,18 +199,14 @@ def test_search_agrees_with_naive_product_enumeration():
     for A in algebra.enumerate_algebras(2):
         for k in (1, 2):
             fast = search_representation(A, k)
-            slow = any(
-                naive_search(A, kk, check_representation) for kk in range(1, k + 1)
-            )
+            slow = any(naive_search(A, kk) for kk in range(1, k + 1))
             assert isinstance(fast, Interpretation) == slow
     P = pointalg.build_point_algebra()
     for gens in ([pointalg.ATOM_LT], [pointalg.ATOM_LT, pointalg.ATOM_EQ]):
         S = pointalg.reduct(P, gens)
         for k in (1, 2):
-            fast = search_representation(S, k, signature="sp")
-            slow = any(
-                naive_search(S, kk, check_sp_representation) for kk in range(1, k + 1)
-            )
+            fast = search_representation(S, k)
+            slow = any(naive_search(S, kk) for kk in range(1, k + 1))
             assert isinstance(fast, Interpretation) == slow
 
 
@@ -223,11 +218,6 @@ def test_search_budget_raises(c2):
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("RESQ_NODE_BUDGET", "7")
     assert NodeBudget().limit == 7
-
-
-def test_search_rejects_unknown_signature(c2):
-    with pytest.raises(ValueError):
-        search_representation(c2, 1, signature="boolean")
 
 
 def test_found_interpretations_reverify():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -504,72 +505,103 @@ def canonical_key(A: FiniteResiduatedSemigroup) -> tuple:
 # concrete (representable-by-construction) algebras
 
 
+class RelationClosure(tuple):
+    """The members of a closed relation family, ascending, with their tables.
+
+    A tuple of relations that also carries the member index of every
+    operation: comp[i][j], lres[i][j] and rres[i][j] index self[i] ; self[j],
+    self[i] \\ self[j] and self[i] / self[j].
+    """
+
+    comp: tuple[tuple[int, ...], ...]
+    lres: tuple[tuple[int, ...], ...]
+    rres: tuple[tuple[int, ...], ...]
+
+
 def close_relation_family(
     generators, base_size: int, max_relations: int = 512
-) -> tuple[Relation, ...]:
+) -> RelationClosure:
     """Close a family of relations under composition and both residuals.
 
     Every operation is computed relative to the full square over the base, so
     the closure is a residuated semigroup of relations by construction.  An
     empty generator family is seeded with the empty relation (the union of no
-    generators), whose residuals then populate the closure.
+    generators), whose residuals then populate the closure.  Each op(r, s) is
+    computed once and kept in the returned closure's tables.
     """
-    family: set[Relation] = set()
+    members: list[Relation] = []
+    index: dict[Relation, int] = {}
+    known = index.get
+
+    def add(t: Relation) -> int:
+        i = index[t] = len(members)
+        members.append(t)
+        if i == max_relations:
+            raise ClosureSizeError(
+                f"relation closure exceeded {max_relations} members at base size {base_size}"
+            )
+        return i
+
     for g in generators:
         g = tuple(g)
         if len(g) != base_size:
             raise ValueError("generator does not match the base size")
-        family.add(g)
-    if not family:
-        family.add(rel.empty_relation(base_size))
+        if g not in index:
+            add(g)
+    if not members:
+        add(rel.empty_relation(base_size))
 
-    frontier = list(family)
+    # Members are numbered in order of discovery, and member i is combined
+    # with members 0..i in both orders, so every ordered pair is computed
+    # once.  rows[op][j] lists the indices of op(members[j], members[i]) for
+    # i = 0, 1, ...; a row grows by one entry each time a later member is
+    # combined with it.
     ops = (rel.rel_compose, rel.rel_lres, rel.rel_rres)
-    while frontier:
-        fresh: set[Relation] = set()
-        members = list(family)
-        for r in frontier:
-            for s in members:
-                for op in ops:
-                    for t in (op(r, s), op(s, r)):
-                        if t not in family and t not in fresh:
-                            fresh.add(t)
-        if not fresh:
-            break
-        family |= fresh
-        if len(family) > max_relations:
-            raise ClosureSizeError(
-                f"relation closure exceeded {max_relations} members at base size {base_size}"
-            )
-        frontier = list(fresh)
-    return tuple(sorted(family))
+    rows: tuple[list, ...] = ([], [], [])
+    for r in members:  # members grows while the loop runs
+        for op, table in zip(ops, rows):
+            row = array("I")
+            # table holds the rows of the members before r
+            for s, earlier in zip(members, table):
+                t = op(r, s)
+                k = known(t)
+                row.append(add(t) if k is None else k)
+                t = op(s, r)
+                k = known(t)
+                earlier.append(add(t) if k is None else k)
+            t = op(r, r)
+            k = known(t)
+            row.append(add(t) if k is None else k)
+            table.append(row)
+
+    order = sorted(range(len(members)), key=members.__getitem__)
+    rank = [0] * len(order)
+    for new, old in enumerate(order):
+        rank[old] = new
+    closure = RelationClosure(members[old] for old in order)
+    tables = []
+    for table in rows:
+        remapped = []
+        for old in order:
+            row = table[old]
+            remapped.append(tuple(map(rank.__getitem__, map(row.__getitem__, order))))
+            table[old] = None
+        tables.append(tuple(remapped))
+    closure.comp, closure.lres, closure.rres = tables
+    return closure
 
 
 def algebra_of_relations(
-    family: tuple[Relation, ...], names: tuple[str, ...] | None = None
+    family: RelationClosure, names: tuple[str, ...] | None = None
 ) -> FiniteResiduatedSemigroup:
-    """Abstract tables of a composition/residual-closed family of relations."""
-    index = {r: i for i, r in enumerate(family)}
-    k = len(family)
+    """Abstract tables of a closed family of relations, read off its closure."""
     if names is None:
-        names = tuple(f"r{i}" for i in range(k))
-    leq = tuple(
-        sum(1 << j for j in range(k) if rel.rel_subset(family[i], family[j]))
-        for i in range(k)
+        names = tuple(f"r{i}" for i in range(len(family)))
+    codes = [rel.encode_relation(r) for r in family]
+    leq = tuple(sum(1 << j for j, cj in enumerate(codes) if not ci & ~cj) for ci in codes)
+    return FiniteResiduatedSemigroup(
+        names=names, leq=leq, comp=family.comp, lres=family.lres, rres=family.rres
     )
-    comp = tuple(
-        tuple(index[rel.rel_compose(family[i], family[j])] for j in range(k))
-        for i in range(k)
-    )
-    lres = tuple(
-        tuple(index[rel.rel_lres(family[i], family[j])] for j in range(k))
-        for i in range(k)
-    )
-    rres = tuple(
-        tuple(index[rel.rel_rres(family[i], family[j])] for j in range(k))
-        for i in range(k)
-    )
-    return FiniteResiduatedSemigroup(names=names, leq=leq, comp=comp, lres=lres, rres=rres)
 
 
 def generate_concrete(

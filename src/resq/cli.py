@@ -241,7 +241,7 @@ def verify(algebra_path: str, dump_path: str, fmt: str) -> None:
 
 @main.command()
 @click.argument("path", type=click.Path())
-@click.option("--max-base", type=int, default=3, show_default=True)
+@click.option("--max-base", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--node-budget", type=int, default=None, help="Overrides RESQ_NODE_BUDGET.")
 @click.option("--no-symmetry", is_flag=True, help="Disable base-point symmetry breaking.")
 @format_option
@@ -277,7 +277,7 @@ def _render_found(payload: dict):
 @main.command(name="pointalg")
 @click.option("--generators", "generator_text", default="<,>", show_default=True,
               help="Comma-separated elements; atoms <=>, plus 'full' and 'neq'.")
-@click.option("--max-base", type=int, default=3, show_default=True)
+@click.option("--max-base", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--node-budget", type=int, default=None)
 @format_option
 def pointalg_cmd(generator_text: str, max_base: int, node_budget: int | None, fmt: str) -> None:
@@ -373,7 +373,7 @@ def _proof_lines(node: dict, depth: int) -> list[str]:
 
 @lambek_group.command()
 @click.argument("sequent_text")
-@click.option("--max-base", type=int, default=3, show_default=True)
+@click.option("--max-base", type=click.IntRange(min=1), default=3, show_default=True)
 @click.option("--max-atom-relations", type=int, default=None)
 @click.option("--node-budget", type=int, default=None)
 @format_option

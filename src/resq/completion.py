@@ -122,12 +122,6 @@ def closed_sets(A: FiniteResiduatedSemigroup) -> tuple[int, ...]:
     return tuple(sorted(family, key=_subset_sort_key(A.names)))
 
 
-def closed_sets_by_scan(A: FiniteResiduatedSemigroup) -> tuple[int, ...]:
-    """Reference enumeration over all 2^n subsets; test oracle for closed_sets."""
-    family = [x for x in range(1 << A.n) if m_closure(x, A) == x]
-    return tuple(sorted(family, key=_subset_sort_key(A.names)))
-
-
 def _pairwise_product(x_mask: int, y_mask: int, A: FiniteResiduatedSemigroup) -> int:
     acc = 0
     xs = x_mask

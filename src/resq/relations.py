@@ -55,9 +55,17 @@ def _check_dims(r: Relation, s: Relation) -> int:
     return len(r)
 
 
+# The operations below run millions of times per closure, so they compare the
+# base sizes inline and call _check_dims only to raise.
+
+
 def rel_subset(r: Relation, s: Relation) -> bool:
-    _check_dims(r, s)
-    return all(a & ~b == 0 for a, b in zip(r, s))
+    if len(r) != len(s):
+        _check_dims(r, s)
+    for a, b in zip(r, s):
+        if a & ~b:
+            return False
+    return True
 
 
 def rel_union(r: Relation, s: Relation) -> Relation:
@@ -72,10 +80,10 @@ def rel_intersection(r: Relation, s: Relation) -> Relation:
 
 def rel_compose(r: Relation, s: Relation) -> Relation:
     """{(x, z) : exists y with (x, y) in r and (y, z) in s}."""
-    n = _check_dims(r, s)
+    if len(r) != len(s):
+        _check_dims(r, s)
     out = []
-    for x in range(n):
-        row = r[x]
+    for row in r:
         acc = 0
         while row:
             low = row & -row
@@ -87,29 +95,32 @@ def rel_compose(r: Relation, s: Relation) -> Relation:
 
 def rel_lres(r: Relation, s: Relation) -> Relation:
     """Left residual r\\s = {(x, y) : for all z, (z, x) in r implies (z, y) in s}."""
-    n = _check_dims(r, s)
-    full = (1 << n) - 1
-    out = []
-    for x in range(n):
-        acc = full
-        for z in range(n):
-            if r[z] >> x & 1:
-                acc &= s[z]
-        out.append(acc)
+    n = len(r)
+    if n != len(s):
+        _check_dims(r, s)
+    # row x is the meet of the rows s[z] over the z with (z, x) in r
+    out = [(1 << n) - 1] * n
+    for rz, sz in zip(r, s):
+        while rz:
+            low = rz & -rz
+            out[low.bit_length() - 1] &= sz
+            rz ^= low
     return tuple(out)
 
 
 def rel_rres(r: Relation, s: Relation) -> Relation:
     """Right residual r/s = {(x, y) : for all z, (y, z) in s implies (x, z) in r}."""
-    n = _check_dims(r, s)
-    full = (1 << n) - 1
+    if len(r) != len(s):
+        _check_dims(r, s)
     out = []
-    for x in range(n):
-        rx = r[x]
+    for rx in r:
+        outside = ~rx
         row = 0
-        for y in range(n):
-            if s[y] & ~rx & full == 0:
-                row |= 1 << y
+        bit = 1
+        for sy in s:
+            if not sy & outside:
+                row |= bit
+            bit <<= 1
         out.append(row)
     return tuple(out)
 

@@ -210,14 +210,25 @@ def format_interpretation(I: Interpretation) -> str:
     return "\n".join(format_interpretation_lines(interpretation_payload(I))) + "\n"
 
 
+def _is_pair(p) -> bool:
+    return isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)
+
+
 def parse_interpretation(text: str, A) -> Interpretation:
     """Read a representation dump (text or its JSON mirror) and bind its
     relations to A's elements."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         payload = json.loads(text)
+        if not isinstance(payload, dict) or not isinstance(payload.get("base"), list):
+            raise ParseError("dump field 'base' must be a list of point labels")
+        if not isinstance(payload.get("relations"), dict):
+            raise ParseError("dump field 'relations' must be an object")
         base = tuple(str(x) for x in payload["base"])
-        named = dict(payload["relations"])
+        named = payload["relations"]
+        for name, pairs in named.items():
+            if not isinstance(pairs, list) or not all(_is_pair(p) for p in pairs):
+                raise ParseError(f"relation {name!r} must be a list of [x, y] pairs")
     else:
         base = ()
         named = {}

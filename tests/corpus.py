@@ -17,6 +17,7 @@ from resq.algebra import (
     canonical_key,
     infer_residuals,
 )
+from resq.completion import _subset_sort_key, m_closure
 from resq.errors import NoResidualError
 
 C2_TEXT = "elements: a b\nleq: a<=b\ncomp: a;a=a a;b=a b;a=a b;b=a\n"
@@ -26,6 +27,12 @@ N4_CORPUS_SIZE = 24
 
 def make_c2() -> FiniteResiduatedSemigroup:
     return algebra.parse_algebra(C2_TEXT)
+
+
+def closed_sets_by_scan(A: FiniteResiduatedSemigroup) -> tuple[int, ...]:
+    """Reference enumeration over all 2^n subsets; oracle for completion.closed_sets."""
+    family = [x for x in range(1 << A.n) if m_closure(x, A) == x]
+    return tuple(sorted(family, key=_subset_sort_key(A.names)))
 
 
 def direct_product(A: FiniteResiduatedSemigroup, B: FiniteResiduatedSemigroup):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import make_c2
+from corpus import closed_sets_by_scan, make_c2
 from resq import algebra, completion, lambek, pointalg, relrep, verifier
 from resq import relations as rel
 from resq.algebra import FiniteResiduatedSemigroup
@@ -121,7 +121,7 @@ def test_A2_completion_properties(corpus_all):
             for y in subsets:
                 if x & ~y == 0:
                     assert closures[x] & ~closures[y] == 0
-        assert completion.closed_sets(A) == completion.closed_sets_by_scan(A)
+        assert completion.closed_sets(A) == closed_sets_by_scan(A)
         Q = completion.build_quantale(A, check=True)  # all quantale laws
         for i in range(Q.size):
             for j in range(Q.size):

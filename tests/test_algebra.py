@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from corpus import C2_TEXT
 from resq import algebra
 from resq.algebra import FiniteResiduatedSemigroup
 from resq.errors import ClosureSizeError, NoResidualError, ParseError, ResourceLimitError
+from resq import relations as rel
 from resq import verifier
 
 ONE_ELEMENT = "elements: x\nleq: x<=x\ncomp: x;x=x\n"
@@ -314,3 +316,76 @@ def test_generate_concrete_seeded_is_deterministic():
 def test_generate_concrete_size_cap():
     with pytest.raises(ClosureSizeError):
         algebra.generate_concrete(3, generators=[(6, 5, 0)], max_relations=2)
+
+
+# ---------------------------------------------------------------------------
+# closure tables against k^2 kernel calls per operation
+
+OPS = (rel.rel_compose, rel.rel_lres, rel.rel_rres)
+# A4 draws (seed s over base 1 + s % 3) of bases 1-2, plus the base-3 ones
+# whose closures have at most 64 members
+A4_SMALL_SEEDS = [s for s in range(50) if s % 3 != 2] + [2, 11, 14, 32]
+
+
+def a4_generators(base, seed):
+    """The generator draw of generate_concrete(base, seed)."""
+    rng = random.Random(seed)
+    count = rng.randint(1, 3)
+    return [tuple(rng.randrange(1 << base) for _ in range(base)) for _ in range(count)]
+
+
+def naive_closure(generators, base):
+    """Fixpoint of all pairwise operations, sorted."""
+    family = {tuple(g) for g in generators} or {rel.empty_relation(base)}
+    while True:
+        fresh = {op(r, s) for r in family for s in family for op in OPS} - family
+        if not fresh:
+            return tuple(sorted(family))
+        family |= fresh
+
+
+def tables_by_kernel(family):
+    """leq, comp, lres, rres of a closed family, each entry from a kernel call."""
+    index = {r: i for i, r in enumerate(family)}
+    k = len(family)
+    leq = tuple(
+        sum(1 << j for j in range(k) if rel.rel_subset(family[i], family[j]))
+        for i in range(k)
+    )
+    comp, lres, rres = (
+        tuple(tuple(index[op(family[i], family[j])] for j in range(k)) for i in range(k))
+        for op in OPS
+    )
+    return leq, comp, lres, rres
+
+
+@pytest.mark.parametrize("seed", A4_SMALL_SEEDS)
+def test_closure_tables_match_kernel_calls(seed):
+    base = 1 + seed % 3
+    gens = a4_generators(base, seed)
+    closure = algebra.close_relation_family(gens, base)
+    assert closure == naive_closure(gens, base)
+    assert isinstance(closure, tuple) and list(closure) == sorted(closure)
+    A, interp = algebra.generate_concrete(base, seed=seed)
+    assert interp.relations == closure
+    assert (A.leq, A.comp, A.lres, A.rres) == tables_by_kernel(closure)
+    assert (closure.comp, closure.lres, closure.rres) == (A.comp, A.lres, A.rres)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 13])
+def test_closure_cap_boundary(seed):
+    base = 1 + seed % 3
+    gens = a4_generators(base, seed)
+    size = len(algebra.close_relation_family(gens, base))
+    assert len(algebra.close_relation_family(gens, base, max_relations=size)) == size
+    with pytest.raises(ClosureSizeError):
+        algebra.close_relation_family(gens, base, max_relations=size - 1)
+
+
+def test_closed_generators_over_the_cap_raise():
+    # the closure of {(0,1)} has six members; given all six as generators,
+    # the closure adds nothing and is still over a cap of five
+    family = algebra.close_relation_family([(0b10, 0)], 2)
+    assert algebra.close_relation_family(family, 2) == family
+    with pytest.raises(ClosureSizeError):
+        algebra.close_relation_family(family, 2, max_relations=5)

@@ -192,6 +192,38 @@ def test_verify_rejects_duplicate_relation(runner, tmp_path):
     assert "second relation for element 'x'" in result.output
 
 
+@pytest.mark.parametrize(
+    "dump, message",
+    [
+        ({"base": 2, "relations": {"x": [[0, 0]]}}, "'base' must be a list"),
+        ({"base": ["q"], "relations": [["x", [[0, 0]]]]}, "'relations' must be an object"),
+        ({"base": ["q"], "relations": {"x": 0}}, "relation 'x' must be a list of [x, y] pairs"),
+        ({"base": ["q"], "relations": {"x": [[0]]}}, "relation 'x' must be a list of [x, y] pairs"),
+        ({"base": ["q"], "relations": {"x": [["0", 0]]}}, "relation 'x' must be a list"),
+    ],
+)
+def test_verify_rejects_malformed_json_dump(runner, tmp_path, dump, message):
+    path = tmp_path / "one.alg"
+    path.write_text(ONE)
+    rep = tmp_path / "one.json"
+    rep.write_text(json.dumps(dump))
+    result = runner.invoke(main, ["verify", str(path), str(rep)], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert message in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command", [["search", "ALGEBRA"], ["pointalg"], ["lambek", "counter", "p*q |- q*p"]]
+)
+def test_max_base_below_one_is_an_input_error(runner, c2_file, command, value):
+    args = [c2_file if arg == "ALGEBRA" else arg for arg in command]
+    result = runner.invoke(main, args + ["--max-base", value], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert "--max-base" in result.output
+
+
 def test_search_found_one_element(runner, tmp_path):
     path = tmp_path / "one.alg"
     path.write_text(ONE)

@@ -1,11 +1,11 @@
 import pytest
 
+from corpus import closed_sets_by_scan
 from resq import algebra, completion
 from resq.algebra import down_masks
 from resq.completion import (
     build_quantale,
     closed_sets,
-    closed_sets_by_scan,
     embed,
     lower_bounds,
     m_closure,

@@ -64,6 +64,46 @@ def test_union_and_subset_agree_with_pairs(r, s):
     assert rel.rel_subset(r, s) == (set(rel.relation_pairs(r)) <= set(rel.relation_pairs(s)))
 
 
+# Pair-set definitions of the kernel operations, the oracle for the bit loops.
+
+
+def pair_compose(n, r, s):
+    return {(x, z) for x in range(n) for z in range(n)
+            if any((x, y) in r and (y, z) in s for y in range(n))}
+
+
+def pair_lres(n, r, s):
+    return {(x, y) for x in range(n) for y in range(n)
+            if all((z, y) in s for z in range(n) if (z, x) in r)}
+
+
+def pair_rres(n, r, s):
+    return {(x, y) for x in range(n) for y in range(n)
+            if all((x, z) in r for z in range(n) if (y, z) in s)}
+
+
+def assert_kernel_matches_pairs(n, r, s):
+    rp, sp = set(rel.relation_pairs(r)), set(rel.relation_pairs(s))
+    assert set(rel.relation_pairs(rel.rel_compose(r, s))) == pair_compose(n, rp, sp)
+    assert set(rel.relation_pairs(rel.rel_lres(r, s))) == pair_lres(n, rp, sp)
+    assert set(rel.relation_pairs(rel.rel_rres(r, s))) == pair_rres(n, rp, sp)
+    assert rel.rel_subset(r, s) == (rp <= sp)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_kernel_matches_pair_sets_exhaustively(n):
+    for r in rel.all_relations(n):
+        for s in rel.all_relations(n):
+            assert_kernel_matches_pairs(n, r, s)
+
+
+@given(st.data(), st.sampled_from([3, 4]))
+def test_kernel_matches_pair_sets_at_bases_three_and_four(data, n):
+    r = data.draw(mask_relation(n))
+    s = data.draw(mask_relation(n))
+    assert_kernel_matches_pairs(n, r, s)
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatch):
         rel.rel_compose((0,), (0, 0))

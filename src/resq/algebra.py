@@ -87,6 +87,121 @@ def down_masks(leq: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(cols)
 
 
+def inclusion_order(masks) -> tuple[int, ...]:
+    """Order rows of sets given as bitmasks: bit j of row i iff masks[i] <= masks[j]."""
+    return tuple(sum(1 << j for j, y in enumerate(masks) if not x & ~y) for x in masks)
+
+
+# ---------------------------------------------------------------------------
+# table laws
+#
+# Each law reads order rows (bit j of leq[i] set iff i <= j) and index tables
+# of any size, and returns the lexicographically first tuple of indices that
+# violates it, or None when the law holds.
+
+
+def reflexivity(leq: tuple[int, ...]) -> tuple[int] | None:
+    for i, row in enumerate(leq):
+        if not row >> i & 1:
+            return (i,)
+    return None
+
+
+def antisymmetry(leq: tuple[int, ...]) -> tuple[int, int] | None:
+    for i, row in enumerate(leq):
+        for j in range(i + 1, len(leq)):
+            if row >> j & 1 and leq[j] >> i & 1:
+                return (i, j)
+    return None
+
+
+def transitivity(leq: tuple[int, ...]) -> tuple[int, int, int] | None:
+    """Some i <= j <= k with i not <= k."""
+    for i, row in enumerate(leq):
+        for j in range(len(leq)):
+            if row >> j & 1:
+                escape = leq[j] & ~row
+                if escape:
+                    return (i, j, (escape & -escape).bit_length() - 1)
+    return None
+
+
+def associativity(comp) -> tuple[int, int, int] | None:
+    n = len(comp)
+    for a in range(n):
+        row = comp[a]
+        for b in range(n):
+            ab = comp[row[b]]
+            comp_b = comp[b]
+            for c in range(n):
+                if ab[c] != row[comp_b[c]]:
+                    return (a, b, c)
+    return None
+
+
+def monotonicity(leq: tuple[int, ...], comp) -> tuple[int, int, int] | None:
+    """Some a <= b and c with a;c not <= b;c or c;a not <= c;b."""
+    n = len(leq)
+    for a in range(n):
+        comp_a = comp[a]
+        for b in range(n):
+            if not leq[a] >> b & 1:
+                continue
+            comp_b = comp[b]
+            for c in range(n):
+                if not leq[comp_a[c]] >> comp_b[c] & 1 or not leq[comp[c][a]] >> comp[c][b] & 1:
+                    return (a, b, c)
+    return None
+
+
+def residuation(leq: tuple[int, ...], comp, lres, rres) -> tuple[int, int, int] | None:
+    """Some a, b, c where b <= a\\c, a;b <= c and a <= c/b do not all agree."""
+    n = len(leq)
+    for a in range(n):
+        comp_a = comp[a]
+        lres_a = lres[a]
+        row_a = leq[a]
+        for b in range(n):
+            row_ab = leq[comp_a[b]]
+            row_b = leq[b]
+            for c in range(n):
+                below = row_ab >> c & 1
+                if row_b >> lres_a[c] & 1 != below or row_a >> rres[c][b] & 1 != below:
+                    return (a, b, c)
+    return None
+
+
+def join_lub(leq: tuple[int, ...], join) -> tuple[int, int, int] | None:
+    """Some i, j, k where i v j <= k disagrees with (i <= k and j <= k).
+
+    On a preorder this says exactly that i v j is a least upper bound.
+    """
+    for i, row in enumerate(leq):
+        join_i = join[i]
+        for j in range(len(leq)):
+            mismatch = (row & leq[j]) ^ leq[join_i[j]]
+            if mismatch:
+                return (i, j, (mismatch & -mismatch).bit_length() - 1)
+    return None
+
+
+def distributivity(join, comp) -> tuple[int, int, int] | None:
+    """Some a, b, c with a;(b v c) != a;b v a;c or (b v c);a != b;a v c;a."""
+    n = len(comp)
+    for a in range(n):
+        comp_a = comp[a]
+        for b in range(n):
+            join_b = join[b]
+            for c in range(n):
+                bc = join_b[c]
+                if (
+                    comp_a[bc] != join[comp_a[b]][comp_a[c]]
+                    or comp[bc][a] != join[comp[b][a]][comp[c][a]]
+                ):
+                    return (a, b, c)
+    return None
+
+
 def _max_of(candidates: int, down: tuple[int, ...]) -> int | None:
     """Index of an element of the candidate mask above all others, if any."""
     m = candidates
@@ -153,85 +268,16 @@ def validate(A: FiniteResiduatedSemigroup) -> ValidationReport:
 
     Total: never raises, works on arbitrary tables.
     """
-    n = A.n
-    failures = []
-
-    for i in range(n):
-        if not A.le(i, i):
-            failures.append(("reflexivity", (i,)))
-            break
-
-    done = False
-    for i in range(n):
-        for j in range(n):
-            if i != j and A.le(i, j) and A.le(j, i):
-                failures.append(("antisymmetry", (i, j)))
-                done = True
-                break
-        if done:
-            break
-
-    done = False
-    for i in range(n):
-        for j in range(n):
-            if not A.le(i, j):
-                continue
-            for k in range(n):
-                if A.le(j, k) and not A.le(i, k):
-                    failures.append(("transitivity", (i, j, k)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-
-    done = False
-    for a in range(n):
-        for b in range(n):
-            ab = A.comp[a][b]
-            for c in range(n):
-                if A.comp[ab][c] != A.comp[a][A.comp[b][c]]:
-                    failures.append(("associativity", (a, b, c)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-
-    done = False
-    for a in range(n):
-        for b in range(n):
-            if not A.le(a, b):
-                continue
-            for c in range(n):
-                if not A.le(A.comp[a][c], A.comp[b][c]) or not A.le(A.comp[c][a], A.comp[c][b]):
-                    failures.append(("monotonicity", (a, b, c)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-
-    done = False
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                t1 = A.le(b, A.lres[a][c])
-                t2 = A.le(A.comp[a][b], c)
-                t3 = A.le(a, A.rres[c][b])
-                if not (t1 == t2 == t3):
-                    failures.append(("residuation", (a, b, c)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-
-    return ValidationReport(valid=not failures, failures=tuple(failures))
+    laws = (
+        ("reflexivity", reflexivity(A.leq)),
+        ("antisymmetry", antisymmetry(A.leq)),
+        ("transitivity", transitivity(A.leq)),
+        ("associativity", associativity(A.comp)),
+        ("monotonicity", monotonicity(A.leq, A.comp)),
+        ("residuation", residuation(A.leq, A.comp, A.lres, A.rres)),
+    )
+    failures = tuple((axiom, witness) for axiom, witness in laws if witness is not None)
+    return ValidationReport(valid=not failures, failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -393,19 +439,7 @@ def _partial_orders(n: int) -> tuple[tuple[int, ...], ...]:
         for (i, j), bit in zip(off_diagonal, bits):
             if bit:
                 rows[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                if i != j and rows[i] >> j & 1:
-                    if rows[j] >> i & 1:
-                        ok = False
-                        break
-                    if rows[j] & ~rows[i]:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
+        if antisymmetry(rows) is None and transitivity(rows) is None:
             out.append(tuple(rows))
     return tuple(out)
 
@@ -415,36 +449,9 @@ def _associative_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     out = []
     for flat in itertools.product(range(n), repeat=n * n):
         comp = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-        ok = True
-        for a in range(n):
-            row = comp[a]
-            for b in range(n):
-                ab = row[b]
-                for c in range(n):
-                    if comp[ab][c] != row[comp[b][c]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+        if associativity(comp) is None:
             out.append(comp)
     return tuple(out)
-
-
-def _monotone(leq: tuple[int, ...], comp) -> bool:
-    n = len(leq)
-    for a in range(n):
-        for b in range(n):
-            if a == b or not leq[a] >> b & 1:
-                continue
-            for c in range(n):
-                if not leq[comp[a][c]] >> comp[b][c] & 1:
-                    return False
-                if not leq[comp[c][a]] >> comp[c][b] & 1:
-                    return False
-    return True
 
 
 def default_names(n: int) -> tuple[str, ...]:
@@ -466,7 +473,7 @@ def enumerate_algebras(n: int, cap: int = ENUMERATION_CAP, up_to_iso: bool = Fal
     seen: set[tuple] = set()
     for leq in _partial_orders(n):
         for comp in _associative_tables(n):
-            if not _monotone(leq, comp):
+            if monotonicity(leq, comp) is not None:
                 continue
             try:
                 lres, rres = infer_residuals(leq, comp)
@@ -597,8 +604,7 @@ def algebra_of_relations(
     """Abstract tables of a closed family of relations, read off its closure."""
     if names is None:
         names = tuple(f"r{i}" for i in range(len(family)))
-    codes = [rel.encode_relation(r) for r in family]
-    leq = tuple(sum(1 << j for j, cj in enumerate(codes) if not ci & ~cj) for ci in codes)
+    leq = inclusion_order([rel.encode_relation(r) for r in family])
     return FiniteResiduatedSemigroup(
         names=names, leq=leq, comp=family.comp, lres=family.lres, rres=family.rres
     )

@@ -73,6 +73,13 @@ def _load_algebra(path: str) -> algebra.FiniteResiduatedSemigroup:
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True
 )
+node_budget_option = click.option(
+    "--node-budget",
+    type=click.IntRange(min=1),
+    envvar="RESQ_NODE_BUDGET",
+    default=None,
+    help="Search node limit; defaults to RESQ_NODE_BUDGET when set.",
+)
 
 
 @click.group()
@@ -242,7 +249,7 @@ def verify(algebra_path: str, dump_path: str, fmt: str) -> None:
 @main.command()
 @click.argument("path", type=click.Path())
 @click.option("--max-base", type=click.IntRange(min=1), default=3, show_default=True)
-@click.option("--node-budget", type=int, default=None, help="Overrides RESQ_NODE_BUDGET.")
+@node_budget_option
 @click.option("--no-symmetry", is_flag=True, help="Disable base-point symmetry breaking.")
 @format_option
 def search(path: str, max_base: int, node_budget: int | None, no_symmetry: bool,
@@ -278,7 +285,7 @@ def _render_found(payload: dict):
 @click.option("--generators", "generator_text", default="<,>", show_default=True,
               help="Comma-separated elements; atoms <=>, plus 'full' and 'neq'.")
 @click.option("--max-base", type=click.IntRange(min=1), default=3, show_default=True)
-@click.option("--node-budget", type=int, default=None)
+@node_budget_option
 @format_option
 def pointalg_cmd(generator_text: str, max_base: int, node_budget: int | None, fmt: str) -> None:
     """Close a point-algebra reduct and probe it for a bounded-base representation."""
@@ -334,7 +341,7 @@ def _parse_sequent(text: str) -> lambek.Sequent:
 
 @lambek_group.command()
 @click.argument("sequent_text")
-@click.option("--node-budget", type=int, default=None)
+@node_budget_option
 @click.option("--trace", is_flag=True, help="Include the derivation tree.")
 @format_option
 def prove(sequent_text: str, node_budget: int | None, trace: bool, fmt: str) -> None:
@@ -374,8 +381,8 @@ def _proof_lines(node: dict, depth: int) -> list[str]:
 @lambek_group.command()
 @click.argument("sequent_text")
 @click.option("--max-base", type=click.IntRange(min=1), default=3, show_default=True)
-@click.option("--max-atom-relations", type=int, default=None)
-@click.option("--node-budget", type=int, default=None)
+@click.option("--max-atom-relations", type=click.IntRange(min=1), default=None)
+@node_budget_option
 @format_option
 def counter(sequent_text: str, max_base: int, max_atom_relations: int | None,
             node_budget: int | None, fmt: str) -> None:

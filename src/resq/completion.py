@@ -10,8 +10,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FiniteResiduatedSemigroup, down_masks
-from .errors import EmbeddingViolation, QuantaleLawError
+from .algebra import (
+    FiniteResiduatedSemigroup,
+    antisymmetry,
+    associativity,
+    distributivity,
+    down_masks,
+    inclusion_order,
+    infer_residuals,
+    join_lub,
+    reflexivity,
+    residuation,
+    transitivity,
+)
+from .errors import EmbeddingViolation, NoResidualError, QuantaleLawError
 
 
 @dataclass(frozen=True)
@@ -137,15 +149,12 @@ def _pairwise_product(x_mask: int, y_mask: int, A: FiniteResiduatedSemigroup) ->
     return acc
 
 
-def build_quantale(A: FiniteResiduatedSemigroup, check: bool = True) -> Quantale:
+def build_quantale(A: FiniteResiduatedSemigroup) -> Quantale:
     """Quantale of closed sets: X;Y = m(pairwise products), sup = m(union)."""
     elems = closed_sets(A)
     index = {mask: i for i, mask in enumerate(elems)}
     size = len(elems)
-    leq = tuple(
-        sum(1 << j for j in range(size) if elems[i] & ~elems[j] == 0)
-        for i in range(size)
-    )
+    leq = inclusion_order(elems)
     comp = tuple(
         tuple(index[m_closure(_pairwise_product(elems[i], elems[j], A), A)] for j in range(size))
         for i in range(size)
@@ -173,8 +182,7 @@ def build_quantale(A: FiniteResiduatedSemigroup, check: bool = True) -> Quantale
         unital=unit is not None,
         unit=unit,
     )
-    if check:
-        check_quantale_laws(Q)
+    check_quantale_laws(Q)
     return Q
 
 
@@ -186,40 +194,21 @@ def check_quantale_laws(Q: Quantale) -> None:
     lattice.
     """
     size = Q.size
-    for i in range(size):
-        if not Q.le(i, i):
-            raise QuantaleLawError(f"order not reflexive at {i}")
-        for j in range(size):
-            if i != j and Q.le(i, j) and Q.le(j, i):
-                raise QuantaleLawError(f"order not antisymmetric at ({i}, {j})")
-            s = Q.sup[i][j]
-            if not (Q.le(i, s) and Q.le(j, s)):
-                raise QuantaleLawError(f"sup({i}, {j}) is not an upper bound")
-            for k in range(size):
-                if Q.le(i, k) and Q.le(j, k) and not Q.le(s, k):
-                    raise QuantaleLawError(f"sup({i}, {j}) is not least")
-        if not Q.le(Q.bottom, i) or not Q.le(i, Q.top):
-            raise QuantaleLawError(f"bounds violated at {i}")
+    for law, witness in (
+        ("order not reflexive", reflexivity(Q.leq)),
+        ("order not antisymmetric", antisymmetry(Q.leq)),
+        ("order not transitive", transitivity(Q.leq)),
+        ("sup is not the least upper bound", join_lub(Q.leq, Q.sup)),
+        ("composition not associative", associativity(Q.comp)),
+        ("composition does not distribute over sup", distributivity(Q.sup, Q.comp)),
+    ):
+        if witness is not None:
+            raise QuantaleLawError(f"{law} at {witness}")
     for a in range(size):
-        for b in range(size):
-            ab = Q.comp[a][b]
-            for c in range(size):
-                if Q.comp[ab][c] != Q.comp[a][Q.comp[b][c]]:
-                    raise QuantaleLawError(f"composition not associative at ({a}, {b}, {c})")
-    for a in range(size):
+        if not Q.le(Q.bottom, a) or not Q.le(a, Q.top):
+            raise QuantaleLawError(f"bounds violated at {a}")
         if Q.comp[a][Q.bottom] != Q.bottom or Q.comp[Q.bottom][a] != Q.bottom:
             raise QuantaleLawError(f"composition does not absorb bottom at {a}")
-        for b in range(size):
-            for c in range(size):
-                s = Q.sup[b][c]
-                if Q.comp[a][s] != Q.sup[Q.comp[a][b]][Q.comp[a][c]]:
-                    raise QuantaleLawError(
-                        f"left distributivity fails at ({a}, {b}, {c})"
-                    )
-                if Q.comp[s][a] != Q.sup[Q.comp[b][a]][Q.comp[c][a]]:
-                    raise QuantaleLawError(
-                        f"right distributivity fails at ({a}, {b}, {c})"
-                    )
     if Q.unital:
         e = Q.unit
         if e is None or any(Q.comp[e][x] != x or Q.comp[x][e] != x for x in range(size)):
@@ -229,40 +218,22 @@ def check_quantale_laws(Q: Quantale) -> None:
 def quantale_residuals(
     Q: Quantale,
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Residual tables by suprema: a\\b = sup{c : a;c <= b}, a/b = sup{c : c;b <= a}.
+    """Residual tables: a\\b = max{c : a;c <= b} and a/b = max{c : c;b <= a}.
 
-    The computed tables are checked exhaustively against the residuation law.
+    In a finite quantale each maximum exists and equals the supremum of its
+    set.  The tables are checked exhaustively against the residuation law.
     """
-    size = Q.size
-    lres = tuple(
-        tuple(
-            Q.sup_of(c for c in range(size) if Q.le(Q.comp[a][c], b))
-            for b in range(size)
-        )
-        for a in range(size)
-    )
-    rres = tuple(
-        tuple(
-            Q.sup_of(c for c in range(size) if Q.le(Q.comp[c][b], a))
-            for b in range(size)
-        )
-        for a in range(size)
-    )
-    for a in range(size):
-        for b in range(size):
-            for c in range(size):
-                if Q.le(c, lres[a][b]) != Q.le(Q.comp[a][c], b):
-                    raise QuantaleLawError(f"left residuation law fails at ({a}, {b}, {c})")
-                if Q.le(c, rres[a][b]) != Q.le(Q.comp[c][b], a):
-                    raise QuantaleLawError(f"right residuation law fails at ({a}, {b}, {c})")
+    try:
+        lres, rres = infer_residuals(Q.leq, Q.comp)
+    except NoResidualError as exc:
+        raise QuantaleLawError(f"residual missing: {exc}") from None
+    witness = residuation(Q.leq, Q.comp, lres, rres)
+    if witness is not None:
+        raise QuantaleLawError(f"residuation law fails at {witness}")
     return lres, rres
 
 
-def embed(
-    A: FiniteResiduatedSemigroup,
-    Q: Quantale,
-    residuals=None,
-) -> tuple[int, ...]:
+def embed(A: FiniteResiduatedSemigroup, Q: Quantale) -> tuple[int, ...]:
     """The lower-cone map a -> index of {x : x <= a} in Q.
 
     Checks injectivity, order preservation and reflection, and preservation
@@ -272,9 +243,7 @@ def embed(
     f = tuple(Q.index(down[a]) for a in range(A.n))
     if len(set(f)) != A.n:
         raise EmbeddingViolation("injectivity", (0,))
-    if residuals is None:
-        residuals = quantale_residuals(Q)
-    qlres, qrres = residuals
+    qlres, qrres = quantale_residuals(Q)
     for a in range(A.n):
         for b in range(A.n):
             if A.le(a, b) != Q.le(f[a], f[b]):

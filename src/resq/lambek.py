@@ -9,6 +9,7 @@ residuated semigroups of relations, which have no unit.
 
 from __future__ import annotations
 
+import itertools
 import re
 import sys
 from dataclasses import dataclass
@@ -357,14 +358,6 @@ def countermodel_search(
     except RecursionError:
         raise _too_deep() from None
 
-    def assignments(candidate_lists, index):
-        if index == len(candidate_lists):
-            yield ()
-            return
-        for value in candidate_lists[index]:
-            for tail in assignments(candidate_lists, index + 1):
-                yield (value, *tail)
-
     for k in range(1, max_base + 1):
         first = list(rel.canonical_relations(k)) if symmetry else list(rel.all_relations(k))
         rest = list(rel.all_relations(k))
@@ -372,7 +365,7 @@ def countermodel_search(
             first = first[:max_atom_relations]
             rest = rest[:max_atom_relations]
         candidate_lists = [first] + [rest] * (len(atoms) - 1)
-        for values in assignments(candidate_lists, 0):
+        for values in itertools.product(*candidate_lists):
             budget.spend()
             model = RelationalModel(base_size=k, valuation=tuple(zip(atoms, values)))
             if not evaluate(s, model):

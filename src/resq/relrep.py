@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import relations as rel
 from . import verifier
-from .algebra import FiniteResiduatedSemigroup
+from .algebra import FiniteResiduatedSemigroup, inclusion_order
 from .completion import Quantale, build_quantale, check_quantale_laws, embed
 from .errors import ParseError
 from .relations import Interpretation, Relation
@@ -60,7 +60,7 @@ def hat(Q: Quantale, G: GeneratorSet, a: int) -> Relation:
     return tuple(rows)
 
 
-def unitalize(Q: Quantale, check: bool = True) -> Quantale:
+def unitalize(Q: Quantale) -> Quantale:
     """Freely adjoin a two-sided unit; the identity on quantales already unital.
 
     The carrier doubles to pairs (q, i) with i marking "join with the unit":
@@ -96,14 +96,10 @@ def unitalize(Q: Quantale, check: bool = True) -> Quantale:
         )
         for x in range(total)
     )
-    leq = tuple(
-        sum(1 << j for j in range(total) if masks[i] & ~masks[j] == 0)
-        for i in range(total)
-    )
     out = Quantale(
         labels=labels,
         masks=masks,
-        leq=leq,
+        leq=inclusion_order(masks),
         comp=comp,
         sup=sup,
         bottom=Q.bottom,
@@ -111,8 +107,7 @@ def unitalize(Q: Quantale, check: bool = True) -> Quantale:
         unital=True,
         unit=size + Q.bottom,
     )
-    if check:
-        check_quantale_laws(out)
+    check_quantale_laws(out)
     return out
 
 

@@ -12,13 +12,14 @@ from resq import algebra
 from resq.algebra import (
     FiniteResiduatedSemigroup,
     _associative_tables,
-    _monotone,
     _partial_orders,
     canonical_key,
     infer_residuals,
+    monotonicity,
 )
 from resq.completion import _subset_sort_key, m_closure
 from resq.errors import NoResidualError
+from resq.pointalg import ATOM_EQ, ATOM_GT, ATOM_LT
 
 C2_TEXT = "elements: a b\nleq: a<=b\ncomp: a;a=a a;b=a b;a=a b;b=a\n"
 
@@ -33,6 +34,78 @@ def closed_sets_by_scan(A: FiniteResiduatedSemigroup) -> tuple[int, ...]:
     """Reference enumeration over all 2^n subsets; oracle for completion.closed_sets."""
     family = [x for x in range(1 << A.n) if m_closure(x, A) == x]
     return tuple(sorted(family, key=_subset_sort_key(A.names)))
+
+
+def dense_chain_table(samples: int = 64, depth: int = 6) -> tuple[tuple[int, ...], ...]:
+    """Point-algebra composition sampled over a concrete finite chain; oracle
+    for pointalg.build_point_algebra.
+
+    The chain holds the sample points plus iterated midpoints (depth halvings
+    of every gap) and one margin point beyond each end, approximating a dense
+    unbounded order well enough for atom compositions to stabilise.  Entry
+    (r, s) collects the atom of every sample pair joined by some witness.
+    """
+    step = 1 << depth
+    sample_values = [i * step for i in range(samples)]
+    top = sample_values[-1]
+    chain = [-step] + list(range(0, top + 1)) + [top + step]
+    pos = {v: i for i, v in enumerate(chain)}
+    last = len(chain) - 1
+
+    def out_range(atom: int, v: int) -> tuple[int, int]:
+        # chain-index interval of {z : (v, z) in atom}
+        i = pos[v]
+        if atom == 0:
+            return (i + 1, last)
+        if atom == 1:
+            return (i, i)
+        return (0, i - 1)
+
+    def in_range(atom: int, v: int) -> tuple[int, int]:
+        # chain-index interval of {z : (z, v) in atom}
+        i = pos[v]
+        if atom == 0:
+            return (0, i - 1)
+        if atom == 1:
+            return (i, i)
+        return (i + 1, last)
+
+    # witness mask per sample pair: bit a*3+b set iff some chain point z has
+    # (x, z) in atom a and (z, y) in atom b
+    pair_data = []
+    for x in sample_values:
+        for y in sample_values:
+            wmask = 0
+            for a in range(3):
+                lo_a, hi_a = out_range(a, x)
+                for b in range(3):
+                    lo_b, hi_b = in_range(b, y)
+                    if max(lo_a, lo_b) <= min(hi_a, hi_b):
+                        wmask |= 1 << (a * 3 + b)
+            atom = ATOM_LT if x < y else ATOM_EQ if x == y else ATOM_GT
+            pair_data.append((wmask, atom))
+
+    selectors = []
+    for r in range(8):
+        row = []
+        for s in range(8):
+            sel = 0
+            for a in range(3):
+                if r >> a & 1:
+                    for b in range(3):
+                        if s >> b & 1:
+                            sel |= 1 << (a * 3 + b)
+            row.append(sel)
+        selectors.append(row)
+
+    table = [[0] * 8 for _ in range(8)]
+    for wmask, atom in pair_data:
+        for r in range(8):
+            sel_row = selectors[r]
+            for s in range(8):
+                if wmask & sel_row[s]:
+                    table[r][s] |= atom
+    return tuple(tuple(row) for row in table)
 
 
 def direct_product(A: FiniteResiduatedSemigroup, B: FiniteResiduatedSemigroup):
@@ -152,7 +225,7 @@ def build_n4_corpus(limit: int = N4_CORPUS_SIZE):
         for comp in _associative_tables(3):
             if len(out) >= limit:
                 break
-            if not _monotone(leq, comp):
+            if monotonicity(leq, comp) is not None:
                 continue
             try:
                 record(adjoin_zero(leq, comp))

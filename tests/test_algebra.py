@@ -126,24 +126,91 @@ def reevaluate_witness(A, axiom, witness):
     raise AssertionError(f"unknown axiom {axiom}")
 
 
-def test_validation_witnesses_reevaluate():
-    # every reported witness must itself violate the named axiom, across a
-    # deterministic sample of mostly-invalid structures
-    import random
+AXIOM_ARITY = (
+    ("reflexivity", 1),
+    ("antisymmetry", 2),
+    ("transitivity", 3),
+    ("associativity", 3),
+    ("monotonicity", 3),
+    ("residuation", 3),
+)
 
-    rng = random.Random(99)
+
+def assert_first_witnesses(A):
+    """Each reported witness is the lexicographically first violating tuple
+    of its axiom, and every violated axiom is reported, in validate's order."""
+    report = algebra.validate(A)
+    assert report.valid == (not report.failures)
+    for axiom, witness in report.failures:
+        assert reevaluate_witness(A, axiom, witness), (axiom, witness)
+    expected = []
+    for axiom, arity in AXIOM_ARITY:
+        first = next(
+            (
+                w
+                for w in itertools.product(range(A.n), repeat=arity)
+                if reevaluate_witness(A, axiom, w)
+            ),
+            None,
+        )
+        if first is not None:
+            expected.append((axiom, first))
+    assert list(report.failures) == expected
+
+
+def _random_structure(rng, reflexive):
     names = algebra.default_names(3)
+    leq = tuple(rng.randrange(8) | (1 << i if reflexive else 0) for i in range(3))
+    tables = [
+        tuple(tuple(rng.randrange(3) for _ in range(3)) for _ in range(3))
+        for _ in range(3)
+    ]
+    return FiniteResiduatedSemigroup(names, leq, *tables)
+
+
+def test_validation_witnesses_reevaluate():
+    # every reported witness must itself violate the named axiom and be the
+    # first tuple that does, across a deterministic sample of mostly-invalid
+    # structures
+    rng = random.Random(99)
     for _ in range(500):
-        leq = tuple(rng.randrange(8) | (1 << i) for i in range(3))
-        tables = [
+        assert_first_witnesses(_random_structure(rng, reflexive=True))
+
+
+def test_validation_witnesses_on_arbitrary_orders():
+    rng = random.Random(7)
+    for _ in range(200):
+        assert_first_witnesses(_random_structure(rng, reflexive=False))
+
+
+def test_join_laws_report_first_violation():
+    # join_lub and distributivity, which validate does not read, also return
+    # the first violating tuple
+    def le(leq, i, j):
+        return bool(leq[i] >> j & 1)
+
+    def lub_fails(leq, join, i, j, k):
+        return le(leq, join[i][j], k) != (le(leq, i, k) and le(leq, j, k))
+
+    def distributivity_fails(join, comp, a, b, c):
+        bc = join[b][c]
+        return (comp[a][bc] != join[comp[a][b]][comp[a][c]]
+                or comp[bc][a] != join[comp[b][a]][comp[c][a]])
+
+    rng = random.Random(5)
+    for _ in range(300):
+        leq = tuple(rng.randrange(8) | 1 << i for i in range(3))
+        join, comp = (
             tuple(tuple(rng.randrange(3) for _ in range(3)) for _ in range(3))
-            for _ in range(3)
-        ]
-        A = FiniteResiduatedSemigroup(names, leq, *tables)
-        report = algebra.validate(A)
-        assert report.valid == (not report.failures)
-        for axiom, witness in report.failures:
-            assert reevaluate_witness(A, axiom, witness), (axiom, witness)
+            for _ in range(2)
+        )
+        triples = list(itertools.product(range(3), repeat=3))
+        assert algebra.join_lub(leq, join) == next(
+            (t for t in triples if lub_fails(leq, join, *t)), None
+        )
+        assert algebra.distributivity(join, comp) == next(
+            (t for t in triples if distributivity_fails(join, comp, *t)), None
+        )
 
 
 def test_validate_reports_each_broken_axiom():
@@ -236,11 +303,11 @@ def test_enumerate_outputs_validate(corpus_small):
 def test_inferred_residuals_never_fail_validation():
     # over every order and monotone associative table on two elements,
     # successful inference always yields a law-abiding structure
-    from resq.algebra import _associative_tables, _monotone, _partial_orders
+    from resq.algebra import _associative_tables, _partial_orders, monotonicity
 
     for leq in _partial_orders(2):
         for comp in _associative_tables(2):
-            if not _monotone(leq, comp):
+            if monotonicity(leq, comp) is not None:
                 continue
             try:
                 lres, rres = algebra.infer_residuals(leq, comp)

@@ -224,6 +224,50 @@ def test_max_base_below_one_is_an_input_error(runner, c2_file, command, value):
     assert "--max-base" in result.output
 
 
+BUDGETED_COMMANDS = [
+    ["search", "ALGEBRA", "--max-base", "1"],
+    ["pointalg", "--max-base", "1"],
+    ["lambek", "prove", "p |- p"],
+    ["lambek", "counter", "p |- p", "--max-base", "1"],
+]
+
+
+@pytest.mark.parametrize("source", ["option", "environment"])
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+@pytest.mark.parametrize("command", BUDGETED_COMMANDS, ids=lambda c: " ".join(c[:2]))
+def test_malformed_node_budget_is_an_input_error(runner, c2_file, monkeypatch, command,
+                                                  value, source):
+    args = [c2_file if arg == "ALGEBRA" else arg for arg in command]
+    if source == "option":
+        args += ["--node-budget", value]
+    else:
+        monkeypatch.setenv("RESQ_NODE_BUDGET", value)
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and "--node-budget" in errors[0]
+    assert "Traceback" not in result.output
+
+
+def test_node_budget_option_overrides_environment(runner, c2_file, monkeypatch):
+    monkeypatch.setenv("RESQ_NODE_BUDGET", "abc")
+    result = runner.invoke(
+        main, ["search", c2_file, "--max-base", "1", "--node-budget", "100000"],
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 1  # exhausted, not an input error
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_atom_relations_below_one_is_an_input_error(runner, value):
+    result = runner.invoke(
+        main, ["lambek", "counter", "p*q |- q*p", "--max-atom-relations", value],
+        catch_exceptions=False,
+    )
+    assert result.exit_code == 2
+    assert "--max-atom-relations" in result.output
+
+
 def test_search_found_one_element(runner, tmp_path):
     path = tmp_path / "one.alg"
     path.write_text(ONE)

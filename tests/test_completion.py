@@ -109,7 +109,7 @@ def test_meets_of_closed_sets_are_intersections(corpus_all):
 
 def test_quantale_laws_hold_across_corpus(corpus_all):
     for A in corpus_all:
-        build_quantale(A, check=True)  # raises on any law violation
+        build_quantale(A)  # raises on any law violation
 
 
 def test_check_quantale_laws_rejects_broken_table(c2):
@@ -127,6 +127,57 @@ def test_check_quantale_laws_rejects_broken_table(c2):
     )
     with pytest.raises(QuantaleLawError):
         completion.check_quantale_laws(broken)
+
+
+# the three-element chain 0 < 1 < 2 with joins as maxima; with the zero
+# product it is a quantale, and each case below breaks one law of it
+CHAIN3_LEQ = (0b111, 0b110, 0b100)
+CHAIN3_SUP = tuple(tuple(max(i, j) for j in range(3)) for i in range(3))
+ZERO3 = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
+
+
+def _chain3(**changes):
+    fields = dict(
+        labels=("0", "1", "2"),
+        masks=(0b001, 0b011, 0b111),
+        leq=CHAIN3_LEQ,
+        comp=ZERO3,
+        sup=CHAIN3_SUP,
+        bottom=0,
+        top=2,
+        unital=False,
+        unit=None,
+    )
+    fields.update(changes)
+    return completion.Quantale(**fields)
+
+
+def test_check_quantale_laws_accepts_the_chain():
+    completion.check_quantale_laws(_chain3())
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        # sup(1, 1) = 2 is an upper bound but not the least one
+        {"sup": ((0, 1, 2), (1, 2, 2), (2, 2, 2))},
+        # 2 is not below the declared top
+        {"top": 1},
+        # 2;0 = 2: composition does not absorb the bottom
+        {"comp": ((0, 0, 0), (0, 0, 0), (2, 2, 2))},
+        # rows 1 and 2 are not monotone: left distributivity fails, right holds
+        {"comp": ((0, 0, 0), (0, 1, 0), (0, 2, 0))},
+        # columns 1 and 2 are not monotone: right distributivity fails, left holds
+        {"comp": ((0, 0, 0), (0, 1, 2), (0, 0, 0))},
+        # 2 is declared a unit but 2;1 = 0
+        {"unital": True, "unit": 2},
+    ],
+    ids=["sup-not-least", "bounds", "bottom-absorption", "left-distributivity",
+         "right-distributivity", "unit"],
+)
+def test_check_quantale_laws_rejects_each_broken_law(changes):
+    with pytest.raises(QuantaleLawError):
+        completion.check_quantale_laws(_chain3(**changes))
 
 
 def test_quantale_residuals_c2(c2):

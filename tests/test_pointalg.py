@@ -1,5 +1,6 @@
 import pytest
 
+from corpus import dense_chain_table
 from resq import pointalg
 from resq.pointalg import (
     ATOM_EQ,
@@ -8,7 +9,6 @@ from resq.pointalg import (
     FULL,
     build_point_algebra,
     check_sp_laws,
-    dense_chain_table,
     frp_probe,
     parse_element,
     reduct,
@@ -101,6 +101,41 @@ def test_reduct_lt_gt(P):
 def test_reduct_laws_hold(P):
     for gens in ([ATOM_LT], [ATOM_LT, ATOM_EQ], [ATOM_LT, ATOM_GT], [FULL], [ATOM_EQ, 5]):
         check_sp_laws(reduct(P, gens))
+
+
+CHAIN3_JOIN = tuple(tuple(max(i, j) for j in range(3)) for i in range(3))
+
+
+def _sp(join, comp):
+    names = tuple(str(i) for i in range(len(join)))
+    return pointalg.SPStructure(names=names, elements=tuple(range(len(join))),
+                                join=join, comp=comp)
+
+
+def test_check_sp_laws_accepts_the_chain():
+    check_sp_laws(_sp(CHAIN3_JOIN, ((0, 0, 0), (0, 0, 0), (0, 0, 0))))
+
+
+@pytest.mark.parametrize(
+    "join, comp",
+    [
+        # x v y = y: associative and idempotent, not commutative
+        (((0, 1), (0, 1)), ((0, 0), (0, 1))),
+        # constant join: commutative and associative, not idempotent
+        (((1, 1), (1, 1)), ((1, 1), (1, 1))),
+        # rock-paper-scissors join: commutative and idempotent, not associative
+        (((0, 0, 2), (0, 1, 1), (2, 1, 2)), ((0, 0, 0), (0, 0, 0), (0, 0, 0))),
+        # distributive over the chain join, not associative: (2;2);2 = 0, 2;(2;2) = 1
+        (CHAIN3_JOIN, ((0, 0, 0), (0, 0, 0), (0, 1, 1))),
+        # associative, not distributive: rows 1 and 2 are not monotone
+        (CHAIN3_JOIN, ((0, 0, 0), (0, 1, 0), (0, 2, 0))),
+    ],
+    ids=["join-not-commutative", "join-not-idempotent", "join-not-associative",
+         "composition-not-associative", "composition-not-distributive"],
+)
+def test_check_sp_laws_rejects_each_broken_law(join, comp):
+    with pytest.raises(AssertionError):
+        check_sp_laws(_sp(join, comp))
 
 
 def test_probe_lt_eq_found_at_base_two(P):

@@ -214,6 +214,26 @@ def _max_of(candidates: int, down: tuple[int, ...]) -> int | None:
     return None
 
 
+def value_positions(values) -> dict[int, int]:
+    """Each value of the sequence mapped to the bitmask of its positions."""
+    out: dict[int, int] = {}
+    for i, v in enumerate(values):
+        out[v] = out.get(v, 0) | 1 << i
+    return out
+
+
+def _positions_below(values, leq: tuple[int, ...]) -> list[int]:
+    """out[c] is the bitmask of the positions whose value lies below c."""
+    out = [0] * len(leq)
+    for v, mask in value_positions(values).items():
+        above = leq[v]
+        while above:
+            low = above & -above
+            out[low.bit_length() - 1] |= mask
+            above ^= low
+    return out
+
+
 def infer_residuals(
     leq: tuple[int, ...], comp: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -221,31 +241,27 @@ def infer_residuals(
 
     In a finite poset a\\c must be the maximum of {b : a;b <= c} and c/b the
     maximum of {a : a;b <= c}; raises NoResidualError when a candidate set is
-    empty or has no maximum.
+    empty or has no maximum.  The candidate sets of one row (or column) of
+    the composition are spread from its distinct values to the up-set of each.
     """
     n = len(leq)
     down = down_masks(leq)
     lres = []
     for a in range(n):
+        cands = _positions_below(comp[a], leq)
         row = []
         for c in range(n):
-            cand = 0
-            for b in range(n):
-                if leq[comp[a][b]] >> c & 1:
-                    cand |= 1 << b
-            m = _max_of(cand, down)
+            m = _max_of(cands[c], down)
             if m is None:
-                raise NoResidualError(a, c, "left", _mask_to_set(cand))
+                raise NoResidualError(a, c, "left", _mask_to_set(cands[c]))
             row.append(m)
         lres.append(tuple(row))
+    columns = [_positions_below([comp[a][b] for a in range(n)], leq) for b in range(n)]
     rres = []
     for c in range(n):
         row = []
         for b in range(n):
-            cand = 0
-            for a in range(n):
-                if leq[comp[a][b]] >> c & 1:
-                    cand |= 1 << a
+            cand = columns[b][c]
             m = _max_of(cand, down)
             if m is None:
                 raise NoResidualError(c, b, "right", _mask_to_set(cand))

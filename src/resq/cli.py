@@ -12,6 +12,7 @@ import json
 import sys
 
 import click
+from click.core import ParameterSource
 
 from . import algebra, completion, lambek, pointalg, relrep, verifier
 from . import relations as rel
@@ -70,11 +71,26 @@ def _load_algebra(path: str) -> algebra.FiniteResiduatedSemigroup:
         _fail_input(str(exc))
 
 
+class _EnvNamingOption(click.Option):
+    """An option whose usage error names its environment variable when the
+    bad value was read from there."""
+
+    def handle_parse_result(self, ctx, opts, args):
+        try:
+            return super().handle_parse_result(ctx, opts, args)
+        except click.BadParameter as exc:
+            _, source = self.consume_value(ctx, opts)
+            if source is ParameterSource.ENVIRONMENT:
+                exc.param_hint = f"{self.get_error_hint(ctx)} (from {self.envvar})"
+            raise
+
+
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True
 )
 node_budget_option = click.option(
     "--node-budget",
+    cls=_EnvNamingOption,
     type=click.IntRange(min=1),
     envvar="RESQ_NODE_BUDGET",
     default=None,
@@ -190,10 +206,15 @@ def represent(path: str, unitalize: str, generators_mode: str, output_path: str 
     if output_path:
         with open(output_path, "w", encoding="utf-8") as handle:
             handle.write(relrep.format_interpretation(interp))
+    reason = result.unitalize_reason
+    Q0 = result.base_quantale
     payload = {
         "command": "represent",
         "options": {"unitalize": unitalize, "generators": generators_mode},
         "unitalized": result.unitalized,
+        "unitalize_reason": None if reason is None else {
+            "condition": reason.name, **reason.payload(Q0.labels, Q0.labels)
+        },
         "base_size": interp.base_size,
         **relrep.interpretation_payload(interp),
         "verification": check.payload(A.names, interp.base_labels),
@@ -207,19 +228,28 @@ def _render_represent(payload: dict):
     yield from relrep.format_interpretation_lines(payload)
     yield from _render_verification(payload["verification"])
     yield f"union transitive: {str(payload['union_transitive']).lower()}"
+    reason = payload["unitalize_reason"]
+    if reason is None:
+        yield "unitalize_reason: none"
+    else:
+        yield f"unitalize_reason: {reason['condition']} {_render_condition(reason)}"
+
+
+def _render_condition(entry: dict) -> str:
+    line = entry["status"]
+    if "witness" in entry:
+        w = entry["witness"]
+        line += f" witness elements ({', '.join(w['elements'])})"
+        if "points" in w:
+            line += f" points ({', '.join(w['points'])})"
+    return line
 
 
 def _render_verification(verification: dict):
     for name, entry in verification.items():
         if name == "all_pass":
             continue
-        line = f"{name}: {entry['status']}"
-        if "witness" in entry:
-            w = entry["witness"]
-            line += f" witness elements ({', '.join(w['elements'])})"
-            if "points" in w:
-                line += f" points ({', '.join(w['points'])})"
-        yield line
+        yield f"{name}: {_render_condition(entry)}"
     yield f"all conditions pass: {str(verification['all_pass']).lower()}"
 
 

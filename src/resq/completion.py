@@ -9,6 +9,7 @@ lower-cone map embeds the original algebra into it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .algebra import (
     FiniteResiduatedSemigroup,
@@ -68,30 +69,43 @@ class Quantale:
         return acc
 
 
+def _meet_rows(mask: int, rows, full: int) -> int:
+    """The intersection of rows[i] over the bits i of mask; full when mask is empty."""
+    acc = full
+    while mask:
+        low = mask & -mask
+        acc &= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
 def lower_bounds(x_mask: int, A: FiniteResiduatedSemigroup) -> int:
     """{y : y <= x for every x in X}; the full carrier when X is empty."""
-    down = down_masks(A.leq)
-    acc = (1 << A.n) - 1
-    m = x_mask
-    while m:
-        low = m & -m
-        acc &= down[low.bit_length() - 1]
-        m ^= low
-    return acc
+    return _meet_rows(x_mask, down_masks(A.leq), (1 << A.n) - 1)
 
 
 def upper_bounds(x_mask: int, A: FiniteResiduatedSemigroup) -> int:
-    acc = (1 << A.n) - 1
-    m = x_mask
-    while m:
-        low = m & -m
-        acc &= A.leq[low.bit_length() - 1]
-        m ^= low
-    return acc
+    return _meet_rows(x_mask, A.leq, (1 << A.n) - 1)
+
+
+def closure_map(A: FiniteResiduatedSemigroup) -> Callable[[int], int]:
+    """The closure operator m of A, X -> lower bounds of the upper bounds of X.
+
+    The order rows and the lower cones are read once here, so a caller that
+    closes many sets of one algebra pays for them once.
+    """
+    up = A.leq
+    down = down_masks(A.leq)
+    full = (1 << A.n) - 1
+
+    def close(x_mask: int) -> int:
+        return _meet_rows(_meet_rows(x_mask, up, full), down, full)
+
+    return close
 
 
 def m_closure(x_mask: int, A: FiniteResiduatedSemigroup) -> int:
-    return lower_bounds(upper_bounds(x_mask, A), A)
+    return closure_map(A)(x_mask)
 
 
 def subset_label(mask: int, names: tuple[str, ...]) -> str:
@@ -128,8 +142,9 @@ def closed_sets(A: FiniteResiduatedSemigroup) -> tuple[int, ...]:
                     fresh.add(y)
         family |= fresh
         frontier = list(fresh)
+    close = closure_map(A)
     for x in family:
-        if m_closure(x, A) != x:
+        if close(x) != x:
             raise AssertionError(f"intersection closure produced a non-closed set {x:b}")
     return tuple(sorted(family, key=_subset_sort_key(A.names)))
 
@@ -149,21 +164,37 @@ def _pairwise_product(x_mask: int, y_mask: int, A: FiniteResiduatedSemigroup) ->
     return acc
 
 
+def _maximal(x_mask: int, leq) -> int:
+    """The maximal elements of X: those whose up-set meets X only in themselves."""
+    out = 0
+    m = x_mask
+    while m:
+        low = m & -m
+        if leq[low.bit_length() - 1] & x_mask == low:
+            out |= low
+        m ^= low
+    return out
+
+
 def build_quantale(A: FiniteResiduatedSemigroup) -> Quantale:
-    """Quantale of closed sets: X;Y = m(pairwise products), sup = m(union)."""
+    """Quantale of closed sets: X;Y = m(pairwise products), sup = m(union).
+
+    Composition in a residuated semigroup is monotone, so every product x;y
+    of X;Y lies below a product of maximal elements of X and Y; those
+    products have the same upper bounds, hence the same closure, as all of
+    X;Y.
+    """
     elems = closed_sets(A)
     index = {mask: i for i, mask in enumerate(elems)}
     size = len(elems)
     leq = inclusion_order(elems)
+    close = closure_map(A)
+    tops = [_maximal(x, A.leq) for x in elems]
     comp = tuple(
-        tuple(index[m_closure(_pairwise_product(elems[i], elems[j], A), A)] for j in range(size))
-        for i in range(size)
+        tuple(index[close(_pairwise_product(x, y, A))] for y in tops) for x in tops
     )
-    sup = tuple(
-        tuple(index[m_closure(elems[i] | elems[j], A)] for j in range(size))
-        for i in range(size)
-    )
-    bottom = index[m_closure(0, A)]
+    sup = tuple(tuple(index[close(x | y)] for y in elems) for x in elems)
+    bottom = index[close(0)]
     top = index[(1 << A.n) - 1]
     unit = None
     for e in range(size):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import relations as rel
 from . import verifier
-from .algebra import FiniteResiduatedSemigroup, inclusion_order
+from .algebra import FiniteResiduatedSemigroup, inclusion_order, value_positions
 from .completion import Quantale, build_quantale, check_quantale_laws, embed
 from .errors import ParseError
 from .relations import Interpretation, Relation
@@ -50,13 +50,10 @@ def generators(Q: Quantale, mode: str = "all") -> GeneratorSet:
 def hat(Q: Quantale, G: GeneratorSet, a: int) -> Relation:
     """The relation {(g, q) : g in G, g <= a;q} over the carrier of Q."""
     rows = [0] * Q.size
-    comp_row = Q.comp[a]
+    positions = value_positions(Q.comp[a]).items()
     for g in G.indices:
-        acc = 0
-        for q in range(Q.size):
-            if Q.le(g, comp_row[q]):
-                acc |= 1 << q
-        rows[g] = acc
+        up = Q.leq[g]
+        rows[g] = sum(qs for c, qs in positions if up >> c & 1)
     return tuple(rows)
 
 
@@ -119,6 +116,9 @@ class RepresentResult:
     generator_set: GeneratorSet
     unitalized: bool
     embedding: tuple[int, ...]
+    # the order-iff condition of the plain completion's hats, which auto mode
+    # decides by; None under unitalize_mode "on" and "off"
+    unitalize_reason: verifier.ConditionResult | None
 
 
 def represent_pipeline(
@@ -131,13 +131,16 @@ def represent_pipeline(
     unitalize_mode "auto" adjoins a unit exactly when the hats of the plain
     completion fail the order condition of check_representation (they always
     preserve the order, since a;q is monotone in a, so this is a failure of
-    order reflection); "on" always adjoins one (a no-op for quantales that
-    already have a unit) and "off" never does.
+    order reflection) and keeps that condition as unitalize_reason; only the
+    order condition is evaluated, since the decision reads nothing else.
+    "on" always adjoins one (a no-op for quantales that already have a unit)
+    and "off" never does.
     """
     if unitalize_mode not in ("on", "off", "auto"):
         raise ValueError(f"unknown unitalize mode {unitalize_mode!r}")
     Q0 = build_quantale(A)
     f = embed(A, Q0)
+    reason = None
     if unitalize_mode == "on":
         use_unit = not Q0.unital
     elif unitalize_mode == "auto":
@@ -147,8 +150,8 @@ def represent_pipeline(
             base_labels=Q0.labels,
             relations=tuple(hat(Q0, G0, a) for a in range(Q0.size)),
         )
-        report = verifier.check_representation(Q0, hats)
-        use_unit = not report.condition("order-iff").passed
+        reason = verifier.order_condition(Q0.le, hats, Q0.size)
+        use_unit = not reason.passed
     else:
         use_unit = False
     Q = unitalize(Q0) if use_unit else Q0
@@ -166,6 +169,7 @@ def represent_pipeline(
         generator_set=G,
         unitalized=use_unit,
         embedding=f,
+        unitalize_reason=reason,
     )
 
 

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 
 from . import relations as rel
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, ResqError
 from .relations import Interpretation, Relation
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -37,8 +37,18 @@ def _relational_ops() -> dict:
 
 
 def default_node_budget(default: int = DEFAULT_NODE_BUDGET) -> int:
+    """RESQ_NODE_BUDGET when set, else default; raises ResqError unless the
+    variable holds an integer of at least 1."""
     value = os.environ.get("RESQ_NODE_BUDGET")
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        limit = int(value)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ResqError(f"RESQ_NODE_BUDGET must be an integer of at least 1, got {value!r}")
+    return limit
 
 
 class NodeBudget:
@@ -64,6 +74,18 @@ class ConditionResult:
     passed: bool
     witness: tuple[int, ...] | None  # (a, b) for order, (a, b, x, y) otherwise
 
+    def payload(self, element_names, base_labels) -> dict:
+        """Status plus the witness, elements and points named by their labels."""
+        entry: dict = {"status": "pass" if self.passed else "fail"}
+        if self.witness is not None:
+            a, b = self.witness[0], self.witness[1]
+            witness = {"elements": [element_names[a], element_names[b]]}
+            if len(self.witness) == 4:
+                x, y = self.witness[2], self.witness[3]
+                witness["points"] = [base_labels[x], base_labels[y]]
+            entry["witness"] = witness
+        return entry
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -80,17 +102,7 @@ class VerificationReport:
         raise KeyError(name)
 
     def payload(self, element_names, base_labels) -> dict:
-        out = {}
-        for c in self.conditions:
-            entry: dict = {"status": "pass" if c.passed else "fail"}
-            if c.witness is not None:
-                a, b = c.witness[0], c.witness[1]
-                witness = {"elements": [element_names[a], element_names[b]]}
-                if len(c.witness) == 4:
-                    x, y = c.witness[2], c.witness[3]
-                    witness["points"] = [base_labels[x], base_labels[y]]
-                entry["witness"] = witness
-            out[c.name] = entry
+        out = {c.name: c.payload(element_names, base_labels) for c in self.conditions}
         out["all_pass"] = self.all_pass
         return out
 
@@ -114,7 +126,8 @@ def _table_condition(name, table, op, I: Interpretation, n: int) -> ConditionRes
     return ConditionResult(name, True, None)
 
 
-def _order_condition(le, I: Interpretation, n: int) -> ConditionResult:
+def order_condition(le, I: Interpretation, n: int) -> ConditionResult:
+    """order-iff: a <= b exactly when the relation of a is inside that of b."""
     for a in range(n):
         for b in range(n):
             if le(a, b) != rel.rel_subset(I.relations[a], I.relations[b]):
@@ -130,7 +143,7 @@ def check_representation(S, I: Interpretation) -> VerificationReport:
     """
     n = len(S.comp)
     ops = _relational_ops()
-    conditions = (_order_condition(S.le, I, n),) + tuple(
+    conditions = (order_condition(S.le, I, n),) + tuple(
         _table_condition(name, table, ops[name], I, n) for name, table in S.operations
     )
     return VerificationReport(conditions=conditions)

@@ -36,6 +36,38 @@ def closed_sets_by_scan(A: FiniteResiduatedSemigroup) -> tuple[int, ...]:
     return tuple(sorted(family, key=_subset_sort_key(A.names)))
 
 
+# generator families whose completions have 16, 20 and 32 elements
+LARGE_QUANTALE_FAMILIES = (
+    (2, ((3, 1),)),
+    (3, ((7, 0, 2),)),
+    (3, ((4, 0, 1),)),
+)
+
+
+def closure_by_definition(x_mask: int, A: FiniteResiduatedSemigroup) -> int:
+    """m(X) read off its definition: y is in m(X) iff y <= u for every upper
+    bound u of X.  Oracle for the closure map of resq.completion; reads only
+    the order."""
+    members = [x for x in range(A.n) if x_mask >> x & 1]
+    uppers = [u for u in range(A.n) if all(A.le(x, u) for x in members)]
+    return sum(1 << y for y in range(A.n) if all(A.le(y, u) for u in uppers))
+
+
+def product_by_definition(x_mask: int, y_mask: int, A: FiniteResiduatedSemigroup) -> int:
+    """{x;y : x in X, y in Y} as a bitmask."""
+    return sum(
+        {1 << A.comp[x][y] for x in range(A.n) if x_mask >> x & 1
+         for y in range(A.n) if y_mask >> y & 1}
+    )
+
+
+def large_quantale_algebras() -> list[FiniteResiduatedSemigroup]:
+    return [
+        algebra.generate_concrete(base, generators=list(gens), max_relations=64)[0]
+        for base, gens in LARGE_QUANTALE_FAMILIES
+    ]
+
+
 def dense_chain_table(samples: int = 64, depth: int = 6) -> tuple[tuple[int, ...], ...]:
     """Point-algebra composition sampled over a concrete finite chain; oracle
     for pointalg.build_point_algebra.

@@ -5,7 +5,7 @@ import pytest
 
 from corpus import C2_TEXT
 from resq import algebra
-from resq.algebra import FiniteResiduatedSemigroup
+from resq.algebra import FiniteResiduatedSemigroup, _partial_orders
 from resq.errors import ClosureSizeError, NoResidualError, ParseError, ResourceLimitError
 from resq import relations as rel
 from resq import verifier
@@ -245,6 +245,55 @@ def test_infer_residuals_antichain_failure():
         algebra.infer_residuals(leq, comp)
     # the left division of q by p has no candidates at all: {z : p;z <= q} = {}
     assert [z for z in range(2) if leq[comp[0][z]] >> 1 & 1] == []
+
+
+def residuals_by_definition(leq, comp):
+    """Both residual tables read off their definition as maxima, or the first
+    missing one as (left, right, side, candidates) in the order
+    infer_residuals scans: every a\\c first, then every c/b."""
+    n = len(leq)
+
+    def le(i, j):
+        return bool(leq[i] >> j & 1)
+
+    def maximum(cands):
+        tops = [m for m in cands if all(le(x, m) for x in cands)]
+        return tops[0] if tops else None
+
+    lres, rres = [], []
+    for a in range(n):
+        for c in range(n):
+            cands = [b for b in range(n) if le(comp[a][b], c)]
+            if maximum(cands) is None:
+                return (a, c, "left", frozenset(cands))
+            lres.append(maximum(cands))
+    for c in range(n):
+        for b in range(n):
+            cands = [a for a in range(n) if le(comp[a][b], c)]
+            if maximum(cands) is None:
+                return (c, b, "right", frozenset(cands))
+            rres.append(maximum(cands))
+    return (
+        tuple(tuple(lres[a * n:(a + 1) * n]) for a in range(n)),
+        tuple(tuple(rres[c * n:(c + 1) * n]) for c in range(n)),
+    )
+
+
+def test_infer_residuals_match_definition():
+    rng = random.Random(5)
+    orders = list(_partial_orders(3))
+    outcomes = set()
+    for _ in range(600):
+        leq = rng.choice(orders)
+        comp = tuple(tuple(rng.randrange(3) for _ in range(3)) for _ in range(3))
+        expected = residuals_by_definition(leq, comp)
+        try:
+            got = algebra.infer_residuals(leq, comp)
+        except NoResidualError as exc:
+            got = (exc.left, exc.right, exc.side, exc.candidates)
+        assert got == expected, (leq, comp)
+        outcomes.add(len(expected))
+    assert outcomes == {2, 4}  # both found tables and missing residuals occur
 
 
 def test_enumerate_one_element():

@@ -130,6 +130,41 @@ def test_represent_auto_passes_order_and_composition(runner, c2_file):
     assert verification["left-residual"]["status"] == "fail"
 
 
+C2_REASON = {"condition": "order-iff", "status": "fail",
+             "witness": {"elements": ["{a,b}", "{a}"]}}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "mode, reason, line",
+    [
+        ("auto", C2_REASON, "unitalize_reason: order-iff fail witness elements ({a,b}, {a})"),
+        ("on", None, "unitalize_reason: none"),
+        ("off", None, "unitalize_reason: none"),
+    ],
+)
+def test_represent_reports_why_auto_mode_unitalized(runner, c2_file, fmt, mode, reason, line):
+    # the hats of the plain completion of C2 send {a} and {a,b} to one relation
+    result = runner.invoke(
+        main, ["represent", c2_file, "--unitalize", mode, "--format", fmt],
+        catch_exceptions=False,
+    )
+    if fmt == "json":
+        assert json.loads(result.output)["unitalize_reason"] == reason
+    else:
+        assert line in result.output.splitlines()
+
+
+def test_represent_reports_a_passing_order_condition(runner, tmp_path):
+    path = tmp_path / "one.alg"
+    path.write_text(ONE)
+    result, payload = run_json(runner, ["represent", str(path)])
+    assert payload["unitalized"] is False
+    assert payload["unitalize_reason"] == {"condition": "order-iff", "status": "pass"}
+    text = runner.invoke(main, ["represent", str(path)], catch_exceptions=False)
+    assert "unitalize_reason: order-iff pass" in text.output.splitlines()
+
+
 def test_represent_one_element_exit_zero(runner, tmp_path):
     path = tmp_path / "one.alg"
     path.write_text(ONE)
@@ -246,6 +281,11 @@ def test_malformed_node_budget_is_an_input_error(runner, c2_file, monkeypatch, c
     assert result.exit_code == 2
     errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
     assert len(errors) == 1 and "--node-budget" in errors[0]
+    if source == "environment":
+        assert f"(from RESQ_NODE_BUDGET): {value}" in errors[0].replace("'", "")
+    else:
+        assert errors[0].startswith("Error: Invalid value for '--node-budget': ")
+        assert "RESQ_NODE_BUDGET" not in errors[0]
     assert "Traceback" not in result.output
 
 

@@ -1,6 +1,11 @@
 import pytest
 
-from corpus import closed_sets_by_scan
+from corpus import (
+    closed_sets_by_scan,
+    closure_by_definition,
+    large_quantale_algebras,
+    product_by_definition,
+)
 from resq import algebra, completion
 from resq.algebra import down_masks
 from resq.completion import (
@@ -86,6 +91,28 @@ def test_build_quantale_c2(c2):
     assert Q.le(0, 1) and not Q.le(1, 0)
     assert Q.bottom == 0 and Q.top == 1
     assert not Q.unital
+
+
+def _assert_tables_match_definition(A):
+    Q = build_quantale(A)
+    masks = Q.masks
+    for i in range(Q.size):
+        for j in range(Q.size):
+            product = product_by_definition(masks[i], masks[j], A)
+            assert masks[Q.comp[i][j]] == closure_by_definition(product, A), (i, j)
+            assert masks[Q.sup[i][j]] == closure_by_definition(masks[i] | masks[j], A), (i, j)
+    assert masks[Q.bottom] == closure_by_definition(0, A)
+    return Q.size
+
+
+def test_quantale_tables_match_closure_by_definition(corpus_all):
+    for A in corpus_all:
+        _assert_tables_match_definition(A)
+
+
+def test_large_quantale_tables_match_closure_by_definition():
+    sizes = [_assert_tables_match_definition(A) for A in large_quantale_algebras()]
+    assert sizes == [16, 20, 32]
 
 
 def test_nucleus_inequality(corpus_all):

@@ -1,5 +1,6 @@
 import pytest
 
+from corpus import large_quantale_algebras
 from resq import algebra, relrep, verifier
 from resq import relations as rel
 from resq.completion import build_quantale
@@ -114,6 +115,25 @@ def hat_interpretation(Q):
     return Interpretation(
         algebra=Q, base_labels=Q.labels, relations=tuple(hat(Q, G, a) for a in range(Q.size))
     )
+
+
+def hat_by_definition(Q, a):
+    """{(g, q) : g <= a;q} over the carrier of Q, every element a generator."""
+    return tuple(
+        sum(1 << q for q in range(Q.size) if Q.le(g, Q.comp[a][q])) for g in range(Q.size)
+    )
+
+
+def test_auto_mode_unitalizes_exactly_when_plain_hats_fail_order(corpus_all):
+    for A in corpus_all + large_quantale_algebras():
+        Q0 = build_quantale(A)
+        hats = tuple(hat_by_definition(Q0, a) for a in range(Q0.size))
+        assert hat_interpretation(Q0).relations == hats
+        interp = Interpretation(algebra=Q0, base_labels=Q0.labels, relations=hats)
+        order = verifier.check_representation(Q0, interp).condition("order-iff")
+        result = represent_pipeline(A)
+        assert result.unitalized == (not order.passed), algebra.serialize(A)
+        assert result.unitalize_reason == order, algebra.serialize(A)
 
 
 def test_hat_check_reflection_fails_on_c2_without_unit(c2):

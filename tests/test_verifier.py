@@ -2,7 +2,7 @@ import pytest
 
 from resq import algebra, pointalg, relrep, verifier
 from resq import relations as rel
-from resq.errors import ResourceLimitError
+from resq.errors import ResourceLimitError, ResqError
 from resq.relations import Interpretation
 from resq.verifier import (
     Exhausted,
@@ -218,6 +218,23 @@ def test_search_budget_raises(c2):
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("RESQ_NODE_BUDGET", "7")
     assert NodeBudget().limit == 7
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_malformed_env_budget_raises_naming_the_variable(monkeypatch, value):
+    monkeypatch.setenv("RESQ_NODE_BUDGET", value)
+    for make in (verifier.default_node_budget, NodeBudget):
+        with pytest.raises(ResqError) as info:
+            make()
+        assert "RESQ_NODE_BUDGET" in str(info.value)
+        assert repr(value) in str(info.value)
+
+
+def test_explicit_budget_wins_over_malformed_env(monkeypatch):
+    monkeypatch.setenv("RESQ_NODE_BUDGET", "abc")
+    assert NodeBudget(12).limit == 12
+    found = search_representation(algebra.parse_algebra(ONE), 2, node_budget=100)
+    assert isinstance(found, Interpretation)
 
 
 def test_found_interpretations_reverify():

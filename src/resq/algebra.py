@@ -202,6 +202,24 @@ def distributivity(join, comp) -> tuple[int, int, int] | None:
     return None
 
 
+def order_reflection(leq: tuple[int, ...], comp) -> tuple[int, int] | None:
+    """Some a not <= b with a;q <= b;q for every q.
+
+    In a quantale join-generated by G this is exactly where the relations
+    {(g, q) : g in G, g <= a;q} fail to reflect the order.
+    """
+    n = len(leq)
+    for a in range(n):
+        comp_a = comp[a]
+        for b in range(n):
+            if leq[a] >> b & 1:
+                continue
+            comp_b = comp[b]
+            if all(leq[comp_a[q]] >> comp_b[q] & 1 for q in range(n)):
+                return (a, b)
+    return None
+
+
 def _max_of(candidates: int, down: tuple[int, ...]) -> int | None:
     """Index of an element of the candidate mask above all others, if any."""
     m = candidates
@@ -235,14 +253,15 @@ def _positions_below(values, leq: tuple[int, ...]) -> list[int]:
 
 
 def infer_residuals(
-    leq: tuple[int, ...], comp: tuple[tuple[int, ...], ...]
+    leq: tuple[int, ...], comp: tuple[tuple[int, ...], ...], names=None
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Compute both residual tables forced by the order and composition.
 
     In a finite poset a\\c must be the maximum of {b : a;b <= c} and c/b the
-    maximum of {a : a;b <= c}; raises NoResidualError when a candidate set is
-    empty or has no maximum.  The candidate sets of one row (or column) of
-    the composition are spread from its distinct values to the up-set of each.
+    maximum of {a : a;b <= c}; raises NoResidualError, naming elements by
+    names when given, when a candidate set is empty or has no maximum.  The
+    candidate sets of one row (or column) of the composition are spread from
+    its distinct values to the up-set of each.
     """
     n = len(leq)
     down = down_masks(leq)
@@ -253,7 +272,7 @@ def infer_residuals(
         for c in range(n):
             m = _max_of(cands[c], down)
             if m is None:
-                raise NoResidualError(a, c, "left", _mask_to_set(cands[c]))
+                raise NoResidualError(a, c, "left", _mask_to_set(cands[c]), names)
             row.append(m)
         lres.append(tuple(row))
     columns = [_positions_below([comp[a][b] for a in range(n)], leq) for b in range(n)]
@@ -264,7 +283,7 @@ def infer_residuals(
             cand = columns[b][c]
             m = _max_of(cand, down)
             if m is None:
-                raise NoResidualError(c, b, "right", _mask_to_set(cand))
+                raise NoResidualError(c, b, "right", _mask_to_set(cand), names)
             row.append(m)
         rres.append(tuple(row))
     return tuple(lres), tuple(rres)
@@ -357,10 +376,10 @@ def parse_algebra(text: str) -> FiniteResiduatedSemigroup:
     def read_table(block: str, sep: str) -> list[list[int | None]]:
         table: list[list[int | None]] = [[None] * n for _ in range(n)]
         for token, lineno, col in blocks[block]:
-            if sep not in token or "=" not in token:
+            lhs, _, value = token.rpartition("=")
+            left, found, right = lhs.partition(sep)
+            if not found:
                 raise ParseError(f"expected x{sep}y=z, got {token!r}", lineno, col)
-            lhs, value = token.rsplit("=", 1)
-            left, right = lhs.split(sep, 1)
             i = resolve(left, lineno, col)
             j = resolve(right, lineno, col)
             k = resolve(value, lineno, col)
@@ -379,7 +398,7 @@ def parse_algebra(text: str) -> FiniteResiduatedSemigroup:
     comp = tuple(tuple(row) for row in comp_partial)  # type: ignore[arg-type]
 
     leq_t = tuple(leq)
-    inferred_lres, inferred_rres = infer_residuals(leq_t, comp)
+    inferred_lres, inferred_rres = infer_residuals(leq_t, comp, names)
 
     tables = {"lres": inferred_lres, "rres": inferred_rres}
     mismatch = None

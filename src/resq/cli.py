@@ -2,8 +2,10 @@
 
 Exit codes are uniform across subcommands: 0 success / all conditions pass,
 1 semantic violation or an exhausted search, 2 input error, 3 resource limit
-(node budget or recursion depth).  Every subcommand renders the same payload
-as text or JSON (--format); errors are one line on stderr.
+(node budget or recursion depth), 4 internal error.  Every subcommand renders
+the same payload as text or JSON (--format).  Subcommands raise; the group's
+invoke is the one place that maps an exception to its exit code and a single
+``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -17,17 +19,19 @@ from click.core import ParameterSource
 from . import algebra, completion, lambek, pointalg, relrep, verifier
 from . import relations as rel
 from .errors import (
+    DimensionMismatch,
+    MissingAtomError,
     NoResidualError,
     ParseError,
     ResidualMismatchError,
     ResourceLimitError,
-    ResqError,
 )
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(payload: dict, fmt: str, render) -> None:
@@ -38,14 +42,34 @@ def _emit(payload: dict, fmt: str, render) -> None:
             click.echo(line)
 
 
-def _fail_input(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(EXIT_INPUT)
+class _ErrorContract(click.Group):
+    """A group whose invoke ends every subcommand error with its documented
+    exit code and one ``error: ...`` line on stderr, never a traceback.
 
+    click's own endings (--help, usage errors, Abort) and a closed output
+    pipe, which click handles itself, pass through unchanged.
+    """
 
-def _fail_resource(exc: ResourceLimitError) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(EXIT_RESOURCE)
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort, BrokenPipeError):
+            raise
+        except NoResidualError as exc:
+            code = EXIT_VIOLATION
+            message = f"not a residuated semigroup: {exc}; run decide for details"
+        except (ParseError, DimensionMismatch, MissingAtomError, OSError) as exc:
+            code, message = EXIT_INPUT, str(exc)
+        except ResourceLimitError as exc:
+            code, message = EXIT_RESOURCE, str(exc)
+        except RecursionError:
+            # products chain without parentheses, so only a formula gets this deep
+            code = EXIT_RESOURCE
+            message = f"formula too deep for the recursion limit (limit {sys.getrecursionlimit()})"
+        except Exception as exc:
+            code, message = EXIT_INTERNAL, f"internal error: {type(exc).__name__}: {exc}"
+        click.echo(f"error: {message}", err=True)
+        sys.exit(code)
 
 
 def _read_text(path: str) -> str:
@@ -53,22 +77,24 @@ def _read_text(path: str) -> str:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except FileNotFoundError:
-        _fail_input(f"no such file: {path}")
+        raise ParseError(f"no such file: {path}") from None
     except OSError as exc:
-        _fail_input(f"cannot read {path}: {exc.strerror or exc}")
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
-        _fail_input(f"{path} is not UTF-8 text")
+        raise ParseError(f"{path} is not UTF-8 text") from None
 
 
 def _load_algebra(path: str) -> algebra.FiniteResiduatedSemigroup:
-    text = _read_text(path)
-    try:
-        return algebra.parse_algebra(text)
-    except NoResidualError as exc:
-        click.echo(f"error: not a residuated semigroup: {exc}; run decide for details", err=True)
+    return algebra.parse_algebra(_read_text(path))
+
+
+def _load_valid_algebra(path: str) -> algebra.FiniteResiduatedSemigroup:
+    """The algebra of the file; ends the run with exit 1 unless it validates."""
+    A = _load_algebra(path)
+    if not algebra.validate(A).valid:
+        click.echo("error: not a residuated semigroup; run decide for details", err=True)
         sys.exit(EXIT_VIOLATION)
-    except ParseError as exc:
-        _fail_input(str(exc))
+    return A
 
 
 class _EnvNamingOption(click.Option):
@@ -98,7 +124,7 @@ node_budget_option = click.option(
 )
 
 
-@click.group()
+@click.group(cls=_ErrorContract)
 def main() -> None:
     """Workbench for finite residuated semigroups and their relational models."""
 
@@ -123,8 +149,6 @@ def decide(path: str, fmt: str) -> None:
         # report carries a residuation-law witness
         A = exc.algebra
         reason = str(exc)
-    except ParseError as exc:
-        _fail_input(str(exc))
     report = algebra.validate(A)
     valid = report.valid and reason is None
     payload = {
@@ -154,11 +178,7 @@ def _render_decide(payload: dict):
 @format_option
 def complete(path: str, fmt: str) -> None:
     """Print the quantale of Galois-closed subsets of the algebra."""
-    A = _load_algebra(path)
-    report = algebra.validate(A)
-    if not report.valid:
-        click.echo("error: not a residuated semigroup; run decide for details", err=True)
-        sys.exit(EXIT_VIOLATION)
+    A = _load_valid_algebra(path)
     Q = completion.build_quantale(A)
     payload = {"command": "complete", **completion.quantale_payload(Q)}
     _emit(payload, fmt, lambda p: completion.format_quantale(Q).splitlines())
@@ -195,11 +215,7 @@ generators_option = click.option(
 def represent(path: str, unitalize: str, generators_mode: str, output_path: str | None,
               fmt: str) -> None:
     """Build a relational representation, verify it, and dump it."""
-    A = _load_algebra(path)
-    report = algebra.validate(A)
-    if not report.valid:
-        click.echo("error: not a residuated semigroup; run decide for details", err=True)
-        sys.exit(EXIT_VIOLATION)
+    A = _load_valid_algebra(path)
     result = relrep.represent_pipeline(A, generators_mode=generators_mode, unitalize_mode=unitalize)
     interp = result.interpretation
     check = verifier.check_representation(A, interp)
@@ -225,14 +241,18 @@ def represent(path: str, unitalize: str, generators_mode: str, output_path: str 
 
 
 def _render_represent(payload: dict):
-    yield from relrep.format_interpretation_lines(payload)
-    yield from _render_verification(payload["verification"])
-    yield f"union transitive: {str(payload['union_transitive']).lower()}"
+    options = payload["options"]
+    yield f"options: unitalize={options['unitalize']} generators={options['generators']}"
+    yield f"unitalized: {str(payload['unitalized']).lower()}"
     reason = payload["unitalize_reason"]
     if reason is None:
         yield "unitalize_reason: none"
     else:
         yield f"unitalize_reason: {reason['condition']} {_render_condition(reason)}"
+    yield f"base_size: {payload['base_size']}"
+    yield from relrep.format_interpretation_lines(payload)
+    yield from _render_verification(payload["verification"])
+    yield f"union transitive: {str(payload['union_transitive']).lower()}"
 
 
 def _render_condition(entry: dict) -> str:
@@ -260,11 +280,7 @@ def _render_verification(verification: dict):
 def verify(algebra_path: str, dump_path: str, fmt: str) -> None:
     """Check a representation dump against the four defining conditions."""
     A = _load_algebra(algebra_path)
-    text = _read_text(dump_path)
-    try:
-        interp = relrep.parse_interpretation(text, A)
-    except (ResqError, ValueError, KeyError) as exc:
-        _fail_input(str(exc))
+    interp = relrep.parse_interpretation(_read_text(dump_path), A)
     check = verifier.check_representation(A, interp)
     payload = {
         "command": "verify",
@@ -286,12 +302,9 @@ def search(path: str, max_base: int, node_budget: int | None, no_symmetry: bool,
            fmt: str) -> None:
     """Brute-force search for a representation over a bounded base."""
     A = _load_algebra(path)
-    try:
-        outcome = verifier.search_representation(
-            A, max_base, node_budget=node_budget, symmetry=not no_symmetry
-        )
-    except ResourceLimitError as exc:
-        _fail_resource(exc)
+    outcome = verifier.search_representation(
+        A, max_base, node_budget=node_budget, symmetry=not no_symmetry
+    )
     if isinstance(outcome, verifier.Exhausted):
         payload = {"command": "search", "verdict": "exhausted", "max_base": outcome.max_base}
         _emit(payload, fmt, lambda p: [f"exhausted: no representation over any base <= {max_base}"])
@@ -319,18 +332,11 @@ def _render_found(payload: dict):
 @format_option
 def pointalg_cmd(generator_text: str, max_base: int, node_budget: int | None, fmt: str) -> None:
     """Close a point-algebra reduct and probe it for a bounded-base representation."""
-    try:
-        masks = [pointalg.parse_element(tok) for tok in generator_text.split(",") if tok.strip()]
-        if not masks:
-            raise ValueError("no generators given")
-    except ValueError as exc:
-        _fail_input(str(exc))
-    P = pointalg.build_point_algebra()
-    S = pointalg.reduct(P, masks)
-    try:
-        result, stats = pointalg.frp_probe(S, max_base, node_budget=node_budget)
-    except ResourceLimitError as exc:
-        _fail_resource(exc)
+    masks = [pointalg.parse_element(tok) for tok in generator_text.split(",") if tok.strip()]
+    if not masks:
+        raise ParseError("no generators given")
+    S = pointalg.reduct(pointalg.build_point_algebra(), masks)
+    result, stats = pointalg.frp_probe(S, max_base, node_budget=node_budget)
     payload = {
         "command": "pointalg",
         "generators": [pointalg.render_element(m) for m in masks],
@@ -350,23 +356,21 @@ def pointalg_cmd(generator_text: str, max_base: int, node_budget: int | None, fm
 
 
 def _render_pointalg(payload: dict):
+    yield "generators: " + " ".join(payload["generators"])
     yield "carrier: " + " ".join(payload["carrier"])
     yield f"verdict: {payload['verdict']}"
     if payload["verdict"] == "found":
+        yield f"base_size: {payload['base_size']}"
         yield from relrep.format_interpretation_lines(payload)
+    else:
+        yield f"max_base: {payload['max_base']}"
     yield f"nodes: {payload['stats']['nodes']}"
+    yield f"seconds: {payload['stats']['seconds']}"
 
 
 @main.group(name="lambek")
 def lambek_group() -> None:
     """Lambek-calculus tools."""
-
-
-def _parse_sequent(text: str) -> lambek.Sequent:
-    try:
-        return lambek.parse_sequent(text)
-    except (ParseError, ValueError) as exc:
-        _fail_input(str(exc))
 
 
 @lambek_group.command()
@@ -376,11 +380,8 @@ def _parse_sequent(text: str) -> lambek.Sequent:
 @format_option
 def prove(sequent_text: str, node_budget: int | None, trace: bool, fmt: str) -> None:
     """Decide derivability of a sequent in the cut-free calculus."""
-    s = _parse_sequent(sequent_text)
-    try:
-        proof = lambek.prove(s, node_budget=node_budget)
-    except ResourceLimitError as exc:
-        _fail_resource(exc)
+    s = lambek.parse_sequent(sequent_text)
+    proof = lambek.prove(s, node_budget=node_budget)
     payload = {
         "command": "lambek-prove",
         "sequent": lambek.format_sequent(s),
@@ -411,19 +412,12 @@ def _proof_lines(node: dict, depth: int) -> list[str]:
 @lambek_group.command()
 @click.argument("sequent_text")
 @click.option("--max-base", type=click.IntRange(min=1), default=3, show_default=True)
-@click.option("--max-atom-relations", type=click.IntRange(min=1), default=None)
 @node_budget_option
 @format_option
-def counter(sequent_text: str, max_base: int, max_atom_relations: int | None,
-            node_budget: int | None, fmt: str) -> None:
+def counter(sequent_text: str, max_base: int, node_budget: int | None, fmt: str) -> None:
     """Search for a finite relational countermodel."""
-    s = _parse_sequent(sequent_text)
-    try:
-        result = lambek.countermodel_search(
-            s, max_base=max_base, max_atom_relations=max_atom_relations, node_budget=node_budget
-        )
-    except ResourceLimitError as exc:
-        _fail_resource(exc)
+    s = lambek.parse_sequent(sequent_text)
+    result = lambek.countermodel_search(s, max_base=max_base, node_budget=node_budget)
     payload = {"command": "lambek-counter", "sequent": lambek.format_sequent(s)}
     if isinstance(result, verifier.Exhausted):
         payload["verdict"] = "exhausted"
@@ -452,21 +446,8 @@ def _render_counter(payload: dict):
 @format_option
 def eval_cmd(sequent_text: str, model_path: str, fmt: str) -> None:
     """Evaluate a sequent in a model given as JSON: {"base": n, "valuation": {...}}."""
-    s = _parse_sequent(sequent_text)
-    text = _read_text(model_path)
-    try:
-        raw = json.loads(text)
-        base = int(raw["base"])
-        valuation = tuple(
-            (name, rel.relation_from_pairs(base, pairs))
-            for name, pairs in sorted(raw["valuation"].items())
-        )
-        model = lambek.RelationalModel(base_size=base, valuation=valuation)
-        holds = lambek.evaluate(s, model)
-    except ResourceLimitError as exc:
-        _fail_resource(exc)
-    except (KeyError, ValueError, TypeError, json.JSONDecodeError, ResqError) as exc:
-        _fail_input(str(exc))
+    s = lambek.parse_sequent(sequent_text)
+    holds = lambek.evaluate(s, lambek.parse_model(_read_text(model_path)))
     payload = {"command": "lambek-eval", "sequent": lambek.format_sequent(s), "holds": holds}
     _emit(payload, fmt, lambda p: [f"holds: {str(p['holds']).lower()}"])
     sys.exit(EXIT_OK if holds else EXIT_VIOLATION)

@@ -5,7 +5,7 @@ class ResqError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(ResqError):
+class ParseError(ResqError, ValueError):
     """Malformed input text; carries a 1-based line/column when known."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
@@ -27,16 +27,23 @@ class ResidualMismatchError(ParseError):
 
 
 class NoResidualError(ResqError):
-    """A residual does not exist: the candidate set is empty or has no maximum."""
+    """A residual does not exist: the candidate set is empty or has no maximum.
 
-    def __init__(self, left: int, right: int, side: str, candidates: frozenset[int]):
+    The attributes hold element indices; the message names the elements by
+    names[i] when names are given, by their indices otherwise.
+    """
+
+    def __init__(self, left: int, right: int, side: str, candidates: frozenset[int],
+                 names=None):
         self.left = left
         self.right = right
         self.side = side
         self.candidates = frozenset(candidates)
+        label = str if names is None else names.__getitem__
+        members = ", ".join(label(i) for i in sorted(self.candidates))
         super().__init__(
-            f"no {side} residual for pair ({left}, {right}); "
-            f"candidate set {sorted(self.candidates)} has no maximum"
+            f"no {side} residual for pair ({label(left)}, {label(right)}); "
+            f"candidate set [{members}] has no maximum"
         )
 
 

@@ -5,17 +5,21 @@ proof search terminates because every premise of every rule has strictly
 fewer connectives; sequents are memoized.  Antecedents are kept nonempty
 throughout (also inside the right residual rules), since the semantics is
 residuated semigroups of relations, which have no unit.
+
+Products chain without parentheses, so formula depth is bounded only by the
+input length; the recursive procedures raise RecursionError on a formula
+deeper than the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import re
-import sys
 from dataclasses import dataclass
 
 from . import relations as rel
-from .errors import MissingAtomError, ParseError, ResourceLimitError
+from .errors import MissingAtomError, ParseError
 from .relations import Relation
 from .verifier import Exhausted, NodeBudget
 
@@ -81,12 +85,6 @@ def sequent_atoms(s: Sequent) -> tuple[str, ...]:
         names |= atoms_of(f)
     names |= atoms_of(s.succedent)
     return tuple(sorted(names))
-
-
-def connective_count(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return 0
-    return 1 + connective_count(f.left) + connective_count(f.right)
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +192,6 @@ def format_sequent(s: Sequent) -> str:
     return ", ".join(format_formula(f) for f in s.antecedent) + " |- " + format_formula(s.succedent)
 
 
-def _too_deep() -> ResourceLimitError:
-    """The error for a formula too deep for the recursive procedures.
-
-    Products chain without parentheses, so formula depth is bounded only by
-    the input length; recursion over it can exhaust the interpreter stack.
-    """
-    return ResourceLimitError(sys.getrecursionlimit(), "formula too deep for the recursion limit")
-
-
 # ---------------------------------------------------------------------------
 # backward proof search
 
@@ -217,10 +206,7 @@ class ProofNode:
 def prove(s: Sequent, node_budget: int | None = None) -> ProofNode | None:
     budget = NodeBudget(node_budget, default=DEFAULT_PROVER_BUDGET)
     memo: dict[tuple, ProofNode | None] = {}
-    try:
-        return _prove(s.antecedent, s.succedent, memo, budget)
-    except RecursionError:
-        raise _too_deep() from None
+    return _prove(s.antecedent, s.succedent, memo, budget)
 
 
 def derivable(s: Sequent, node_budget: int | None = None) -> bool:
@@ -313,6 +299,33 @@ class RelationalModel:
         raise MissingAtomError(f"model does not interpret atom {atom!r}")
 
 
+def parse_model(text: str) -> RelationalModel:
+    """Read a model given as JSON: {"base": n, "valuation": {"p": [[x, y], ...]}}.
+
+    base must be an int of at least 1 and each atom's value a list of [x, y]
+    int pairs; raises ParseError otherwise, and DimensionMismatch for a pair
+    outside the base.
+    """
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ParseError(f"model is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ParseError("model must be a JSON object with 'base' and 'valuation'")
+    base = raw.get("base")
+    if type(base) is not int or base < 1:
+        raise ParseError("model field 'base' must be an integer of at least 1")
+    named = raw.get("valuation")
+    if not isinstance(named, dict):
+        raise ParseError("model field 'valuation' must be an object")
+    valuation = []
+    for name, pairs in sorted(named.items()):
+        if not rel.is_pair_list(pairs):
+            raise ParseError(f"valuation of {name!r} must be a list of [x, y] pairs")
+        valuation.append((name, rel.relation_from_pairs(base, pairs)))
+    return RelationalModel(base_size=base, valuation=tuple(valuation))
+
+
 def formula_value(f: Formula, M: RelationalModel) -> Relation:
     """Extend the valuation over the full square of the base."""
     if isinstance(f, Atom):
@@ -328,43 +341,24 @@ def formula_value(f: Formula, M: RelationalModel) -> Relation:
 
 def evaluate(s: Sequent, M: RelationalModel) -> bool:
     """Whether the composed antecedent value is contained in the succedent value."""
-    try:
-        value = formula_value(s.antecedent[0], M)
-        for f in s.antecedent[1:]:
-            value = rel.rel_compose(value, formula_value(f, M))
-        return rel.rel_subset(value, formula_value(s.succedent, M))
-    except RecursionError:
-        raise _too_deep() from None
+    value = formula_value(s.antecedent[0], M)
+    for f in s.antecedent[1:]:
+        value = rel.rel_compose(value, formula_value(f, M))
+    return rel.rel_subset(value, formula_value(s.succedent, M))
 
 
-def countermodel_search(
-    s: Sequent,
-    max_base: int = 3,
-    max_atom_relations: int | None = None,
-    node_budget: int | None = None,
-    symmetry: bool = True,
-):
+def countermodel_search(s: Sequent, max_base: int = 3, node_budget: int | None = None):
     """Enumerate models over bases 1..max_base until one refutes the sequent.
 
     Enumeration is deterministic: atoms in sorted order, relations ascending
     by encoding, with the first atom restricted to base-permutation orbit
-    representatives (which preserves completeness).  max_atom_relations, when
-    set, truncates the per-atom candidate list, making an Exhausted verdict
-    relative to the truncated enumeration.
+    representatives (which preserves completeness).
     """
     budget = NodeBudget(node_budget, default=DEFAULT_COUNTER_BUDGET)
-    try:
-        atoms = sequent_atoms(s)
-    except RecursionError:
-        raise _too_deep() from None
-
+    atoms = sequent_atoms(s)
     for k in range(1, max_base + 1):
-        first = list(rel.canonical_relations(k)) if symmetry else list(rel.all_relations(k))
         rest = list(rel.all_relations(k))
-        if max_atom_relations is not None:
-            first = first[:max_atom_relations]
-            rest = rest[:max_atom_relations]
-        candidate_lists = [first] + [rest] * (len(atoms) - 1)
+        candidate_lists = [rel.canonical_relations(k)] + [rest] * (len(atoms) - 1)
         for values in itertools.product(*candidate_lists):
             budget.spend()
             model = RelationalModel(base_size=k, valuation=tuple(zip(atoms, values)))

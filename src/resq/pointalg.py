@@ -20,6 +20,7 @@ from .algebra import (
     reflexivity,
     transitivity,
 )
+from .errors import ParseError
 from .verifier import NodeBudget, search_representation
 
 ATOM_LT, ATOM_EQ, ATOM_GT = 1, 2, 4
@@ -44,7 +45,7 @@ def parse_element(token: str) -> int:
     mask = 0
     for ch in token:
         if ch not in _ATOM_CHARS:
-            raise ValueError(f"unknown point-algebra element {token!r}")
+            raise ParseError(f"unknown point-algebra element {token!r}")
         mask |= _ATOM_CHARS[ch]
     return mask
 
@@ -66,9 +67,6 @@ class PointAlgebra:
     """All 8 elements with their symbolic composition table; join is bitwise or."""
 
     comp: tuple[tuple[int, ...], ...]
-
-    def compose(self, r: int, s: int) -> int:
-        return self.comp[r][s]
 
 
 def _symbolic_table() -> tuple[tuple[int, ...], ...]:
@@ -171,7 +169,6 @@ def reduct(P: PointAlgebra, generator_elements) -> SPStructure:
 class ProbeStats:
     nodes: int
     seconds: float
-    max_base: int
 
 
 def frp_probe(S: SPStructure, max_base: int, node_budget: int | None = None):
@@ -184,7 +181,5 @@ def frp_probe(S: SPStructure, max_base: int, node_budget: int | None = None):
     budget = NodeBudget(node_budget)
     start = time.perf_counter()
     result = search_representation(S, max_base, budget=budget)
-    stats = ProbeStats(
-        nodes=budget.used, seconds=time.perf_counter() - start, max_base=max_base
-    )
+    stats = ProbeStats(nodes=budget.used, seconds=time.perf_counter() - start)
     return result, stats

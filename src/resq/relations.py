@@ -38,6 +38,13 @@ def relation_from_pairs(n: int, pairs) -> Relation:
     return tuple(rows)
 
 
+def is_pair_list(value) -> bool:
+    """Whether a JSON value is a list of [x, y] pairs of ints (bools excluded)."""
+    return isinstance(value, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p) for p in value
+    )
+
+
 def relation_pairs(r: Relation) -> list[tuple[int, int]]:
     """All pairs of the relation in row-major order."""
     out = []
@@ -189,6 +196,3 @@ class Interpretation:
     @property
     def base_size(self) -> int:
         return len(self.base_labels)
-
-    def relation_of(self, element: int) -> Relation:
-        return self.relations[element]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import relations as rel
 from . import verifier
-from .algebra import FiniteResiduatedSemigroup, inclusion_order, value_positions
+from .algebra import FiniteResiduatedSemigroup, inclusion_order, order_reflection, value_positions
 from .completion import Quantale, build_quantale, check_quantale_laws, embed
 from .errors import ParseError
 from .relations import Interpretation, Relation
@@ -113,9 +113,7 @@ class RepresentResult:
     interpretation: Interpretation
     quantale: Quantale
     base_quantale: Quantale
-    generator_set: GeneratorSet
     unitalized: bool
-    embedding: tuple[int, ...]
     # the order-iff condition of the plain completion's hats, which auto mode
     # decides by; None under unitalize_mode "on" and "off"
     unitalize_reason: verifier.ConditionResult | None
@@ -129,12 +127,13 @@ def represent_pipeline(
     """Full pipeline: completion, optional unitalization, generators, hat map.
 
     unitalize_mode "auto" adjoins a unit exactly when the hats of the plain
-    completion fail the order condition of check_representation (they always
-    preserve the order, since a;q is monotone in a, so this is a failure of
-    order reflection) and keeps that condition as unitalize_reason; only the
-    order condition is evaluated, since the decision reads nothing else.
-    "on" always adjoins one (a no-op for quantales that already have a unit)
-    and "off" never does.
+    completion fail the order condition of check_representation, and keeps
+    that condition as unitalize_reason.  The hats always preserve the order,
+    since a;q is monotone in a; as the generators join-generate the
+    quantale, hat(a) <= hat(b) holds exactly when a;q <= b;q for every q, so
+    the condition is read off the tables by the order_reflection law, with
+    the same first witness and no hat built.  "on" always adjoins a unit (a
+    no-op for quantales that already have one) and "off" never does.
     """
     if unitalize_mode not in ("on", "off", "auto"):
         raise ValueError(f"unknown unitalize mode {unitalize_mode!r}")
@@ -144,14 +143,9 @@ def represent_pipeline(
     if unitalize_mode == "on":
         use_unit = not Q0.unital
     elif unitalize_mode == "auto":
-        G0 = generators(Q0, generators_mode)
-        hats = Interpretation(
-            algebra=Q0,
-            base_labels=Q0.labels,
-            relations=tuple(hat(Q0, G0, a) for a in range(Q0.size)),
-        )
-        reason = verifier.order_condition(Q0.le, hats, Q0.size)
-        use_unit = not reason.passed
+        witness = order_reflection(Q0.leq, Q0.comp)
+        reason = verifier.ConditionResult("order-iff", witness is None, witness)
+        use_unit = witness is not None
     else:
         use_unit = False
     Q = unitalize(Q0) if use_unit else Q0
@@ -166,9 +160,7 @@ def represent_pipeline(
         interpretation=interp,
         quantale=Q,
         base_quantale=Q0,
-        generator_set=G,
         unitalized=use_unit,
-        embedding=f,
         unitalize_reason=reason,
     )
 
@@ -209,16 +201,15 @@ def format_interpretation(I: Interpretation) -> str:
     return "\n".join(format_interpretation_lines(interpretation_payload(I))) + "\n"
 
 
-def _is_pair(p) -> bool:
-    return isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p)
-
-
 def parse_interpretation(text: str, A) -> Interpretation:
     """Read a representation dump (text or its JSON mirror) and bind its
     relations to A's elements."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise ParseError(f"dump is not valid JSON: {exc}") from None
         if not isinstance(payload, dict) or not isinstance(payload.get("base"), list):
             raise ParseError("dump field 'base' must be a list of point labels")
         if not isinstance(payload.get("relations"), dict):
@@ -226,7 +217,7 @@ def parse_interpretation(text: str, A) -> Interpretation:
         base = tuple(str(x) for x in payload["base"])
         named = payload["relations"]
         for name, pairs in named.items():
-            if not isinstance(pairs, list) or not all(_is_pair(p) for p in pairs):
+            if not rel.is_pair_list(pairs):
                 raise ParseError(f"relation {name!r} must be a list of [x, y] pairs")
     else:
         base = ()
@@ -247,7 +238,11 @@ def parse_interpretation(text: str, A) -> Interpretation:
                     if not (token.startswith("(") and token.endswith(")")):
                         raise ParseError(f"expected (x,y), got {token!r}", lineno)
                     x, _, y = token[1:-1].partition(",")
-                    pairs.append([int(x), int(y)])
+                    try:
+                        pairs.append([int(x), int(y)])
+                    except ValueError:
+                        raise ParseError(f"expected (x,y) with integer x, y, got {token!r}",
+                                         lineno) from None
                 named[name] = pairs
             else:
                 raise ParseError(f"unexpected line {line!r}", lineno)

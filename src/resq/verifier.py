@@ -126,7 +126,7 @@ def _table_condition(name, table, op, I: Interpretation, n: int) -> ConditionRes
     return ConditionResult(name, True, None)
 
 
-def order_condition(le, I: Interpretation, n: int) -> ConditionResult:
+def _order_condition(le, I: Interpretation, n: int) -> ConditionResult:
     """order-iff: a <= b exactly when the relation of a is inside that of b."""
     for a in range(n):
         for b in range(n):
@@ -143,7 +143,7 @@ def check_representation(S, I: Interpretation) -> VerificationReport:
     """
     n = len(S.comp)
     ops = _relational_ops()
-    conditions = (order_condition(S.le, I, n),) + tuple(
+    conditions = (_order_condition(S.le, I, n),) + tuple(
         _table_condition(name, table, ops[name], I, n) for name, table in S.operations
     )
     return VerificationReport(conditions=conditions)

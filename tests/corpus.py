@@ -273,3 +273,23 @@ def build_small_corpus():
     out = [a for n in (1, 2, 3) for a in algebra.enumerate_algebras(n)]
     out.append(make_c2())
     return out
+
+
+# malformed lambek eval models, each an input error: the first nine once ended
+# in a traceback or printed a verdict
+MALFORMED_MODELS = [
+    {"base": 1, "valuation": []},
+    {"base": 1, "valuation": True},
+    {"base": 1, "valuation": None},
+    {"base": 1, "valuation": 1.5},
+    {"base": 1, "valuation": "x"},
+    {"base": 1, "valuation": {"p": {}}},
+    {"base": 0, "valuation": {"p": [[0, 0]]}},
+    {"base": -1, "valuation": {"p": [[0, 0]]}},
+    {"base": 1.5, "valuation": {"p": [[0, 0]]}},
+    {"base": True, "valuation": {"p": [[0, 0]]}},
+    {"base": 1, "valuation": {"p": [[0, True]]}},
+    {"base": 1, "valuation": {"p": [[0, 1]]}},
+    None,
+    [1],
+]

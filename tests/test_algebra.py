@@ -68,6 +68,13 @@ def test_parse_syntax_error_carries_position():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("token", ["x=x;x", "x;x", "x=x", "=x;x"])
+def test_parse_malformed_table_token(token):
+    with pytest.raises(ParseError, match="expected x;y=z") as err:
+        algebra.parse_algebra(f"elements: x\ncomp: {token}\n")
+    assert err.value.line == 2
+
+
 def test_parse_residual_cross_check():
     bad = C2_TEXT + "lres: a\\a=a a\\b=b b\\a=b b\\b=b\n"
     with pytest.raises(ParseError, match="disagrees"):
@@ -211,6 +218,43 @@ def test_join_laws_report_first_violation():
         assert algebra.distributivity(join, comp) == next(
             (t for t in triples if distributivity_fails(join, comp, *t)), None
         )
+
+
+def test_order_reflection_reports_first_violation():
+    # the first (a, b) with a not <= b and a;q <= b;q for every q
+    def le(leq, i, j):
+        return bool(leq[i] >> j & 1)
+
+    rng = random.Random(7)
+    witnesses = set()
+    for _ in range(300):
+        leq = rng.choice(_partial_orders(3))
+        comp = tuple(tuple(rng.randrange(3) for _ in range(3)) for _ in range(3))
+        expected = next(
+            (
+                (a, b)
+                for a, b in itertools.product(range(3), repeat=2)
+                if not le(leq, a, b) and all(le(leq, comp[a][q], comp[b][q]) for q in range(3))
+            ),
+            None,
+        )
+        assert algebra.order_reflection(leq, comp) == expected, (leq, comp)
+        witnesses.add(expected is None)
+    assert witnesses == {True, False}
+
+
+def test_no_residual_error_names_elements():
+    # antichain {p, q} with p;x = p: {b : p;b <= p} = {p, q} has no maximum
+    leq = (0b01, 0b10)
+    comp = ((0, 0), (0, 1))
+    with pytest.raises(NoResidualError) as named:
+        algebra.infer_residuals(leq, comp, ("p", "q"))
+    assert str(named.value) == (
+        "no left residual for pair (p, p); candidate set [p, q] has no maximum"
+    )
+    assert (named.value.left, named.value.right, named.value.candidates) == (0, 0, {0, 1})
+    with pytest.raises(NoResidualError, match=r"pair \(0, 0\); candidate set \[0, 1\]"):
+        algebra.infer_residuals(leq, comp)
 
 
 def test_validate_reports_each_broken_axiom():

@@ -3,7 +3,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from corpus import C2_TEXT
+from corpus import C2_TEXT, MALFORMED_MODELS
+from resq import relrep
 from resq.cli import main
 
 ONE = "elements: x\nleq: x<=x\ncomp: x;x=x\n"
@@ -56,6 +57,9 @@ def test_decide_no_residuals_exists(runner, tmp_path):
     result, payload = run_json(runner, ["decide", str(path)])
     assert result.exit_code == 1
     assert payload["valid"] is False
+    assert payload["reason"] == (
+        "no left residual for pair (p, p); candidate set [p, q] has no maximum"
+    )
 
 
 def test_decide_malformed_file(runner, tmp_path):
@@ -96,6 +100,10 @@ def test_algebra_without_residuals_exit_one(runner, tmp_path, command):
     assert len(lines) == 1
     assert lines[0].startswith("error: not a residuated semigroup: ")
     assert lines[0].endswith("run decide for details")
+    assert lines[0] == (
+        "error: not a residuated semigroup: no left residual for pair (a, a); "
+        "candidate set [a, b] has no maximum; run decide for details"
+    )
 
 
 def test_unknown_subcommand_usage_error(runner):
@@ -298,16 +306,6 @@ def test_node_budget_option_overrides_environment(runner, c2_file, monkeypatch):
     assert result.exit_code == 1  # exhausted, not an input error
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_max_atom_relations_below_one_is_an_input_error(runner, value):
-    result = runner.invoke(
-        main, ["lambek", "counter", "p*q |- q*p", "--max-atom-relations", value],
-        catch_exceptions=False,
-    )
-    assert result.exit_code == 2
-    assert "--max-atom-relations" in result.output
-
-
 def test_search_found_one_element(runner, tmp_path):
     path = tmp_path / "one.alg"
     path.write_text(ONE)
@@ -442,3 +440,121 @@ def test_deterministic_json_output(runner, c2_file):
     first = runner.invoke(main, ["represent", c2_file, "--format", "json"], catch_exceptions=False)
     second = runner.invoke(main, ["represent", c2_file, "--format", "json"], catch_exceptions=False)
     assert first.output == second.output
+
+
+VALID_MODEL = json.dumps({"base": 1, "valuation": {"p": [[0, 0]]}})
+DEEP_JSON = "[" * 5000
+
+
+def _args(*args, text=VALID_MODEL):
+    """Arguments with ALGEBRA standing for C2, FILE for a file holding text,
+    and a relative path for one under tmp_path."""
+    def setup(tmp_path, c2_file, monkeypatch):
+        path = tmp_path / "input"
+        path.write_text(text)
+        named = {"ALGEBRA": c2_file, "FILE": str(path)}
+        return [named.get(a, str(tmp_path / a) if "/" in a else a) for a in args]
+
+    return setup
+
+
+def _crashing_completion(tmp_path, c2_file, monkeypatch):
+    def crash(A):
+        raise RuntimeError("completion crashed")
+
+    monkeypatch.setattr(relrep, "build_quantale", crash)
+    return ["represent", c2_file]
+
+
+ERROR_CASES = [
+    *((f"eval-model-{i}", _args("lambek", "eval", "p |- p", "FILE", text=json.dumps(model)), 2,
+       "error: ") for i, model in enumerate(MALFORMED_MODELS)),
+    ("eval-model-nested-too-deep", _args("lambek", "eval", "p |- p", "FILE", text=DEEP_JSON), 2,
+     "error: model is not valid JSON: "),
+    ("represent-output-missing-dir", _args("represent", "ALGEBRA", "--output", "missing/x"), 2,
+     "error: "),
+    ("text-dump-non-integer-point",
+     _args("verify", "ALGEBRA", "FILE", text="base: 0\nrel a: (0,x)\nrel b: (0,0)\n"), 2,
+     "error: expected (x,y) with integer x, y"),
+    ("json-dump-nested-too-deep",
+     _args("verify", "ALGEBRA", "FILE", text='{"base": ["0"], "relations": ' + DEEP_JSON), 2,
+     "error: dump is not valid JSON: "),
+    ("pointalg-unknown-element", _args("pointalg", "--generators", "<,%"), 2,
+     "error: unknown point-algebra element '%'"),
+    *((f"{command}-long-product", _args("lambek", command, LONG_PRODUCT,
+                                        *(["FILE"] if command == "eval" else [])), 3,
+       "error: formula too deep for the recursion limit")
+      for command in ("prove", "counter", "eval")),
+    ("internal-error", _crashing_completion, 4,
+     "error: internal error: RuntimeError: completion crashed"),
+]
+
+
+@pytest.mark.parametrize("case, setup, code, prefix", ERROR_CASES, ids=[c[0] for c in ERROR_CASES])
+def test_error_contract(runner, tmp_path, c2_file, monkeypatch, case, setup, code, prefix):
+    args = setup(tmp_path, c2_file, monkeypatch)
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == code, result.output
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), result.stderr
+
+
+def test_click_endings_pass_through(runner, c2_file):
+    help_run = runner.invoke(main, ["search", "--help"], catch_exceptions=False)
+    assert help_run.exit_code == 0
+    assert help_run.stdout.startswith("Usage: ") and help_run.stderr == ""
+    usage = runner.invoke(main, ["search", c2_file, "--bogus"], catch_exceptions=False)
+    assert usage.exit_code == 2
+    errors = [line for line in usage.stderr.splitlines() if line.startswith("Error:")]
+    assert errors == ["Error: No such option '--bogus'."]
+    assert "Traceback" not in usage.output
+
+
+# the text line that carries each top-level JSON key other than "command"
+TEXT_LINE_OF_KEY = {
+    "options": "options: ",
+    "unitalized": "unitalized: ",
+    "unitalize_reason": "unitalize_reason: ",
+    "base_size": "base_size: ",
+    "base": "base: ",
+    "elements": "rel ",
+    "relations": "rel ",
+    "verification": "all conditions pass: ",
+    "union_transitive": "union transitive: ",
+    "generators": "generators: ",
+    "carrier": "carrier: ",
+    "verdict": "verdict: ",
+    "max_base": "max_base: ",
+    "stats": ("nodes: ", "seconds: "),
+}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["represent", "ALGEBRA"],
+        ["represent", "ALGEBRA", "--unitalize", "off", "--generators", "join-irreducible"],
+        ["pointalg", "--max-base", "3"],
+        ["pointalg", "--max-base", "2"],
+    ],
+    ids=["represent", "represent-options", "pointalg-found", "pointalg-exhausted"],
+)
+def test_text_carries_every_json_field(runner, c2_file, args):
+    args = [c2_file if a == "ALGEBRA" else a for a in args]
+    _, payload = run_json(runner, args)
+    lines = runner.invoke(main, args, catch_exceptions=False).output.splitlines()
+    for key, value in payload.items():
+        if key == "command":
+            continue
+        prefixes = TEXT_LINE_OF_KEY[key]
+        for prefix in (prefixes,) if isinstance(prefixes, str) else prefixes:
+            assert any(line.startswith(prefix) for line in lines), (key, prefix)
+        if isinstance(value, (bool, int, str)):
+            rendered = str(value).lower() if isinstance(value, bool) else str(value)
+            assert f"{prefixes}{rendered}" in lines, key
+    if args[0] == "represent":
+        options = payload["options"]
+        assert (f"options: unitalize={options['unitalize']} "
+                f"generators={options['generators']}") in lines

@@ -316,9 +316,3 @@ def test_counter_search_is_deterministic():
 def test_counter_budget():
     with pytest.raises(ResourceLimitError):
         countermodel_search(parse_sequent("p |- p"), max_base=2, node_budget=3)
-
-
-def test_max_atom_relations_truncates():
-    # with a single candidate per atom nothing refutes p |- q
-    out = countermodel_search(parse_sequent("p |- q"), max_base=1, max_atom_relations=1)
-    assert out == Exhausted(1)

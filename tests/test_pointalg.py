@@ -144,7 +144,7 @@ def test_probe_lt_eq_found_at_base_two(P):
     assert isinstance(result, Interpretation)
     assert result.base_size == 2
     assert check_representation(S, result).all_pass
-    assert stats.nodes > 0 and stats.max_base == 3
+    assert stats.nodes > 0
 
 
 def test_probe_lt_found_at_base_one(P):

@@ -124,16 +124,36 @@ def hat_by_definition(Q, a):
     )
 
 
+def join_irreducibles_by_definition(Q):
+    """The elements with exactly one lower cover, which in a finite lattice
+    are the ones that are not the join of the elements strictly below them."""
+    def below(p, q):
+        return p != q and Q.le(p, q)
+
+    return tuple(
+        q for q in range(Q.size)
+        if sum(
+            1 for p in range(Q.size)
+            if below(p, q) and not any(below(p, r) and below(r, q) for r in range(Q.size))
+        ) == 1
+    )
+
+
 def test_auto_mode_unitalizes_exactly_when_plain_hats_fail_order(corpus_all):
     for A in corpus_all + large_quantale_algebras():
         Q0 = build_quantale(A)
-        hats = tuple(hat_by_definition(Q0, a) for a in range(Q0.size))
-        assert hat_interpretation(Q0).relations == hats
-        interp = Interpretation(algebra=Q0, base_labels=Q0.labels, relations=hats)
-        order = verifier.check_representation(Q0, interp).condition("order-iff")
-        result = represent_pipeline(A)
-        assert result.unitalized == (not order.passed), algebra.serialize(A)
-        assert result.unitalize_reason == order, algebra.serialize(A)
+        for mode, G in (("all", range(Q0.size)),
+                        ("join-irreducible", join_irreducibles_by_definition(Q0))):
+            hats = tuple(
+                tuple(row if g in G else 0 for g, row in enumerate(hat_by_definition(Q0, a)))
+                for a in range(Q0.size)
+            )
+            assert tuple(hat(Q0, generators(Q0, mode), a) for a in range(Q0.size)) == hats
+            interp = Interpretation(algebra=Q0, base_labels=Q0.labels, relations=hats)
+            order = verifier.check_representation(Q0, interp).condition("order-iff")
+            result = represent_pipeline(A, generators_mode=mode)
+            assert result.unitalized == (not order.passed), (mode, algebra.serialize(A))
+            assert result.unitalize_reason == order, (mode, algebra.serialize(A))
 
 
 def test_hat_check_reflection_fails_on_c2_without_unit(c2):

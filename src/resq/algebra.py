@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     ResidualMismatchError,
     ResourceLimitError,
+    quote,
 )
 from .relations import Interpretation, Relation
 
@@ -339,7 +340,7 @@ def parse_algebra(text: str) -> FiniteResiduatedSemigroup:
         key, rest = line.split(":", 1)
         key = key.strip()
         if key not in blocks:
-            raise ParseError(f"unknown block {key!r}", lineno, 1)
+            raise ParseError(f"unknown block {quote(key)}", lineno, 1)
         offset = line.index(":") + 1
         col = offset
         pos = 0
@@ -351,7 +352,7 @@ def parse_algebra(text: str) -> FiniteResiduatedSemigroup:
     names: list[str] = []
     for token, lineno, col in blocks["elements"]:
         if not _NAME_RE.match(token):
-            raise ParseError(f"invalid element name {token!r}", lineno, col)
+            raise ParseError(f"invalid element name {quote(token)}", lineno, col)
         if token not in names:
             names.append(token)
     if not names:
@@ -361,13 +362,13 @@ def parse_algebra(text: str) -> FiniteResiduatedSemigroup:
 
     def resolve(name: str, lineno: int, col: int) -> int:
         if name not in index:
-            raise ParseError(f"unknown element name {name!r}", lineno, col)
+            raise ParseError(f"unknown element name {quote(name)}", lineno, col)
         return index[name]
 
     leq = [1 << i for i in range(n)]
     for token, lineno, col in blocks["leq"]:
         if "<=" not in token:
-            raise ParseError(f"expected x<=y, got {token!r}", lineno, col)
+            raise ParseError(f"expected x<=y, got {quote(token)}", lineno, col)
         lhs, rhs = token.split("<=", 1)
         i = resolve(lhs, lineno, col)
         j = resolve(rhs, lineno, col)
@@ -379,13 +380,13 @@ def parse_algebra(text: str) -> FiniteResiduatedSemigroup:
             lhs, _, value = token.rpartition("=")
             left, found, right = lhs.partition(sep)
             if not found:
-                raise ParseError(f"expected x{sep}y=z, got {token!r}", lineno, col)
+                raise ParseError(f"expected x{sep}y=z, got {quote(token)}", lineno, col)
             i = resolve(left, lineno, col)
             j = resolve(right, lineno, col)
             k = resolve(value, lineno, col)
             if table[i][j] is not None:
                 raise ParseError(
-                    f"duplicate {block} entry for {left}{sep}{right}", lineno, col
+                    f"duplicate {block} entry for {quote(left + sep + right)}", lineno, col
                 )
             table[i][j] = k
         return table
@@ -394,7 +395,7 @@ def parse_algebra(text: str) -> FiniteResiduatedSemigroup:
     for i in range(n):
         for j in range(n):
             if comp_partial[i][j] is None:
-                raise ParseError(f"missing comp entry {names[i]};{names[j]}")
+                raise ParseError(f"missing comp entry {quote(names[i] + ';' + names[j])}")
     comp = tuple(tuple(row) for row in comp_partial)  # type: ignore[arg-type]
 
     leq_t = tuple(leq)
@@ -409,7 +410,7 @@ def parse_algebra(text: str) -> FiniteResiduatedSemigroup:
         for i in range(n):
             for j in range(n):
                 if given[i][j] is None:
-                    raise ParseError(f"missing {block} entry {names[i]}{sep}{names[j]}")
+                    raise ParseError(f"missing {block} entry {quote(names[i] + sep + names[j])}")
         given_t = tuple(tuple(row) for row in given)  # type: ignore[arg-type]
         if given_t != tables[block] and mismatch is None:
             i, j = next(

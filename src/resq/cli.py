@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     MissingAtomError,
     NoResidualError,
+    NotResiduatedError,
     ParseError,
     ResidualMismatchError,
     ResourceLimitError,
@@ -55,7 +56,7 @@ class _ErrorContract(click.Group):
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort, BrokenPipeError):
             raise
-        except NoResidualError as exc:
+        except NotResiduatedError as exc:
             code = EXIT_VIOLATION
             message = f"not a residuated semigroup: {exc}; run decide for details"
         except (ParseError, DimensionMismatch, MissingAtomError, OSError) as exc:
@@ -89,11 +90,13 @@ def _load_algebra(path: str) -> algebra.FiniteResiduatedSemigroup:
 
 
 def _load_valid_algebra(path: str) -> algebra.FiniteResiduatedSemigroup:
-    """The algebra of the file; ends the run with exit 1 unless it validates."""
+    """The algebra of the file; raises NotResiduatedError naming the first
+    failed axiom and its witness unless it validates."""
     A = _load_algebra(path)
-    if not algebra.validate(A).valid:
-        click.echo("error: not a residuated semigroup; run decide for details", err=True)
-        sys.exit(EXIT_VIOLATION)
+    failures = algebra.validate(A).failures
+    if failures:
+        axiom, witness = failures[0]
+        raise NotResiduatedError(f"{axiom} fails at ({', '.join(A.names[i] for i in witness)})")
     return A
 
 
@@ -296,15 +299,11 @@ def verify(algebra_path: str, dump_path: str, fmt: str) -> None:
 @click.argument("path", type=click.Path())
 @click.option("--max-base", type=click.IntRange(min=1), default=3, show_default=True)
 @node_budget_option
-@click.option("--no-symmetry", is_flag=True, help="Disable base-point symmetry breaking.")
 @format_option
-def search(path: str, max_base: int, node_budget: int | None, no_symmetry: bool,
-           fmt: str) -> None:
-    """Brute-force search for a representation over a bounded base."""
-    A = _load_algebra(path)
-    outcome = verifier.search_representation(
-        A, max_base, node_budget=node_budget, symmetry=not no_symmetry
-    )
+def search(path: str, max_base: int, node_budget: int | None, fmt: str) -> None:
+    """Bounded search for a representation over bases of size 1..max-base."""
+    A = _load_valid_algebra(path)
+    outcome = verifier.search_representation(A, max_base, node_budget=node_budget)
     if isinstance(outcome, verifier.Exhausted):
         payload = {"command": "search", "verdict": "exhausted", "max_base": outcome.max_base}
         _emit(payload, fmt, lambda p: [f"exhausted: no representation over any base <= {max_base}"])
@@ -389,7 +388,8 @@ def prove(sequent_text: str, node_budget: int | None, trace: bool, fmt: str) -> 
     }
     if trace and proof is not None:
         payload["proof"] = _proof_payload(proof)
-    _emit(payload, fmt, lambda p: [f"derivable: {str(p['derivable']).lower()}"]
+    _emit(payload, fmt, lambda p: [f"sequent: {p['sequent']}",
+                                   f"derivable: {str(p['derivable']).lower()}"]
           + (_proof_lines(p["proof"], 0) if "proof" in p else []))
     sys.exit(EXIT_OK if proof is not None else EXIT_VIOLATION)
 
@@ -422,7 +422,7 @@ def counter(sequent_text: str, max_base: int, node_budget: int | None, fmt: str)
     if isinstance(result, verifier.Exhausted):
         payload["verdict"] = "exhausted"
         payload["max_base"] = result.max_base
-        _emit(payload, fmt, lambda p: [f"exhausted: no countermodel over any base <= {max_base}"])
+        _emit(payload, fmt, _render_counter)
         sys.exit(EXIT_VIOLATION)
     payload["verdict"] = "found"
     payload["base"] = result.base_size
@@ -434,7 +434,12 @@ def counter(sequent_text: str, max_base: int, node_budget: int | None, fmt: str)
 
 
 def _render_counter(payload: dict):
-    yield f"countermodel found at base {payload['base']}"
+    yield f"sequent: {payload['sequent']}"
+    yield f"verdict: {payload['verdict']}"
+    if payload["verdict"] == "exhausted":
+        yield f"max_base: {payload['max_base']}"
+        return
+    yield f"base: {payload['base']}"
     for name in sorted(payload["valuation"]):
         pairs = payload["valuation"][name]
         yield f"v({name}):" + "".join(f" ({x},{y})" for x, y in pairs)
@@ -449,7 +454,7 @@ def eval_cmd(sequent_text: str, model_path: str, fmt: str) -> None:
     s = lambek.parse_sequent(sequent_text)
     holds = lambek.evaluate(s, lambek.parse_model(_read_text(model_path)))
     payload = {"command": "lambek-eval", "sequent": lambek.format_sequent(s), "holds": holds}
-    _emit(payload, fmt, lambda p: [f"holds: {str(p['holds']).lower()}"])
+    _emit(payload, fmt, lambda p: [f"sequent: {p['sequent']}", f"holds: {str(p['holds']).lower()}"])
     sys.exit(EXIT_OK if holds else EXIT_VIOLATION)
 
 

@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one helper that quotes
+input in their messages."""
+
+# longest stretch of input an error message quotes
+QUOTE_LIMIT = 40
+
+
+def quote(text: str) -> str:
+    """The repr of a piece of input for an error message, cut after
+    QUOTE_LIMIT characters, so a long input cannot make a long error line."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
 class ResqError(Exception):
@@ -26,7 +38,11 @@ class ResidualMismatchError(ParseError):
         super().__init__(message)
 
 
-class NoResidualError(ResqError):
+class NotResiduatedError(ResqError):
+    """Tables that do not form a residuated semigroup; the message says why."""
+
+
+class NoResidualError(NotResiduatedError):
     """A residual does not exist: the candidate set is empty or has no maximum.
 
     The attributes hold element indices; the message names the elements by

@@ -13,15 +13,15 @@ deeper than the interpreter's recursion limit.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 import re
 from dataclasses import dataclass
 
 from . import relations as rel
-from .errors import MissingAtomError, ParseError
+from .errors import MissingAtomError, ParseError, quote
 from .relations import Relation
-from .verifier import Exhausted, NodeBudget
+from .verifier import Exhausted, NodeBudget, _relational_ops, plan_search, run_plan
 
 ATOM_RE = re.compile(r"[a-z][a-z0-9]*")
 
@@ -296,7 +296,7 @@ class RelationalModel:
         for name, r in self.valuation:
             if name == atom:
                 return r
-        raise MissingAtomError(f"model does not interpret atom {atom!r}")
+        raise MissingAtomError(f"model does not interpret atom {quote(atom)}")
 
 
 def parse_model(text: str) -> RelationalModel:
@@ -321,7 +321,7 @@ def parse_model(text: str) -> RelationalModel:
     valuation = []
     for name, pairs in sorted(named.items()):
         if not rel.is_pair_list(pairs):
-            raise ParseError(f"valuation of {name!r} must be a list of [x, y] pairs")
+            raise ParseError(f"valuation of {quote(name)} must be a list of [x, y] pairs")
         valuation.append((name, rel.relation_from_pairs(base, pairs)))
     return RelationalModel(base_size=base, valuation=tuple(valuation))
 
@@ -348,20 +348,33 @@ def evaluate(s: Sequent, M: RelationalModel) -> bool:
 
 
 def countermodel_search(s: Sequent, max_base: int = 3, node_budget: int | None = None):
-    """Enumerate models over bases 1..max_base until one refutes the sequent.
+    """Search models over bases 1..max_base until one refutes the sequent.
 
-    Enumeration is deterministic: atoms in sorted order, relations ascending
-    by encoding, with the first atom restricted to base-permutation orbit
-    representatives (which preserves completeness).
+    The search engine branches on the atoms in sorted order, the first one
+    over orbit representatives only; each distinct subformula (the antecedent
+    is its left-nested product) is forced, and the goal is a failing inclusion.
     """
     budget = NodeBudget(node_budget, default=DEFAULT_COUNTER_BUDGET)
     atoms = sequent_atoms(s)
+    ops = _relational_ops()
+    op_of = {Prod: ops["composition"], Under: ops["left-residual"], Over: ops["right-residual"]}
+    unknown: dict[Formula, int] = {Atom(name): i for i, name in enumerate(atoms)}
+    equations = []
+
+    def index(f: Formula) -> int:
+        if f not in unknown:
+            a, b = index(f.left), index(f.right)
+            unknown[f] = len(unknown)
+            equations.append((op_of[type(f)], a, b, unknown[f]))
+        return unknown[f]
+
+    goal = (index(functools.reduce(Prod, s.antecedent)), index(s.succedent), False)
+    plan = plan_search(len(unknown), equations, [goal])
     for k in range(1, max_base + 1):
-        rest = list(rel.all_relations(k))
-        candidate_lists = [rel.canonical_relations(k)] + [rest] * (len(atoms) - 1)
-        for values in itertools.product(*candidate_lists):
-            budget.spend()
+        values = run_plan(plan, k, budget)
+        if values is not None:
             model = RelationalModel(base_size=k, valuation=tuple(zip(atoms, values)))
-            if not evaluate(s, model):
-                return model
+            if evaluate(s, model):
+                raise AssertionError("search returned a model that satisfies the sequent")
+            return model
     return Exhausted(max_base)

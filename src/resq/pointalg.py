@@ -20,7 +20,7 @@ from .algebra import (
     reflexivity,
     transitivity,
 )
-from .errors import ParseError
+from .errors import ParseError, quote
 from .verifier import NodeBudget, search_representation
 
 ATOM_LT, ATOM_EQ, ATOM_GT = 1, 2, 4
@@ -45,7 +45,7 @@ def parse_element(token: str) -> int:
     mask = 0
     for ch in token:
         if ch not in _ATOM_CHARS:
-            raise ParseError(f"unknown point-algebra element {token!r}")
+            raise ParseError(f"unknown point-algebra element {quote(token)}")
         mask |= _ATOM_CHARS[ch]
     return mask
 

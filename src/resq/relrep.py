@@ -16,7 +16,7 @@ from . import relations as rel
 from . import verifier
 from .algebra import FiniteResiduatedSemigroup, inclusion_order, order_reflection, value_positions
 from .completion import Quantale, build_quantale, check_quantale_laws, embed
-from .errors import ParseError
+from .errors import ParseError, quote
 from .relations import Interpretation, Relation
 
 GENERATOR_MODES = ("all", "join-irreducible")
@@ -218,7 +218,7 @@ def parse_interpretation(text: str, A) -> Interpretation:
         named = payload["relations"]
         for name, pairs in named.items():
             if not rel.is_pair_list(pairs):
-                raise ParseError(f"relation {name!r} must be a list of [x, y] pairs")
+                raise ParseError(f"relation {quote(name)} must be a list of [x, y] pairs")
     else:
         base = ()
         named = {}
@@ -232,26 +232,26 @@ def parse_interpretation(text: str, A) -> Interpretation:
                 head, _, rest = line.partition(":")
                 name = head[len("rel "):].strip()
                 if name in named:
-                    raise ParseError(f"second relation for element {name!r}", lineno)
+                    raise ParseError(f"second relation for element {quote(name)}", lineno)
                 pairs = []
                 for token in rest.split():
                     if not (token.startswith("(") and token.endswith(")")):
-                        raise ParseError(f"expected (x,y), got {token!r}", lineno)
+                        raise ParseError(f"expected (x,y), got {quote(token)}", lineno)
                     x, _, y = token[1:-1].partition(",")
                     try:
                         pairs.append([int(x), int(y)])
                     except ValueError:
-                        raise ParseError(f"expected (x,y) with integer x, y, got {token!r}",
+                        raise ParseError(f"expected (x,y) with integer x, y, got {quote(token)}",
                                          lineno) from None
                 named[name] = pairs
             else:
-                raise ParseError(f"unexpected line {line!r}", lineno)
+                raise ParseError(f"unexpected line {quote(line)}", lineno)
         if not base:
             raise ParseError("missing base line")
     relations = {name: rel.relation_from_pairs(len(base), pairs) for name, pairs in named.items()}
     for name in A.names:
         if name not in relations:
-            raise ParseError(f"dump has no relation for element {name!r}")
+            raise ParseError(f"dump has no relation for element {quote(name)}")
     return Interpretation(
         algebra=A, base_labels=base, relations=tuple(relations[name] for name in A.names)
     )

@@ -171,19 +171,25 @@ def search_representation(
     symmetry: bool = True,
     budget: NodeBudget | None = None,
 ):
-    """Backtracking search for a representation over bases of size 1..max_base.
+    """Search for a representation over bases of size 1..max_base.
 
     Enforces order faithfulness and every operation the structure lists, so
     the same search serves residuated semigroups and the join/composition
-    reducts of the point algebra.  Values forced by already-assigned operands
-    are propagated instead of branched, and the first branched element ranges
-    over base-permutation orbit representatives only, which never changes the
-    verdict.  Found results are re-verified before being returned.
+    reducts of the point algebra.  The first branched element ranges over
+    base-permutation orbit representatives only (unless symmetry is off),
+    which never changes the verdict.  Found results are re-verified before
+    being returned.
     """
     if budget is None:
         budget = NodeBudget(node_budget)
+    n = len(struct.names)
+    ops = _relational_ops()
+    equations = [(ops[name], a, b, table[a][b])
+                 for name, table in struct.operations for a in range(n) for b in range(n)]
+    inclusions = [(a, b, struct.le(a, b)) for a in range(n) for b in range(n)]
+    plan = plan_search(n, equations, inclusions)
     for k in range(1, max_base + 1):
-        assignment = _search_base(struct, k, budget, symmetry)
+        assignment = run_plan(plan, k, budget, symmetry)
         if assignment is not None:
             interp = Interpretation(
                 algebra=struct,
@@ -197,86 +203,69 @@ def search_representation(
     return Exhausted(max_base)
 
 
-def _search_base(struct, k: int, budget: NodeBudget, symmetry: bool):
-    n = len(struct.names)
-    le = struct.le
-    ops = _relational_ops()
-    op_tables = tuple((table, ops[name]) for name, table in struct.operations)
+def plan_search(n: int, equations, inclusions) -> tuple:
+    """The steps in which a search over n unknown relations assigns them.
 
-    # derivations[c] lists (table, op, a, b) with table[a][b] == c: once a and
-    # b are assigned the value of c is forced, and conversely an assigned c
-    # constrains late assignments to a or b.
-    derivations: list[list[tuple]] = [[] for _ in range(n)]
-    for table, op in op_tables:
-        for a in range(n):
-            for b in range(n):
-                derivations[table[a][b]].append((table, op, a, b))
+    An equation (op, a, b, c) demands op(R[a], R[b]) == R[c]; an inclusion
+    (a, b, holds) demands (R[a] <= R[b]) == holds.  Whether an equation forces
+    its c depends only on which unknowns are assigned, not on their values,
+    so the order is fixed in advance: each step assigns the lowest unknown
+    forced from assigned operands, else branches on the lowest unassigned.
+    A step is (unknown, (op, a, b) or None when it branches, the equations
+    and the inclusions it completes); the forcing equation is not listed.
+    """
+    assigned = [False] * n
+    steps = []
+    for _ in range(n):
+        forced = min((e for e in equations if assigned[e[1]] and assigned[e[2]]
+                      and not assigned[e[3]]), key=lambda e: e[3], default=None)
+        c = assigned.index(False) if forced is None else forced[3]
+        assigned[c] = True
 
-    all_rels = list(rel.all_relations(k))
-    first_candidates = list(rel.canonical_relations(k)) if symmetry else all_rels
-    assign: list[Relation | None] = [None] * n
+        def completed(*unknowns) -> bool:
+            return c in unknowns and all(assigned[u] for u in unknowns)
 
-    def consistent(c: int, value: Relation) -> bool:
-        for d in range(n):
-            other = value if d == c else assign[d]
-            if other is None:
-                continue
-            if le(c, d) != rel.rel_subset(value, other):
+        steps.append((c, None if forced is None else forced[:3],
+                      tuple(e for e in equations if e != forced and completed(*e[1:])),
+                      tuple(i for i in inclusions if completed(*i[:2]))))
+    return tuple(steps)
+
+
+def run_plan(plan: tuple, k: int, budget: NodeBudget, symmetry: bool = True):
+    """The first assignment over a base of size k meeting every constraint of
+    the plan, or None.  Branched unknowns take relations in ascending
+    encoding, the first one orbit representatives only when symmetry is on.
+    One budget node is spent per step entered and one per branched candidate.
+    """
+    subset = rel.rel_subset
+    every = list(rel.all_relations(k))
+    values: list[Relation | None] = [None] * len(plan)
+
+    def holds(equations, inclusions) -> bool:
+        for a, b, expected in inclusions:
+            if subset(values[a], values[b]) != expected:
                 return False
-            if d != c and le(d, c) != rel.rel_subset(other, value):
-                return False
-            for table, op in op_tables:
-                target = assign[table[c][d]] if table[c][d] != c else value
-                if target is not None and op(value, other) != target:
-                    return False
-                if d != c:
-                    target = assign[table[d][c]] if table[d][c] != c else value
-                    if target is not None and op(other, value) != target:
-                        return False
-        for table, op, a, b in derivations[c]:
-            ra = value if a == c else assign[a]
-            rb = value if b == c else assign[b]
-            if ra is not None and rb is not None and op(ra, rb) != value:
+        for op, a, b, c in equations:
+            if op(values[a], values[b]) != values[c]:
                 return False
         return True
 
-    def extend(branched: bool):
+    def walk(i: int, candidates):
         budget.spend()
-        forced_index = None
-        forced_value = None
-        for c in range(n):
-            if assign[c] is not None:
-                continue
-            for table, op, a, b in derivations[c]:
-                ra = assign[a]
-                rb = assign[b]
-                if ra is not None and rb is not None:
-                    forced_index = c
-                    forced_value = op(ra, rb)
-                    break
-            if forced_index is not None:
-                break
-        if forced_index is not None:
-            if not consistent(forced_index, forced_value):
-                return None
-            assign[forced_index] = forced_value
-            result = extend(branched)
-            assign[forced_index] = None
-            return result
-        try:
-            c = assign.index(None)
-        except ValueError:
-            return tuple(assign)
-        candidates = all_rels if branched else first_candidates
+        if i == len(plan):
+            return tuple(values)
+        c, forced, equations, inclusions = plan[i]
+        if forced is not None:
+            op, a, b = forced
+            values[c] = op(values[a], values[b])
+            return walk(i + 1, candidates) if holds(equations, inclusions) else None
         for value in candidates:
             budget.spend()
-            if not consistent(c, value):
-                continue
-            assign[c] = value
-            result = extend(True)
-            assign[c] = None
-            if result is not None:
-                return result
+            values[c] = value
+            if holds(equations, inclusions):
+                result = walk(i + 1, every)
+                if result is not None:
+                    return result
         return None
 
-    return extend(False)
+    return walk(0, list(rel.canonical_relations(k)) if symmetry else every)

@@ -8,7 +8,10 @@ semigroups; the list is deterministic and deduplicated up to isomorphism.
 
 from __future__ import annotations
 
-from resq import algebra
+import itertools
+
+from resq import algebra, lambek
+from resq import relations as rel
 from resq.algebra import (
     FiniteResiduatedSemigroup,
     _associative_tables,
@@ -20,6 +23,7 @@ from resq.algebra import (
 from resq.completion import _subset_sort_key, m_closure
 from resq.errors import NoResidualError
 from resq.pointalg import ATOM_EQ, ATOM_GT, ATOM_LT
+from resq.verifier import Exhausted
 
 C2_TEXT = "elements: a b\nleq: a<=b\ncomp: a;a=a a;b=a b;a=a b;b=a\n"
 
@@ -293,3 +297,18 @@ MALFORMED_MODELS = [
     None,
     [1],
 ]
+
+
+def naive_countermodel(s: lambek.Sequent, max_base: int):
+    """The first model over bases 1..max_base that refutes the sequent, found
+    by evaluating it under every valuation in product order: atoms sorted,
+    relations ascending by encoding, the first atom over base-permutation
+    orbit representatives.  Oracle for lambek.countermodel_search."""
+    atoms = lambek.sequent_atoms(s)
+    for k in range(1, max_base + 1):
+        rest = list(rel.all_relations(k))
+        for values in itertools.product(rel.canonical_relations(k), *[rest] * (len(atoms) - 1)):
+            model = lambek.RelationalModel(base_size=k, valuation=tuple(zip(atoms, values)))
+            if not lambek.evaluate(s, model):
+                return model
+    return Exhausted(max_base)

@@ -106,6 +106,48 @@ def test_algebra_without_residuals_exit_one(runner, tmp_path, command):
     )
 
 
+NON_ASSOCIATIVE = "elements: a b\nleq: a<=b\ncomp: a;a=b a;b=a b;a=a b;b=a\n"
+
+
+@pytest.mark.parametrize("command", ["complete", "represent", "search"])
+def test_invalid_algebra_names_first_failed_axiom(runner, tmp_path, command):
+    # residuals exist, but associativity fails: decide reports it, and the
+    # commands that need a residuated semigroup end with exit 1 before working
+    path = tmp_path / "nonassoc.alg"
+    path.write_text(NON_ASSOCIATIVE)
+    result = runner.invoke(main, [command, str(path)], catch_exceptions=False)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: not a residuated semigroup: associativity fails at (a, a, b); "
+        "run decide for details"
+    ]
+
+
+LONG_TOKEN = "x" * 3000
+MAX_ERROR_LINE = 200
+
+
+@pytest.mark.parametrize(
+    "args, text, start",
+    [
+        (["verify", "ALGEBRA", "FILE"], "[" * 5000, "error: unexpected line '[[["),
+        (["decide", "FILE"], f"elements: a {LONG_TOKEN}!\n", "error: invalid element name 'xxx"),
+        (["pointalg", "--generators", LONG_TOKEN], None, "error: unknown point-algebra element 'xxx"),
+    ],
+    ids=["verify-dump-line", "decide-token", "pointalg-generator"],
+)
+def test_error_line_quotes_a_bounded_excerpt(runner, tmp_path, c2_file, args, text, start):
+    path = tmp_path / "input"
+    path.write_text(text or "")
+    args = [{"ALGEBRA": c2_file, "FILE": str(path)}.get(a, a) for a in args]
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 2
+    [line] = result.stderr.splitlines()
+    assert line.startswith(start) and len(line) < MAX_ERROR_LINE, line
+    assert "characters)" in line
+
+
 def test_unknown_subcommand_usage_error(runner):
     result = runner.invoke(main, ["frobnicate"])
     assert result.exit_code == 2
@@ -321,12 +363,6 @@ def test_search_exhausted_exit_one(runner, c2_file):
     assert payload["verdict"] == "exhausted"
 
 
-def test_search_no_symmetry_same_verdict(runner, c2_file):
-    fast = runner.invoke(main, ["search", c2_file, "--max-base", "1"])
-    slow = runner.invoke(main, ["search", c2_file, "--max-base", "1", "--no-symmetry"])
-    assert fast.exit_code == slow.exit_code == 1
-
-
 def test_search_budget_exit_three(runner, c2_file):
     result = runner.invoke(main, ["search", c2_file, "--max-base", "3", "--node-budget", "4"])
     assert result.exit_code == 3
@@ -528,6 +564,11 @@ TEXT_LINE_OF_KEY = {
     "verdict": "verdict: ",
     "max_base": "max_base: ",
     "stats": ("nodes: ", "seconds: "),
+    "sequent": "sequent: ",
+    "derivable": "derivable: ",
+    "proof": "[",
+    "valuation": "v(",
+    "holds": "holds: ",
 }
 
 
@@ -538,11 +579,18 @@ TEXT_LINE_OF_KEY = {
         ["represent", "ALGEBRA", "--unitalize", "off", "--generators", "join-irreducible"],
         ["pointalg", "--max-base", "3"],
         ["pointalg", "--max-base", "2"],
+        ["lambek", "prove", "p |- (p*q)/q", "--trace"],
+        ["lambek", "counter", "p*q |- q*p", "--max-base", "2"],
+        ["lambek", "counter", "p |- p", "--max-base", "2"],
+        ["lambek", "eval", "p*q |- q*p", "MODEL"],
     ],
-    ids=["represent", "represent-options", "pointalg-found", "pointalg-exhausted"],
+    ids=["represent", "represent-options", "pointalg-found", "pointalg-exhausted",
+         "lambek-prove", "lambek-counter-found", "lambek-counter-exhausted", "lambek-eval"],
 )
-def test_text_carries_every_json_field(runner, c2_file, args):
-    args = [c2_file if a == "ALGEBRA" else a for a in args]
+def test_text_carries_every_json_field(runner, tmp_path, c2_file, args):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"base": 2, "valuation": {"p": [[0, 1]], "q": [[1, 0]]}}))
+    args = [{"ALGEBRA": c2_file, "MODEL": str(model)}.get(a, a) for a in args]
     _, payload = run_json(runner, args)
     lines = runner.invoke(main, args, catch_exceptions=False).output.splitlines()
     for key, value in payload.items():

@@ -1,10 +1,11 @@
 """Fuzz the command line with mutated inputs.
 
 Every run must end with a documented exit code 0-3 (4 is an internal error,
-that is, a bug) and no traceback, and an input error or a resource limit
-(exit 2 or 3) prints exactly one line on stderr.  Inputs are handed to the
-subcommands as files, or as arguments after ``--``, so click never reads a
-mutated input as an option.
+that is, a bug) and no traceback, an input error or a resource limit
+(exit 2 or 3) prints exactly one line on stderr, and no stderr line grows
+with the input (a mutation may insert a long run of one character).
+Inputs are handed to the subcommands as files, or as arguments after
+``--``, so click never reads a mutated input as an option.
 """
 
 import json
@@ -24,6 +25,9 @@ JSON_DUMP_SEED = json.dumps(relrep.interpretation_payload(relrep.represent(C2)))
 SEQUENT_SEED = "(p/q)*q, r\\p |- p*(q\\r)"
 ALPHABET = "ab;=<:\\/,()[]{}\"|-*pqe01 \n#"
 
+RUN_LENGTH = 300
+MAX_ERROR_LINE = 200
+
 FUZZ = settings(max_examples=15, deadline=None)
 
 
@@ -32,6 +36,8 @@ def _apply(text, edits):
         pos %= len(text) + 1
         if kind == "insert":
             text = text[:pos] + ch + text[pos:]
+        elif kind == "run":
+            text = text[:pos] + ch * RUN_LENGTH + text[pos:]
         elif kind == "delete":
             text = text[:pos] + text[pos + 1:]
         else:
@@ -41,7 +47,7 @@ def _apply(text, edits):
 
 def mutated(seed):
     edit = st.tuples(
-        st.sampled_from(("insert", "delete", "replace")),
+        st.sampled_from(("insert", "delete", "replace", "run")),
         st.integers(0, len(seed)),
         st.sampled_from(ALPHABET),
     )
@@ -83,6 +89,8 @@ def check_ending(args):
     assert result.exit_code in (0, 1, 2, 3), (args, result.output)
     if result.exit_code in (2, 3):
         assert len(result.stderr.splitlines()) == 1, (args, result.stderr)
+    for line in result.stderr.splitlines():
+        assert len(line) < MAX_ERROR_LINE, (args, line)
 
 
 @given(text=mutated(ALGEBRA_SEED))

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corpus import naive_countermodel
 from resq import lambek
 from resq import relations as rel
 from resq.errors import ParseError, ResourceLimitError
@@ -50,17 +51,24 @@ UNDERIVABLE = [
 ]
 
 
-def atoms():
-    return st.sampled_from(["p", "q", "r"]).map(Atom)
+def atoms(names=("p", "q", "r")):
+    return st.sampled_from(names).map(Atom)
 
 
-def formulas(depth=2):
+def formulas(names=("p", "q", "r")):
     return st.recursive(
-        atoms(),
+        atoms(names),
         lambda sub: st.tuples(st.sampled_from([Prod, Under, Over]), sub, sub).map(
             lambda t: t[0](t[1], t[2])
         ),
         max_leaves=4,
+    )
+
+
+def sequents(names=("p", "q", "r")):
+    """Sequents with one to three antecedent formulas."""
+    return st.tuples(st.lists(formulas(names), min_size=1, max_size=3), formulas(names)).map(
+        lambda t: Sequent(tuple(t[0]), t[1])
     )
 
 
@@ -189,11 +197,23 @@ def test_prover_matches_naive_reference_on_suite():
         assert derivable(s) == naive_derivable(s.antecedent, s.succedent), text
 
 
-@given(formulas(), formulas())
+@given(sequents())
 @settings(max_examples=60, deadline=None)
-def test_prover_matches_naive_reference_random(f, g):
-    s = Sequent((f,), g)
+def test_prover_matches_naive_reference_random(s):
     assert derivable(s) == naive_derivable(s.antecedent, s.succedent)
+
+
+@given(sequents())
+@settings(max_examples=60, deadline=None)
+def test_prover_and_countermodels_agree(s):
+    # soundness: a derivable sequent holds in every relational model, so a
+    # countermodel refutes derivability and must itself falsify the sequent
+    M = countermodel_search(s, max_base=2)
+    if derivable(s):
+        assert M == Exhausted(2)
+    if not isinstance(M, Exhausted):
+        assert not derivable(s)
+        assert not evaluate(s, M)
 
 
 def test_prover_budget():
@@ -311,6 +331,19 @@ def test_found_countermodels_survive_isolated_point_padding():
 def test_counter_search_is_deterministic():
     s = parse_sequent("p*p |- p")
     assert countermodel_search(s, max_base=2) == countermodel_search(s, max_base=2)
+
+
+def test_counter_search_matches_naive_product_on_fixture():
+    for text in DERIVABLE + UNDERIVABLE:
+        s = parse_sequent(text)
+        assert countermodel_search(s, max_base=2) == naive_countermodel(s, 2), text
+
+
+@given(sequents(names=("p", "q")), st.integers(1, 2))
+@settings(max_examples=200, deadline=None)
+def test_counter_search_matches_naive_product_random(s, max_base):
+    # the same first model, or exhaustion, as evaluating every valuation
+    assert countermodel_search(s, max_base=max_base) == naive_countermodel(s, max_base)
 
 
 def test_counter_budget():

@@ -1,4 +1,7 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resq import algebra, pointalg, relrep, verifier
 from resq import relations as rel
@@ -9,6 +12,7 @@ from resq.verifier import (
     NodeBudget,
     check_representation,
     check_union_transitive,
+    plan_search,
     search_representation,
 )
 
@@ -208,6 +212,47 @@ def test_search_agrees_with_naive_product_enumeration():
             fast = search_representation(S, k)
             slow = any(naive_search(S, kk) for kk in range(1, k + 1))
             assert isinstance(fast, Interpretation) == slow
+
+
+@st.composite
+def constraint_lists(draw):
+    n = draw(st.integers(1, 6))
+    unknown = st.integers(0, n - 1)
+    equations = draw(st.lists(
+        st.tuples(st.sampled_from(["composition", "join"]), unknown, unknown, unknown),
+        max_size=12, unique=True,
+    ))
+    inclusions = draw(st.lists(st.tuples(unknown, unknown, st.booleans()), max_size=6))
+    return n, equations, inclusions
+
+
+@given(constraint_lists())
+@settings(max_examples=300, deadline=None)
+def test_plan_checks_every_constraint_once_when_it_completes(constraints):
+    n, equations, inclusions = constraints
+    plan = plan_search(n, equations, inclusions)
+    position = {step[0]: i for i, step in enumerate(plan)}
+    assert sorted(position) == list(range(n))
+    checked = []
+    for i, (unknown, forced, step_equations, step_inclusions) in enumerate(plan):
+        before = {step[0] for step in plan[:i]}
+        forceable = sorted(c for _, a, b, c in equations
+                           if c not in before and a in before and b in before)
+        if forced is None:
+            # branch only when nothing is forced, on the lowest unassigned unknown
+            assert not forceable
+            assert unknown == min(set(range(n)) - before)
+        else:
+            assert unknown == forceable[0]
+            assert (*forced, unknown) in equations
+            checked.append((*forced, unknown))
+        for e in step_equations:
+            assert max(position[u] for u in e[1:]) == i
+        for a, b, holds in step_inclusions:
+            assert max(position[a], position[b]) == i
+        checked.extend(step_equations)
+        checked.extend(step_inclusions)
+    assert Counter(checked) == Counter(equations + inclusions)
 
 
 def test_search_budget_raises(c2):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,6 +21,7 @@ from .errors import (
     ResidualMismatchError,
     ResourceLimitError,
     quote,
+    quote_name,
 )
 from .relations import Interpretation, Relation
 
@@ -420,8 +420,9 @@ def parse_algebra(text: str) -> FiniteResiduatedSemigroup:
                 if given_t[i][j] != tables[block][i][j]
             )
             mismatch = (
-                f"{block} entry {names[i]}{sep}{names[j]}={names[given_t[i][j]]} "
-                f"disagrees with the inferred residual {names[tables[block][i][j]]}"
+                f"{block} entry {quote_name(names[i])}{sep}{quote_name(names[j])}="
+                f"{quote_name(names[given_t[i][j]])} disagrees with the inferred residual "
+                f"{quote_name(names[tables[block][i][j]])}"
             )
         tables[block] = given_t
 
@@ -569,67 +570,72 @@ def close_relation_family(
     Every operation is computed relative to the full square over the base, so
     the closure is a residuated semigroup of relations by construction.  An
     empty generator family is seeded with the empty relation (the union of no
-    generators), whose residuals then populate the closure.  Each op(r, s) is
-    computed once and kept in the returned closure's tables.
+    generators), whose residuals then populate the closure.  Row x of op(r, s)
+    is a function of key x of r (``relations.op_keys``), so each operation is
+    evaluated once per distinct key and member, and the returned closure's
+    tables are read off those rows.
     """
     members: list[Relation] = []
-    index: dict[Relation, int] = {}
-    known = index.get
+    seen: set[Relation] = set()
 
-    def add(t: Relation) -> int:
-        i = index[t] = len(members)
-        members.append(t)
-        if i == max_relations:
+    def add(t: Relation) -> None:
+        if len(members) == max_relations:
             raise ClosureSizeError(
                 f"relation closure exceeded {max_relations} members at base size {base_size}"
             )
-        return i
+        seen.add(t)
+        members.append(t)
 
     for g in generators:
         g = tuple(g)
         if len(g) != base_size:
             raise ValueError("generator does not match the base size")
-        if g not in index:
+        if g not in seen:
             add(g)
     if not members:
         add(rel.empty_relation(base_size))
 
-    # Members are numbered in order of discovery, and member i is combined
-    # with members 0..i in both orders, so every ordered pair is computed
-    # once.  rows[op][j] lists the indices of op(members[j], members[i]) for
-    # i = 0, 1, ...; a row grows by one entry each time a later member is
-    # combined with it.
+    # Members are processed in order of discovery.  columns[op] maps every key
+    # met in a member to the row op gives it against each member processed so
+    # far, and positions[op][x] lists key x of each processed member.  Member
+    # i fills the columns of its new keys over members 0..i-1, then adds the
+    # rows every key gives against it; op(r, s) for s up to r is read down the
+    # columns of r's keys, and op(s, r) looks up the keys of s in r's rows.
     ops = (rel.rel_compose, rel.rel_lres, rel.rel_rres)
-    rows: tuple[list, ...] = ([], [], [])
-    for r in members:  # members grows while the loop runs
-        for op, table in zip(ops, rows):
-            row = array("I")
-            # table holds the rows of the members before r
-            for s, earlier in zip(members, table):
-                t = op(r, s)
-                k = known(t)
-                row.append(add(t) if k is None else k)
-                t = op(s, r)
-                k = known(t)
-                earlier.append(add(t) if k is None else k)
-            t = op(r, r)
-            k = known(t)
-            row.append(add(t) if k is None else k)
-            table.append(row)
+    columns: tuple[dict, ...] = ({}, {}, {})
+    positions = tuple([[] for _ in range(base_size)] for _ in ops)
+    for i, r in enumerate(members):  # members grows while the loop runs
+        for op, column, by_position in zip(ops, columns, positions):
+            r_keys = rel.op_keys(op, r)
+            new = [key for key in dict.fromkeys(r_keys) if key not in column]
+            if new:
+                filled = [rel.op_rows(op, new, s) for s in members[:i]]
+                for j, key in enumerate(new):
+                    column[key] = [rows_s[j] for rows_s in filled]
+            against_r = dict(zip(column, rel.op_rows(op, list(column), r)))
+            for key, row in against_r.items():
+                column[key].append(row)
+            for keys_x, key in zip(by_position, r_keys):
+                keys_x.append(key)
+            results = itertools.chain(
+                zip(*[column[key] for key in r_keys]),
+                zip(*[map(against_r.__getitem__, keys_x) for keys_x in by_position]),
+            )
+            for t in itertools.filterfalse(seen.__contains__, results):
+                add(t)
 
     order = sorted(range(len(members)), key=members.__getitem__)
-    rank = [0] * len(order)
-    for new, old in enumerate(order):
-        rank[old] = new
-    closure = RelationClosure(members[old] for old in order)
+    closure = RelationClosure(members[j] for j in order)
+    rank = {t: k for k, t in enumerate(closure)}
     tables = []
-    for table in rows:
-        remapped = []
-        for old in order:
-            row = table[old]
-            remapped.append(tuple(map(rank.__getitem__, map(row.__getitem__, order))))
-            table[old] = None
-        tables.append(tuple(remapped))
+    for op, column in zip(ops, columns):
+        for key, rows in column.items():
+            column[key] = [rows[j] for j in order]
+        tables.append(tuple(
+            tuple(map(rank.__getitem__, rel.relations_from_columns(
+                [column[key] for key in rel.op_keys(op, t)], len(closure))))
+            for t in closure
+        ))
     closure.comp, closure.lres, closure.rres = tables
     return closure
 

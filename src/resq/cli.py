@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
     ResidualMismatchError,
     ResourceLimitError,
+    quote_name,
 )
 
 EXIT_OK = 0
@@ -96,7 +97,9 @@ def _load_valid_algebra(path: str) -> algebra.FiniteResiduatedSemigroup:
     failures = algebra.validate(A).failures
     if failures:
         axiom, witness = failures[0]
-        raise NotResiduatedError(f"{axiom} fails at ({', '.join(A.names[i] for i in witness)})")
+        raise NotResiduatedError(
+            f"{axiom} fails at ({', '.join(quote_name(A.names[i]) for i in witness)})"
+        )
     return A
 
 
@@ -136,7 +139,7 @@ def main() -> None:
 @click.argument("path", type=click.Path())
 @format_option
 def decide(path: str, fmt: str) -> None:
-    """Decide whether a file denotes a residuated semigroup (hence representable)."""
+    """Decide whether a file denotes a residuated semigroup."""
     text = _read_text(path)
     reason = None
     try:
@@ -306,7 +309,7 @@ def search(path: str, max_base: int, node_budget: int | None, fmt: str) -> None:
     outcome = verifier.search_representation(A, max_base, node_budget=node_budget)
     if isinstance(outcome, verifier.Exhausted):
         payload = {"command": "search", "verdict": "exhausted", "max_base": outcome.max_base}
-        _emit(payload, fmt, lambda p: [f"exhausted: no representation over any base <= {max_base}"])
+        _emit(payload, fmt, _render_search_outcome)
         sys.exit(EXIT_VIOLATION)
     payload = {
         "command": "search",
@@ -314,13 +317,19 @@ def search(path: str, max_base: int, node_budget: int | None, fmt: str) -> None:
         "base_size": outcome.base_size,
         **relrep.interpretation_payload(outcome),
     }
-    _emit(payload, fmt, _render_found)
+    _emit(payload, fmt, _render_search_outcome)
     sys.exit(EXIT_OK)
 
 
-def _render_found(payload: dict):
-    yield f"found: base size {payload['base_size']}"
-    yield from relrep.format_interpretation_lines(payload)
+def _render_search_outcome(payload: dict):
+    """The verdict of a representation search, then base_size and the model
+    when found, else max_base."""
+    yield f"verdict: {payload['verdict']}"
+    if payload["verdict"] == "found":
+        yield f"base_size: {payload['base_size']}"
+        yield from relrep.format_interpretation_lines(payload)
+    else:
+        yield f"max_base: {payload['max_base']}"
 
 
 @main.command(name="pointalg")
@@ -357,12 +366,7 @@ def pointalg_cmd(generator_text: str, max_base: int, node_budget: int | None, fm
 def _render_pointalg(payload: dict):
     yield "generators: " + " ".join(payload["generators"])
     yield "carrier: " + " ".join(payload["carrier"])
-    yield f"verdict: {payload['verdict']}"
-    if payload["verdict"] == "found":
-        yield f"base_size: {payload['base_size']}"
-        yield from relrep.format_interpretation_lines(payload)
-    else:
-        yield f"max_base: {payload['max_base']}"
+    yield from _render_search_outcome(payload)
     yield f"nodes: {payload['stats']['nodes']}"
     yield f"seconds: {payload['stats']['seconds']}"
 

@@ -13,6 +13,24 @@ def quote(text: str) -> str:
     return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
+# longest element name an error message prints whole; one message may name
+# several elements, so a longer name is cut shorter than other input
+NAME_LIMIT = 16
+
+
+def quote_name(name: str) -> str:
+    """An element name for an error message: as it is when it has at most
+    NAME_LIMIT characters, else the repr of its first NAME_LIMIT followed by
+    '...'."""
+    if len(name) <= NAME_LIMIT:
+        return name
+    return f"{name[:NAME_LIMIT]!r}..."
+
+
+# most candidates a NoResidualError message lists
+CANDIDATE_LIMIT = 3
+
+
 class ResqError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -55,8 +73,13 @@ class NoResidualError(NotResiduatedError):
         self.right = right
         self.side = side
         self.candidates = frozenset(candidates)
-        label = str if names is None else names.__getitem__
-        members = ", ".join(label(i) for i in sorted(self.candidates))
+        def label(i: int) -> str:
+            return str(i) if names is None else quote_name(names[i])
+
+        shown = sorted(self.candidates)
+        members = ", ".join(map(label, shown[:CANDIDATE_LIMIT]))
+        if len(shown) > CANDIDATE_LIMIT:
+            members += f", ... ({len(shown)} in all)"
         super().__init__(
             f"no {side} residual for pair ({label(left)}, {label(right)}); "
             f"candidate set [{members}] has no maximum"

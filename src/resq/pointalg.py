@@ -104,6 +104,11 @@ class SPStructure:
         """The signature as (condition name, index table) pairs."""
         return (("composition", self.comp), ("join", self.join))
 
+    @property
+    def leq(self) -> tuple[int, ...]:
+        """Order rows: bit j of leq[i] set iff i v j = j."""
+        return tuple(sum(1 << j for j, ij in enumerate(row) if ij == j) for row in self.join)
+
     def le(self, i: int, j: int) -> bool:
         return self.join[i][j] == j
 
@@ -120,9 +125,7 @@ def check_sp_laws(S: SPStructure) -> None:
     least upper bound of i and j, so the order laws are checked on that
     relation.
     """
-    leq = tuple(
-        sum(1 << j for j, ij in enumerate(row) if ij == j) for row in S.join
-    )
+    leq = S.leq
     for law, witness in (
         ("join not idempotent", reflexivity(leq)),
         ("join order not antisymmetric", antisymmetry(leq)),

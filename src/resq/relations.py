@@ -132,6 +132,69 @@ def rel_rres(r: Relation, s: Relation) -> Relation:
     return tuple(out)
 
 
+def rel_converse(r: Relation) -> Relation:
+    """{(y, x) : (x, y) in r}: row x of the result is column x of r."""
+    out = [0] * len(r)
+    for z, row in enumerate(r):
+        bit = 1 << z
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return tuple(out)
+
+
+# Row x of r;s and of r/s depends only on row x of r, row x of r\s only on
+# column x of r, and row x of r | s on x and row x of r.  So one row of op(r, s)
+# is a function of one key of r and of s, and a caller that meets the same key
+# in many left operands evaluates it once per right operand.
+
+
+def op_keys(op, r: Relation) -> tuple:
+    """The key of each row of r under op: relations whose key x is the same
+    give the same row x of op(., s) for every s.
+
+    A key is the row mask for composition and the right residual, the column
+    mask for the left residual and the (position, row mask) pair for union.
+    """
+    if op is rel_compose or op is rel_rres:
+        return r
+    if op is rel_lres:
+        return rel_converse(r)
+    if op is rel_union:
+        return tuple(enumerate(r))
+    raise ValueError(f"no row keys for {op!r}")
+
+
+def op_rows(op, keys, s: Relation) -> list[int]:
+    """The row op gives each of the distinct keys against the right operand s,
+    for composition and both residuals.
+
+    The keys are packed len(s) at a time into one relation, as its rows (its
+    columns for the left residual), so one call of op yields the rows of a
+    whole pack.
+    """
+    if op is not rel_lres and op is not rel_compose and op is not rel_rres:
+        raise ValueError(f"no packed rows for {op!r}")
+    n = len(s)
+    zeros = (0,) * n
+    out = []
+    for start in range(0, len(keys), max(n, 1)):
+        chunk = tuple(keys[start:start + n])
+        packed = chunk + zeros[len(chunk):]
+        result = op(rel_converse(packed) if op is rel_lres else packed, s)
+        out.extend(result[:len(chunk)])
+    return out
+
+
+def relations_from_columns(columns, count: int) -> list[Relation]:
+    """The count relations whose row x is read down columns[x]: entry j is
+    the relation with rows columns[0][j], columns[1][j], ..."""
+    if not columns:  # a base of size 0
+        return [()] * count
+    return list(zip(*columns))
+
+
 def is_transitive(r: Relation) -> bool:
     return rel_subset(rel_compose(r, r), r)
 

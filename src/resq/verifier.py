@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 
 from . import relations as rel
-from .errors import ResourceLimitError, ResqError
+from .errors import DimensionMismatch, ResourceLimitError, ResqError
 from .relations import Interpretation, Relation
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -115,23 +115,65 @@ def _first_cell_difference(expected: Relation, actual: Relation) -> tuple[int, i
     raise AssertionError("relations do not differ")
 
 
-def _table_condition(name, table, op, I: Interpretation, n: int) -> ConditionResult:
-    for a in range(n):
-        for b in range(n):
-            expected = I.relations[table[a][b]]
-            actual = op(I.relations[a], I.relations[b])
-            if expected != actual:
-                x, y = _first_cell_difference(expected, actual)
-                return ConditionResult(name, False, (a, b, x, y))
+def _table_condition(name, table, op, relations) -> ConditionResult:
+    """Row a of the condition is op(R[a], R[b]) over every b, read off one
+    column per key of R[a] (relations.op_keys).  The first relation with a
+    key fills its column: R[a] packs its own keys, so op(R[a], R[b]) is both
+    the entry (a, b) and, in its row x, the row of key x against R[b].  Rows
+    whose keys all have columns cost no kernel call."""
+    columns: dict = {}
+    count = len(relations)
+    for a, r in enumerate(relations):
+        keys = rel.op_keys(op, r)
+        expected = [relations[c] for c in table[a]]
+        new = {key: x for x, key in enumerate(keys) if key not in columns}
+        if new:
+            actual = []
+            for b, s in enumerate(relations):
+                got = op(r, s)
+                if got != expected[b]:
+                    return _failure(name, a, b, expected[b], got)
+                actual.append(got)
+            for key, x in new.items():
+                columns[key] = [got[x] for got in actual]
+            continue
+        actual = rel.relations_from_columns([columns[key] for key in keys], count)
+        if actual != expected:
+            for b, (want, got) in enumerate(zip(expected, actual)):
+                if want != got:
+                    return _failure(name, a, b, want, got)
     return ConditionResult(name, True, None)
 
 
-def _order_condition(le, I: Interpretation, n: int) -> ConditionResult:
-    """order-iff: a <= b exactly when the relation of a is inside that of b."""
-    for a in range(n):
-        for b in range(n):
-            if le(a, b) != rel.rel_subset(I.relations[a], I.relations[b]):
-                return ConditionResult("order-iff", False, (a, b))
+def _failure(name, a, b, expected: Relation, actual: Relation) -> ConditionResult:
+    x, y = _first_cell_difference(expected, actual)
+    return ConditionResult(name, False, (a, b, x, y))
+
+
+def _order_condition(leq, relations) -> ConditionResult:
+    """order-iff: a <= b exactly when the relation of a is inside that of b.
+
+    below[(x, row)] is the mask of the b whose row x contains row, so the b
+    above a by inclusion are the AND of below over the rows of R[a].
+    """
+    below: dict = {}
+    everything = (1 << len(relations)) - 1
+    bits = [1 << b for b in range(len(relations))]
+    for a, r in enumerate(relations):
+        above = everything
+        for key in enumerate(r):
+            mask = below.get(key)
+            if mask is None:
+                x, row = key
+                mask = 0
+                for bit, s in zip(bits, relations):
+                    if not row & ~s[x]:
+                        mask |= bit
+                below[key] = mask
+            above &= mask
+        diff = above ^ leq[a]
+        if diff:
+            return ConditionResult("order-iff", False, (a, (diff & -diff).bit_length() - 1))
     return ConditionResult("order-iff", True, None)
 
 
@@ -141,10 +183,12 @@ def check_representation(S, I: Interpretation) -> VerificationReport:
     S lists its operations as (condition name, index table) pairs; every
     condition is always checked.
     """
-    n = len(S.comp)
+    relations = I.relations[:len(S.comp)]
+    if len({len(r) for r in relations}) > 1:
+        raise DimensionMismatch("the relations of the interpretation have different bases")
     ops = _relational_ops()
-    conditions = (_order_condition(S.le, I, n),) + tuple(
-        _table_condition(name, table, ops[name], I, n) for name, table in S.operations
+    conditions = (_order_condition(S.leq, relations),) + tuple(
+        _table_condition(name, table, ops[name], relations) for name, table in S.operations
     )
     return VerificationReport(conditions=conditions)
 

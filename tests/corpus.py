@@ -23,7 +23,13 @@ from resq.algebra import (
 from resq.completion import _subset_sort_key, m_closure
 from resq.errors import NoResidualError
 from resq.pointalg import ATOM_EQ, ATOM_GT, ATOM_LT
-from resq.verifier import Exhausted
+from resq.verifier import (
+    ConditionResult,
+    Exhausted,
+    VerificationReport,
+    _first_cell_difference,
+    _relational_ops,
+)
 
 C2_TEXT = "elements: a b\nleq: a<=b\ncomp: a;a=a a;b=a b;a=a b;b=a\n"
 
@@ -312,3 +318,33 @@ def naive_countermodel(s: lambek.Sequent, max_base: int):
             if not lambek.evaluate(s, model):
                 return model
     return Exhausted(max_base)
+
+
+def check_representation_pairwise(S, I) -> VerificationReport:
+    """The four-condition check with one kernel call per ordered pair of
+    elements, scanning pairs in lexicographic order.  Oracle for
+    verifier.check_representation, which evaluates whole rows per key."""
+    n = len(S.comp)
+    R = I.relations
+
+    def order_condition():
+        for a in range(n):
+            for b in range(n):
+                if S.le(a, b) != rel.rel_subset(R[a], R[b]):
+                    return ConditionResult("order-iff", False, (a, b))
+        return ConditionResult("order-iff", True, None)
+
+    def table_condition(name, table, op):
+        for a in range(n):
+            for b in range(n):
+                expected = R[table[a][b]]
+                actual = op(R[a], R[b])
+                if expected != actual:
+                    x, y = _first_cell_difference(expected, actual)
+                    return ConditionResult(name, False, (a, b, x, y))
+        return ConditionResult(name, True, None)
+
+    ops = _relational_ops()
+    return VerificationReport((order_condition(),) + tuple(
+        table_condition(name, table, ops[name]) for name, table in S.operations
+    ))

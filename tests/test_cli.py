@@ -148,6 +148,55 @@ def test_error_line_quotes_a_bounded_excerpt(runner, tmp_path, c2_file, args, te
     assert "characters)" in line
 
 
+LONG_NAME = "a" * 3000
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("represent", f"elements: {LONG_NAME} y\nleq:\ncomp: {LONG_NAME};{LONG_NAME}={LONG_NAME} "
+                      f"{LONG_NAME};y={LONG_NAME} y;{LONG_NAME}={LONG_NAME} y;y={LONG_NAME}\n"),
+        ("search", f"elements: {LONG_NAME} y\nleq:\ncomp: {LONG_NAME};{LONG_NAME}={LONG_NAME} "
+                   f"{LONG_NAME};y={LONG_NAME} y;{LONG_NAME}={LONG_NAME} y;y={LONG_NAME}\n"),
+        ("decide", f"elements: {LONG_NAME} y\nleq:\ncomp: {LONG_NAME};{LONG_NAME}={LONG_NAME} "
+                   f"{LONG_NAME};y={LONG_NAME} y;{LONG_NAME}={LONG_NAME} y;y={LONG_NAME}\n"),
+        # residuals exist, associativity fails at (a.., a.., y)
+        ("represent", f"elements: {LONG_NAME} y\nleq: {LONG_NAME}<=y\ncomp: "
+                      f"{LONG_NAME};{LONG_NAME}=y {LONG_NAME};y={LONG_NAME} "
+                      f"y;{LONG_NAME}={LONG_NAME} y;y={LONG_NAME}\n"),
+        # an explicit lres block that disagrees with the inferred residuals
+        ("decide", MUTATED_C2.replace("a", LONG_NAME)),
+    ],
+    ids=["represent-no-residual", "search-no-residual", "decide-no-residual",
+         "represent-not-residuated", "decide-residual-mismatch"],
+)
+def test_long_element_names_keep_one_short_line(runner, tmp_path, command, text):
+    path = tmp_path / "long.alg"
+    path.write_text(text)
+    result = runner.invoke(main, [command, str(path)], catch_exceptions=False)
+    assert result.exit_code == 1
+    if command == "decide":
+        # a verdict on stdout; its reason line carries the error message
+        assert result.stderr == ""
+        line = result.stdout.splitlines()[1]
+        assert line.startswith("reason: ")
+    else:
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: not a residuated semigroup: ")
+    assert len(line) < MAX_ERROR_LINE, line
+    assert "'aaaaaaaaaaaaaaaa'..." in line
+
+
+def test_no_residual_message_bounds_the_candidate_list():
+    from resq.errors import NoResidualError
+
+    names = [f"e{i}" for i in range(10)]
+    message = str(NoResidualError(0, 1, "left", frozenset(range(10)), names))
+    assert message == ("no left residual for pair (e0, e1); "
+                       "candidate set [e0, e1, e2, ... (10 in all)] has no maximum")
+
+
 def test_unknown_subcommand_usage_error(runner):
     result = runner.invoke(main, ["frobnicate"])
     assert result.exit_code == 2
@@ -579,18 +628,23 @@ TEXT_LINE_OF_KEY = {
         ["represent", "ALGEBRA", "--unitalize", "off", "--generators", "join-irreducible"],
         ["pointalg", "--max-base", "3"],
         ["pointalg", "--max-base", "2"],
+        ["search", "ALGEBRA", "--max-base", "2"],
+        ["search", "ONE", "--max-base", "1"],
         ["lambek", "prove", "p |- (p*q)/q", "--trace"],
         ["lambek", "counter", "p*q |- q*p", "--max-base", "2"],
         ["lambek", "counter", "p |- p", "--max-base", "2"],
         ["lambek", "eval", "p*q |- q*p", "MODEL"],
     ],
     ids=["represent", "represent-options", "pointalg-found", "pointalg-exhausted",
+         "search-exhausted", "search-found",
          "lambek-prove", "lambek-counter-found", "lambek-counter-exhausted", "lambek-eval"],
 )
 def test_text_carries_every_json_field(runner, tmp_path, c2_file, args):
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"base": 2, "valuation": {"p": [[0, 1]], "q": [[1, 0]]}}))
-    args = [{"ALGEBRA": c2_file, "MODEL": str(model)}.get(a, a) for a in args]
+    one = tmp_path / "one.alg"
+    one.write_text(ONE)
+    args = [{"ALGEBRA": c2_file, "MODEL": str(model), "ONE": str(one)}.get(a, a) for a in args]
     _, payload = run_json(runner, args)
     lines = runner.invoke(main, args, catch_exceptions=False).output.splitlines()
     for key, value in payload.items():

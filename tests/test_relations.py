@@ -144,3 +144,70 @@ def test_permute_relation_relabels_pairs():
     out = rel.permute_relation(r, p)
     expected = {(p.index(x), p.index(y)) for x, y in rel.relation_pairs(r)}
     assert set(rel.relation_pairs(out)) == expected
+
+
+def test_converse_swaps_pairs():
+    r = rel.relation_from_pairs(3, [(0, 1), (2, 0), (2, 2)])
+    assert set(rel.relation_pairs(rel.rel_converse(r))) == {(1, 0), (0, 2), (2, 2)}
+
+
+# Row x of each operation against s as a function of one key, read off the
+# pair-set definitions above: the key is a row mask (compose, right residual),
+# a column mask (left residual) or a (position, row mask) pair (union).
+
+
+def pair_row(op, n, key, s):
+    sp = set(rel.relation_pairs(s))
+    if op is rel.rel_union:
+        x, row = key
+        return row | sum(1 << y for y in range(n) if (x, y) in sp)
+    inside = {z for z in range(n) if key >> z & 1}
+    if op is rel.rel_compose:
+        hit = {z for z in range(n) if any((y, z) in sp for y in inside)}
+    elif op is rel.rel_lres:
+        hit = {y for y in range(n) if all((z, y) in sp for z in inside)}
+    else:
+        hit = {y for y in range(n) if all(z in inside for z in range(n) if (y, z) in sp)}
+    return sum(1 << y for y in hit)
+
+
+KEYED_OPS = [rel.rel_compose, rel.rel_lres, rel.rel_rres, rel.rel_union]
+
+
+@given(st.data(), st.sampled_from(KEYED_OPS[:3]), st.integers(1, 4))
+def test_op_rows_match_pair_sets(data, op, n):
+    # up to three packs' worth of keys, so a call packs several times
+    keys = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=3 * n, unique=True))
+    s = data.draw(mask_relation(n))
+    assert rel.op_rows(op, keys, s) == [pair_row(op, n, key, s) for key in keys]
+
+
+@given(st.data(), st.sampled_from(KEYED_OPS), st.integers(1, 4))
+def test_rows_depend_only_on_their_key(data, op, n):
+    # row locality: r and r' with the same key x give the same row x of
+    # op(., s), which the pair-set definition reads off that key
+    r = data.draw(mask_relation(n))
+    other = data.draw(mask_relation(n))
+    s = data.draw(mask_relation(n))
+    x = data.draw(st.integers(0, n - 1))
+    if op is rel.rel_lres:
+        # copy column x of r into other
+        bit = 1 << x
+        other = tuple(o & ~bit | r[z] & bit for z, o in enumerate(other))
+    else:
+        other = other[:x] + (r[x],) + other[x + 1:]
+    assert rel.op_keys(op, other)[x] == rel.op_keys(op, r)[x]
+    assert op(other, s)[x] == op(r, s)[x] == pair_row(op, n, rel.op_keys(op, r)[x], s)
+
+
+def test_keys_and_packs_reject_other_operations():
+    with pytest.raises(ValueError):
+        rel.op_keys(rel.rel_intersection, (0,))
+    for op in (rel.rel_intersection, rel.rel_union):
+        with pytest.raises(ValueError):
+            rel.op_rows(op, [0], (0,))
+
+
+def test_relations_from_columns_reads_rows_down_columns():
+    assert rel.relations_from_columns([[1, 2], [3, 0]], 2) == [(1, 3), (2, 0)]
+    assert rel.relations_from_columns([], 3) == [(), (), ()]

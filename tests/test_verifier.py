@@ -1,11 +1,13 @@
+import functools
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corpus import check_representation_pairwise
 from resq import algebra, pointalg, relrep, verifier
 from resq import relations as rel
-from resq.errors import ResourceLimitError, ResqError
+from resq.errors import ClosureSizeError, DimensionMismatch, ResourceLimitError, ResqError
 from resq.relations import Interpretation
 from resq.verifier import (
     Exhausted,
@@ -288,3 +290,91 @@ def test_found_interpretations_reverify():
         found = search_representation(A, 2)
         if isinstance(found, Interpretation):
             assert check_representation(A, found).all_pass
+
+
+# check_representation evaluates each operation once per distinct row key and
+# right operand; check_representation_pairwise makes one kernel call per pair.
+# The reports must agree, statuses and first witnesses included.
+
+
+def assert_checkers_agree(S, interp):
+    report = check_representation(S, interp)
+    assert report == check_representation_pairwise(S, interp)
+    return report
+
+
+def test_checkers_agree_on_the_a4_draws():
+    for seed in range(50):
+        A, interp = algebra.generate_concrete(1 + seed % 3, seed=seed)
+        assert assert_checkers_agree(A, interp).all_pass
+
+
+@pytest.mark.parametrize("mode", ["auto", "on", "off"])
+def test_checkers_agree_on_the_pipeline_over_the_corpus(corpus_all, mode):
+    failed = 0
+    for A in corpus_all:
+        result = relrep.represent_pipeline(A, unitalize_mode=mode)
+        failed += not assert_checkers_agree(A, result.interpretation).all_pass
+    assert failed > 0  # the residual conditions fail on part of the corpus
+
+
+POINT_REDUCTS = [
+    [pointalg.ATOM_LT],
+    [pointalg.ATOM_EQ],
+    [pointalg.ATOM_LT, pointalg.ATOM_EQ],
+    [pointalg.ATOM_LT, pointalg.ATOM_GT],
+]
+
+
+@functools.lru_cache(maxsize=None)
+def point_cases() -> tuple:
+    P = pointalg.build_point_algebra()
+    cases = []
+    for gens in POINT_REDUCTS:
+        S = pointalg.reduct(P, gens)
+        found, _ = pointalg.frp_probe(S, 3)
+        cases.append((S, found))
+    return tuple(cases)
+
+
+def test_checkers_agree_on_point_algebra_reducts():
+    for S, found in point_cases():
+        assert assert_checkers_agree(S, found).all_pass
+        k = found.base_size
+        # the first relation over every value, the second over eight, on the found base
+        for r in rel.all_relations(k):
+            for t in list(rel.all_relations(k))[:8]:
+                relations = (r, t) + found.relations[2:]
+                assert_checkers_agree(S, Interpretation(S, found.base_labels, relations))
+
+
+@functools.lru_cache(maxsize=None)
+def small_interpretations() -> tuple:
+    cases = []
+    for seed in range(40):
+        base = 1 + seed % 3
+        try:
+            cases.append(algebra.generate_concrete(base, seed=seed, max_relations=48))
+        except ClosureSizeError:
+            continue
+    return tuple(cases) + point_cases()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_checkers_agree_with_one_cell_flipped(data):
+    S, interp = data.draw(st.sampled_from(small_interpretations()))
+    k = interp.base_size
+    e = data.draw(st.integers(0, len(interp.relations) - 1))
+    x = data.draw(st.integers(0, k - 1))
+    y = data.draw(st.integers(0, k - 1))
+    relations = list(interp.relations)
+    relations[e] = relations[e][:x] + (relations[e][x] ^ 1 << y,) + relations[e][x + 1:]
+    flipped = Interpretation(S, interp.base_labels, tuple(relations))
+    assert_checkers_agree(S, flipped)
+
+
+def test_relations_over_different_bases_raise(c2):
+    interp = Interpretation(c2, ("0", "1"), ((1, 0), (1,)))
+    with pytest.raises(DimensionMismatch):
+        check_representation(c2, interp)

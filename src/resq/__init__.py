@@ -1,8 +1,9 @@
 """Workbench for finite residuated semigroups and their relational representations."""
 
 from .algebra import (
+    Check,
     FiniteResiduatedSemigroup,
-    ValidationReport,
+    Report,
     enumerate_algebras,
     generate_concrete,
     infer_residuals,
@@ -18,7 +19,6 @@ from .relations import Interpretation
 from .relrep import generators, hat, represent, represent_pipeline, unitalize
 from .verifier import (
     Exhausted,
-    VerificationReport,
     check_representation,
     check_union_transitive,
     search_representation,
@@ -26,11 +26,11 @@ from .verifier import (
 
 __all__ = [
     "FiniteResiduatedSemigroup",
-    "ValidationReport",
+    "Check",
+    "Report",
     "Quantale",
     "Interpretation",
     "Sequent",
-    "VerificationReport",
     "Exhausted",
     "ResqError",
     "parse_algebra",

@@ -12,6 +12,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import relations as rel
 from .errors import (
@@ -66,13 +67,52 @@ class FiniteResiduatedSemigroup:
         return self.names.index(name)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    failures: tuple[tuple[str, tuple[int, ...]], ...]
+class Check(NamedTuple):
+    """A law or condition that holds, or fails at the indices of witness."""
 
-    def failed_axioms(self) -> tuple[str, ...]:
-        return tuple(axiom for axiom, _ in self.failures)
+    name: str
+    witness: tuple[int, ...] | None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
+
+    def message(self, names=None) -> str:
+        """'<name> fails at (<witness>)', each index named by names when given."""
+        label = str if names is None else lambda i: quote_name(names[i])
+        return f"{self.name} fails at ({', '.join(map(label, self.witness))})"
+
+    def payload(self, element_names, base_labels) -> dict:
+        """Status and the witness of a representation condition: elements for
+        its first two indices, base points for the last two of four."""
+        entry: dict = {"status": "pass" if self.passed else "fail"}
+        if self.witness is not None:
+            entry["witness"] = {"elements": [element_names[i] for i in self.witness[:2]]}
+            if len(self.witness) == 4:
+                entry["witness"]["points"] = [base_labels[i] for i in self.witness[2:]]
+        return entry
+
+
+@dataclass(frozen=True)
+class Report:
+    """Checks in a fixed order; valid exactly when every one passes."""
+
+    conditions: tuple[Check, ...]
+
+    @property
+    def valid(self) -> bool:
+        return all(c.passed for c in self.conditions)
+
+    @property
+    def failures(self) -> tuple[Check, ...]:
+        return tuple(c for c in self.conditions if not c.passed)
+
+    def condition(self, name: str) -> Check:
+        return {c.name: c for c in self.conditions}[name]
+
+    def payload(self, element_names, base_labels) -> dict:
+        checks = {c.name: c.payload(element_names, base_labels) for c in self.conditions}
+        return checks | {"all_pass": self.valid}
 
 
 def down_masks(leq: tuple[int, ...]) -> tuple[int, ...]:
@@ -299,21 +339,36 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def validate(A: FiniteResiduatedSemigroup) -> ValidationReport:
+def order_checks(leq: tuple[int, ...]) -> tuple[Check, ...]:
+    """The partial-order laws of the order rows."""
+    return (
+        Check("reflexivity", reflexivity(leq)),
+        Check("antisymmetry", antisymmetry(leq)),
+        Check("transitivity", transitivity(leq)),
+    )
+
+
+def join_semigroup_laws(leq: tuple[int, ...], join, comp) -> Report:
+    """The laws of a join-semilattice-ordered semigroup (join is the least upper
+    bound of a partial order, composition is associative and distributes over
+    join), listed once for the completion's quantales and point-algebra reducts."""
+    return Report(order_checks(leq) + (
+        Check("join_lub", join_lub(leq, join)),
+        Check("associativity", associativity(comp)),
+        Check("distributivity", distributivity(join, comp)),
+    ))
+
+
+def validate(A: FiniteResiduatedSemigroup) -> Report:
     """Check all axioms, reporting the first witness per failed axiom.
 
     Total: never raises, works on arbitrary tables.
     """
-    laws = (
-        ("reflexivity", reflexivity(A.leq)),
-        ("antisymmetry", antisymmetry(A.leq)),
-        ("transitivity", transitivity(A.leq)),
-        ("associativity", associativity(A.comp)),
-        ("monotonicity", monotonicity(A.leq, A.comp)),
-        ("residuation", residuation(A.leq, A.comp, A.lres, A.rres)),
-    )
-    failures = tuple((axiom, witness) for axiom, witness in laws if witness is not None)
-    return ValidationReport(valid=not failures, failures=failures)
+    return Report(order_checks(A.leq) + (
+        Check("associativity", associativity(A.comp)),
+        Check("monotonicity", monotonicity(A.leq, A.comp)),
+        Check("residuation", residuation(A.leq, A.comp, A.lres, A.rres)),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +397,6 @@ def parse_algebra(text: str) -> FiniteResiduatedSemigroup:
         if key not in blocks:
             raise ParseError(f"unknown block {quote(key)}", lineno, 1)
         offset = line.index(":") + 1
-        col = offset
         pos = 0
         for token in rest.split():
             pos = rest.index(token, pos)

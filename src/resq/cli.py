@@ -26,7 +26,6 @@ from .errors import (
     ParseError,
     ResidualMismatchError,
     ResourceLimitError,
-    quote_name,
 )
 
 EXIT_OK = 0
@@ -96,10 +95,7 @@ def _load_valid_algebra(path: str) -> algebra.FiniteResiduatedSemigroup:
     A = _load_algebra(path)
     failures = algebra.validate(A).failures
     if failures:
-        axiom, witness = failures[0]
-        raise NotResiduatedError(
-            f"{axiom} fails at ({', '.join(quote_name(A.names[i]) for i in witness)})"
-        )
+        raise NotResiduatedError(failures[0].message(A.names))
     return A
 
 
@@ -243,7 +239,7 @@ def represent(path: str, unitalize: str, generators_mode: str, output_path: str 
         "union_transitive": verifier.check_union_transitive(interp),
     }
     _emit(payload, fmt, _render_represent)
-    sys.exit(EXIT_OK if check.all_pass else EXIT_VIOLATION)
+    sys.exit(EXIT_OK if check.valid else EXIT_VIOLATION)
 
 
 def _render_represent(payload: dict):
@@ -257,8 +253,7 @@ def _render_represent(payload: dict):
         yield f"unitalize_reason: {reason['condition']} {_render_condition(reason)}"
     yield f"base_size: {payload['base_size']}"
     yield from relrep.format_interpretation_lines(payload)
-    yield from _render_verification(payload["verification"])
-    yield f"union transitive: {str(payload['union_transitive']).lower()}"
+    yield from _render_verification(payload)
 
 
 def _render_condition(entry: dict) -> str:
@@ -271,12 +266,14 @@ def _render_condition(entry: dict) -> str:
     return line
 
 
-def _render_verification(verification: dict):
+def _render_verification(payload: dict):
+    """One line per condition, the verdict, then the union-transitivity probe."""
+    verification = payload["verification"]
     for name, entry in verification.items():
-        if name == "all_pass":
-            continue
-        yield f"{name}: {_render_condition(entry)}"
+        if name != "all_pass":
+            yield f"{name}: {_render_condition(entry)}"
     yield f"all conditions pass: {str(verification['all_pass']).lower()}"
+    yield f"union transitive: {str(payload['union_transitive']).lower()}"
 
 
 @main.command()
@@ -293,9 +290,8 @@ def verify(algebra_path: str, dump_path: str, fmt: str) -> None:
         "verification": check.payload(A.names, interp.base_labels),
         "union_transitive": verifier.check_union_transitive(interp),
     }
-    _emit(payload, fmt, lambda p: list(_render_verification(p["verification"]))
-          + [f"union transitive: {str(p['union_transitive']).lower()}"])
-    sys.exit(EXIT_OK if check.all_pass else EXIT_VIOLATION)
+    _emit(payload, fmt, _render_verification)
+    sys.exit(EXIT_OK if check.valid else EXIT_VIOLATION)
 
 
 @main.command()

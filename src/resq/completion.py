@@ -12,17 +12,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .algebra import (
+    Check,
     FiniteResiduatedSemigroup,
-    antisymmetry,
-    associativity,
-    distributivity,
+    Report,
     down_masks,
     inclusion_order,
     infer_residuals,
-    join_lub,
-    reflexivity,
+    join_semigroup_laws,
     residuation,
-    transitivity,
 )
 from .errors import EmbeddingViolation, NoResidualError, QuantaleLawError
 
@@ -218,32 +215,24 @@ def build_quantale(A: FiniteResiduatedSemigroup) -> Quantale:
 
 
 def check_quantale_laws(Q: Quantale) -> None:
-    """Raise QuantaleLawError unless Q satisfies every required law.
-
-    Distributivity is checked in its finite surrogate (binary joins plus the
-    bottom), which is equivalent to arbitrary-join distributivity in a finite
-    lattice.
+    """Raise QuantaleLawError at the first law Q fails: the join-semigroup
+    laws on (leq, sup, comp), then the bounds, the bottom absorbing
+    composition and, when Q is unital, the unit laws, each of the last three
+    at the first element that breaks it.  Binary distributivity plus
+    absorption is distributivity over every join in a finite lattice.
     """
-    size = Q.size
-    for law, witness in (
-        ("order not reflexive", reflexivity(Q.leq)),
-        ("order not antisymmetric", antisymmetry(Q.leq)),
-        ("order not transitive", transitivity(Q.leq)),
-        ("sup is not the least upper bound", join_lub(Q.leq, Q.sup)),
-        ("composition not associative", associativity(Q.comp)),
-        ("composition does not distribute over sup", distributivity(Q.sup, Q.comp)),
-    ):
-        if witness is not None:
-            raise QuantaleLawError(f"{law} at {witness}")
-    for a in range(size):
-        if not Q.le(Q.bottom, a) or not Q.le(a, Q.top):
-            raise QuantaleLawError(f"bounds violated at {a}")
-        if Q.comp[a][Q.bottom] != Q.bottom or Q.comp[Q.bottom][a] != Q.bottom:
-            raise QuantaleLawError(f"composition does not absorb bottom at {a}")
-    if Q.unital:
-        e = Q.unit
-        if e is None or any(Q.comp[e][x] != x or Q.comp[x][e] != x for x in range(size)):
-            raise QuantaleLawError("unit laws fail")
+    bottom, top, comp, e = Q.bottom, Q.top, Q.comp, Q.unit
+    checks = join_semigroup_laws(Q.leq, Q.sup, comp).conditions + tuple(
+        Check(law, next(((a,) for a in range(Q.size) if not holds(a)), None))
+        for law, holds in (
+            ("bounds", lambda a: Q.le(bottom, a) and Q.le(a, top)),
+            ("absorption", lambda a: comp[a][bottom] == bottom == comp[bottom][a]),
+            ("unit", lambda a: not Q.unital or e is not None and comp[e][a] == a == comp[a][e]),
+        )
+    )
+    failures = Report(checks).failures
+    if failures:
+        raise QuantaleLawError(failures[0].message())
 
 
 def quantale_residuals(
@@ -258,9 +247,9 @@ def quantale_residuals(
         lres, rres = infer_residuals(Q.leq, Q.comp)
     except NoResidualError as exc:
         raise QuantaleLawError(f"residual missing: {exc}") from None
-    witness = residuation(Q.leq, Q.comp, lres, rres)
-    if witness is not None:
-        raise QuantaleLawError(f"residuation law fails at {witness}")
+    law = Check("residuation", residuation(Q.leq, Q.comp, lres, rres))
+    if not law.passed:
+        raise QuantaleLawError(law.message())
     return lres, rres
 
 

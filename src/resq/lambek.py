@@ -13,7 +13,6 @@ deeper than the interpreter's recursion limit.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from dataclasses import dataclass
@@ -353,22 +352,30 @@ def countermodel_search(s: Sequent, max_base: int = 3, node_budget: int | None =
     The search engine branches on the atoms in sorted order, the first one
     over orbit representatives only; each distinct subformula (the antecedent
     is its left-nested product) is forced, and the goal is a failing inclusion.
+    Unknowns are interned by (connective, left, right): no deep formula is hashed.
     """
     budget = NodeBudget(node_budget, default=DEFAULT_COUNTER_BUDGET)
     atoms = sequent_atoms(s)
     ops = _relational_ops()
     op_of = {Prod: ops["composition"], Under: ops["left-residual"], Over: ops["right-residual"]}
-    unknown: dict[Formula, int] = {Atom(name): i for i, name in enumerate(atoms)}
+    unknown: dict = {name: i for i, name in enumerate(atoms)}
     equations = []
 
-    def index(f: Formula) -> int:
-        if f not in unknown:
-            a, b = index(f.left), index(f.right)
-            unknown[f] = len(unknown)
-            equations.append((op_of[type(f)], a, b, unknown[f]))
-        return unknown[f]
+    def intern(kind, a: int, b: int) -> int:
+        if (kind, a, b) not in unknown:
+            unknown[kind, a, b] = len(unknown)
+            equations.append((op_of[kind], a, b, unknown[kind, a, b]))
+        return unknown[kind, a, b]
 
-    goal = (index(functools.reduce(Prod, s.antecedent)), index(s.succedent), False)
+    def index(f: Formula) -> int:
+        if isinstance(f, Atom):
+            return unknown[f.name]
+        return intern(type(f), index(f.left), index(f.right))
+
+    product = index(s.antecedent[0])
+    for f in s.antecedent[1:]:
+        product = intern(Prod, product, index(f))
+    goal = (product, index(s.succedent), False)
     plan = plan_search(len(unknown), equations, [goal])
     for k in range(1, max_base + 1):
         values = run_plan(plan, k, budget)

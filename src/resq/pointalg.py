@@ -12,14 +12,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import (
-    antisymmetry,
-    associativity,
-    distributivity,
-    join_lub,
-    reflexivity,
-    transitivity,
-)
+from .algebra import join_semigroup_laws
 from .errors import ParseError, quote
 from .verifier import NodeBudget, search_representation
 
@@ -117,25 +110,13 @@ class SPStructure:
 
 
 def check_sp_laws(S: SPStructure) -> None:
-    """Raise AssertionError unless join is a semilattice join and composition
-    is associative and distributes over it.
-
-    A binary operation is a semilattice join exactly when the relation it
-    induces (i <= j iff i v j = j) is a partial order in which i v j is the
-    least upper bound of i and j, so the order laws are checked on that
-    relation.
-    """
-    leq = S.leq
-    for law, witness in (
-        ("join not idempotent", reflexivity(leq)),
-        ("join order not antisymmetric", antisymmetry(leq)),
-        ("join order not transitive", transitivity(leq)),
-        ("join is not the least upper bound", join_lub(leq, S.join)),
-        ("composition not associative", associativity(S.comp)),
-        ("composition does not distribute over join", distributivity(S.join, S.comp)),
-    ):
-        if witness is not None:
-            raise AssertionError(f"{law} at {witness}")
+    """Raise AssertionError, naming the first failed join-semigroup law and
+    its witness, unless join is a semilattice join and composition is
+    associative and distributes over it.  The order laws are read on the
+    order join induces (i <= j iff i v j = j)."""
+    failures = join_semigroup_laws(S.leq, S.join, S.comp).failures
+    if failures:
+        raise AssertionError(failures[0].message(S.names))
 
 
 def reduct(P: PointAlgebra, generator_elements) -> SPStructure:

@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass
 
 from . import relations as rel
-from . import verifier
-from .algebra import FiniteResiduatedSemigroup, inclusion_order, order_reflection, value_positions
+from .algebra import (Check, FiniteResiduatedSemigroup, inclusion_order, order_reflection,
+                      value_positions)
 from .completion import Quantale, build_quantale, check_quantale_laws, embed
 from .errors import ParseError, quote
 from .relations import Interpretation, Relation
@@ -116,7 +116,7 @@ class RepresentResult:
     unitalized: bool
     # the order-iff condition of the plain completion's hats, which auto mode
     # decides by; None under unitalize_mode "on" and "off"
-    unitalize_reason: verifier.ConditionResult | None
+    unitalize_reason: Check | None
 
 
 def represent_pipeline(
@@ -140,14 +140,10 @@ def represent_pipeline(
     Q0 = build_quantale(A)
     f = embed(A, Q0)
     reason = None
-    if unitalize_mode == "on":
-        use_unit = not Q0.unital
-    elif unitalize_mode == "auto":
-        witness = order_reflection(Q0.leq, Q0.comp)
-        reason = verifier.ConditionResult("order-iff", witness is None, witness)
-        use_unit = witness is not None
-    else:
-        use_unit = False
+    use_unit = unitalize_mode == "on" and not Q0.unital
+    if unitalize_mode == "auto":
+        reason = Check("order-iff", order_reflection(Q0.leq, Q0.comp))
+        use_unit = not reason.passed
     Q = unitalize(Q0) if use_unit else Q0
     # unitalize lays out the (q, 0) copies first, so the embedding indices carry over
     G = generators(Q, generators_mode)
@@ -220,7 +216,7 @@ def parse_interpretation(text: str, A) -> Interpretation:
             if not rel.is_pair_list(pairs):
                 raise ParseError(f"relation {quote(name)} must be a list of [x, y] pairs")
     else:
-        base = ()
+        base = None
         named = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -246,12 +242,20 @@ def parse_interpretation(text: str, A) -> Interpretation:
                 named[name] = pairs
             else:
                 raise ParseError(f"unexpected line {quote(line)}", lineno)
-        if not base:
+        if base is None:
             raise ParseError("missing base line")
-    relations = {name: rel.relation_from_pairs(len(base), pairs) for name, pairs in named.items()}
+    if not base:
+        raise ParseError("dump base must list at least one point")
+    if len(set(base)) < len(base):
+        label = next(x for i, x in enumerate(base) if x in base[:i])
+        raise ParseError(f"duplicate base label {quote(label)}")
+    for name in named:
+        if name not in A.names:
+            raise ParseError(f"dump has a relation for {quote(name)}, which the algebra lacks")
     for name in A.names:
-        if name not in relations:
+        if name not in named:
             raise ParseError(f"dump has no relation for element {quote(name)}")
+    relations = {name: rel.relation_from_pairs(len(base), pairs) for name, pairs in named.items()}
     return Interpretation(
         algebra=A, base_labels=base, relations=tuple(relations[name] for name in A.names)
     )

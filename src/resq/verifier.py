@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass
 
 from . import relations as rel
+from .algebra import Check, Report
 from .errors import DimensionMismatch, ResourceLimitError, ResqError
 from .relations import Interpretation, Relation
 
@@ -68,54 +69,7 @@ class NodeBudget:
             raise ResourceLimitError(self.limit)
 
 
-@dataclass(frozen=True)
-class ConditionResult:
-    name: str
-    passed: bool
-    witness: tuple[int, ...] | None  # (a, b) for order, (a, b, x, y) otherwise
-
-    def payload(self, element_names, base_labels) -> dict:
-        """Status plus the witness, elements and points named by their labels."""
-        entry: dict = {"status": "pass" if self.passed else "fail"}
-        if self.witness is not None:
-            a, b = self.witness[0], self.witness[1]
-            witness = {"elements": [element_names[a], element_names[b]]}
-            if len(self.witness) == 4:
-                x, y = self.witness[2], self.witness[3]
-                witness["points"] = [base_labels[x], base_labels[y]]
-            entry["witness"] = witness
-        return entry
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    conditions: tuple[ConditionResult, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.conditions)
-
-    def condition(self, name: str) -> ConditionResult:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def payload(self, element_names, base_labels) -> dict:
-        out = {c.name: c.payload(element_names, base_labels) for c in self.conditions}
-        out["all_pass"] = self.all_pass
-        return out
-
-
-def _first_cell_difference(expected: Relation, actual: Relation) -> tuple[int, int]:
-    for x in range(len(expected)):
-        diff = expected[x] ^ actual[x]
-        if diff:
-            return x, (diff & -diff).bit_length() - 1
-    raise AssertionError("relations do not differ")
-
-
-def _table_condition(name, table, op, relations) -> ConditionResult:
+def _table_condition(name, table, op, relations) -> Check:
     """Row a of the condition is op(R[a], R[b]) over every b, read off one
     column per key of R[a] (relations.op_keys).  The first relation with a
     key fills its column: R[a] packs its own keys, so op(R[a], R[b]) is both
@@ -142,15 +96,16 @@ def _table_condition(name, table, op, relations) -> ConditionResult:
             for b, (want, got) in enumerate(zip(expected, actual)):
                 if want != got:
                     return _failure(name, a, b, want, got)
-    return ConditionResult(name, True, None)
+    return Check(name, None)
 
 
-def _failure(name, a, b, expected: Relation, actual: Relation) -> ConditionResult:
-    x, y = _first_cell_difference(expected, actual)
-    return ConditionResult(name, False, (a, b, x, y))
+def _failure(name, a, b, expected: Relation, actual: Relation) -> Check:
+    x = next(x for x, (want, got) in enumerate(zip(expected, actual)) if want != got)
+    diff = expected[x] ^ actual[x]
+    return Check(name, (a, b, x, (diff & -diff).bit_length() - 1))
 
 
-def _order_condition(leq, relations) -> ConditionResult:
+def _order_condition(leq, relations) -> Check:
     """order-iff: a <= b exactly when the relation of a is inside that of b.
 
     below[(x, row)] is the mask of the b whose row x contains row, so the b
@@ -173,24 +128,24 @@ def _order_condition(leq, relations) -> ConditionResult:
             above &= mask
         diff = above ^ leq[a]
         if diff:
-            return ConditionResult("order-iff", False, (a, (diff & -diff).bit_length() - 1))
-    return ConditionResult("order-iff", True, None)
+            return Check("order-iff", (a, (diff & -diff).bit_length() - 1))
+    return Check("order-iff", None)
 
 
-def check_representation(S, I: Interpretation) -> VerificationReport:
+def check_representation(S, I: Interpretation) -> Report:
     """Evaluate order faithfulness and one condition per operation of S.
 
     S lists its operations as (condition name, index table) pairs; every
-    condition is always checked.
+    condition is always checked.  A witness is (a, b) for order-iff, else
+    (a, b, x, y) with (x, y) the first pair where op(R[a], R[b]) is wrong.
     """
     relations = I.relations[:len(S.comp)]
     if len({len(r) for r in relations}) > 1:
         raise DimensionMismatch("the relations of the interpretation have different bases")
     ops = _relational_ops()
-    conditions = (_order_condition(S.leq, relations),) + tuple(
+    return Report((_order_condition(S.leq, relations),) + tuple(
         _table_condition(name, table, ops[name], relations) for name, table in S.operations
-    )
-    return VerificationReport(conditions=conditions)
+    ))
 
 
 def check_union_transitive(I: Interpretation) -> bool:
@@ -241,7 +196,7 @@ def search_representation(
                 relations=assignment,
             )
             report = check_representation(struct, interp)
-            if not report.all_pass:
+            if not report.valid:
                 raise AssertionError("search returned an assignment that fails verification")
             return interp
     return Exhausted(max_base)
@@ -279,10 +234,12 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget, symmetry: bool = True):
     """The first assignment over a base of size k meeting every constraint of
     the plan, or None.  Branched unknowns take relations in ascending
     encoding, the first one orbit representatives only when symmetry is on.
-    One budget node is spent per step entered and one per branched candidate.
+    One budget node is spent per step entered and one per branched candidate;
+    open branches keep their candidate iterators on a list, not the stack.
     """
     subset = rel.rel_subset
     every = list(rel.all_relations(k))
+    first = list(rel.canonical_relations(k)) if symmetry else every
     values: list[Relation | None] = [None] * len(plan)
 
     def holds(equations, inclusions) -> bool:
@@ -294,22 +251,34 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget, symmetry: bool = True):
                 return False
         return True
 
-    def walk(i: int, candidates):
+    branches = []  # (step, untried candidates), innermost last; empty only before the first
+    i = 0
+    while True:
         budget.spend()
         if i == len(plan):
             return tuple(values)
         c, forced, equations, inclusions = plan[i]
-        if forced is not None:
+        if forced is None:
+            branches.append((i, iter(every if branches else first)))
+        else:
             op, a, b = forced
             values[c] = op(values[a], values[b])
-            return walk(i + 1, candidates) if holds(equations, inclusions) else None
-        for value in candidates:
-            budget.spend()
-            values[c] = value
             if holds(equations, inclusions):
-                result = walk(i + 1, every)
-                if result is not None:
-                    return result
-        return None
-
-    return walk(0, list(rel.canonical_relations(k)) if symmetry else every)
+                i += 1
+                continue
+        # backtrack to the innermost branch with a candidate that holds
+        while branches:
+            j, candidates = branches[-1]
+            c, _, equations, inclusions = plan[j]
+            for value in candidates:
+                budget.spend()
+                values[c] = value
+                if holds(equations, inclusions):
+                    break
+            else:
+                branches.pop()
+                continue
+            i = j + 1
+            break
+        else:
+            return None

@@ -13,7 +13,9 @@ import itertools
 from resq import algebra, lambek
 from resq import relations as rel
 from resq.algebra import (
+    Check,
     FiniteResiduatedSemigroup,
+    Report,
     _associative_tables,
     _partial_orders,
     canonical_key,
@@ -23,13 +25,7 @@ from resq.algebra import (
 from resq.completion import _subset_sort_key, m_closure
 from resq.errors import NoResidualError
 from resq.pointalg import ATOM_EQ, ATOM_GT, ATOM_LT
-from resq.verifier import (
-    ConditionResult,
-    Exhausted,
-    VerificationReport,
-    _first_cell_difference,
-    _relational_ops,
-)
+from resq.verifier import Exhausted, _relational_ops
 
 C2_TEXT = "elements: a b\nleq: a<=b\ncomp: a;a=a a;b=a b;a=a b;b=a\n"
 
@@ -320,7 +316,7 @@ def naive_countermodel(s: lambek.Sequent, max_base: int):
     return Exhausted(max_base)
 
 
-def check_representation_pairwise(S, I) -> VerificationReport:
+def check_representation_pairwise(S, I) -> Report:
     """The four-condition check with one kernel call per ordered pair of
     elements, scanning pairs in lexicographic order.  Oracle for
     verifier.check_representation, which evaluates whole rows per key."""
@@ -331,8 +327,8 @@ def check_representation_pairwise(S, I) -> VerificationReport:
         for a in range(n):
             for b in range(n):
                 if S.le(a, b) != rel.rel_subset(R[a], R[b]):
-                    return ConditionResult("order-iff", False, (a, b))
-        return ConditionResult("order-iff", True, None)
+                    return Check("order-iff", (a, b))
+        return Check("order-iff", None)
 
     def table_condition(name, table, op):
         for a in range(n):
@@ -340,11 +336,11 @@ def check_representation_pairwise(S, I) -> VerificationReport:
                 expected = R[table[a][b]]
                 actual = op(R[a], R[b])
                 if expected != actual:
-                    x, y = _first_cell_difference(expected, actual)
-                    return ConditionResult(name, False, (a, b, x, y))
-        return ConditionResult(name, True, None)
+                    x, y = min(set(rel.relation_pairs(expected)) ^ set(rel.relation_pairs(actual)))
+                    return Check(name, (a, b, x, y))
+        return Check(name, None)
 
     ops = _relational_ops()
-    return VerificationReport((order_condition(),) + tuple(
+    return Report((order_condition(),) + tuple(
         table_condition(name, table, ops[name]) for name, table in S.operations
     ))

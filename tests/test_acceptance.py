@@ -147,7 +147,7 @@ def test_A4_verifier_soundness_on_concrete_structures():
         base = 1 + seed % 3
         A, interp = algebra.generate_concrete(base, seed=seed)
         report = verifier.check_representation(A, interp)
-        assert report.all_pass, (seed, report)
+        assert report.valid, (seed, report)
         count += 1
     print(f"\nA4 PASS: identity interpretation passes all four conditions on "
           f"{count} generated relation families (bases 1..3)")
@@ -248,14 +248,14 @@ def test_A8_point_algebra():
     S = pointalg.reduct(P, [pointalg.ATOM_LT, pointalg.ATOM_EQ])
     result, stats = pointalg.frp_probe(S, 3)
     assert isinstance(result, Interpretation) and result.base_size == 2
-    assert verifier.check_representation(S, result).all_pass
+    assert verifier.check_representation(S, result).valid
 
     # regression constant, frozen after the first exhaustive run: the default
     # reduct admits a 3-point model of the join/composition/order conditions
     S2 = pointalg.reduct(P, [pointalg.ATOM_LT, pointalg.ATOM_GT])
     result2, stats2 = pointalg.frp_probe(S2, 3)
     assert isinstance(result2, Interpretation) and result2.base_size == 3
-    assert verifier.check_representation(S2, result2).all_pass
+    assert verifier.check_representation(S2, result2).valid
     assert stats2.nodes <= verifier.default_node_budget()
     print(f"\nA8 PASS: composition table matches the dense-chain oracle; "
           f"{{<,=}}-reduct represented at base 2; {{<,>}}-reduct probe verdict "

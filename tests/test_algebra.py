@@ -5,7 +5,7 @@ import pytest
 
 from corpus import C2_TEXT
 from resq import algebra
-from resq.algebra import FiniteResiduatedSemigroup, _partial_orders
+from resq.algebra import Check, FiniteResiduatedSemigroup, Report, _partial_orders
 from resq.errors import ClosureSizeError, NoResidualError, ParseError, ResourceLimitError
 from resq import relations as rel
 from resq import verifier
@@ -268,7 +268,7 @@ def test_validate_reports_each_broken_axiom():
     )
     report = algebra.validate(A)
     assert not report.valid
-    assert "reflexivity" in report.failed_axioms()
+    assert not report.condition("reflexivity").passed
 
 
 def test_infer_residuals_one_element():
@@ -407,7 +407,7 @@ def test_inferred_residuals_never_fail_validation():
             except NoResidualError:
                 continue
             A = FiniteResiduatedSemigroup(("x", "y"), leq, comp, lres, rres)
-            assert "residuation" not in algebra.validate(A).failed_axioms()
+            assert algebra.validate(A).condition("residuation").passed
 
 
 def test_enumerate_cap():
@@ -449,7 +449,7 @@ def test_generate_concrete_singleton_full():
     A, interp = algebra.generate_concrete(1, generators=[(1,)])
     assert A.n == 1
     assert interp.relations == ((1,),)
-    assert verifier.check_representation(A, interp).all_pass
+    assert verifier.check_representation(A, interp).valid
 
 
 def test_generate_concrete_single_arrow_closure():
@@ -457,14 +457,14 @@ def test_generate_concrete_single_arrow_closure():
     A, interp = algebra.generate_concrete(2, generators=[(0b10, 0)])
     assert A.n == 6
     assert algebra.validate(A).valid
-    assert verifier.check_representation(A, interp).all_pass
+    assert verifier.check_representation(A, interp).valid
 
 
 def test_generate_concrete_empty_generators():
     A, interp = algebra.generate_concrete(1, generators=[])
     assert A.n == 2  # the empty relation and its residual, the full relation
     assert set(interp.relations) == {(0,), (1,)}
-    assert verifier.check_representation(A, interp).all_pass
+    assert verifier.check_representation(A, interp).valid
 
 
 def test_generate_concrete_seeded_is_deterministic():
@@ -549,3 +549,27 @@ def test_closed_generators_over_the_cap_raise():
     assert algebra.close_relation_family(family, 2) == family
     with pytest.raises(ClosureSizeError):
         algebra.close_relation_family(family, 2, max_relations=5)
+
+
+def test_check_passes_exactly_when_it_has_no_witness():
+    assert Check("law", None).passed
+    assert not Check("law", ()).passed
+    report = Report((Check("a", None), Check("b", (1,)), Check("c", (0, 2))))
+    assert not report.valid
+    assert report.failures == (("b", (1,)), ("c", (0, 2)))
+    assert report.condition("c").witness == (0, 2)
+    assert [check.message() for check in report.failures] == ["b fails at (1)", "c fails at (0, 2)"]
+    assert report.failures[1].message(("x", "y", "z")) == "c fails at (x, z)"
+    with pytest.raises(KeyError):
+        report.condition("d")
+    assert Report((Check("a", None),)).valid and Report(()).valid
+
+
+def test_join_semigroup_laws_share_the_order_laws_with_validate(c2):
+    laws = algebra.join_semigroup_laws(c2.leq, ((0, 1), (1, 1)), c2.comp)
+    assert [check.name for check in laws.conditions] == [
+        "reflexivity", "antisymmetry", "transitivity", "join_lub", "associativity",
+        "distributivity",
+    ]
+    assert laws.valid
+    assert algebra.validate(c2).conditions[:3] == laws.conditions[:3]

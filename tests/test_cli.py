@@ -660,3 +660,35 @@ def test_text_carries_every_json_field(runner, tmp_path, c2_file, args):
         options = payload["options"]
         assert (f"options: unitalize={options['unitalize']} "
                 f"generators={options['generators']}") in lines
+
+
+@pytest.mark.parametrize(
+    "dump, message",
+    [
+        ("base:\nrel x:\n", "dump base must list at least one point"),
+        ({"base": [], "relations": {"x": []}}, "dump base must list at least one point"),
+        ("base: 0 0\nrel x: (0,0)\n", "duplicate base label '0'"),
+        ({"base": ["q", "q"], "relations": {"x": [[0, 0]]}}, "duplicate base label 'q'"),
+        # str() makes 0 and "0" one label
+        ({"base": [0, "0"], "relations": {"x": [[0, 0]]}}, "duplicate base label '0'"),
+        ("base: q\nrel x: (0,0)\nrel y: (0,0)\n",
+         "dump has a relation for 'y', which the algebra lacks"),
+        ({"base": ["q"], "relations": {"x": [[0, 0]], "y": [[0, 0]]}},
+         "dump has a relation for 'y', which the algebra lacks"),
+        ({"base": ["q"], "relations": {"x": [], "y" * 50: []}},
+         "dump has a relation for 'yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy'... (50 characters), "
+         "which the algebra lacks"),
+    ],
+    ids=["text-empty-base", "json-empty-base", "text-duplicate-label", "json-duplicate-label",
+         "json-labels-equal-as-text", "text-unknown-element", "json-unknown-element",
+         "json-long-unknown-element"],
+)
+def test_verify_rejects_a_dump_the_algebra_cannot_read(runner, tmp_path, dump, message):
+    path = tmp_path / "one.alg"
+    path.write_text(ONE)
+    rep = tmp_path / "one.rep"
+    rep.write_text(dump if isinstance(dump, str) else json.dumps(dump))
+    result = runner.invoke(main, ["verify", str(path), str(rep)], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"

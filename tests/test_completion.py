@@ -184,27 +184,29 @@ def test_check_quantale_laws_accepts_the_chain():
 
 
 @pytest.mark.parametrize(
-    "changes",
+    "changes, message",
     [
         # sup(1, 1) = 2 is an upper bound but not the least one
-        {"sup": ((0, 1, 2), (1, 2, 2), (2, 2, 2))},
+        ({"sup": ((0, 1, 2), (1, 2, 2), (2, 2, 2))}, "join_lub fails at (1, 1, 1)"),
         # 2 is not below the declared top
-        {"top": 1},
+        ({"top": 1}, "bounds fails at (2)"),
         # 2;0 = 2: composition does not absorb the bottom
-        {"comp": ((0, 0, 0), (0, 0, 0), (2, 2, 2))},
+        ({"comp": ((0, 0, 0), (0, 0, 0), (2, 2, 2))}, "absorption fails at (2)"),
         # rows 1 and 2 are not monotone: left distributivity fails, right holds
-        {"comp": ((0, 0, 0), (0, 1, 0), (0, 2, 0))},
+        ({"comp": ((0, 0, 0), (0, 1, 0), (0, 2, 0))}, "distributivity fails at (1, 1, 2)"),
         # columns 1 and 2 are not monotone: right distributivity fails, left holds
-        {"comp": ((0, 0, 0), (0, 1, 2), (0, 0, 0))},
+        ({"comp": ((0, 0, 0), (0, 1, 2), (0, 0, 0))}, "distributivity fails at (1, 1, 2)"),
         # 2 is declared a unit but 2;1 = 0
-        {"unital": True, "unit": 2},
+        ({"unital": True, "unit": 2}, "unit fails at (1)"),
     ],
     ids=["sup-not-least", "bounds", "bottom-absorption", "left-distributivity",
          "right-distributivity", "unit"],
 )
-def test_check_quantale_laws_rejects_each_broken_law(changes):
-    with pytest.raises(QuantaleLawError):
+def test_check_quantale_laws_rejects_each_broken_law(changes, message):
+    # every law check raises in one form: "<law> fails at (<witness>)"
+    with pytest.raises(QuantaleLawError) as caught:
         completion.check_quantale_laws(_chain3(**changes))
+    assert str(caught.value) == message
 
 
 def test_quantale_residuals_c2(c2):

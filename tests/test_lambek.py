@@ -349,3 +349,25 @@ def test_counter_search_matches_naive_product_random(s, max_base):
 def test_counter_budget():
     with pytest.raises(ResourceLimitError):
         countermodel_search(parse_sequent("p |- p"), max_base=2, node_budget=3)
+
+
+def test_counter_refutes_an_antecedent_of_a_thousand_formulas():
+    # p^1000 |- p: the left-nested product is interned, not hashed as a formula,
+    # and the plan of about a thousand steps is walked without recursion
+    s = parse_sequent(", ".join(["p"] * 1000) + " |- p")
+    model = countermodel_search(s, max_base=2)
+    assert model.base_size == 2
+    assert not evaluate(s, model)
+
+
+@pytest.mark.parametrize(
+    "text, nodes",
+    [("p*q |- q*p", 80), ("p |- p*(p\\p)", 38), ("p\\q, r |- p/q", 20)],
+)
+def test_counter_node_spending_is_frozen(text, nodes):
+    # one node per plan step entered and one per branched candidate, as counted
+    # by the recursive walk the iterative one replaced
+    s = parse_sequent(text)
+    countermodel_search(s, max_base=2, node_budget=nodes)
+    with pytest.raises(ResourceLimitError):
+        countermodel_search(s, max_base=2, node_budget=nodes - 1)

@@ -24,12 +24,12 @@ ONE = "elements: x\nleq: x<=x\ncomp: x;x=x\n"
 def test_identity_interpretation_of_closures_passes():
     for seed in range(8):
         A, interp = algebra.generate_concrete(2, seed=seed)
-        assert check_representation(A, interp).all_pass
+        assert check_representation(A, interp).valid
 
 
 def test_one_element_pipeline_passes():
     A = algebra.parse_algebra(ONE)
-    assert check_representation(A, relrep.represent(A)).all_pass
+    assert check_representation(A, relrep.represent(A)).valid
 
 
 def test_c2_without_unit_fails_condition_one(c2):
@@ -154,7 +154,7 @@ def test_sp_search_point_reduct_found_at_base_two():
     found = search_representation(S, 2)
     assert isinstance(found, Interpretation)
     assert found.base_size == 2
-    assert check_representation(S, found).all_pass
+    assert check_representation(S, found).valid
 
 
 def test_sp_explicit_witness_for_point_reduct():
@@ -169,7 +169,7 @@ def test_sp_explicit_witness_for_point_reduct():
             rel.relation_from_pairs(2, [(0, 0), (0, 1), (1, 1)]),
         ),
     )
-    assert check_representation(S, interp).all_pass
+    assert check_representation(S, interp).valid
 
 
 def test_symmetry_breaking_preserves_verdicts(c2):
@@ -194,7 +194,7 @@ def naive_search(struct, k):
         interp = Interpretation(
             algebra=struct, base_labels=tuple(map(str, range(k))), relations=combo
         )
-        if check_representation(struct, interp).all_pass:
+        if check_representation(struct, interp).valid:
             return interp
     return None
 
@@ -289,7 +289,7 @@ def test_found_interpretations_reverify():
         A, _ = algebra.generate_concrete(1, seed=seed)
         found = search_representation(A, 2)
         if isinstance(found, Interpretation):
-            assert check_representation(A, found).all_pass
+            assert check_representation(A, found).valid
 
 
 # check_representation evaluates each operation once per distinct row key and
@@ -306,7 +306,7 @@ def assert_checkers_agree(S, interp):
 def test_checkers_agree_on_the_a4_draws():
     for seed in range(50):
         A, interp = algebra.generate_concrete(1 + seed % 3, seed=seed)
-        assert assert_checkers_agree(A, interp).all_pass
+        assert assert_checkers_agree(A, interp).valid
 
 
 @pytest.mark.parametrize("mode", ["auto", "on", "off"])
@@ -314,7 +314,7 @@ def test_checkers_agree_on_the_pipeline_over_the_corpus(corpus_all, mode):
     failed = 0
     for A in corpus_all:
         result = relrep.represent_pipeline(A, unitalize_mode=mode)
-        failed += not assert_checkers_agree(A, result.interpretation).all_pass
+        failed += not assert_checkers_agree(A, result.interpretation).valid
     assert failed > 0  # the residual conditions fail on part of the corpus
 
 
@@ -339,7 +339,7 @@ def point_cases() -> tuple:
 
 def test_checkers_agree_on_point_algebra_reducts():
     for S, found in point_cases():
-        assert assert_checkers_agree(S, found).all_pass
+        assert assert_checkers_agree(S, found).valid
         k = found.base_size
         # the first relation over every value, the second over eight, on the found base
         for r in rel.all_relations(k):
@@ -378,3 +378,14 @@ def test_relations_over_different_bases_raise(c2):
     interp = Interpretation(c2, ("0", "1"), ((1, 0), (1,)))
     with pytest.raises(DimensionMismatch):
         check_representation(c2, interp)
+
+
+def test_search_node_spending_is_frozen(c2):
+    # the counts of the recursive walk the iterative one replaced
+    budget = verifier.NodeBudget(10**6)
+    assert search_representation(c2, 3, budget=budget) == Exhausted(3)
+    assert budget.used == 158
+    S = pointalg.reduct(pointalg.build_point_algebra(), [pointalg.ATOM_LT, pointalg.ATOM_GT])
+    budget = verifier.NodeBudget(10**6)
+    assert search_representation(S, 3, budget=budget).base_size == 3
+    assert budget.used == 12188

@@ -11,7 +11,7 @@ from .algebra import (
     serialize,
     validate,
 )
-from .completion import Quantale, build_quantale, closed_sets, embed, m_closure, quantale_residuals
+from .completion import Quantale, build_quantale, closed_sets, embed, quantale_residuals
 from .errors import ResqError
 from .lambek import Sequent, countermodel_search, derivable, evaluate, parse_sequent
 from .pointalg import build_point_algebra, frp_probe, reduct
@@ -41,7 +41,6 @@ __all__ = [
     "generate_concrete",
     "build_quantale",
     "closed_sets",
-    "m_closure",
     "quantale_residuals",
     "embed",
     "generators",

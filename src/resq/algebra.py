@@ -128,11 +128,6 @@ def down_masks(leq: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def inclusion_order(masks) -> tuple[int, ...]:
-    """Order rows of sets given as bitmasks: bit j of row i iff masks[i] <= masks[j]."""
-    return tuple(sum(1 << j for j, y in enumerate(masks) if not x & ~y) for x in masks)
-
-
 # ---------------------------------------------------------------------------
 # table laws
 #
@@ -700,10 +695,8 @@ def algebra_of_relations(
     """Abstract tables of a closed family of relations, read off its closure."""
     if names is None:
         names = tuple(f"r{i}" for i in range(len(family)))
-    leq = inclusion_order([rel.encode_relation(r) for r in family])
-    return FiniteResiduatedSemigroup(
-        names=names, leq=leq, comp=family.comp, lres=family.lres, rres=family.rres
-    )
+    return FiniteResiduatedSemigroup(names=names, leq=rel.inclusion_order(family),
+                                     comp=family.comp, lres=family.lres, rres=family.rres)
 
 
 def generate_concrete(
@@ -728,9 +721,4 @@ def generate_concrete(
         ]
     family = close_relation_family(generators, base_size, max_relations)
     A = algebra_of_relations(family)
-    interp = Interpretation(
-        algebra=A,
-        base_labels=tuple(str(i) for i in range(base_size)),
-        relations=family,
-    )
-    return A, interp
+    return A, Interpretation(A.names, tuple(map(str, range(base_size))), family)

@@ -303,18 +303,17 @@ def search(path: str, max_base: int, node_budget: int | None, fmt: str) -> None:
     """Bounded search for a representation over bases of size 1..max-base."""
     A = _load_valid_algebra(path)
     outcome = verifier.search_representation(A, max_base, node_budget=node_budget)
+    _emit({"command": "search", **_outcome_payload(outcome)}, fmt, _render_search_outcome)
+    sys.exit(EXIT_VIOLATION if isinstance(outcome, verifier.Exhausted) else EXIT_OK)
+
+
+def _outcome_payload(outcome) -> dict:
+    """The verdict of a representation search, then max_base when it is
+    exhausted, else base_size and the model it found."""
     if isinstance(outcome, verifier.Exhausted):
-        payload = {"command": "search", "verdict": "exhausted", "max_base": outcome.max_base}
-        _emit(payload, fmt, _render_search_outcome)
-        sys.exit(EXIT_VIOLATION)
-    payload = {
-        "command": "search",
-        "verdict": "found",
-        "base_size": outcome.base_size,
-        **relrep.interpretation_payload(outcome),
-    }
-    _emit(payload, fmt, _render_search_outcome)
-    sys.exit(EXIT_OK)
+        return {"verdict": "exhausted", "max_base": outcome.max_base}
+    return {"verdict": "found", "base_size": outcome.base_size,
+            **relrep.interpretation_payload(outcome)}
 
 
 def _render_search_outcome(payload: dict):
@@ -346,17 +345,10 @@ def pointalg_cmd(generator_text: str, max_base: int, node_budget: int | None, fm
         "generators": [pointalg.render_element(m) for m in masks],
         "carrier": list(S.names),
         "stats": {"nodes": stats.nodes, "seconds": round(stats.seconds, 6)},
+        **_outcome_payload(result),
     }
-    if isinstance(result, verifier.Exhausted):
-        payload["verdict"] = "exhausted"
-        payload["max_base"] = result.max_base
-        _emit(payload, fmt, _render_pointalg)
-        sys.exit(EXIT_VIOLATION)
-    payload["verdict"] = "found"
-    payload["base_size"] = result.base_size
-    payload.update(relrep.interpretation_payload(result))
     _emit(payload, fmt, _render_pointalg)
-    sys.exit(EXIT_OK)
+    sys.exit(EXIT_VIOLATION if isinstance(result, verifier.Exhausted) else EXIT_OK)
 
 
 def _render_pointalg(payload: dict):
@@ -420,17 +412,12 @@ def counter(sequent_text: str, max_base: int, node_budget: int | None, fmt: str)
     result = lambek.countermodel_search(s, max_base=max_base, node_budget=node_budget)
     payload = {"command": "lambek-counter", "sequent": lambek.format_sequent(s)}
     if isinstance(result, verifier.Exhausted):
-        payload["verdict"] = "exhausted"
-        payload["max_base"] = result.max_base
-        _emit(payload, fmt, _render_counter)
-        sys.exit(EXIT_VIOLATION)
-    payload["verdict"] = "found"
-    payload["base"] = result.base_size
-    payload["valuation"] = {
-        name: [list(p) for p in rel.relation_pairs(r)] for name, r in result.valuation
-    }
+        payload.update(verdict="exhausted", max_base=result.max_base)
+    else:
+        payload.update(verdict="found", base=result.base_size,
+                       valuation={name: rel.pair_lists(r) for name, r in result.valuation})
     _emit(payload, fmt, _render_counter)
-    sys.exit(EXIT_OK)
+    sys.exit(EXIT_VIOLATION if isinstance(result, verifier.Exhausted) else EXIT_OK)
 
 
 def _render_counter(payload: dict):
@@ -441,8 +428,7 @@ def _render_counter(payload: dict):
         return
     yield f"base: {payload['base']}"
     for name in sorted(payload["valuation"]):
-        pairs = payload["valuation"][name]
-        yield f"v({name}):" + "".join(f" ({x},{y})" for x, y in pairs)
+        yield f"v({name}):" + rel.pairs_text(payload["valuation"][name])
 
 
 @lambek_group.command(name="eval")

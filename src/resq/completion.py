@@ -16,12 +16,12 @@ from .algebra import (
     FiniteResiduatedSemigroup,
     Report,
     down_masks,
-    inclusion_order,
     infer_residuals,
     join_semigroup_laws,
     residuation,
 )
 from .errors import EmbeddingViolation, NoResidualError, QuantaleLawError
+from .relations import inclusion_order
 
 
 @dataclass(frozen=True)
@@ -76,15 +76,6 @@ def _meet_rows(mask: int, rows, full: int) -> int:
     return acc
 
 
-def lower_bounds(x_mask: int, A: FiniteResiduatedSemigroup) -> int:
-    """{y : y <= x for every x in X}; the full carrier when X is empty."""
-    return _meet_rows(x_mask, down_masks(A.leq), (1 << A.n) - 1)
-
-
-def upper_bounds(x_mask: int, A: FiniteResiduatedSemigroup) -> int:
-    return _meet_rows(x_mask, A.leq, (1 << A.n) - 1)
-
-
 def closure_map(A: FiniteResiduatedSemigroup) -> Callable[[int], int]:
     """The closure operator m of A, X -> lower bounds of the upper bounds of X.
 
@@ -99,10 +90,6 @@ def closure_map(A: FiniteResiduatedSemigroup) -> Callable[[int], int]:
         return _meet_rows(_meet_rows(x_mask, up, full), down, full)
 
     return close
-
-
-def m_closure(x_mask: int, A: FiniteResiduatedSemigroup) -> int:
-    return closure_map(A)(x_mask)
 
 
 def subset_label(mask: int, names: tuple[str, ...]) -> str:
@@ -184,7 +171,7 @@ def build_quantale(A: FiniteResiduatedSemigroup) -> Quantale:
     elems = closed_sets(A)
     index = {mask: i for i, mask in enumerate(elems)}
     size = len(elems)
-    leq = inclusion_order(elems)
+    leq = inclusion_order([(mask,) for mask in elems])
     close = closure_map(A)
     tops = [_maximal(x, A.leq) for x in elems]
     comp = tuple(

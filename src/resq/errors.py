@@ -47,17 +47,18 @@ class ParseError(ResqError, ValueError):
         super().__init__(message)
 
 
-class ResidualMismatchError(ParseError):
+class NotResiduatedError(ResqError):
+    """Tables that do not form a residuated semigroup; the message says why."""
+
+
+class ResidualMismatchError(NotResiduatedError):
     """An explicit residual block disagrees with the residuals forced by the
-    order and composition; carries the structure with the tables as given."""
+    order and composition, so the file does not denote a residuated
+    semigroup; carries the structure with the tables as given."""
 
     def __init__(self, message: str, algebra):
         self.algebra = algebra
         super().__init__(message)
-
-
-class NotResiduatedError(ResqError):
-    """Tables that do not form a residuated semigroup; the message says why."""
 
 
 class NoResidualError(NotResiduatedError):
@@ -104,10 +105,17 @@ class EmbeddingViolation(ResqError):
 
 
 class ResourceLimitError(ResqError):
-    """A configured node budget was exhausted before reaching a verdict."""
+    """A configured node budget was exhausted before reaching a verdict.  A
+    search over bases 1, 2, ... sets bases_exhausted to the number of bases it
+    exhausted, and the message names them and the base it was searching."""
 
-    def __init__(self, limit: int, message: str = "node budget exhausted"):
+    def __init__(self, limit: int, message: str = "node budget exhausted",
+                 bases_exhausted: int | None = None):
         self.limit = limit
+        self.bases_exhausted = bases_exhausted
+        if bases_exhausted is not None:
+            done = ", ".join(map(str, range(1, bases_exhausted + 1))) or "none"
+            message += f" while searching base {bases_exhausted + 1}; bases exhausted: {done}"
         super().__init__(f"{message} (limit {limit})")
 
 

@@ -13,14 +13,13 @@ deeper than the interpreter's recursion limit.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
 from . import relations as rel
 from .errors import MissingAtomError, ParseError, quote
-from .relations import Relation
-from .verifier import Exhausted, NodeBudget, _relational_ops, plan_search, run_plan
+from .relations import Interpretation, Relation
+from .verifier import Exhausted, NodeBudget, _relational_ops, first_model, plan_search
 
 ATOM_RE = re.compile(r"[a-z][a-z0-9]*")
 
@@ -286,29 +285,14 @@ def _prove(ant, succ, memo, budget) -> ProofNode | None:
 # relational models
 
 
-@dataclass(frozen=True)
-class RelationalModel:
-    base_size: int
-    valuation: tuple[tuple[str, Relation], ...]
-
-    def value_of(self, atom: str) -> Relation:
-        for name, r in self.valuation:
-            if name == atom:
-                return r
-        raise MissingAtomError(f"model does not interpret atom {quote(atom)}")
-
-
-def parse_model(text: str) -> RelationalModel:
+def parse_model(text: str) -> Interpretation:
     """Read a model given as JSON: {"base": n, "valuation": {"p": [[x, y], ...]}}.
 
     base must be an int of at least 1 and each atom's value a list of [x, y]
-    int pairs; raises ParseError otherwise, and DimensionMismatch for a pair
-    outside the base.
+    int pairs, and no object may repeat a key; raises ParseError otherwise,
+    and DimensionMismatch for a pair outside the base.  The atoms are sorted.
     """
-    try:
-        raw = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise ParseError(f"model is not valid JSON: {exc}") from None
+    raw = rel.load_json(text, "model")
     if not isinstance(raw, dict):
         raise ParseError("model must be a JSON object with 'base' and 'valuation'")
     base = raw.get("base")
@@ -317,28 +301,29 @@ def parse_model(text: str) -> RelationalModel:
     named = raw.get("valuation")
     if not isinstance(named, dict):
         raise ParseError("model field 'valuation' must be an object")
-    valuation = []
-    for name, pairs in sorted(named.items()):
-        if not rel.is_pair_list(pairs):
-            raise ParseError(f"valuation of {quote(name)} must be a list of [x, y] pairs")
-        valuation.append((name, rel.relation_from_pairs(base, pairs)))
-    return RelationalModel(base_size=base, valuation=tuple(valuation))
+    atoms = sorted(named)
+    return Interpretation(tuple(atoms), tuple(map(str, range(base))),
+                          rel.read_relations(named, atoms, base, "valuation of"))
 
 
-def formula_value(f: Formula, M: RelationalModel) -> Relation:
-    """Extend the valuation over the full square of the base."""
-    if isinstance(f, Atom):
-        return M.value_of(f.name)
-    left = formula_value(f.left, M)
-    right = formula_value(f.right, M)
-    if isinstance(f, Prod):
-        return rel.rel_compose(left, right)
-    if isinstance(f, Under):
-        return rel.rel_lres(left, right)
-    return rel.rel_rres(left, right)
+def formula_value(f: Formula, M: Interpretation) -> Relation:
+    """Extend the valuation over the full square of the base; raises
+    MissingAtomError for an atom M does not name."""
+    values = dict(M.valuation)
+
+    def value(g: Formula) -> Relation:
+        if isinstance(g, Atom):
+            if g.name not in values:
+                raise MissingAtomError(f"model does not interpret atom {quote(g.name)}")
+            return values[g.name]
+        op = rel.rel_compose if isinstance(g, Prod) else (
+            rel.rel_lres if isinstance(g, Under) else rel.rel_rres)
+        return op(value(g.left), value(g.right))
+
+    return value(f)
 
 
-def evaluate(s: Sequent, M: RelationalModel) -> bool:
+def evaluate(s: Sequent, M: Interpretation) -> bool:
     """Whether the composed antecedent value is contained in the succedent value."""
     value = formula_value(s.antecedent[0], M)
     for f in s.antecedent[1:]:
@@ -376,12 +361,9 @@ def countermodel_search(s: Sequent, max_base: int = 3, node_budget: int | None =
     for f in s.antecedent[1:]:
         product = intern(Prod, product, index(f))
     goal = (product, index(s.succedent), False)
-    plan = plan_search(len(unknown), equations, [goal])
-    for k in range(1, max_base + 1):
-        values = run_plan(plan, k, budget)
-        if values is not None:
-            model = RelationalModel(base_size=k, valuation=tuple(zip(atoms, values)))
-            if evaluate(s, model):
-                raise AssertionError("search returned a model that satisfies the sequent")
-            return model
-    return Exhausted(max_base)
+    model = first_model(plan_search(len(unknown), equations, [goal]), atoms, max_base, budget)
+    if model is None:
+        return Exhausted(max_base)
+    if evaluate(s, model):
+        raise AssertionError("search returned a model that satisfies the sequent")
+    return model

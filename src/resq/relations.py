@@ -2,16 +2,19 @@
 
 A relation over a base of size n is a tuple of n ints; bit j of row i is
 set iff the pair (i, j) belongs to the relation.  Tuples of ints are cheap,
-hashable and compare bitwise, which is what the inner loops need.
+hashable and compare bitwise, which is what the inner loops need.  Named
+relations over a base are an Interpretation, read from and written to the
+[x, y] pair lists of dumps and models here.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ParseError, quote
 
 Relation = tuple[int, ...]
 
@@ -38,11 +41,44 @@ def relation_from_pairs(n: int, pairs) -> Relation:
     return tuple(rows)
 
 
+def load_json(text: str, what: str):
+    """The value of the JSON text of a dump or model (what names it in
+    messages); raises ParseError when the text is not JSON, nests too deep
+    or repeats a key in an object at any depth."""
+
+    def unique(pairs) -> dict:
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise ParseError(f"{what} repeats the key {quote(key)}")
+            out[key] = value
+        return out
+
+    try:
+        return json.loads(text, object_pairs_hook=unique)
+    except ParseError:  # a repeated key; ParseError is a ValueError, so it must pass first
+        raise
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ParseError(f"{what} is not valid JSON: {exc}") from None
+
+
 def is_pair_list(value) -> bool:
     """Whether a JSON value is a list of [x, y] pairs of ints (bools excluded)."""
     return isinstance(value, list) and all(
         isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p) for p in value
     )
+
+
+def read_relations(named: dict, names, base_size: int, what: str) -> tuple[Relation, ...]:
+    """The relation of each of names, read off its list of [x, y] pairs in
+    named; raises ParseError ('<what> <name> must be ...') for a value that is
+    no such list, DimensionMismatch for a pair outside the base."""
+    out = []
+    for name in names:
+        if not is_pair_list(named[name]):
+            raise ParseError(f"{what} {quote(name)} must be a list of [x, y] pairs")
+        out.append(relation_from_pairs(base_size, named[name]))
+    return tuple(out)
 
 
 def relation_pairs(r: Relation) -> list[tuple[int, int]]:
@@ -54,6 +90,16 @@ def relation_pairs(r: Relation) -> list[tuple[int, int]]:
             out.append((x, low.bit_length() - 1))
             row ^= low
     return out
+
+
+def pair_lists(r: Relation) -> list[list[int]]:
+    """The pairs of the relation as the [x, y] lists of dumps and models."""
+    return [list(p) for p in relation_pairs(r)]
+
+
+def pairs_text(pairs) -> str:
+    """[x, y] pairs as the text of dumps and countermodels: ' (x,y)' each."""
+    return "".join(f" ({x},{y})" for x, y in pairs)
 
 
 def _check_dims(r: Relation, s: Relation) -> int:
@@ -195,6 +241,32 @@ def relations_from_columns(columns, count: int) -> list[Relation]:
     return list(zip(*columns))
 
 
+def inclusion_order(family) -> tuple[int, ...]:
+    """Order rows of a family by inclusion: bit j of row i set iff family[i] <=
+    family[j]; a set given as a bitmask m is the one-row relation (m,).
+
+    below[(x, row)] is the mask of the members whose row x contains row, so
+    the members above r are the AND of below over the rows of r."""
+    below: dict = {}
+    everything = (1 << len(family)) - 1
+    bits = [1 << j for j in range(len(family))]
+    out = []
+    for r in family:
+        above = everything
+        for key in enumerate(r):
+            mask = below.get(key)
+            if mask is None:
+                x, row = key
+                mask = 0
+                for bit, s in zip(bits, family):
+                    if not row & ~s[x]:
+                        mask |= bit
+                below[key] = mask
+            above &= mask
+        out.append(above)
+    return tuple(out)
+
+
 def is_transitive(r: Relation) -> bool:
     return rel_subset(rel_compose(r, r), r)
 
@@ -250,12 +322,19 @@ def canonical_relations(n: int) -> tuple[Relation, ...]:
 
 @dataclass(frozen=True)
 class Interpretation:
-    """A map from the elements of a finite structure to relations over a base."""
+    """Named relations over a labelled finite base: names[i] denotes
+    relations[i].  Representation dumps, search results and Lambek models are
+    all Interpretations; search results and models label their points "0".."k-1"."""
 
-    algebra: object
+    names: tuple[str, ...]
     base_labels: tuple[str, ...]
     relations: tuple[Relation, ...]
 
     @property
     def base_size(self) -> int:
         return len(self.base_labels)
+
+    @property
+    def valuation(self) -> tuple[tuple[str, Relation], ...]:
+        """The (name, relation) pairs."""
+        return tuple(zip(self.names, self.relations))

@@ -9,12 +9,10 @@ distinct elements, so an optional unitalization step freely adjoins one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import relations as rel
-from .algebra import (Check, FiniteResiduatedSemigroup, inclusion_order, order_reflection,
-                      value_positions)
+from .algebra import Check, FiniteResiduatedSemigroup, order_reflection, value_positions
 from .completion import Quantale, build_quantale, check_quantale_laws, embed
 from .errors import ParseError, quote
 from .relations import Interpretation, Relation
@@ -22,15 +20,8 @@ from .relations import Interpretation, Relation
 GENERATOR_MODES = ("all", "join-irreducible")
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Chosen generators of a quantale, with the join-generation property checked."""
-
-    indices: tuple[int, ...]
-    mode: str
-
-
-def generators(Q: Quantale, mode: str = "all") -> GeneratorSet:
+def generators(Q: Quantale, mode: str = "all") -> tuple[int, ...]:
+    """The indices of the generators the mode chooses, checked to join-generate Q."""
     if mode not in GENERATOR_MODES:
         raise ValueError(f"unknown generator mode {mode!r}")
     if mode == "all":
@@ -44,14 +35,14 @@ def generators(Q: Quantale, mode: str = "all") -> GeneratorSet:
     for q in range(Q.size):
         if Q.sup_of(g for g in chosen if Q.le(g, q)) != q:
             raise AssertionError(f"generator set does not join-generate element {q}")
-    return GeneratorSet(indices=chosen, mode=mode)
+    return chosen
 
 
-def hat(Q: Quantale, G: GeneratorSet, a: int) -> Relation:
+def hat(Q: Quantale, G: tuple[int, ...], a: int) -> Relation:
     """The relation {(g, q) : g in G, g <= a;q} over the carrier of Q."""
     rows = [0] * Q.size
     positions = value_positions(Q.comp[a]).items()
-    for g in G.indices:
+    for g in G:
         up = Q.leq[g]
         rows[g] = sum(qs for c, qs in positions if up >> c & 1)
     return tuple(rows)
@@ -96,7 +87,7 @@ def unitalize(Q: Quantale) -> Quantale:
     out = Quantale(
         labels=labels,
         masks=masks,
-        leq=inclusion_order(masks),
+        leq=rel.inclusion_order([(m,) for m in masks]),
         comp=comp,
         sup=sup,
         bottom=Q.bottom,
@@ -148,7 +139,7 @@ def represent_pipeline(
     # unitalize lays out the (q, 0) copies first, so the embedding indices carry over
     G = generators(Q, generators_mode)
     interp = Interpretation(
-        algebra=A,
+        names=A.names,
         base_labels=Q.labels,
         relations=tuple(hat(Q, G, f[a]) for a in range(A.n)),
     )
@@ -174,23 +165,17 @@ def represent(
 
 
 def interpretation_payload(I: Interpretation) -> dict:
-    names = list(getattr(I.algebra, "names"))
     return {
         "base": list(I.base_labels),
-        "elements": names,
-        "relations": {
-            name: [list(p) for p in rel.relation_pairs(I.relations[i])]
-            for i, name in enumerate(names)
-        },
+        "elements": list(I.names),
+        "relations": {name: rel.pair_lists(r) for name, r in I.valuation},
     }
 
 
 def format_interpretation_lines(payload: dict) -> list[str]:
-    lines = ["base: " + " ".join(payload["base"])]
-    for name in payload["elements"]:
-        pairs = payload["relations"][name]
-        lines.append(f"rel {name}:" + "".join(f" ({x},{y})" for x, y in pairs))
-    return lines
+    return ["base: " + " ".join(payload["base"])] + [
+        f"rel {name}:" + rel.pairs_text(payload["relations"][name]) for name in payload["elements"]
+    ]
 
 
 def format_interpretation(I: Interpretation) -> str:
@@ -200,21 +185,14 @@ def format_interpretation(I: Interpretation) -> str:
 def parse_interpretation(text: str, A) -> Interpretation:
     """Read a representation dump (text or its JSON mirror) and bind its
     relations to A's elements."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            payload = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise ParseError(f"dump is not valid JSON: {exc}") from None
+    if text.lstrip().startswith("{"):
+        payload = rel.load_json(text, "dump")
         if not isinstance(payload, dict) or not isinstance(payload.get("base"), list):
             raise ParseError("dump field 'base' must be a list of point labels")
         if not isinstance(payload.get("relations"), dict):
             raise ParseError("dump field 'relations' must be an object")
         base = tuple(str(x) for x in payload["base"])
         named = payload["relations"]
-        for name, pairs in named.items():
-            if not rel.is_pair_list(pairs):
-                raise ParseError(f"relation {quote(name)} must be a list of [x, y] pairs")
     else:
         base = None
         named = {}
@@ -223,6 +201,8 @@ def parse_interpretation(text: str, A) -> Interpretation:
             if not line:
                 continue
             if line.startswith("base:"):
+                if base is not None:
+                    raise ParseError("second base line", lineno)
                 base = tuple(line[len("base:"):].split())
             elif line.startswith("rel "):
                 head, _, rest = line.partition(":")
@@ -255,7 +235,4 @@ def parse_interpretation(text: str, A) -> Interpretation:
     for name in A.names:
         if name not in named:
             raise ParseError(f"dump has no relation for element {quote(name)}")
-    relations = {name: rel.relation_from_pairs(len(base), pairs) for name, pairs in named.items()}
-    return Interpretation(
-        algebra=A, base_labels=base, relations=tuple(relations[name] for name in A.names)
-    )
+    return Interpretation(A.names, base, rel.read_relations(named, A.names, len(base), "relation"))

@@ -106,27 +106,9 @@ def _failure(name, a, b, expected: Relation, actual: Relation) -> Check:
 
 
 def _order_condition(leq, relations) -> Check:
-    """order-iff: a <= b exactly when the relation of a is inside that of b.
-
-    below[(x, row)] is the mask of the b whose row x contains row, so the b
-    above a by inclusion are the AND of below over the rows of R[a].
-    """
-    below: dict = {}
-    everything = (1 << len(relations)) - 1
-    bits = [1 << b for b in range(len(relations))]
-    for a, r in enumerate(relations):
-        above = everything
-        for key in enumerate(r):
-            mask = below.get(key)
-            if mask is None:
-                x, row = key
-                mask = 0
-                for bit, s in zip(bits, relations):
-                    if not row & ~s[x]:
-                        mask |= bit
-                below[key] = mask
-            above &= mask
-        diff = above ^ leq[a]
+    """order-iff: a <= b exactly when the relation of a is inside that of b."""
+    for a, (want, got) in enumerate(zip(leq, rel.inclusion_order(relations))):
+        diff = want ^ got
         if diff:
             return Check("order-iff", (a, (diff & -diff).bit_length() - 1))
     return Check("order-iff", None)
@@ -187,19 +169,12 @@ def search_representation(
                  for name, table in struct.operations for a in range(n) for b in range(n)]
     inclusions = [(a, b, struct.le(a, b)) for a in range(n) for b in range(n)]
     plan = plan_search(n, equations, inclusions)
-    for k in range(1, max_base + 1):
-        assignment = run_plan(plan, k, budget, symmetry)
-        if assignment is not None:
-            interp = Interpretation(
-                algebra=struct,
-                base_labels=tuple(str(i) for i in range(k)),
-                relations=assignment,
-            )
-            report = check_representation(struct, interp)
-            if not report.valid:
-                raise AssertionError("search returned an assignment that fails verification")
-            return interp
-    return Exhausted(max_base)
+    interp = first_model(plan, struct.names, max_base, budget, symmetry)
+    if interp is None:
+        return Exhausted(max_base)
+    if not check_representation(struct, interp).valid:
+        raise AssertionError("search returned an assignment that fails verification")
+    return interp
 
 
 def plan_search(n: int, equations, inclusions) -> tuple:
@@ -228,6 +203,22 @@ def plan_search(n: int, equations, inclusions) -> tuple:
                       tuple(e for e in equations if e != forced and completed(*e[1:])),
                       tuple(i for i in inclusions if completed(*i[:2]))))
     return tuple(steps)
+
+
+def first_model(plan: tuple, names, max_base: int, budget: NodeBudget,
+                symmetry: bool = True) -> Interpretation | None:
+    """The first assignment run_plan finds over a base of size 1..max_base, as
+    the relations of names (the first unknowns) over the points "0".."k-1",
+    or None.  A budget that runs out over a base of size k raises
+    ResourceLimitError with bases_exhausted = k - 1."""
+    for k in range(1, max_base + 1):
+        try:
+            values = run_plan(plan, k, budget, symmetry)
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(exc.limit, bases_exhausted=k - 1) from None
+        if values is not None:
+            return Interpretation(tuple(names), tuple(map(str, range(k))), values[:len(names)])
+    return None
 
 
 def run_plan(plan: tuple, k: int, budget: NodeBudget, symmetry: bool = True):

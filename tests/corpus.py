@@ -22,9 +22,10 @@ from resq.algebra import (
     infer_residuals,
     monotonicity,
 )
-from resq.completion import _subset_sort_key, m_closure
+from resq.completion import _subset_sort_key
 from resq.errors import NoResidualError
 from resq.pointalg import ATOM_EQ, ATOM_GT, ATOM_LT
+from resq.relations import Interpretation
 from resq.verifier import Exhausted, _relational_ops
 
 C2_TEXT = "elements: a b\nleq: a<=b\ncomp: a;a=a a;b=a b;a=a b;b=a\n"
@@ -38,7 +39,7 @@ def make_c2() -> FiniteResiduatedSemigroup:
 
 def closed_sets_by_scan(A: FiniteResiduatedSemigroup) -> tuple[int, ...]:
     """Reference enumeration over all 2^n subsets; oracle for completion.closed_sets."""
-    family = [x for x in range(1 << A.n) if m_closure(x, A) == x]
+    family = [x for x in range(1 << A.n) if closure_by_definition(x, A) == x]
     return tuple(sorted(family, key=_subset_sort_key(A.names)))
 
 
@@ -301,6 +302,13 @@ MALFORMED_MODELS = [
 ]
 
 
+def lambek_model(base: int, valuation) -> Interpretation:
+    """The model over the points "0".."base-1" that gives each atom of the
+    (atom, relation) pairs of valuation its relation."""
+    return Interpretation(tuple(name for name, _ in valuation), tuple(map(str, range(base))),
+                          tuple(r for _, r in valuation))
+
+
 def naive_countermodel(s: lambek.Sequent, max_base: int):
     """The first model over bases 1..max_base that refutes the sequent, found
     by evaluating it under every valuation in product order: atoms sorted,
@@ -310,7 +318,7 @@ def naive_countermodel(s: lambek.Sequent, max_base: int):
     for k in range(1, max_base + 1):
         rest = list(rel.all_relations(k))
         for values in itertools.product(rel.canonical_relations(k), *[rest] * (len(atoms) - 1)):
-            model = lambek.RelationalModel(base_size=k, valuation=tuple(zip(atoms, values)))
+            model = lambek_model(k, tuple(zip(atoms, values)))
             if not lambek.evaluate(s, model):
                 return model
     return Exhausted(max_base)

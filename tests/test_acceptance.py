@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import closed_sets_by_scan, dense_chain_table, make_c2
+from corpus import closed_sets_by_scan, dense_chain_table, lambek_model, make_c2
 from resq import algebra, completion, lambek, pointalg, relrep, verifier
 from resq import relations as rel
 from resq.algebra import FiniteResiduatedSemigroup
@@ -114,7 +114,7 @@ def test_A2_completion_properties(corpus_all):
     start = time.time()
     for A in corpus_all:
         subsets = range(1 << A.n)
-        closures = [completion.m_closure(x, A) for x in subsets]
+        closures = [completion.closure_map(A)(x) for x in subsets]
         for x in subsets:
             assert x & ~closures[x] == 0
             assert closures[closures[x]] == closures[x]
@@ -226,7 +226,7 @@ def test_A7_lambek_suite():
         assert lambek.countermodel_search(s, max_base=2) == Exhausted(2), text
 
     s = lambek.parse_sequent("p*q |- q*p")
-    model = lambek.RelationalModel(
+    model = lambek_model(
         2,
         (
             ("p", rel.relation_from_pairs(2, [(0, 1)])),

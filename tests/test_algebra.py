@@ -6,7 +6,8 @@ import pytest
 from corpus import C2_TEXT
 from resq import algebra
 from resq.algebra import Check, FiniteResiduatedSemigroup, Report, _partial_orders
-from resq.errors import ClosureSizeError, NoResidualError, ParseError, ResourceLimitError
+from resq.errors import (ClosureSizeError, NoResidualError, NotResiduatedError, ParseError,
+                         ResourceLimitError)
 from resq import relations as rel
 from resq import verifier
 
@@ -77,8 +78,9 @@ def test_parse_malformed_table_token(token):
 
 def test_parse_residual_cross_check():
     bad = C2_TEXT + "lres: a\\a=a a\\b=b b\\a=b b\\b=b\n"
-    with pytest.raises(ParseError, match="disagrees"):
+    with pytest.raises(NotResiduatedError, match="disagrees") as err:
         algebra.parse_algebra(bad)
+    assert not isinstance(err.value, ParseError)
 
 
 def test_explicit_residuals_accepted_when_consistent():

@@ -692,3 +692,86 @@ def test_verify_rejects_a_dump_the_algebra_cannot_read(runner, tmp_path, dump, m
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == f"error: {message}\n"
+
+
+ONE_Q = "elements: q\nleq: q<=q\ncomp: q;q=q\n"
+
+
+def assert_one_error_line(result, message):
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
+def verify_one_q(runner, tmp_path, dump):
+    path = tmp_path / "one_q.alg"
+    path.write_text(ONE_Q)
+    rep = tmp_path / "one_q.rep"
+    rep.write_text(dump)
+    return runner.invoke(main, ["verify", str(path), str(rep)], catch_exceptions=False)
+
+
+def eval_p_entails_p(runner, tmp_path, model):
+    path = tmp_path / "model.json"
+    path.write_text(model)
+    return runner.invoke(main, ["lambek", "eval", "p |- p", str(path)], catch_exceptions=False)
+
+
+def test_verify_rejects_a_json_dump_that_repeats_a_relation(runner, tmp_path):
+    result = verify_one_q(runner, tmp_path, '{"base": ["q"], "relations": {"q": [], "q": [[0, 0]]}}')
+    assert_one_error_line(result, "dump repeats the key 'q'")
+
+
+def test_verify_rejects_a_text_dump_with_a_second_base_line(runner, tmp_path):
+    result = verify_one_q(runner, tmp_path, "base: q r\nbase: q\nrel q: (0,0)\n")
+    assert_one_error_line(result, "second base line (line 2)")
+
+
+def test_eval_rejects_a_model_that_repeats_an_atom(runner, tmp_path):
+    result = eval_p_entails_p(runner, tmp_path, '{"base": 1, "valuation": {"p": [], "p": [[0, 0]]}}')
+    assert_one_error_line(result, "model repeats the key 'p'")
+
+
+def test_eval_rejects_a_model_that_repeats_its_base(runner, tmp_path):
+    result = eval_p_entails_p(runner, tmp_path,
+                              '{"base": 1, "base": 2, "valuation": {"p": [[1, 1]]}}')
+    assert_one_error_line(result, "model repeats the key 'base'")
+
+
+@pytest.mark.parametrize("command", ["complete", "represent", "verify", "search"])
+def test_mismatched_residual_block_is_not_residuated(runner, tmp_path, command):
+    # decide reports the same file as its verdict, valid: false with exit 1
+    path = tmp_path / "mismatch.alg"
+    path.write_text(MUTATED_C2)
+    dump = tmp_path / "c2.rep"
+    dump.write_text("base: 0\nrel a: (0,0)\nrel b: (0,0)\n")
+    args = [command, str(path)] + ([str(dump)] if command == "verify" else [])
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: not a residuated semigroup: lres entry a\\a=a disagrees with the inferred "
+        "residual b; run decide for details\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (["search", "ALGEBRA", "--max-base", "3", "--node-budget", "4"],
+         "node budget exhausted while searching base 1; bases exhausted: none (limit 4)"),
+        (["search", "ALGEBRA", "--max-base", "3", "--node-budget", "40"],
+         "node budget exhausted while searching base 3; bases exhausted: 1, 2 (limit 40)"),
+        (["pointalg", "--max-base", "3", "--node-budget", "50"],
+         "node budget exhausted while searching base 2; bases exhausted: 1 (limit 50)"),
+        (["lambek", "counter", "p |- p*(p\\p)", "--max-base", "3", "--node-budget", "30"],
+         "node budget exhausted while searching base 2; bases exhausted: 1 (limit 30)"),
+    ],
+    ids=["search-base-1", "search-base-3", "pointalg-base-2", "lambek-counter-base-2"],
+)
+def test_budget_error_says_how_far_the_search_got(runner, c2_file, args, line):
+    result = runner.invoke(main, [c2_file if a == "ALGEBRA" else a for a in args],
+                           catch_exceptions=False)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == f"error: {line}\n"

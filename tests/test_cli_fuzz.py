@@ -5,7 +5,9 @@ that is, a bug) and no traceback, an input error or a resource limit
 (exit 2 or 3) prints exactly one line on stderr, and no stderr line grows
 with the input (a mutation may insert a long run of one character).
 Inputs are handed to the subcommands as files, or as arguments after
-``--``, so click never reads a mutated input as an option.
+``--``, so click never reads a mutated input as an option.  A dump or model
+that repeats a JSON key, at any depth, or a text dump with a second ``base:``
+line must be rejected: exit 2 with one stderr line.
 """
 
 import json
@@ -22,6 +24,7 @@ C2 = make_c2()
 ALGEBRA_SEED = algebra.serialize(C2)
 DUMP_SEED = relrep.format_interpretation(relrep.represent(C2))
 JSON_DUMP_SEED = json.dumps(relrep.interpretation_payload(relrep.represent(C2)))
+MODEL_SEED = {"base": 2, "valuation": {"p": [[0, 1]], "q": [[1, 0]]}}
 SEQUENT_SEED = "(p/q)*q, r\\p |- p*(q\\r)"
 ALPHABET = "ab;=<:\\/,()[]{}\"|-*pqe01 \n#"
 
@@ -91,6 +94,57 @@ def check_ending(args):
         assert len(result.stderr.splitlines()) == 1, (args, result.stderr)
     for line in result.stderr.splitlines():
         assert len(line) < MAX_ERROR_LINE, (args, line)
+    return result
+
+
+def repeating_key(value, choice: int, again) -> str:
+    """JSON text of value in which key number choice, counting the keys of
+    every object in document order, appears a second time, with value again."""
+    count = 0
+
+    def render(v) -> str:
+        nonlocal count
+        if isinstance(v, dict):
+            items = []
+            for key, item in v.items():
+                mine, count = count, count + 1
+                items.append(f"{json.dumps(key)}: {render(item)}")
+                if mine == choice:
+                    items.append(f"{json.dumps(key)}: {json.dumps(again)}")
+            return "{" + ", ".join(items) + "}"
+        if isinstance(v, list):
+            return "[" + ", ".join(map(render, v)) + "]"
+        return json.dumps(v)
+
+    text = render(value)
+    assert choice < count
+    return text
+
+
+def key_count(value) -> int:
+    if isinstance(value, dict):
+        return len(value) + sum(map(key_count, value.values()))
+    if isinstance(value, list):
+        return sum(map(key_count, value))
+    return 0
+
+
+def repeated_keys(value):
+    choices = st.integers(0, key_count(value) - 1)
+    return st.builds(repeating_key, st.just(value), choices, json_values)
+
+
+def second_base_line(text):
+    lines = text.splitlines()
+    copy = st.one_of(st.just(lines[0]), st.lists(st.sampled_from("qr01"), max_size=3).map(
+        lambda labels: " ".join(["base:", *labels])))
+    return st.builds(lambda at, line: "\n".join(lines[:at] + [line] + lines[at:]) + "\n",
+                     st.integers(0, len(lines)), copy)
+
+
+def check_rejected(args):
+    result = check_ending(args)
+    assert result.exit_code == 2, (args, result.output)
 
 
 @given(text=mutated(ALGEBRA_SEED))
@@ -111,6 +165,24 @@ def test_mutated_dumps(files, text):
     path = root / "mutated.rep"
     path.write_text(text)
     check_ending(["verify", c2, str(path)])
+
+
+@given(text=st.one_of(repeated_keys(json.loads(JSON_DUMP_SEED)), second_base_line(DUMP_SEED)))
+@FUZZ
+def test_dumps_with_a_repeated_key_or_base_line(files, text):
+    root, c2 = files
+    path = root / "repeated.rep"
+    path.write_text(text)
+    check_rejected(["verify", c2, str(path)])
+
+
+@given(text=repeated_keys(MODEL_SEED))
+@FUZZ
+def test_models_with_a_repeated_key(files, text):
+    root, _ = files
+    path = root / "repeated.json"
+    path.write_text(text)
+    check_rejected(["lambek", "eval", "--", "p*q |- q\\p", str(path)])
 
 
 @given(model=models)

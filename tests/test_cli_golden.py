@@ -3,8 +3,11 @@
 The transcripts in tests/data/cli_golden/transcripts.json pin decide,
 complete, represent, verify and search in both formats on four algebras: C2,
 one without residuals, one that fails associativity and the one-element
-algebra.  A refactor that changes any output line, JSON key or exit code
-fails here.  `pointalg` is left out because it prints wall-clock seconds.
+algebra.  They also pin `lambek prove` (with and without --trace) on a
+derivable and an underivable sequent, `lambek counter` found and exhausted,
+and `lambek eval` on a model where the sequent holds, one where it fails and
+one that lacks an atom.  A refactor that changes any output line, JSON key or
+exit code fails here.  `pointalg` is left out because it prints wall-clock seconds.
 To re-record deliberately:
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -29,6 +32,10 @@ ALGEBRAS = [
     ("one.alg", "one.dump", "1"),
 ]
 
+DERIVABLE = "p/q, q |- p"
+UNDERIVABLE = "p*q |- q*p"
+MODELS = ["holds.model.json", "fails.model.json", "missing_atom.model.json"]
+
 
 def cases() -> list[list[str]]:
     """Every argument list, with files named relative to the data directory."""
@@ -44,11 +51,19 @@ def cases() -> list[list[str]]:
                 ["verify", alg, dump, *tail],
                 ["search", alg, "--max-base", max_base, *tail],
             ]
+    for fmt in ("text", "json"):
+        tail = ["--format", fmt]
+        for sequent in (DERIVABLE, UNDERIVABLE):
+            out += [["lambek", "prove", sequent, *tail],
+                    ["lambek", "prove", sequent, "--trace", *tail]]
+        out += [["lambek", "counter", UNDERIVABLE, "--max-base", "2", *tail],
+                ["lambek", "counter", DERIVABLE, "--max-base", "2", *tail]]
+        out += [["lambek", "eval", UNDERIVABLE, model, *tail] for model in MODELS]
     return out
 
 
 def run(args: list[str]) -> dict:
-    files = {name for name, *_ in ALGEBRAS} | {dump for _, dump, _ in ALGEBRAS}
+    files = {name for name, *_ in ALGEBRAS} | {dump for _, dump, _ in ALGEBRAS} | set(MODELS)
     argv = [str(DATA / a) if a in files else a for a in args]
     result = CliRunner().invoke(main, argv, env={"RESQ_NODE_BUDGET": None})
     return {"stdout": result.stdout, "stderr": result.stderr, "exit": result.exit_code}

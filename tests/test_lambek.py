@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import naive_countermodel
+from corpus import lambek_model, naive_countermodel
 from resq import lambek
 from resq import relations as rel
 from resq.errors import ParseError, ResourceLimitError
@@ -9,7 +9,6 @@ from resq.lambek import (
     Atom,
     Over,
     Prod,
-    RelationalModel,
     Sequent,
     Under,
     countermodel_search,
@@ -78,7 +77,7 @@ def small_models(base=2, n_atoms=2):
         lambda c: rel.decode_relation(c, base)
     )
     return st.tuples(*[relation for _ in names]).map(
-        lambda vals: RelationalModel(base, tuple(zip(names, vals)))
+        lambda vals: lambek_model(base, tuple(zip(names, vals)))
     )
 
 
@@ -228,7 +227,7 @@ def test_prover_budget():
 def test_evaluate_axiom_in_any_model():
     s = parse_sequent("p |- p")
     for code in range(16):
-        M = RelationalModel(2, (("p", rel.decode_relation(code, 2)),))
+        M = lambek_model(2, (("p", rel.decode_relation(code, 2)),))
         assert evaluate(s, M)
 
 
@@ -254,7 +253,7 @@ def test_soundness_harness_random_model_corpus():
     atom_names = sorted({a for s in sequents for a in lambek.sequent_atoms(s)})
     for _ in range(1000):
         base = rng.randint(1, 3)
-        model = RelationalModel(
+        model = lambek_model(
             base,
             tuple(
                 (name, rel.decode_relation(rng.randrange(1 << (base * base)), base))
@@ -267,7 +266,7 @@ def test_soundness_harness_random_model_corpus():
 
 def test_explicit_countermodel_for_product_commutation():
     s = parse_sequent("p*q |- q*p")
-    M = RelationalModel(
+    M = lambek_model(
         2,
         (
             ("p", rel.relation_from_pairs(2, [(0, 1)])),
@@ -282,7 +281,7 @@ def test_explicit_countermodel_for_product_commutation():
 def test_evaluate_missing_atom():
     from resq.errors import MissingAtomError
 
-    M = RelationalModel(1, (("p", (1,)),))
+    M = lambek_model(1, (("p", (1,)),))
     with pytest.raises(MissingAtomError):
         evaluate(parse_sequent("p |- q"), M)
 
@@ -321,7 +320,7 @@ def test_found_countermodels_survive_isolated_point_padding():
         s = parse_sequent(text)
         M = countermodel_search(s, max_base=3)
         for extra in (1, 2):
-            padded = RelationalModel(
+            padded = lambek_model(
                 M.base_size + extra,
                 tuple((name, tuple(r) + (0,) * extra) for name, r in M.valuation),
             )
@@ -371,3 +370,10 @@ def test_counter_node_spending_is_frozen(text, nodes):
     countermodel_search(s, max_base=2, node_budget=nodes)
     with pytest.raises(ResourceLimitError):
         countermodel_search(s, max_base=2, node_budget=nodes - 1)
+
+
+@pytest.mark.parametrize("budget, exhausted", [(1, 0), (10, 1), (38, 2)])
+def test_counter_budget_error_counts_the_bases_exhausted(budget, exhausted):
+    with pytest.raises(ResourceLimitError) as err:
+        countermodel_search(parse_sequent("p |- p*(p\\p)"), max_base=3, node_budget=budget)
+    assert err.value.bases_exhausted == exhausted

@@ -156,7 +156,7 @@ def test_probe_lt_found_at_base_one(P):
     assert isinstance(result, Interpretation)
     assert result.base_size == 1
     # the one explicitly idempotent witness also verifies
-    explicit = Interpretation(algebra=S, base_labels=("0",), relations=((1,),))
+    explicit = Interpretation(names=S.names, base_labels=("0",), relations=((1,),))
     assert check_representation(S, explicit).valid
 
 
@@ -182,3 +182,11 @@ def test_probe_results_reverify(P):
         result, _ = frp_probe(S, 2)
         if isinstance(result, Interpretation):
             assert check_representation(S, result).valid
+
+
+@pytest.mark.parametrize("budget, exhausted", [(1, 0), (50, 1), (300, 2)])
+def test_probe_budget_error_counts_the_bases_exhausted(P, budget, exhausted):
+    # {<, >} has its first model at base 3
+    with pytest.raises(ResourceLimitError) as err:
+        frp_probe(reduct(P, [ATOM_LT, ATOM_GT]), 3, node_budget=budget)
+    assert err.value.bases_exhausted == exhausted

@@ -211,3 +211,18 @@ def test_keys_and_packs_reject_other_operations():
 def test_relations_from_columns_reads_rows_down_columns():
     assert rel.relations_from_columns([[1, 2], [3, 0]], 2) == [(1, 3), (2, 0)]
     assert rel.relations_from_columns([], 3) == [(), (), ()]
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(mask_relation(n), max_size=12)))
+def test_inclusion_order_matches_pairwise_subset(family):
+    order = rel.inclusion_order(family)
+    assert len(order) == len(family)
+    for i, r in enumerate(family):
+        for j, s in enumerate(family):
+            assert bool(order[i] >> j & 1) == rel.rel_subset(r, s)
+
+
+def test_inclusion_order_of_bitmasks_as_one_row_relations():
+    masks = [0b011, 0b001, 0b111, 0b100]
+    order = rel.inclusion_order([(m,) for m in masks])
+    assert order == tuple(sum(1 << j for j, y in enumerate(masks) if not x & ~y) for x in masks)

@@ -19,14 +19,14 @@ ONE = "elements: x\nleq: x<=x\ncomp: x;x=x\n"
 
 def test_generators_all_one_element():
     Q = build_quantale(algebra.parse_algebra(ONE))
-    assert generators(Q, "all").indices == (0,)
+    assert generators(Q, "all") == (0,)
 
 
 def test_generators_c2(c2):
     Q = build_quantale(c2)
-    assert generators(Q, "all").indices == (0, 1)
+    assert generators(Q, "all") == (0, 1)
     # the bottom is the empty join, so only the top is join-irreducible
-    assert generators(Q, "join-irreducible").indices == (1,)
+    assert generators(Q, "join-irreducible") == (1,)
 
 
 def test_generators_join_irreducible_generates(corpus_all):
@@ -34,7 +34,7 @@ def test_generators_join_irreducible_generates(corpus_all):
         Q = build_quantale(A)
         G = generators(Q, "join-irreducible")
         for q in range(Q.size):
-            assert Q.sup_of(g for g in G.indices if Q.le(g, q)) == q
+            assert Q.sup_of(g for g in G if Q.le(g, q)) == q
 
 
 def test_generators_unknown_mode(c2):
@@ -113,7 +113,7 @@ def test_unitalize_satisfies_quantale_laws(corpus_all):
 def hat_interpretation(Q):
     G = generators(Q, "all")
     return Interpretation(
-        algebra=Q, base_labels=Q.labels, relations=tuple(hat(Q, G, a) for a in range(Q.size))
+        names=Q.labels, base_labels=Q.labels, relations=tuple(hat(Q, G, a) for a in range(Q.size))
     )
 
 
@@ -149,7 +149,7 @@ def test_auto_mode_unitalizes_exactly_when_plain_hats_fail_order(corpus_all):
                 for a in range(Q0.size)
             )
             assert tuple(hat(Q0, generators(Q0, mode), a) for a in range(Q0.size)) == hats
-            interp = Interpretation(algebra=Q0, base_labels=Q0.labels, relations=hats)
+            interp = Interpretation(names=Q0.labels, base_labels=Q0.labels, relations=hats)
             order = verifier.check_representation(Q0, interp).condition("order-iff")
             result = represent_pipeline(A, generators_mode=mode)
             assert result.unitalized == (not order.passed), (mode, algebra.serialize(A))

@@ -113,7 +113,7 @@ def test_union_transitive_single_relation():
 
 def test_union_transitive_false_case():
     interp = Interpretation(
-        algebra=None,
+        names=None,
         base_labels=("0", "1", "2"),
         relations=(
             rel.relation_from_pairs(3, [(0, 1)]),
@@ -161,7 +161,7 @@ def test_sp_explicit_witness_for_point_reduct():
     P = pointalg.build_point_algebra()
     S = pointalg.reduct(P, [pointalg.ATOM_LT, pointalg.ATOM_EQ])
     interp = Interpretation(
-        algebra=S,
+        names=S.names,
         base_labels=("0", "1"),
         relations=(
             rel.relation_from_pairs(2, [(0, 0), (0, 1)]),
@@ -192,7 +192,7 @@ def naive_search(struct, k):
     n = len(struct.names)
     for combo in itertools.product(rel.all_relations(k), repeat=n):
         interp = Interpretation(
-            algebra=struct, base_labels=tuple(map(str, range(k))), relations=combo
+            names=struct.names, base_labels=tuple(map(str, range(k))), relations=combo
         )
         if check_representation(struct, interp).valid:
             return interp
@@ -389,3 +389,19 @@ def test_search_node_spending_is_frozen(c2):
     budget = verifier.NodeBudget(10**6)
     assert search_representation(S, 3, budget=budget).base_size == 3
     assert budget.used == 12188
+
+
+@pytest.mark.parametrize("budget, exhausted", [(1, 0), (5, 1), (40, 2)])
+def test_budget_error_counts_the_bases_exhausted(c2, budget, exhausted):
+    # C2 has no model over bases 1..3; 158 nodes exhaust all three
+    with pytest.raises(ResourceLimitError) as err:
+        search_representation(c2, 3, node_budget=budget)
+    assert err.value.bases_exhausted == exhausted
+    assert f"while searching base {exhausted + 1};" in str(err.value)
+
+
+def test_budget_error_outside_a_search_counts_no_bases():
+    with pytest.raises(ResourceLimitError) as err:
+        NodeBudget(1).spend(2)
+    assert err.value.bases_exhausted is None
+    assert str(err.value) == "node budget exhausted (limit 1)"

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .relations import Interpretation, Relation
 
-_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_NAME_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
 
 ENUMERATION_CAP = 3
 
@@ -113,19 +113,6 @@ class Report:
     def payload(self, element_names, base_labels) -> dict:
         checks = {c.name: c.payload(element_names, base_labels) for c in self.conditions}
         return checks | {"all_pass": self.valid}
-
-
-def down_masks(leq: tuple[int, ...]) -> tuple[int, ...]:
-    """Column masks of the order: bit i of down[j] set iff i <= j."""
-    n = len(leq)
-    cols = [0] * n
-    for i in range(n):
-        row = leq[i]
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= 1 << i
-            row ^= low
-    return tuple(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +287,7 @@ def infer_residuals(
     its distinct values to the up-set of each.
     """
     n = len(leq)
-    down = down_masks(leq)
+    down = rel.rel_converse(leq)  # bit i of down[j] set iff i <= j
     lres = []
     for a in range(n):
         cands = _positions_below(comp[a], leq)
@@ -544,19 +531,19 @@ def default_names(n: int) -> tuple[str, ...]:
     return tuple(f"e{i}" for i in range(n))
 
 
-def enumerate_algebras(n: int, cap: int = ENUMERATION_CAP, up_to_iso: bool = False):
-    """Yield every residuated semigroup on n labeled elements exactly once.
+def enumerate_algebras(n: int):
+    """Yield every residuated semigroup on the n labeled elements e0..e{n-1}
+    exactly once; isomorphic copies are all yielded.
 
     Runs over all partial orders and all associative monotone composition
-    tables, keeping those whose residuals exist.  With up_to_iso=True a
-    canonical-form post-filter drops isomorphic duplicates.
+    tables, keeping those whose residuals exist.  Raises ResourceLimitError
+    for n above ENUMERATION_CAP, whose tables are too many to scan.
     """
     if n < 1:
         raise ValueError("carrier must be nonempty")
-    if n > cap:
-        raise ResourceLimitError(cap, f"enumeration of size {n} exceeds the cap")
+    if n > ENUMERATION_CAP:
+        raise ResourceLimitError(ENUMERATION_CAP, f"enumeration of size {n} exceeds the cap")
     names = default_names(n)
-    seen: set[tuple] = set()
     for leq in _partial_orders(n):
         for comp in _associative_tables(n):
             if monotonicity(leq, comp) is not None:
@@ -565,33 +552,7 @@ def enumerate_algebras(n: int, cap: int = ENUMERATION_CAP, up_to_iso: bool = Fal
                 lres, rres = infer_residuals(leq, comp)
             except NoResidualError:
                 continue
-            A = FiniteResiduatedSemigroup(names=names, leq=leq, comp=comp, lres=lres, rres=rres)
-            if up_to_iso:
-                key = canonical_key(A)
-                if key in seen:
-                    continue
-                seen.add(key)
-            yield A
-
-
-def canonical_key(A: FiniteResiduatedSemigroup) -> tuple:
-    """Isomorphism-invariant key: minimal relabeling of all four tables."""
-    n = A.n
-    best = None
-    for perm in itertools.permutations(range(n)):
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        leq_bits = tuple(
-            1 if A.le(perm[i], perm[j]) else 0 for i in range(n) for j in range(n)
-        )
-        comp_bits = tuple(inv[A.comp[perm[i]][perm[j]]] for i in range(n) for j in range(n))
-        lres_bits = tuple(inv[A.lres[perm[i]][perm[j]]] for i in range(n) for j in range(n))
-        rres_bits = tuple(inv[A.rres[perm[i]][perm[j]]] for i in range(n) for j in range(n))
-        key = (leq_bits, comp_bits, lres_bits, rres_bits)
-        if best is None or key < best:
-            best = key
-    return best
+            yield FiniteResiduatedSemigroup(names=names, leq=leq, comp=comp, lres=lres, rres=rres)
 
 
 # ---------------------------------------------------------------------------

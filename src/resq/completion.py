@@ -15,13 +15,12 @@ from .algebra import (
     Check,
     FiniteResiduatedSemigroup,
     Report,
-    down_masks,
     infer_residuals,
     join_semigroup_laws,
     residuation,
 )
 from .errors import EmbeddingViolation, NoResidualError, QuantaleLawError
-from .relations import inclusion_order
+from .relations import inclusion_order, rel_converse
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ def closure_map(A: FiniteResiduatedSemigroup) -> Callable[[int], int]:
     closes many sets of one algebra pays for them once.
     """
     up = A.leq
-    down = down_masks(A.leq)
+    down = rel_converse(A.leq)
     full = (1 << A.n) - 1
 
     def close(x_mask: int) -> int:
@@ -113,7 +112,7 @@ def closed_sets(A: FiniteResiduatedSemigroup) -> tuple[int, ...]:
     {full} together with the cones under pairwise intersection instead of
     scanning all 2^n subsets.
     """
-    down = down_masks(A.leq)
+    down = rel_converse(A.leq)
     full = (1 << A.n) - 1
     family = {full} | set(down)
     frontier = list(family)
@@ -246,7 +245,7 @@ def embed(A: FiniteResiduatedSemigroup, Q: Quantale) -> tuple[int, ...]:
     Checks injectivity, order preservation and reflection, and preservation
     of composition and both residuals; raises EmbeddingViolation otherwise.
     """
-    down = down_masks(A.leq)
+    down = rel_converse(A.leq)
     f = tuple(Q.index(down[a]) for a in range(A.n))
     if len(set(f)) != A.n:
         raise EmbeddingViolation("injectivity", (0,))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import relations as rel
 from .errors import MissingAtomError, ParseError, quote
 from .relations import Interpretation, Relation
-from .verifier import Exhausted, NodeBudget, _relational_ops, first_model, plan_search
+from .verifier import Exhausted, NodeBudget, first_model, plan_search, relational_ops
 
 ATOM_RE = re.compile(r"[a-z][a-z0-9]*")
 
@@ -59,6 +59,9 @@ class Over:
 
 
 Formula = Atom | Prod | Under | Over
+
+# the relational operation (a verifier.relational_ops name) of each connective
+CONNECTIVE_OPERATION = {Prod: "composition", Under: "left-residual", Over: "right-residual"}
 
 
 @dataclass(frozen=True)
@@ -310,15 +313,14 @@ def formula_value(f: Formula, M: Interpretation) -> Relation:
     """Extend the valuation over the full square of the base; raises
     MissingAtomError for an atom M does not name."""
     values = dict(M.valuation)
+    ops = relational_ops()
 
     def value(g: Formula) -> Relation:
         if isinstance(g, Atom):
             if g.name not in values:
                 raise MissingAtomError(f"model does not interpret atom {quote(g.name)}")
             return values[g.name]
-        op = rel.rel_compose if isinstance(g, Prod) else (
-            rel.rel_lres if isinstance(g, Under) else rel.rel_rres)
-        return op(value(g.left), value(g.right))
+        return ops[CONNECTIVE_OPERATION[type(g)]](value(g.left), value(g.right))
 
     return value(f)
 
@@ -341,15 +343,14 @@ def countermodel_search(s: Sequent, max_base: int = 3, node_budget: int | None =
     """
     budget = NodeBudget(node_budget, default=DEFAULT_COUNTER_BUDGET)
     atoms = sequent_atoms(s)
-    ops = _relational_ops()
-    op_of = {Prod: ops["composition"], Under: ops["left-residual"], Over: ops["right-residual"]}
+    ops = relational_ops()
     unknown: dict = {name: i for i, name in enumerate(atoms)}
     equations = []
 
     def intern(kind, a: int, b: int) -> int:
         if (kind, a, b) not in unknown:
             unknown[kind, a, b] = len(unknown)
-            equations.append((op_of[kind], a, b, unknown[kind, a, b]))
+            equations.append((ops[CONNECTIVE_OPERATION[kind]], a, b, unknown[kind, a, b]))
         return unknown[kind, a, b]
 
     def index(f: Formula) -> int:

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DimensionMismatch, ParseError, quote
+from .errors import QUOTE_LIMIT, DimensionMismatch, ParseError, quote
 
 Relation = tuple[int, ...]
 
@@ -23,20 +23,13 @@ def empty_relation(n: int) -> Relation:
     return (0,) * n
 
 
-def full_relation(n: int) -> Relation:
-    row = (1 << n) - 1
-    return (row,) * n
-
-
-def identity_relation(n: int) -> Relation:
-    return tuple(1 << i for i in range(n))
-
-
 def relation_from_pairs(n: int, pairs) -> Relation:
     rows = [0] * n
     for x, y in pairs:
         if not (0 <= x < n and 0 <= y < n):
-            raise DimensionMismatch(f"pair ({x}, {y}) outside base of size {n}")
+            pair = f"({x}, {y})"  # a pair of long ints is cut like other input
+            shown = pair if len(pair) <= QUOTE_LIMIT else quote(pair)
+            raise DimensionMismatch(f"pair {shown} outside base of size {n}")
         rows[x] |= 1 << y
     return tuple(rows)
 
@@ -124,11 +117,6 @@ def rel_subset(r: Relation, s: Relation) -> bool:
 def rel_union(r: Relation, s: Relation) -> Relation:
     _check_dims(r, s)
     return tuple(a | b for a, b in zip(r, s))
-
-
-def rel_intersection(r: Relation, s: Relation) -> Relation:
-    _check_dims(r, s)
-    return tuple(a & b for a, b in zip(r, s))
 
 
 def rel_compose(r: Relation, s: Relation) -> Relation:
@@ -265,10 +253,6 @@ def inclusion_order(family) -> tuple[int, ...]:
             above &= mask
         out.append(above)
     return tuple(out)
-
-
-def is_transitive(r: Relation) -> bool:
-    return rel_subset(rel_compose(r, r), r)
 
 
 def permute_relation(r: Relation, perm: tuple[int, ...]) -> Relation:

@@ -184,13 +184,18 @@ def format_interpretation(I: Interpretation) -> str:
 
 def parse_interpretation(text: str, A) -> Interpretation:
     """Read a representation dump (text or its JSON mirror) and bind its
-    relations to A's elements."""
+    relations to A's elements.  A JSON dump's optional 'elements' must list
+    A's elements, each once and in any order; other unknown keys are ignored."""
     if text.lstrip().startswith("{"):
         payload = rel.load_json(text, "dump")
         if not isinstance(payload, dict) or not isinstance(payload.get("base"), list):
             raise ParseError("dump field 'base' must be a list of point labels")
         if not isinstance(payload.get("relations"), dict):
             raise ParseError("dump field 'relations' must be an object")
+        elements = payload.get("elements", list(A.names))
+        if not (isinstance(elements, list) and len(elements) == len(A.names)
+                and all(isinstance(x, str) for x in elements) and set(elements) == set(A.names)):
+            raise ParseError("dump field 'elements' must name each element of the algebra once")
         base = tuple(str(x) for x in payload["base"])
         named = payload["relations"]
     else:

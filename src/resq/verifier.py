@@ -16,14 +16,14 @@ import os
 from dataclasses import dataclass
 
 from . import relations as rel
-from .algebra import Check, Report
+from .algebra import Check, Report, transitivity
 from .errors import DimensionMismatch, ResourceLimitError, ResqError
 from .relations import Interpretation, Relation
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
-def _relational_ops() -> dict:
+def relational_ops() -> dict:
     """The relational operation that interprets each operation condition name.
 
     Built per call, so the kernel functions are looked up on the relations
@@ -124,7 +124,7 @@ def check_representation(S, I: Interpretation) -> Report:
     relations = I.relations[:len(S.comp)]
     if len({len(r) for r in relations}) > 1:
         raise DimensionMismatch("the relations of the interpretation have different bases")
-    ops = _relational_ops()
+    ops = relational_ops()
     return Report((_order_condition(S.leq, relations),) + tuple(
         _table_condition(name, table, ops[name], relations) for name, table in S.operations
     ))
@@ -135,7 +135,7 @@ def check_union_transitive(I: Interpretation) -> bool:
     union = rel.empty_relation(I.base_size)
     for r in I.relations:
         union = rel.rel_union(union, r)
-    return rel.is_transitive(union)
+    return transitivity(union) is None
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,6 @@ def search_representation(
     struct,
     max_base: int,
     node_budget: int | None = None,
-    symmetry: bool = True,
     budget: NodeBudget | None = None,
 ):
     """Search for a representation over bases of size 1..max_base.
@@ -157,19 +156,20 @@ def search_representation(
     Enforces order faithfulness and every operation the structure lists, so
     the same search serves residuated semigroups and the join/composition
     reducts of the point algebra.  The first branched element ranges over
-    base-permutation orbit representatives only (unless symmetry is off),
-    which never changes the verdict.  Found results are re-verified before
-    being returned.
+    base-permutation orbit representatives only, which never changes the
+    verdict.  Found results are re-verified before being returned.  The
+    nodes are spent from budget when given, else from a new
+    NodeBudget(node_budget).
     """
     if budget is None:
         budget = NodeBudget(node_budget)
     n = len(struct.names)
-    ops = _relational_ops()
+    ops = relational_ops()
     equations = [(ops[name], a, b, table[a][b])
                  for name, table in struct.operations for a in range(n) for b in range(n)]
     inclusions = [(a, b, struct.le(a, b)) for a in range(n) for b in range(n)]
     plan = plan_search(n, equations, inclusions)
-    interp = first_model(plan, struct.names, max_base, budget, symmetry)
+    interp = first_model(plan, struct.names, max_base, budget)
     if interp is None:
         return Exhausted(max_base)
     if not check_representation(struct, interp).valid:
@@ -205,15 +205,14 @@ def plan_search(n: int, equations, inclusions) -> tuple:
     return tuple(steps)
 
 
-def first_model(plan: tuple, names, max_base: int, budget: NodeBudget,
-                symmetry: bool = True) -> Interpretation | None:
+def first_model(plan: tuple, names, max_base: int, budget: NodeBudget) -> Interpretation | None:
     """The first assignment run_plan finds over a base of size 1..max_base, as
     the relations of names (the first unknowns) over the points "0".."k-1",
     or None.  A budget that runs out over a base of size k raises
     ResourceLimitError with bases_exhausted = k - 1."""
     for k in range(1, max_base + 1):
         try:
-            values = run_plan(plan, k, budget, symmetry)
+            values = run_plan(plan, k, budget)
         except ResourceLimitError as exc:
             raise ResourceLimitError(exc.limit, bases_exhausted=k - 1) from None
         if values is not None:
@@ -221,16 +220,19 @@ def first_model(plan: tuple, names, max_base: int, budget: NodeBudget,
     return None
 
 
-def run_plan(plan: tuple, k: int, budget: NodeBudget, symmetry: bool = True):
+def run_plan(plan: tuple, k: int, budget: NodeBudget):
     """The first assignment over a base of size k meeting every constraint of
     the plan, or None.  Branched unknowns take relations in ascending
-    encoding, the first one orbit representatives only when symmetry is on.
-    One budget node is spent per step entered and one per branched candidate;
-    open branches keep their candidate iterators on a list, not the stack.
+    encoding, the first one only the base-permutation orbit representatives
+    of relations.canonical_relations: every assignment permutes onto one
+    whose first branched value is a representative, and permuting the base
+    keeps every constraint.  One budget node is spent per step entered and
+    one per branched candidate; open branches keep their candidate iterators
+    on a list, not the stack.
     """
     subset = rel.rel_subset
     every = list(rel.all_relations(k))
-    first = list(rel.canonical_relations(k)) if symmetry else every
+    first = rel.canonical_relations(k)
     values: list[Relation | None] = [None] * len(plan)
 
     def holds(equations, inclusions) -> bool:

@@ -18,7 +18,6 @@ from resq.algebra import (
     Report,
     _associative_tables,
     _partial_orders,
-    canonical_key,
     infer_residuals,
     monotonicity,
 )
@@ -26,7 +25,7 @@ from resq.completion import _subset_sort_key
 from resq.errors import NoResidualError
 from resq.pointalg import ATOM_EQ, ATOM_GT, ATOM_LT
 from resq.relations import Interpretation
-from resq.verifier import Exhausted, _relational_ops
+from resq.verifier import Exhausted, relational_ops
 
 C2_TEXT = "elements: a b\nleq: a<=b\ncomp: a;a=a a;b=a b;a=a b;b=a\n"
 
@@ -226,6 +225,27 @@ def _discrete_algebra(comp_rows) -> FiniteResiduatedSemigroup:
 _CLOSURE_GENERATORS = (((6, 5, 0),), ((6, 5, 3),), ((3, 6, 5),))
 
 
+def canonical_key(A: FiniteResiduatedSemigroup) -> tuple:
+    """Isomorphism-invariant key: minimal relabeling of all four tables.
+    Dedupes the n = 4 corpus; the library has no isomorphism filter."""
+    n = A.n
+    best = None
+    for perm in itertools.permutations(range(n)):
+        inv = [0] * n
+        for i, p in enumerate(perm):
+            inv[p] = i
+        leq_bits = tuple(
+            1 if A.le(perm[i], perm[j]) else 0 for i in range(n) for j in range(n)
+        )
+        comp_bits = tuple(inv[A.comp[perm[i]][perm[j]]] for i in range(n) for j in range(n))
+        lres_bits = tuple(inv[A.lres[perm[i]][perm[j]]] for i in range(n) for j in range(n))
+        rres_bits = tuple(inv[A.rres[perm[i]][perm[j]]] for i in range(n) for j in range(n))
+        key = (leq_bits, comp_bits, lres_bits, rres_bits)
+        if best is None or key < best:
+            best = key
+    return best
+
+
 def build_n4_corpus(limit: int = N4_CORPUS_SIZE):
     """Distinct (up to isomorphism) 4-element residuated semigroups."""
     out = []
@@ -348,7 +368,7 @@ def check_representation_pairwise(S, I) -> Report:
                     return Check(name, (a, b, x, y))
         return Check(name, None)
 
-    ops = _relational_ops()
+    ops = relational_ops()
     return Report((order_condition(),) + tuple(
         table_condition(name, table, ops[name]) for name, table in S.operations
     ))

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from corpus import C2_TEXT, MALFORMED_MODELS
+from corpus import C2_TEXT, MALFORMED_MODELS, make_c2
 from resq import relrep
 from resq.cli import main
 
@@ -305,6 +305,18 @@ def test_verify_text_dump(runner, tmp_path):
     assert result.exit_code == 0
     assert payload["verification"]["all_pass"] is True
     assert payload["union_transitive"] is True
+
+
+def test_verify_reads_json_elements_in_any_order(runner, tmp_path, c2_file):
+    payload = relrep.interpretation_payload(relrep.represent(make_c2()))
+    verdicts = []
+    for elements in (payload["elements"], payload["elements"][::-1]):
+        rep = tmp_path / "c2.json"
+        rep.write_text(json.dumps(payload | {"elements": elements}))
+        result, verify_payload = run_json(runner, ["verify", c2_file, str(rep)])
+        verdicts.append((result.exit_code, verify_payload))
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][0] == 1
 
 
 def test_verify_rejects_bad_dump(runner, tmp_path):
@@ -678,10 +690,21 @@ def test_text_carries_every_json_field(runner, tmp_path, c2_file, args):
         ({"base": ["q"], "relations": {"x": [], "y" * 50: []}},
          "dump has a relation for 'yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy'... (50 characters), "
          "which the algebra lacks"),
+        ("base: q\nrel x: (" + "1" * 300 + ",0)\n",
+         "pair '(111111111111111111111111111111111111111'... (305 characters) "
+         "outside base of size 1"),
+        # 'elements' must agree with the algebra, not only be present
+        ({"base": ["q"], "elements": ["zzz", 5], "relations": {"x": [[0, 0]]}},
+         "dump field 'elements' must name each element of the algebra once"),
+        ({"base": ["q"], "elements": ["x", "x"], "relations": {"x": [[0, 0]]}},
+         "dump field 'elements' must name each element of the algebra once"),
+        ({"base": ["q"], "elements": "x", "relations": {"x": [[0, 0]]}},
+         "dump field 'elements' must name each element of the algebra once"),
     ],
     ids=["text-empty-base", "json-empty-base", "text-duplicate-label", "json-duplicate-label",
          "json-labels-equal-as-text", "text-unknown-element", "json-unknown-element",
-         "json-long-unknown-element"],
+         "json-long-unknown-element", "text-long-pair", "json-elements-contradict-relations",
+         "json-elements-repeat-a-name", "json-elements-not-a-list"],
 )
 def test_verify_rejects_a_dump_the_algebra_cannot_read(runner, tmp_path, dump, message):
     path = tmp_path / "one.alg"

@@ -7,7 +7,6 @@ from corpus import (
     product_by_definition,
 )
 from resq import algebra, completion
-from resq.algebra import down_masks
 from resq.completion import (
     build_quantale,
     closed_sets,
@@ -16,6 +15,7 @@ from resq.completion import (
     quantale_residuals,
 )
 from resq.errors import QuantaleLawError
+from resq.relations import rel_converse
 
 
 def test_galois_identity_lul_equals_l(corpus_small):
@@ -23,7 +23,7 @@ def test_galois_identity_lul_equals_l(corpus_small):
     # m(l(X)) = l(u(l(X))) = l(X)
     for A in corpus_small[:30]:
         close = closure_map(A)
-        down = down_masks(A.leq)
+        down = rel_converse(A.leq)
         for x in range(1 << A.n):
             lx = (1 << A.n) - 1
             for i in range(A.n):
@@ -39,7 +39,7 @@ def test_m_closure_examples(c2):
 
 def test_lower_cones_are_closed(corpus_small):
     for A in corpus_small:
-        down = down_masks(A.leq)
+        down = rel_converse(A.leq)
         for a in range(A.n):
             assert closure_map(A)(down[a]) == down[a]
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from resq import relations as rel
+from resq.algebra import transitivity
 from resq.errors import DimensionMismatch
 
 
@@ -17,7 +18,7 @@ def test_compose_empty_annihilates():
 
 def test_lres_of_empty_is_full():
     s = rel.relation_from_pairs(2, [(0, 0)])
-    assert rel.rel_lres(rel.empty_relation(2), s) == rel.full_relation(2)
+    assert rel.rel_lres(rel.empty_relation(2), s) == (0b11, 0b11)
 
 
 def test_lres_pointwise_example():
@@ -114,13 +115,13 @@ def test_dimension_mismatch_raises():
 
 
 def test_transitivity():
-    assert rel.is_transitive(rel.relation_from_pairs(3, [(0, 1), (1, 2), (0, 2)]))
-    assert not rel.is_transitive(rel.relation_from_pairs(3, [(0, 1), (1, 2)]))
+    # a relation is order rows, so the transitivity law reads it directly
+    assert transitivity(rel.relation_from_pairs(3, [(0, 1), (1, 2), (0, 2)])) is None
+    assert transitivity(rel.relation_from_pairs(3, [(0, 1), (1, 2)])) == (0, 1, 2)
 
 
 def test_identity_and_pair_round_trip():
-    ident = rel.identity_relation(3)
-    assert rel.relation_pairs(ident) == [(0, 0), (1, 1), (2, 2)]
+    assert rel.relation_pairs((0b001, 0b010, 0b100)) == [(0, 0), (1, 1), (2, 2)]
     pairs = [(0, 2), (1, 0), (2, 2)]
     assert rel.relation_pairs(rel.relation_from_pairs(3, pairs)) == sorted(pairs)
 
@@ -136,6 +137,12 @@ def test_canonical_relations_cover_all_orbits():
     # representatives are minimal encodings, hence ascending and duplicate-free
     codes = [rel.encode_relation(r) for r in reps]
     assert codes == sorted(set(codes))
+
+
+@pytest.mark.parametrize("k, orbits", [(1, 2), (2, 10), (3, 104), (4, 3044)])
+def test_canonical_relations_count_the_orbits(k, orbits):
+    # the number of relations on k unlabeled points (OEIS A000595)
+    assert len(rel.canonical_relations(k)) == orbits
 
 
 def test_permute_relation_relabels_pairs():
@@ -202,8 +209,8 @@ def test_rows_depend_only_on_their_key(data, op, n):
 
 def test_keys_and_packs_reject_other_operations():
     with pytest.raises(ValueError):
-        rel.op_keys(rel.rel_intersection, (0,))
-    for op in (rel.rel_intersection, rel.rel_union):
+        rel.op_keys(rel.rel_subset, (0,))
+    for op in (rel.rel_subset, rel.rel_union):
         with pytest.raises(ValueError):
             rel.op_rows(op, [0], (0,))
 

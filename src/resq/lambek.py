@@ -2,9 +2,11 @@
 
 Formulas are built from atoms with a product and two residuals.  Backward
 proof search terminates because every premise of every rule has strictly
-fewer connectives; sequents are memoized.  Antecedents are kept nonempty
-throughout (also inside the right residual rules), since the semantics is
-residuated semigroups of relations, which have no unit.
+fewer connectives; sequents are memoized, and the search is pruned by the
+count invariant and cut at invertible rules without changing its proofs.
+Antecedents are kept nonempty throughout (also inside the right residual
+rules), since the semantics is residuated semigroups of relations, which
+have no unit.
 
 Products chain without parentheses, so formula depth is bounded only by the
 input length; the recursive procedures raise RecursionError on a formula
@@ -14,12 +16,20 @@ deeper than the interpreter's recursion limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 from . import relations as rel
 from .errors import MissingAtomError, ParseError, quote
 from .relations import Interpretation, Relation
 from .verifier import Exhausted, NodeBudget, first_model, plan_search, relational_ops
+
+try:
+    # the builtin module: importing hashlib would also load OpenSSL, about
+    # 4 MB more resident memory in every CLI process
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without it
+    from hashlib import blake2b
 
 ATOM_RE = re.compile(r"[a-z][a-z0-9]*")
 
@@ -33,29 +43,60 @@ MAX_NESTING = 100
 
 @dataclass(frozen=True)
 class Atom:
+    """An atom; its count is its weight and its hash that of its name."""
+
     name: str
+    count: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # a 64-bit weight of the name that, unlike hash(), is the same in every
+        # process: node counts do not depend on PYTHONHASHSEED
+        weight = blake2b(self.name.encode(), digest_size=8).digest()
+        object.__setattr__(self, "count", int.from_bytes(weight, "big"))
+        object.__setattr__(self, "_hash", hash(self.name))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
-class Prod:
+class _Connective:
+    """A binary formula.  Its hash and its count are computed once, from its
+    children's, so a memo lookup hashes no formula tree.  The count sums the
+    weights of its atom occurrences, each signed by its polarity; both sides
+    of a derivable sequent have the same count (van Benthem's count invariant)."""
+
     left: "Formula"
     right: "Formula"
+    count: int = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
+    # the polarities of the left and the right operand
+    signs = (1, 1)
+
+    def __post_init__(self):
+        sign_left, sign_right = self.signs
+        object.__setattr__(self, "count", sign_left * self.left.count + sign_right * self.right.count)
+        object.__setattr__(self, "_hash", hash((type(self), self.left._hash, self.right._hash)))
+
+    def __hash__(self):
+        return self._hash
 
 
-@dataclass(frozen=True)
-class Under:
+class Prod(_Connective):
+    """left * right: composition."""
+
+
+class Under(_Connective):
     """left \\ right: the largest x with left ; x <= right."""
 
-    left: "Formula"
-    right: "Formula"
+    signs = (-1, 1)
 
 
-@dataclass(frozen=True)
-class Over:
+class Over(_Connective):
     """left / right: the largest x with x ; right <= left."""
 
-    left: "Formula"
-    right: "Formula"
+    signs = (1, -1)
 
 
 Formula = Atom | Prod | Under | Over
@@ -205,7 +246,18 @@ class ProofNode:
 
 
 def prove(s: Sequent, node_budget: int | None = None) -> ProofNode | None:
+    """The first proof of s in the rule order ax, r-under, r-over, r-prod, then
+    the left rules position by position, or None.
+
+    An unbalanced sequent (antecedent count unlike the succedent's) has no
+    proof and costs no node.  Every rule keeps a sequent balanced, so the
+    search meets only balanced sequents, and the split loops try only the parts
+    whose count equals that of the formula the part must derive: the branches
+    skipped are ones that fail, so the proof returned is the same.
+    """
     budget = NodeBudget(node_budget, default=DEFAULT_PROVER_BUDGET)
+    if sum(f.count for f in s.antecedent) != s.succedent.count:
+        return None
     memo: dict[tuple, ProofNode | None] = {}
     return _prove(s.antecedent, s.succedent, memo, budget)
 
@@ -223,65 +275,63 @@ def _prove(ant, succ, memo, budget) -> ProofNode | None:
     if key in memo:
         return memo[key]
     budget.spend()
-    result = None
-
     if len(ant) == 1 and ant[0] == succ:
         result = _node("ax", ant, succ)
-
-    if result is None and isinstance(succ, Under):
+    # r-under and r-over are invertible: their premise decides the sequent
+    elif isinstance(succ, Under):
         sub = _prove((succ.left, *ant), succ.right, memo, budget)
-        if sub is not None:
-            result = _node("r-under", ant, succ, sub)
-
-    if result is None and isinstance(succ, Over):
+        result = None if sub is None else _node("r-under", ant, succ, sub)
+    elif isinstance(succ, Over):
         sub = _prove((*ant, succ.right), succ.left, memo, budget)
-        if sub is not None:
-            result = _node("r-over", ant, succ, sub)
+        result = None if sub is None else _node("r-over", ant, succ, sub)
+    else:
+        result = _prove_split(ant, succ, memo, budget)
+    memo[key] = result
+    return result
 
-    if result is None and isinstance(succ, Prod):
+
+def _prove_split(ant, succ, memo, budget) -> ProofNode | None:
+    """r-prod, then the left rules; prefix[i] is the count of ant[:i]."""
+    prefix = list(accumulate((f.count for f in ant), initial=0))
+    if isinstance(succ, Prod):
         for i in range(1, len(ant)):
+            if prefix[i] != succ.left.count:
+                continue
             left = _prove(ant[:i], succ.left, memo, budget)
             if left is None:
                 continue
             right = _prove(ant[i:], succ.right, memo, budget)
             if right is not None:
-                result = _node("r-prod", ant, succ, left, right)
-                break
+                return _node("r-prod", ant, succ, left, right)
 
-    if result is None:
-        for i, f in enumerate(ant):
-            if isinstance(f, Prod):
-                sub = _prove(ant[:i] + (f.left, f.right) + ant[i + 1:], succ, memo, budget)
-                if sub is not None:
-                    result = _node("l-prod", ant, succ, sub)
-                    break
-            elif isinstance(f, Under):
-                # Delta, Gamma, f, Theta with Gamma = ant[j:i] nonempty
-                for j in range(i):
-                    arg = _prove(ant[j:i], f.left, memo, budget)
-                    if arg is None:
-                        continue
-                    body = _prove(ant[:j] + (f.right,) + ant[i + 1:], succ, memo, budget)
-                    if body is not None:
-                        result = _node("l-under", ant, succ, arg, body)
-                        break
-                if result is not None:
-                    break
-            elif isinstance(f, Over):
-                # Delta, f, Gamma, Theta with Gamma = ant[i+1:j] nonempty
-                for j in range(i + 2, len(ant) + 1):
-                    arg = _prove(ant[i + 1: j], f.right, memo, budget)
-                    if arg is None:
-                        continue
-                    body = _prove(ant[:i] + (f.left,) + ant[j:], succ, memo, budget)
-                    if body is not None:
-                        result = _node("l-over", ant, succ, arg, body)
-                        break
-                if result is not None:
-                    break
-
-    memo[key] = result
-    return result
+    for i, f in enumerate(ant):
+        if isinstance(f, Prod):
+            # l-prod is invertible: its premise decides the sequent
+            sub = _prove(ant[:i] + (f.left, f.right) + ant[i + 1:], succ, memo, budget)
+            return None if sub is None else _node("l-prod", ant, succ, sub)
+        if isinstance(f, Under):
+            # Delta, Gamma, f, Theta with Gamma = ant[j:i] nonempty
+            for j in range(i):
+                if prefix[i] - prefix[j] != f.left.count:
+                    continue
+                arg = _prove(ant[j:i], f.left, memo, budget)
+                if arg is None:
+                    continue
+                body = _prove(ant[:j] + (f.right,) + ant[i + 1:], succ, memo, budget)
+                if body is not None:
+                    return _node("l-under", ant, succ, arg, body)
+        elif isinstance(f, Over):
+            # Delta, f, Gamma, Theta with Gamma = ant[i+1:j] nonempty
+            for j in range(i + 2, len(ant) + 1):
+                if prefix[j] - prefix[i + 1] != f.right.count:
+                    continue
+                arg = _prove(ant[i + 1: j], f.right, memo, budget)
+                if arg is None:
+                    continue
+                body = _prove(ant[:i] + (f.left,) + ant[j:], succ, memo, budget)
+                if body is not None:
+                    return _node("l-over", ant, succ, arg, body)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -339,29 +389,30 @@ def countermodel_search(s: Sequent, max_base: int = 3, node_budget: int | None =
     The search engine branches on the atoms in sorted order, the first one
     over orbit representatives only; each distinct subformula (the antecedent
     is its left-nested product) is forced, and the goal is a failing inclusion.
-    Unknowns are interned by (connective, left, right): no deep formula is hashed.
+    Unknowns are keyed by the formula node, whose hash is cached, and a node
+    is looked up before its operands are visited: the fold of a long
+    antecedent recurses no deeper than its formulas.
     """
     budget = NodeBudget(node_budget, default=DEFAULT_COUNTER_BUDGET)
     atoms = sequent_atoms(s)
     ops = relational_ops()
-    unknown: dict = {name: i for i, name in enumerate(atoms)}
+    unknown: dict[Formula, int] = {Atom(name): i for i, name in enumerate(atoms)}
     equations = []
 
-    def intern(kind, a: int, b: int) -> int:
-        if (kind, a, b) not in unknown:
-            unknown[kind, a, b] = len(unknown)
-            equations.append((ops[CONNECTIVE_OPERATION[kind]], a, b, unknown[kind, a, b]))
-        return unknown[kind, a, b]
-
     def index(f: Formula) -> int:
-        if isinstance(f, Atom):
-            return unknown[f.name]
-        return intern(type(f), index(f.left), index(f.right))
+        i = unknown.get(f)
+        if i is None:
+            a, b = index(f.left), index(f.right)
+            i = unknown[f] = len(unknown)
+            equations.append((ops[CONNECTIVE_OPERATION[type(f)]], a, b, i))
+        return i
 
-    product = index(s.antecedent[0])
+    product = s.antecedent[0]
+    index(product)
     for f in s.antecedent[1:]:
-        product = intern(Prod, product, index(f))
-    goal = (product, index(s.succedent), False)
+        product = Prod(product, f)
+        index(product)
+    goal = (index(product), index(s.succedent), False)
     model = first_model(plan_search(len(unknown), equations, [goal]), atoms, max_base, budget)
     if model is None:
         return Exhausted(max_base)

@@ -344,6 +344,46 @@ def naive_countermodel(s: lambek.Sequent, max_base: int):
     return Exhausted(max_base)
 
 
+def _rule_premises(rule: str, ant: tuple, succ) -> list[list[tuple]]:
+    """Every premise list, as (antecedent, succedent) pairs, from which the
+    Lambek rule derives ant |- succ; empty when the rule cannot conclude it."""
+    if rule == "ax":
+        return [[]] if ant == (succ,) else []
+    if rule == "r-under":
+        return [[((succ.left,) + ant, succ.right)]] if isinstance(succ, lambek.Under) else []
+    if rule == "r-over":
+        return [[(ant + (succ.right,), succ.left)]] if isinstance(succ, lambek.Over) else []
+    if rule == "r-prod":
+        if not isinstance(succ, lambek.Prod):
+            return []
+        return [[(ant[:i], succ.left), (ant[i:], succ.right)] for i in range(1, len(ant))]
+    options = []
+    for i, f in enumerate(ant):
+        if rule == "l-prod" and isinstance(f, lambek.Prod):
+            options.append([(ant[:i] + (f.left, f.right) + ant[i + 1:], succ)])
+        elif rule == "l-under" and isinstance(f, lambek.Under):
+            for j in range(i):
+                options.append([(ant[j:i], f.left), (ant[:j] + (f.right,) + ant[i + 1:], succ)])
+        elif rule == "l-over" and isinstance(f, lambek.Over):
+            for j in range(i + 2, len(ant) + 1):
+                options.append([(ant[i + 1:j], f.right), (ant[:i] + (f.left,) + ant[j:], succ)])
+    return options
+
+
+def invalid_proof_step(proof: lambek.ProofNode) -> lambek.ProofNode | None:
+    """The first node, in preorder, whose sequent does not follow by its rule
+    from its premises' sequents, or None if every step is a rule instance.
+    Re-checks lambek.prove's trees from the calculus alone."""
+    stack = [proof]
+    while stack:
+        node = stack.pop()
+        given = [(p.sequent.antecedent, p.sequent.succedent) for p in node.premises]
+        if given not in _rule_premises(node.rule, node.sequent.antecedent, node.sequent.succedent):
+            return node
+        stack.extend(reversed(node.premises))
+    return None
+
+
 def check_representation_pairwise(S, I) -> Report:
     """The four-condition check with one kernel call per ordered pair of
     elements, scanning pairs in lexicographic order.  Oracle for

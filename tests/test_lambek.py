@@ -1,7 +1,10 @@
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import lambek_model, naive_countermodel
+from corpus import invalid_proof_step, lambek_model, naive_countermodel
 from resq import lambek
 from resq import relations as rel
 from resq.errors import ParseError, ResourceLimitError
@@ -54,13 +57,13 @@ def atoms(names=("p", "q", "r")):
     return st.sampled_from(names).map(Atom)
 
 
-def formulas(names=("p", "q", "r")):
+def formulas(names=("p", "q", "r"), max_leaves=4):
     return st.recursive(
         atoms(names),
         lambda sub: st.tuples(st.sampled_from([Prod, Under, Over]), sub, sub).map(
             lambda t: t[0](t[1], t[2])
         ),
-        max_leaves=4,
+        max_leaves=max_leaves,
     )
 
 
@@ -69,6 +72,53 @@ def sequents(names=("p", "q", "r")):
     return st.tuples(st.lists(formulas(names), min_size=1, max_size=3), formulas(names)).map(
         lambda t: Sequent(tuple(t[0]), t[1])
     )
+
+
+# formulas of the same count as f, built from f and an atom y: the first five
+# are derivable from f, the last three in general are not
+SAME_COUNT = (
+    lambda f, y: f,
+    lambda f, y: Over(Prod(f, y), y),
+    lambda f, y: Under(y, Prod(y, f)),
+    lambda f, y: Over(y, Under(f, y)),
+    lambda f, y: Under(Over(y, f), y),
+    lambda f, y: Over(Prod(y, f), y),
+    lambda f, y: Prod(Over(f, y), y),
+    lambda f, y: Prod(y, Under(y, f)),
+)
+
+
+@st.composite
+def balanced_sequents(draw, names=("p", "q", "r")):
+    """Count-balanced sequents with one to five antecedent formulas of at most
+    two atoms: the succedent is a product, in any bracketing, of the
+    antecedent formulas in any order, each rewritten by SAME_COUNT."""
+    antecedent = draw(st.lists(formulas(names, max_leaves=2), min_size=1, max_size=5))
+    parts = [draw(st.sampled_from(SAME_COUNT))(f, draw(atoms(names)))
+             for f in draw(st.permutations(antecedent))]
+    while len(parts) > 1:
+        i = draw(st.integers(0, len(parts) - 2))
+        parts[i:i + 2] = [Prod(parts[i], parts[i + 1])]
+    return Sequent(tuple(antecedent), parts[0])
+
+
+def atom_counts(f, sign=1, counts=None) -> Counter:
+    """Each atom's occurrences in f, counted +1 or -1 by polarity."""
+    counts = Counter() if counts is None else counts
+    if isinstance(f, Atom):
+        counts[f.name] += sign
+    else:
+        sign_left, sign_right = {Prod: (1, 1), Under: (-1, 1), Over: (1, -1)}[type(f)]
+        atom_counts(f.left, sign * sign_left, counts)
+        atom_counts(f.right, sign * sign_right, counts)
+    return counts
+
+
+def balanced(s) -> bool:
+    counts = Counter()
+    for f in s.antecedent:
+        atom_counts(f, 1, counts)
+    return counts == atom_counts(s.succedent)
 
 
 def small_models(base=2, n_atoms=2):
@@ -200,6 +250,68 @@ def test_prover_matches_naive_reference_on_suite():
 @settings(max_examples=60, deadline=None)
 def test_prover_matches_naive_reference_random(s):
     assert derivable(s) == naive_derivable(s.antecedent, s.succedent)
+
+
+@given(balanced_sequents())
+@settings(max_examples=150, deadline=None)
+def test_prover_matches_naive_reference_on_balanced_sequents(s):
+    # the unbalanced sequents of sequents() stop at the count filter; these
+    # reach the split loops and the invertible-rule cuts
+    assert balanced(s)
+    proof = prove(s)
+    assert (proof is not None) == naive_derivable(s.antecedent, s.succedent)
+    if proof is not None:
+        assert proof.sequent == s
+        assert invalid_proof_step(proof) is None
+
+
+@given(sequents())
+@settings(max_examples=100, deadline=None)
+def test_derivable_sequents_balance_every_atom(s):
+    # van Benthem's count invariant, and the filter built on it: a sequent
+    # whose weighted counts differ has some atom whose exact counts differ
+    if naive_derivable(s.antecedent, s.succedent):
+        assert balanced(s)
+    if sum(f.count for f in s.antecedent) != s.succedent.count:
+        assert not balanced(s)
+
+
+def test_proof_trees_of_derivable_suite_check_rule_by_rule():
+    for text in DERIVABLE + [DIVISIONS_6]:
+        s = parse_sequent(text)
+        proof = prove(s)
+        assert proof.sequent == s and invalid_proof_step(proof) is None, text
+
+
+def test_proof_checker_rejects_a_tampered_step():
+    proof = prove(parse_sequent("p, p\\q |- q"))
+    assert proof.rule == "l-under" and invalid_proof_step(proof) is None
+    relabelled = replace(proof, rule="l-over")
+    assert invalid_proof_step(relabelled) is relabelled
+    arg, body = proof.premises
+    swapped = replace(proof, premises=(body, arg))
+    assert invalid_proof_step(swapped) is swapped
+    # the premises keep their sequents, so the step found is the premise's
+    bad_rule = replace(body, rule="r-prod")
+    assert invalid_proof_step(replace(proof, premises=(arg, bad_rule))) is bad_rule
+    bad_axiom = replace(arg, sequent=parse_sequent("p |- q"))
+    assert invalid_proof_step(bad_axiom) is bad_axiom
+
+
+# the Lambek chain of ROADMAP, unbalanced at every k, and a composition of
+# divisions, derivable by k-1 l-over steps and r-over
+CHAIN_8 = ", ".join(f"(a{i}/a{i + 1})*a{i + 1}" for i in range(8)) + " |- a8*a0"
+DIVISIONS_6 = ", ".join(f"a{i}/a{i + 1}" for i in range(6)) + " |- a0/a6"
+
+
+@pytest.mark.parametrize("text, verdict, nodes", [(CHAIN_8, False, 0), (DIVISIONS_6, True, 14)])
+def test_prover_node_spending_is_frozen(text, verdict, nodes):
+    # one node per distinct sequent searched; the unbalanced chain costs none
+    s = parse_sequent(text)
+    assert derivable(s, node_budget=nodes) is verdict
+    if nodes:
+        with pytest.raises(ResourceLimitError):
+            derivable(s, node_budget=nodes - 1)
 
 
 @given(sequents())

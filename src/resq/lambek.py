@@ -9,8 +9,11 @@ rules), since the semantics is residuated semigroups of relations, which
 have no unit.
 
 Products chain without parentheses, so formula depth is bounded only by the
-input length; the recursive procedures raise RecursionError on a formula
-deeper than the interpreter's recursion limit.
+input length.  Equality, printing, atom collection, evaluation and the
+countermodel search walk the left spine of a formula in a loop and recurse
+only into right operands and residuals; the prover still recurses once per
+rule, and raises RecursionError on a sequent whose proof search goes deeper
+than the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -82,6 +85,17 @@ class _Connective:
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        # along the left spine in a loop: a long product is a deep left spine
+        f, g = self, other
+        while isinstance(f, _Connective):
+            if f is g:
+                return True
+            if type(f) is not type(g) or f._hash != g._hash or f.right != g.right:
+                return False
+            f, g = f.left, g.left
+        return f == g
+
 
 class Prod(_Connective):
     """left * right: composition."""
@@ -116,9 +130,12 @@ class Sequent:
 
 
 def atoms_of(f: Formula) -> set[str]:
-    if isinstance(f, Atom):
-        return {f.name}
-    return atoms_of(f.left) | atoms_of(f.right)
+    names: set[str] = set()
+    while not isinstance(f, Atom):
+        names |= atoms_of(f.right)
+        f = f.left
+    names.add(f.name)
+    return names
 
 
 def sequent_atoms(s: Sequent) -> tuple[str, ...]:
@@ -213,20 +230,28 @@ def parse_sequent(text: str) -> Sequent:
 
 
 def format_formula(f: Formula) -> str:
-    def fmt(g: Formula, left_of_product: bool) -> str:
-        if isinstance(g, Atom):
-            return g.name
-        if isinstance(g, Prod):
-            text = f"{fmt(g.left, True)}*{fmt(g.right, False)}"
-            return text if left_of_product else f"({text})"
-        op = "\\" if isinstance(g, Under) else "/"
-        return f"({fmt(g.left, False)}{op}{fmt(g.right, False)})"
+    """The formula with products left-associated and unbracketed; a product
+    or a residual inside another formula is bracketed, except a product on
+    the left of a product."""
 
-    if isinstance(f, Prod):
-        return f"{fmt(f.left, True)}*{fmt(f.right, False)}"
-    if isinstance(f, (Under, Over)):
-        op = "\\" if isinstance(f, Under) else "/"
-        return f"{fmt(f.left, False)}{op}{fmt(f.right, False)}"
+    def fmt(g: Formula, top: bool) -> str:
+        factors = []  # the right operands along the left spine, outermost first
+        while isinstance(g, Prod):
+            factors.append(g.right)
+            g = g.left
+        if isinstance(g, Atom):
+            text = g.name
+        else:
+            op = "\\" if isinstance(g, Under) else "/"
+            text = f"{fmt(g.left, False)}{op}{fmt(g.right, False)}"
+            if factors or not top:
+                text = f"({text})"
+        if factors:
+            text += "".join("*" + fmt(h, False) for h in reversed(factors))
+            if not top:
+                text = f"({text})"
+        return text
+
     return fmt(f, True)
 
 
@@ -366,11 +391,19 @@ def formula_value(f: Formula, M: Interpretation) -> Relation:
     ops = relational_ops()
 
     def value(g: Formula) -> Relation:
+        factors = []  # the right operands along the left spine, outermost first
+        while isinstance(g, Prod):
+            factors.append(g.right)
+            g = g.left
         if isinstance(g, Atom):
             if g.name not in values:
                 raise MissingAtomError(f"model does not interpret atom {quote(g.name)}")
-            return values[g.name]
-        return ops[CONNECTIVE_OPERATION[type(g)]](value(g.left), value(g.right))
+            out = values[g.name]
+        else:
+            out = ops[CONNECTIVE_OPERATION[type(g)]](value(g.left), value(g.right))
+        for h in reversed(factors):
+            out = ops["composition"](out, value(h))
+        return out
 
     return value(f)
 
@@ -389,22 +422,26 @@ def countermodel_search(s: Sequent, max_base: int = 3, node_budget: int | None =
     The search engine branches on the atoms in sorted order, the first one
     over orbit representatives only; each distinct subformula (the antecedent
     is its left-nested product) is forced, and the goal is a failing inclusion.
-    Unknowns are keyed by the formula node, whose hash is cached, and a node
-    is looked up before its operands are visited: the fold of a long
-    antecedent recurses no deeper than its formulas.
+    Unknowns are keyed by the formula node, whose hash is cached, and numbered
+    in post-order, left operand first; a node is looked up before its
+    operands are visited, and the left spine below it is walked in a loop, so
+    neither a long antecedent nor a long product recurses.
     """
     budget = NodeBudget(node_budget, default=DEFAULT_COUNTER_BUDGET)
     atoms = sequent_atoms(s)
-    ops = relational_ops()
     unknown: dict[Formula, int] = {Atom(name): i for i, name in enumerate(atoms)}
     equations = []
 
     def index(f: Formula) -> int:
-        i = unknown.get(f)
-        if i is None:
-            a, b = index(f.left), index(f.right)
-            i = unknown[f] = len(unknown)
-            equations.append((ops[CONNECTIVE_OPERATION[type(f)]], a, b, i))
+        spine = []  # the unnumbered nodes down the left spine, outermost first
+        while f not in unknown:
+            spine.append(f)
+            f = f.left
+        i = unknown[f]
+        for g in reversed(spine):
+            b = index(g.right)
+            equations.append((CONNECTIVE_OPERATION[type(g)], i, b, len(unknown)))
+            i = unknown[g] = len(unknown)
         return i
 
     product = s.antecedent[0]

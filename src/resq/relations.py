@@ -255,53 +255,183 @@ def inclusion_order(family) -> tuple[int, ...]:
     return tuple(out)
 
 
-def permute_relation(r: Relation, perm: tuple[int, ...]) -> Relation:
-    """Relabel base points: pair (i, j) of the result iff (perm[i], perm[j]) in r."""
-    n = len(r)
-    out = []
-    for i in range(n):
-        src = r[perm[i]]
-        row = 0
-        for j in range(n):
-            if src >> perm[j] & 1:
-                row |= 1 << j
-        out.append(row)
-    return tuple(out)
-
-
-def encode_relation(r: Relation) -> int:
-    n = len(r)
-    acc = 0
-    for i, row in enumerate(r):
-        acc |= row << (i * n)
-    return acc
-
-
 def decode_relation(code: int, n: int) -> Relation:
+    """The relation whose pair (i, j) is bit i * n + j of code."""
     mask = (1 << n) - 1
     return tuple(code >> (i * n) & mask for i in range(n))
 
 
-def all_relations(n: int):
-    """All relations over a base of n points, ascending by encoding."""
-    for code in range(1 << (n * n)):
-        yield decode_relation(code, n)
+# ---------------------------------------------------------------------------
+# bit-sliced relations
+#
+# The relations over a base of k points, ascending by encoding, are cut into
+# blocks of at most 2**BLOCK_BITS lanes: lane j of block b stands for the
+# relation with encoding b * lanes + j.  A sliced relation is a tuple of k * k
+# ints, one per pair (i, j) at position i * k + j, whose bit j is set iff
+# lane j holds a relation containing that pair.  A relation that is the same
+# in every lane has the slices 0 and full (every lane).  The operations below
+# act on all lanes of a block at once: each pair of the result is a few ANDs,
+# ORs and XORs of operand slices, and each mask has bit j set iff the
+# relation of lane j passes the test.
+
+BLOCK_BITS = 16
+
+
+def lane_bits(k: int) -> int:
+    """log2 of the number of lanes of a block over a base of k points."""
+    return min(k * k, BLOCK_BITS)
+
+
+def block_count(k: int) -> int:
+    """The number of blocks that hold the 2**(k*k) relations over k points."""
+    return 1 << max(k * k - BLOCK_BITS, 0)
+
+
+def full_mask(k: int) -> int:
+    """The mask of every lane of a block over k points."""
+    return (1 << (1 << lane_bits(k))) - 1
 
 
 @lru_cache(maxsize=None)
+def _low_slices(width: int) -> tuple[int, ...]:
+    """Slice p < width of a block of 2**width lanes: the lanes j with bit p
+    set, runs of 2**p clear lanes then 2**p set ones, in closed form."""
+    full = (1 << (1 << width)) - 1
+    out = []
+    for p in range(width):
+        run = 1 << p
+        out.append(full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
+    return tuple(out)
+
+
+def block_slices(k: int, block: int) -> tuple[int, ...]:
+    """The sliced relation whose lane j is the relation with encoding
+    block * lanes + j: positions past the lane bits are constant over the
+    block, read off the block number."""
+    width = lane_bits(k)
+    full = full_mask(k)
+    return _low_slices(width) + tuple(
+        full if block >> (p - width) & 1 else 0 for p in range(width, k * k))
+
+
+def constant_slices(r: Relation, full: int) -> tuple[int, ...]:
+    """The sliced relation that is r in every lane of full."""
+    n = len(r)
+    return tuple(full if row >> y & 1 else 0 for row in r for y in range(n))
+
+
+def set_lanes(mask: int):
+    """The lanes of mask, ascending."""
+    bits = bin(mask)[:1:-1]
+    lane = bits.find("1")
+    while lane >= 0:
+        yield lane
+        lane = bits.find("1", lane + 1)
+
+
+def sliced_compose(k: int, full: int, r, s) -> tuple[int, ...]:
+    """r;s lane by lane: pair (x, z) is the OR over y of r(x, y) AND s(y, z)."""
+    out = []
+    for x in range(0, k * k, k):
+        row = r[x:x + k]
+        for z in range(k):
+            acc = 0
+            for y, a in enumerate(row):
+                if a:
+                    acc |= a & s[y * k + z]
+            out.append(acc)
+    return tuple(out)
+
+
+def sliced_lres(k: int, full: int, r, s) -> tuple[int, ...]:
+    """r\\s lane by lane: pair (x, y) fails where some z has r(z, x) and not s(z, y)."""
+    out = []
+    for x in range(k):
+        column = r[x::k]
+        for y in range(k):
+            bad = 0
+            for z, a in enumerate(column):
+                if a:
+                    bad |= a & ~s[z * k + y]
+            out.append(full ^ bad)
+    return tuple(out)
+
+
+def sliced_rres(k: int, full: int, r, s) -> tuple[int, ...]:
+    """r/s lane by lane: pair (x, y) fails where some z has s(y, z) and not r(x, z)."""
+    out = []
+    for x in range(0, k * k, k):
+        row = r[x:x + k]
+        for y in range(0, k * k, k):
+            bad = 0
+            for b, a in zip(s[y:y + k], row):
+                if b:
+                    bad |= b & ~a
+            out.append(full ^ bad)
+    return tuple(out)
+
+
+def sliced_union(k: int, full: int, r, s) -> tuple[int, ...]:
+    """r | s lane by lane."""
+    return tuple(a | b for a, b in zip(r, s))
+
+
+def subset_mask(full: int, r, s) -> int:
+    """The lanes whose r is inside their s."""
+    bad = 0
+    for a, b in zip(r, s):
+        if a:
+            bad |= a & ~b
+    return full ^ bad
+
+
+def equal_mask(full: int, r, s) -> int:
+    """The lanes whose r equals their s."""
+    bad = 0
+    for a, b in zip(r, s):
+        bad |= a ^ b
+    return full ^ bad
+
+
+@lru_cache(maxsize=1024)
+def leader_mask(k: int, block: int) -> int:
+    """The lanes of the block whose relation is the lex-leader of its orbit
+    under base-point permutations: its encoding is at most that of every
+    relabeling.  Relabeling by perm moves pair (perm[i], perm[j]) to (i, j), so
+    the relabeled encoding's bit q is the slice at src[q]; the encodings are
+    compared from the top bit down, a sliced lexicographic comparison."""
+    slices = block_slices(k, block)
+    keep = full_mask(k)
+    positions = range(k * k - 1, -1, -1)
+    for perm in itertools.permutations(range(k)):
+        src = [perm[i] * k + perm[j] for i in range(k) for j in range(k)]
+        less, same = 0, keep
+        for q in positions:
+            p = src[q]
+            if p == q:
+                continue
+            a, b = slices[q], slices[p]
+            less |= same & b & ~a
+            same &= ~(a ^ b)
+            if not same:
+                break
+        keep = less | same
+        if not keep:
+            break
+    return keep
+
+
 def canonical_relations(n: int) -> tuple[Relation, ...]:
     """Orbit representatives of relations under base-point permutations.
 
-    A relation is kept iff its encoding is minimal in its orbit, so the result
-    is ascending by encoding and any relation can be permuted onto a member.
+    A relation is kept iff its encoding is minimal in its orbit (the
+    lex-leader lanes of every block), so the result is ascending by encoding
+    and any relation can be permuted onto a member.
     """
-    perms = list(itertools.permutations(range(n)))
-    reps = []
-    for code in range(1 << (n * n)):
-        r = decode_relation(code, n)
-        if all(encode_relation(permute_relation(r, p)) >= code for p in perms):
-            reps.append(r)
-    return tuple(reps)
+    lanes = 1 << lane_bits(n)
+    return tuple(decode_relation(block * lanes + lane, n)
+                 for block in range(block_count(n))
+                 for lane in set_lanes(leader_mask(n, block)))
 
 
 @dataclass(frozen=True)

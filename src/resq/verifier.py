@@ -5,13 +5,15 @@ A structure lists its signature as (condition name, index table) pairs in its
 a residual, union).  The checker evaluates order faithfulness plus one
 condition per listed operation against the explicit relational operation,
 reporting the lexicographically first witness per failed condition.  The
-search enumerates relation assignments over growing bases with constraint
-propagation and base-point symmetry breaking, and re-verifies anything it
-returns.
+search assigns relations over growing bases with constraint propagation and
+base-point symmetry breaking, sweeping each branch's candidates a block at a
+time in bit-sliced form (relations.block_slices), and re-verifies anything
+it returns.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass
 
@@ -164,8 +166,7 @@ def search_representation(
     if budget is None:
         budget = NodeBudget(node_budget)
     n = len(struct.names)
-    ops = relational_ops()
-    equations = [(ops[name], a, b, table[a][b])
+    equations = [(name, a, b, table[a][b])
                  for name, table in struct.operations for a in range(n) for b in range(n)]
     inclusions = [(a, b, struct.le(a, b)) for a in range(n) for b in range(n)]
     plan = plan_search(n, equations, inclusions)
@@ -180,28 +181,46 @@ def search_representation(
 def plan_search(n: int, equations, inclusions) -> tuple:
     """The steps in which a search over n unknown relations assigns them.
 
-    An equation (op, a, b, c) demands op(R[a], R[b]) == R[c]; an inclusion
-    (a, b, holds) demands (R[a] <= R[b]) == holds.  Whether an equation forces
-    its c depends only on which unknowns are assigned, not on their values,
-    so the order is fixed in advance: each step assigns the lowest unknown
-    forced from assigned operands, else branches on the lowest unassigned.
-    A step is (unknown, (op, a, b) or None when it branches, the equations
-    and the inclusions it completes); the forcing equation is not listed.
+    An equation (op, a, b, c) demands op(R[a], R[b]) == R[c], with op the
+    name of a relational operation (relational_ops); an inclusion (a, b,
+    holds) demands (R[a] <= R[b]) == holds.  Whether an equation forces its c
+    depends only on which unknowns are assigned, not on their values, so the
+    order is fixed in advance: each step assigns the lowest unknown forced
+    from assigned operands, else branches on the lowest unassigned.  A step
+    is (unknown, (op, a, b) or None when it branches, the equations and the
+    inclusions it completes); the forcing equation is not listed.
     """
     assigned = [False] * n
+    # the positions of the equations and of the inclusions naming each unknown
+    equations_of = [[] for _ in range(n)]
+    inclusions_of = [[] for _ in range(n)]
+    for index, e in enumerate(equations):
+        for u in set(e[1:]):
+            equations_of[u].append(index)
+    for index, i in enumerate(inclusions):
+        for u in set(i[:2]):
+            inclusions_of[u].append(index)
+    forceable = []  # heap of (c, position) of equations whose operands are assigned
     steps = []
     for _ in range(n):
-        forced = min((e for e in equations if assigned[e[1]] and assigned[e[2]]
-                      and not assigned[e[3]]), key=lambda e: e[3], default=None)
+        while forceable and assigned[forceable[0][0]]:
+            heapq.heappop(forceable)
+        forced = equations[forceable[0][1]] if forceable else None
         c = assigned.index(False) if forced is None else forced[3]
         assigned[c] = True
-
-        def completed(*unknowns) -> bool:
-            return c in unknowns and all(assigned[u] for u in unknowns)
-
+        completed = []  # ascending, as equations_of[c] is
+        for index in equations_of[c]:
+            _, a, b, d = equations[index]
+            if assigned[a] and assigned[b]:
+                if assigned[d]:
+                    completed.append(index)
+                else:
+                    heapq.heappush(forceable, (d, index))
         steps.append((c, None if forced is None else forced[:3],
-                      tuple(e for e in equations if e != forced and completed(*e[1:])),
-                      tuple(i for i in inclusions if completed(*i[:2]))))
+                      tuple(equations[index] for index in completed
+                            if equations[index] != forced),
+                      tuple(inclusions[index] for index in inclusions_of[c]
+                            if assigned[inclusions[index][0]] and assigned[inclusions[index][1]])))
     return tuple(steps)
 
 
@@ -220,58 +239,131 @@ def first_model(plan: tuple, names, max_base: int, budget: NodeBudget) -> Interp
     return None
 
 
+def sliced_ops() -> dict:
+    """The sliced form (relations.sliced_*) of each operation of
+    relational_ops, looked up on the relations module per call."""
+    return {
+        "composition": rel.sliced_compose,
+        "left-residual": rel.sliced_lres,
+        "right-residual": rel.sliced_rres,
+        "join": rel.sliced_union,
+    }
+
+
 def run_plan(plan: tuple, k: int, budget: NodeBudget):
     """The first assignment over a base of size k meeting every constraint of
-    the plan, or None.  Branched unknowns take relations in ascending
-    encoding, the first one only the base-permutation orbit representatives
-    of relations.canonical_relations: every assignment permutes onto one
-    whose first branched value is a representative, and permuting the base
-    keeps every constraint.  One budget node is spent per step entered and
-    one per branched candidate; open branches keep their candidate iterators
-    on a list, not the stack.
+    the plan, or None.
+
+    Branched unknowns take relations in ascending encoding, the first one
+    only the base-permutation orbit representatives (relations.leader_mask):
+    every assignment permutes onto one whose first branched value is a
+    representative, and permuting the base keeps every constraint.
+
+    A branch is swept a block of candidates at a time (relations.block_slices):
+    its value is the sliced relation of the block, the forced steps up to the
+    next branch are evaluated with the sliced operations, and each step's
+    checks become a mask of the lanes that pass them.  The surviving lanes,
+    those passing every step up to the next branch, are taken in ascending
+    order.  Each survivor is decoded, its forced values are recomputed with
+    the relational kernels and every check of its steps is re-run with them;
+    a disagreement with the masks raises AssertionError.
+
+    The nodes are those of trying one candidate at a time: one per candidate,
+    one per forced step entered and one for the end or the next branch
+    entered.  They are counted as popcounts of the masks over the lanes up to
+    each survivor, and spent before that survivor is taken, so no lane past
+    it is charged; a budget that runs out raises after at most one block of
+    work past its limit.  Open sweeps are generators kept on a list, not the
+    stack.
     """
-    subset = rel.rel_subset
-    every = list(rel.all_relations(k))
-    first = rel.canonical_relations(k)
+    if not plan:
+        budget.spend()
+        return ()
+    ops = relational_ops()
+    sliced = sliced_ops()
+    subset_mask, equal_mask = rel.subset_mask, rel.equal_mask
     values: list[Relation | None] = [None] * len(plan)
+    # the step of the next branch (or the end) after each step
+    following = [len(plan)] * len(plan)
+    for i in range(len(plan) - 2, -1, -1):
+        following[i] = i + 1 if plan[i + 1][1] is None else following[i + 1]
+    lanes = 1 << rel.lane_bits(k)
+    full = rel.full_mask(k)
 
     def holds(equations, inclusions) -> bool:
         for a, b, expected in inclusions:
-            if subset(values[a], values[b]) != expected:
+            if rel.rel_subset(values[a], values[b]) != expected:
                 return False
         for op, a, b, c in equations:
-            if op(values[a], values[b]) != values[c]:
+            if ops[op](values[a], values[b]) != values[c]:
                 return False
         return True
 
-    branches = []  # (step, untried candidates), innermost last; empty only before the first
-    i = 0
-    while True:
-        budget.spend()
-        if i == len(plan):
+    def sweep(j: int):
+        """Take each surviving candidate of branch step j in turn: assign the
+        steps up to the next branch and yield the step of that branch."""
+        end = following[j]
+        steps = plan[j:end]
+        constant: dict[int, tuple] = {}  # slices of the values set before step j
+
+        def operand(u: int, block_values: dict):
+            got = block_values.get(u)
+            if got is None:
+                got = constant.get(u)
+                if got is None:
+                    got = constant[u] = rel.constant_slices(values[u], full)
+            return got
+
+        for block in range(rel.block_count(k)):
+            mask = rel.leader_mask(k, block) if j == 0 else full
+            if not mask:
+                continue
+            block_values = {plan[j][0]: rel.block_slices(k, block)}
+            # masks[0] holds the candidates, masks[t] those that enter step
+            # j + t: the end or the next branch when j + t == end
+            masks = [mask]
+            for c, forced, equations, inclusions in steps:
+                if mask and forced is not None:
+                    op, a, b = forced
+                    block_values[c] = sliced[op](k, full, operand(a, block_values),
+                                                 operand(b, block_values))
+                for a, b, expected in inclusions:
+                    if not mask:
+                        break
+                    inside = subset_mask(full, operand(a, block_values), operand(b, block_values))
+                    mask &= inside if expected else full ^ inside
+                for op, a, b, c in equations:
+                    if not mask:
+                        break
+                    got = sliced[op](k, full, operand(a, block_values), operand(b, block_values))
+                    mask &= equal_mask(full, got, operand(c, block_values))
+                masks.append(mask)
+            charged = 0
+            for lane in rel.set_lanes(masks[-1]):
+                upto = (2 << lane) - 1
+                spent = sum((m & upto).bit_count() for m in masks)
+                budget.spend(spent - charged)
+                charged = spent
+                values[plan[j][0]] = rel.decode_relation(block * lanes + lane, k)
+                for c, forced, equations, inclusions in steps:
+                    if forced is not None:
+                        op, a, b = forced
+                        values[c] = ops[op](values[a], values[b])
+                    if not holds(equations, inclusions):
+                        raise AssertionError(
+                            f"lane {lane} of block {block} over base {k} passed the sliced "
+                            f"checks of step {c} but fails them")
+                yield end
+            budget.spend(sum(m.bit_count() for m in masks) - charged)
+
+    budget.spend()  # the first step, a branch: nothing is forced before it
+    sweeps = [sweep(0)]
+    while sweeps:
+        i = next(sweeps[-1], None)
+        if i is None:
+            sweeps.pop()
+        elif i == len(plan):
             return tuple(values)
-        c, forced, equations, inclusions = plan[i]
-        if forced is None:
-            branches.append((i, iter(every if branches else first)))
         else:
-            op, a, b = forced
-            values[c] = op(values[a], values[b])
-            if holds(equations, inclusions):
-                i += 1
-                continue
-        # backtrack to the innermost branch with a candidate that holds
-        while branches:
-            j, candidates = branches[-1]
-            c, _, equations, inclusions = plan[j]
-            for value in candidates:
-                budget.spend()
-                values[c] = value
-                if holds(equations, inclusions):
-                    break
-            else:
-                branches.pop()
-                continue
-            i = j + 1
-            break
-        else:
-            return None
+            sweeps.append(sweep(i))
+    return None

@@ -8,6 +8,7 @@ semigroups; the list is deterministic and deduplicated up to isomorphism.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from resq import algebra, lambek
@@ -24,7 +25,7 @@ from resq.algebra import (
 from resq.completion import _subset_sort_key
 from resq.errors import NoResidualError
 from resq.pointalg import ATOM_EQ, ATOM_GT, ATOM_LT
-from resq.relations import Interpretation
+from resq.relations import Interpretation, Relation
 from resq.verifier import Exhausted, relational_ops
 
 C2_TEXT = "elements: a b\nleq: a<=b\ncomp: a;a=a a;b=a b;a=a b;b=a\n"
@@ -329,6 +330,116 @@ def lambek_model(base: int, valuation) -> Interpretation:
                           tuple(r for _, r in valuation))
 
 
+def permute_relation(r: Relation, perm: tuple[int, ...]) -> Relation:
+    """Relabel base points: pair (i, j) of the result iff (perm[i], perm[j]) in r."""
+    n = len(r)
+    out = []
+    for i in range(n):
+        src = r[perm[i]]
+        row = 0
+        for j in range(n):
+            if src >> perm[j] & 1:
+                row |= 1 << j
+        out.append(row)
+    return tuple(out)
+
+
+def encode_relation(r: Relation) -> int:
+    """The encoding whose bit i * n + j is pair (i, j) of r."""
+    n = len(r)
+    acc = 0
+    for i, row in enumerate(r):
+        acc |= row << (i * n)
+    return acc
+
+
+def all_relations(n: int):
+    """All relations over a base of n points, ascending by encoding."""
+    for code in range(1 << (n * n)):
+        yield rel.decode_relation(code, n)
+
+
+@functools.lru_cache(maxsize=None)
+def canonical_relations_by_scan(n: int) -> tuple[Relation, ...]:
+    """The relations whose encoding is minimal in their orbit under
+    base-point permutations, found by permuting every relation every way.
+    Oracle for relations.canonical_relations, the sliced lex-leader test."""
+    perms = list(itertools.permutations(range(n)))
+    return tuple(r for r in all_relations(n)
+                 if all(encode_relation(permute_relation(r, p)) >= encode_relation(r)
+                        for p in perms))
+
+
+def plan_search_by_scan(n: int, equations, inclusions) -> tuple:
+    """verifier.plan_search read off its definition: at each step, scan every
+    equation for the lowest unknown forced from assigned operands (the first
+    such equation in list order), else branch on the lowest unassigned; then
+    list, in list order, the constraints the step completes."""
+    assigned = [False] * n
+    steps = []
+    for _ in range(n):
+        forced = min((e for e in equations if assigned[e[1]] and assigned[e[2]]
+                      and not assigned[e[3]]), key=lambda e: e[3], default=None)
+        c = assigned.index(False) if forced is None else forced[3]
+        assigned[c] = True
+
+        def completed(*unknowns) -> bool:
+            return c in unknowns and all(assigned[u] for u in unknowns)
+
+        steps.append((c, None if forced is None else forced[:3],
+                      tuple(e for e in equations if e != forced and completed(*e[1:])),
+                      tuple(i for i in inclusions if completed(*i[:2]))))
+    return tuple(steps)
+
+
+def scalar_run_plan(plan: tuple, k: int, budget):
+    """verifier.run_plan trying one candidate at a time: branched unknowns
+    take relations ascending by encoding, the first one the minimal
+    encodings of their orbits only, and every constraint is checked with the
+    relational kernels.  One node per step entered and one per candidate.
+    Oracle for the sliced sweep's verdicts and node counts."""
+    ops = relational_ops()
+    every = list(all_relations(k))
+    first = canonical_relations_by_scan(k)
+    values = [None] * len(plan)
+
+    def holds(equations, inclusions) -> bool:
+        return (all(rel.rel_subset(values[a], values[b]) == expected
+                    for a, b, expected in inclusions)
+                and all(ops[op](values[a], values[b]) == values[c] for op, a, b, c in equations))
+
+    branches = []
+    i = 0
+    while True:
+        budget.spend()
+        if i == len(plan):
+            return tuple(values)
+        c, forced, equations, inclusions = plan[i]
+        if forced is None:
+            branches.append((i, iter(every if branches else first)))
+        else:
+            op, a, b = forced
+            values[c] = ops[op](values[a], values[b])
+            if holds(equations, inclusions):
+                i += 1
+                continue
+        while branches:
+            j, candidates = branches[-1]
+            c, _, equations, inclusions = plan[j]
+            for value in candidates:
+                budget.spend()
+                values[c] = value
+                if holds(equations, inclusions):
+                    break
+            else:
+                branches.pop()
+                continue
+            i = j + 1
+            break
+        else:
+            return None
+
+
 def naive_countermodel(s: lambek.Sequent, max_base: int):
     """The first model over bases 1..max_base that refutes the sequent, found
     by evaluating it under every valuation in product order: atoms sorted,
@@ -336,8 +447,9 @@ def naive_countermodel(s: lambek.Sequent, max_base: int):
     orbit representatives.  Oracle for lambek.countermodel_search."""
     atoms = lambek.sequent_atoms(s)
     for k in range(1, max_base + 1):
-        rest = list(rel.all_relations(k))
-        for values in itertools.product(rel.canonical_relations(k), *[rest] * (len(atoms) - 1)):
+        rest = list(all_relations(k))
+        for values in itertools.product(canonical_relations_by_scan(k),
+                                        *[rest] * (len(atoms) - 1)):
             model = lambek_model(k, tuple(zip(atoms, values)))
             if not lambek.evaluate(s, model):
                 return model

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from corpus import C2_TEXT, MALFORMED_MODELS, make_c2
-from resq import relrep
+import resq
+from resq import lambek, relrep
 from resq.cli import main
 
 ONE = "elements: x\nleq: x<=x\ncomp: x;x=x\n"
@@ -516,21 +521,70 @@ def test_lambek_eval_missing_atom(runner, tmp_path):
 
 DEEP_PARENTHESES = "(" * 3000 + "p" + ")" * 3000 + " |- p"
 LONG_PRODUCT = "*".join(["p"] * 1500) + " |- p"
+# balanced, so the prover searches it: l-prod once per factor, deeper than
+# the recursion limit
+DEEP_PROOF = ", ".join(["*".join(["p"] * 750)] * 2) + " |- " + "*".join(["p"] * 1500)
+
+
+# the verdict of each command on LONG_PRODUCT: the count invariant refutes it
+# without a search node; p = {(0,1), (1,0)} makes p^1500 the identity,
+# outside p; the one-point model p = {(0,0)} satisfies it
+LONG_PRODUCT_VERDICTS = {"prove": (1, "derivable: false"), "counter": (0, "verdict: found"),
+                         "eval": (0, "holds: true")}
 
 
 @pytest.mark.parametrize("command", ["prove", "counter", "eval"])
-@pytest.mark.parametrize(
-    "sequent, code", [(DEEP_PARENTHESES, 2), (LONG_PRODUCT, 3)], ids=["nested", "product"]
-)
-def test_lambek_deep_sequent_documented_exit(runner, tmp_path, command, sequent, code):
+@pytest.mark.parametrize("sequent", [DEEP_PARENTHESES, LONG_PRODUCT], ids=["nested", "product"])
+def test_lambek_deep_sequent_documented_exit(runner, tmp_path, command, sequent):
     # the parser takes at most MAX_NESTING levels of parentheses; a long
-    # product parses but is too deep for the recursive procedures
+    # product parses, and printing, evaluation and the countermodel search
+    # walk its left spine in a loop
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps({"base": 1, "valuation": {"p": [[0, 0]]}}))
     args = ["lambek", command, sequent] + ([str(model_path)] if command == "eval" else [])
     result = runner.invoke(main, args, catch_exceptions=False)
-    assert result.exit_code == code
-    assert len(result.output.strip().splitlines()) == 1
+    lines = result.output.splitlines()
+    if sequent == DEEP_PARENTHESES:
+        assert result.exit_code == 2
+        assert len(lines) == 1
+    else:
+        code, line = LONG_PRODUCT_VERDICTS[command]
+        assert result.exit_code == code, result.output
+        assert lines[0] == "sequent: " + LONG_PRODUCT and line in lines
+
+
+def test_lambek_long_product_countermodel_rechecks(runner):
+    result, payload = run_json(
+        runner, ["lambek", "counter", LONG_PRODUCT.replace("|- p", "|- q"), "--max-base", "1"])
+    assert result.exit_code == 0
+    assert payload["verdict"] == "found" and payload["base"] == 1
+    model = lambek.parse_model(json.dumps({"base": 1, "valuation": payload["valuation"]}))
+    assert not lambek.evaluate(lambek.parse_sequent(payload["sequent"]), model)
+
+
+def test_base_five_search_ends_in_the_budget_error_within_bounded_memory(c2_file):
+    # a base of 5 points has 2**25 relations; the search sweeps them a block
+    # at a time and never lists them, so 1.5 GB of address space is plenty
+    limit = 1_500_000_000
+
+    def cap_memory():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {key: value for key, value in os.environ.items() if key != "RESQ_NODE_BUDGET"}
+    src = str(Path(resq.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-m", "resq.cli", "search", c2_file, "--max-base", "5",
+         "--node-budget", "10000"],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: node budget exhausted while searching base 5; bases exhausted: 1, 2, 3, 4 "
+        "(limit 10000)"
+    ]
 
 
 def test_deterministic_json_output(runner, c2_file):
@@ -578,10 +632,8 @@ ERROR_CASES = [
      "error: dump is not valid JSON: "),
     ("pointalg-unknown-element", _args("pointalg", "--generators", "<,%"), 2,
      "error: unknown point-algebra element '%'"),
-    *((f"{command}-long-product", _args("lambek", command, LONG_PRODUCT,
-                                        *(["FILE"] if command == "eval" else [])), 3,
-       "error: formula too deep for the recursion limit")
-      for command in ("prove", "counter", "eval")),
+    ("prove-long-product", _args("lambek", "prove", DEEP_PROOF), 3,
+     "error: formula too deep for the recursion limit"),
     ("internal-error", _crashing_completion, 4,
      "error: internal error: RuntimeError: completion crashed"),
 ]

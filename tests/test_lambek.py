@@ -489,3 +489,29 @@ def test_counter_budget_error_counts_the_bases_exhausted(budget, exhausted):
     with pytest.raises(ResourceLimitError) as err:
         countermodel_search(parse_sequent("p |- p*(p\\p)"), max_base=3, node_budget=budget)
     assert err.value.bases_exhausted == exhausted
+
+
+def long_product(name: str, length: int):
+    f = Atom(name)
+    for _ in range(length - 1):
+        f = Prod(f, Atom(name))
+    return f
+
+
+def test_long_products_compare_print_and_collect_atoms_in_a_loop():
+    # 1 500 levels of left spine, past the default recursion limit
+    f, g = long_product("p", 1500), long_product("p", 1500)
+    assert f == g and hash(f) == hash(g)
+    assert f != long_product("p", 1499) and f != Prod(long_product("p", 1499), Atom("q"))
+    assert format_formula(f) == "*".join(["p"] * 1500)
+    assert parse_formula(format_formula(f)) == f
+    assert lambek.atoms_of(Prod(f, Atom("q"))) == {"p", "q"}
+
+
+def test_long_product_countermodel_is_found_and_rechecked():
+    s = Sequent((long_product("p", 1500),), Atom("q"))
+    model = countermodel_search(s, max_base=1)
+    assert model.base_size == 1
+    assert dict(model.valuation) == {"p": (1,), "q": (0,)}
+    assert not evaluate(s, model)
+    assert formula_value(s.antecedent[0], model) == (1,)

@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from corpus import all_relations, canonical_relations_by_scan, encode_relation, permute_relation
 from resq import relations as rel
 from resq.algebra import transitivity
 from resq.errors import DimensionMismatch
@@ -93,8 +94,8 @@ def assert_kernel_matches_pairs(n, r, s):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_kernel_matches_pair_sets_exhaustively(n):
-    for r in rel.all_relations(n):
-        for s in rel.all_relations(n):
+    for r in all_relations(n):
+        for s in all_relations(n):
             assert_kernel_matches_pairs(n, r, s)
 
 
@@ -132,10 +133,10 @@ def test_canonical_relations_cover_all_orbits():
     import itertools
 
     perms = list(itertools.permutations(range(2)))
-    for r in rel.all_relations(2):
-        assert any(rel.permute_relation(r, p) in reps for p in perms)
+    for r in all_relations(2):
+        assert any(permute_relation(r, p) in reps for p in perms)
     # representatives are minimal encodings, hence ascending and duplicate-free
-    codes = [rel.encode_relation(r) for r in reps]
+    codes = [encode_relation(r) for r in reps]
     assert codes == sorted(set(codes))
 
 
@@ -145,10 +146,68 @@ def test_canonical_relations_count_the_orbits(k, orbits):
     assert len(rel.canonical_relations(k)) == orbits
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sliced_lex_leaders_are_the_minimal_encodings_of_the_scan(k):
+    assert rel.canonical_relations(k) == canonical_relations_by_scan(k)
+
+
+def test_canonical_relations_at_base_five_count_the_orbits():
+    # 512 blocks of 2**16 lanes; A000595 again
+    assert len(rel.canonical_relations(5)) == 291968
+
+
+def lane_relation(sliced, k: int, lane: int):
+    """The relation lane holds in a sliced relation."""
+    return tuple(sum(1 << y for y in range(k) if sliced[x * k + y] >> lane & 1) for x in range(k))
+
+
+SLICED_KERNELS = [
+    (rel.sliced_compose, rel.rel_compose),
+    (rel.sliced_lres, rel.rel_lres),
+    (rel.sliced_rres, rel.rel_rres),
+    (rel.sliced_union, rel.rel_union),
+]
+
+
+@given(st.data(), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_sliced_operations_agree_lane_by_lane(data, k):
+    full = rel.full_mask(k)
+    lanes = data.draw(st.lists(st.integers(0, (1 << k * k) - 1), min_size=1, max_size=6))
+    r = data.draw(mask_relation(k))
+    # operands as (sliced relation, relation of a lane): r in every lane, or
+    # lane j holding the relation with encoding j
+    constant = (rel.constant_slices(r, full), lambda lane: r)
+    block = (rel.block_slices(k, 0), lambda lane: rel.decode_relation(lane, k))
+    for (left, left_of), (right, right_of) in ((constant, block), (block, constant), (block, block)):
+        results = [(sliced(k, full, left, right), scalar) for sliced, scalar in SLICED_KERNELS]
+        inside = rel.subset_mask(full, left, right)
+        same = rel.equal_mask(full, left, right)
+        for lane in lanes:
+            a, b = left_of(lane), right_of(lane)
+            for out, scalar in results:
+                assert lane_relation(out, k, lane) == scalar(a, b)
+            assert (inside >> lane & 1) == rel.rel_subset(a, b)
+            assert (same >> lane & 1) == (a == b)
+
+
+@given(st.integers(0, rel.block_count(5) - 1), st.lists(st.integers(0, (1 << 16) - 1), max_size=8))
+@settings(max_examples=30, deadline=None)
+def test_a_block_at_base_five_decodes_each_lane_to_its_code(block, lanes):
+    slices = rel.block_slices(5, block)
+    for lane in lanes:
+        assert lane_relation(slices, 5, lane) == rel.decode_relation(block * (1 << 16) + lane, 5)
+
+
+def test_set_lanes_lists_the_set_bits_ascending():
+    assert list(rel.set_lanes(0)) == []
+    assert list(rel.set_lanes(0b1011 << 70)) == [70, 71, 73]
+
+
 def test_permute_relation_relabels_pairs():
     r = rel.relation_from_pairs(3, [(0, 1), (2, 0)])
     p = (1, 2, 0)  # new point i is old point p[i]
-    out = rel.permute_relation(r, p)
+    out = permute_relation(r, p)
     expected = {(p.index(x), p.index(y)) for x, y in rel.relation_pairs(r)}
     assert set(rel.relation_pairs(out)) == expected
 

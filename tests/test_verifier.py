@@ -4,7 +4,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import check_representation_pairwise
+from corpus import (
+    all_relations,
+    check_representation_pairwise,
+    plan_search_by_scan,
+    scalar_run_plan,
+)
 from resq import algebra, pointalg, relrep, verifier
 from resq import relations as rel
 from resq.errors import ClosureSizeError, DimensionMismatch, ResourceLimitError, ResqError
@@ -15,6 +20,7 @@ from resq.verifier import (
     check_representation,
     check_union_transitive,
     plan_search,
+    run_plan,
     search_representation,
 )
 
@@ -176,7 +182,7 @@ def naive_search(struct, k):
     import itertools
 
     n = len(struct.names)
-    for combo in itertools.product(rel.all_relations(k), repeat=n):
+    for combo in itertools.product(all_relations(k), repeat=n):
         interp = Interpretation(
             names=struct.names, base_labels=tuple(map(str, range(k))), relations=combo
         )
@@ -203,12 +209,15 @@ def test_search_agrees_with_naive_product_enumeration(c2):
             assert isinstance(fast, Interpretation) == slow
 
 
+OPERATIONS = ["composition", "left-residual", "right-residual", "join"]
+
+
 @st.composite
-def constraint_lists(draw):
-    n = draw(st.integers(1, 6))
+def constraint_lists(draw, operations=("composition", "join"), max_unknowns=6):
+    n = draw(st.integers(1, max_unknowns))
     unknown = st.integers(0, n - 1)
     equations = draw(st.lists(
-        st.tuples(st.sampled_from(["composition", "join"]), unknown, unknown, unknown),
+        st.tuples(st.sampled_from(operations), unknown, unknown, unknown),
         max_size=12, unique=True,
     ))
     inclusions = draw(st.lists(st.tuples(unknown, unknown, st.booleans()), max_size=6))
@@ -242,6 +251,49 @@ def test_plan_checks_every_constraint_once_when_it_completes(constraints):
         checked.extend(step_equations)
         checked.extend(step_inclusions)
     assert Counter(checked) == Counter(equations + inclusions)
+
+
+@given(constraint_lists(OPERATIONS, max_unknowns=8))
+@settings(max_examples=300, deadline=None)
+def test_plan_is_the_one_read_off_its_definition(constraints):
+    assert plan_search(*constraints) == plan_search_by_scan(*constraints)
+
+
+@given(constraint_lists(OPERATIONS, max_unknowns=4), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_sweep_spends_the_nodes_of_the_scalar_walk(constraints, k):
+    # the sliced sweep against one candidate at a time: the same first
+    # assignment, node for node, and a budget error exactly where the
+    # scalar walk raises one
+    n, equations, inclusions = constraints
+    plan = plan_search(n, equations, inclusions)
+    limit = 20_000
+    scalar, sliced = NodeBudget(limit), NodeBudget(limit)
+    try:
+        expected = scalar_run_plan(plan, k, scalar)
+    except ResourceLimitError:
+        with pytest.raises(ResourceLimitError):
+            run_plan(plan, k, sliced)
+        # the overshoot is within one block: a node per candidate and per step
+        assert sliced.used - limit <= (1 << k * k) * (len(plan) + 1)
+        return
+    assert run_plan(plan, k, sliced) == expected
+    assert sliced.used == scalar.used
+
+
+@pytest.mark.parametrize("sequent, operation, flip", [
+    # lane 0 (the empty relation) made to fail p <= p, which the goal wants
+    ("p |- p", "subset_mask", lambda got: got ^ 1),
+    # lane 0 made to hold (0,0) in p*p, outside p
+    ("p*p |- p", "sliced_compose", lambda got: (got[0] ^ 1,) + got[1:]),
+])
+def test_survivor_cross_check_catches_a_flipped_lane(monkeypatch, sequent, operation, flip):
+    from resq import lambek
+
+    original = getattr(rel, operation)
+    monkeypatch.setattr(rel, operation, lambda *args: flip(original(*args)))
+    with pytest.raises(AssertionError, match="passed the sliced checks"):
+        lambek.countermodel_search(lambek.parse_sequent(sequent), max_base=1)
 
 
 def test_search_budget_raises(c2):
@@ -329,8 +381,8 @@ def test_checkers_agree_on_point_algebra_reducts():
         assert assert_checkers_agree(S, found).valid
         k = found.base_size
         # the first relation over every value, the second over eight, on the found base
-        for r in rel.all_relations(k):
-            for t in list(rel.all_relations(k))[:8]:
+        for r in all_relations(k):
+            for t in list(all_relations(k))[:8]:
                 relations = (r, t) + found.relations[2:]
                 assert_checkers_agree(S, Interpretation(S, found.base_labels, relations))
 

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from . import relations as rel
 from .errors import (
+    QUOTE_LIMIT,
     ClosureSizeError,
     NoResidualError,
     ParseError,
@@ -582,72 +583,105 @@ def close_relation_family(
     empty generator family is seeded with the empty relation (the union of no
     generators), whose residuals then populate the closure.  Row x of op(r, s)
     is a function of key x of r (``relations.op_keys``), so each operation is
-    evaluated once per distinct key and member, and the returned closure's
-    tables are read off those rows.
+    evaluated once per distinct key and member, and op(r, s) over a run of
+    members s is read as packed relation codes off the packed rows of r's
+    keys (``relations.keyed_codes``).  A generator of the wrong length, or
+    with a row that is not an int below 2 ** base_size, raises ValueError.
     """
+    n = base_size
     members: list[Relation] = []
-    seen: set[Relation] = set()
+    codes: list[int] = []
+    seen: set[int] = set()
 
-    def add(t: Relation) -> None:
+    def add(code: int, t: Relation) -> None:
         if len(members) == max_relations:
             raise ClosureSizeError(
                 f"relation closure exceeded {max_relations} members at base size {base_size}"
             )
-        seen.add(t)
+        seen.add(code)
+        codes.append(code)
         members.append(t)
 
     for g in generators:
         g = tuple(g)
         if len(g) != base_size:
             raise ValueError("generator does not match the base size")
-        if g not in seen:
-            add(g)
+        if not all(isinstance(row, int) and 0 <= row < 1 << n for row in g):
+            shown = str(g) if len(str(g)) <= QUOTE_LIMIT else quote(str(g))
+            raise ValueError(f"generator {shown} has a row outside the base of size {base_size}")
+        code = rel.relation_code(g)
+        if code not in seen:
+            add(code, g)
     if not members:
-        add(rel.empty_relation(base_size))
+        add(0, rel.empty_relation(n))
 
-    # Members are processed in order of discovery.  columns[op] maps every key
-    # met in a member to the row op gives it against each member processed so
-    # far, and positions[op][x] lists key x of each processed member.  Member
-    # i fills the columns of its new keys over members 0..i-1, then adds the
-    # rows every key gives against it; op(r, s) for s up to r is read down the
-    # columns of r's keys, and op(s, r) looks up the keys of s in r's rows.
+    # Members are taken in runs of discovery: a run is the members found since
+    # the previous run.  columns[op] maps every key met so far to the fields of
+    # the rows it gives under op against the members of earlier runs.  A run
+    # extends the columns to its members; then every earlier member is closed
+    # against the run, and every member of the run against all members so far.
+    # Members found meanwhile make the next run.
     ops = (rel.rel_compose, rel.rel_lres, rel.rel_rres)
-    columns: tuple[dict, ...] = ({}, {}, {})
-    positions = tuple([[] for _ in range(base_size)] for _ in ops)
-    for i, r in enumerate(members):  # members grows while the loop runs
-        for op, column, by_position in zip(ops, columns, positions):
-            r_keys = rel.op_keys(op, r)
-            new = [key for key in dict.fromkeys(r_keys) if key not in column]
-            if new:
-                filled = [rel.op_rows(op, new, s) for s in members[:i]]
-                for j, key in enumerate(new):
-                    column[key] = [rows_s[j] for rows_s in filled]
-            against_r = dict(zip(column, rel.op_rows(op, list(column), r)))
-            for key, row in against_r.items():
-                column[key].append(row)
-            for keys_x, key in zip(by_position, r_keys):
-                keys_x.append(key)
-            results = itertools.chain(
-                zip(*[column[key] for key in r_keys]),
-                zip(*[map(against_r.__getitem__, keys_x) for keys_x in by_position]),
-            )
-            for t in itertools.filterfalse(seen.__contains__, results):
-                add(t)
+    columns: tuple[dict, ...] = tuple({} for _ in ops)
+    keys: tuple[list, ...] = tuple([] for _ in ops)
+    done = 0
+    while done < len(members):
+        start, stop = done, len(members)
+        against_run, against_all = [], []  # packed codes over the run, over members[:stop]
+        for op, column, op_keys in zip(ops, columns, keys):
+            op_keys.extend(rel.op_keys(op, t) for t in members[start:stop])
+            run, whole = _extend_columns(op, column, members, start, stop, op_keys[start:])
+            against_run.append(rel.keyed_codes(run, op_keys[:start], n))
+            against_all.append(rel.keyed_codes(whole, op_keys[start:], n))
+        for packed, count in ((against_run, stop - start), (against_all, stop)):
+            found = rel.unpack_codes(itertools.chain.from_iterable(packed), count, n)
+            if not seen.issuperset(found):
+                for code in found:
+                    if code not in seen:
+                        add(code, rel.decode_relation(code, n))
+        done = stop
 
     order = sorted(range(len(members)), key=members.__getitem__)
     closure = RelationClosure(members[j] for j in order)
-    rank = {t: k for k, t in enumerate(closure)}
+    rank = {codes[j]: k for k, j in enumerate(order)}
+    count = len(closure)
     tables = []
-    for op, column in zip(ops, columns):
-        for key, rows in column.items():
-            column[key] = [rows[j] for j in order]
-        tables.append(tuple(
-            tuple(map(rank.__getitem__, rel.relations_from_columns(
-                [column[key] for key in rel.op_keys(op, t)], len(closure))))
-            for t in closure
-        ))
+    for column, op_keys in zip(columns, keys):
+        # every column's fields in the order of the closure, then the code of
+        # every entry, row by row
+        rows = {}
+        for key, fields in column.items():
+            found = rel.unpack_codes([rel.pack_fields(fields)], count, n)
+            rows[key] = rel.pack_fields(rel.code_fields([found[j] for j in order], n))
+        entries = rel.unpack_codes(rel.keyed_codes(rows, [op_keys[j] for j in order], n),
+                                   count, n)
+        tables.append(tuple(tuple(map(rank.__getitem__, entries[a:a + count]))
+                            for a in range(0, count * count, count)))
     closure.comp, closure.lres, closure.rres = tables
     return closure
+
+
+def _extend_columns(op, column: dict, members, start: int, stop: int, run_keys):
+    """Extend column from the members before start to those before stop: key
+    -> the fields of the rows key gives under op against them.  Keys first met
+    in run_keys (the keys of members[start:stop]) are filled in first.  Returns
+    the packed rows of every key against members[start:stop] and against
+    members[:stop]."""
+    n = len(members[0])
+    new = [key for key in dict.fromkeys(itertools.chain.from_iterable(run_keys))
+           if key not in column]
+    earlier = [rel.op_rows(op, new, s) for s in members[:start]] if new else []
+    for j, key in enumerate(new):
+        column[key] = bytearray(rel.code_fields([rows[j] for rows in earlier], n))
+    later = [rel.op_rows(op, list(column), t) for t in members[start:stop]]
+    run = {}
+    for (key, fields), rows in zip(column.items(), zip(*later)):
+        added = rel.code_fields(rows, n)
+        fields += added
+        run[key] = rel.pack_fields(added)
+    if not start:  # the first run is all members so far
+        return run, run
+    return run, dict(zip(column, map(rel.pack_fields, column.values())))
 
 
 def algebra_of_relations(

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -255,10 +257,82 @@ def inclusion_order(family) -> tuple[int, ...]:
     return tuple(out)
 
 
+# ---------------------------------------------------------------------------
+# relation codes
+#
+# A relation over n points is also its n * n-bit code, pair (i, j) at bit
+# i * n + j.  A packed row holds a sequence of codes, one per field of
+# code_bytes(n) bytes, as the int whose bytes in the machine's order are those
+# fields: a native unsigned int each up to base 8, so one memoryview.cast reads
+# a packed row back.  Row i of a code is its bits i * n .. i * n + n - 1, so a
+# packed row of n-bit rows shifted left by i * n holds them as row i of each
+# field, and keyed_codes ORs such shifts into a code in every field at once.
+
+_CODE_ORDER = sys.byteorder
+_CODE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def relation_code(r: Relation) -> int:
+    """The code of r: bit i * n + j is pair (i, j)."""
+    n = len(r)
+    code = 0
+    for i, row in enumerate(r):
+        code |= row << (i * n)
+    return code
+
+
 def decode_relation(code: int, n: int) -> Relation:
     """The relation whose pair (i, j) is bit i * n + j of code."""
     mask = (1 << n) - 1
     return tuple(code >> (i * n) & mask for i in range(n))
+
+
+def code_bytes(n: int) -> int:
+    """The width of the field of one code over n points: 1, 2, 4 or 8 bytes
+    up to base 8, the bytes of n * n bits above."""
+    bits = n * n
+    for width in _CODE_FORMATS:
+        if bits <= 8 * width:
+            return width
+    return (bits + 7) // 8
+
+
+def code_fields(codes, n: int) -> bytes:
+    """The fields of codes over n points (each below 2 ** (n * n)), first
+    code first."""
+    width = code_bytes(n)
+    if width == 1:  # a one-byte field is the code itself
+        return bytes(codes)
+    return b"".join([code.to_bytes(width, _CODE_ORDER) for code in codes])
+
+
+def pack_fields(fields) -> int:
+    """The packed row whose fields are the bytes fields."""
+    return int.from_bytes(fields, _CODE_ORDER)
+
+
+def keyed_codes(rows: dict, keyed, n: int):
+    """For the row keys of each relation in keyed, the packed codes over n
+    points whose row x, in every field, is the field of the packed row
+    rows[key x]: with rows[key] the packed rows a key gives under an operation
+    against a run of right operands s (``op_keys``), these are the codes of
+    op(r, s) over that run.  The shifted rows do not overlap, so their sum is
+    their OR."""
+    shifts = range(0, n * n, n or 1)
+    return (sum(map(operator.lshift, map(rows.__getitem__, keys), shifts)) for keys in keyed)
+
+
+def unpack_codes(packed_rows, count: int, n: int):
+    """The codes of packed rows of count fields each over n points: the
+    fields of the first row first, then those of the next."""
+    width = code_bytes(n)
+    size = count * width
+    data = b"".join([packed.to_bytes(size, _CODE_ORDER) for packed in packed_rows])
+    fmt = _CODE_FORMATS.get(width)
+    if fmt is not None:
+        return memoryview(data).cast(fmt)
+    return [int.from_bytes(data[start:start + width], _CODE_ORDER)
+            for start in range(0, len(data), width)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import C2_TEXT, canonical_key
 from resq import algebra
@@ -499,10 +500,13 @@ def a4_generators(base, seed):
     return [tuple(rng.randrange(1 << base) for _ in range(base)) for _ in range(count)]
 
 
-def naive_closure(generators, base):
-    """Fixpoint of all pairwise operations, sorted."""
+def naive_closure(generators, base, cap=None):
+    """Fixpoint of all pairwise operations, sorted; None as soon as it has
+    more than cap members."""
     family = {tuple(g) for g in generators} or {rel.empty_relation(base)}
     while True:
+        if cap is not None and len(family) > cap:
+            return None
         fresh = {op(r, s) for r in family for s in family for op in OPS} - family
         if not fresh:
             return tuple(sorted(family))
@@ -554,6 +558,65 @@ def test_closed_generators_over_the_cap_raise():
     assert algebra.close_relation_family(family, 2) == family
     with pytest.raises(ClosureSizeError):
         algebra.close_relation_family(family, 2, max_relations=5)
+
+
+def relations_over(base):
+    return st.tuples(*[st.integers(0, (1 << base) - 1)] * base)
+
+
+@given(st.integers(1, 3).flatmap(lambda base: st.tuples(
+    st.just(base), st.lists(relations_over(base), max_size=3), st.integers(1, 64))))
+@settings(max_examples=60, deadline=None)
+def test_closure_matches_naive_closure_and_kernel_tables(draw):
+    base, gens, cap = draw
+    expected = naive_closure(gens, base, cap)
+    if expected is None:
+        with pytest.raises(ClosureSizeError):
+            algebra.close_relation_family(gens, base, max_relations=cap)
+        return
+    closure = algebra.close_relation_family(gens, base, max_relations=cap)
+    assert closure == expected
+    assert (closure.comp, closure.lres, closure.rres) == tables_by_kernel(closure)[1:]
+
+
+def equivalence(classes, base):
+    """The equivalence relation with the given classes over the base."""
+    return rel.relation_from_pairs(base, [(x, y) for c in classes for x in c for y in c])
+
+
+BASE_9_CLASSES = (range(5), range(5, 9))
+
+
+@pytest.mark.parametrize("gens, base, size", [
+    ([], 0, 1),
+    ([()], 0, 1),
+    ([(0b1000, 0, 0, 0)], 4, 14),
+    ([(0b1110, 0b1100, 0b1000, 0)], 4, 70),  # the strict order
+    ([(0b0011, 0b0011, 0b1100, 0b1100), (0b0001, 0, 0, 0b1000)], 4, 25),
+    ([equivalence(BASE_9_CLASSES, 9), equivalence([[x] for x in range(9)], 9)], 9, 4),
+    ([rel.empty_relation(9), equivalence(BASE_9_CLASSES, 9)], 9, 3),
+])
+def test_closure_at_bases_0_4_and_9(gens, base, size):
+    # base 9 codes fill fields of 11 bytes, wider than any native int
+    closure = algebra.close_relation_family(gens, base)
+    assert closure == naive_closure(gens, base)
+    assert len(closure) == size
+    assert (closure.comp, closure.lres, closure.rres) == tables_by_kernel(closure)[1:]
+
+
+@pytest.mark.parametrize("row", [4, -1])
+def test_generator_rows_outside_the_base_are_rejected(row):
+    # a packed field would let such a row spill into the next row's field
+    message = rf"generator \({row}, 0\) has a row outside the base of size 2"
+    with pytest.raises(ValueError, match=message):
+        algebra.close_relation_family([(row, 0)], 2)
+
+
+def test_generator_rows_must_be_ints_and_long_generators_are_cut_in_the_message():
+    with pytest.raises(ValueError, match=r"generator \(0, '1'\) has a row outside"):
+        algebra.close_relation_family([(0, "1")], 2)
+    with pytest.raises(ValueError, match=r"generator '\(0, 0, .*\.\.\. \(\d+ characters\) has"):
+        algebra.close_relation_family([(0,) * 40 + (1 << 41,)], 41)
 
 
 def test_check_passes_exactly_when_it_has_no_witness():

@@ -279,6 +279,51 @@ def test_relations_from_columns_reads_rows_down_columns():
     assert rel.relations_from_columns([], 3) == [(), (), ()]
 
 
+def test_code_fields_are_1_2_4_or_8_bytes_up_to_base_8():
+    assert [rel.code_bytes(n) for n in range(1, 11)] == [1, 1, 2, 2, 4, 8, 8, 8, 11, 13]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_codes_round_trip_at_every_field_width(n):
+    top = (1 << (n * n)) - 1
+    codes = [0, top, 1, 1 << (n * n - 1), top >> 1, 0, top]
+    for code in codes:
+        r = rel.decode_relation(code, n)
+        assert rel.relation_code(r) == encode_relation(r) == code
+    assert rel.decode_relation(top, n) == ((1 << n) - 1,) * n
+    fields = rel.code_fields(codes, n)
+    assert len(fields) == len(codes) * rel.code_bytes(n)
+    packed = rel.pack_fields(fields)
+    assert list(rel.unpack_codes([packed], len(codes), n)) == codes
+    assert list(rel.unpack_codes([packed, 0, packed], len(codes), n)) == codes + [0] * 7 + codes
+    assert list(rel.unpack_codes([], 3, n)) == []
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(mask_relation(n), max_size=6)))
+def test_keyed_codes_shift_packed_rows_into_packed_codes(family):
+    # row x of every member packed into one row and shifted to x * n: the
+    # packed codes of the members, with no carry from one field to the next
+    n = len(family[0]) if family else 1
+    rows = {x: rel.pack_fields(rel.code_fields([r[x] for r in family], n)) for x in range(n)}
+    (packed,) = rel.keyed_codes(rows, [tuple(range(n))], n)
+    assert packed == rel.pack_fields(rel.code_fields(map(rel.relation_code, family), n))
+    assert [rel.decode_relation(code, n)
+            for code in rel.unpack_codes([packed], len(family), n)] == family
+
+
+@given(st.data(), st.sampled_from(KEYED_OPS[:3]), st.integers(1, 4))
+def test_keyed_codes_of_op_rows_are_the_codes_of_op(data, op, n):
+    left = data.draw(st.lists(mask_relation(n), min_size=1, max_size=4))
+    right = data.draw(st.lists(mask_relation(n), min_size=1, max_size=5))
+    keys = list(dict.fromkeys(key for r in left for key in rel.op_keys(op, r)))
+    against = [rel.op_rows(op, keys, s) for s in right]
+    rows = {key: rel.pack_fields(rel.code_fields([row[j] for row in against], n))
+            for j, key in enumerate(keys)}
+    codes = rel.unpack_codes(rel.keyed_codes(rows, [rel.op_keys(op, r) for r in left], n),
+                             len(right), n)
+    assert list(codes) == [rel.relation_code(op(r, s)) for r in left for s in right]
+
+
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(mask_relation(n), max_size=12)))
 def test_inclusion_order_matches_pairwise_subset(family):
     order = rel.inclusion_order(family)

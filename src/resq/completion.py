@@ -20,7 +20,7 @@ from .algebra import (
     residuation,
 )
 from .errors import EmbeddingViolation, NoResidualError, QuantaleLawError
-from .relations import inclusion_order, rel_converse
+from .relations import inclusion_order, meet_rows, rel_converse
 
 
 @dataclass(frozen=True)
@@ -65,16 +65,6 @@ class Quantale:
         return acc
 
 
-def _meet_rows(mask: int, rows, full: int) -> int:
-    """The intersection of rows[i] over the bits i of mask; full when mask is empty."""
-    acc = full
-    while mask:
-        low = mask & -mask
-        acc &= rows[low.bit_length() - 1]
-        mask ^= low
-    return acc
-
-
 def closure_map(A: FiniteResiduatedSemigroup) -> Callable[[int], int]:
     """The closure operator m of A, X -> lower bounds of the upper bounds of X.
 
@@ -86,7 +76,7 @@ def closure_map(A: FiniteResiduatedSemigroup) -> Callable[[int], int]:
     full = (1 << A.n) - 1
 
     def close(x_mask: int) -> int:
-        return _meet_rows(_meet_rows(x_mask, up, full), down, full)
+        return meet_rows(meet_rows(x_mask, up, full), down, full)
 
     return close
 

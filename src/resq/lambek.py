@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from . import relations as rel
-from .errors import MissingAtomError, ParseError, quote
+from .errors import MissingAtomError, ParseError, ResourceLimitError, quote
 from .relations import Interpretation, Relation
 from .verifier import Exhausted, NodeBudget, first_model, plan_search, relational_ops
 
@@ -42,6 +42,8 @@ DEFAULT_COUNTER_BUDGET = 10_000_000
 # deepest parenthesis nesting the recursive-descent parser accepts; each level
 # costs three stack frames, well inside the default recursion limit
 MAX_NESTING = 100
+
+MAX_MODEL_BASE = 4096  # a larger model base is refused before its points exist
 
 
 @dataclass(frozen=True)
@@ -368,7 +370,8 @@ def parse_model(text: str) -> Interpretation:
 
     base must be an int of at least 1 and each atom's value a list of [x, y]
     int pairs, and no object may repeat a key; raises ParseError otherwise,
-    and DimensionMismatch for a pair outside the base.  The atoms are sorted.
+    ResourceLimitError for a base above MAX_MODEL_BASE and DimensionMismatch
+    for a pair outside the base.  The atoms are sorted.
     """
     raw = rel.load_json(text, "model")
     if not isinstance(raw, dict):
@@ -376,6 +379,8 @@ def parse_model(text: str) -> Interpretation:
     base = raw.get("base")
     if type(base) is not int or base < 1:
         raise ParseError("model field 'base' must be an integer of at least 1")
+    if base > MAX_MODEL_BASE:
+        raise ResourceLimitError(MAX_MODEL_BASE, "model field 'base' exceeds the cap")
     named = raw.get("valuation")
     if not isinstance(named, dict):
         raise ParseError("model field 'valuation' must be an object")

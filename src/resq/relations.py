@@ -118,54 +118,28 @@ def rel_subset(r: Relation, s: Relation) -> bool:
 
 def rel_union(r: Relation, s: Relation) -> Relation:
     _check_dims(r, s)
-    return tuple(a | b for a, b in zip(r, s))
+    return tuple(_union_rows(enumerate(r), s))
 
 
 def rel_compose(r: Relation, s: Relation) -> Relation:
     """{(x, z) : exists y with (x, y) in r and (y, z) in s}."""
     if len(r) != len(s):
         _check_dims(r, s)
-    out = []
-    for row in r:
-        acc = 0
-        while row:
-            low = row & -row
-            acc |= s[low.bit_length() - 1]
-            row ^= low
-        out.append(acc)
-    return tuple(out)
+    return tuple(_compose_rows(r, s))
 
 
 def rel_lres(r: Relation, s: Relation) -> Relation:
     """Left residual r\\s = {(x, y) : for all z, (z, x) in r implies (z, y) in s}."""
-    n = len(r)
-    if n != len(s):
+    if len(r) != len(s):
         _check_dims(r, s)
-    # row x is the meet of the rows s[z] over the z with (z, x) in r
-    out = [(1 << n) - 1] * n
-    for rz, sz in zip(r, s):
-        while rz:
-            low = rz & -rz
-            out[low.bit_length() - 1] &= sz
-            rz ^= low
-    return tuple(out)
+    return tuple(_lres_rows(rel_converse(r), s))
 
 
 def rel_rres(r: Relation, s: Relation) -> Relation:
     """Right residual r/s = {(x, y) : for all z, (y, z) in s implies (x, z) in r}."""
     if len(r) != len(s):
         _check_dims(r, s)
-    out = []
-    for rx in r:
-        outside = ~rx
-        row = 0
-        bit = 1
-        for sy in s:
-            if not sy & outside:
-                row |= bit
-            bit <<= 1
-        out.append(row)
-    return tuple(out)
+    return tuple(_rres_rows(r, s))
 
 
 def rel_converse(r: Relation) -> Relation:
@@ -181,9 +155,60 @@ def rel_converse(r: Relation) -> Relation:
 
 
 # Row x of r;s and of r/s depends only on row x of r, row x of r\s only on
-# column x of r, and row x of r | s on x and row x of r.  So one row of op(r, s)
-# is a function of one key of r and of s, and a caller that meets the same key
-# in many left operands evaluates it once per right operand.
+# column x of r, and row x of r | s on x and row x of r: one key of r.  The
+# rules below give the row of a key against s, and every row of every
+# operation, whole relations included, is read off them.
+
+
+def meet_rows(mask: int, rows, full: int) -> int:
+    """The intersection of rows[z] over the bits z of mask; full when mask is
+    empty.  With rows = s and full the full row, the row of r\\s at the column
+    key mask."""
+    acc = full
+    while mask:
+        low = mask & -mask
+        acc &= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
+def _compose_rows(keys, s: Relation) -> list[int]:
+    """The row of r;s at each row key: the union of s[y] over its bits y."""
+    out = []
+    for key in keys:
+        acc = 0
+        while key:
+            low = key & -key
+            acc |= s[low.bit_length() - 1]
+            key ^= low
+        out.append(acc)
+    return out
+
+
+def _lres_rows(keys, s: Relation) -> list[int]:
+    """The row of r\\s at each column key (meet_rows)."""
+    full = (1 << len(s)) - 1
+    return [meet_rows(key, s, full) for key in keys]
+
+
+def _rres_rows(keys, s: Relation) -> list[int]:
+    """The row of r/s at each row key: the y whose s[y] lies inside it."""
+    out = []
+    for key in keys:
+        outside = ~key
+        row = 0
+        bit = 1
+        for sy in s:
+            if not sy & outside:
+                row |= bit
+            bit <<= 1
+        out.append(row)
+    return out
+
+
+def _union_rows(keys, s: Relation) -> list[int]:
+    """The row of r | s at each key (x, row): row | s[x]."""
+    return [row | s[x] for x, row in keys]
 
 
 def op_keys(op, r: Relation) -> tuple:
@@ -203,32 +228,21 @@ def op_keys(op, r: Relation) -> tuple:
 
 
 def op_rows(op, keys, s: Relation) -> list[int]:
-    """The row op gives each of the distinct keys against the right operand s,
-    for composition and both residuals.
+    """The row op gives each of keys (op_keys) against the right operand s.
 
-    The keys are packed len(s) at a time into one relation, as its rows (its
-    columns for the left residual), so one call of op yields the rows of a
-    whole pack.
+    op is matched by identity against this module's kernels when called, so
+    wrappers installed on the module are recognised; any other op raises
+    ValueError.
     """
-    if op is not rel_lres and op is not rel_compose and op is not rel_rres:
-        raise ValueError(f"no packed rows for {op!r}")
-    n = len(s)
-    zeros = (0,) * n
-    out = []
-    for start in range(0, len(keys), max(n, 1)):
-        chunk = tuple(keys[start:start + n])
-        packed = chunk + zeros[len(chunk):]
-        result = op(rel_converse(packed) if op is rel_lres else packed, s)
-        out.extend(result[:len(chunk)])
-    return out
-
-
-def relations_from_columns(columns, count: int) -> list[Relation]:
-    """The count relations whose row x is read down columns[x]: entry j is
-    the relation with rows columns[0][j], columns[1][j], ..."""
-    if not columns:  # a base of size 0
-        return [()] * count
-    return list(zip(*columns))
+    if op is rel_compose:
+        return _compose_rows(keys, s)
+    if op is rel_lres:
+        return _lres_rows(keys, s)
+    if op is rel_rres:
+        return _rres_rows(keys, s)
+    if op is rel_union:
+        return _union_rows(keys, s)
+    raise ValueError(f"no rows for {op!r}")
 
 
 def inclusion_order(family) -> tuple[int, ...]:

@@ -14,6 +14,7 @@ it returns.
 from __future__ import annotations
 
 import heapq
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -73,27 +74,14 @@ class NodeBudget:
 
 def _table_condition(name, table, op, relations) -> Check:
     """Row a of the condition is op(R[a], R[b]) over every b, read off one
-    column per key of R[a] (relations.op_keys).  The first relation with a
-    key fills its column: R[a] packs its own keys, so op(R[a], R[b]) is both
-    the entry (a, b) and, in its row x, the row of key x against R[b].  Rows
-    whose keys all have columns cost no kernel call."""
-    columns: dict = {}
-    count = len(relations)
-    for a, r in enumerate(relations):
-        keys = rel.op_keys(op, r)
+    column per row key of R[a] (relations.op_keys): the rows that key gives
+    against every R[b] (relations.op_rows), filled once per distinct key."""
+    keyed = [rel.op_keys(op, r) for r in relations]
+    distinct = list(dict.fromkeys(itertools.chain.from_iterable(keyed)))
+    columns = dict(zip(distinct, zip(*[rel.op_rows(op, distinct, s) for s in relations])))
+    for a, keys in enumerate(keyed):
         expected = [relations[c] for c in table[a]]
-        new = {key: x for x, key in enumerate(keys) if key not in columns}
-        if new:
-            actual = []
-            for b, s in enumerate(relations):
-                got = op(r, s)
-                if got != expected[b]:
-                    return _failure(name, a, b, expected[b], got)
-                actual.append(got)
-            for key, x in new.items():
-                columns[key] = [got[x] for got in actual]
-            continue
-        actual = rel.relations_from_columns([columns[key] for key in keys], count)
+        actual = list(zip(*map(columns.__getitem__, keys))) if keys else [()] * len(relations)
         if actual != expected:
             for b, (want, got) in enumerate(zip(expected, actual)):
                 if want != got:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import C2_TEXT, canonical_key
+from corpus import C2_TEXT, canonical_key, check_representation_pairwise
 from resq import algebra
 from resq.algebra import Check, FiniteResiduatedSemigroup, Report, _partial_orders
 from resq.errors import (ClosureSizeError, NoResidualError, NotResiduatedError, ParseError,
@@ -602,6 +602,12 @@ def test_closure_at_bases_0_4_and_9(gens, base, size):
     assert closure == naive_closure(gens, base)
     assert len(closure) == size
     assert (closure.comp, closure.lres, closure.rres) == tables_by_kernel(closure)[1:]
+    # the identity interpretation represents the closure's algebra, by both checkers
+    A = algebra.algebra_of_relations(closure)
+    interp = rel.Interpretation(A.names, tuple(map(str, range(base))), closure)
+    report = verifier.check_representation(A, interp)
+    assert report.valid
+    assert report == check_representation_pairwise(A, interp)
 
 
 @pytest.mark.parametrize("row", [4, -1])

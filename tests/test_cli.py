@@ -813,6 +813,15 @@ def test_eval_rejects_a_model_that_repeats_its_base(runner, tmp_path):
     assert_one_error_line(result, "model repeats the key 'base'")
 
 
+def test_eval_refuses_a_model_base_above_the_cap(runner, tmp_path):
+    cap = lambek.MAX_MODEL_BASE
+    result = eval_p_entails_p(runner, tmp_path,
+                              f'{{"base": {cap + 1}, "valuation": {{"p": [[0, 1]]}}}}')
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == f"error: model field 'base' exceeds the cap (limit {cap})\n"
+
+
 @pytest.mark.parametrize("command", ["complete", "represent", "verify", "search"])
 def test_mismatched_residual_block_is_not_residuated(runner, tmp_path, command):
     # decide reports the same file as its verdict, valid: false with exit 1

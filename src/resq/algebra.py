@@ -12,6 +12,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import relations as rel
@@ -150,26 +151,59 @@ def transitivity(leq: tuple[int, ...]) -> tuple[int, int, int] | None:
     return None
 
 
+def _order_table(leq: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The order as 0/1 rows: le[x][y] is 1 iff bit y of leq[x] is set."""
+    n = len(leq)
+    return tuple(tuple(map(int, format(row, f"0{n}b")[::-1][:n])) for row in leq)
+
+
+def _order_pairs(leq: tuple[int, ...]) -> set[tuple[int, int]]:
+    """The order as the set of its pairs (x, y), x <= y, with y below n."""
+    n = len(leq)
+    return {(x, y) for x, row in enumerate(leq) for y in range(n) if row >> y & 1}
+
+
+# The cubic laws below compare one whole row over the last index per step of
+# the first two, and run the scalar loop only on a row that mismatches, to
+# name the first violating index.  Associativity, residuation and
+# distributivity read each row off the tables with an itemgetter over the
+# indices of another row; with a single index an itemgetter returns the bare
+# item, so on one element every row mismatches and the scalar loop decides.
+# Monotonicity and order reflection ask whether x;c <= y;c for every c as one
+# containment of the pairs of rows x and y in the order.
+
+
 def associativity(comp) -> tuple[int, int, int] | None:
-    n = len(comp)
-    for a in range(n):
-        row = comp[a]
-        for b in range(n):
-            ab = comp[row[b]]
-            comp_b = comp[b]
-            for c in range(n):
-                if ab[c] != row[comp_b[c]]:
-                    return (a, b, c)
+    """Some a, b, c with (a;b);c != a;(b;c): row a;b of comp against row a
+    read at the indices of row b.  Each step compares its first cell alone
+    before the row, so a table that fails there builds no getter."""
+    right_of = {}  # b -> the getter at row b, built on first use
+    for a, row in enumerate(comp):
+        for b, ab in enumerate(row):
+            comp_b, comp_ab = comp[b], comp[ab]
+            if comp_ab[0] != row[comp_b[0]]:
+                return (a, b, 0)
+            right = right_of.get(b)
+            if right is None:
+                right = right_of[b] = itemgetter(*comp_b)
+            if comp_ab != right(row):
+                for c, x in enumerate(comp_ab):
+                    if x != row[comp_b[c]]:
+                        return (a, b, c)
     return None
 
 
 def monotonicity(leq: tuple[int, ...], comp) -> tuple[int, int, int] | None:
-    """Some a <= b and c with a;c not <= b;c or c;a not <= c;b."""
+    """Some a <= b and c with a;c not <= b;c or c;a not <= c;b: the pairs of
+    rows a and b (columns a and b) of comp against the order."""
     n = len(leq)
+    order = _order_pairs(leq)
+    columns = tuple(zip(*comp))
     for a in range(n):
-        comp_a = comp[a]
+        above, comp_a, col_a = leq[a], comp[a], columns[a]
         for b in range(n):
-            if not leq[a] >> b & 1:
+            if not above >> b & 1 or (order.issuperset(zip(comp_a, comp[b]))
+                                      and order.issuperset(zip(col_a, columns[b]))):
                 continue
             comp_b = comp[b]
             for c in range(n):
@@ -179,18 +213,24 @@ def monotonicity(leq: tuple[int, ...], comp) -> tuple[int, int, int] | None:
 
 
 def residuation(leq: tuple[int, ...], comp, lres, rres) -> tuple[int, int, int] | None:
-    """Some a, b, c where b <= a\\c, a;b <= c and a <= c/b do not all agree."""
+    """Some a, b, c where b <= a\\c, a;b <= c and a <= c/b do not all agree:
+    the order row of a;b against the order row of b read at row a of lres
+    and the order row of a read at column b of rres."""
     n = len(leq)
+    le = _order_table(leq)
+    rres_at_column = [itemgetter(*column) for column in zip(*rres)]
     for a in range(n):
         comp_a = comp[a]
-        lres_a = lres[a]
-        row_a = leq[a]
-        for b in range(n):
-            row_ab = leq[comp_a[b]]
-            row_b = leq[b]
+        lres_a = itemgetter(*lres[a])
+        le_a = le[a]
+        for b, rres_at in enumerate(rres_at_column):
+            below = le[comp_a[b]]
+            if lres_a(le[b]) == below == rres_at(le_a):
+                continue
+            lres_row, row_ab, row_b, row_a = lres[a], leq[comp_a[b]], leq[b], leq[a]
             for c in range(n):
-                below = row_ab >> c & 1
-                if row_b >> lres_a[c] & 1 != below or row_a >> rres[c][b] & 1 != below:
+                bit = row_ab >> c & 1
+                if row_b >> lres_row[c] & 1 != bit or row_a >> rres[c][b] & 1 != bit:
                     return (a, b, c)
     return None
 
@@ -210,11 +250,19 @@ def join_lub(leq: tuple[int, ...], join) -> tuple[int, int, int] | None:
 
 
 def distributivity(join, comp) -> tuple[int, int, int] | None:
-    """Some a, b, c with a;(b v c) != a;b v a;c or (b v c);a != b;a v c;a."""
+    """Some a, b, c with a;(b v c) != a;b v a;c or (b v c);a != b;a v c;a:
+    row a (column a) of comp read at row b of join against row a;b (b;a) of
+    join read at row a (column a) of comp."""
     n = len(comp)
+    columns = tuple(zip(*comp))
+    join_at = [itemgetter(*row) for row in join]
     for a in range(n):
-        comp_a = comp[a]
-        for b in range(n):
+        comp_a, col_a = comp[a], columns[a]
+        left_a, right_a = itemgetter(*comp_a), itemgetter(*col_a)
+        for b, at_join_b in enumerate(join_at):
+            if (at_join_b(comp_a) == left_a(join[comp_a[b]])
+                    and at_join_b(col_a) == right_a(join[col_a[b]])):
+                continue
             join_b = join[b]
             for c in range(n):
                 bc = join_b[c]
@@ -227,19 +275,16 @@ def distributivity(join, comp) -> tuple[int, int, int] | None:
 
 
 def order_reflection(leq: tuple[int, ...], comp) -> tuple[int, int] | None:
-    """Some a not <= b with a;q <= b;q for every q.
+    """Some a not <= b with a;q <= b;q for every q: the pairs of rows a and b
+    of comp inside the order.
 
     In a quantale join-generated by G this is exactly where the relations
     {(g, q) : g in G, g <= a;q} fail to reflect the order.
     """
-    n = len(leq)
-    for a in range(n):
-        comp_a = comp[a]
-        for b in range(n):
-            if leq[a] >> b & 1:
-                continue
-            comp_b = comp[b]
-            if all(leq[comp_a[q]] >> comp_b[q] & 1 for q in range(n)):
+    order = _order_pairs(leq)
+    for a, comp_a in enumerate(comp):
+        for b, comp_b in enumerate(comp):
+            if not leq[a] >> b & 1 and order.issuperset(zip(comp_a, comp_b)):
                 return (a, b)
     return None
 
@@ -283,33 +328,35 @@ def infer_residuals(
 
     In a finite poset a\\c must be the maximum of {b : a;b <= c} and c/b the
     maximum of {a : a;b <= c}; raises NoResidualError, naming elements by
-    names when given, when a candidate set is empty or has no maximum.  The
-    candidate sets of one row (or column) of the composition are spread from
-    its distinct values to the up-set of each.
+    names when given, at the first missing one (every a\\c before every c/b)
+    when a candidate set is empty or has no maximum.  The candidate sets of
+    one row (or column) of the composition are spread from its distinct
+    values to the up-set of each, and the maximum of each distinct candidate
+    set is searched once.
     """
-    n = len(leq)
     down = rel.rel_converse(leq)  # bit i of down[j] set iff i <= j
+    found: dict[int, int | None] = {}  # candidate mask -> its maximum, or None
+
+    def maxima(candidates) -> list[int | None]:
+        return [found[m] if m in found else found.setdefault(m, _max_of(m, down))
+                for m in candidates]
+
     lres = []
-    for a in range(n):
-        cands = _positions_below(comp[a], leq)
-        row = []
-        for c in range(n):
-            m = _max_of(cands[c], down)
-            if m is None:
-                raise NoResidualError(a, c, "left", _mask_to_set(cands[c]), names)
-            row.append(m)
-        lres.append(tuple(row))
-    columns = [_positions_below([comp[a][b] for a in range(n)], leq) for b in range(n)]
+    for a, row in enumerate(comp):
+        cands = _positions_below(row, leq)
+        maxima_a = maxima(cands)
+        if None in maxima_a:
+            c = maxima_a.index(None)
+            raise NoResidualError(a, c, "left", _mask_to_set(cands[c]), names)
+        lres.append(tuple(maxima_a))
+    # the candidate sets of c/b are spread along column b, then read by rows c
     rres = []
-    for c in range(n):
-        row = []
-        for b in range(n):
-            cand = columns[b][c]
-            m = _max_of(cand, down)
-            if m is None:
-                raise NoResidualError(c, b, "right", _mask_to_set(cand), names)
-            row.append(m)
-        rres.append(tuple(row))
+    for c, cands in enumerate(zip(*(_positions_below(column, leq) for column in zip(*comp)))):
+        maxima_c = maxima(cands)
+        if None in maxima_c:
+            b = maxima_c.index(None)
+            raise NoResidualError(c, b, "right", _mask_to_set(cands[b]), names)
+        rres.append(tuple(maxima_c))
     return tuple(lres), tuple(rres)
 
 
@@ -520,12 +567,9 @@ def _partial_orders(n: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _associative_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    out = []
-    for flat in itertools.product(range(n), repeat=n * n):
-        comp = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-        if associativity(comp) is None:
-            out.append(comp)
-    return tuple(out)
+    # tables in lexicographic order, each a tuple of n of the n ** n rows
+    rows = tuple(itertools.product(range(n), repeat=n))
+    return tuple(comp for comp in itertools.product(rows, repeat=n) if associativity(comp) is None)
 
 
 def default_names(n: int) -> tuple[str, ...]:

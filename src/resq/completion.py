@@ -68,15 +68,23 @@ class Quantale:
 def closure_map(A: FiniteResiduatedSemigroup) -> Callable[[int], int]:
     """The closure operator m of A, X -> lower bounds of the upper bounds of X.
 
-    The order rows and the lower cones are read once here, so a caller that
-    closes many sets of one algebra pays for them once.
+    The order rows and the lower cones are read once here, and each set is
+    closed once: a caller that closes many sets of one algebra, some of them
+    many times, pays for each once.
     """
+    return _closure(A, rel_converse(A.leq))
+
+
+def _closure(A: FiniteResiduatedSemigroup, down: tuple[int, ...]) -> Callable[[int], int]:
+    closed: dict[int, int] = {}
     up = A.leq
-    down = rel_converse(A.leq)
     full = (1 << A.n) - 1
 
     def close(x_mask: int) -> int:
-        return meet_rows(meet_rows(x_mask, up, full), down, full)
+        y = closed.get(x_mask)
+        if y is None:
+            y = closed[x_mask] = meet_rows(meet_rows(x_mask, up, full), down, full)
+        return y
 
     return close
 
@@ -115,7 +123,7 @@ def closed_sets(A: FiniteResiduatedSemigroup) -> tuple[int, ...]:
                     fresh.add(y)
         family |= fresh
         frontier = list(fresh)
-    close = closure_map(A)
+    close = _closure(A, down)
     for x in family:
         if close(x) != x:
             raise AssertionError(f"intersection closure produced a non-closed set {x:b}")
@@ -158,15 +166,15 @@ def build_quantale(A: FiniteResiduatedSemigroup) -> Quantale:
     X;Y.
     """
     elems = closed_sets(A)
+    close = closure_map(A)  # one memo for all the tables
     index = {mask: i for i, mask in enumerate(elems)}
     size = len(elems)
     leq = inclusion_order([(mask,) for mask in elems])
-    close = closure_map(A)
     tops = [_maximal(x, A.leq) for x in elems]
     comp = tuple(
         tuple(index[close(_pairwise_product(x, y, A))] for y in tops) for x in tops
     )
-    sup = tuple(tuple(index[close(x | y)] for y in elems) for x in elems)
+    sup = tuple(tuple(map(index.__getitem__, map(close, map(x.__or__, elems)))) for x in elems)
     bottom = index[close(0)]
     top = index[(1 << A.n) - 1]
     unit = None

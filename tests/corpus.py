@@ -43,6 +43,116 @@ def closed_sets_by_scan(A: FiniteResiduatedSemigroup) -> tuple[int, ...]:
     return tuple(sorted(family, key=_subset_sort_key(A.names)))
 
 
+# ---------------------------------------------------------------------------
+# scalar table laws: one index triple per step, each returning the
+# lexicographically first violating tuple; oracles for the row-per-step laws
+# of resq.algebra
+
+
+def associativity_by_loops(comp) -> tuple[int, int, int] | None:
+    n = len(comp)
+    for a in range(n):
+        row = comp[a]
+        for b in range(n):
+            ab = comp[row[b]]
+            comp_b = comp[b]
+            for c in range(n):
+                if ab[c] != row[comp_b[c]]:
+                    return (a, b, c)
+    return None
+
+
+def monotonicity_by_loops(leq, comp) -> tuple[int, int, int] | None:
+    n = len(leq)
+    for a in range(n):
+        comp_a = comp[a]
+        for b in range(n):
+            if not leq[a] >> b & 1:
+                continue
+            comp_b = comp[b]
+            for c in range(n):
+                if not leq[comp_a[c]] >> comp_b[c] & 1 or not leq[comp[c][a]] >> comp[c][b] & 1:
+                    return (a, b, c)
+    return None
+
+
+def residuation_by_loops(leq, comp, lres, rres) -> tuple[int, int, int] | None:
+    n = len(leq)
+    for a in range(n):
+        comp_a = comp[a]
+        lres_a = lres[a]
+        row_a = leq[a]
+        for b in range(n):
+            row_ab = leq[comp_a[b]]
+            row_b = leq[b]
+            for c in range(n):
+                below = row_ab >> c & 1
+                if row_b >> lres_a[c] & 1 != below or row_a >> rres[c][b] & 1 != below:
+                    return (a, b, c)
+    return None
+
+
+def distributivity_by_loops(join, comp) -> tuple[int, int, int] | None:
+    n = len(comp)
+    for a in range(n):
+        comp_a = comp[a]
+        for b in range(n):
+            join_b = join[b]
+            for c in range(n):
+                bc = join_b[c]
+                if (
+                    comp_a[bc] != join[comp_a[b]][comp_a[c]]
+                    or comp[bc][a] != join[comp[b][a]][comp[c][a]]
+                ):
+                    return (a, b, c)
+    return None
+
+
+def order_reflection_by_loops(leq, comp) -> tuple[int, int] | None:
+    n = len(leq)
+    for a in range(n):
+        for b in range(n):
+            if not leq[a] >> b & 1 and all(
+                leq[comp[a][q]] >> comp[b][q] & 1 for q in range(n)
+            ):
+                return (a, b)
+    return None
+
+
+def infer_residuals_by_loops(leq, comp, names=None):
+    """Both residual tables, each cell the maximum of its candidate set found
+    on its own; raises NoResidualError at the first cell without one, every
+    a\\c before every c/b."""
+    n = len(leq)
+    down = [sum(1 << j for j in range(n) if leq[j] >> i & 1) for i in range(n)]
+
+    def max_of(candidates: int) -> int | None:
+        for i in range(n):
+            if candidates >> i & 1 and not candidates & ~down[i]:
+                return i
+        return None
+
+    def residual(side, x, y, candidates):
+        m = max_of(candidates)
+        if m is None:
+            members = frozenset(z for z in range(n) if candidates >> z & 1)
+            raise NoResidualError(x, y, side, members, names)
+        return m
+
+    # a\\c is the maximum of {b : a;b <= c}, c/b the maximum of {a : a;b <= c}
+    lres = tuple(
+        tuple(residual("left", a, c, sum(1 << b for b in range(n) if leq[comp[a][b]] >> c & 1))
+              for c in range(n))
+        for a in range(n)
+    )
+    rres = tuple(
+        tuple(residual("right", c, b, sum(1 << a for a in range(n) if leq[comp[a][b]] >> c & 1))
+              for b in range(n))
+        for c in range(n)
+    )
+    return lres, rres
+
+
 # generator families whose completions have 16, 20 and 32 elements
 LARGE_QUANTALE_FAMILIES = (
     (2, ((3, 1),)),

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -6,8 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import corpus
 from corpus import C2_TEXT, canonical_key, check_representation_pairwise
-from resq import algebra
+from resq import algebra, completion
 from resq.algebra import Check, FiniteResiduatedSemigroup, Report, _partial_orders
 from resq.errors import (ClosureSizeError, NoResidualError, NotResiduatedError, ParseError,
                          ResourceLimitError)
@@ -296,53 +298,120 @@ def test_infer_residuals_antichain_failure():
     assert [z for z in range(2) if leq[comp[0][z]] >> 1 & 1] == []
 
 
-def residuals_by_definition(leq, comp):
-    """Both residual tables read off their definition as maxima, or the first
-    missing one as (left, right, side, candidates) in the order
-    infer_residuals scans: every a\\c first, then every c/b."""
-    n = len(leq)
+def residual_outcome(infer, leq, comp):
+    """Both residual tables, or the payload of the NoResidualError raised."""
+    try:
+        return infer(leq, comp)
+    except NoResidualError as exc:
+        return (exc.left, exc.right, exc.side, exc.candidates)
 
-    def le(i, j):
-        return bool(leq[i] >> j & 1)
 
-    def maximum(cands):
-        tops = [m for m in cands if all(le(x, m) for x in cands)]
-        return tops[0] if tops else None
-
-    lres, rres = [], []
-    for a in range(n):
-        for c in range(n):
-            cands = [b for b in range(n) if le(comp[a][b], c)]
-            if maximum(cands) is None:
-                return (a, c, "left", frozenset(cands))
-            lres.append(maximum(cands))
-    for c in range(n):
-        for b in range(n):
-            cands = [a for a in range(n) if le(comp[a][b], c)]
-            if maximum(cands) is None:
-                return (c, b, "right", frozenset(cands))
-            rres.append(maximum(cands))
-    return (
-        tuple(tuple(lres[a * n:(a + 1) * n]) for a in range(n)),
-        tuple(tuple(rres[c * n:(c + 1) * n]) for c in range(n)),
-    )
+def random_partial_order(rng, n):
+    """The transitive closure of a random relation that points up a random
+    linear order, made reflexive."""
+    rank = rng.sample(range(n), n)
+    rows = [1 << i for i in range(n)]
+    for i, j in itertools.permutations(range(n), 2):
+        if rank[i] < rank[j] and rng.random() < 0.4:
+            rows[i] |= 1 << j
+    for k in range(n):
+        for i in range(n):
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
+    return tuple(rows)
 
 
 def test_infer_residuals_match_definition():
+    # the memo of maxima must not change which residual fails first, nor its
+    # candidate set
     rng = random.Random(5)
-    orders = list(_partial_orders(3))
     outcomes = set()
-    for _ in range(600):
-        leq = rng.choice(orders)
-        comp = tuple(tuple(rng.randrange(3) for _ in range(3)) for _ in range(3))
-        expected = residuals_by_definition(leq, comp)
-        try:
-            got = algebra.infer_residuals(leq, comp)
-        except NoResidualError as exc:
-            got = (exc.left, exc.right, exc.side, exc.candidates)
-        assert got == expected, (leq, comp)
-        outcomes.add(len(expected))
-    assert outcomes == {2, 4}  # both found tables and missing residuals occur
+    for _ in range(1200):
+        n = rng.randint(1, 6)
+        leq = random_partial_order(rng, n)
+        assert algebra.antisymmetry(leq) is None and algebra.transitivity(leq) is None
+        comp = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+        expected = residual_outcome(corpus.infer_residuals_by_loops, leq, comp)
+        assert residual_outcome(algebra.infer_residuals, leq, comp) == expected, (leq, comp)
+        outcomes.add((n, len(expected)))
+    # residuals go missing at every size above one; random tables of six
+    # elements have no residuals, smaller ones do
+    assert {n for n, k in outcomes if k == 4} == {2, 3, 4, 5, 6}
+    assert {n for n, k in outcomes if k == 2} == {1, 2, 3, 4, 5}
+
+
+def assert_laws_match_loops(leq, comp, join, lres, rres):
+    """Each cubic law and the residual inference agree with its scalar
+    oracle: the same first witness, or None; the same tables, or the same
+    missing residual."""
+    assert algebra.associativity(comp) == corpus.associativity_by_loops(comp)
+    assert algebra.monotonicity(leq, comp) == corpus.monotonicity_by_loops(leq, comp)
+    assert (algebra.residuation(leq, comp, lres, rres)
+            == corpus.residuation_by_loops(leq, comp, lres, rres))
+    assert algebra.distributivity(join, comp) == corpus.distributivity_by_loops(join, comp)
+    assert algebra.order_reflection(leq, comp) == corpus.order_reflection_by_loops(leq, comp)
+    assert (residual_outcome(algebra.infer_residuals, leq, comp)
+            == residual_outcome(corpus.infer_residuals_by_loops, leq, comp))
+
+
+@st.composite
+def random_tables(draw):
+    n = draw(st.integers(1, 8))
+    index = st.integers(0, n - 1)
+    table = st.tuples(*[st.tuples(*[index] * n)] * n)
+    if draw(st.booleans()):
+        leq = random_partial_order(draw(st.randoms(use_true_random=False)), n)
+    else:
+        leq = draw(st.tuples(*[st.integers(0, (1 << n) - 1)] * n))
+    return (leq,) + tuple(draw(table) for _ in range(4))
+
+
+@given(random_tables())
+@settings(max_examples=300)
+def test_laws_match_scalar_loops_on_random_tables(tables):
+    assert_laws_match_loops(*tables)
+
+
+@pytest.mark.parametrize("leq", [(0,), (1,)])
+def test_laws_match_scalar_loops_on_one_element(leq):
+    # one index: an itemgetter returns the bare entry, not a one-tuple
+    table = ((0,),)
+    assert_laws_match_loops(leq, table, table, table, table)
+    assert algebra.associativity(table) is None
+
+
+@functools.lru_cache(maxsize=None)
+def quantale_tables() -> tuple:
+    """(leq, comp, sup, lres, rres) of the completions of the large quantale
+    algebras and of C2, and of the one-element algebra."""
+    out = []
+    for A in corpus.large_quantale_algebras() + [corpus.make_c2(), algebra.parse_algebra(ONE_ELEMENT)]:
+        Q = completion.build_quantale(A)
+        out.append((Q.leq, Q.comp, Q.sup) + completion.quantale_residuals(Q))
+    return tuple(out)
+
+
+@st.composite
+def mutated_quantale_tables(draw):
+    tables = list(draw(st.sampled_from(quantale_tables())))
+    n = len(tables[0])
+    which = draw(st.integers(0, 4))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if which == 0:  # flip one pair of the order
+        tables[0] = tables[0][:i] + (tables[0][i] ^ 1 << j,) + tables[0][i + 1:]
+    else:
+        rows = list(tables[which])
+        rows[i] = rows[i][:j] + (draw(st.integers(0, n - 1)),) + rows[i][j + 1:]
+        tables[which] = tuple(rows)
+    return tuple(tables)
+
+
+@given(mutated_quantale_tables())
+@settings(max_examples=100)
+def test_laws_match_scalar_loops_on_mutated_quantales(tables):
+    # a single changed cell of a law-abiding table: the row that holds it
+    # mismatches late, after many rows that agree
+    assert_laws_match_loops(*tables)
 
 
 def test_enumerate_one_element():

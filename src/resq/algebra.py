@@ -153,8 +153,8 @@ def transitivity(leq: tuple[int, ...]) -> tuple[int, int, int] | None:
 
 def _order_table(leq: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The order as 0/1 rows: le[x][y] is 1 iff bit y of leq[x] is set."""
-    n = len(leq)
-    return tuple(tuple(map(int, format(row, f"0{n}b")[::-1][:n])) for row in leq)
+    ys = range(len(leq))
+    return tuple(tuple(map((1).__and__, map(row.__rshift__, ys))) for row in leq)
 
 
 def _order_pairs(leq: tuple[int, ...]) -> set[tuple[int, int]]:
@@ -169,8 +169,10 @@ def _order_pairs(leq: tuple[int, ...]) -> set[tuple[int, int]]:
 # distributivity read each row off the tables with an itemgetter over the
 # indices of another row; with a single index an itemgetter returns the bare
 # item, so on one element every row mismatches and the scalar loop decides.
-# Monotonicity and order reflection ask whether x;c <= y;c for every c as one
-# containment of the pairs of rows x and y in the order.
+# Order reflection asks whether x;q <= y;q for every q as one containment of
+# the pairs of rows x and y in the order.  Monotonicity keeps its scalar loop:
+# it runs only on the small tables that validate and enumerate_algebras read,
+# where the set-up of a row form costs more than it saves.
 
 
 def associativity(comp) -> tuple[int, int, int] | None:
@@ -194,16 +196,12 @@ def associativity(comp) -> tuple[int, int, int] | None:
 
 
 def monotonicity(leq: tuple[int, ...], comp) -> tuple[int, int, int] | None:
-    """Some a <= b and c with a;c not <= b;c or c;a not <= c;b: the pairs of
-    rows a and b (columns a and b) of comp against the order."""
+    """Some a <= b and c with a;c not <= b;c or c;a not <= c;b."""
     n = len(leq)
-    order = _order_pairs(leq)
-    columns = tuple(zip(*comp))
     for a in range(n):
-        above, comp_a, col_a = leq[a], comp[a], columns[a]
+        comp_a = comp[a]
         for b in range(n):
-            if not above >> b & 1 or (order.issuperset(zip(comp_a, comp[b]))
-                                      and order.issuperset(zip(col_a, columns[b]))):
+            if not leq[a] >> b & 1:
                 continue
             comp_b = comp[b]
             for c in range(n):

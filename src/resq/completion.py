@@ -72,12 +72,9 @@ def closure_map(A: FiniteResiduatedSemigroup) -> Callable[[int], int]:
     closed once: a caller that closes many sets of one algebra, some of them
     many times, pays for each once.
     """
-    return _closure(A, rel_converse(A.leq))
-
-
-def _closure(A: FiniteResiduatedSemigroup, down: tuple[int, ...]) -> Callable[[int], int]:
     closed: dict[int, int] = {}
     up = A.leq
+    down = rel_converse(A.leq)
     full = (1 << A.n) - 1
 
     def close(x_mask: int) -> int:
@@ -123,7 +120,7 @@ def closed_sets(A: FiniteResiduatedSemigroup) -> tuple[int, ...]:
                     fresh.add(y)
         family |= fresh
         frontier = list(fresh)
-    close = _closure(A, down)
+    close = closure_map(A)
     for x in family:
         if close(x) != x:
             raise AssertionError(f"intersection closure produced a non-closed set {x:b}")
@@ -166,10 +163,10 @@ def build_quantale(A: FiniteResiduatedSemigroup) -> Quantale:
     X;Y.
     """
     elems = closed_sets(A)
-    close = closure_map(A)  # one memo for all the tables
     index = {mask: i for i, mask in enumerate(elems)}
     size = len(elems)
     leq = inclusion_order([(mask,) for mask in elems])
+    close = closure_map(A)
     tops = [_maximal(x, A.leq) for x in elems]
     comp = tuple(
         tuple(index[close(_pairwise_product(x, y, A))] for y in tops) for x in tops

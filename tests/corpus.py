@@ -62,20 +62,6 @@ def associativity_by_loops(comp) -> tuple[int, int, int] | None:
     return None
 
 
-def monotonicity_by_loops(leq, comp) -> tuple[int, int, int] | None:
-    n = len(leq)
-    for a in range(n):
-        comp_a = comp[a]
-        for b in range(n):
-            if not leq[a] >> b & 1:
-                continue
-            comp_b = comp[b]
-            for c in range(n):
-                if not leq[comp_a[c]] >> comp_b[c] & 1 or not leq[comp[c][a]] >> comp[c][b] & 1:
-                    return (a, b, c)
-    return None
-
-
 def residuation_by_loops(leq, comp, lres, rres) -> tuple[int, int, int] | None:
     n = len(leq)
     for a in range(n):

@@ -65,9 +65,6 @@ class FiniteResiduatedSemigroup:
     def le(self, i: int, j: int) -> bool:
         return bool(self.leq[i] >> j & 1)
 
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
 
 class Check(NamedTuple):
     """A law or condition that holds, or fails at the indices of witness."""
@@ -624,7 +621,7 @@ def close_relation_family(
     the closure is a residuated semigroup of relations by construction.  An
     empty generator family is seeded with the empty relation (the union of no
     generators), whose residuals then populate the closure.  Row x of op(r, s)
-    is a function of key x of r (``relations.op_keys``), so each operation is
+    is a function of key x of r (``relations.Operation.keys``), so each operation is
     evaluated once per distinct key and member, and op(r, s) over a run of
     members s is read as packed relation codes off the packed rows of r's
     keys (``relations.keyed_codes``).  A generator of the wrong length, or
@@ -663,18 +660,18 @@ def close_relation_family(
     # extends the columns to its members; then every earlier member is closed
     # against the run, and every member of the run against all members so far.
     # Members found meanwhile make the next run.
-    ops = (rel.rel_compose, rel.rel_lres, rel.rel_rres)
+    ops = [rel.OPERATIONS[name] for name in ("composition", "left-residual", "right-residual")]
     columns: tuple[dict, ...] = tuple({} for _ in ops)
     keys: tuple[list, ...] = tuple([] for _ in ops)
     done = 0
     while done < len(members):
         start, stop = done, len(members)
         against_run, against_all = [], []  # packed codes over the run, over members[:stop]
-        for op, column, op_keys in zip(ops, columns, keys):
-            op_keys.extend(rel.op_keys(op, t) for t in members[start:stop])
-            run, whole = _extend_columns(op, column, members, start, stop, op_keys[start:])
-            against_run.append(rel.keyed_codes(run, op_keys[:start], n))
-            against_all.append(rel.keyed_codes(whole, op_keys[start:], n))
+        for op, column, member_keys in zip(ops, columns, keys):
+            member_keys.extend(map(op.keys, members[start:stop]))
+            run, whole = _extend_columns(op, column, members, start, stop, member_keys[start:])
+            against_run.append(rel.keyed_codes(run, member_keys[:start], n))
+            against_all.append(rel.keyed_codes(whole, member_keys[start:], n))
         for packed, count in ((against_run, stop - start), (against_all, stop)):
             found = rel.unpack_codes(itertools.chain.from_iterable(packed), count, n)
             if not seen.issuperset(found):
@@ -688,14 +685,14 @@ def close_relation_family(
     rank = {codes[j]: k for k, j in enumerate(order)}
     count = len(closure)
     tables = []
-    for column, op_keys in zip(columns, keys):
+    for column, member_keys in zip(columns, keys):
         # every column's fields in the order of the closure, then the code of
         # every entry, row by row
         rows = {}
         for key, fields in column.items():
             found = rel.unpack_codes([rel.pack_fields(fields)], count, n)
             rows[key] = rel.pack_fields(rel.code_fields([found[j] for j in order], n))
-        entries = rel.unpack_codes(rel.keyed_codes(rows, [op_keys[j] for j in order], n),
+        entries = rel.unpack_codes(rel.keyed_codes(rows, [member_keys[j] for j in order], n),
                                    count, n)
         tables.append(tuple(tuple(map(rank.__getitem__, entries[a:a + count]))
                             for a in range(0, count * count, count)))
@@ -703,7 +700,7 @@ def close_relation_family(
     return closure
 
 
-def _extend_columns(op, column: dict, members, start: int, stop: int, run_keys):
+def _extend_columns(op: rel.Operation, column: dict, members, start: int, stop: int, run_keys):
     """Extend column from the members before start to those before stop: key
     -> the fields of the rows key gives under op against them.  Keys first met
     in run_keys (the keys of members[start:stop]) are filled in first.  Returns
@@ -712,10 +709,10 @@ def _extend_columns(op, column: dict, members, start: int, stop: int, run_keys):
     n = len(members[0])
     new = [key for key in dict.fromkeys(itertools.chain.from_iterable(run_keys))
            if key not in column]
-    earlier = [rel.op_rows(op, new, s) for s in members[:start]] if new else []
+    earlier = [op.rows(new, s) for s in members[:start]] if new else []
     for j, key in enumerate(new):
         column[key] = bytearray(rel.code_fields([rows[j] for rows in earlier], n))
-    later = [rel.op_rows(op, list(column), t) for t in members[start:stop]]
+    later = [op.rows(list(column), t) for t in members[start:stop]]
     run = {}
     for (key, fields), rows in zip(column.items(), zip(*later)):
         added = rel.code_fields(rows, n)

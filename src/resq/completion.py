@@ -40,12 +40,15 @@ class Quantale:
     sup: tuple[tuple[int, ...], ...]
     bottom: int
     top: int
-    unital: bool
     unit: int | None
 
     @property
     def size(self) -> int:
         return len(self.masks)
+
+    @property
+    def unital(self) -> bool:
+        return self.unit is not None
 
     @property
     def operations(self) -> tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]:
@@ -188,7 +191,6 @@ def build_quantale(A: FiniteResiduatedSemigroup) -> Quantale:
         sup=sup,
         bottom=bottom,
         top=top,
-        unital=unit is not None,
         unit=unit,
     )
     check_quantale_laws(Q)
@@ -208,7 +210,7 @@ def check_quantale_laws(Q: Quantale) -> None:
         for law, holds in (
             ("bounds", lambda a: Q.le(bottom, a) and Q.le(a, top)),
             ("absorption", lambda a: comp[a][bottom] == bottom == comp[bottom][a]),
-            ("unit", lambda a: not Q.unital or e is not None and comp[e][a] == a == comp[a][e]),
+            ("unit", lambda a: e is None or comp[e][a] == a == comp[a][e]),
         )
     )
     failures = Report(checks).failures

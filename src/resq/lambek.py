@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from . import relations as rel
-from .errors import MissingAtomError, ParseError, ResourceLimitError, quote
+from .errors import MissingAtomError, ParseError, quote
 from .relations import Interpretation, Relation
-from .verifier import Exhausted, NodeBudget, first_model, plan_search, relational_ops
+from .verifier import Exhausted, NodeBudget, first_model, plan_search
 
 try:
     # the builtin module: importing hashlib would also load OpenSSL, about
@@ -42,8 +42,6 @@ DEFAULT_COUNTER_BUDGET = 10_000_000
 # deepest parenthesis nesting the recursive-descent parser accepts; each level
 # costs three stack frames, well inside the default recursion limit
 MAX_NESTING = 100
-
-MAX_MODEL_BASE = 4096  # a larger model base is refused before its points exist
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,7 @@ class Over(_Connective):
 
 Formula = Atom | Prod | Under | Over
 
-# the relational operation (a verifier.relational_ops name) of each connective
+# the relational operation (a relations.OPERATIONS name) of each connective
 CONNECTIVE_OPERATION = {Prod: "composition", Under: "left-residual", Over: "right-residual"}
 
 
@@ -370,7 +368,7 @@ def parse_model(text: str) -> Interpretation:
 
     base must be an int of at least 1 and each atom's value a list of [x, y]
     int pairs, and no object may repeat a key; raises ParseError otherwise,
-    ResourceLimitError for a base above MAX_MODEL_BASE and DimensionMismatch
+    ResourceLimitError for a base above relations.MAX_BASE and DimensionMismatch
     for a pair outside the base.  The atoms are sorted.
     """
     raw = rel.load_json(text, "model")
@@ -379,8 +377,7 @@ def parse_model(text: str) -> Interpretation:
     base = raw.get("base")
     if type(base) is not int or base < 1:
         raise ParseError("model field 'base' must be an integer of at least 1")
-    if base > MAX_MODEL_BASE:
-        raise ResourceLimitError(MAX_MODEL_BASE, "model field 'base' exceeds the cap")
+    rel.check_base_size(base, "model field 'base'")
     named = raw.get("valuation")
     if not isinstance(named, dict):
         raise ParseError("model field 'valuation' must be an object")
@@ -393,7 +390,7 @@ def formula_value(f: Formula, M: Interpretation) -> Relation:
     """Extend the valuation over the full square of the base; raises
     MissingAtomError for an atom M does not name."""
     values = dict(M.valuation)
-    ops = relational_ops()
+    compose = rel.OPERATIONS["composition"].apply
 
     def value(g: Formula) -> Relation:
         factors = []  # the right operands along the left spine, outermost first
@@ -405,9 +402,10 @@ def formula_value(f: Formula, M: Interpretation) -> Relation:
                 raise MissingAtomError(f"model does not interpret atom {quote(g.name)}")
             out = values[g.name]
         else:
-            out = ops[CONNECTIVE_OPERATION[type(g)]](value(g.left), value(g.right))
+            op = rel.OPERATIONS[CONNECTIVE_OPERATION[type(g)]]
+            out = op.apply(value(g.left), value(g.right))
         for h in reversed(factors):
-            out = ops["composition"](out, value(h))
+            out = compose(out, value(h))
         return out
 
     return value(f)

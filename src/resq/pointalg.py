@@ -105,9 +105,6 @@ class SPStructure:
     def le(self, i: int, j: int) -> bool:
         return self.join[i][j] == j
 
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
 
 def check_sp_laws(S: SPStructure) -> None:
     """Raise AssertionError, naming the first failed join-semigroup law and

@@ -13,12 +13,15 @@ import itertools
 import json
 import operator
 import sys
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import QUOTE_LIMIT, DimensionMismatch, ParseError, quote
+from .errors import QUOTE_LIMIT, DimensionMismatch, ParseError, ResourceLimitError, quote
 
 Relation = tuple[int, ...]
+
+MAX_BASE = 4096  # a larger base of a dump or model is refused before its points exist
 
 
 def empty_relation(n: int) -> Relation:
@@ -55,6 +58,13 @@ def load_json(text: str, what: str):
         raise
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ParseError(f"{what} is not valid JSON: {exc}") from None
+
+
+def check_base_size(size: int, what: str) -> None:
+    """Raise ResourceLimitError ('<what> exceeds the cap (limit MAX_BASE)')
+    for a base of more than MAX_BASE points."""
+    if size > MAX_BASE:
+        raise ResourceLimitError(MAX_BASE, f"{what} exceeds the cap")
 
 
 def is_pair_list(value) -> bool:
@@ -157,7 +167,7 @@ def rel_converse(r: Relation) -> Relation:
 # Row x of r;s and of r/s depends only on row x of r, row x of r\s only on
 # column x of r, and row x of r | s on x and row x of r: one key of r.  The
 # rules below give the row of a key against s, and every row of every
-# operation, whole relations included, is read off them.
+# operation, whole relations included, is read off them (OPERATIONS).
 
 
 def meet_rows(mask: int, rows, full: int) -> int:
@@ -211,38 +221,14 @@ def _union_rows(keys, s: Relation) -> list[int]:
     return [row | s[x] for x, row in keys]
 
 
-def op_keys(op, r: Relation) -> tuple:
-    """The key of each row of r under op: relations whose key x is the same
-    give the same row x of op(., s) for every s.
-
-    A key is the row mask for composition and the right residual, the column
-    mask for the left residual and the (position, row mask) pair for union.
-    """
-    if op is rel_compose or op is rel_rres:
-        return r
-    if op is rel_lres:
-        return rel_converse(r)
-    if op is rel_union:
-        return tuple(enumerate(r))
-    raise ValueError(f"no row keys for {op!r}")
+def _row_keys(r: Relation) -> Relation:
+    """The key of row x of r;s and of r/s: row x of r."""
+    return r
 
 
-def op_rows(op, keys, s: Relation) -> list[int]:
-    """The row op gives each of keys (op_keys) against the right operand s.
-
-    op is matched by identity against this module's kernels when called, so
-    wrappers installed on the module are recognised; any other op raises
-    ValueError.
-    """
-    if op is rel_compose:
-        return _compose_rows(keys, s)
-    if op is rel_lres:
-        return _lres_rows(keys, s)
-    if op is rel_rres:
-        return _rres_rows(keys, s)
-    if op is rel_union:
-        return _union_rows(keys, s)
-    raise ValueError(f"no rows for {op!r}")
+def _indexed_keys(r: Relation) -> tuple:
+    """The key of row x of r | s: the pair (x, row x of r)."""
+    return tuple(enumerate(r))
 
 
 def inclusion_order(family) -> tuple[int, ...]:
@@ -329,7 +315,7 @@ def keyed_codes(rows: dict, keyed, n: int):
     """For the row keys of each relation in keyed, the packed codes over n
     points whose row x, in every field, is the field of the packed row
     rows[key x]: with rows[key] the packed rows a key gives under an operation
-    against a run of right operands s (``op_keys``), these are the codes of
+    against a run of right operands s (``Operation.keys``), these are the codes of
     op(r, s) over that run.  The shifted rows do not overlap, so their sum is
     their OR."""
     shifts = range(0, n * n, n or 1)
@@ -479,6 +465,37 @@ def equal_mask(full: int, r, s) -> int:
     for a, b in zip(r, s):
         bad |= a ^ b
     return full ^ bad
+
+
+# ---------------------------------------------------------------------------
+# the operations
+
+
+@dataclass(frozen=True)
+class Operation:
+    """One binary relational operation op in each of the forms the layers use.
+
+    keys(r) is the key of each row of r: relations whose key x is the same
+    give the same row x of op(., s) for every s.  rows(keys, s) is the row
+    each of keys gives against the right operand s, apply(r, s) the whole
+    relation op(r, s) and sliced(k, full, r, s) op lane by lane on sliced
+    relations over k points.
+    """
+
+    keys: Callable[[Relation], tuple]
+    rows: Callable[[Sequence, Relation], list[int]]
+    apply: Callable[[Relation, Relation], Relation]
+    sliced: Callable[[int, int, tuple, tuple], tuple[int, ...]]
+
+
+# Every operation of the algebras, by the condition name the structures list
+# it under; the one place that maps a name to code.
+OPERATIONS: dict[str, Operation] = {
+    "composition": Operation(_row_keys, _compose_rows, rel_compose, sliced_compose),
+    "left-residual": Operation(rel_converse, _lres_rows, rel_lres, sliced_lres),
+    "right-residual": Operation(_row_keys, _rres_rows, rel_rres, sliced_rres),
+    "join": Operation(_indexed_keys, _union_rows, rel_union, sliced_union),
+}
 
 
 @lru_cache(maxsize=1024)

@@ -92,7 +92,6 @@ def unitalize(Q: Quantale) -> Quantale:
         sup=sup,
         bottom=Q.bottom,
         top=size + Q.top,
-        unital=True,
         unit=size + Q.bottom,
     )
     check_quantale_laws(out)
@@ -185,7 +184,9 @@ def format_interpretation(I: Interpretation) -> str:
 def parse_interpretation(text: str, A) -> Interpretation:
     """Read a representation dump (text or its JSON mirror) and bind its
     relations to A's elements.  A JSON dump's optional 'elements' must list
-    A's elements, each once and in any order; other unknown keys are ignored."""
+    A's elements, each once and in any order; other unknown keys are ignored.
+    A base of more than relations.MAX_BASE points raises ResourceLimitError
+    before any relation is read."""
     if text.lstrip().startswith("{"):
         payload = rel.load_json(text, "dump")
         if not isinstance(payload, dict) or not isinstance(payload.get("base"), list):
@@ -196,6 +197,7 @@ def parse_interpretation(text: str, A) -> Interpretation:
         if not (isinstance(elements, list) and len(elements) == len(A.names)
                 and all(isinstance(x, str) for x in elements) and set(elements) == set(A.names)):
             raise ParseError("dump field 'elements' must name each element of the algebra once")
+        rel.check_base_size(len(payload["base"]), "dump field 'base'")
         base = tuple(str(x) for x in payload["base"])
         named = payload["relations"]
     else:
@@ -209,6 +211,7 @@ def parse_interpretation(text: str, A) -> Interpretation:
                 if base is not None:
                     raise ParseError("second base line", lineno)
                 base = tuple(line[len("base:"):].split())
+                rel.check_base_size(len(base), "dump base line")
             elif line.startswith("rel "):
                 head, _, rest = line.partition(":")
                 name = head[len("rel "):].strip()

@@ -15,55 +15,22 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from dataclasses import dataclass
 
 from . import relations as rel
 from .algebra import Check, Report, transitivity
-from .errors import DimensionMismatch, ResourceLimitError, ResqError
+from .errors import DimensionMismatch, ResourceLimitError
 from .relations import Interpretation, Relation
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
-def relational_ops() -> dict:
-    """The relational operation that interprets each operation condition name.
-
-    Built per call, so the kernel functions are looked up on the relations
-    module each time and wrappers installed there see every call.
-    """
-    return {
-        "composition": rel.rel_compose,
-        "left-residual": rel.rel_lres,
-        "right-residual": rel.rel_rres,
-        "join": rel.rel_union,
-    }
-
-
-def default_node_budget(default: int = DEFAULT_NODE_BUDGET) -> int:
-    """RESQ_NODE_BUDGET when set, else default; raises ResqError unless the
-    variable holds an integer of at least 1."""
-    value = os.environ.get("RESQ_NODE_BUDGET")
-    if not value:
-        return default
-    try:
-        limit = int(value)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise ResqError(f"RESQ_NODE_BUDGET must be an integer of at least 1, got {value!r}")
-    return limit
-
-
 class NodeBudget:
-    """Mutable node counter; raises once the configured limit is exceeded.
-
-    An explicit limit wins; otherwise the RESQ_NODE_BUDGET environment
-    variable, and finally the caller's default.
-    """
+    """Mutable node counter; raises once the limit is exceeded.  The limit is
+    the explicit one when given, else the caller's default."""
 
     def __init__(self, limit: int | None = None, default: int = DEFAULT_NODE_BUDGET):
-        self.limit = limit if limit is not None else default_node_budget(default)
+        self.limit = default if limit is None else limit
         self.used = 0
 
     def spend(self, amount: int = 1) -> None:
@@ -72,13 +39,15 @@ class NodeBudget:
             raise ResourceLimitError(self.limit)
 
 
-def _table_condition(name, table, op, relations) -> Check:
-    """Row a of the condition is op(R[a], R[b]) over every b, read off one
-    column per row key of R[a] (relations.op_keys): the rows that key gives
-    against every R[b] (relations.op_rows), filled once per distinct key."""
-    keyed = [rel.op_keys(op, r) for r in relations]
+def _table_condition(name, table, relations) -> Check:
+    """Row a of the condition is op(R[a], R[b]) over every b, with op the
+    operation named name, read off one column per row key of R[a]
+    (Operation.keys): the rows that key gives against every R[b]
+    (Operation.rows), filled once per distinct key."""
+    op = rel.OPERATIONS[name]
+    keyed = [op.keys(r) for r in relations]
     distinct = list(dict.fromkeys(itertools.chain.from_iterable(keyed)))
-    columns = dict(zip(distinct, zip(*[rel.op_rows(op, distinct, s) for s in relations])))
+    columns = dict(zip(distinct, zip(*[op.rows(distinct, s) for s in relations])))
     for a, keys in enumerate(keyed):
         expected = [relations[c] for c in table[a]]
         actual = list(zip(*map(columns.__getitem__, keys))) if keys else [()] * len(relations)
@@ -114,9 +83,8 @@ def check_representation(S, I: Interpretation) -> Report:
     relations = I.relations[:len(S.comp)]
     if len({len(r) for r in relations}) > 1:
         raise DimensionMismatch("the relations of the interpretation have different bases")
-    ops = relational_ops()
     return Report((_order_condition(S.leq, relations),) + tuple(
-        _table_condition(name, table, ops[name], relations) for name, table in S.operations
+        _table_condition(name, table, relations) for name, table in S.operations
     ))
 
 
@@ -170,7 +138,7 @@ def plan_search(n: int, equations, inclusions) -> tuple:
     """The steps in which a search over n unknown relations assigns them.
 
     An equation (op, a, b, c) demands op(R[a], R[b]) == R[c], with op the
-    name of a relational operation (relational_ops); an inclusion (a, b,
+    name of a relational operation (relations.OPERATIONS); an inclusion (a, b,
     holds) demands (R[a] <= R[b]) == holds.  Whether an equation forces its c
     depends only on which unknowns are assigned, not on their values, so the
     order is fixed in advance: each step assigns the lowest unknown forced
@@ -227,17 +195,6 @@ def first_model(plan: tuple, names, max_base: int, budget: NodeBudget) -> Interp
     return None
 
 
-def sliced_ops() -> dict:
-    """The sliced form (relations.sliced_*) of each operation of
-    relational_ops, looked up on the relations module per call."""
-    return {
-        "composition": rel.sliced_compose,
-        "left-residual": rel.sliced_lres,
-        "right-residual": rel.sliced_rres,
-        "join": rel.sliced_union,
-    }
-
-
 def run_plan(plan: tuple, k: int, budget: NodeBudget):
     """The first assignment over a base of size k meeting every constraint of
     the plan, or None.
@@ -249,12 +206,13 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
 
     A branch is swept a block of candidates at a time (relations.block_slices):
     its value is the sliced relation of the block, the forced steps up to the
-    next branch are evaluated with the sliced operations, and each step's
-    checks become a mask of the lanes that pass them.  The surviving lanes,
-    those passing every step up to the next branch, are taken in ascending
-    order.  Each survivor is decoded, its forced values are recomputed with
-    the relational kernels and every check of its steps is re-run with them;
-    a disagreement with the masks raises AssertionError.
+    next branch are evaluated with the sliced operations (Operation.sliced),
+    and each step's checks become a mask of the lanes that pass them.  The
+    surviving lanes, those passing every step up to the next branch, are
+    taken in ascending order.  Each survivor is decoded, its forced values
+    are recomputed with the whole-relation kernels (Operation.apply) and
+    every check of its steps is re-run with them; a disagreement with the
+    masks raises AssertionError.
 
     The nodes are those of trying one candidate at a time: one per candidate,
     one per forced step entered and one for the end or the next branch
@@ -267,8 +225,7 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
     if not plan:
         budget.spend()
         return ()
-    ops = relational_ops()
-    sliced = sliced_ops()
+    operations = rel.OPERATIONS
     subset_mask, equal_mask = rel.subset_mask, rel.equal_mask
     values: list[Relation | None] = [None] * len(plan)
     # the step of the next branch (or the end) after each step
@@ -283,7 +240,7 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
             if rel.rel_subset(values[a], values[b]) != expected:
                 return False
         for op, a, b, c in equations:
-            if ops[op](values[a], values[b]) != values[c]:
+            if operations[op].apply(values[a], values[b]) != values[c]:
                 return False
         return True
 
@@ -313,8 +270,8 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
             for c, forced, equations, inclusions in steps:
                 if mask and forced is not None:
                     op, a, b = forced
-                    block_values[c] = sliced[op](k, full, operand(a, block_values),
-                                                 operand(b, block_values))
+                    block_values[c] = operations[op].sliced(k, full, operand(a, block_values),
+                                                            operand(b, block_values))
                 for a, b, expected in inclusions:
                     if not mask:
                         break
@@ -323,7 +280,8 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
                 for op, a, b, c in equations:
                     if not mask:
                         break
-                    got = sliced[op](k, full, operand(a, block_values), operand(b, block_values))
+                    got = operations[op].sliced(k, full, operand(a, block_values),
+                                                operand(b, block_values))
                     mask &= equal_mask(full, got, operand(c, block_values))
                 masks.append(mask)
             charged = 0
@@ -336,7 +294,7 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
                 for c, forced, equations, inclusions in steps:
                     if forced is not None:
                         op, a, b = forced
-                        values[c] = ops[op](values[a], values[b])
+                        values[c] = operations[op].apply(values[a], values[b])
                     if not holds(equations, inclusions):
                         raise AssertionError(
                             f"lane {lane} of block {block} over base {k} passed the sliced "

@@ -26,7 +26,7 @@ from resq.completion import _subset_sort_key
 from resq.errors import NoResidualError
 from resq.pointalg import ATOM_EQ, ATOM_GT, ATOM_LT
 from resq.relations import Interpretation, Relation
-from resq.verifier import Exhausted, relational_ops
+from resq.verifier import Exhausted
 
 C2_TEXT = "elements: a b\nleq: a<=b\ncomp: a;a=a a;b=a b;a=a b;b=a\n"
 
@@ -494,7 +494,6 @@ def scalar_run_plan(plan: tuple, k: int, budget):
     encodings of their orbits only, and every constraint is checked with the
     relational kernels.  One node per step entered and one per candidate.
     Oracle for the sliced sweep's verdicts and node counts."""
-    ops = relational_ops()
     every = list(all_relations(k))
     first = canonical_relations_by_scan(k)
     values = [None] * len(plan)
@@ -502,7 +501,8 @@ def scalar_run_plan(plan: tuple, k: int, budget):
     def holds(equations, inclusions) -> bool:
         return (all(rel.rel_subset(values[a], values[b]) == expected
                     for a, b, expected in inclusions)
-                and all(ops[op](values[a], values[b]) == values[c] for op, a, b, c in equations))
+                and all(rel.OPERATIONS[op].apply(values[a], values[b]) == values[c]
+                        for op, a, b, c in equations))
 
     branches = []
     i = 0
@@ -515,7 +515,7 @@ def scalar_run_plan(plan: tuple, k: int, budget):
             branches.append((i, iter(every if branches else first)))
         else:
             op, a, b = forced
-            values[c] = ops[op](values[a], values[b])
+            values[c] = rel.OPERATIONS[op].apply(values[a], values[b])
             if holds(equations, inclusions):
                 i += 1
                 continue
@@ -616,7 +616,6 @@ def check_representation_pairwise(S, I) -> Report:
                     return Check(name, (a, b, x, y))
         return Check(name, None)
 
-    ops = relational_ops()
     return Report((order_condition(),) + tuple(
-        table_condition(name, table, ops[name]) for name, table in S.operations
+        table_condition(name, table, rel.OPERATIONS[name].apply) for name, table in S.operations
     ))

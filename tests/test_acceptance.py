@@ -256,7 +256,7 @@ def test_A8_point_algebra():
     result2, stats2 = pointalg.frp_probe(S2, 3)
     assert isinstance(result2, Interpretation) and result2.base_size == 3
     assert verifier.check_representation(S2, result2).valid
-    assert stats2.nodes <= verifier.default_node_budget()
+    assert stats2.nodes <= verifier.DEFAULT_NODE_BUDGET
     print(f"\nA8 PASS: composition table matches the dense-chain oracle; "
           f"{{<,=}}-reduct represented at base 2; {{<,>}}-reduct probe verdict "
           f"frozen (found at base 3, {stats2.nodes} nodes, {stats2.seconds:.2f}s)")

@@ -27,7 +27,7 @@ def test_parse_one_element():
 
 
 def test_parse_c2_infers_residuals(c2):
-    b = c2.index_of("b")
+    b = c2.names.index("b")
     assert all(c2.lres[i][j] == b for i in range(2) for j in range(2))
     assert all(c2.rres[i][j] == b for i in range(2) for j in range(2))
 

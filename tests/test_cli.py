@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from corpus import C2_TEXT, MALFORMED_MODELS, make_c2
 import resq
 from resq import lambek, relrep
+from resq import relations as rel
 from resq.cli import main
 
 ONE = "elements: x\nleq: x<=x\ncomp: x;x=x\n"
@@ -814,12 +815,26 @@ def test_eval_rejects_a_model_that_repeats_its_base(runner, tmp_path):
 
 
 def test_eval_refuses_a_model_base_above_the_cap(runner, tmp_path):
-    cap = lambek.MAX_MODEL_BASE
+    cap = rel.MAX_BASE
     result = eval_p_entails_p(runner, tmp_path,
                               f'{{"base": {cap + 1}, "valuation": {{"p": [[0, 1]]}}}}')
     assert result.exit_code == 3
     assert result.stdout == ""
     assert result.stderr == f"error: model field 'base' exceeds the cap (limit {cap})\n"
+
+
+@pytest.mark.parametrize("form, what", [("text", "dump base line"), ("json", "dump field 'base'")])
+def test_verify_refuses_a_dump_base_above_the_cap(runner, tmp_path, form, what):
+    # the cap of lambek eval models holds for dumps too, checked before the
+    # points are read
+    cap = rel.MAX_BASE
+    labels = [str(i) for i in range(cap + 1)]
+    dump = (f"base: {' '.join(labels)}\nrel q: (0,1)\n" if form == "text"
+            else json.dumps({"base": labels, "relations": {"q": [[0, 1]]}}))
+    result = verify_one_q(runner, tmp_path, dump)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == f"error: {what} exceeds the cap (limit {cap})\n"
 
 
 @pytest.mark.parametrize("command", ["complete", "represent", "verify", "search"])

@@ -143,7 +143,6 @@ def test_check_quantale_laws_rejects_broken_table(c2):
         sup=Q.sup,
         bottom=Q.bottom,
         top=Q.top,
-        unital=False,
         unit=None,
     )
     with pytest.raises(QuantaleLawError):
@@ -166,7 +165,6 @@ def _chain3(**changes):
         sup=CHAIN3_SUP,
         bottom=0,
         top=2,
-        unital=False,
         unit=None,
     )
     fields.update(changes)
@@ -191,7 +189,7 @@ def test_check_quantale_laws_accepts_the_chain():
         # columns 1 and 2 are not monotone: right distributivity fails, left holds
         ({"comp": ((0, 0, 0), (0, 1, 2), (0, 0, 0))}, "distributivity fails at (1, 1, 2)"),
         # 2 is declared a unit but 2;1 = 0
-        ({"unital": True, "unit": 2}, "unit fails at (1)"),
+        ({"unit": 2}, "unit fails at (1)"),
     ],
     ids=["sup-not-least", "bounds", "bottom-absorption", "left-distributivity",
          "right-distributivity", "unit"],

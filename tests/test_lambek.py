@@ -338,7 +338,7 @@ def test_prover_budget():
 
 def test_a_model_base_above_the_cap_is_refused_before_its_points_exist():
     # one past the cap, so a missing check would allocate only a few thousand points
-    cap = lambek.MAX_MODEL_BASE
+    cap = rel.MAX_BASE
     assert lambek.parse_model(f'{{"base": {cap}, "valuation": {{}}}}').base_size == cap
     message = rf"model field 'base' exceeds the cap \(limit {cap}\)"
     with pytest.raises(ResourceLimitError, match=message):

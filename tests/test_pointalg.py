@@ -94,7 +94,7 @@ def test_reduct_lt_alone(P):
 def test_reduct_lt_gt(P):
     S = reduct(P, [ATOM_LT, ATOM_GT])
     assert S.names == ("<", ">", "neq", "full")
-    neq = S.index_of("neq")
+    neq = S.names.index("neq")
     assert S.names[S.comp[neq][neq]] == "full"
 
 

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import all_relations, canonical_relations_by_scan, encode_relation, permute_relation
+from resq import lambek, pointalg
 from resq import relations as rel
 from resq.algebra import transitivity
+from resq.completion import build_quantale
 from resq.errors import DimensionMismatch
 
 
@@ -161,12 +163,7 @@ def lane_relation(sliced, k: int, lane: int):
     return tuple(sum(1 << y for y in range(k) if sliced[x * k + y] >> lane & 1) for x in range(k))
 
 
-SLICED_KERNELS = [
-    (rel.sliced_compose, rel.rel_compose),
-    (rel.sliced_lres, rel.rel_lres),
-    (rel.sliced_rres, rel.rel_rres),
-    (rel.sliced_union, rel.rel_union),
-]
+SLICED_KERNELS = [(op.sliced, op.apply) for op in rel.OPERATIONS.values()]
 
 
 @given(st.data(), st.integers(1, 4))
@@ -218,63 +215,72 @@ def test_converse_swaps_pairs():
 
 
 # Row x of each operation against s as a function of one key, read off the
-# pair-set definitions above: the key is a row mask (compose, right residual),
-# a column mask (left residual) or a (position, row mask) pair (union).
+# pair-set definitions above: the key is a row mask (composition, right
+# residual), a column mask (left residual) or a (position, row mask) pair
+# (join).  An operation added to relations.OPERATIONS needs its rule here.
 
 
-def pair_row(op, n, key, s):
+def _compose_row(n, inside, sp):
+    return {z for z in range(n) if any((y, z) in sp for y in inside)}
+
+
+def _lres_row(n, inside, sp):
+    return {y for y in range(n) if all((z, y) in sp for z in inside)}
+
+
+def _rres_row(n, inside, sp):
+    return {y for y in range(n) if all(z in inside for z in range(n) if (y, z) in sp)}
+
+
+PAIR_ROWS = {"composition": _compose_row, "left-residual": _lres_row,
+             "right-residual": _rres_row}
+
+
+def pair_row(name, n, key, s):
     sp = set(rel.relation_pairs(s))
-    if op is rel.rel_union:
+    if name == "join":
         x, row = key
         return row | sum(1 << y for y in range(n) if (x, y) in sp)
     inside = {z for z in range(n) if key >> z & 1}
-    if op is rel.rel_compose:
-        hit = {z for z in range(n) if any((y, z) in sp for y in inside)}
-    elif op is rel.rel_lres:
-        hit = {y for y in range(n) if all((z, y) in sp for z in inside)}
-    else:
-        hit = {y for y in range(n) if all(z in inside for z in range(n) if (y, z) in sp)}
-    return sum(1 << y for y in hit)
+    return sum(1 << y for y in PAIR_ROWS[name](n, inside, sp))
 
 
-KEYED_OPS = [rel.rel_compose, rel.rel_lres, rel.rel_rres, rel.rel_union]
+KEYED_OPS = list(rel.OPERATIONS)
+
+
+def row_key(name, n):
+    """Strategy for one key of the operation name over n points."""
+    mask = st.integers(0, (1 << n) - 1)
+    if name == "join":
+        return st.tuples(st.integers(0, n - 1), mask)
+    return mask
 
 
 @given(st.data(), st.sampled_from(KEYED_OPS), st.integers(1, 4))
-def test_op_rows_match_pair_sets(data, op, n):
-    # the empty mask first: the left residual's rule gives it the full row
-    key = st.integers(0, (1 << n) - 1)
-    empty = 0
-    if op is rel.rel_union:
-        key, empty = st.tuples(st.integers(0, n - 1), key), (0, 0)
-    keys = [empty] + data.draw(st.lists(key, max_size=3 * n))
+def test_op_rows_match_pair_sets(data, name, n):
+    # the empty key first: the left residual's rule gives it the full row
+    op = rel.OPERATIONS[name]
+    keys = [op.keys(rel.empty_relation(n))[0]] + data.draw(st.lists(row_key(name, n),
+                                                                     max_size=3 * n))
     s = data.draw(mask_relation(n))
-    assert rel.op_rows(op, keys, s) == [pair_row(op, n, key, s) for key in keys]
+    assert op.rows(keys, s) == [pair_row(name, n, key, s) for key in keys]
 
 
 @given(st.data(), st.sampled_from(KEYED_OPS), st.integers(1, 4))
-def test_rows_depend_only_on_their_key(data, op, n):
-    # row locality: r and r' with the same key x give the same row x of
-    # op(., s), which the pair-set definition reads off that key
+def test_rows_depend_only_on_their_key(data, name, n):
+    # row locality: r and r' with the same row x and column x have the same
+    # key x, and give the same row x of op(., s), which the pair-set
+    # definition reads off that key
+    op = rel.OPERATIONS[name]
     r = data.draw(mask_relation(n))
     other = data.draw(mask_relation(n))
     s = data.draw(mask_relation(n))
     x = data.draw(st.integers(0, n - 1))
-    if op is rel.rel_lres:
-        # copy column x of r into other
-        bit = 1 << x
-        other = tuple(o & ~bit | r[z] & bit for z, o in enumerate(other))
-    else:
-        other = other[:x] + (r[x],) + other[x + 1:]
-    assert rel.op_keys(op, other)[x] == rel.op_keys(op, r)[x]
-    assert op(other, s)[x] == op(r, s)[x] == pair_row(op, n, rel.op_keys(op, r)[x], s)
-
-
-def test_keys_and_packs_reject_other_operations():
-    with pytest.raises(ValueError):
-        rel.op_keys(rel.rel_subset, (0,))
-    with pytest.raises(ValueError):
-        rel.op_rows(rel.rel_subset, [0], (0,))
+    bit = 1 << x
+    other = tuple(o & ~bit | r[z] & bit for z, o in enumerate(other))
+    other = other[:x] + (r[x],) + other[x + 1:]
+    assert op.keys(other)[x] == op.keys(r)[x]
+    assert op.apply(other, s)[x] == op.apply(r, s)[x] == pair_row(name, n, op.keys(r)[x], s)
 
 
 def test_code_fields_are_1_2_4_or_8_bytes_up_to_base_8():
@@ -309,17 +315,18 @@ def test_keyed_codes_shift_packed_rows_into_packed_codes(family):
             for code in rel.unpack_codes([packed], len(family), n)] == family
 
 
-@given(st.data(), st.sampled_from(KEYED_OPS[:3]), st.integers(1, 4))
-def test_keyed_codes_of_op_rows_are_the_codes_of_op(data, op, n):
+@given(st.data(), st.sampled_from(KEYED_OPS), st.integers(1, 4))
+def test_keyed_codes_of_op_rows_are_the_codes_of_op(data, name, n):
+    op = rel.OPERATIONS[name]
     left = data.draw(st.lists(mask_relation(n), min_size=1, max_size=4))
     right = data.draw(st.lists(mask_relation(n), min_size=1, max_size=5))
-    keys = list(dict.fromkeys(key for r in left for key in rel.op_keys(op, r)))
-    against = [rel.op_rows(op, keys, s) for s in right]
+    keys = list(dict.fromkeys(key for r in left for key in op.keys(r)))
+    against = [op.rows(keys, s) for s in right]
     rows = {key: rel.pack_fields(rel.code_fields([row[j] for row in against], n))
             for j, key in enumerate(keys)}
-    codes = rel.unpack_codes(rel.keyed_codes(rows, [rel.op_keys(op, r) for r in left], n),
+    codes = rel.unpack_codes(rel.keyed_codes(rows, [op.keys(r) for r in left], n),
                              len(right), n)
-    assert list(codes) == [rel.relation_code(op(r, s)) for r in left for s in right]
+    assert list(codes) == [rel.relation_code(op.apply(r, s)) for r in left for s in right]
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(mask_relation(n), max_size=12)))
@@ -335,3 +342,11 @@ def test_inclusion_order_of_bitmasks_as_one_row_relations():
     masks = [0b011, 0b001, 0b111, 0b100]
     order = rel.inclusion_order([(m,) for m in masks])
     assert order == tuple(sum(1 << j for j, y in enumerate(masks) if not x & ~y) for x in masks)
+
+
+def test_every_listed_operation_and_connective_is_in_the_table(c2):
+    S = pointalg.reduct(pointalg.build_point_algebra(), [pointalg.ATOM_LT, pointalg.ATOM_EQ])
+    for structure in (c2, build_quantale(c2), S):
+        assert {name for name, _ in structure.operations} <= set(rel.OPERATIONS)
+    assert set(lambek.CONNECTIVE_OPERATION) == {lambek.Prod, lambek.Under, lambek.Over}
+    assert set(lambek.CONNECTIVE_OPERATION.values()) <= set(rel.OPERATIONS)

@@ -1,9 +1,12 @@
+import json
+
 import pytest
 
 from corpus import large_quantale_algebras
 from resq import algebra, relrep, verifier
 from resq import relations as rel
 from resq.completion import build_quantale
+from resq.errors import ResourceLimitError
 from resq.relations import Interpretation
 from resq.relrep import (
     generators,
@@ -228,11 +231,25 @@ def test_dump_round_trip(c2):
     assert back.relations == interp.relations
     assert back.base_labels == interp.base_labels
 
-    import json
-
     payload = json.dumps(relrep.interpretation_payload(interp))
     back_json = parse_interpretation(payload, c2)
     assert back_json.relations == interp.relations
+
+
+def one_element_dump(form: str, size: int) -> str:
+    labels = [str(i) for i in range(size)]
+    if form == "text":
+        return f"base: {' '.join(labels)}\nrel x: (0,1)\n"
+    return json.dumps({"base": labels, "relations": {"x": [[0, 1]]}})
+
+
+@pytest.mark.parametrize("form, what", [("text", "dump base line"), ("json", "dump field 'base'")])
+def test_a_dump_base_above_the_cap_is_refused_in_either_form(form, what):
+    A = algebra.parse_algebra(ONE)
+    cap = rel.MAX_BASE
+    assert parse_interpretation(one_element_dump(form, cap), A).base_size == cap
+    with pytest.raises(ResourceLimitError, match=rf"{what} exceeds the cap \(limit {cap}\)"):
+        parse_interpretation(one_element_dump(form, cap + 1), A)
 
 
 def test_parse_interpretation_requires_all_elements(c2):

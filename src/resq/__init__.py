@@ -16,7 +16,7 @@ from .errors import ResqError
 from .lambek import Sequent, countermodel_search, derivable, evaluate, parse_sequent
 from .pointalg import build_point_algebra, frp_probe, reduct
 from .relations import Interpretation
-from .relrep import generators, hat, represent, represent_pipeline, unitalize
+from .relrep import generators, hat, represent_pipeline, unitalize
 from .verifier import (
     Exhausted,
     check_representation,
@@ -46,7 +46,6 @@ __all__ = [
     "generators",
     "hat",
     "unitalize",
-    "represent",
     "represent_pipeline",
     "check_representation",
     "check_union_transitive",

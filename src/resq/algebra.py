@@ -8,7 +8,6 @@ composition and the two residuals as n x n index tables.
 from __future__ import annotations
 
 import itertools
-import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -342,7 +341,7 @@ def infer_residuals(
         maxima_a = maxima(cands)
         if None in maxima_a:
             c = maxima_a.index(None)
-            raise NoResidualError(a, c, "left", _mask_to_set(cands[c]), names)
+            raise NoResidualError(a, c, "left", rel.set_lanes(cands[c]), names)
         lres.append(tuple(maxima_a))
     # the candidate sets of c/b are spread along column b, then read by rows c
     rres = []
@@ -350,18 +349,9 @@ def infer_residuals(
         maxima_c = maxima(cands)
         if None in maxima_c:
             b = maxima_c.index(None)
-            raise NoResidualError(c, b, "right", _mask_to_set(cands[b]), names)
+            raise NoResidualError(c, b, "right", rel.set_lanes(cands[b]), names)
         rres.append(tuple(maxima_c))
     return tuple(lres), tuple(rres)
-
-
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = set()
-    while mask:
-        low = mask & -mask
-        out.add(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
 
 
 def order_checks(leq: tuple[int, ...]) -> tuple[Check, ...]:
@@ -734,25 +724,12 @@ def algebra_of_relations(
 
 
 def generate_concrete(
-    base_size: int,
-    seed: int | None = None,
-    generators=None,
-    max_relations: int = 512,
+    base_size: int, generators, max_relations: int = 512
 ) -> tuple[FiniteResiduatedSemigroup, Interpretation]:
-    """Build a representable-by-construction algebra and its identity interpretation.
-
-    When no generator relations are given, a seeded RNG draws one to three
-    random relations over the base.
-    """
+    """The algebra of the relations the generators close to over the base,
+    representable by construction, and its identity interpretation."""
     if base_size < 1:
         raise ValueError("base must be nonempty")
-    if generators is None:
-        rng = random.Random(seed)
-        count = rng.randint(1, 3)
-        generators = [
-            tuple(rng.randrange(1 << base_size) for _ in range(base_size))
-            for _ in range(count)
-        ]
     family = close_relation_family(generators, base_size, max_relations)
     A = algebra_of_relations(family)
     return A, Interpretation(A.names, tuple(map(str, range(base_size))), family)

@@ -302,7 +302,8 @@ def verify(algebra_path: str, dump_path: str, fmt: str) -> None:
 def search(path: str, max_base: int, node_budget: int | None, fmt: str) -> None:
     """Bounded search for a representation over bases of size 1..max-base."""
     A = _load_valid_algebra(path)
-    outcome = verifier.search_representation(A, max_base, node_budget=node_budget)
+    outcome = verifier.search_representation(
+        A, max_base, budget=verifier.NodeBudget(node_budget))
     _emit({"command": "search", **_outcome_payload(outcome)}, fmt, _render_search_outcome)
     sys.exit(EXIT_VIOLATION if isinstance(outcome, verifier.Exhausted) else EXIT_OK)
 

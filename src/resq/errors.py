@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the one helper that quotes
 input in their messages."""
 
+from collections.abc import Iterable
+
 # longest stretch of input an error message quotes
 QUOTE_LIMIT = 40
 
@@ -68,7 +70,7 @@ class NoResidualError(NotResiduatedError):
     names[i] when names are given, by their indices otherwise.
     """
 
-    def __init__(self, left: int, right: int, side: str, candidates: frozenset[int],
+    def __init__(self, left: int, right: int, side: str, candidates: Iterable[int],
                  names=None):
         self.left = left
         self.right = right

@@ -413,9 +413,10 @@ def formula_value(f: Formula, M: Interpretation) -> Relation:
 
 def evaluate(s: Sequent, M: Interpretation) -> bool:
     """Whether the composed antecedent value is contained in the succedent value."""
+    compose = rel.OPERATIONS["composition"].apply
     value = formula_value(s.antecedent[0], M)
     for f in s.antecedent[1:]:
-        value = rel.rel_compose(value, formula_value(f, M))
+        value = compose(value, formula_value(f, M))
     return rel.rel_subset(value, formula_value(s.succedent, M))
 
 

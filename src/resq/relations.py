@@ -107,14 +107,12 @@ def pairs_text(pairs) -> str:
     return "".join(f" ({x},{y})" for x, y in pairs)
 
 
-def _check_dims(r: Relation, s: Relation) -> int:
+def _check_dims(r: Relation, s: Relation) -> None:
+    """Raise DimensionMismatch for relations over bases of different sizes;
+    the callers, on hot paths, compare the sizes inline and call this only
+    to raise."""
     if len(r) != len(s):
         raise DimensionMismatch(f"bases of size {len(r)} and {len(s)} differ")
-    return len(r)
-
-
-# The operations below run millions of times per closure, so they compare the
-# base sizes inline and call _check_dims only to raise.
 
 
 def rel_subset(r: Relation, s: Relation) -> bool:
@@ -124,32 +122,6 @@ def rel_subset(r: Relation, s: Relation) -> bool:
         if a & ~b:
             return False
     return True
-
-
-def rel_union(r: Relation, s: Relation) -> Relation:
-    _check_dims(r, s)
-    return tuple(_union_rows(enumerate(r), s))
-
-
-def rel_compose(r: Relation, s: Relation) -> Relation:
-    """{(x, z) : exists y with (x, y) in r and (y, z) in s}."""
-    if len(r) != len(s):
-        _check_dims(r, s)
-    return tuple(_compose_rows(r, s))
-
-
-def rel_lres(r: Relation, s: Relation) -> Relation:
-    """Left residual r\\s = {(x, y) : for all z, (z, x) in r implies (z, y) in s}."""
-    if len(r) != len(s):
-        _check_dims(r, s)
-    return tuple(_lres_rows(rel_converse(r), s))
-
-
-def rel_rres(r: Relation, s: Relation) -> Relation:
-    """Right residual r/s = {(x, y) : for all z, (y, z) in s implies (x, z) in r}."""
-    if len(r) != len(s):
-        _check_dims(r, s)
-    return tuple(_rres_rows(r, s))
 
 
 def rel_converse(r: Relation) -> Relation:
@@ -477,24 +449,29 @@ class Operation:
 
     keys(r) is the key of each row of r: relations whose key x is the same
     give the same row x of op(., s) for every s.  rows(keys, s) is the row
-    each of keys gives against the right operand s, apply(r, s) the whole
-    relation op(r, s) and sliced(k, full, r, s) op lane by lane on sliced
-    relations over k points.
+    each of keys gives against the right operand s, and sliced(k, full, r, s)
+    op lane by lane on sliced relations over k points.  apply(r, s) is the
+    whole relation op(r, s), read off rows and keys.
     """
 
     keys: Callable[[Relation], tuple]
     rows: Callable[[Sequence, Relation], list[int]]
-    apply: Callable[[Relation, Relation], Relation]
     sliced: Callable[[int, int, tuple, tuple], tuple[int, ...]]
+
+    def apply(self, r: Relation, s: Relation) -> Relation:
+        """op(r, s); raises DimensionMismatch when the bases differ."""
+        if len(r) != len(s):
+            _check_dims(r, s)
+        return tuple(self.rows(self.keys(r), s))
 
 
 # Every operation of the algebras, by the condition name the structures list
 # it under; the one place that maps a name to code.
 OPERATIONS: dict[str, Operation] = {
-    "composition": Operation(_row_keys, _compose_rows, rel_compose, sliced_compose),
-    "left-residual": Operation(rel_converse, _lres_rows, rel_lres, sliced_lres),
-    "right-residual": Operation(_row_keys, _rres_rows, rel_rres, sliced_rres),
-    "join": Operation(_indexed_keys, _union_rows, rel_union, sliced_union),
+    "composition": Operation(_row_keys, _compose_rows, sliced_compose),
+    "left-residual": Operation(rel_converse, _lres_rows, sliced_lres),
+    "right-residual": Operation(_row_keys, _rres_rows, sliced_rres),
+    "join": Operation(_indexed_keys, _union_rows, sliced_union),
 }
 
 

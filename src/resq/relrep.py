@@ -151,14 +151,6 @@ def represent_pipeline(
     )
 
 
-def represent(
-    A: FiniteResiduatedSemigroup,
-    generators_mode: str = "all",
-    unitalize_mode: str = "auto",
-) -> Interpretation:
-    return represent_pipeline(A, generators_mode, unitalize_mode).interpretation
-
-
 # ---------------------------------------------------------------------------
 # representation dump (the input contract of the verifier CLI)
 

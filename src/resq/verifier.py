@@ -90,9 +90,10 @@ def check_representation(S, I: Interpretation) -> Report:
 
 def check_union_transitive(I: Interpretation) -> bool:
     """Whether the union of all interpreted relations is transitive (advisory)."""
+    join = rel.OPERATIONS["join"].apply
     union = rel.empty_relation(I.base_size)
     for r in I.relations:
-        union = rel.rel_union(union, r)
+        union = join(union, r)
     return transitivity(union) is None
 
 
@@ -106,7 +107,6 @@ class Exhausted:
 def search_representation(
     struct,
     max_base: int,
-    node_budget: int | None = None,
     budget: NodeBudget | None = None,
 ):
     """Search for a representation over bases of size 1..max_base.
@@ -116,11 +116,11 @@ def search_representation(
     reducts of the point algebra.  The first branched element ranges over
     base-permutation orbit representatives only, which never changes the
     verdict.  Found results are re-verified before being returned.  The
-    nodes are spent from budget when given, else from a new
-    NodeBudget(node_budget).
+    nodes are spent from budget, a NodeBudget() of the default limit when
+    none is given.
     """
     if budget is None:
-        budget = NodeBudget(node_budget)
+        budget = NodeBudget()
     n = len(struct.names)
     equations = [(name, a, b, table[a][b])
                  for name, table in struct.operations for a in range(n) for b in range(n)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 
 from resq import algebra, lambek
 from resq import relations as rel
@@ -447,6 +448,14 @@ def encode_relation(r: Relation) -> int:
     for i, row in enumerate(r):
         acc |= row << (i * n)
     return acc
+
+
+def a4_generators(base: int, seed: int) -> list[Relation]:
+    """The generators of acceptance check A4's seed: a Random(seed) draw of
+    one to three relations over the base."""
+    rng = random.Random(seed)
+    count = rng.randint(1, 3)
+    return [tuple(rng.randrange(1 << base) for _ in range(base)) for _ in range(count)]
 
 
 def all_relations(n: int):

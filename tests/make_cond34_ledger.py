@@ -22,7 +22,7 @@ from resq import algebra, relrep, verifier  # noqa: E402
 def ledger_entries():
     entries = {}
     for A in build_small_corpus() + build_n4_corpus():
-        interp = relrep.represent(A)
+        interp = relrep.represent_pipeline(A).interpretation
         report = verifier.check_representation(A, interp)
         entries[algebra.serialize(A)] = {
             "left-residual": report.condition("left-residual").passed,

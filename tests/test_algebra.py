@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpus
-from corpus import C2_TEXT, canonical_key, check_representation_pairwise
+from corpus import C2_TEXT, a4_generators, canonical_key, check_representation_pairwise
 from resq import algebra, completion
 from resq.algebra import Check, FiniteResiduatedSemigroup, Report, _partial_orders
 from resq.errors import (ClosureSizeError, NoResidualError, NotResiduatedError, ParseError,
@@ -541,12 +541,6 @@ def test_generate_concrete_empty_generators():
     assert verifier.check_representation(A, interp).valid
 
 
-def test_generate_concrete_seeded_is_deterministic():
-    A1, I1 = algebra.generate_concrete(2, seed=7)
-    A2, I2 = algebra.generate_concrete(2, seed=7)
-    assert A1 == A2 and I1.relations == I2.relations
-
-
 def test_generate_concrete_size_cap():
     with pytest.raises(ClosureSizeError):
         algebra.generate_concrete(3, generators=[(6, 5, 0)], max_relations=2)
@@ -555,17 +549,11 @@ def test_generate_concrete_size_cap():
 # ---------------------------------------------------------------------------
 # closure tables against k^2 kernel calls per operation
 
-OPS = (rel.rel_compose, rel.rel_lres, rel.rel_rres)
+OPS = tuple(rel.OPERATIONS[name].apply
+            for name in ("composition", "left-residual", "right-residual"))
 # A4 draws (seed s over base 1 + s % 3) of bases 1-2, plus the base-3 ones
 # whose closures have at most 64 members
 A4_SMALL_SEEDS = [s for s in range(50) if s % 3 != 2] + [2, 11, 14, 32]
-
-
-def a4_generators(base, seed):
-    """The generator draw of generate_concrete(base, seed)."""
-    rng = random.Random(seed)
-    count = rng.randint(1, 3)
-    return [tuple(rng.randrange(1 << base) for _ in range(base)) for _ in range(count)]
 
 
 def naive_closure(generators, base, cap=None):
@@ -603,7 +591,7 @@ def test_closure_tables_match_kernel_calls(seed):
     closure = algebra.close_relation_family(gens, base)
     assert closure == naive_closure(gens, base)
     assert isinstance(closure, tuple) and list(closure) == sorted(closure)
-    A, interp = algebra.generate_concrete(base, seed=seed)
+    A, interp = algebra.generate_concrete(base, gens)
     assert interp.relations == closure
     assert (A.leq, A.comp, A.lres, A.rres) == tables_by_kernel(closure)
     assert (closure.comp, closure.lres, closure.rres) == (A.comp, A.lres, A.rres)

@@ -314,7 +314,7 @@ def test_verify_text_dump(runner, tmp_path):
 
 
 def test_verify_reads_json_elements_in_any_order(runner, tmp_path, c2_file):
-    payload = relrep.interpretation_payload(relrep.represent(make_c2()))
+    payload = relrep.interpretation_payload(relrep.represent_pipeline(make_c2()).interpretation)
     verdicts = []
     for elements in (payload["elements"], payload["elements"][::-1]):
         rep = tmp_path / "c2.json"

@@ -22,8 +22,9 @@ from resq.cli import main
 
 C2 = make_c2()
 ALGEBRA_SEED = algebra.serialize(C2)
-DUMP_SEED = relrep.format_interpretation(relrep.represent(C2))
-JSON_DUMP_SEED = json.dumps(relrep.interpretation_payload(relrep.represent(C2)))
+C2_DUMP = relrep.represent_pipeline(C2).interpretation
+DUMP_SEED = relrep.format_interpretation(C2_DUMP)
+JSON_DUMP_SEED = json.dumps(relrep.interpretation_payload(C2_DUMP))
 MODEL_SEED = {"base": 2, "valuation": {"p": [[0, 1]], "q": [[1, 0]]}}
 SEQUENT_SEED = "(p/q)*q, r\\p |- p*(q\\r)"
 ALPHABET = "ab;=<:\\/,()[]{}\"|-*pqe01 \n#"

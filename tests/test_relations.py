@@ -13,30 +13,34 @@ def mask_relation(n):
     return st.integers(0, (1 << (n * n)) - 1).map(lambda c: rel.decode_relation(c, n))
 
 
+COMPOSE, LRES, RRES, JOIN = (rel.OPERATIONS[name].apply for name in
+                              ("composition", "left-residual", "right-residual", "join"))
+
+
 def test_compose_empty_annihilates():
     r = rel.relation_from_pairs(2, [(0, 1), (1, 0)])
-    assert rel.rel_compose(rel.empty_relation(2), r) == rel.empty_relation(2)
-    assert rel.rel_compose(r, rel.empty_relation(2)) == rel.empty_relation(2)
+    assert COMPOSE(rel.empty_relation(2), r) == rel.empty_relation(2)
+    assert COMPOSE(r, rel.empty_relation(2)) == rel.empty_relation(2)
 
 
 def test_lres_of_empty_is_full():
     s = rel.relation_from_pairs(2, [(0, 0)])
-    assert rel.rel_lres(rel.empty_relation(2), s) == (0b11, 0b11)
+    assert LRES(rel.empty_relation(2), s) == (0b11, 0b11)
 
 
 def test_lres_pointwise_example():
     # r = {(0,0)} over a 2-point base
     r = rel.relation_from_pairs(2, [(0, 0)])
     expected = rel.relation_from_pairs(2, [(0, 0), (1, 0), (1, 1)])
-    assert rel.rel_lres(r, r) == expected
-    assert (0, 1) not in rel.relation_pairs(rel.rel_lres(r, r))
+    assert LRES(r, r) == expected
+    assert (0, 1) not in rel.relation_pairs(LRES(r, r))
 
 
 def test_rres_pointwise_example():
     # r/s keeps (x, y) iff every successor of y under s is a successor of x under r
     r = rel.relation_from_pairs(2, [(0, 0), (0, 1)])
     s = rel.relation_from_pairs(2, [(1, 0)])
-    assert set(rel.relation_pairs(rel.rel_rres(r, s))) == {(0, 0), (0, 1), (1, 0)}
+    assert set(rel.relation_pairs(RRES(r, s))) == {(0, 0), (0, 1), (1, 0)}
 
 
 def test_compose_associative_on_samples():
@@ -44,26 +48,24 @@ def test_compose_associative_on_samples():
     for a in rs:
         for b in rs:
             for c in rs:
-                assert rel.rel_compose(rel.rel_compose(a, b), c) == rel.rel_compose(
-                    a, rel.rel_compose(b, c)
-                )
+                assert COMPOSE(COMPOSE(a, b), c) == COMPOSE(a, COMPOSE(b, c))
 
 
 @given(mask_relation(3), mask_relation(3), mask_relation(3))
 def test_left_residuation_adjunction(r, s, t):
     # s <= r\t iff r;s <= t
-    assert rel.rel_subset(s, rel.rel_lres(r, t)) == rel.rel_subset(rel.rel_compose(r, s), t)
+    assert rel.rel_subset(s, LRES(r, t)) == rel.rel_subset(COMPOSE(r, s), t)
 
 
 @given(mask_relation(3), mask_relation(3), mask_relation(3))
 def test_right_residuation_adjunction(r, s, t):
     # r <= t/s iff r;s <= t
-    assert rel.rel_subset(r, rel.rel_rres(t, s)) == rel.rel_subset(rel.rel_compose(r, s), t)
+    assert rel.rel_subset(r, RRES(t, s)) == rel.rel_subset(COMPOSE(r, s), t)
 
 
 @given(mask_relation(2), mask_relation(2))
 def test_union_and_subset_agree_with_pairs(r, s):
-    union_pairs = set(rel.relation_pairs(rel.rel_union(r, s)))
+    union_pairs = set(rel.relation_pairs(JOIN(r, s)))
     assert union_pairs == set(rel.relation_pairs(r)) | set(rel.relation_pairs(s))
     assert rel.rel_subset(r, s) == (set(rel.relation_pairs(r)) <= set(rel.relation_pairs(s)))
 
@@ -88,9 +90,9 @@ def pair_rres(n, r, s):
 
 def assert_kernel_matches_pairs(n, r, s):
     rp, sp = set(rel.relation_pairs(r)), set(rel.relation_pairs(s))
-    assert set(rel.relation_pairs(rel.rel_compose(r, s))) == pair_compose(n, rp, sp)
-    assert set(rel.relation_pairs(rel.rel_lres(r, s))) == pair_lres(n, rp, sp)
-    assert set(rel.relation_pairs(rel.rel_rres(r, s))) == pair_rres(n, rp, sp)
+    assert set(rel.relation_pairs(COMPOSE(r, s))) == pair_compose(n, rp, sp)
+    assert set(rel.relation_pairs(LRES(r, s))) == pair_lres(n, rp, sp)
+    assert set(rel.relation_pairs(RRES(r, s))) == pair_rres(n, rp, sp)
     assert rel.rel_subset(r, s) == (rp <= sp)
 
 
@@ -108,13 +110,12 @@ def test_kernel_matches_pair_sets_at_bases_three_and_four(data, n):
     assert_kernel_matches_pairs(n, r, s)
 
 
-def test_dimension_mismatch_raises():
-    with pytest.raises(DimensionMismatch):
-        rel.rel_compose((0,), (0, 0))
-    with pytest.raises(DimensionMismatch):
-        rel.rel_lres((0, 0), (0,))
-    with pytest.raises(DimensionMismatch):
-        rel.rel_rres((0,), (0, 0))
+@pytest.mark.parametrize("name", [*rel.OPERATIONS, "subset"])
+@pytest.mark.parametrize("r, s", [((0,), (0, 0)), ((0, 0), (0,))], ids=["short-left", "short-right"])
+def test_dimension_mismatch_raises(name, r, s):
+    apply = rel.rel_subset if name == "subset" else rel.OPERATIONS[name].apply
+    with pytest.raises(DimensionMismatch, match="bases of size"):
+        apply(r, s)
 
 
 def test_transitivity():

@@ -12,7 +12,6 @@ from resq.relrep import (
     generators,
     hat,
     parse_interpretation,
-    represent,
     represent_pipeline,
     unitalize,
 )
@@ -178,13 +177,13 @@ def test_hat_check_reflection_passes_after_unitalization(c2):
 
 def test_represent_one_element():
     A = algebra.parse_algebra(ONE)
-    interp = represent(A)
+    interp = represent_pipeline(A).interpretation
     assert interp.base_size == 1
     assert interp.relations == ((1,),)
 
 
 def test_represent_c2_without_unit_conflates(c2):
-    interp = represent(c2, unitalize_mode="off")
+    interp = represent_pipeline(c2, unitalize_mode="off").interpretation
     assert interp.relations[0] == interp.relations[1]
     assert interp.base_size == 2
 
@@ -202,17 +201,17 @@ def test_represent_c2_auto_unitalizes_and_separates(c2):
 
 def test_represent_on_mode_is_noop_for_unital():
     A = algebra.parse_algebra(ONE)
-    assert represent(A, unitalize_mode="on").base_size == 1
+    assert represent_pipeline(A, unitalize_mode="on").interpretation.base_size == 1
 
 
 def test_represent_rejects_bad_mode(c2):
     with pytest.raises(ValueError):
-        represent(c2, unitalize_mode="maybe")
+        represent_pipeline(c2, unitalize_mode="maybe").interpretation
 
 
 def test_represent_is_deterministic(c2):
-    first = represent(c2)
-    second = represent(c2)
+    first = represent_pipeline(c2).interpretation
+    second = represent_pipeline(c2).interpretation
     assert first.relations == second.relations
     assert first.base_labels == second.base_labels
 
@@ -225,7 +224,7 @@ def test_join_irreducible_mode_still_verified_downstream(c2):
 
 
 def test_dump_round_trip(c2):
-    interp = represent(c2)
+    interp = represent_pipeline(c2).interpretation
     text = relrep.format_interpretation(interp)
     back = parse_interpretation(text, c2)
     assert back.relations == interp.relations

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import (
+    a4_generators,
     all_relations,
     check_representation_pairwise,
     plan_search_by_scan,
@@ -30,17 +31,17 @@ ONE = "elements: x\nleq: x<=x\ncomp: x;x=x\n"
 
 def test_identity_interpretation_of_closures_passes():
     for seed in range(8):
-        A, interp = algebra.generate_concrete(2, seed=seed)
+        A, interp = algebra.generate_concrete(2, a4_generators(2, seed))
         assert check_representation(A, interp).valid
 
 
 def test_one_element_pipeline_passes():
     A = algebra.parse_algebra(ONE)
-    assert check_representation(A, relrep.represent(A)).valid
+    assert check_representation(A, relrep.represent_pipeline(A).interpretation).valid
 
 
 def test_c2_without_unit_fails_condition_one(c2):
-    interp = relrep.represent(c2, unitalize_mode="off")
+    interp = relrep.represent_pipeline(c2, unitalize_mode="off").interpretation
     report = check_representation(c2, interp)
     cond = report.condition("order-iff")
     assert not cond.passed
@@ -49,7 +50,7 @@ def test_c2_without_unit_fails_condition_one(c2):
 
 
 def test_all_conditions_always_evaluated(c2):
-    interp = relrep.represent(c2, unitalize_mode="off")
+    interp = relrep.represent_pipeline(c2, unitalize_mode="off").interpretation
     report = check_representation(c2, interp)
     assert len(report.conditions) == 4
     assert [c.name for c in report.conditions] == [
@@ -61,7 +62,7 @@ def test_all_conditions_always_evaluated(c2):
 
 
 def test_witnesses_reevaluate_to_genuine_violations(c2):
-    interp = relrep.represent(c2, unitalize_mode="off")
+    interp = relrep.represent_pipeline(c2, unitalize_mode="off").interpretation
     report = check_representation(c2, interp)
     for cond in report.conditions:
         if cond.passed:
@@ -78,7 +79,7 @@ def test_witnesses_reevaluate_to_genuine_violations(c2):
 
 
 def test_reported_witness_is_lexicographically_first(c2):
-    interp = relrep.represent(c2, unitalize_mode="off")
+    interp = relrep.represent_pipeline(c2, unitalize_mode="off").interpretation
     report = check_representation(c2, interp)
     cond = report.condition("order-iff")
     violations = [
@@ -94,7 +95,8 @@ def test_reported_witness_is_lexicographically_first(c2):
     for aa in range(c2.n):
         for bb in range(c2.n):
             expected = interp.relations[c2.lres[aa][bb]]
-            actual = rel.rel_lres(interp.relations[aa], interp.relations[bb])
+            actual = rel.OPERATIONS["left-residual"].apply(interp.relations[aa],
+                                                           interp.relations[bb])
             for xx in range(interp.base_size):
                 for yy in range(interp.base_size):
                     if (expected[xx] >> yy & 1) != (actual[xx] >> yy & 1):
@@ -103,7 +105,7 @@ def test_reported_witness_is_lexicographically_first(c2):
 
 
 def test_report_payload_uses_labels(c2):
-    interp = relrep.represent(c2, unitalize_mode="off")
+    interp = relrep.represent_pipeline(c2, unitalize_mode="off").interpretation
     payload = check_representation(c2, interp).payload(c2.names, interp.base_labels)
     assert payload["order-iff"]["witness"]["elements"] == ["b", "a"]
     assert payload["all_pass"] is False
@@ -128,7 +130,7 @@ def test_union_transitive_false_case():
 
 def test_union_transitive_c2_unitalized_regression(c2):
     # frozen after the first computation
-    assert check_union_transitive(relrep.represent(c2)) is True
+    assert check_union_transitive(relrep.represent_pipeline(c2).interpretation) is True
 
 
 def test_search_one_element_found_at_base_one():
@@ -302,7 +304,7 @@ def test_survivor_cross_check_catches_a_flipped_lane(monkeypatch, sequent, opera
 
 def test_search_budget_raises(c2):
     with pytest.raises(ResourceLimitError):
-        search_representation(c2, 3, node_budget=5)
+        search_representation(c2, 3, budget=NodeBudget(5))
 
 
 def test_budget_is_the_explicit_limit_else_the_default(monkeypatch):
@@ -315,7 +317,7 @@ def test_budget_is_the_explicit_limit_else_the_default(monkeypatch):
 
 def test_found_interpretations_reverify():
     for seed in (0, 1, 2):
-        A, _ = algebra.generate_concrete(1, seed=seed)
+        A, _ = algebra.generate_concrete(1, a4_generators(1, seed))
         found = search_representation(A, 2)
         if isinstance(found, Interpretation):
             assert check_representation(A, found).valid
@@ -334,7 +336,8 @@ def assert_checkers_agree(S, interp):
 
 def test_checkers_agree_on_the_a4_draws():
     for seed in range(50):
-        A, interp = algebra.generate_concrete(1 + seed % 3, seed=seed)
+        base = 1 + seed % 3
+        A, interp = algebra.generate_concrete(base, a4_generators(base, seed))
         assert assert_checkers_agree(A, interp).valid
 
 
@@ -383,7 +386,8 @@ def small_interpretations() -> tuple:
     for seed in range(40):
         base = 1 + seed % 3
         try:
-            cases.append(algebra.generate_concrete(base, seed=seed, max_relations=48))
+            cases.append(algebra.generate_concrete(base, a4_generators(base, seed),
+                                                    max_relations=48))
         except ClosureSizeError:
             continue
     return tuple(cases) + point_cases()
@@ -427,7 +431,7 @@ def test_search_node_spending_is_frozen(c2):
 def test_budget_error_counts_the_bases_exhausted(c2, budget, exhausted):
     # C2 has no model over bases 1..3; 158 nodes exhaust all three
     with pytest.raises(ResourceLimitError) as err:
-        search_representation(c2, 3, node_budget=budget)
+        search_representation(c2, 3, budget=NodeBudget(budget))
     assert err.value.bases_exhausted == exhausted
     assert f"while searching base {exhausted + 1};" in str(err.value)
 

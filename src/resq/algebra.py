@@ -622,15 +622,17 @@ def close_relation_family(
     codes: list[int] = []
     seen: set[int] = set()
 
-    def add(code: int, t: Relation) -> None:
-        if len(members) == max_relations:
+    def add(new: set[int]) -> None:
+        """Make the codes of new, none of them seen, members."""
+        if len(members) + len(new) > max_relations:
             raise ClosureSizeError(
                 f"relation closure exceeded {max_relations} members at base size {base_size}"
             )
-        seen.add(code)
-        codes.append(code)
-        members.append(t)
+        seen.update(new)
+        codes.extend(new)
+        members.extend([rel.decode_relation(code, n) for code in new])
 
+    given = set()
     for g in generators:
         g = tuple(g)
         if len(g) != base_size:
@@ -638,18 +640,16 @@ def close_relation_family(
         if not all(isinstance(row, int) and 0 <= row < 1 << n for row in g):
             shown = str(g) if len(str(g)) <= QUOTE_LIMIT else quote(str(g))
             raise ValueError(f"generator {shown} has a row outside the base of size {base_size}")
-        code = rel.relation_code(g)
-        if code not in seen:
-            add(code, g)
-    if not members:
-        add(0, rel.empty_relation(n))
+        given.add(rel.relation_code(g))
+    add(given or {0})
 
     # Members are taken in runs of discovery: a run is the members found since
-    # the previous run.  columns[op] maps every key met so far to the fields of
-    # the rows it gives under op against the members of earlier runs.  A run
-    # extends the columns to its members; then every earlier member is closed
-    # against the run, and every member of the run against all members so far.
-    # Members found meanwhile make the next run.
+    # the previous run, in no particular order (the closure is sorted at the
+    # end).  columns[op] maps every key met so far to the fields of the rows it
+    # gives under op against the members of earlier runs.  A run extends the
+    # columns to its members; then every earlier member is closed against the
+    # run, and every member of the run against all members so far.  Members
+    # found meanwhile make the next run.
     ops = [rel.OPERATIONS[name] for name in ("composition", "left-residual", "right-residual")]
     columns: tuple[dict, ...] = tuple({} for _ in ops)
     keys: tuple[list, ...] = tuple([] for _ in ops)
@@ -663,28 +663,33 @@ def close_relation_family(
             against_run.append(rel.keyed_codes(run, member_keys[:start], n))
             against_all.append(rel.keyed_codes(whole, member_keys[start:], n))
         for packed, count in ((against_run, stop - start), (against_all, stop)):
-            found = rel.unpack_codes(itertools.chain.from_iterable(packed), count, n)
-            if not seen.issuperset(found):
-                for code in found:
-                    if code not in seen:
-                        add(code, rel.decode_relation(code, n))
+            new = set(rel.unpack_codes(itertools.chain.from_iterable(packed), count, n))
+            new -= seen
+            if new:
+                add(new)
         done = stop
 
     order = sorted(range(len(members)), key=members.__getitem__)
-    closure = RelationClosure(members[j] for j in order)
-    rank = {codes[j]: k for k, j in enumerate(order)}
+    closure = RelationClosure(rel.gather(members, order))
     count = len(closure)
+    ranked = rel.gather(codes, order)
+    if count * count >= 1 << n * n:  # the tables outnumber the codes: index a list by code
+        rank = [0] * (1 << n * n)
+        for k, code in enumerate(ranked):
+            rank[code] = k
+    else:
+        rank = dict(zip(ranked, range(count)))
     tables = []
     for column, member_keys in zip(columns, keys):
         # every column's fields in the order of the closure, then the code of
-        # every entry, row by row
+        # every entry, row by row, and its rank
         rows = {}
         for key, fields in column.items():
-            found = rel.unpack_codes([rel.pack_fields(fields)], count, n)
-            rows[key] = rel.pack_fields(rel.code_fields([found[j] for j in order], n))
-        entries = rel.unpack_codes(rel.keyed_codes(rows, [member_keys[j] for j in order], n),
+            in_order = rel.gather(rel.field_codes(fields, n), order)
+            rows[key] = rel.pack_fields(rel.code_fields(in_order, n))
+        entries = rel.unpack_codes(rel.keyed_codes(rows, rel.gather(member_keys, order), n),
                                    count, n)
-        tables.append(tuple(tuple(map(rank.__getitem__, entries[a:a + count]))
+        tables.append(tuple(rel.gather(rank, entries[a:a + count])
                             for a in range(0, count * count, count)))
     closure.comp, closure.lres, closure.rres = tables
     return closure

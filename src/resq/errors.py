@@ -67,7 +67,9 @@ class NoResidualError(NotResiduatedError):
     """A residual does not exist: the candidate set is empty or has no maximum.
 
     The attributes hold element indices; the message names the elements by
-    names[i] when names are given, by their indices otherwise.
+    names[i] when names are given, by their indices otherwise.  It is
+    formatted when read, since the enumerators raise and discard most of
+    these errors.
     """
 
     def __init__(self, left: int, right: int, side: str, candidates: Iterable[int],
@@ -76,6 +78,12 @@ class NoResidualError(NotResiduatedError):
         self.right = right
         self.side = side
         self.candidates = frozenset(candidates)
+        self.names = names
+        super().__init__(left, right, side, self.candidates, names)
+
+    def __str__(self) -> str:
+        names = self.names
+
         def label(i: int) -> str:
             return str(i) if names is None else quote_name(names[i])
 
@@ -83,10 +91,8 @@ class NoResidualError(NotResiduatedError):
         members = ", ".join(map(label, shown[:CANDIDATE_LIMIT]))
         if len(shown) > CANDIDATE_LIMIT:
             members += f", ... ({len(shown)} in all)"
-        super().__init__(
-            f"no {side} residual for pair ({label(left)}, {label(right)}); "
-            f"candidate set [{members}] has no maximum"
-        )
+        return (f"no {self.side} residual for pair ({label(self.left)}, {label(self.right)}); "
+                f"candidate set [{members}] has no maximum")
 
 
 class ClosureSizeError(ResqError):

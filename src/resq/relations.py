@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+import struct
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -269,13 +270,34 @@ def code_bytes(n: int) -> int:
     return (bits + 7) // 8
 
 
+def native_codes(n: int) -> bool:
+    """Whether the field of a code over n points is a native unsigned int
+    (1, 2, 4 or 8 bytes, so n <= 8)."""
+    return code_bytes(n) in _CODE_FORMATS
+
+
 def code_fields(codes, n: int) -> bytes:
     """The fields of codes over n points (each below 2 ** (n * n)), first
-    code first."""
+    code first: one bytes or struct.pack call up to base 8."""
     width = code_bytes(n)
     if width == 1:  # a one-byte field is the code itself
         return bytes(codes)
+    fmt = _CODE_FORMATS.get(width)
+    if fmt is not None:
+        codes = tuple(codes)
+        return struct.pack(f"={len(codes)}{fmt}", *codes)
     return b"".join([code.to_bytes(width, _CODE_ORDER) for code in codes])
+
+
+def field_codes(fields, n: int):
+    """The codes of the fields over n points held in the bytes fields, first
+    field first: a memoryview of native ints up to base 8, a list above."""
+    width = code_bytes(n)
+    fmt = _CODE_FORMATS.get(width)
+    if fmt is not None:
+        return memoryview(fields).cast(fmt)
+    return [int.from_bytes(fields[start:start + width], _CODE_ORDER)
+            for start in range(0, len(fields), width)]
 
 
 def pack_fields(fields) -> int:
@@ -297,14 +319,16 @@ def keyed_codes(rows: dict, keyed, n: int):
 def unpack_codes(packed_rows, count: int, n: int):
     """The codes of packed rows of count fields each over n points: the
     fields of the first row first, then those of the next."""
-    width = code_bytes(n)
-    size = count * width
-    data = b"".join([packed.to_bytes(size, _CODE_ORDER) for packed in packed_rows])
-    fmt = _CODE_FORMATS.get(width)
-    if fmt is not None:
-        return memoryview(data).cast(fmt)
-    return [int.from_bytes(data[start:start + width], _CODE_ORDER)
-            for start in range(0, len(data), width)]
+    size = count * code_bytes(n)
+    return field_codes(b"".join([packed.to_bytes(size, _CODE_ORDER) for packed in packed_rows]), n)
+
+
+def gather(values, indices) -> tuple:
+    """values[i] for each i of indices, in one C-level pass
+    (operator.itemgetter, which returns the bare item for one index)."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)(values)
+    return tuple(values[i] for i in indices)
 
 
 # ---------------------------------------------------------------------------

@@ -39,29 +39,61 @@ class NodeBudget:
             raise ResourceLimitError(self.limit)
 
 
+# The fewest relations whose conditions are compared as packed codes: below
+# it the set-up (a packed row per key, a few calls per row) costs more than
+# the per-entry tuple comparisons it saves, which break even at 34-42
+# members of the base-3 closures.
+PACKED_MIN_RELATIONS = 32
+
+
 def _table_condition(name, table, relations) -> Check:
     """Row a of the condition is op(R[a], R[b]) over every b, with op the
     operation named name, read off one column per row key of R[a]
     (Operation.keys): the rows that key gives against every R[b]
-    (Operation.rows), filled once per distinct key."""
+    (Operation.rows), filled once per distinct key.
+
+    With at least PACKED_MIN_RELATIONS relations over at most 8 points
+    (relations.native_codes), each column is one packed row, row a is the
+    packed codes of op(R[a], R[b]) over b (relations.keyed_codes), and it is
+    compared with those of R[table[a][b]] as one int; a row is unpacked only
+    when it differs, so the witness is the same.  Otherwise row a is
+    compared as tuples."""
     op = rel.OPERATIONS[name]
     keyed = [op.keys(r) for r in relations]
     distinct = list(dict.fromkeys(itertools.chain.from_iterable(keyed)))
-    columns = dict(zip(distinct, zip(*[op.rows(distinct, s) for s in relations])))
+    columns = zip(*[op.rows(distinct, s) for s in relations])
+    n = len(relations[0]) if relations else 0
+    if len(relations) >= PACKED_MIN_RELATIONS and rel.native_codes(n):
+        rows = dict(zip(distinct, [rel.pack_fields(rel.code_fields(c, n)) for c in columns]))
+        codes = list(map(rel.relation_code, relations))
+        for a, packed in enumerate(rel.keyed_codes(rows, keyed, n)):
+            if packed != rel.pack_fields(rel.code_fields(rel.gather(codes, table[a]), n)):
+                actual = [rel.decode_relation(code, n)
+                          for code in rel.unpack_codes([packed], len(relations), n)]
+                failure = _row_failure(name, a, [relations[c] for c in table[a]], actual)
+                if failure is not None:
+                    return failure
+        return Check(name, None)
+    columns = dict(zip(distinct, columns))
     for a, keys in enumerate(keyed):
-        expected = [relations[c] for c in table[a]]
         actual = list(zip(*map(columns.__getitem__, keys))) if keys else [()] * len(relations)
-        if actual != expected:
-            for b, (want, got) in enumerate(zip(expected, actual)):
-                if want != got:
-                    return _failure(name, a, b, want, got)
+        failure = _row_failure(name, a, [relations[c] for c in table[a]], actual)
+        if failure is not None:
+            return failure
     return Check(name, None)
 
 
-def _failure(name, a, b, expected: Relation, actual: Relation) -> Check:
-    x = next(x for x, (want, got) in enumerate(zip(expected, actual)) if want != got)
-    diff = expected[x] ^ actual[x]
-    return Check(name, (a, b, x, (diff & -diff).bit_length() - 1))
+def _row_failure(name, a, expected: list, actual: list) -> Check | None:
+    """The failure at the first pair (x, y) of the first b whose
+    op(R[a], R[b]), actual[b], is not expected[b], R[table[a][b]]; None when
+    there is no such b."""
+    if actual != expected:
+        for b, (want, got) in enumerate(zip(expected, actual)):
+            if want != got:
+                x = next(x for x, (w, g) in enumerate(zip(want, got)) if w != g)
+                diff = want[x] ^ got[x]
+                return Check(name, (a, b, x, (diff & -diff).bit_length() - 1))
+    return None
 
 
 def _order_condition(leq, relations) -> Check:

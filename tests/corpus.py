@@ -601,6 +601,20 @@ def invalid_proof_step(proof: lambek.ProofNode) -> lambek.ProofNode | None:
     return None
 
 
+def equivalence(classes, base: int) -> Relation:
+    """The equivalence relation with the given classes over the base."""
+    return rel.relation_from_pairs(base, [(x, y) for c in classes for x in c for y in c])
+
+
+# generator families over 9 points, whose codes fill fields of 11 bytes,
+# wider than any native int: the equivalence with classes 0-4 and 5-8 with
+# the identity (4 members in the closure), and with the empty relation (3)
+BASE_9_FAMILIES = (
+    [equivalence((range(5), range(5, 9)), 9), equivalence([[x] for x in range(9)], 9)],
+    [rel.empty_relation(9), equivalence((range(5), range(5, 9)), 9)],
+)
+
+
 def check_representation_pairwise(S, I) -> Report:
     """The four-condition check with one kernel call per ordered pair of
     elements, scanning pairs in lexicographic order.  Oracle for

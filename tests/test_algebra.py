@@ -635,22 +635,14 @@ def test_closure_matches_naive_closure_and_kernel_tables(draw):
     assert (closure.comp, closure.lres, closure.rres) == tables_by_kernel(closure)[1:]
 
 
-def equivalence(classes, base):
-    """The equivalence relation with the given classes over the base."""
-    return rel.relation_from_pairs(base, [(x, y) for c in classes for x in c for y in c])
-
-
-BASE_9_CLASSES = (range(5), range(5, 9))
-
-
 @pytest.mark.parametrize("gens, base, size", [
     ([], 0, 1),
     ([()], 0, 1),
     ([(0b1000, 0, 0, 0)], 4, 14),
     ([(0b1110, 0b1100, 0b1000, 0)], 4, 70),  # the strict order
     ([(0b0011, 0b0011, 0b1100, 0b1100), (0b0001, 0, 0, 0b1000)], 4, 25),
-    ([equivalence(BASE_9_CLASSES, 9), equivalence([[x] for x in range(9)], 9)], 9, 4),
-    ([rel.empty_relation(9), equivalence(BASE_9_CLASSES, 9)], 9, 3),
+    (corpus.BASE_9_FAMILIES[0], 9, 4),
+    (corpus.BASE_9_FAMILIES[1], 9, 3),
 ])
 def test_closure_at_bases_0_4_and_9(gens, base, size):
     # base 9 codes fill fields of 11 bytes, wider than any native int

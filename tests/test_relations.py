@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -286,6 +288,24 @@ def test_rows_depend_only_on_their_key(data, name, n):
 
 def test_code_fields_are_1_2_4_or_8_bytes_up_to_base_8():
     assert [rel.code_bytes(n) for n in range(1, 11)] == [1, 1, 2, 2, 4, 8, 8, 8, 11, 13]
+    assert [rel.native_codes(n) for n in range(1, 11)] == [True] * 8 + [False] * 2
+    for n in range(1, 11):
+        width = rel.code_bytes(n)
+        top = (1 << (n * n)) - 1
+        codes = [0, top, 1, top >> 1, 1 << (n * n - 1), 0]
+        reference = b"".join(code.to_bytes(width, sys.byteorder) for code in codes)
+        assert rel.code_fields(codes, n) == reference
+        assert rel.code_fields(tuple(codes), n) == reference
+        assert rel.code_fields((code for code in codes), n) == reference
+        assert rel.code_fields([], n) == b""
+
+
+def test_gather_is_a_tuple_for_any_number_of_indices():
+    values = [10, 11, 12]
+    assert rel.gather(values, []) == ()
+    assert rel.gather(values, [2]) == (12,)
+    assert rel.gather(values, (2, 0, 2)) == (12, 10, 12)
+    assert rel.gather({5: "a", 7: "b"}, [7, 5]) == ("b", "a")
 
 
 @pytest.mark.parametrize("n", range(1, 10))

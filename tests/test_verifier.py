@@ -1,11 +1,14 @@
 import dataclasses
 import functools
+import itertools
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import (
+    BASE_9_FAMILIES,
     a4_generators,
     all_relations,
     check_representation_pairwise,
@@ -405,6 +408,86 @@ def test_checkers_agree_with_one_cell_flipped(data):
     relations[e] = relations[e][:x] + (relations[e][x] ^ 1 << y,) + relations[e][x + 1:]
     flipped = Interpretation(S, interp.base_labels, tuple(relations))
     assert_checkers_agree(S, flipped)
+
+
+# The mutations above change relations; those below change one cell of an
+# operation table, so the checker must find the wrong entry of a table row
+# (packed or tuple) and name the same first witness as the pairwise scan.
+
+TABLE_FIELDS = {"composition": "comp", "left-residual": "lres", "right-residual": "rres"}
+
+
+def with_cells(A, cells):
+    """A with table[a][b] = c for each (name, a, b, c) of cells."""
+    tables = {name: [list(row) for row in table] for name, table in A.operations}
+    for name, a, b, c in cells:
+        tables[name][a][b] = c
+    return dataclasses.replace(A, **{TABLE_FIELDS[name]: tuple(map(tuple, table))
+                                     for name, table in tables.items()})
+
+
+def test_checkers_agree_with_table_cells_flipped_on_the_a4_closures():
+    # one cell per table: in the first row of one table, the last row of
+    # another and a drawn row of the third, the rows turning over the tables
+    # from one draw to the next; the pairwise scan then stops at the cell
+    packed = 0
+    for seed in range(50):
+        base = 1 + seed % 3
+        A, interp = algebra.generate_concrete(base, a4_generators(base, seed))
+        if A.n < 2:
+            continue
+        packed += A.n >= verifier.PACKED_MIN_RELATIONS
+        rng = random.Random(seed)
+        rows = [0, A.n - 1, rng.randrange(A.n)]
+        cells = []
+        for t, (name, table) in enumerate(A.operations):
+            a = rows[(t + seed) % 3]
+            b = rng.randrange(A.n)
+            cells.append((name, a, b, (table[a][b] + rng.randrange(1, A.n)) % A.n))
+        report = assert_checkers_agree(with_cells(A, cells), interp)
+        # a closure's tables are right, so each flipped cell is a failure
+        assert [c.witness[:2] for c in report.conditions[1:]] == [cell[1:3] for cell in cells]
+    assert packed >= 10
+
+
+@pytest.mark.parametrize("base, gens, size, width", [
+    (4, [(0b1110, 0b1100, 0b1000, 0)], 70, 2),  # the strict order
+    (5, [(0, 4, 0, 0, 0), (8, 0, 8, 0, 0)], 42, 4),
+    (6, [(16, 0, 0, 32, 0, 0), (0, 4, 4, 0, 0, 0)], 48, 8),
+    (8, [(0, 4, 64, 4, 0, 0, 128, 4)], 32, 8),
+])
+def test_checkers_agree_with_table_cells_flipped_at_every_native_width(base, gens, size, width):
+    # closures large enough for the packed comparison, over bases whose codes
+    # fill native fields of 2, 4 and 8 bytes; in each table a drawn cell of
+    # the first row and one of the last
+    A, interp = algebra.generate_concrete(base, gens)
+    assert (A.n, rel.code_bytes(base)) == (size, width)
+    assert A.n >= verifier.PACKED_MIN_RELATIONS
+    assert_checkers_agree(A, interp)
+    rng = random.Random(base)
+    for name, table in A.operations:
+        for a in (0, A.n - 1):
+            b = rng.randrange(A.n)
+            c = (table[a][b] + rng.randrange(1, A.n)) % A.n
+            report = assert_checkers_agree(with_cells(A, [(name, a, b, c)]), interp)
+            assert report.condition(name).witness[:2] == (a, b)
+
+
+def test_checkers_agree_with_table_cells_flipped_over_wide_bases(corpus_small):
+    # the base-9 closures and a pipeline model over 10 points, whose codes are
+    # wider than any native int; every cell of the first and of the last row
+    # of every table, moved to every other element
+    cases = [algebra.generate_concrete(9, gens) for gens in BASE_9_FAMILIES]
+    A = next(A for A in corpus_small if relrep.represent_pipeline(A).interpretation.base_size >= 9)
+    cases.append((A, relrep.represent_pipeline(A).interpretation))
+    assert [interp.base_size for _, interp in cases] == [9, 9, 10]
+    for A, interp in cases:
+        assert_checkers_agree(A, interp)
+        for name, table in A.operations:
+            for a in {0, A.n - 1}:
+                for b, c in itertools.product(range(A.n), repeat=2):
+                    if c != table[a][b]:
+                        assert_checkers_agree(with_cells(A, [(name, a, b, c)]), interp)
 
 
 def test_relations_over_different_bases_raise(c2):

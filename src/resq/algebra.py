@@ -137,13 +137,16 @@ def antisymmetry(leq: tuple[int, ...]) -> tuple[int, int] | None:
 
 
 def transitivity(leq: tuple[int, ...]) -> tuple[int, int, int] | None:
-    """Some i <= j <= k with i not <= k."""
+    """Some i <= j <= k with i not <= k, visiting only the j above each i."""
     for i, row in enumerate(leq):
-        for j in range(len(leq)):
-            if row >> j & 1:
-                escape = leq[j] & ~row
-                if escape:
-                    return (i, j, (escape & -escape).bit_length() - 1)
+        above = row
+        while above:
+            low = above & -above
+            j = low.bit_length() - 1
+            escape = leq[j] & ~row
+            if escape:
+                return (i, j, (escape & -escape).bit_length() - 1)
+            above ^= low
     return None
 
 
@@ -303,18 +306,6 @@ def value_positions(values) -> dict[int, int]:
     return out
 
 
-def _positions_below(values, leq: tuple[int, ...]) -> list[int]:
-    """out[c] is the bitmask of the positions whose value lies below c."""
-    out = [0] * len(leq)
-    for v, mask in value_positions(values).items():
-        above = leq[v]
-        while above:
-            low = above & -above
-            out[low.bit_length() - 1] |= mask
-            above ^= low
-    return out
-
-
 def infer_residuals(
     leq: tuple[int, ...], comp: tuple[tuple[int, ...], ...], names=None
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -323,35 +314,39 @@ def infer_residuals(
     In a finite poset a\\c must be the maximum of {b : a;b <= c} and c/b the
     maximum of {a : a;b <= c}; raises NoResidualError, naming elements by
     names when given, at the first missing one (every a\\c before every c/b)
-    when a candidate set is empty or has no maximum.  The candidate sets of
-    one row (or column) of the composition are spread from its distinct
-    values to the up-set of each, and the maximum of each distinct candidate
-    set is searched once.
+    when a candidate set is empty or has no maximum.  Every candidate set is
+    read off one transposition (relations.transpose) of the 2n relations
+    {(b, c) : a;b <= c}, one per a, and {(a, c) : a;b <= c}, one per b, whose
+    rows are up-sets of the order, and of the order itself: row c of the
+    converses holds the candidate sets of a\\c for every a, then those of
+    c/b for every b, then the elements below c.  The maximum of each
+    distinct candidate set is searched once.
     """
-    down = rel.rel_converse(leq)  # bit i of down[j] set iff i <= j
+    n = len(leq)
+    # row y of the stack: the up-sets of column y of comp, then those of row
+    # y, then the up-set of y
+    ups = rel.stack_fields([rel.gather(leq, column) + rel.gather(leq, row) + (up,)
+                            for column, row, up in zip(zip(*comp), comp, leq)], 2 * n + 1, n)
+    converses = rel.transpose(ups)
+    cands = rel.stacked_rows(converses.rows, converses)
+    down = [row[-1] for row in cands]  # bit i of down[j] set iff i <= j
     found: dict[int, int | None] = {}  # candidate mask -> its maximum, or None
 
-    def maxima(candidates) -> list[int | None]:
-        return [found[m] if m in found else found.setdefault(m, _max_of(m, down))
-                for m in candidates]
+    def maxima(candidates) -> tuple[int | None, ...]:
+        return tuple([found[m] if m in found else found.setdefault(m, _max_of(m, down))
+                      for m in candidates])
 
-    lres = []
-    for a, row in enumerate(comp):
-        cands = _positions_below(row, leq)
-        maxima_a = maxima(cands)
-        if None in maxima_a:
-            c = maxima_a.index(None)
-            raise NoResidualError(a, c, "left", rel.set_lanes(cands[c]), names)
-        lres.append(tuple(maxima_a))
-    # the candidate sets of c/b are spread along column b, then read by rows c
-    rres = []
-    for c, cands in enumerate(zip(*(_positions_below(column, leq) for column in zip(*comp)))):
-        maxima_c = maxima(cands)
-        if None in maxima_c:
-            b = maxima_c.index(None)
-            raise NoResidualError(c, b, "right", rel.set_lanes(cands[b]), names)
-        rres.append(tuple(maxima_c))
-    return tuple(lres), tuple(rres)
+    lres = tuple(zip(*[maxima(row[:n]) for row in cands]))
+    for a, row in enumerate(lres):
+        if None in row:
+            c = row.index(None)
+            raise NoResidualError(a, c, "left", rel.set_lanes(cands[c][a]), names)
+    rres = tuple(maxima(row[n:-1]) for row in cands)
+    for c, row in enumerate(rres):
+        if None in row:
+            b = row.index(None)
+            raise NoResidualError(c, b, "right", rel.set_lanes(cands[c][n + b]), names)
+    return lres, rres
 
 
 def order_checks(leq: tuple[int, ...]) -> tuple[Check, ...]:
@@ -612,7 +607,8 @@ def close_relation_family(
     empty generator family is seeded with the empty relation (the union of no
     generators), whose residuals then populate the closure.  Row x of op(r, s)
     is a function of key x of r (``relations.Operation.keys``), so each operation is
-    evaluated once per distinct key and member, and op(r, s) over a run of
+    evaluated once per distinct key against a stack of members at once
+    (``relations.stack_codes``, ``Operation.rows``), and op(r, s) over those
     members s is read as packed relation codes off the packed rows of r's
     keys (``relations.keyed_codes``).  A generator of the wrong length, or
     with a row that is not an int below 2 ** base_size, raises ValueError.
@@ -646,8 +642,9 @@ def close_relation_family(
     # Members are taken in runs of discovery: a run is the members found since
     # the previous run, in no particular order (the closure is sorted at the
     # end).  columns[op] maps every key met so far to the fields of the rows it
-    # gives under op against the members of earlier runs.  A run extends the
-    # columns to its members; then every earlier member is closed against the
+    # gives under op against the members of earlier runs.  A run is stacked
+    # from its codes, as are the members before it, and extends the columns
+    # to its members; then every earlier member is closed against the
     # run, and every member of the run against all members so far.  Members
     # found meanwhile make the next run.
     ops = [rel.OPERATIONS[name] for name in ("composition", "left-residual", "right-residual")]
@@ -656,10 +653,13 @@ def close_relation_family(
     done = 0
     while done < len(members):
         start, stop = done, len(members)
+        # the stacks of the members before the run and of the run
+        earlier = rel.stack_codes(codes[:start], n)
+        later = rel.stack_codes(codes[start:stop], n)
         against_run, against_all = [], []  # packed codes over the run, over members[:stop]
         for op, column, member_keys in zip(ops, columns, keys):
-            member_keys.extend(map(op.keys, members[start:stop]))
-            run, whole = _extend_columns(op, column, members, start, stop, member_keys[start:])
+            member_keys.extend(op.keys(members[start:stop], later))
+            run, whole = _extend_columns(op, column, earlier, later, member_keys[start:])
             against_run.append(rel.keyed_codes(run, member_keys[:start], n))
             against_all.append(rel.keyed_codes(whole, member_keys[start:], n))
         for packed, count in ((against_run, stop - start), (against_all, stop)):
@@ -695,27 +695,26 @@ def close_relation_family(
     return closure
 
 
-def _extend_columns(op: rel.Operation, column: dict, members, start: int, stop: int, run_keys):
-    """Extend column from the members before start to those before stop: key
-    -> the fields of the rows key gives under op against them.  Keys first met
-    in run_keys (the keys of members[start:stop]) are filled in first.  Returns
-    the packed rows of every key against members[start:stop] and against
-    members[:stop]."""
-    n = len(members[0])
+def _extend_columns(op: rel.Operation, column: dict, earlier: rel.Stack, run: rel.Stack,
+                    run_keys):
+    """Extend column from the members stacked in earlier to those stacked in
+    run, the members found after them: key -> the fields of the rows key
+    gives under op against them.  Keys first met in run_keys (the keys of the
+    run's members) are filled in first, against earlier.  Returns the packed
+    rows of every key against the run and against all members so far."""
+    n = len(run.rows)
     new = [key for key in dict.fromkeys(itertools.chain.from_iterable(run_keys))
            if key not in column]
-    earlier = [op.rows(new, s) for s in members[:start]] if new else []
-    for j, key in enumerate(new):
-        column[key] = bytearray(rel.code_fields([rows[j] for rows in earlier], n))
-    later = [op.rows(list(column), t) for t in members[start:stop]]
-    run = {}
-    for (key, fields), rows in zip(column.items(), zip(*later)):
-        added = rel.code_fields(rows, n)
+    if new:
+        for key, fields in zip(new, rel.row_fields(op.rows(new, earlier), earlier.count, n)):
+            column[key] = bytearray(fields)
+    against_run = op.rows(list(column), run)
+    for fields, added in zip(column.values(), rel.row_fields(against_run, run.count, n)):
         fields += added
-        run[key] = rel.pack_fields(added)
-    if not start:  # the first run is all members so far
-        return run, run
-    return run, dict(zip(column, map(rel.pack_fields, column.values())))
+    run_rows = dict(zip(column, against_run))
+    if not earlier.count:  # the first run is all members so far
+        return run_rows, run_rows
+    return run_rows, dict(zip(column, map(rel.pack_fields, column.values())))
 
 
 def algebra_of_relations(

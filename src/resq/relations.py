@@ -2,7 +2,9 @@
 
 A relation over a base of size n is a tuple of n ints; bit j of row i is
 set iff the pair (i, j) belongs to the relation.  Tuples of ints are cheap,
-hashable and compare bitwise, which is what the inner loops need.  Named
+hashable and compare bitwise, which is what the inner loops need.  A family
+of relations is stacked (Stack) so that each operation acts on every member
+at once, and transpose gives the converses of a whole family.  Named
 relations over a base are an Interpretation, read from and written to the
 [x, y] pair lists of dumps and models here.
 """
@@ -126,82 +128,21 @@ def rel_subset(r: Relation, s: Relation) -> bool:
 
 
 def rel_converse(r: Relation) -> Relation:
-    """{(y, x) : (x, y) in r}: row x of the result is column x of r."""
-    out = [0] * len(r)
-    for z, row in enumerate(r):
-        bit = 1 << z
-        while row:
-            low = row & -row
-            out[low.bit_length() - 1] |= bit
-            row ^= low
-    return tuple(out)
-
-
-# Row x of r;s and of r/s depends only on row x of r, row x of r\s only on
-# column x of r, and row x of r | s on x and row x of r: one key of r.  The
-# rules below give the row of a key against s, and every row of every
-# operation, whole relations included, is read off them (OPERATIONS).
+    """{(y, x) : (x, y) in r}: row x of the result is column x of r, the
+    transpose of r as a family of one."""
+    return _transposed(Stack((r, 1, field_bits(len(r))))).rows
 
 
 def meet_rows(mask: int, rows, full: int) -> int:
     """The intersection of rows[z] over the bits z of mask; full when mask is
-    empty.  With rows = s and full the full row, the row of r\\s at the column
-    key mask."""
+    empty.  With rows a stack and full its full row, the row of r\\s at the
+    column key mask against every member."""
     acc = full
     while mask:
         low = mask & -mask
         acc &= rows[low.bit_length() - 1]
         mask ^= low
     return acc
-
-
-def _compose_rows(keys, s: Relation) -> list[int]:
-    """The row of r;s at each row key: the union of s[y] over its bits y."""
-    out = []
-    for key in keys:
-        acc = 0
-        while key:
-            low = key & -key
-            acc |= s[low.bit_length() - 1]
-            key ^= low
-        out.append(acc)
-    return out
-
-
-def _lres_rows(keys, s: Relation) -> list[int]:
-    """The row of r\\s at each column key (meet_rows)."""
-    full = (1 << len(s)) - 1
-    return [meet_rows(key, s, full) for key in keys]
-
-
-def _rres_rows(keys, s: Relation) -> list[int]:
-    """The row of r/s at each row key: the y whose s[y] lies inside it."""
-    out = []
-    for key in keys:
-        outside = ~key
-        row = 0
-        bit = 1
-        for sy in s:
-            if not sy & outside:
-                row |= bit
-            bit <<= 1
-        out.append(row)
-    return out
-
-
-def _union_rows(keys, s: Relation) -> list[int]:
-    """The row of r | s at each key (x, row): row | s[x]."""
-    return [row | s[x] for x, row in keys]
-
-
-def _row_keys(r: Relation) -> Relation:
-    """The key of row x of r;s and of r/s: row x of r."""
-    return r
-
-
-def _indexed_keys(r: Relation) -> tuple:
-    """The key of row x of r | s: the pair (x, row x of r)."""
-    return tuple(enumerate(r))
 
 
 def inclusion_order(family) -> tuple[int, ...]:
@@ -231,18 +172,30 @@ def inclusion_order(family) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# relation codes
+# packed rows: relation codes and stacked families
+#
+# A packed row holds a sequence of values, one per field of a fixed number of
+# bits, field j at bits j * width ..: the int whose little-endian bytes are
+# the fields.  A field of 1, 2, 4 or 8 bytes is an unsigned int struct.pack
+# writes and, on a little-endian machine, memoryview.cast reads back in one
+# call.  An AND, OR or shift of whole packed rows acts on every field at once.
 #
 # A relation over n points is also its n * n-bit code, pair (i, j) at bit
-# i * n + j.  A packed row holds a sequence of codes, one per field of
-# code_bytes(n) bytes, as the int whose bytes in the machine's order are those
-# fields: a native unsigned int each up to base 8, so one memoryview.cast reads
-# a packed row back.  Row i of a code is its bits i * n .. i * n + n - 1, so a
-# packed row of n-bit rows shifted left by i * n holds them as row i of each
-# field, and keyed_codes ORs such shifts into a code in every field at once.
+# i * n + j, in a field of code_bytes(n) bytes: a native int up to base 8.
+# Row i of a code is its bits i * n .. i * n + n - 1, so a packed row of n-bit
+# rows shifted left by i * n holds them as row i of each field, and keyed_codes
+# ORs such shifts into a code in every field at once.
+#
+# A family of relations over n points is stacked as n packed rows (Stack):
+# row y of the stack holds row y of member j in field j.  The rules of the
+# operations below act on a whole stack, so the row one key gives against
+# every member is one packed row, and a single relation is the stack of a
+# family of one, with its own rows as the stack's.  A stack whose fields are
+# as wide as codes (code_bits) gives packed rows keyed_codes reads.
 
-_CODE_ORDER = sys.byteorder
+_CODE_ORDER = "little"
 _CODE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_NATIVE_LITTLE = sys.byteorder == "little"
 
 
 def relation_code(r: Relation) -> int:
@@ -276,28 +229,40 @@ def native_codes(n: int) -> bool:
     return code_bytes(n) in _CODE_FORMATS
 
 
+def _join_fields(values, width: int) -> bytes:
+    """The fields of width bytes holding values, first value first: one bytes
+    or struct.pack call for a native width."""
+    if width == 1:  # a one-byte field is the value itself
+        return bytes(values)
+    fmt = _CODE_FORMATS.get(width)
+    if fmt is not None:
+        values = tuple(values)
+        return struct.pack(f"<{len(values)}{fmt}", *values)
+    return b"".join([value.to_bytes(width, _CODE_ORDER) for value in values])
+
+
+def _split_fields(fields, width: int):
+    """The values of the fields of width bytes held in the bytes fields, first
+    field first: a memoryview of native ints for a native width on a
+    little-endian machine, a list otherwise."""
+    fmt = _CODE_FORMATS.get(width)
+    if fmt is not None and _NATIVE_LITTLE:
+        return memoryview(fields).cast(fmt)
+    return [int.from_bytes(fields[start:start + width], _CODE_ORDER)
+            for start in range(0, len(fields), width)]
+
+
 def code_fields(codes, n: int) -> bytes:
     """The fields of codes over n points (each below 2 ** (n * n)), first
     code first: one bytes or struct.pack call up to base 8."""
-    width = code_bytes(n)
-    if width == 1:  # a one-byte field is the code itself
-        return bytes(codes)
-    fmt = _CODE_FORMATS.get(width)
-    if fmt is not None:
-        codes = tuple(codes)
-        return struct.pack(f"={len(codes)}{fmt}", *codes)
-    return b"".join([code.to_bytes(width, _CODE_ORDER) for code in codes])
+    return _join_fields(codes, code_bytes(n))
 
 
 def field_codes(fields, n: int):
     """The codes of the fields over n points held in the bytes fields, first
-    field first: a memoryview of native ints up to base 8, a list above."""
-    width = code_bytes(n)
-    fmt = _CODE_FORMATS.get(width)
-    if fmt is not None:
-        return memoryview(fields).cast(fmt)
-    return [int.from_bytes(fields[start:start + width], _CODE_ORDER)
-            for start in range(0, len(fields), width)]
+    field first: a memoryview of native ints up to base 8 (on a
+    little-endian machine), a list otherwise."""
+    return _split_fields(fields, code_bytes(n))
 
 
 def pack_fields(fields) -> int:
@@ -308,19 +273,25 @@ def pack_fields(fields) -> int:
 def keyed_codes(rows: dict, keyed, n: int):
     """For the row keys of each relation in keyed, the packed codes over n
     points whose row x, in every field, is the field of the packed row
-    rows[key x]: with rows[key] the packed rows a key gives under an operation
-    against a run of right operands s (``Operation.keys``), these are the codes of
-    op(r, s) over that run.  The shifted rows do not overlap, so their sum is
-    their OR."""
+    rows[key x]: with rows[key] the stacked row a key gives under an
+    operation against a stack of codes' width (``Operation.rows``), these are
+    the codes of op(r, s) over the members s.  The shifted rows do not
+    overlap, so their sum is their OR."""
     shifts = range(0, n * n, n or 1)
     return (sum(map(operator.lshift, map(rows.__getitem__, keys), shifts)) for keys in keyed)
+
+
+def row_fields(packed_rows, count: int, n: int) -> list[bytes]:
+    """The fields of each packed row of count codes over n points: the
+    inverse of pack_fields."""
+    size = count * code_bytes(n)
+    return [packed.to_bytes(size, _CODE_ORDER) for packed in packed_rows]
 
 
 def unpack_codes(packed_rows, count: int, n: int):
     """The codes of packed rows of count fields each over n points: the
     fields of the first row first, then those of the next."""
-    size = count * code_bytes(n)
-    return field_codes(b"".join([packed.to_bytes(size, _CODE_ORDER) for packed in packed_rows]), n)
+    return field_codes(b"".join(row_fields(packed_rows, count, n)), n)
 
 
 def gather(values, indices) -> tuple:
@@ -328,7 +299,182 @@ def gather(values, indices) -> tuple:
     (operator.itemgetter, which returns the bare item for one index)."""
     if len(indices) > 1:
         return operator.itemgetter(*indices)(values)
-    return tuple(values[i] for i in indices)
+    return (values[indices[0]],) if indices else ()
+
+
+# The most fields a packed row is built from or cut into by shifts; more are
+# written and read as bytes, which costs less for wide rows.
+SHIFTED_FIELDS_MAX = 32
+
+
+class Stack(tuple):
+    """A family of count relations over len(rows) points, stacked: rows[y]
+    holds row y of member j in field j, of width bits each.  The triple
+    (rows, count, width), built as Stack((rows, count, width)): a plain
+    tuple's constructor, which the one-member stacks of Operation.apply
+    make on every call."""
+
+    __slots__ = ()
+    rows = property(operator.itemgetter(0))
+    count = property(operator.itemgetter(1))
+    width = property(operator.itemgetter(2))
+
+
+def field_bits(n: int) -> int:
+    """The width of a field of a stack over n points: the least power of two
+    of at least n bits and at least 8, a native int up to base 64, as the
+    transposition needs."""
+    return max(8, 1 << (n - 1).bit_length())
+
+
+def code_bits(n: int) -> int:
+    """The width of a field of a stack over n points whose stacked rows are
+    packed rows of codes (keyed_codes): that of a code, n * n bits rounded
+    up to 1, 2, 4 or 8 bytes up to base 8 and to whole bytes above, so never
+    less than field_bits(n)."""
+    return 8 * code_bytes(n)
+
+
+def stack(family, n: int, width: int | None = None) -> Stack:
+    """The stack of the relations of family over n points, with fields of
+    width bits (field_bits(n) when not given)."""
+    family = tuple(family)
+    if len(family) == 1:
+        return Stack((tuple(family[0]), 1, width or field_bits(n)))
+    return stack_fields(zip(*family), len(family), n, width)
+
+
+def stack_fields(fields, count: int, n: int, width: int | None = None) -> Stack:
+    """The stack of count relations over n points whose row y holds the
+    values fields[y], one per member, with fields of width bits
+    (field_bits(n) when not given).  Up to SHIFTED_FIELDS_MAX members a row
+    is summed from shifted values, above all rows are written as one run of
+    bytes."""
+    width = width or field_bits(n)
+    if not count:
+        return Stack(((0,) * n, 0, width))
+    if count <= SHIFTED_FIELDS_MAX:
+        shifts = range(0, count * width, width)
+        return Stack((tuple([sum(map(operator.lshift, values, shifts)) for values in fields]),
+                      count, width))
+    size = count * width // 8
+    data = _join_fields(itertools.chain.from_iterable(fields), width // 8)
+    return Stack((tuple([pack_fields(data[start:start + size])
+                         for start in range(0, n * size, size)]), count, width))
+
+
+def stack_codes(codes, n: int) -> Stack:
+    """The stack of the relations whose codes over n points are codes, with
+    fields of code_bits(n): row y of the stack is the packed codes shifted
+    down by y * n, each field cut to its low n bits."""
+    codes = tuple(codes)
+    width = code_bits(n)
+    packed = pack_fields(code_fields(codes, n))
+    low = field_ones(len(codes), width) * ((1 << n) - 1)
+    return Stack((tuple([packed >> shift & low for shift in range(0, n * n, n or 1)]),
+                  len(codes), width))
+
+
+def unstack(s: Stack) -> list[Relation]:
+    """The members of the stack s, first field first."""
+    rows, count, _ = s
+    if count == 1:
+        return [tuple(rows)]
+    if not rows:
+        return [()] * count
+    return list(zip(*stacked_rows(rows, s)))
+
+
+def stacked_rows(packed_rows, s: Stack) -> list:
+    """The fields of each of packed_rows, packed like the rows of s: the row
+    of each member, first field first, as a sequence of ints.  Up to
+    SHIFTED_FIELDS_MAX fields a row is shifted and masked field by field,
+    above all rows are read as one run of bytes."""
+    _, count, width = s
+    if count < 2:
+        return [(packed,) * count for packed in packed_rows]
+    if count <= SHIFTED_FIELDS_MAX:
+        shifts = range(0, count * width, width)
+        mask = (1 << width) - 1
+        return [[packed >> shift & mask for shift in shifts] for packed in packed_rows]
+    size = count * width // 8
+    values = _split_fields(b"".join([packed.to_bytes(size, _CODE_ORDER)
+                                     for packed in packed_rows]), width // 8)
+    return [values[start:start + count] for start in range(0, len(values), count)]
+
+
+def field_ones(count: int, width: int) -> int:
+    """The packed row of count fields of width bits holding 1 each: times a
+    row, that row in every field."""
+    return ((1 << count * width) - 1) // ((1 << width) - 1)
+
+
+def stack_full(s: Stack) -> int:
+    """The packed row of s holding the full row in every field."""
+    rows, count, width = s
+    full = (1 << len(rows)) - 1
+    return full if count == 1 else field_ones(count, width) * full
+
+
+def transpose(s: Stack) -> Stack:
+    """The stack of the converses of the members of s: row x holds column x
+    of every member.
+
+    Every member is flipped across its diagonal by masked shifts of whole
+    rows (the recursive block transpose): with N the least power of two of
+    at least n, and rows n .. N - 1 empty, one pass per bit t < N swaps bit t
+    of the row index with bit t of the column index, exchanging each pair
+    (y, x) with bit t clear in y and set in x with (y + t, x - t): between
+    rows y and y + t, one XOR of the shifted rows cut to the columns with bit
+    t clear in every field (_exchanges) says which bits differ, and two XORs
+    swap them.  Fields are at least N bits wide (field_bits), so no bit
+    leaves its field on the way.  A single relation with no more pairs than
+    the (N / 2) * log2(N) exchanges moves them one at a time instead."""
+    rows, count, width = s
+    n = len(rows)
+    if n < 2 or not count:
+        return s
+    size = 1 << (n - 1).bit_length()
+    if count == 1 and sum(map(int.bit_count, rows)) <= (size >> 1) * (size.bit_length() - 1):
+        out = [0] * n
+        for y, row in enumerate(rows):
+            bit = 1 << y
+            while row:
+                low = row & -row
+                out[low.bit_length() - 1] |= bit
+                row ^= low
+        return Stack((tuple(out), count, width))
+    out = [*rows, *(0,) * (size - n)]
+    for t, kept, upper in _exchanges(size, count, width):
+        for y in upper:
+            a, b = out[y], out[y + t]
+            swap = (a >> t ^ b) & kept
+            if swap:
+                out[y] = a ^ swap << t
+                out[y + t] = b ^ swap
+    return Stack((tuple(out[:n]), count, width))
+
+
+# The last few transpositions, which the keys of the left residual and the
+# rows of the right residual make of the same family in turn, and the
+# completion of the same order.
+_transposed = lru_cache(maxsize=8)(transpose)
+
+
+@lru_cache(maxsize=256)
+def _exchanges(size: int, count: int, width: int) -> tuple:
+    """The passes of the transposition of a stack of count fields of width
+    bits over size rows (a power of two): for each t = 1, 2, 4, .. below
+    size, t, the packed row of the columns x < size with bit t clear in every
+    field, and the rows y with bit t clear."""
+    ones = field_ones(count, width)
+    out = []
+    t = 1
+    while t < size:
+        kept = ((1 << size) - 1) // ((1 << 2 * t) - 1) * ((1 << t) - 1)
+        out.append((t, ones * kept, tuple(y for y in range(size) if not y & t)))
+        t <<= 1
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -465,35 +611,137 @@ def equal_mask(full: int, r, s) -> int:
 
 # ---------------------------------------------------------------------------
 # the operations
+#
+# Row x of r;s and of r/s depends only on row x of r, row x of r\s only on
+# column x of r, and row x of r | s on x and row x of r: one key of r.  The
+# rules below give the row of a key against every member of a stack, as one
+# packed row, and every row of every operation, whole relations included, is
+# read off them (OPERATIONS).
+
+
+def _compose_rows(keys, s: Stack) -> list[int]:
+    """The row of r;s at each row key: the union of s[y] over its bits y."""
+    rows = s.rows
+    out = []
+    for key in keys:
+        acc = 0
+        while key:
+            low = key & -key
+            acc |= rows[low.bit_length() - 1]
+            key ^= low
+        out.append(acc)
+    return out
+
+
+def _lres_rows(keys, s: Stack) -> list[int]:
+    """The row of r\\s at each column key (meet_rows from the full row)."""
+    rows = s.rows
+    full = stack_full(s)
+    return [meet_rows(key, rows, full) for key in keys]
+
+
+# The least base whose right residual reads the columns below and above each
+# key off running ORs: on fewer points, building them costs more than the
+# ORs they save.
+RUNNING_OR_MIN_BASE = 9
+
+
+def _rres_rows(keys, s: Stack) -> list[int]:
+    """The row of r/s at each row key: the y whose s[y] lies inside it, the
+    full row less the union of the columns of s at the points outside the
+    key.  The columns are the rows of the transposed stack.  From
+    RUNNING_OR_MIN_BASE points on, the union below the key's lowest point
+    and above its highest is read off running ORs of the columns, and only
+    the gaps between are taken column by column, so a key of one run of
+    points costs two ORs; on fewer points every column is taken."""
+    columns = _transposed(s).rows
+    n = len(columns)
+    full = stack_full(s)
+    out = []
+    if n < RUNNING_OR_MIN_BASE:
+        points = (1 << n) - 1
+        for key in keys:
+            hit = 0
+            outside = points ^ key
+            while outside:
+                bit = outside & -outside
+                hit |= columns[bit.bit_length() - 1]
+                outside ^= bit
+            out.append(full ^ hit)
+        return out
+    below = [0, *itertools.accumulate(columns, operator.or_)]
+    above = [*itertools.accumulate(reversed(columns), operator.or_)][::-1] + [0]
+    for key in keys:
+        if not key:
+            out.append(full ^ below[-1])
+            continue
+        low = (key & -key).bit_length() - 1
+        high = key.bit_length()
+        hit = below[low] | above[high]
+        gaps = ((1 << high) - (1 << low)) ^ key
+        while gaps:
+            bit = gaps & -gaps
+            hit |= columns[bit.bit_length() - 1]
+            gaps ^= bit
+        out.append(full ^ hit)
+    return out
+
+
+def _union_rows(keys, s: Stack) -> list[int]:
+    """The row of r | s at each key (x, row): row in every field, or s[x]."""
+    rows, ones = s.rows, field_ones(s.count, s.width)
+    return [row * ones | rows[x] for x, row in keys]
+
+
+def _row_keys(family, stacked: Stack) -> list:
+    """The keys of the rows of r;s and r/s for each r of family: its rows."""
+    return list(family)
+
+
+def _column_keys(family, stacked: Stack) -> list:
+    """The keys of the rows of r\\s for each r of family: its columns, read
+    off one transposition of stacked, the stack of the whole family."""
+    return unstack(_transposed(stacked))
+
+
+def _indexed_keys(family, stacked: Stack) -> list:
+    """The keys of the rows of r | s for each r of family: the pairs (x, row x)."""
+    return [tuple(enumerate(r)) for r in family]
 
 
 @dataclass(frozen=True)
 class Operation:
     """One binary relational operation op in each of the forms the layers use.
 
-    keys(r) is the key of each row of r: relations whose key x is the same
-    give the same row x of op(., s) for every s.  rows(keys, s) is the row
-    each of keys gives against the right operand s, and sliced(k, full, r, s)
-    op lane by lane on sliced relations over k points.  apply(r, s) is the
-    whole relation op(r, s), read off rows and keys.
+    keys(family, stacked) is, for each relation r of the sequence family,
+    whose stack is stacked, the key of each row of r: relations whose key x
+    is the same give the same row x of op(., s) for every s.
+    rows(keys, stack) is the packed row each of keys gives against all
+    members s of the stack at once, field j holding the row against member
+    j, and sliced(k, full, r, s) op lane by lane on sliced relations over k
+    points.  apply(r, s) is the whole relation op(r, s), read off keys and
+    rows with r and s the stacks of families of one.
     """
 
-    keys: Callable[[Relation], tuple]
-    rows: Callable[[Sequence, Relation], list[int]]
+    keys: Callable[[Sequence[Relation], Stack], list]
+    rows: Callable[[Sequence, Stack], list[int]]
     sliced: Callable[[int, int, tuple, tuple], tuple[int, ...]]
 
     def apply(self, r: Relation, s: Relation) -> Relation:
         """op(r, s); raises DimensionMismatch when the bases differ."""
-        if len(r) != len(s):
+        n = len(s)
+        if len(r) != n:
             _check_dims(r, s)
-        return tuple(self.rows(self.keys(r), s))
+        width = field_bits(n)
+        keys = self.keys((r,), Stack((r, 1, width)))[0]
+        return tuple(self.rows(keys, Stack((s, 1, width))))
 
 
 # Every operation of the algebras, by the condition name the structures list
 # it under; the one place that maps a name to code.
 OPERATIONS: dict[str, Operation] = {
     "composition": Operation(_row_keys, _compose_rows, sliced_compose),
-    "left-residual": Operation(rel_converse, _lres_rows, sliced_lres),
+    "left-residual": Operation(_column_keys, _lres_rows, sliced_lres),
     "right-residual": Operation(_row_keys, _rres_rows, sliced_rres),
     "join": Operation(_indexed_keys, _union_rows, sliced_union),
 }

@@ -40,50 +40,58 @@ class NodeBudget:
 
 
 # The fewest relations whose conditions are compared as packed codes: below
-# it the set-up (a packed row per key, a few calls per row) costs more than
-# the per-entry tuple comparisons it saves, which break even at 34-42
-# members of the base-3 closures.
+# it the set-up (the code of every relation, the expected codes of each row
+# packed apart) costs more than the tuple comparisons it saves.
 PACKED_MIN_RELATIONS = 32
 
 
-def _table_condition(name, table, relations) -> Check:
-    """Row a of the condition is op(R[a], R[b]) over every b, with op the
-    operation named name, read off one column per row key of R[a]
-    (Operation.keys): the rows that key gives against every R[b]
-    (Operation.rows), filled once per distinct key.
+def _compares_codes(count: int, n: int) -> bool:
+    """Whether the conditions of count relations over n points compare
+    packed codes: at least PACKED_MIN_RELATIONS of them, over at most 8
+    points (relations.native_codes)."""
+    return count >= PACKED_MIN_RELATIONS and rel.native_codes(n)
 
-    With at least PACKED_MIN_RELATIONS relations over at most 8 points
-    (relations.native_codes), each column is one packed row, row a is the
-    packed codes of op(R[a], R[b]) over b (relations.keyed_codes), and it is
-    compared with those of R[table[a][b]] as one int; a row is unpacked only
-    when it differs, so the witness is the same.  Otherwise row a is
-    compared as tuples."""
+
+def _table_condition(name, table, relations, family: rel.Stack) -> Check:
+    """Row a of the condition is op(R[a], R[b]) over every b, with op the
+    operation named name, read off the row keys of R[a] (Operation.keys):
+    the row each distinct key gives against every R[b] at once is one packed
+    row against family, the stack of the relations (Operation.rows, one call
+    for all keys).
+
+    When the relations compare codes (_compares_codes, and family has fields
+    of relations.code_bits), row a is the packed codes of op(R[a], R[b])
+    over b (relations.keyed_codes of those packed rows), and it is compared
+    with those of R[table[a][b]] as one int; a row is unpacked only when it
+    differs, so the witness is the same.  Otherwise each packed row is split
+    into its fields, the rows against each R[b], and row a is compared as
+    tuples."""
     op = rel.OPERATIONS[name]
-    keyed = [op.keys(r) for r in relations]
+    keyed = op.keys(relations, family)
     distinct = list(dict.fromkeys(itertools.chain.from_iterable(keyed)))
-    columns = zip(*[op.rows(distinct, s) for s in relations])
-    n = len(relations[0]) if relations else 0
-    if len(relations) >= PACKED_MIN_RELATIONS and rel.native_codes(n):
-        rows = dict(zip(distinct, [rel.pack_fields(rel.code_fields(c, n)) for c in columns]))
+    packed_rows = op.rows(distinct, family)
+    n = len(family.rows)
+    if _compares_codes(len(relations), n):
+        rows = dict(zip(distinct, packed_rows))
         codes = list(map(rel.relation_code, relations))
         for a, packed in enumerate(rel.keyed_codes(rows, keyed, n)):
             if packed != rel.pack_fields(rel.code_fields(rel.gather(codes, table[a]), n)):
-                actual = [rel.decode_relation(code, n)
-                          for code in rel.unpack_codes([packed], len(relations), n)]
-                failure = _row_failure(name, a, [relations[c] for c in table[a]], actual)
+                actual = tuple(rel.decode_relation(code, n)
+                               for code in rel.unpack_codes([packed], len(relations), n))
+                failure = _row_failure(name, a, rel.gather(relations, table[a]), actual)
                 if failure is not None:
                     return failure
         return Check(name, None)
-    columns = dict(zip(distinct, columns))
+    columns = dict(zip(distinct, rel.stacked_rows(packed_rows, family)))
     for a, keys in enumerate(keyed):
-        actual = list(zip(*map(columns.__getitem__, keys))) if keys else [()] * len(relations)
-        failure = _row_failure(name, a, [relations[c] for c in table[a]], actual)
+        actual = tuple(zip(*map(columns.__getitem__, keys))) if keys else ((),) * len(relations)
+        failure = _row_failure(name, a, rel.gather(relations, table[a]), actual)
         if failure is not None:
             return failure
     return Check(name, None)
 
 
-def _row_failure(name, a, expected: list, actual: list) -> Check | None:
+def _row_failure(name, a, expected, actual) -> Check | None:
     """The failure at the first pair (x, y) of the first b whose
     op(R[a], R[b]), actual[b], is not expected[b], R[table[a][b]]; None when
     there is no such b."""
@@ -115,8 +123,11 @@ def check_representation(S, I: Interpretation) -> Report:
     relations = I.relations[:len(S.comp)]
     if len({len(r) for r in relations}) > 1:
         raise DimensionMismatch("the relations of the interpretation have different bases")
+    n = len(relations[0]) if relations else 0
+    family = rel.stack(relations, n,
+                       rel.code_bits(n) if _compares_codes(len(relations), n) else None)
     return Report((_order_condition(S.leq, relations),) + tuple(
-        _table_condition(name, table, relations) for name, table in S.operations
+        _table_condition(name, table, relations, family) for name, table in S.operations
     ))
 
 

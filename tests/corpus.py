@@ -12,7 +12,7 @@ import functools
 import itertools
 import random
 
-from resq import algebra, lambek
+from resq import algebra, lambek, relrep
 from resq import relations as rel
 from resq.algebra import (
     Check,
@@ -170,6 +170,21 @@ def large_quantale_algebras() -> list[FiniteResiduatedSemigroup]:
         algebra.generate_concrete(base, generators=list(gens), max_relations=64)[0]
         for base, gens in LARGE_QUANTALE_FAMILIES
     ]
+
+
+# a generator family whose completion has 50 elements, the largest the
+# benchmark's families reach
+QUANTALE_50_FAMILY = (3, ((3, 1, 3),))
+
+
+@functools.lru_cache(maxsize=None)
+def quantale_50_model():
+    """The algebra of the closure of QUANTALE_50_FAMILY, its 50-element
+    completion and the interpretation the default pipeline gives it."""
+    base, gens = QUANTALE_50_FAMILY
+    A = algebra.generate_concrete(base, generators=list(gens), max_relations=64)[0]
+    result = relrep.represent_pipeline(A)
+    return A, result.quantale, result.interpretation
 
 
 def dense_chain_table(samples: int = 64, depth: int = 6) -> tuple[tuple[int, ...], ...]:

@@ -340,6 +340,30 @@ def test_infer_residuals_match_definition():
     assert {n for n, k in outcomes if k == 2} == {1, 2, 3, 4, 5}
 
 
+def test_infer_residuals_match_loops_on_large_quantales():
+    # the candidate sets of 16- to 50-element quantales read off one
+    # transposition: the same tables, and after one cell of the composition
+    # is moved, the same first missing residual with the same candidates
+    algebras = corpus.large_quantale_algebras() + [corpus.quantale_50_model()[0]]
+    sizes = []
+    missing = 0
+    for A in algebras:
+        Q = completion.build_quantale(A)
+        sizes.append(Q.size)
+        assert (algebra.infer_residuals(Q.leq, Q.comp)
+                == corpus.infer_residuals_by_loops(Q.leq, Q.comp))
+        rng = random.Random(Q.size)
+        for _ in range(12):
+            a, b, c = rng.randrange(Q.size), rng.randrange(Q.size), rng.randrange(Q.size)
+            comp = tuple(row[:b] + (c,) + row[b + 1:] if i == a else row
+                         for i, row in enumerate(Q.comp))
+            outcome = residual_outcome(algebra.infer_residuals, Q.leq, comp)
+            assert outcome == residual_outcome(corpus.infer_residuals_by_loops, Q.leq, comp)
+            missing += len(outcome) == 4
+    assert sizes == [16, 20, 32, 50]
+    assert missing >= 12
+
+
 def assert_laws_match_loops(leq, comp, join, lres, rres):
     """Each cubic law and the residual inference agree with its scalar
     oracle: the same first witness, or None; the same tables, or the same

@@ -1,4 +1,4 @@
-import sys
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +217,89 @@ def test_converse_swaps_pairs():
     assert set(rel.relation_pairs(rel.rel_converse(r))) == {(1, 0), (0, 2), (2, 2)}
 
 
+# Stacked families over bases 0-10 and 63-65, where a field stops being a
+# native int (field_bits), of 0, 1, 2 and 33 members.  A member's density is
+# drawn from empty, full, sparse and dense, so both ways of transposing (one
+# set bit at a time, exchanges of rows) are taken.
+
+STACK_BASES = [*range(11), 63, 64, 65]
+STACK_SIZES = (0, 1, 2, 33)
+
+
+def random_family(n, m, seed):
+    rng = random.Random(seed)
+    densities = (0.5, 0.0, 1.0, 0.02, 0.9)
+    family = []
+    for j in range(m):
+        density = densities[j] if j < len(densities) else rng.random()
+        family.append(tuple(sum(1 << y for y in range(n) if rng.random() < density)
+                            for _ in range(n)))
+    return family
+
+
+def pair_converse(r):
+    return {(y, x) for x, y in rel.relation_pairs(r)}
+
+
+@pytest.mark.parametrize("m", STACK_SIZES)
+@pytest.mark.parametrize("n", STACK_BASES)
+def test_transpose_is_the_pair_set_converse(n, m):
+    family = random_family(n, m, 1000 * n + m)
+    # the default fields and those of codes (not a power of two above base 8)
+    for s in (rel.stack(family, n), rel.stack(family, n, rel.code_bits(n)),
+              rel.stack_codes(map(rel.relation_code, family), n)):
+        assert (len(s.rows), s.count) == (n, m)
+        assert rel.unstack(s) == family
+        converses = rel.unstack(rel.transpose(s))
+        assert len(converses) == m
+        for r, c in zip(family, converses):
+            assert set(rel.relation_pairs(c)) == pair_converse(r)
+            assert rel.rel_converse(r) == c
+        assert rel.transpose(rel.transpose(s)) == s
+
+
+def test_field_bits_hold_a_power_of_two_of_at_least_n():
+    assert [rel.field_bits(n) for n in range(0, 11)] == [8] * 9 + [16, 16]
+    assert [rel.field_bits(n) for n in (16, 17, 32, 33, 63, 64, 65, 4096)] == [
+        16, 32, 32, 64, 64, 64, 128, 4096]
+    for n in range(0, 66):
+        assert rel.field_bits(n) <= rel.code_bits(n) == 8 * rel.code_bytes(n)
+
+
+@pytest.mark.parametrize("m", STACK_SIZES)
+@pytest.mark.parametrize("n", STACK_BASES)
+def test_family_rows_are_apply_member_by_member(n, m):
+    # the row each key of r gives against a stack, one field per member, is
+    # row x of op(r, s) for every member s
+    family = random_family(n, m, 1000 * n + m + 7)
+    lefts = random_family(n, 4, 1000 * n + m + 8)  # half full, empty, full, sparse
+    s = rel.stack(family, n)
+    for name, op in rel.OPERATIONS.items():
+        for r, keys in zip(lefts, op.keys(lefts, rel.stack(lefts, n))):
+            assert keys == op.keys([r], rel.stack([r], n))[0]
+            packed = op.rows(keys, s)
+            assert len(packed) == n
+            fields = rel.stacked_rows(packed, s)
+            for j, t in enumerate(family):
+                assert tuple(row[j] for row in fields) == op.apply(r, t), (name, j)
+
+
+def test_right_residual_rows_at_a_large_base_match_pair_sets():
+    # keys of no point, of every point, of one run, of runs with gaps and of
+    # scattered points, against the identity, its complement and a random s
+    n = 100
+    rng = random.Random(100)
+    full = (1 << n) - 1
+    keys = [0, full, 1, 1 << (n - 1), 0b1111 << 40, full ^ (1 << 50), full ^ 0b11011 << 30,
+            *(rng.getrandbits(n) for _ in range(6))]
+    op = rel.OPERATIONS["right-residual"]
+    identity = tuple(1 << y for y in range(n))
+    for s in (identity, tuple(full ^ row for row in identity),
+              tuple(rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n))):
+        assert op.rows(keys, rel.stack([s], n)) == [pair_row("right-residual", n, key, s)
+                                                    for key in keys]
+
+
 # Row x of each operation against s as a function of one key, read off the
 # pair-set definitions above: the key is a row mask (composition, right
 # residual), a column mask (left residual) or a (position, row mask) pair
@@ -263,10 +346,11 @@ def row_key(name, n):
 def test_op_rows_match_pair_sets(data, name, n):
     # the empty key first: the left residual's rule gives it the full row
     op = rel.OPERATIONS[name]
-    keys = [op.keys(rel.empty_relation(n))[0]] + data.draw(st.lists(row_key(name, n),
-                                                                     max_size=3 * n))
+    empty = rel.empty_relation(n)
+    keys = [op.keys([empty], rel.stack([empty], n))[0][0]] + data.draw(
+        st.lists(row_key(name, n), max_size=3 * n))
     s = data.draw(mask_relation(n))
-    assert op.rows(keys, s) == [pair_row(name, n, key, s) for key in keys]
+    assert op.rows(keys, rel.stack([s], n)) == [pair_row(name, n, key, s) for key in keys]
 
 
 @given(st.data(), st.sampled_from(KEYED_OPS), st.integers(1, 4))
@@ -282,8 +366,9 @@ def test_rows_depend_only_on_their_key(data, name, n):
     bit = 1 << x
     other = tuple(o & ~bit | r[z] & bit for z, o in enumerate(other))
     other = other[:x] + (r[x],) + other[x + 1:]
-    assert op.keys(other)[x] == op.keys(r)[x]
-    assert op.apply(other, s)[x] == op.apply(r, s)[x] == pair_row(name, n, op.keys(r)[x], s)
+    (key_other, key_r) = (keys[x] for keys in op.keys([other, r], rel.stack([other, r], n)))
+    assert key_other == key_r
+    assert op.apply(other, s)[x] == op.apply(r, s)[x] == pair_row(name, n, key_r, s)
 
 
 def test_code_fields_are_1_2_4_or_8_bytes_up_to_base_8():
@@ -293,7 +378,7 @@ def test_code_fields_are_1_2_4_or_8_bytes_up_to_base_8():
         width = rel.code_bytes(n)
         top = (1 << (n * n)) - 1
         codes = [0, top, 1, top >> 1, 1 << (n * n - 1), 0]
-        reference = b"".join(code.to_bytes(width, sys.byteorder) for code in codes)
+        reference = b"".join(code.to_bytes(width, "little") for code in codes)
         assert rel.code_fields(codes, n) == reference
         assert rel.code_fields(tuple(codes), n) == reference
         assert rel.code_fields((code for code in codes), n) == reference
@@ -341,12 +426,10 @@ def test_keyed_codes_of_op_rows_are_the_codes_of_op(data, name, n):
     op = rel.OPERATIONS[name]
     left = data.draw(st.lists(mask_relation(n), min_size=1, max_size=4))
     right = data.draw(st.lists(mask_relation(n), min_size=1, max_size=5))
-    keys = list(dict.fromkeys(key for r in left for key in op.keys(r)))
-    against = [op.rows(keys, s) for s in right]
-    rows = {key: rel.pack_fields(rel.code_fields([row[j] for row in against], n))
-            for j, key in enumerate(keys)}
-    codes = rel.unpack_codes(rel.keyed_codes(rows, [op.keys(r) for r in left], n),
-                             len(right), n)
+    keyed = op.keys(left, rel.stack(left, n))
+    keys = list(dict.fromkeys(key for member_keys in keyed for key in member_keys))
+    rows = dict(zip(keys, op.rows(keys, rel.stack(right, n, rel.code_bits(n)))))
+    codes = rel.unpack_codes(rel.keyed_codes(rows, keyed, n), len(right), n)
     assert list(codes) == [rel.relation_code(op.apply(r, s)) for r in left for s in right]
 
 

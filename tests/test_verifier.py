@@ -13,6 +13,7 @@ from corpus import (
     all_relations,
     check_representation_pairwise,
     plan_search_by_scan,
+    quantale_50_model,
     scalar_run_plan,
 )
 from resq import algebra, pointalg, relrep, verifier
@@ -488,6 +489,27 @@ def test_checkers_agree_with_table_cells_flipped_over_wide_bases(corpus_small):
                 for b, c in itertools.product(range(A.n), repeat=2):
                     if c != table[a][b]:
                         assert_checkers_agree(with_cells(A, [(name, a, b, c)]), interp)
+
+
+def test_checkers_agree_with_single_cells_flipped_on_a_50_point_model():
+    # the pipeline's model of the 34-element closure whose completion has 50
+    # elements: one pair of one relation flipped, then one cell of each
+    # table moved, in its first and its last row
+    A, Q, interp = quantale_50_model()
+    assert (A.n, Q.size, interp.base_size) == (34, 50, 50)
+    assert_checkers_agree(A, interp)
+    rng = random.Random(50)
+    for _ in range(10):
+        e, x, y = rng.randrange(A.n), rng.randrange(50), rng.randrange(50)
+        relations = list(interp.relations)
+        relations[e] = relations[e][:x] + (relations[e][x] ^ 1 << y,) + relations[e][x + 1:]
+        assert_checkers_agree(A, Interpretation(interp.names, interp.base_labels,
+                                                tuple(relations)))
+    for name, table in A.operations:
+        for a in (0, A.n - 1):
+            b = rng.randrange(A.n)
+            c = (table[a][b] + rng.randrange(1, A.n)) % A.n
+            assert_checkers_agree(with_cells(A, [(name, a, b, c)]), interp)
 
 
 def test_relations_over_different_bases_raise(c2):

@@ -653,9 +653,10 @@ def close_relation_family(
     done = 0
     while done < len(members):
         start, stop = done, len(members)
-        # the stacks of the members before the run and of the run
+        # the stacks of the members before the run and of the run, the
+        # latter transposed once for the keys and rows of both residuals
         earlier = rel.stack_codes(codes[:start], n)
-        later = rel.stack_codes(codes[start:stop], n)
+        later = rel.with_columns(rel.stack_codes(codes[start:stop], n))
         against_run, against_all = [], []  # packed codes over the run, over members[:stop]
         for op, column, member_keys in zip(ops, columns, keys):
             member_keys.extend(op.keys(members[start:stop], later))

@@ -68,16 +68,18 @@ class Quantale:
         return acc
 
 
-def closure_map(A: FiniteResiduatedSemigroup) -> Callable[[int], int]:
+def closure_map(A: FiniteResiduatedSemigroup, down=None) -> Callable[[int], int]:
     """The closure operator m of A, X -> lower bounds of the upper bounds of X.
 
-    The order rows and the lower cones are read once here, and each set is
-    closed once: a caller that closes many sets of one algebra, some of them
-    many times, pays for each once.
+    The order rows and the lower cones (down, rel_converse of the order,
+    when the caller has them) are read once here, and each set is closed
+    once: a caller that closes many sets of one algebra, some of them many
+    times, pays for each once.
     """
     closed: dict[int, int] = {}
     up = A.leq
-    down = rel_converse(A.leq)
+    if down is None:
+        down = rel_converse(A.leq)
     full = (1 << A.n) - 1
 
     def close(x_mask: int) -> int:
@@ -102,15 +104,17 @@ def _subset_sort_key(names: tuple[str, ...]):
     return key
 
 
-def closed_sets(A: FiniteResiduatedSemigroup) -> tuple[int, ...]:
+def closed_sets(A: FiniteResiduatedSemigroup, down=None) -> tuple[int, ...]:
     """All m-closed subsets, sorted by cardinality then lexicographically.
 
     The closed sets are exactly the intersections of principal lower cones
-    (the image of the lower-bound map), so they are computed by closing
-    {full} together with the cones under pairwise intersection instead of
-    scanning all 2^n subsets.
+    (down, rel_converse of the order, when the caller has them; the image of
+    the lower-bound map), so they are computed by closing {full} together
+    with the cones under pairwise intersection instead of scanning all 2^n
+    subsets.
     """
-    down = rel_converse(A.leq)
+    if down is None:
+        down = rel_converse(A.leq)
     full = (1 << A.n) - 1
     family = {full} | set(down)
     frontier = list(family)
@@ -123,7 +127,7 @@ def closed_sets(A: FiniteResiduatedSemigroup) -> tuple[int, ...]:
                     fresh.add(y)
         family |= fresh
         frontier = list(fresh)
-    close = closure_map(A)
+    close = closure_map(A, down)
     for x in family:
         if close(x) != x:
             raise AssertionError(f"intersection closure produced a non-closed set {x:b}")
@@ -165,11 +169,12 @@ def build_quantale(A: FiniteResiduatedSemigroup) -> Quantale:
     products have the same upper bounds, hence the same closure, as all of
     X;Y.
     """
-    elems = closed_sets(A)
+    down = rel_converse(A.leq)  # the lower cones, for the closed sets and the closure map
+    elems = closed_sets(A, down)
     index = {mask: i for i, mask in enumerate(elems)}
     size = len(elems)
     leq = inclusion_order([(mask,) for mask in elems])
-    close = closure_map(A)
+    close = closure_map(A, down)
     tops = [_maximal(x, A.leq) for x in elems]
     comp = tuple(
         tuple(index[close(_pairwise_product(x, y, A))] for y in tops) for x in tops

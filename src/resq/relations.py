@@ -130,7 +130,7 @@ def rel_subset(r: Relation, s: Relation) -> bool:
 def rel_converse(r: Relation) -> Relation:
     """{(y, x) : (x, y) in r}: row x of the result is column x of r, the
     transpose of r as a family of one."""
-    return _transposed(Stack((r, 1, field_bits(len(r))))).rows
+    return transpose(Stack((r, 1, field_bits(len(r)), None))).rows
 
 
 def meet_rows(mask: int, rows, full: int) -> int:
@@ -302,22 +302,26 @@ def gather(values, indices) -> tuple:
     return (values[indices[0]],) if indices else ()
 
 
-# The most fields a packed row is built from or cut into by shifts; more are
-# written and read as bytes, which costs less for wide rows.
-SHIFTED_FIELDS_MAX = 32
+# The most fields a packed row is built from or cut into by shifts and masks;
+# rows of more fields are written and read as one run of bytes.  The shifts
+# cost a big-int operation per field on the whole row, the bytes a fixed
+# set-up: below 8 fields the shifts are cheaper, from about 8 on the bytes.
+SHIFTED_FIELDS_MAX = 8
 
 
 class Stack(tuple):
     """A family of count relations over len(rows) points, stacked: rows[y]
-    holds row y of member j in field j, of width bits each.  The triple
-    (rows, count, width), built as Stack((rows, count, width)): a plain
-    tuple's constructor, which the one-member stacks of Operation.apply
-    make on every call."""
+    holds row y of member j in field j, of width bits each; columns is None
+    or the rows of the transposition (transpose), row x holding column x of
+    every member.  The tuple (rows, count, width, columns), built as
+    Stack((rows, count, width, columns)): a plain tuple's constructor, which
+    the one-member stacks of Operation.apply make on every call."""
 
     __slots__ = ()
     rows = property(operator.itemgetter(0))
     count = property(operator.itemgetter(1))
     width = property(operator.itemgetter(2))
+    columns = property(operator.itemgetter(3))
 
 
 def field_bits(n: int) -> int:
@@ -335,32 +339,31 @@ def code_bits(n: int) -> int:
     return 8 * code_bytes(n)
 
 
-def stack(family, n: int, width: int | None = None) -> Stack:
+def stack(family, n: int) -> Stack:
     """The stack of the relations of family over n points, with fields of
-    width bits (field_bits(n) when not given)."""
+    field_bits(n)."""
     family = tuple(family)
     if len(family) == 1:
-        return Stack((tuple(family[0]), 1, width or field_bits(n)))
-    return stack_fields(zip(*family), len(family), n, width)
+        return Stack((tuple(family[0]), 1, field_bits(n), None))
+    return stack_fields(zip(*family), len(family), n)
 
 
-def stack_fields(fields, count: int, n: int, width: int | None = None) -> Stack:
+def stack_fields(fields, count: int, n: int) -> Stack:
     """The stack of count relations over n points whose row y holds the
-    values fields[y], one per member, with fields of width bits
-    (field_bits(n) when not given).  Up to SHIFTED_FIELDS_MAX members a row
-    is summed from shifted values, above all rows are written as one run of
-    bytes."""
-    width = width or field_bits(n)
+    values fields[y], one per member, with fields of field_bits(n).  Up to
+    SHIFTED_FIELDS_MAX members a row is summed from shifted values, above all
+    rows are written as one run of bytes."""
+    width = field_bits(n)
     if not count:
-        return Stack(((0,) * n, 0, width))
+        return Stack(((0,) * n, 0, width, None))
     if count <= SHIFTED_FIELDS_MAX:
         shifts = range(0, count * width, width)
         return Stack((tuple([sum(map(operator.lshift, values, shifts)) for values in fields]),
-                      count, width))
+                      count, width, None))
     size = count * width // 8
     data = _join_fields(itertools.chain.from_iterable(fields), width // 8)
     return Stack((tuple([pack_fields(data[start:start + size])
-                         for start in range(0, n * size, size)]), count, width))
+                         for start in range(0, n * size, size)]), count, width, None))
 
 
 def stack_codes(codes, n: int) -> Stack:
@@ -372,12 +375,12 @@ def stack_codes(codes, n: int) -> Stack:
     packed = pack_fields(code_fields(codes, n))
     low = field_ones(len(codes), width) * ((1 << n) - 1)
     return Stack((tuple([packed >> shift & low for shift in range(0, n * n, n or 1)]),
-                  len(codes), width))
+                  len(codes), width, None))
 
 
 def unstack(s: Stack) -> list[Relation]:
     """The members of the stack s, first field first."""
-    rows, count, _ = s
+    rows, count = s[:2]
     if count == 1:
         return [tuple(rows)]
     if not rows:
@@ -390,7 +393,7 @@ def stacked_rows(packed_rows, s: Stack) -> list:
     of each member, first field first, as a sequence of ints.  Up to
     SHIFTED_FIELDS_MAX fields a row is shifted and masked field by field,
     above all rows are read as one run of bytes."""
-    _, count, width = s
+    count, width = s[1:3]
     if count < 2:
         return [(packed,) * count for packed in packed_rows]
     if count <= SHIFTED_FIELDS_MAX:
@@ -409,16 +412,17 @@ def field_ones(count: int, width: int) -> int:
     return ((1 << count * width) - 1) // ((1 << width) - 1)
 
 
-def stack_full(s: Stack) -> int:
-    """The packed row of s holding the full row in every field."""
-    rows, count, width = s
-    full = (1 << len(rows)) - 1
-    return full if count == 1 else field_ones(count, width) * full
+def with_columns(s: Stack) -> Stack:
+    """s carrying its columns, so that the left residual's keys of its
+    members and the right residual's rows against them share one
+    transposition."""
+    return s if s.columns is not None else Stack((*s[:3], transpose(s).rows))
 
 
 def transpose(s: Stack) -> Stack:
     """The stack of the converses of the members of s: row x holds column x
-    of every member.
+    of every member.  It carries the rows of s as its columns, and when s
+    carries its columns they are its rows.
 
     Every member is flipped across its diagonal by masked shifts of whole
     rows (the recursive block transpose): with N the least power of two of
@@ -430,10 +434,12 @@ def transpose(s: Stack) -> Stack:
     swap them.  Fields are at least N bits wide (field_bits), so no bit
     leaves its field on the way.  A single relation with no more pairs than
     the (N / 2) * log2(N) exchanges moves them one at a time instead."""
-    rows, count, width = s
+    rows, count, width, columns = s
+    if columns is not None:
+        return Stack((columns, count, width, rows))
     n = len(rows)
     if n < 2 or not count:
-        return s
+        return Stack((rows, count, width, rows))
     size = 1 << (n - 1).bit_length()
     if count == 1 and sum(map(int.bit_count, rows)) <= (size >> 1) * (size.bit_length() - 1):
         out = [0] * n
@@ -443,7 +449,7 @@ def transpose(s: Stack) -> Stack:
                 low = row & -row
                 out[low.bit_length() - 1] |= bit
                 row ^= low
-        return Stack((tuple(out), count, width))
+        return Stack((tuple(out), count, width, rows))
     out = [*rows, *(0,) * (size - n)]
     for t, kept, upper in _exchanges(size, count, width):
         for y in upper:
@@ -452,13 +458,7 @@ def transpose(s: Stack) -> Stack:
             if swap:
                 out[y] = a ^ swap << t
                 out[y + t] = b ^ swap
-    return Stack((tuple(out[:n]), count, width))
-
-
-# The last few transpositions, which the keys of the left residual and the
-# rows of the right residual make of the same family in turn, and the
-# completion of the same order.
-_transposed = lru_cache(maxsize=8)(transpose)
+    return Stack((tuple(out[:n]), count, width, rows))
 
 
 @lru_cache(maxsize=256)
@@ -634,43 +634,31 @@ def _compose_rows(keys, s: Stack) -> list[int]:
 
 
 def _lres_rows(keys, s: Stack) -> list[int]:
-    """The row of r\\s at each column key (meet_rows from the full row)."""
-    rows = s.rows
-    full = stack_full(s)
+    """The row of r\\s at each column key (meet_rows from the full row in
+    every field)."""
+    rows, count, width = s[:3]
+    full = field_ones(count, width) * ((1 << len(rows)) - 1)
     return [meet_rows(key, rows, full) for key in keys]
-
-
-# The least base whose right residual reads the columns below and above each
-# key off running ORs: on fewer points, building them costs more than the
-# ORs they save.
-RUNNING_OR_MIN_BASE = 9
 
 
 def _rres_rows(keys, s: Stack) -> list[int]:
     """The row of r/s at each row key: the y whose s[y] lies inside it, the
     full row less the union of the columns of s at the points outside the
-    key.  The columns are the rows of the transposed stack.  From
-    RUNNING_OR_MIN_BASE points on, the union below the key's lowest point
-    and above its highest is read off running ORs of the columns, and only
-    the gaps between are taken column by column, so a key of one run of
-    points costs two ORs; on fewer points every column is taken."""
-    columns = _transposed(s).rows
+    key.  The columns are the rows of the transposed stack; the union below
+    the key's lowest point and above its highest is read off running ORs of
+    them (below[y] of the columns before y, above[y] of those from y on), and
+    only the gaps between are taken column by column, so a key of one run of
+    points costs two ORs."""
+    _, count, width = s[:3]
+    columns = transpose(s).rows
     n = len(columns)
-    full = stack_full(s)
+    full = field_ones(count, width) * ((1 << n) - 1)
+    below = [0] * (n + 1)
+    above = [0] * (n + 1)
+    for y in range(n):
+        below[y + 1] = below[y] | columns[y]
+        above[n - 1 - y] = above[n - y] | columns[n - 1 - y]
     out = []
-    if n < RUNNING_OR_MIN_BASE:
-        points = (1 << n) - 1
-        for key in keys:
-            hit = 0
-            outside = points ^ key
-            while outside:
-                bit = outside & -outside
-                hit |= columns[bit.bit_length() - 1]
-                outside ^= bit
-            out.append(full ^ hit)
-        return out
-    below = [0, *itertools.accumulate(columns, operator.or_)]
-    above = [*itertools.accumulate(reversed(columns), operator.or_)][::-1] + [0]
     for key in keys:
         if not key:
             out.append(full ^ below[-1])
@@ -700,8 +688,9 @@ def _row_keys(family, stacked: Stack) -> list:
 
 def _column_keys(family, stacked: Stack) -> list:
     """The keys of the rows of r\\s for each r of family: its columns, read
-    off one transposition of stacked, the stack of the whole family."""
-    return unstack(_transposed(stacked))
+    off one transposition of stacked, the stack of the whole family (its
+    columns when it carries them)."""
+    return unstack(transpose(stacked))
 
 
 def _indexed_keys(family, stacked: Stack) -> list:
@@ -733,8 +722,8 @@ class Operation:
         if len(r) != n:
             _check_dims(r, s)
         width = field_bits(n)
-        keys = self.keys((r,), Stack((r, 1, width)))[0]
-        return tuple(self.rows(keys, Stack((s, 1, width))))
+        keys = self.keys((r,), Stack((r, 1, width, None)))[0]
+        return tuple(self.rows(keys, Stack((s, 1, width, None))))
 
 
 # Every operation of the algebras, by the condition name the structures list

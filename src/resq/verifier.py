@@ -45,35 +45,27 @@ class NodeBudget:
 PACKED_MIN_RELATIONS = 32
 
 
-def _compares_codes(count: int, n: int) -> bool:
-    """Whether the conditions of count relations over n points compare
-    packed codes: at least PACKED_MIN_RELATIONS of them, over at most 8
-    points (relations.native_codes)."""
-    return count >= PACKED_MIN_RELATIONS and rel.native_codes(n)
-
-
-def _table_condition(name, table, relations, family: rel.Stack) -> Check:
+def _table_condition(name, table, relations, family: rel.Stack, codes) -> Check:
     """Row a of the condition is op(R[a], R[b]) over every b, with op the
     operation named name, read off the row keys of R[a] (Operation.keys):
     the row each distinct key gives against every R[b] at once is one packed
     row against family, the stack of the relations (Operation.rows, one call
     for all keys).
 
-    When the relations compare codes (_compares_codes, and family has fields
-    of relations.code_bits), row a is the packed codes of op(R[a], R[b])
-    over b (relations.keyed_codes of those packed rows), and it is compared
-    with those of R[table[a][b]] as one int; a row is unpacked only when it
-    differs, so the witness is the same.  Otherwise each packed row is split
-    into its fields, the rows against each R[b], and row a is compared as
-    tuples."""
+    When codes are given (the codes of the relations, and family their
+    stack, relations.stack_codes), row a is the packed codes of
+    op(R[a], R[b]) over b (relations.keyed_codes of those packed rows), and
+    it is compared with those of R[table[a][b]] as one int; a row is
+    unpacked only when it differs, so the witness is the same.  Otherwise
+    each packed row is split into its fields, the rows against each R[b],
+    and row a is compared as tuples."""
     op = rel.OPERATIONS[name]
     keyed = op.keys(relations, family)
     distinct = list(dict.fromkeys(itertools.chain.from_iterable(keyed)))
     packed_rows = op.rows(distinct, family)
-    n = len(family.rows)
-    if _compares_codes(len(relations), n):
+    if codes is not None:
+        n = len(family.rows)
         rows = dict(zip(distinct, packed_rows))
-        codes = list(map(rel.relation_code, relations))
         for a, packed in enumerate(rel.keyed_codes(rows, keyed, n)):
             if packed != rel.pack_fields(rel.code_fields(rel.gather(codes, table[a]), n)):
                 actual = tuple(rel.decode_relation(code, n)
@@ -124,10 +116,17 @@ def check_representation(S, I: Interpretation) -> Report:
     if len({len(r) for r in relations}) > 1:
         raise DimensionMismatch("the relations of the interpretation have different bases")
     n = len(relations[0]) if relations else 0
-    family = rel.stack(relations, n,
-                       rel.code_bits(n) if _compares_codes(len(relations), n) else None)
+    # the relations are stacked, as codes when their conditions compare codes
+    # (at least PACKED_MIN_RELATIONS of them whose codes are native ints), and
+    # transposed once for both residuals
+    if len(relations) >= PACKED_MIN_RELATIONS and rel.native_codes(n):
+        codes = list(map(rel.relation_code, relations))
+        family = rel.stack_codes(codes, n)
+    else:
+        codes, family = None, rel.stack(relations, n)
+    family = rel.with_columns(family)
     return Report((_order_condition(S.leq, relations),) + tuple(
-        _table_condition(name, table, relations, family) for name, table in S.operations
+        _table_condition(name, table, relations, family, codes) for name, table in S.operations
     ))
 
 

@@ -72,6 +72,16 @@ def test_closed_sets_match_exhaustive_scan(corpus_all):
         assert closed_sets(A) == closed_sets_by_scan(A)
 
 
+def test_given_lower_cones_close_as_the_computed_ones(corpus_small):
+    # build_quantale transposes the order once and hands the lower cones to
+    # closed_sets and closure_map
+    for A in corpus_small:
+        down = rel_converse(A.leq)
+        assert closed_sets(A, down) == closed_sets(A)
+        given, computed = closure_map(A, down), closure_map(A)
+        assert [given(x) for x in range(1 << A.n)] == [computed(x) for x in range(1 << A.n)]
+
+
 def test_build_quantale_one_element():
     A = algebra.parse_algebra("elements: x\nleq: x<=x\ncomp: x;x=x\n")
     Q = build_quantale(A)

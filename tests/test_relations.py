@@ -246,8 +246,7 @@ def pair_converse(r):
 def test_transpose_is_the_pair_set_converse(n, m):
     family = random_family(n, m, 1000 * n + m)
     # the default fields and those of codes (not a power of two above base 8)
-    for s in (rel.stack(family, n), rel.stack(family, n, rel.code_bits(n)),
-              rel.stack_codes(map(rel.relation_code, family), n)):
+    for s in (rel.stack(family, n), rel.stack_codes(map(rel.relation_code, family), n)):
         assert (len(s.rows), s.count) == (n, m)
         assert rel.unstack(s) == family
         converses = rel.unstack(rel.transpose(s))
@@ -255,7 +254,14 @@ def test_transpose_is_the_pair_set_converse(n, m):
         for r, c in zip(family, converses):
             assert set(rel.relation_pairs(c)) == pair_converse(r)
             assert rel.rel_converse(r) == c
-        assert rel.transpose(rel.transpose(s)) == s
+        # transposed afresh, the converses give back the family; a stack
+        # carrying its columns transposes to them without a second pass
+        again = rel.transpose(rel.Stack((*rel.transpose(s)[:3], None)))
+        assert again[:3] == s[:3]
+        carried = rel.with_columns(s)
+        assert carried.columns == rel.transpose(s).rows
+        assert rel.transpose(carried)[:3] == rel.transpose(s)[:3]
+        assert rel.transpose(rel.transpose(s)).rows == s.rows
 
 
 def test_field_bits_hold_a_power_of_two_of_at_least_n():
@@ -273,15 +279,17 @@ def test_family_rows_are_apply_member_by_member(n, m):
     # row x of op(r, s) for every member s
     family = random_family(n, m, 1000 * n + m + 7)
     lefts = random_family(n, 4, 1000 * n + m + 8)  # half full, empty, full, sparse
-    s = rel.stack(family, n)
-    for name, op in rel.OPERATIONS.items():
-        for r, keys in zip(lefts, op.keys(lefts, rel.stack(lefts, n))):
-            assert keys == op.keys([r], rel.stack([r], n))[0]
-            packed = op.rows(keys, s)
-            assert len(packed) == n
-            fields = rel.stacked_rows(packed, s)
-            for j, t in enumerate(family):
-                assert tuple(row[j] for row in fields) == op.apply(r, t), (name, j)
+    # with and without the columns of the stacks
+    plain = (rel.stack(family, n), rel.stack(lefts, n))
+    for s, stacked in (plain, tuple(map(rel.with_columns, plain))):
+        for name, op in rel.OPERATIONS.items():
+            for r, keys in zip(lefts, op.keys(lefts, stacked)):
+                assert keys == op.keys([r], rel.stack([r], n))[0]
+                packed = op.rows(keys, s)
+                assert len(packed) == n
+                fields = rel.stacked_rows(packed, s)
+                for j, t in enumerate(family):
+                    assert tuple(row[j] for row in fields) == op.apply(r, t), (name, j)
 
 
 def test_right_residual_rows_at_a_large_base_match_pair_sets():
@@ -428,7 +436,7 @@ def test_keyed_codes_of_op_rows_are_the_codes_of_op(data, name, n):
     right = data.draw(st.lists(mask_relation(n), min_size=1, max_size=5))
     keyed = op.keys(left, rel.stack(left, n))
     keys = list(dict.fromkeys(key for member_keys in keyed for key in member_keys))
-    rows = dict(zip(keys, op.rows(keys, rel.stack(right, n, rel.code_bits(n)))))
+    rows = dict(zip(keys, op.rows(keys, rel.stack_codes(map(rel.relation_code, right), n))))
     codes = rel.unpack_codes(rel.keyed_codes(rows, keyed, n), len(right), n)
     assert list(codes) == [rel.relation_code(op.apply(r, s)) for r in left for s in right]
 

@@ -16,7 +16,7 @@ from .errors import ResqError
 from .lambek import Sequent, countermodel_search, derivable, evaluate, parse_sequent
 from .pointalg import build_point_algebra, frp_probe, reduct
 from .relations import Interpretation
-from .relrep import generators, hat, represent_pipeline, unitalize
+from .relrep import hat, represent_pipeline, unitalize
 from .verifier import (
     Exhausted,
     check_representation,
@@ -43,7 +43,6 @@ __all__ = [
     "closed_sets",
     "quantale_residuals",
     "embed",
-    "generators",
     "hat",
     "unitalize",
     "represent_pipeline",

@@ -187,25 +187,10 @@ def complete(path: str, fmt: str) -> None:
     sys.exit(EXIT_OK)
 
 
-unitalize_option = click.option(
-    "--unitalize",
-    type=click.Choice(["on", "off", "auto"]),
-    default="auto",
-    show_default=True,
-)
-generators_option = click.option(
-    "--generators",
-    "generators_mode",
-    type=click.Choice(["all", "join-irreducible"]),
-    default="all",
-    show_default=True,
-)
-
-
 @main.command()
 @click.argument("path", type=click.Path())
-@unitalize_option
-@generators_option
+@click.option("--unitalize", type=click.Choice(["on", "off", "auto"]), default="auto",
+              show_default=True)
 @click.option(
     "--output",
     "output_path",
@@ -214,11 +199,10 @@ generators_option = click.option(
     help="Also write the bare dump (the verify subcommand's input) to this file.",
 )
 @format_option
-def represent(path: str, unitalize: str, generators_mode: str, output_path: str | None,
-              fmt: str) -> None:
+def represent(path: str, unitalize: str, output_path: str | None, fmt: str) -> None:
     """Build a relational representation, verify it, and dump it."""
     A = _load_valid_algebra(path)
-    result = relrep.represent_pipeline(A, generators_mode=generators_mode, unitalize_mode=unitalize)
+    result = relrep.represent_pipeline(A, unitalize_mode=unitalize)
     interp = result.interpretation
     check = verifier.check_representation(A, interp)
     if output_path:
@@ -228,7 +212,7 @@ def represent(path: str, unitalize: str, generators_mode: str, output_path: str 
     Q0 = result.base_quantale
     payload = {
         "command": "represent",
-        "options": {"unitalize": unitalize, "generators": generators_mode},
+        "options": {"unitalize": unitalize},
         "unitalized": result.unitalized,
         "unitalize_reason": None if reason is None else {
             "condition": reason.name, **reason.payload(Q0.labels, Q0.labels)
@@ -244,7 +228,7 @@ def represent(path: str, unitalize: str, generators_mode: str, output_path: str 
 
 def _render_represent(payload: dict):
     options = payload["options"]
-    yield f"options: unitalize={options['unitalize']} generators={options['generators']}"
+    yield f"options: unitalize={options['unitalize']}"
     yield f"unitalized: {str(payload['unitalized']).lower()}"
     reason = payload["unitalize_reason"]
     if reason is None:

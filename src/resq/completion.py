@@ -61,25 +61,17 @@ class Quantale:
     def index(self, mask: int) -> int:
         return self.masks.index(mask)
 
-    def sup_of(self, indices) -> int:
-        acc = self.bottom
-        for i in indices:
-            acc = self.sup[acc][i]
-        return acc
 
-
-def closure_map(A: FiniteResiduatedSemigroup, down=None) -> Callable[[int], int]:
+def closure_map(A: FiniteResiduatedSemigroup, down) -> Callable[[int], int]:
     """The closure operator m of A, X -> lower bounds of the upper bounds of X.
 
-    The order rows and the lower cones (down, rel_converse of the order,
-    when the caller has them) are read once here, and each set is closed
-    once: a caller that closes many sets of one algebra, some of them many
-    times, pays for each once.
+    down is the rows of the lower cones, rel_converse(A.leq).  The order rows
+    and the lower cones are read once here, and each set is closed once: a
+    caller that closes many sets of one algebra, some of them many times,
+    pays for each once.
     """
     closed: dict[int, int] = {}
     up = A.leq
-    if down is None:
-        down = rel_converse(A.leq)
     full = (1 << A.n) - 1
 
     def close(x_mask: int) -> int:
@@ -104,17 +96,14 @@ def _subset_sort_key(names: tuple[str, ...]):
     return key
 
 
-def closed_sets(A: FiniteResiduatedSemigroup, down=None) -> tuple[int, ...]:
+def closed_sets(A: FiniteResiduatedSemigroup, down) -> tuple[int, ...]:
     """All m-closed subsets, sorted by cardinality then lexicographically.
 
     The closed sets are exactly the intersections of principal lower cones
-    (down, rel_converse of the order, when the caller has them; the image of
-    the lower-bound map), so they are computed by closing {full} together
-    with the cones under pairwise intersection instead of scanning all 2^n
-    subsets.
+    (down, rel_converse(A.leq); the image of the lower-bound map), so they
+    are computed by closing {full} together with the cones under pairwise
+    intersection instead of scanning all 2^n subsets.
     """
-    if down is None:
-        down = rel_converse(A.leq)
     full = (1 << A.n) - 1
     family = {full} | set(down)
     frontier = list(family)

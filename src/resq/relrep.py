@@ -1,10 +1,10 @@
 """Relational representation of a finite quantale and the induced interpretation.
 
-Every quantale element a becomes the relation of pairs (g, q) with g a
-generator and g <= a;q, over the quantale carrier as a base.  Composing the
-lower-cone embedding with this hat map interprets the original algebra by
-relations over a finite base.  Without a unit the hat map can conflate
-distinct elements, so an optional unitalization step freely adjoins one.
+Every quantale element a becomes the relation of pairs (g, q) with g <= a;q,
+over the quantale carrier as a base.  Composing the lower-cone embedding with
+this hat map interprets the original algebra by relations over a finite base.
+Without a unit the hat map can conflate distinct elements, so an optional
+unitalization step freely adjoins one.
 """
 
 from __future__ import annotations
@@ -17,35 +17,11 @@ from .completion import Quantale, build_quantale, check_quantale_laws, embed
 from .errors import ParseError, quote
 from .relations import Interpretation, Relation
 
-GENERATOR_MODES = ("all", "join-irreducible")
 
-
-def generators(Q: Quantale, mode: str = "all") -> tuple[int, ...]:
-    """The indices of the generators the mode chooses, checked to join-generate Q."""
-    if mode not in GENERATOR_MODES:
-        raise ValueError(f"unknown generator mode {mode!r}")
-    if mode == "all":
-        chosen = tuple(range(Q.size))
-    else:
-        chosen = tuple(
-            q
-            for q in range(Q.size)
-            if Q.sup_of(p for p in range(Q.size) if p != q and Q.le(p, q)) != q
-        )
-    for q in range(Q.size):
-        if Q.sup_of(g for g in chosen if Q.le(g, q)) != q:
-            raise AssertionError(f"generator set does not join-generate element {q}")
-    return chosen
-
-
-def hat(Q: Quantale, G: tuple[int, ...], a: int) -> Relation:
-    """The relation {(g, q) : g in G, g <= a;q} over the carrier of Q."""
-    rows = [0] * Q.size
+def hat(Q: Quantale, a: int) -> Relation:
+    """The relation {(g, q) : g <= a;q} over the carrier of Q."""
     positions = value_positions(Q.comp[a]).items()
-    for g in G:
-        up = Q.leq[g]
-        rows[g] = sum(qs for c, qs in positions if up >> c & 1)
-    return tuple(rows)
+    return tuple(sum(qs for c, qs in positions if up >> c & 1) for up in Q.leq)
 
 
 def unitalize(Q: Quantale) -> Quantale:
@@ -111,16 +87,15 @@ class RepresentResult:
 
 def represent_pipeline(
     A: FiniteResiduatedSemigroup,
-    generators_mode: str = "all",
     unitalize_mode: str = "auto",
 ) -> RepresentResult:
-    """Full pipeline: completion, optional unitalization, generators, hat map.
+    """Full pipeline: completion, optional unitalization, hat map.
 
     unitalize_mode "auto" adjoins a unit exactly when the hats of the plain
     completion fail the order condition of check_representation, and keeps
     that condition as unitalize_reason.  The hats always preserve the order,
-    since a;q is monotone in a; as the generators join-generate the
-    quantale, hat(a) <= hat(b) holds exactly when a;q <= b;q for every q, so
+    since a;q is monotone in a; as every element is the join of the elements
+    below it, hat(a) <= hat(b) holds exactly when a;q <= b;q for every q, so
     the condition is read off the tables by the order_reflection law, with
     the same first witness and no hat built.  "on" always adjoins a unit (a
     no-op for quantales that already have one) and "off" never does.
@@ -136,11 +111,10 @@ def represent_pipeline(
         use_unit = not reason.passed
     Q = unitalize(Q0) if use_unit else Q0
     # unitalize lays out the (q, 0) copies first, so the embedding indices carry over
-    G = generators(Q, generators_mode)
     interp = Interpretation(
         names=A.names,
         base_labels=Q.labels,
-        relations=tuple(hat(Q, G, f[a]) for a in range(A.n)),
+        relations=tuple(hat(Q, f[a]) for a in range(A.n)),
     )
     return RepresentResult(
         interpretation=interp,

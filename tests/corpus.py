@@ -165,6 +165,14 @@ def product_by_definition(x_mask: int, y_mask: int, A: FiniteResiduatedSemigroup
     )
 
 
+def sup_by_fold(Q, indices) -> int:
+    """The join of the indexed elements of Q, folding Q.sup from Q.bottom."""
+    acc = Q.bottom
+    for i in indices:
+        acc = Q.sup[acc][i]
+    return acc
+
+
 def large_quantale_algebras() -> list[FiniteResiduatedSemigroup]:
     return [
         algebra.generate_concrete(base, generators=list(gens), max_relations=64)[0]

@@ -1,9 +1,9 @@
 """Regenerate tests/data/cond34_ledger.json.
 
 The ledger freezes, per corpus algebra, the pass/fail status of the two
-residual conditions for the default pipeline (generators = all, auto
-unitalization).  The acceptance suite fails on any status change, so the file
-must only be regenerated deliberately:
+residual conditions for the default pipeline (auto unitalization).  The
+acceptance suite fails on any status change, so the file must only be
+regenerated deliberately:
 
     python tests/make_cond34_ledger.py
 """

@@ -114,14 +114,15 @@ def test_A2_completion_properties(corpus_all):
     start = time.time()
     for A in corpus_all:
         subsets = range(1 << A.n)
-        closures = [completion.closure_map(A)(x) for x in subsets]
+        down = rel.rel_converse(A.leq)
+        closures = list(map(completion.closure_map(A, down), subsets))
         for x in subsets:
             assert x & ~closures[x] == 0
             assert closures[closures[x]] == closures[x]
             for y in subsets:
                 if x & ~y == 0:
                     assert closures[x] & ~closures[y] == 0
-        assert completion.closed_sets(A) == closed_sets_by_scan(A)
+        assert completion.closed_sets(A, down) == closed_sets_by_scan(A)
         Q = completion.build_quantale(A)  # all quantale laws
         for i in range(Q.size):
             for j in range(Q.size):
@@ -190,8 +191,7 @@ def test_A6_hat_map_laws(corpus_all):
     for A in corpus_all:
         Q = completion.build_quantale(A)
         for quantale in (Q, relrep.unitalize(Q)):
-            G = relrep.generators(quantale, "all")
-            hats = [relrep.hat(quantale, G, a) for a in range(quantale.size)]
+            hats = [relrep.hat(quantale, a) for a in range(quantale.size)]
             for a in range(quantale.size):
                 for b in range(quantale.size):
                     if quantale.le(a, b):

@@ -662,6 +662,19 @@ def test_click_endings_pass_through(runner, c2_file):
     assert "Traceback" not in usage.output
 
 
+def test_represent_has_no_generator_choice(runner, c2_file):
+    # the hat map takes every quantale element as a generator
+    help_run = runner.invoke(main, ["represent", "--help"], catch_exceptions=False)
+    assert help_run.exit_code == 0 and "--unitalize" in help_run.stdout
+    assert "--generators" not in help_run.stdout
+    usage = runner.invoke(main, ["represent", c2_file, "--generators", "all"],
+                          catch_exceptions=False)
+    assert usage.exit_code == 2 and usage.stdout == ""
+    errors = [line for line in usage.stderr.splitlines() if line.startswith("Error:")]
+    assert errors == ["Error: No such option '--generators'."]
+    assert "Traceback" not in usage.output
+
+
 # the text line that carries each top-level JSON key other than "command"
 TEXT_LINE_OF_KEY = {
     "options": "options: ",
@@ -690,7 +703,7 @@ TEXT_LINE_OF_KEY = {
     "args",
     [
         ["represent", "ALGEBRA"],
-        ["represent", "ALGEBRA", "--unitalize", "off", "--generators", "join-irreducible"],
+        ["represent", "ALGEBRA", "--unitalize", "off"],
         ["pointalg", "--max-base", "3"],
         ["pointalg", "--max-base", "2"],
         ["search", "ALGEBRA", "--max-base", "2"],
@@ -723,8 +736,8 @@ def test_text_carries_every_json_field(runner, tmp_path, c2_file, args):
             assert f"{prefixes}{rendered}" in lines, key
     if args[0] == "represent":
         options = payload["options"]
-        assert (f"options: unitalize={options['unitalize']} "
-                f"generators={options['generators']}") in lines
+        assert list(options) == ["unitalize"]
+        assert f"options: unitalize={options['unitalize']}" in lines
 
 
 @pytest.mark.parametrize(

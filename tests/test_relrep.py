@@ -2,73 +2,33 @@ import json
 
 import pytest
 
-from corpus import large_quantale_algebras
+from corpus import large_quantale_algebras, sup_by_fold
 from resq import algebra, relrep, verifier
 from resq import relations as rel
 from resq.completion import build_quantale
 from resq.errors import ResourceLimitError
 from resq.relations import Interpretation
-from resq.relrep import (
-    generators,
-    hat,
-    parse_interpretation,
-    represent_pipeline,
-    unitalize,
-)
+from resq.relrep import hat, parse_interpretation, represent_pipeline, unitalize
 
 ONE = "elements: x\nleq: x<=x\ncomp: x;x=x\n"
 
 
-def test_generators_all_one_element():
-    Q = build_quantale(algebra.parse_algebra(ONE))
-    assert generators(Q, "all") == (0,)
-
-
-def test_generators_c2(c2):
-    Q = build_quantale(c2)
-    assert generators(Q, "all") == (0, 1)
-    # the bottom is the empty join, so only the top is join-irreducible
-    assert generators(Q, "join-irreducible") == (1,)
-
-
-def test_generators_join_irreducible_generates(corpus_all):
-    for A in corpus_all[:60]:
-        Q = build_quantale(A)
-        G = generators(Q, "join-irreducible")
-        for q in range(Q.size):
-            assert Q.sup_of(g for g in G if Q.le(g, q)) == q
-
-
-def test_generators_unknown_mode(c2):
-    with pytest.raises(ValueError):
-        generators(build_quantale(c2), "some")
-
-
 def test_hat_one_element():
     Q = build_quantale(algebra.parse_algebra(ONE))
-    assert hat(Q, generators(Q, "all"), 0) == (1,)  # the single pair (q, q)
+    assert hat(Q, 0) == (1,)  # the single pair (q, q)
 
 
 def test_hat_c2_conflates_without_unit(c2):
     Q = build_quantale(c2)
-    G = generators(Q, "all")
     expected = rel.relation_from_pairs(2, [(0, 0), (0, 1)])
-    assert hat(Q, G, 0) == expected
-    assert hat(Q, G, 1) == expected
-
-
-def test_hat_rows_outside_generators_are_empty(c2):
-    Q = build_quantale(c2)
-    G = generators(Q, "join-irreducible")
-    matrix = hat(Q, G, 1)
-    assert matrix[0] == 0  # index 0 is not a generator in this mode
+    assert hat(Q, 0) == expected
+    assert hat(Q, 1) == expected
 
 
 def test_hat_monotone(corpus_all):
     for A in corpus_all[:40]:
         Q = build_quantale(A)
-        G = generators(Q, "all")
-        hats = [hat(Q, G, a) for a in range(Q.size)]
+        hats = [hat(Q, a) for a in range(Q.size)]
         for a in range(Q.size):
             for b in range(Q.size):
                 if Q.le(a, b):
@@ -112,50 +72,40 @@ def test_unitalize_satisfies_quantale_laws(corpus_all):
         check_quantale_laws(unitalize(build_quantale(A)))
 
 
+def test_every_element_is_the_join_of_the_elements_below_it(corpus_all):
+    # the reason hat(a) <= hat(b) holds exactly when a;q <= b;q for every q,
+    # which auto unitalization relies on to read the order condition off Q
+    for A in corpus_all + large_quantale_algebras():
+        Q = build_quantale(A)
+        for quantale in (Q, unitalize(Q)):
+            for q in range(quantale.size):
+                below = (g for g in range(quantale.size) if quantale.le(g, q))
+                assert sup_by_fold(quantale, below) == q, (q, algebra.serialize(A))
+
+
 def hat_interpretation(Q):
-    G = generators(Q, "all")
     return Interpretation(
-        names=Q.labels, base_labels=Q.labels, relations=tuple(hat(Q, G, a) for a in range(Q.size))
+        names=Q.labels, base_labels=Q.labels, relations=tuple(hat(Q, a) for a in range(Q.size))
     )
 
 
 def hat_by_definition(Q, a):
-    """{(g, q) : g <= a;q} over the carrier of Q, every element a generator."""
+    """{(g, q) : g <= a;q} over the carrier of Q."""
     return tuple(
         sum(1 << q for q in range(Q.size) if Q.le(g, Q.comp[a][q])) for g in range(Q.size)
-    )
-
-
-def join_irreducibles_by_definition(Q):
-    """The elements with exactly one lower cover, which in a finite lattice
-    are the ones that are not the join of the elements strictly below them."""
-    def below(p, q):
-        return p != q and Q.le(p, q)
-
-    return tuple(
-        q for q in range(Q.size)
-        if sum(
-            1 for p in range(Q.size)
-            if below(p, q) and not any(below(p, r) and below(r, q) for r in range(Q.size))
-        ) == 1
     )
 
 
 def test_auto_mode_unitalizes_exactly_when_plain_hats_fail_order(corpus_all):
     for A in corpus_all + large_quantale_algebras():
         Q0 = build_quantale(A)
-        for mode, G in (("all", range(Q0.size)),
-                        ("join-irreducible", join_irreducibles_by_definition(Q0))):
-            hats = tuple(
-                tuple(row if g in G else 0 for g, row in enumerate(hat_by_definition(Q0, a)))
-                for a in range(Q0.size)
-            )
-            assert tuple(hat(Q0, generators(Q0, mode), a) for a in range(Q0.size)) == hats
-            interp = Interpretation(names=Q0.labels, base_labels=Q0.labels, relations=hats)
-            order = verifier.check_representation(Q0, interp).condition("order-iff")
-            result = represent_pipeline(A, generators_mode=mode)
-            assert result.unitalized == (not order.passed), (mode, algebra.serialize(A))
-            assert result.unitalize_reason == order, (mode, algebra.serialize(A))
+        hats = tuple(hat_by_definition(Q0, a) for a in range(Q0.size))
+        assert tuple(hat(Q0, a) for a in range(Q0.size)) == hats
+        interp = Interpretation(names=Q0.labels, base_labels=Q0.labels, relations=hats)
+        order = verifier.check_representation(Q0, interp).condition("order-iff")
+        result = represent_pipeline(A)
+        assert result.unitalized == (not order.passed), algebra.serialize(A)
+        assert result.unitalize_reason == order, algebra.serialize(A)
 
 
 def test_hat_check_reflection_fails_on_c2_without_unit(c2):
@@ -214,13 +164,6 @@ def test_represent_is_deterministic(c2):
     second = represent_pipeline(c2).interpretation
     assert first.relations == second.relations
     assert first.base_labels == second.base_labels
-
-
-def test_join_irreducible_mode_still_verified_downstream(c2):
-    result = represent_pipeline(c2, generators_mode="join-irreducible")
-    report = verifier.check_representation(c2, result.interpretation)
-    # never silently trusted: the report records exactly what holds
-    assert report.condition("order-iff").passed in (True, False)
 
 
 def test_dump_round_trip(c2):

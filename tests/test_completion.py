@@ -33,6 +33,15 @@ def test_galois_identity_lul_equals_l(corpus_small):
             assert close(lx) == lx == closure_by_definition(lx, A)
 
 
+def test_closure_map_matches_closure_by_definition(corpus_small):
+    for A in corpus_small:
+        close = closure_map(A, rel_converse(A.leq))
+        expected = [closure_by_definition(x, A) for x in range(1 << A.n)]
+        # the second pass reads the sets the first one closed
+        for _ in range(2):
+            assert [close(x) for x in range(1 << A.n)] == expected
+
+
 def test_m_closure_examples(c2):
     close = closure_map(c2, rel_converse(c2.leq))
     assert close(0) == 0b01  # m({}) = {a}

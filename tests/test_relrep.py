@@ -5,7 +5,7 @@ import pytest
 from corpus import large_quantale_algebras, sup_by_fold
 from resq import algebra, relrep, verifier
 from resq import relations as rel
-from resq.completion import build_quantale
+from resq.completion import Quantale, build_quantale, embed
 from resq.errors import ResourceLimitError
 from resq.relations import Interpretation
 from resq.relrep import hat, parse_interpretation, represent_pipeline, unitalize
@@ -33,6 +33,14 @@ def test_hat_monotone(corpus_all):
             for b in range(Q.size):
                 if Q.le(a, b):
                     assert rel.rel_subset(hats[a], hats[b])
+
+
+def test_hat_bottom_row_is_every_element(corpus_all):
+    # every element of Q is a generator, the bottom too, and bottom <= a;q
+    for A in corpus_all:
+        for Q in (build_quantale(A), unitalize(build_quantale(A))):
+            full = (1 << Q.size) - 1
+            assert all(hat(Q, a)[Q.bottom] == full for a in range(Q.size))
 
 
 def test_unitalize_c2(c2):
@@ -164,6 +172,33 @@ def test_represent_is_deterministic(c2):
     second = represent_pipeline(c2).interpretation
     assert first.relations == second.relations
     assert first.base_labels == second.base_labels
+
+
+def test_represent_relations_are_the_hats_of_the_embedded_elements(corpus_small):
+    # unitalize lays out the (q, 0) copies first, so the indices of the
+    # embedding into the plain completion name the same elements after it
+    for A in corpus_small:
+        for mode in ("auto", "on", "off"):
+            result = represent_pipeline(A, unitalize_mode=mode)
+            f = embed(A, result.base_quantale)
+            expected = tuple(hat_by_definition(result.quantale, f[a]) for a in range(A.n))
+            assert result.interpretation.relations == expected, (mode, algebra.serialize(A))
+            assert result.interpretation.base_labels == result.quantale.labels
+
+
+def test_auto_mode_representation_reflects_the_order(corpus_all):
+    # with a unit a = a;e, so hat(a) <= hat(b) forces a <= b
+    for A in corpus_all:
+        result = represent_pipeline(A)
+        report = verifier.check_representation(A, result.interpretation)
+        assert report.condition("order-iff").passed, algebra.serialize(A)
+
+
+def test_represent_pipeline_has_no_generator_choice(c2):
+    with pytest.raises(TypeError):
+        represent_pipeline(c2, generators_mode="all")
+    assert not hasattr(relrep, "generators")
+    assert not hasattr(Quantale, "sup_of")
 
 
 def test_dump_round_trip(c2):

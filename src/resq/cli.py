@@ -286,10 +286,17 @@ def verify(algebra_path: str, dump_path: str, fmt: str) -> None:
 def search(path: str, max_base: int, node_budget: int | None, fmt: str) -> None:
     """Bounded search for a representation over bases of size 1..max-base."""
     A = _load_valid_algebra(path)
-    outcome = verifier.search_representation(
-        A, max_base, budget=verifier.NodeBudget(node_budget))
-    _emit({"command": "search", **_outcome_payload(outcome)}, fmt, _render_search_outcome)
+    budget = verifier.NodeBudget(node_budget)
+    outcome = verifier.search_representation(A, max_base, budget=budget)
+    _emit({"command": "search", **_outcome_payload(outcome), "nodes": budget.used},
+          fmt, _render_search)
     sys.exit(EXIT_VIOLATION if isinstance(outcome, verifier.Exhausted) else EXIT_OK)
+
+
+def _render_search(payload: dict):
+    """The outcome of a representation search, then the nodes it spent."""
+    yield from _render_search_outcome(payload)
+    yield f"nodes: {payload['nodes']}"
 
 
 def _outcome_payload(outcome) -> dict:

@@ -488,7 +488,9 @@ def _exchanges(size: int, count: int, width: int) -> tuple:
 # in every lane has the slices 0 and full (every lane).  The operations below
 # act on all lanes of a block at once: each pair of the result is a few ANDs,
 # ORs and XORs of operand slices, and each mask has bit j set iff the
-# relation of lane j passes the test.
+# relation of lane j passes the test.  A batch of runs lays several blocks
+# side by side, run i holding lanes i * lanes to (i + 1) * lanes - 1: its
+# slices are as wide as runs * lanes bits, at most 2**BLOCK_BITS.
 
 BLOCK_BITS = 16
 
@@ -503,9 +505,9 @@ def block_count(k: int) -> int:
     return 1 << max(k * k - BLOCK_BITS, 0)
 
 
-def full_mask(k: int) -> int:
-    """The mask of every lane of a block over k points."""
-    return (1 << (1 << lane_bits(k))) - 1
+def full_mask(k: int, runs: int = 1) -> int:
+    """The mask of every lane of a batch of runs blocks over k points."""
+    return (1 << (runs << lane_bits(k))) - 1
 
 
 @lru_cache(maxsize=None)
@@ -520,20 +522,43 @@ def _low_slices(width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def block_slices(k: int, block: int) -> tuple[int, ...]:
-    """The sliced relation whose lane j is the relation with encoding
-    block * lanes + j: positions past the lane bits are constant over the
-    block, read off the block number."""
+def block_slices(k: int, block: int, runs: int = 1) -> tuple[int, ...]:
+    """The sliced relation whose lane j of each of runs runs is the relation
+    with encoding block * lanes + j: positions past the lane bits are
+    constant over the block, read off the block number.  Runs are whole
+    blocks, so lane i * lanes + j has the low bits of j, and the slices of
+    the lane bits are those of the smallest block that holds every run, cut
+    to the batch."""
     width = lane_bits(k)
-    full = full_mask(k)
-    return _low_slices(width) + tuple(
-        full if block >> (p - width) & 1 else 0 for p in range(width, k * k))
+    size = runs << width
+    full = (1 << size) - 1
+    low = _low_slices((size - 1).bit_length())[:width]
+    if size & (size - 1):
+        low = tuple(s & full for s in low)
+    return low + tuple(full if block >> (p - width) & 1 else 0 for p in range(width, k * k))
 
 
-def constant_slices(r: Relation, full: int) -> tuple[int, ...]:
-    """The sliced relation that is r in every lane of full."""
-    n = len(r)
-    return tuple(full if row >> y & 1 else 0 for row in r for y in range(n))
+def _one_per_run(values, lanes: int) -> int:
+    """The int whose run i of lanes bits holds values[i] (each below
+    2**lanes): the fields of one bytes join, or one binary numeral when
+    runs are finer than bytes (two lanes, at one point)."""
+    if lanes % 8:
+        return int("".join(format(value, f"0{lanes}b") for value in reversed(values)), 2)
+    return int.from_bytes(_join_fields(values, lanes >> 3), _CODE_ORDER)
+
+
+def spread_slices(relations, k: int) -> tuple[int, ...]:
+    """The sliced relation whose run i is relations[i] in every lane.  With
+    the codes laid out one to a run, slice p is bit p of each run kept at
+    the run's start, t, and filled up to the run's end, (t << lanes) - t."""
+    lanes = 1 << lane_bits(k)
+    packed = _one_per_run([relation_code(r) for r in relations], lanes)
+    starts = _one_per_run([1] * len(relations), lanes)
+    out = []
+    for p in range(k * k):
+        t = packed >> p & starts
+        out.append((t << lanes) - t)
+    return tuple(out)
 
 
 def set_lanes(mask: int):

@@ -7,8 +7,12 @@ condition per listed operation against the explicit relational operation,
 reporting the lexicographically first witness per failed condition.  The
 search assigns relations over growing bases with constraint propagation and
 base-point symmetry breaking, sweeping each branch's candidates a block at a
-time in bit-sliced form (relations.block_slices), and re-verifies anything
-it returns.
+time in bit-sliced form (relations.block_slices), for a batch of up to
+2**BLOCK_BITS // lanes surviving assignments of the branch before it at once,
+one run of the block each.  It charges the nodes of trying one candidate at
+a time in that walk's nested order, decodes and re-checks every surviving
+lane at every branch with the whole-relation kernels, and re-verifies
+anything it returns.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from . import relations as rel
 from .algebra import Check, Report, transitivity
 from .errors import DimensionMismatch, ResourceLimitError
-from .relations import Interpretation, Relation
+from .relations import Interpretation
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -34,8 +38,12 @@ class NodeBudget:
         self.used = 0
 
     def spend(self, amount: int = 1) -> None:
+        """Count amount more nodes.  An amount that passes the limit is
+        counted up to the first node past it, where spending one node at a
+        time raises, and then raises."""
         self.used += amount
         if self.used > self.limit:
+            self.used = self.limit + 1
             raise ResourceLimitError(self.limit)
 
 
@@ -246,38 +254,44 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
     every assignment permutes onto one whose first branched value is a
     representative, and permuting the base keeps every constraint.
 
-    A branch is swept a block of candidates at a time (relations.block_slices):
-    its value is the sliced relation of the block, the forced steps up to the
+    A branch is swept a block of candidates at a time (relations.block_slices)
+    for a batch of the surviving assignments of the branch before it: up to
+    2**BLOCK_BITS // lanes of them (128 at k = 3, 4 096 at k = 2, one from
+    k = 4 on, when a block is as wide as a batch), taken in order, each a
+    run of the block's lanes.  The values set before the branch are spread
+    over their runs (relations.spread_slices), the forced steps up to the
     next branch are evaluated with the sliced operations (Operation.sliced),
     and each step's checks become a mask of the lanes that pass them.  The
     surviving lanes, those passing every step up to the next branch, are
-    taken in ascending order.  Each survivor is decoded, its forced values
-    are recomputed with the whole-relation kernels (Operation.apply) and
-    every check of its steps is re-run with them; a disagreement with the
-    masks raises AssertionError.
+    taken in ascending order, run by run, and the next branch takes them in
+    batches in turn.  Each survivor, at every branch, is decoded, its forced
+    values are recomputed with the whole-relation kernels (Operation.apply)
+    and every check of its steps is re-run with them; a disagreement with
+    the masks raises AssertionError naming the survivor's block and lane.
 
     The nodes are those of trying one candidate at a time: one per candidate,
     one per forced step entered and one for the end or the next branch
-    entered.  They are counted as popcounts of the masks over the lanes up to
-    each survivor, and spent before that survivor is taken, so no lane past
-    it is charged; a budget that runs out raises after at most one block of
-    work past its limit.  Open sweeps are generators kept on a list, not the
-    stack.
+    entered, in the nested order of that walk, where the nodes of an
+    assignment's branch up to a survivor come before those of the survivor's
+    own run at the next branch.  They are counted as popcounts of the masks:
+    each survivor carries the nodes between it and the one before it, and a
+    sweep spends nodes only while no later branch holds an assignment it has
+    not swept, so what is spent always comes before the first assignment the
+    walk returns, and no lane past it is charged.  A budget that runs out
+    raises after at most a batch of work per branch past its limit, its
+    count stopped at the first node past the limit (NodeBudget.spend).
     """
-    if not plan:
-        budget.spend()
-        return ()
     operations = rel.OPERATIONS
     subset_mask, equal_mask = rel.subset_mask, rel.equal_mask
-    values: list[Relation | None] = [None] * len(plan)
     # the step of the next branch (or the end) after each step
     following = [len(plan)] * len(plan)
     for i in range(len(plan) - 2, -1, -1):
         following[i] = i + 1 if plan[i + 1][1] is None else following[i + 1]
-    lanes = 1 << rel.lane_bits(k)
-    full = rel.full_mask(k)
+    width = rel.lane_bits(k)
+    lanes = 1 << width
+    most = 1 << (rel.BLOCK_BITS - width)  # runs in a batch
 
-    def holds(equations, inclusions) -> bool:
+    def holds(values, equations, inclusions) -> bool:
         for a, b, expected in inclusions:
             if rel.rel_subset(values[a], values[b]) != expected:
                 return False
@@ -286,72 +300,108 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
                 return False
         return True
 
-    def sweep(j: int):
-        """Take each surviving candidate of branch step j in turn: assign the
-        steps up to the next branch and yield the step of that branch."""
+    def sweep(j: int, chunks):
+        """The survivors of branch step j over the assignments of chunks,
+        the survivors of the branch before it: one lazy chunk per block
+        with survivors, of (values, nodes since the survivor before)."""
         end = following[j]
         steps = plan[j:end]
-        constant: dict[int, tuple] = {}  # slices of the values set before step j
+        unknown = plan[j][0]
+        accounted = 0  # the nodes of the batch spent or handed on
 
-        def operand(u: int, block_values: dict):
-            got = block_values.get(u)
-            if got is None:
-                got = constant.get(u)
-                if got is None:
-                    got = constant[u] = rel.constant_slices(values[u], full)
-            return got
-
-        for block in range(rel.block_count(k)):
-            mask = rel.leader_mask(k, block) if j == 0 else full
-            if not mask:
-                continue
-            block_values = {plan[j][0]: rel.block_slices(k, block)}
-            # masks[0] holds the candidates, masks[t] those that enter step
-            # j + t: the end or the next branch when j + t == end
-            masks = [mask]
-            for c, forced, equations, inclusions in steps:
-                if mask and forced is not None:
-                    op, a, b = forced
-                    block_values[c] = operations[op].sliced(k, full, operand(a, block_values),
-                                                            operand(b, block_values))
-                for a, b, expected in inclusions:
-                    if not mask:
-                        break
-                    inside = subset_mask(full, operand(a, block_values), operand(b, block_values))
-                    mask &= inside if expected else full ^ inside
-                for op, a, b, c in equations:
-                    if not mask:
-                        break
-                    got = operations[op].sliced(k, full, operand(a, block_values),
-                                                operand(b, block_values))
-                    mask &= equal_mask(full, got, operand(c, block_values))
-                masks.append(mask)
-            charged = 0
-            for lane in rel.set_lanes(masks[-1]):
-                upto = (2 << lane) - 1
-                spent = sum((m & upto).bit_count() for m in masks)
-                budget.spend(spent - charged)
-                charged = spent
-                values[plan[j][0]] = rel.decode_relation(block * lanes + lane, k)
+        def survivors(batch, masks, block, before, offset):
+            """The surviving lanes of a block over the batch, each with the
+            values up to the next branch and the nodes since the last."""
+            nonlocal accounted
+            for position, count in _counted_lanes(masks):
+                run, lane = position >> width, position & (lanes - 1)
+                values = list(batch[run][0])
+                values[unknown] = rel.decode_relation(block * lanes + lane, k)
                 for c, forced, equations, inclusions in steps:
                     if forced is not None:
                         op, a, b = forced
                         values[c] = operations[op].apply(values[a], values[b])
-                    if not holds(equations, inclusions):
+                    if not holds(values, equations, inclusions):
                         raise AssertionError(
                             f"lane {lane} of block {block} over base {k} passed the sliced "
                             f"checks of step {c} but fails them")
-                yield end
-            budget.spend(sum(m.bit_count() for m in masks) - charged)
+                reached = before[run] + offset + count
+                yield tuple(values), reached - accounted
+                accounted = reached
+
+        for chunk in chunks:
+            while batch := list(itertools.islice(chunk, most)):
+                budget.spend(batch[0][1])  # the nodes before the first run
+                # the nodes before each run, past those of the first
+                before = list(itertools.accumulate((nodes for _, nodes in batch[1:]), initial=0))
+                full = rel.full_mask(k, len(batch))
+                spread: dict[int, tuple] = {}  # the values set before step j, run by run
+
+                def operand(u: int, block_values: dict):
+                    got = block_values.get(u)
+                    if got is None:
+                        got = spread.get(u)
+                        if got is None:
+                            got = spread[u] = rel.spread_slices([v[u] for v, _ in batch], k)
+                    return got
+
+                accounted = offset = 0
+                for block in range(rel.block_count(k)):
+                    mask = rel.leader_mask(k, block) if j == 0 else full
+                    if not mask:
+                        continue
+                    block_values = {unknown: rel.block_slices(k, block, len(batch))}
+                    # masks[0] holds the candidates, masks[t] those that enter
+                    # step j + t: the end or the next branch when j + t == end
+                    masks = [mask]
+                    for c, forced, equations, inclusions in steps:
+                        if mask and forced is not None:
+                            op, a, b = forced
+                            block_values[c] = operations[op].sliced(
+                                k, full, operand(a, block_values), operand(b, block_values))
+                        for a, b, expected in inclusions:
+                            if not mask:
+                                break
+                            inside = subset_mask(full, operand(a, block_values),
+                                                 operand(b, block_values))
+                            mask &= inside if expected else full ^ inside
+                        for op, a, b, c in equations:
+                            if not mask:
+                                break
+                            got = operations[op].sliced(k, full, operand(a, block_values),
+                                                        operand(b, block_values))
+                            mask &= equal_mask(full, got, operand(c, block_values))
+                        masks.append(mask)
+                    if mask:
+                        yield survivors(batch, masks, block, before, offset)
+                    offset += sum(m.bit_count() for m in masks)
+                    budget.spend(before[-1] + offset - accounted)
+                    accounted = before[-1] + offset
 
     budget.spend()  # the first step, a branch: nothing is forced before it
-    sweeps = [sweep(0)]
-    while sweeps:
-        i = next(sweeps[-1], None)
-        if i is None:
-            sweeps.pop()
-        elif i == len(plan):
-            return tuple(values)
-        else:
-            sweeps.append(sweep(i))
+    chunks = iter([iter([((None,) * len(plan), 0)])])  # one assignment, of nothing
+    for j, (_, forced, _, _) in enumerate(plan):
+        if forced is None:
+            chunks = sweep(j, chunks)
+    for chunk in chunks:
+        for values, nodes in chunk:
+            budget.spend(nodes)
+            return values
     return None
+
+
+def _counted_lanes(masks):
+    """Each set lane of masks[-1], ascending, with the number of set bits of
+    all masks at lanes up to it: the bits between one lane and the next are
+    read off the bytes of each mask, so the counts cost one pass over them."""
+    size = (masks[0].bit_length() + 7) >> 3
+    data = [m.to_bytes(size, "little") for m in masks]
+    count = start = 0
+    for lane in rel.set_lanes(masks[-1]):
+        stop = lane + 1
+        low, high, shift = start >> 3, (stop + 7) >> 3, start & 7
+        keep = (1 << (stop - start)) - 1
+        for bits in data:
+            count += (int.from_bytes(bits[low:high], "little") >> shift & keep).bit_count()
+        yield lane, count
+        start = stop

@@ -27,7 +27,7 @@ from resq.completion import _subset_sort_key
 from resq.errors import NoResidualError
 from resq.pointalg import ATOM_EQ, ATOM_GT, ATOM_LT
 from resq.relations import Interpretation, Relation
-from resq.verifier import Exhausted
+from resq.verifier import Exhausted, plan_search
 
 C2_TEXT = "elements: a b\nleq: a<=b\ncomp: a;a=a a;b=a b;a=a b;b=a\n"
 
@@ -566,6 +566,38 @@ def scalar_run_plan(plan: tuple, k: int, budget):
             break
         else:
             return None
+
+
+def sequent_plan(text: str) -> tuple:
+    """The plan lambek.countermodel_search runs for the sequent text, read
+    off its definition: the atoms in sorted order, then each distinct
+    subformula in post-order, left operand first, forced by its connective's
+    operation, the antecedent being its left-nested product; the goal is the
+    product's value not inside the succedent's."""
+    s = lambek.parse_sequent(text)
+    unknown = {lambek.Atom(name): i for i, name in enumerate(lambek.sequent_atoms(s))}
+    equations = []
+
+    def index(f) -> int:
+        if f not in unknown:
+            a, b = index(f.left), index(f.right)
+            equations.append((lambek.CONNECTIVE_OPERATION[type(f)], a, b, len(unknown)))
+            unknown[f] = len(unknown)
+        return unknown[f]
+
+    goal = (index(functools.reduce(lambek.Prod, s.antecedent)), index(s.succedent), False)
+    return plan_search(len(unknown), equations, [goal])
+
+
+def structure_plan(S) -> tuple:
+    """The plan verifier.search_representation runs for the structure S: an
+    equation per entry of each operation table, an inclusion or
+    non-inclusion per pair of elements."""
+    n = len(S.names)
+    equations = [(name, a, b, table[a][b])
+                 for name, table in S.operations for a in range(n) for b in range(n)]
+    inclusions = [(a, b, S.le(a, b)) for a in range(n) for b in range(n)]
+    return plan_search(n, equations, inclusions)
 
 
 def naive_countermodel(s: lambek.Sequent, max_base: int):

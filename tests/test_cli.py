@@ -11,7 +11,9 @@ from corpus import C2_TEXT, MALFORMED_MODELS, make_c2
 import resq
 from resq import lambek, relrep
 from resq import relations as rel
+from resq.algebra import parse_algebra
 from resq.cli import main
+from resq.verifier import NodeBudget, search_representation
 
 ONE = "elements: x\nleq: x<=x\ncomp: x;x=x\n"
 MUTATED_C2 = C2_TEXT + "lres: a\\a=a a\\b=b b\\a=b b\\b=b\n"  # a\\a altered to a
@@ -691,6 +693,7 @@ TEXT_LINE_OF_KEY = {
     "verdict": "verdict: ",
     "max_base": "max_base: ",
     "stats": ("nodes: ", "seconds: "),
+    "nodes": "nodes: ",
     "sequent": "sequent: ",
     "derivable": "derivable: ",
     "proof": "[",
@@ -734,6 +737,11 @@ def test_text_carries_every_json_field(runner, tmp_path, c2_file, args):
         if isinstance(value, (bool, int, str)):
             rendered = str(value).lower() if isinstance(value, bool) else str(value)
             assert f"{prefixes}{rendered}" in lines, key
+    if args[0] == "search":
+        # the nodes the library's search spends on the same input
+        budget = NodeBudget()
+        search_representation(parse_algebra(Path(args[1]).read_text()), int(args[3]), budget)
+        assert payload["nodes"] == budget.used > 0
     if args[0] == "represent":
         options = payload["options"]
         assert list(options) == ["unitalize"]

@@ -172,13 +172,18 @@ SLICED_KERNELS = [(op.sliced, op.apply) for op in rel.OPERATIONS.values()]
 @given(st.data(), st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
 def test_sliced_operations_agree_lane_by_lane(data, k):
-    full = rel.full_mask(k)
-    lanes = data.draw(st.lists(st.integers(0, (1 << k * k) - 1), min_size=1, max_size=6))
-    r = data.draw(mask_relation(k))
-    # operands as (sliced relation, relation of a lane): r in every lane, or
-    # lane j holding the relation with encoding j
-    constant = (rel.constant_slices(r, full), lambda lane: r)
-    block = (rel.block_slices(k, 0), lambda lane: rel.decode_relation(lane, k))
+    # a batch of runs, one run at base 4, where a block is as wide as a batch
+    width = rel.lane_bits(k)
+    runs = data.draw(st.integers(1, 1 if k == 4 else 5))
+    full = rel.full_mask(k, runs)
+    lanes = data.draw(st.lists(st.integers(0, (runs << width) - 1), min_size=1, max_size=6))
+    spread = data.draw(st.lists(mask_relation(k), min_size=runs, max_size=runs))
+    # operands as (sliced relation, relation of a lane): run i holding
+    # spread[i] in every lane, or lane j of each run the relation with
+    # encoding j
+    constant = (rel.spread_slices(spread, k), lambda lane: spread[lane >> width])
+    block = (rel.block_slices(k, 0, runs),
+             lambda lane: rel.decode_relation(lane & ((1 << width) - 1), k))
     for (left, left_of), (right, right_of) in ((constant, block), (block, constant), (block, block)):
         results = [(sliced(k, full, left, right), scalar) for sliced, scalar in SLICED_KERNELS]
         inside = rel.subset_mask(full, left, right)
@@ -189,6 +194,20 @@ def test_sliced_operations_agree_lane_by_lane(data, k):
                 assert lane_relation(out, k, lane) == scalar(a, b)
             assert (inside >> lane & 1) == rel.rel_subset(a, b)
             assert (same >> lane & 1) == (a == b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_full_batch_spreads_every_run_and_tiles_every_block(k):
+    # 2**BLOCK_BITS lanes: 32 768 runs of two lanes, 4 096 of 16, 128 of 512
+    width = rel.lane_bits(k)
+    runs = 1 << (rel.BLOCK_BITS - width)
+    spread = [rel.decode_relation(i * 7919 % (1 << k * k), k) for i in range(runs)]
+    sliced = rel.spread_slices(spread, k)
+    tiled = rel.block_slices(k, 0, runs)
+    assert all(s >> (1 << rel.BLOCK_BITS) == 0 for s in sliced + tiled)
+    for lane in random.Random(k).sample(range(1 << rel.BLOCK_BITS), 64):
+        assert lane_relation(sliced, k, lane) == spread[lane >> width]
+        assert lane_relation(tiled, k, lane) == rel.decode_relation(lane & ((1 << width) - 1), k)
 
 
 @given(st.integers(0, rel.block_count(5) - 1), st.lists(st.integers(0, (1 << 16) - 1), max_size=8))

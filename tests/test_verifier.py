@@ -15,6 +15,8 @@ from corpus import (
     plan_search_by_scan,
     quantale_50_model,
     scalar_run_plan,
+    sequent_plan,
+    structure_plan,
 )
 from resq import algebra, pointalg, relrep, verifier
 from resq import relations as rel
@@ -25,6 +27,7 @@ from resq.verifier import (
     NodeBudget,
     check_representation,
     check_union_transitive,
+    first_model,
     plan_search,
     run_plan,
     search_representation,
@@ -284,26 +287,84 @@ def test_sweep_spends_the_nodes_of_the_scalar_walk(constraints, k):
     assert sliced.used == scalar.used
 
 
-@pytest.mark.parametrize("sequent, operation, flip", [
+# (label, k): countermodel plans whose first branch leaves about a hundred
+# survivors at k = 3, so the second branch takes them as one batch; the
+# {<,>} reduct's representation plan; and a plan of three branches at k = 2,
+# where a batch of the third takes the survivors of batches of the second
+FIXED_PLANS = [
+    ("p |- (q/p)\\q", 3),
+    ("p, q |- p*q", 3),
+    ("p*q |- q*p", 3),
+    ("{<,>}", 3),
+    ("p\\q, q\\r |- p\\r", 2),
+]
+
+
+def fixed_plan(label: str) -> tuple:
+    if label == "{<,>}":
+        P = pointalg.build_point_algebra()
+        return structure_plan(pointalg.reduct(P, [pointalg.ATOM_LT, pointalg.ATOM_GT]))
+    return sequent_plan(label)
+
+
+@pytest.mark.parametrize("label, k", FIXED_PLANS)
+def test_batched_sweep_spends_the_nodes_of_the_scalar_walk_on_fixed_plans(label, k):
+    plan = fixed_plan(label)
+    scalar, batched = NodeBudget(10**8), NodeBudget(10**8)
+    assert run_plan(plan, k, batched) == scalar_run_plan(plan, k, scalar)
+    assert batched.used == scalar.used
+
+
+def test_budget_that_runs_out_inside_a_batch_raises_within_one_block():
+    # p, q |- p*q exhausts every base; at base 3 its second branch takes the
+    # 104 surviving lex-leaders of the first as one batch of runs, which
+    # holds all but a few hundred of the base's nodes, so a limit halfway
+    # through the base runs out between two runs of that batch
+    plan = sequent_plan("p, q |- p*q")
+    atoms = ("p", "q")
+    up_to_two, up_to_three = NodeBudget(10**8), NodeBudget(10**8)
+    assert first_model(plan, atoms, 2, up_to_two) is None
+    assert first_model(plan, atoms, 3, up_to_three) is None
+    limit = (up_to_two.used + up_to_three.used) // 2
+    budget = NodeBudget(limit)
+    with pytest.raises(ResourceLimitError) as err:
+        first_model(plan, atoms, 3, budget)
+    assert err.value.bases_exhausted == 2
+    assert 0 < budget.used - limit <= (1 << 3 * 3) * (len(plan) + 1)
+    with pytest.raises(ResourceLimitError):
+        scalar_run_plan(plan, 3, NodeBudget(limit - up_to_two.used))
+
+
+@pytest.mark.parametrize("sequent, max_base, operation, flip, lane", [
     # lane 0 (the empty relation) made to fail p <= p, which the goal wants
-    ("p |- p", "subset_mask", lambda got: got ^ 1),
+    ("p |- p", 1, "subset_mask", lambda got, full: got ^ 1, "lane 0 of block 0 over base 1"),
     # lane 0 made to hold (0,0) in p*p, outside p
-    ("p*p |- p", "composition", lambda got: (got[0] ^ 1,) + got[1:]),
+    ("p*p |- p", 1, "composition", lambda got, full: (got[0] ^ 1,) + got[1:],
+     "lane 0 of block 0 over base 1"),
+    # at base 2 the second branch takes the first's ten lex-leaders as one
+    # batch of ten runs of 16 lanes; lane 16 of the batch is lane 0 of the
+    # second run, p = {(0,0)} and q empty, so p*q is empty; given (0,1) there,
+    # p*q escapes p, and the lane passes the sliced goal and fails the re-check
+    ("p*q |- p", 2, "composition",
+     lambda got, full: (got[0], got[1] ^ (full & 1 << 16)) + got[2:] if len(got) > 1 else got,
+     "lane 0 of block 0 over base 2"),
 ])
-def test_survivor_cross_check_catches_a_flipped_lane(monkeypatch, sequent, operation, flip):
+def test_survivor_cross_check_catches_a_flipped_lane(monkeypatch, sequent, max_base, operation,
+                                                     flip, lane):
     # operation names a relations function or, for an operation, the sliced
-    # form of its table entry
+    # form of its table entry; flip gets its result and the batch's mask
     from resq import lambek
 
     if operation in rel.OPERATIONS:
         op = rel.OPERATIONS[operation]
-        flipped = dataclasses.replace(op, sliced=lambda *args: flip(op.sliced(*args)))
+        flipped = dataclasses.replace(
+            op, sliced=lambda k, full, r, s: flip(op.sliced(k, full, r, s), full))
         monkeypatch.setitem(rel.OPERATIONS, operation, flipped)
     else:
         original = getattr(rel, operation)
-        monkeypatch.setattr(rel, operation, lambda *args: flip(original(*args)))
-    with pytest.raises(AssertionError, match="passed the sliced checks"):
-        lambek.countermodel_search(lambek.parse_sequent(sequent), max_base=1)
+        monkeypatch.setattr(rel, operation, lambda full, r, s: flip(original(full, r, s), full))
+    with pytest.raises(AssertionError, match=f"{lane} passed the sliced checks"):
+        lambek.countermodel_search(lambek.parse_sequent(sequent), max_base=max_base)
 
 
 def test_search_budget_raises(c2):
@@ -539,6 +600,14 @@ def test_budget_error_counts_the_bases_exhausted(c2, budget, exhausted):
         search_representation(c2, 3, budget=NodeBudget(budget))
     assert err.value.bases_exhausted == exhausted
     assert f"while searching base {exhausted + 1};" in str(err.value)
+
+
+def test_a_spend_past_the_limit_counts_up_to_the_first_node_past_it():
+    budget = NodeBudget(10)
+    budget.spend(4)
+    with pytest.raises(ResourceLimitError):
+        budget.spend(100)
+    assert budget.used == 11
 
 
 def test_budget_error_outside_a_search_counts_no_bases():

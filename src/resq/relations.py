@@ -540,25 +540,40 @@ def block_slices(k: int, block: int, runs: int = 1) -> tuple[int, ...]:
 
 def _one_per_run(values, lanes: int) -> int:
     """The int whose run i of lanes bits holds values[i] (each below
-    2**lanes): the fields of one bytes join, or one binary numeral when
-    runs are finer than bytes (two lanes, at one point)."""
+    2**lanes): the fields of one bytes join when runs are whole bytes, else
+    (two lanes, at one point) one binary numeral, which parses about ten
+    times slower per bit than the bytes."""
     if lanes % 8:
         return int("".join(format(value, f"0{lanes}b") for value in reversed(values)), 2)
     return int.from_bytes(_join_fields(values, lanes >> 3), _CODE_ORDER)
 
 
-def spread_slices(relations, k: int) -> tuple[int, ...]:
-    """The sliced relation whose run i is relations[i] in every lane.  With
-    the codes laid out one to a run, slice p is bit p of each run kept at
-    the run's start, t, and filled up to the run's end, (t << lanes) - t."""
+def spread_slices(codes, k: int) -> tuple[int, ...]:
+    """The sliced relation whose run i is the relation of code codes[i] in
+    every lane.  With the codes laid out one to a run, slice p is bit p of
+    each run kept at the run's start, t, and filled up to the run's end,
+    (t << lanes) - t."""
     lanes = 1 << lane_bits(k)
-    packed = _one_per_run([relation_code(r) for r in relations], lanes)
-    starts = _one_per_run([1] * len(relations), lanes)
+    packed = _one_per_run(codes, lanes)
+    starts = full_mask(k, len(codes)) // ((1 << lanes) - 1)
     out = []
     for p in range(k * k):
         t = packed >> p & starts
         out.append((t << lanes) - t)
     return tuple(out)
+
+
+def lane_codes(k: int, runs: int, sliced, positions) -> list[int]:
+    """The code of the relation that each lane of positions holds in a
+    sliced relation over a batch of runs blocks over k points: bit p of a
+    code is the lane's bit of slice p, read off the bytes of the slice."""
+    size = ((runs << lane_bits(k)) + 7) >> 3
+    at = [(position >> 3, position & 7) for position in positions]
+    codes = [0] * len(at)
+    for p, s in enumerate(sliced):
+        data = s.to_bytes(size, _CODE_ORDER)
+        codes = [code | (data[i] >> shift & 1) << p for code, (i, shift) in zip(codes, at)]
+    return codes
 
 
 def set_lanes(mask: int):

@@ -10,13 +10,14 @@ base-point symmetry breaking, sweeping each branch's candidates a block at a
 time in bit-sliced form (relations.block_slices), for a batch of up to
 2**BLOCK_BITS // lanes surviving assignments of the branch before it at once,
 one run of the block each.  It charges the nodes of trying one candidate at
-a time in that walk's nested order, decodes and re-checks every surviving
-lane at every branch with the whole-relation kernels, and re-verifies
-anything it returns.
+a time in that walk's nested order, re-checks with the whole-relation
+kernels every surviving lane that walk reaches, and re-verifies anything it
+returns.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -38,12 +39,8 @@ class NodeBudget:
         self.used = 0
 
     def spend(self, amount: int = 1) -> None:
-        """Count amount more nodes.  An amount that passes the limit is
-        counted up to the first node past it, where spending one node at a
-        time raises, and then raises."""
         self.used += amount
         if self.used > self.limit:
-            self.used = self.limit + 1
             raise ResourceLimitError(self.limit)
 
 
@@ -259,15 +256,24 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
     2**BLOCK_BITS // lanes of them (128 at k = 3, 4 096 at k = 2, one from
     k = 4 on, when a block is as wide as a batch), taken in order, each a
     run of the block's lanes.  The values set before the branch are spread
-    over their runs (relations.spread_slices), the forced steps up to the
-    next branch are evaluated with the sliced operations (Operation.sliced),
-    and each step's checks become a mask of the lanes that pass them.  The
-    surviving lanes, those passing every step up to the next branch, are
-    taken in ascending order, run by run, and the next branch takes them in
-    batches in turn.  Each survivor, at every branch, is decoded, its forced
-    values are recomputed with the whole-relation kernels (Operation.apply)
-    and every check of its steps is re-run with them; a disagreement with
-    the masks raises AssertionError naming the survivor's block and lane.
+    over their runs from their codes (relations.spread_slices), the forced
+    steps up to the next branch are evaluated with the sliced operations
+    (Operation.sliced), and each step's checks become a mask of the lanes
+    that pass them.  The surviving lanes, those passing every step up to the
+    next branch, are taken in ascending order, run by run, with the codes of
+    their forced values read off the slices (relations.lane_codes) when a
+    branch follows, and the next branch takes them in batches in turn.
+
+    Each survivor that the walk of one candidate at a time passes is
+    re-checked once the next branch hands on a survivor of its run or ends
+    a block, and the returned one before it is returned; those past the
+    returned one are not, as that walk never reaches them.  A re-check
+    decodes the values its steps read, recomputes its forced values with the
+    whole-relation kernels (Operation.apply), re-runs every check of its
+    steps with them and compares the forced values with the codes handed
+    on; a disagreement raises AssertionError naming the survivor's block and
+    lane.  The survivors of a branch whose steps force and check nothing
+    have nothing to re-check.
 
     The nodes are those of trying one candidate at a time: one per candidate,
     one per forced step entered and one for the end or the next branch
@@ -277,9 +283,12 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
     each survivor carries the nodes between it and the one before it, and a
     sweep spends nodes only while no later branch holds an assignment it has
     not swept, so what is spent always comes before the first assignment the
-    walk returns, and no lane past it is charged.  A budget that runs out
-    raises after at most a batch of work per branch past its limit, its
-    count stopped at the first node past the limit (NodeBudget.spend).
+    walk returns, and no lane past it is charged.  A charge that would pass
+    the limit is spent in the pieces the sweep of one assignment at a time
+    spent: the nodes up to each survivor and to the end of each run, those
+    carried from the branch before split in turn (_charge).  So a budget
+    that runs out raises where that sweep did, at most one block of one
+    branch past its limit, after at most a batch of work per branch.
     """
     operations = rel.OPERATIONS
     subset_mask, equal_mask = rel.subset_mask, rel.equal_mask
@@ -290,6 +299,9 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
     width = rel.lane_bits(k)
     lanes = 1 << width
     most = 1 << (rel.BLOCK_BITS - width)  # runs in a batch
+    order = [step[0] for step in plan]  # the unknown each step sets
+    # the steps from each branch up to the next
+    steps_of = {j: plan[j:following[j]] for j, step in enumerate(plan) if step[1] is None}
 
     def holds(values, equations, inclusions) -> bool:
         for a, b, expected in inclusions:
@@ -300,57 +312,127 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
                 return False
         return True
 
-    def sweep(j: int, chunks):
-        """The survivors of branch step j over the assignments of chunks,
-        the survivors of the branch before it: one lazy chunk per block
-        with survivors, of (values, nodes since the survivor before)."""
-        end = following[j]
-        steps = plan[j:end]
-        unknown = plan[j][0]
-        accounted = 0  # the nodes of the batch spent or handed on
+    relations: dict[int, tuple] = {}  # the relations decoded, by code
 
-        def survivors(batch, masks, block, before, offset):
-            """The surviving lanes of a block over the batch, each with the
-            values up to the next branch and the nodes since the last."""
-            nonlocal accounted
-            for position, count in _counted_lanes(masks):
-                run, lane = position >> width, position & (lanes - 1)
-                values = list(batch[run][0])
-                values[unknown] = rel.decode_relation(block * lanes + lane, k)
-                for c, forced, equations, inclusions in steps:
-                    if forced is not None:
-                        op, a, b = forced
-                        values[c] = operations[op].apply(values[a], values[b])
-                    if not holds(values, equations, inclusions):
-                        raise AssertionError(
-                            f"lane {lane} of block {block} over base {k} passed the sliced "
-                            f"checks of step {c} but fails them")
-                reached = before[run] + offset + count
-                yield tuple(values), reached - accounted
-                accounted = reached
+    def relation_of(code: int) -> tuple:
+        got = relations.get(code)
+        if got is None:
+            got = relations[code] = rel.decode_relation(code, k)
+        return got
+
+    def reads(j: int) -> list | None:
+        """The unknowns set up to branch step j that the steps from it read,
+        or None when they force and check nothing."""
+        operands = set()
+        for _, forced, equations, inclusions in steps_of[j]:
+            operands.update(forced[1:] if forced else ())
+            for _, a, b, c in equations:
+                operands.update((a, b, c))
+            for a, b, _ in inclusions:
+                operands.update((a, b))
+        return [u for u in order[:j + 1] if u in operands] if operands else None
+
+    def recheck(j: int, codes, decoded) -> list:
+        """The values of a survivor of branch step j, re-checked with the
+        kernels.  codes holds the encodings of the unknowns set up to it, and
+        of the values its steps force when a branch follows; the unknowns of
+        decoded are decoded, and the values its steps force recomputed."""
+        values = [None] * len(plan)
+        for u in decoded:
+            values[u] = relation_of(codes[u])
+        for c, forced, equations, inclusions in steps_of[j]:
+            if forced is not None:
+                op, a, b = forced
+                values[c] = operations[op].apply(values[a], values[b])
+            if not holds(values, equations, inclusions):
+                why = f"passed the sliced checks of step {c} but fails them"
+            elif forced is not None and codes[c] is not None \
+                    and values[c] != relation_of(codes[c]):
+                why = f"has a sliced value at step {c} that the kernels do not give"
+            else:
+                continue
+            block, lane = divmod(codes[order[j]], lanes)
+            raise AssertionError(f"lane {lane} of block {block} over base {k} {why}")
+        return values
+
+    def sweep(j: int, parent, chunks):
+        """The survivors of branch step j over the assignments of chunks,
+        the survivors of branch step parent (None before the first branch):
+        one lazy chunk per block with survivors, of (codes, the charge of
+        the nodes since the survivor before)."""
+        end = following[j]
+        steps = steps_of[j]
+        unknown = order[j]
+        # the survivors taken at once, and the forced values handed on as
+        # codes: a batch of them and every forced value when a branch
+        # follows, else the returned one and none
+        if end < len(plan):
+            taken, kept = most, [c for c, forced, _, _ in steps if forced is not None]
+        else:
+            taken, kept = 1, []
+        # what a re-check of a survivor of the branch before decodes, None
+        # when there is nothing to re-check
+        decoded = None if parent is None else reads(parent)
+
+        # the nested functions read the batch and the block being swept
+        def check_runs(upto: int) -> None:
+            """Re-check the survivors of the branch before of the runs
+            below upto."""
+            nonlocal checked
+            for run in range(checked, upto):
+                recheck(parent, batch[run][0], decoded)
+            checked = max(checked, upto)
+
+        def operand(u: int, block_values: dict):
+            got = block_values.get(u)
+            if got is None:
+                got = spread.get(u)
+                if got is None:
+                    got = spread[u] = rel.spread_slices([codes[u] for codes, _ in batch], k)
+            return got
+
+        def charge(start, stop) -> tuple:
+            """The nodes of the block between two points, each a run and the
+            count of mask bits up to a lane of it."""
+            amount = before[stop[0]] - before[start[0]] + stop[1] - start[1]
+            if start[0] == stop[0]:
+                return amount, None
+            return amount, functools.partial(_pieces, batch, masks, width, start, stop)
+
+        def survivors(block, block_values):
+            """The surviving lanes of the block, each with its codes and the
+            charge of the nodes since the last point."""
+            nonlocal last
+            counted = _counted_lanes(masks)
+            while group := list(itertools.islice(counted, taken)):
+                positions = [position for position, _ in group]
+                columns = [rel.lane_codes(k, runs, block_values[c], positions) for c in kept]
+                for index, (position, count) in enumerate(group):
+                    run = position >> width
+                    if run >= checked:
+                        check_runs(run + 1)
+                    codes = list(batch[run][0])
+                    codes[unknown] = block * lanes + (position & (lanes - 1))
+                    for c, column in zip(kept, columns):
+                        codes[c] = column[index]
+                    yield tuple(codes), charge(last, (run, count))
+                    last = run, count
 
         for chunk in chunks:
             while batch := list(itertools.islice(chunk, most)):
-                budget.spend(batch[0][1])  # the nodes before the first run
+                _charge(budget, batch[0][1])  # the nodes before the first run
+                runs = len(batch)
                 # the nodes before each run, past those of the first
-                before = list(itertools.accumulate((nodes for _, nodes in batch[1:]), initial=0))
-                full = rel.full_mask(k, len(batch))
+                before = list(itertools.accumulate(
+                    (nodes for _, (nodes, _) in batch[1:]), initial=0))
+                full = rel.full_mask(k, runs)
                 spread: dict[int, tuple] = {}  # the values set before step j, run by run
-
-                def operand(u: int, block_values: dict):
-                    got = block_values.get(u)
-                    if got is None:
-                        got = spread.get(u)
-                        if got is None:
-                            got = spread[u] = rel.spread_slices([v[u] for v, _ in batch], k)
-                    return got
-
-                accounted = offset = 0
+                checked = 0 if decoded is not None else runs  # runs re-checked
                 for block in range(rel.block_count(k)):
                     mask = rel.leader_mask(k, block) if j == 0 else full
                     if not mask:
                         continue
-                    block_values = {unknown: rel.block_slices(k, block, len(batch))}
+                    block_values = {unknown: rel.block_slices(k, block, runs)}
                     # masks[0] holds the candidates, masks[t] those that enter
                     # step j + t: the end or the next branch when j + t == end
                     masks = [mask]
@@ -372,22 +454,53 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
                                                         operand(b, block_values))
                             mask &= equal_mask(full, got, operand(c, block_values))
                         masks.append(mask)
+                    last = (0, 0)  # the point charged or handed on last
                     if mask:
-                        yield survivors(batch, masks, block, before, offset)
-                    offset += sum(m.bit_count() for m in masks)
-                    budget.spend(before[-1] + offset - accounted)
-                    accounted = before[-1] + offset
+                        yield survivors(block, block_values)
+                    check_runs(runs)
+                    _charge(budget, charge(last, (runs - 1, sum(m.bit_count() for m in masks))))
 
     budget.spend()  # the first step, a branch: nothing is forced before it
-    chunks = iter([iter([((None,) * len(plan), 0)])])  # one assignment, of nothing
+    # one assignment, of nothing
+    chunks = iter([iter([((None,) * len(plan), (0, None))])])
+    parent = None  # the branch step whose survivors the next branch takes
     for j, (_, forced, _, _) in enumerate(plan):
         if forced is None:
-            chunks = sweep(j, chunks)
+            chunks = sweep(j, parent, chunks)
+            parent = j
     for chunk in chunks:
-        for values, nodes in chunk:
-            budget.spend(nodes)
-            return values
+        for codes, charge in chunk:
+            _charge(budget, charge)
+            return () if parent is None else tuple(recheck(parent, codes, order[:parent + 1]))
     return None
+
+
+def _charge(budget: NodeBudget, charge) -> None:
+    """Spend a charge, (nodes, pieces): at once when the nodes stay within
+    the limit or pieces is None, else each charge pieces() gives in turn,
+    down to the amounts the sweep of one assignment at a time spent."""
+    amount, pieces = charge
+    if pieces is not None and budget.used + amount > budget.limit:
+        for piece in pieces():
+            _charge(budget, piece)
+    else:
+        budget.spend(amount)
+
+
+def _pieces(batch, masks, width: int, start, stop):
+    """The charges of a swept block of a batch between two points, each a
+    run and the count of mask bits up to a lane of it, in the order of the
+    walk: the rest of each run, and the charge carried before the next
+    run, as the batch's assignment of that run holds it."""
+    first_run, count = start
+    last_run, last_count = stop
+    for run in range(first_run, last_run):
+        upto = (1 << ((run + 1) << width)) - 1
+        run_end = sum((m & upto).bit_count() for m in masks)
+        yield run_end - count, None
+        yield batch[run + 1][1]
+        count = run_end
+    yield last_count - count, None
 
 
 def _counted_lanes(masks):

@@ -181,13 +181,18 @@ def test_sliced_operations_agree_lane_by_lane(data, k):
     # operands as (sliced relation, relation of a lane): run i holding
     # spread[i] in every lane, or lane j of each run the relation with
     # encoding j
-    constant = (rel.spread_slices(spread, k), lambda lane: spread[lane >> width])
+    constant = (rel.spread_slices(list(map(rel.relation_code, spread)), k),
+                lambda lane: spread[lane >> width])
     block = (rel.block_slices(k, 0, runs),
              lambda lane: rel.decode_relation(lane & ((1 << width) - 1), k))
     for (left, left_of), (right, right_of) in ((constant, block), (block, constant), (block, block)):
         results = [(sliced(k, full, left, right), scalar) for sliced, scalar in SLICED_KERNELS]
         inside = rel.subset_mask(full, left, right)
         same = rel.equal_mask(full, left, right)
+        for out, scalar in results:
+            # each lane's code, read off the slices at once
+            assert rel.lane_codes(k, runs, out, lanes) == [
+                rel.relation_code(scalar(left_of(lane), right_of(lane))) for lane in lanes]
         for lane in lanes:
             a, b = left_of(lane), right_of(lane)
             for out, scalar in results:
@@ -201,12 +206,12 @@ def test_a_full_batch_spreads_every_run_and_tiles_every_block(k):
     # 2**BLOCK_BITS lanes: 32 768 runs of two lanes, 4 096 of 16, 128 of 512
     width = rel.lane_bits(k)
     runs = 1 << (rel.BLOCK_BITS - width)
-    spread = [rel.decode_relation(i * 7919 % (1 << k * k), k) for i in range(runs)]
-    sliced = rel.spread_slices(spread, k)
+    codes = [i * 7919 % (1 << k * k) for i in range(runs)]
+    sliced = rel.spread_slices(codes, k)
     tiled = rel.block_slices(k, 0, runs)
     assert all(s >> (1 << rel.BLOCK_BITS) == 0 for s in sliced + tiled)
     for lane in random.Random(k).sample(range(1 << rel.BLOCK_BITS), 64):
-        assert lane_relation(sliced, k, lane) == spread[lane >> width]
+        assert lane_relation(sliced, k, lane) == rel.decode_relation(codes[lane >> width], k)
         assert lane_relation(tiled, k, lane) == rel.decode_relation(lane & ((1 << width) - 1), k)
 
 

@@ -18,7 +18,7 @@ from corpus import (
     sequent_plan,
     structure_plan,
 )
-from resq import algebra, pointalg, relrep, verifier
+from resq import algebra, lambek, pointalg, relrep, verifier
 from resq import relations as rel
 from resq.errors import ClosureSizeError, DimensionMismatch, ResourceLimitError
 from resq.relations import Interpretation
@@ -315,24 +315,46 @@ def test_batched_sweep_spends_the_nodes_of_the_scalar_walk_on_fixed_plans(label,
     assert batched.used == scalar.used
 
 
-def test_budget_that_runs_out_inside_a_batch_raises_within_one_block():
-    # p, q |- p*q exhausts every base; at base 3 its second branch takes the
-    # 104 surviving lex-leaders of the first as one batch of runs, which
-    # holds all but a few hundred of the base's nodes, so a limit halfway
-    # through the base runs out between two runs of that batch
-    plan = sequent_plan("p, q |- p*q")
-    atoms = ("p", "q")
-    up_to_two, up_to_three = NodeBudget(10**8), NodeBudget(10**8)
-    assert first_model(plan, atoms, 2, up_to_two) is None
-    assert first_model(plan, atoms, 3, up_to_three) is None
-    limit = (up_to_two.used + up_to_three.used) // 2
+@pytest.mark.parametrize("sequent, k", [
+    # p, q |- p*q exhausts every base; at base 3 its second branch takes
+    # the 104 surviving lex-leaders of the first as one batch of runs, which
+    # holds all but a few hundred of the base's nodes
+    ("p, q |- p*q", 3),
+    # three branches at base 2: a batch of the third takes the survivors of
+    # batches of the second, whose charges span runs of the second's block
+    ("p\\q, q\\r |- p\\r", 2),
+])
+def test_budget_that_runs_out_inside_a_batch_raises_within_one_block(sequent, k):
+    # a limit halfway through base k runs out between two runs of a batch
+    plan = sequent_plan(sequent)
+    atoms = lambek.sequent_atoms(lambek.parse_sequent(sequent))
+    below, up_to = NodeBudget(10**8), NodeBudget(10**8)
+    assert first_model(plan, atoms, k - 1, below) is None
+    assert first_model(plan, atoms, k, up_to) is None
+    limit = (below.used + up_to.used) // 2
     budget = NodeBudget(limit)
     with pytest.raises(ResourceLimitError) as err:
-        first_model(plan, atoms, 3, budget)
-    assert err.value.bases_exhausted == 2
-    assert 0 < budget.used - limit <= (1 << 3 * 3) * (len(plan) + 1)
+        first_model(plan, atoms, k, budget)
+    assert err.value.bases_exhausted == k - 1
+    assert 0 < budget.used - limit <= (1 << k * k) * (len(plan) + 1)
     with pytest.raises(ResourceLimitError):
-        scalar_run_plan(plan, 3, NodeBudget(limit - up_to_two.used))
+        scalar_run_plan(plan, k, NodeBudget(limit - below.used))
+
+
+@pytest.mark.parametrize("sequent", ["p*q, q*r |- p*r", "(p/q)*q, (q/r)*r |- r*p"])
+def test_budget_that_runs_out_before_a_deep_model_raises_within_one_block(sequent):
+    # three branches at base 2, the first model under a survivor of the
+    # second that carries the nodes of many runs of its batch: a limit short
+    # of the model's nodes raises within one block, the carried nodes spent
+    # run by run
+    plan = sequent_plan(sequent)
+    found = NodeBudget(10**8)
+    assert run_plan(plan, 2, found) is not None
+    for limit in range(0, found.used, 50):
+        budget = NodeBudget(limit)
+        with pytest.raises(ResourceLimitError):
+            run_plan(plan, 2, budget)
+        assert budget.used - limit <= (1 << 2 * 2) * (len(plan) + 1)
 
 
 @pytest.mark.parametrize("sequent, max_base, operation, flip, lane", [
@@ -353,8 +375,6 @@ def test_survivor_cross_check_catches_a_flipped_lane(monkeypatch, sequent, max_b
                                                      flip, lane):
     # operation names a relations function or, for an operation, the sliced
     # form of its table entry; flip gets its result and the batch's mask
-    from resq import lambek
-
     if operation in rel.OPERATIONS:
         op = rel.OPERATIONS[operation]
         flipped = dataclasses.replace(
@@ -365,6 +385,31 @@ def test_survivor_cross_check_catches_a_flipped_lane(monkeypatch, sequent, max_b
         monkeypatch.setattr(rel, operation, lambda full, r, s: flip(original(full, r, s), full))
     with pytest.raises(AssertionError, match=f"{lane} passed the sliced checks"):
         lambek.countermodel_search(lambek.parse_sequent(sequent), max_base=max_base)
+
+
+@pytest.mark.parametrize("lane, caught", [(17, True), (32, False)])
+def test_a_survivor_is_rechecked_only_when_the_walk_reaches_it(monkeypatch, lane, caught):
+    # p*q |- r/r at base 2: the second branch sweeps q over a batch of the
+    # ten lex-leaders of p and forces p*q, and the third branch takes its
+    # 160 survivors as one batch; the first model, p = {(0,0)} and
+    # q = {(0,1)}, lies under lane 18 of the second branch.  Pair (0,1) of
+    # the sliced p*q is flipped in lane 17, before it, or in lane 32, past
+    # it: the first is re-checked and its handed-on value refuted, the
+    # second lies where the one-candidate walk never goes and is not
+    sequent = lambek.parse_sequent("p*q |- r/r")
+    expected = lambek.countermodel_search(sequent, max_base=2)
+    op = rel.OPERATIONS["composition"]
+
+    def flipped(k, full, r, s):
+        got = op.sliced(k, full, r, s)
+        return (got[0], got[1] ^ (full & 1 << lane)) + got[2:] if len(got) > 1 else got
+
+    monkeypatch.setitem(rel.OPERATIONS, "composition", dataclasses.replace(op, sliced=flipped))
+    if caught:
+        with pytest.raises(AssertionError, match="lane 1 of block 0 over base 2 has a sliced value"):
+            lambek.countermodel_search(sequent, max_base=2)
+    else:
+        assert lambek.countermodel_search(sequent, max_base=2) == expected
 
 
 def test_search_budget_raises(c2):
@@ -602,12 +647,16 @@ def test_budget_error_counts_the_bases_exhausted(c2, budget, exhausted):
     assert f"while searching base {exhausted + 1};" in str(err.value)
 
 
-def test_a_spend_past_the_limit_counts_up_to_the_first_node_past_it():
+def test_a_charge_past_the_limit_is_spent_piece_by_piece():
+    # a charge's pieces are taken only when its nodes would pass the limit,
+    # and spent in turn, a piece that would pass it split again, until one
+    # that cannot be split passes it
     budget = NodeBudget(10)
-    budget.spend(4)
+    verifier._charge(budget, (4, lambda: pytest.fail("a charge within the limit was split")))
+    nested = (5, lambda: iter([(2, None), (3, None)]))
     with pytest.raises(ResourceLimitError):
-        budget.spend(100)
-    assert budget.used == 11
+        verifier._charge(budget, (12, lambda: iter([(3, None), nested, (4, None)])))
+    assert budget.used == 4 + 3 + 2 + 3
 
 
 def test_budget_error_outside_a_search_counts_no_bases():

@@ -10,8 +10,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, reduce
+from operator import and_, getitem, itemgetter
 from typing import NamedTuple
 
 from . import relations as rel
@@ -30,6 +30,11 @@ from .relations import Interpretation, Relation
 _NAME_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
 
 ENUMERATION_CAP = 3
+
+# the fewest elements on which residuation, distributivity and order
+# reflection are read off the candidate masks (CandidateMasks) first; below,
+# their loops alone are cheaper than building and reading the masks
+MASKED_LAWS_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -162,6 +167,43 @@ def _order_pairs(leq: tuple[int, ...]) -> set[tuple[int, int]]:
     return {(x, y) for x, row in enumerate(leq) for y in range(n) if row >> y & 1}
 
 
+class CandidateMasks:
+    """The candidate sets of both residuals of an order and a composition
+    over n elements, with the lower cones, built on the first read().
+
+    Row c of the pass holds {b : a;b <= c} at index a for every a,
+    {a : a;b <= c} at n + b for every b, then the lower cone {i : i <= c}.
+    The rows are read off one transposition (relations.transpose) of the
+    2n + 1 relations {(b, c) : a;b <= c}, one per a, {(a, c) : a;b <= c},
+    one per b, and the order itself: row c of their converses is row c of
+    the pass.  infer_residuals takes each residual's maximum from them, and
+    residuation, the distributivity of join_semigroup_laws and order
+    reflection read them from MASKED_LAWS_MIN elements on, so a caller that
+    checks several laws of one table hands each the same instance and pays
+    for one pass.
+    """
+
+    __slots__ = ("leq", "comp", "_read")
+
+    def __init__(self, leq: tuple[int, ...], comp) -> None:
+        self.leq, self.comp, self._read = leq, comp, None
+
+    def read(self) -> tuple[list, list[int]]:
+        """The rows of the pass, and the lower cones: bit i of the cone of c
+        set iff i <= c."""
+        if self._read is None:
+            leq, comp, n = self.leq, self.comp, len(self.leq)
+            # row y of the stack: the up-sets of column y of comp, then those
+            # of row y, then the up-set of y
+            ups = rel.stack_fields([rel.gather(leq, column) + rel.gather(leq, row) + (up,)
+                                    for column, row, up in zip(zip(*comp), comp, leq)],
+                                   2 * n + 1, n)
+            converses = rel.transpose(ups)
+            rows = rel.stacked_rows(converses.rows, converses)
+            self._read = rows, [row[-1] for row in rows]
+        return self._read
+
+
 # The cubic laws below compare one whole row over the last index per step of
 # the first two, and run the scalar loop only on a row that mismatches, to
 # name the first violating index.  Associativity, residuation and
@@ -169,9 +211,15 @@ def _order_pairs(leq: tuple[int, ...]) -> set[tuple[int, int]]:
 # indices of another row; with a single index an itemgetter returns the bare
 # item, so on one element every row mismatches and the scalar loop decides.
 # Order reflection asks whether x;q <= y;q for every q as one containment of
-# the pairs of rows x and y in the order.  Monotonicity keeps its scalar loop:
-# it runs only on the small tables that validate and enumerate_algebras read,
-# where the set-up of a row form costs more than it saves.
+# the pairs of rows x and y in the order.  From MASKED_LAWS_MIN = 8 elements on,
+# residuation, order reflection and the distributivity of
+# join_semigroup_laws are first read off the candidate masks
+# (CandidateMasks) in O(n^2) steps; their row loops then run only when that
+# reading does not show the law holds, to decide it and name the first
+# witness, so the witnesses do not depend on the path.  Monotonicity keeps
+# its scalar loop: it runs only on the small tables that validate and
+# enumerate_algebras read, where the set-up of a row form costs more than it
+# saves.
 
 
 def associativity(comp) -> tuple[int, int, int] | None:
@@ -209,10 +257,36 @@ def monotonicity(leq: tuple[int, ...], comp) -> tuple[int, int, int] | None:
     return None
 
 
-def residuation(leq: tuple[int, ...], comp, lres, rres) -> tuple[int, int, int] | None:
-    """Some a, b, c where b <= a\\c, a;b <= c and a <= c/b do not all agree:
-    the order row of a;b against the order row of b read at row a of lres
-    and the order row of a read at column b of rres."""
+def residuation(leq: tuple[int, ...], comp, lres, rres,
+                masks: CandidateMasks | None = None) -> tuple[int, int, int] | None:
+    """Some a, b, c where b <= a\\c, a;b <= c and a <= c/b do not all agree.
+
+    From MASKED_LAWS_MIN elements on, the law is read first off the candidate
+    masks of (leq, comp), masks or a pass built here.  It holds exactly when
+    every candidate set of a\\c and of c/b is the lower cone of that residual,
+    since b <= a\\c says that b lies in the cone of a\\c and a <= c/b that a
+    lies in the cone of c/b.  The rows (_residuation_rows) decide otherwise,
+    and on smaller tables."""
+    if len(leq) >= MASKED_LAWS_MIN and _residual_cones(masks or CandidateMasks(leq, comp),
+                                                        lres, rres):
+        return None
+    return _residuation_rows(leq, comp, lres, rres)
+
+
+def _residual_cones(masks: CandidateMasks, lres, rres) -> bool:
+    """Whether every candidate set of masks is the lower cone of its residual
+    in lres and rres."""
+    rows, down = masks.read()
+    n = len(down)
+    return all(tuple(row[:n]) == rel.gather(down, lres_at)
+               and tuple(row[n:-1]) == rel.gather(down, rres_at)
+               for row, lres_at, rres_at in zip(rows, zip(*lres), rres))
+
+
+def _residuation_rows(leq, comp, lres, rres) -> tuple[int, int, int] | None:
+    """The first violation of residuation: the order row of a;b against the
+    order row of b read at row a of lres and the order row of a read at
+    column b of rres."""
     n = len(leq)
     le = _order_table(leq)
     rres_at_column = [itemgetter(*column) for column in zip(*rres)]
@@ -271,13 +345,33 @@ def distributivity(join, comp) -> tuple[int, int, int] | None:
     return None
 
 
-def order_reflection(leq: tuple[int, ...], comp) -> tuple[int, int] | None:
-    """Some a not <= b with a;q <= b;q for every q: the pairs of rows a and b
-    of comp inside the order.
+def order_reflection(leq: tuple[int, ...], comp,
+                     masks: CandidateMasks | None = None) -> tuple[int, int] | None:
+    """Some a not <= b with a;q <= b;q for every q.
 
     In a quantale join-generated by G this is exactly where the relations
     {(g, q) : g in G, g <= a;q} fail to reflect the order.
+
+    From MASKED_LAWS_MIN elements on, the law is read first off the candidate
+    masks of (leq, comp), masks or a pass built here: the a with a;q <= b;q
+    for every q are the AND over q of the candidate sets of (b;q)/q, and the
+    law holds exactly when that AND lies in the lower cone of b for every b.
+    The pairs of rows (_order_reflection_pairs) decide otherwise, and on
+    smaller tables.
     """
+    n = len(leq)
+    if n >= MASKED_LAWS_MIN:
+        rows, down = (masks or CandidateMasks(leq, comp)).read()
+        right = range(n, 2 * n)
+        if not any(reduce(and_, map(getitem, rel.gather(rows, comp_b), right)) & ~cone
+                   for comp_b, cone in zip(comp, down)):
+            return None
+    return _order_reflection_pairs(leq, comp)
+
+
+def _order_reflection_pairs(leq: tuple[int, ...], comp) -> tuple[int, int] | None:
+    """The first violation of order reflection: the pairs of rows a and b of
+    comp inside the order."""
     order = _order_pairs(leq)
     for a, comp_a in enumerate(comp):
         for b, comp_b in enumerate(comp):
@@ -307,29 +401,24 @@ def value_positions(values) -> dict[int, int]:
 
 
 def infer_residuals(
-    leq: tuple[int, ...], comp: tuple[tuple[int, ...], ...], names=None
+    leq: tuple[int, ...], comp: tuple[tuple[int, ...], ...], names=None,
+    masks: CandidateMasks | None = None,
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Compute both residual tables forced by the order and composition.
 
     In a finite poset a\\c must be the maximum of {b : a;b <= c} and c/b the
     maximum of {a : a;b <= c}; raises NoResidualError, naming elements by
     names when given, at the first missing one (every a\\c before every c/b)
-    when a candidate set is empty or has no maximum.  Every candidate set is
-    read off one transposition (relations.transpose) of the 2n relations
-    {(b, c) : a;b <= c}, one per a, and {(a, c) : a;b <= c}, one per b, whose
-    rows are up-sets of the order, and of the order itself: row c of the
-    converses holds the candidate sets of a\\c for every a, then those of
-    c/b for every b, then the elements below c.  The maximum of each
-    distinct candidate set is searched once.
+    when a candidate set is empty or has no maximum.  Every candidate set and
+    lower cone is read off the candidate masks of (leq, comp), masks or a
+    pass built here (CandidateMasks), at every size, and the maximum of each
+    distinct candidate set is searched once.  From MASKED_LAWS_MIN = 8
+    elements on, residuation, order reflection and the distributivity of
+    join_semigroup_laws read the same pass, so a caller that hands it to
+    them as well builds it once.
     """
+    cands, down = (masks or CandidateMasks(leq, comp)).read()
     n = len(leq)
-    # row y of the stack: the up-sets of column y of comp, then those of row
-    # y, then the up-set of y
-    ups = rel.stack_fields([rel.gather(leq, column) + rel.gather(leq, row) + (up,)
-                            for column, row, up in zip(zip(*comp), comp, leq)], 2 * n + 1, n)
-    converses = rel.transpose(ups)
-    cands = rel.stacked_rows(converses.rows, converses)
-    down = [row[-1] for row in cands]  # bit i of down[j] set iff i <= j
     found: dict[int, int | None] = {}  # candidate mask -> its maximum, or None
 
     def maxima(candidates) -> tuple[int | None, ...]:
@@ -358,15 +447,39 @@ def order_checks(leq: tuple[int, ...]) -> tuple[Check, ...]:
     )
 
 
-def join_semigroup_laws(leq: tuple[int, ...], join, comp) -> Report:
+def join_semigroup_laws(leq: tuple[int, ...], join, comp,
+                        masks: CandidateMasks | None = None) -> Report:
     """The laws of a join-semilattice-ordered semigroup (join is the least upper
     bound of a partial order, composition is associative and distributes over
-    join), listed once for the completion's quantales and point-algebra reducts."""
-    return Report(order_checks(leq) + (
-        Check("join_lub", join_lub(leq, join)),
+    join), listed once for the completion's quantales and point-algebra reducts.
+
+    From MASKED_LAWS_MIN elements on, distributivity holds without its row
+    loop when the order is reflexive and antisymmetric, join_lub holds and
+    every candidate set of the masks of (leq, comp), masks or a pass built
+    here, is a principal lower cone.  Proof: when {b : a;b <= c} is the cone
+    of r, a;(b v b') <= c iff b v b' <= r iff b <= r and b' <= r (join_lub)
+    iff a;b <= c and a;b' <= c iff a;b v a;b' <= c (join_lub).  So a;(b v b')
+    and a;b v a;b' lie below the same elements; each lies below itself, so
+    below the other, and they are equal by antisymmetry.  (b v b');a is the
+    mirror case, with {a : a;b <= c}.  The row loop (distributivity) decides
+    otherwise, and on smaller tables.
+    """
+    reflexive, antisymmetric, transitive = order_checks(leq)
+    lub = Check("join_lub", join_lub(leq, join))
+    distributes = (len(leq) >= MASKED_LAWS_MIN and reflexive.passed and antisymmetric.passed
+                   and lub.passed and _principal_candidates(masks or CandidateMasks(leq, comp)))
+    return Report((
+        reflexive, antisymmetric, transitive, lub,
         Check("associativity", associativity(comp)),
-        Check("distributivity", distributivity(join, comp)),
+        Check("distributivity", None if distributes else distributivity(join, comp)),
     ))
+
+
+def _principal_candidates(masks: CandidateMasks) -> bool:
+    """Whether every candidate set of masks is the lower cone of an element."""
+    rows, down = masks.read()
+    cones = set(down)
+    return all(cones.issuperset(row[:-1]) for row in rows)
 
 
 def validate(A: FiniteResiduatedSemigroup) -> Report:

@@ -401,26 +401,30 @@ def _proof_lines(node: dict, depth: int) -> list[str]:
 def counter(sequent_text: str, max_base: int, node_budget: int | None, fmt: str) -> None:
     """Search for a finite relational countermodel."""
     s = lambek.parse_sequent(sequent_text)
-    result = lambek.countermodel_search(s, max_base=max_base, node_budget=node_budget)
+    budget = verifier.NodeBudget(node_budget, default=lambek.DEFAULT_COUNTER_BUDGET)
+    result = lambek.countermodel_search(s, max_base=max_base, budget=budget)
     payload = {"command": "lambek-counter", "sequent": lambek.format_sequent(s)}
     if isinstance(result, verifier.Exhausted):
         payload.update(verdict="exhausted", max_base=result.max_base)
     else:
         payload.update(verdict="found", base=result.base_size,
                        valuation={name: rel.pair_lists(r) for name, r in result.valuation})
+    payload["nodes"] = budget.used
     _emit(payload, fmt, _render_counter)
     sys.exit(EXIT_VIOLATION if isinstance(result, verifier.Exhausted) else EXIT_OK)
 
 
 def _render_counter(payload: dict):
+    """The outcome of a countermodel search, then the nodes it spent."""
     yield f"sequent: {payload['sequent']}"
     yield f"verdict: {payload['verdict']}"
     if payload["verdict"] == "exhausted":
         yield f"max_base: {payload['max_base']}"
-        return
-    yield f"base: {payload['base']}"
-    for name in sorted(payload["valuation"]):
-        yield f"v({name}):" + rel.pairs_text(payload["valuation"][name])
+    else:
+        yield f"base: {payload['base']}"
+        for name in sorted(payload["valuation"]):
+            yield f"v({name}):" + rel.pairs_text(payload["valuation"][name])
+    yield f"nodes: {payload['nodes']}"
 
 
 @lambek_group.command(name="eval")

@@ -8,10 +8,11 @@ lower-cone map embeds the original algebra into it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .algebra import (
+    CandidateMasks,
     Check,
     FiniteResiduatedSemigroup,
     Report,
@@ -31,6 +32,9 @@ class Quantale:
     element i (a closed subset of the algebra carrier; unitalization adds one
     marker bit on top), and the order is exactly mask inclusion.  leq rows are
     bitmasks over quantale indices; comp and sup are index tables.
+    candidate_masks is the candidate-mask pass of (leq, comp), built on its
+    first read and shared by check_quantale_laws, quantale_residuals and
+    the order reflection of relrep.represent_pipeline.
     """
 
     labels: tuple[str, ...]
@@ -41,6 +45,10 @@ class Quantale:
     bottom: int
     top: int
     unit: int | None
+    candidate_masks: CandidateMasks = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "candidate_masks", CandidateMasks(self.leq, self.comp))
 
     @property
     def size(self) -> int:
@@ -196,10 +204,13 @@ def check_quantale_laws(Q: Quantale) -> None:
     laws on (leq, sup, comp), then the bounds, the bottom absorbing
     composition and, when Q is unital, the unit laws, each of the last three
     at the first element that breaks it.  Binary distributivity plus
-    absorption is distributivity over every join in a finite lattice.
+    absorption is distributivity over every join in a finite lattice.  From
+    algebra.MASKED_LAWS_MIN = 8 elements on, distributivity is read off
+    Q.candidate_masks (algebra.join_semigroup_laws), the pass that
+    quantale_residuals and relrep's order reflection then reuse.
     """
     bottom, top, comp, e = Q.bottom, Q.top, Q.comp, Q.unit
-    checks = join_semigroup_laws(Q.leq, Q.sup, comp).conditions + tuple(
+    checks = join_semigroup_laws(Q.leq, Q.sup, comp, Q.candidate_masks).conditions + tuple(
         Check(law, next(((a,) for a in range(Q.size) if not holds(a)), None))
         for law, holds in (
             ("bounds", lambda a: Q.le(bottom, a) and Q.le(a, top)),
@@ -219,12 +230,15 @@ def quantale_residuals(
 
     In a finite quantale each maximum exists and equals the supremum of its
     set.  The tables are checked exhaustively against the residuation law.
+    Both read Q.candidate_masks: the maxima at every size, the law from
+    algebra.MASKED_LAWS_MIN = 8 elements on.
     """
+    masks = Q.candidate_masks
     try:
-        lres, rres = infer_residuals(Q.leq, Q.comp)
+        lres, rres = infer_residuals(Q.leq, Q.comp, masks=masks)
     except NoResidualError as exc:
         raise QuantaleLawError(f"residual missing: {exc}") from None
-    law = Check("residuation", residuation(Q.leq, Q.comp, lres, rres))
+    law = Check("residuation", residuation(Q.leq, Q.comp, lres, rres, masks))
     if not law.passed:
         raise QuantaleLawError(law.message())
     return lres, rres

@@ -420,8 +420,13 @@ def evaluate(s: Sequent, M: Interpretation) -> bool:
     return rel.rel_subset(value, formula_value(s.succedent, M))
 
 
-def countermodel_search(s: Sequent, max_base: int = 3, node_budget: int | None = None):
+def countermodel_search(s: Sequent, max_base: int = 3, node_budget: int | None = None,
+                        budget: NodeBudget | None = None):
     """Search models over bases 1..max_base until one refutes the sequent.
+
+    The nodes are spent from budget, as in verifier.search_representation,
+    or when none is given from a NodeBudget of node_budget nodes
+    (DEFAULT_COUNTER_BUDGET when None); giving both raises ValueError.
 
     The search engine branches on the atoms in sorted order, the first one
     over orbit representatives only; each distinct subformula (the antecedent
@@ -431,7 +436,10 @@ def countermodel_search(s: Sequent, max_base: int = 3, node_budget: int | None =
     operands are visited, and the left spine below it is walked in a loop, so
     neither a long antecedent nor a long product recurses.
     """
-    budget = NodeBudget(node_budget, default=DEFAULT_COUNTER_BUDGET)
+    if budget is None:
+        budget = NodeBudget(node_budget, default=DEFAULT_COUNTER_BUDGET)
+    elif node_budget is not None:
+        raise ValueError("give node_budget or budget, not both")
     atoms = sequent_atoms(s)
     unknown: dict[Formula, int] = {Atom(name): i for i, name in enumerate(atoms)}
     equations = []

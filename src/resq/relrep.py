@@ -97,7 +97,9 @@ def represent_pipeline(
     since a;q is monotone in a; as every element is the join of the elements
     below it, hat(a) <= hat(b) holds exactly when a;q <= b;q for every q, so
     the condition is read off the tables by the order_reflection law, with
-    the same first witness and no hat built.  "on" always adjoins a unit (a
+    the same first witness and no hat built (off Q0.candidate_masks, the
+    pass the completion's law checks and residuals already read, from
+    algebra.MASKED_LAWS_MIN = 8 elements on).  "on" always adjoins a unit (a
     no-op for quantales that already have one) and "off" never does.
     """
     if unitalize_mode not in ("on", "off", "auto"):
@@ -107,7 +109,7 @@ def represent_pipeline(
     reason = None
     use_unit = unitalize_mode == "on" and not Q0.unital
     if unitalize_mode == "auto":
-        reason = Check("order-iff", order_reflection(Q0.leq, Q0.comp))
+        reason = Check("order-iff", order_reflection(Q0.leq, Q0.comp, Q0.candidate_masks))
         use_unit = not reason.passed
     Q = unitalize(Q0) if use_unit else Q0
     # unitalize lays out the (q, 0) copies first, so the embedding indices carry over

@@ -340,19 +340,44 @@ def test_infer_residuals_match_definition():
     assert {n for n, k in outcomes if k == 2} == {1, 2, 3, 4, 5}
 
 
-def test_infer_residuals_match_loops_on_large_quantales():
+# the loops that decide residuation, distributivity and order reflection
+# when the candidate masks do not show that the law holds
+MASKED_LAW_LOOPS = ("_residuation_rows", "distributivity", "_order_reflection_pairs")
+
+
+def count_calls(monkeypatch, names) -> dict:
+    """Wrap each algebra function named in names; name -> its call count."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, name=name, loop=getattr(algebra, name)):
+            calls[name] += 1
+            return loop(*args)
+
+        monkeypatch.setattr(algebra, name, counted)
+    return calls
+
+
+def test_infer_residuals_match_loops_on_large_quantales(monkeypatch):
     # the candidate sets of 16- to 50-element quantales read off one
     # transposition: the same tables, and after one cell of the composition
-    # is moved, the same first missing residual with the same candidates
+    # is moved, the same first missing residual with the same candidates.
+    # Residuation, the distributivity of join_semigroup_laws and order
+    # reflection read the same pass and agree with their scalar oracles; each
+    # is decided both by the masks alone and by its loop
     algebras = corpus.large_quantale_algebras() + [corpus.quantale_50_model()[0]]
+    quantales = [completion.build_quantale(A) for A in algebras]
+    loops = count_calls(monkeypatch, MASKED_LAW_LOOPS)
     sizes = []
     missing = 0
-    for A in algebras:
-        Q = completion.build_quantale(A)
+    cases = 0
+    for Q in quantales:
         sizes.append(Q.size)
-        assert (algebra.infer_residuals(Q.leq, Q.comp)
-                == corpus.infer_residuals_by_loops(Q.leq, Q.comp))
+        lres, rres = corpus.infer_residuals_by_loops(Q.leq, Q.comp)
+        assert algebra.infer_residuals(Q.leq, Q.comp) == (lres, rres)
         rng = random.Random(Q.size)
+        # the quantale, its lattice with the zero product (where the order is
+        # not reflected: a;q = b;q for all a, b) and one-cell mutations
+        comps = [Q.comp, ((Q.bottom,) * Q.size,) * Q.size]
         for _ in range(12):
             a, b, c = rng.randrange(Q.size), rng.randrange(Q.size), rng.randrange(Q.size)
             comp = tuple(row[:b] + (c,) + row[b + 1:] if i == a else row
@@ -360,8 +385,81 @@ def test_infer_residuals_match_loops_on_large_quantales():
             outcome = residual_outcome(algebra.infer_residuals, Q.leq, comp)
             assert outcome == residual_outcome(corpus.infer_residuals_by_loops, Q.leq, comp)
             missing += len(outcome) == 4
+            comps.append(comp)
+        for comp in comps:
+            masks = algebra.CandidateMasks(Q.leq, comp)
+            assert (algebra.residuation(Q.leq, comp, lres, rres, masks)
+                    == corpus.residuation_by_loops(Q.leq, comp, lres, rres))
+            laws = algebra.join_semigroup_laws(Q.leq, Q.sup, comp, masks)
+            assert (laws.condition("distributivity").witness
+                    == corpus.distributivity_by_loops(Q.sup, comp))
+            assert (algebra.order_reflection(Q.leq, comp, masks)
+                    == corpus.order_reflection_by_loops(Q.leq, comp))
+            cases += 1
     assert sizes == [16, 20, 32, 50]
+    assert min(sizes) >= algebra.MASKED_LAWS_MIN
     assert missing >= 12
+    # every law ran its loop on some tables and was read off the masks alone
+    # on others
+    assert all(0 < count < cases for count in loops.values()), loops
+
+
+def test_distributivity_lemma_needs_each_precondition(monkeypatch):
+    # above the crossover, tables whose candidate sets are principal lower
+    # cones but whose join is not a least upper bound, or whose order is not
+    # antisymmetric, and tables with an empty candidate set: the masks do not
+    # decide, the row loop does, and it agrees with the scalar oracle
+    Q = completion.build_quantale(corpus.large_quantale_algebras()[0])
+    n = Q.size
+    assert n >= algebra.MASKED_LAWS_MIN
+
+    # one join moved: (top v bottom) is bottom, and top;(top v bottom) is
+    # then top;bottom where top;top v top;bottom is top;top
+    top, bottom = Q.top, Q.bottom
+    assert Q.comp[top][top] != Q.comp[top][bottom]
+    broken_join = tuple(row[:bottom] + (bottom,) + row[bottom + 1:] if i == top else row
+                        for i, row in enumerate(Q.sup))
+
+    # a copy x' of x = top;top: x' lies above and below exactly what x does,
+    # products and joins read x' as x, and one product top;top is x'
+    x = Q.comp[top][top]
+    up = [row | (row >> x & 1) << n for row in Q.leq]
+    twin_leq = tuple(up + [up[x]])
+    twin = list(range(n)) + [x]
+    twin_comp = [[Q.comp[i][j] for j in twin] for i in twin]
+    twin_comp[top][top] = n
+    twin_comp = tuple(map(tuple, twin_comp))
+    twin_join = tuple(tuple(Q.sup[i][j] for j in twin) for i in twin)
+
+    # a chain of 8 with a;b = max(a, b, 1), which distributes over max
+    chain_leq = tuple(((1 << 8) - 1) >> i << i for i in range(8))
+    chain_comp = tuple(tuple(max(a, b, 1) for b in range(8)) for a in range(8))
+    chain_join = tuple(tuple(max(a, b) for b in range(8)) for a in range(8))
+
+    cases = [
+        ("join_lub", Q.leq, broken_join, Q.comp),
+        ("antisymmetry", twin_leq, twin_join, twin_comp),
+        ("principal", chain_leq, chain_join, chain_comp),
+    ]
+    outcomes = {}
+    for failing, leq, join, comp in cases:
+        masks = algebra.CandidateMasks(leq, comp)
+        held = {
+            "reflexivity": algebra.reflexivity(leq) is None,
+            "antisymmetry": algebra.antisymmetry(leq) is None,
+            "join_lub": algebra.join_lub(leq, join) is None,
+            "principal": algebra._principal_candidates(masks),
+        }
+        assert [law for law, holds in held.items() if not holds] == [failing]
+        loops = count_calls(monkeypatch, ["distributivity"])
+        check = algebra.join_semigroup_laws(leq, join, comp, masks).condition("distributivity")
+        assert loops == {"distributivity": 1}
+        assert check.witness == corpus.distributivity_by_loops(join, comp)
+        outcomes[failing] = check.passed
+        monkeypatch.undo()
+    # a;0 is never below 0 in the chain: its candidate set is empty
+    assert 0 in masks.read()[0][0][:-1]
+    assert outcomes == {"join_lub": False, "antisymmetry": False, "principal": True}
 
 
 def assert_laws_match_loops(leq, comp, join, lres, rres):
@@ -435,6 +533,23 @@ def test_laws_match_scalar_loops_on_mutated_quantales(tables):
     # a single changed cell of a law-abiding table: the row that holds it
     # mismatches late, after many rows that agree
     assert_laws_match_loops(*tables)
+
+
+@given(mutated_quantale_tables())
+@settings(max_examples=100)
+def test_masked_laws_match_scalar_loops_on_mutated_quantales(tables):
+    # the laws of one table read one candidate-mask pass: residuation, order
+    # reflection and the distributivity of join_semigroup_laws, with a cell
+    # of the order or of a table changed
+    leq, comp, join, lres, rres = tables
+    masks = algebra.CandidateMasks(leq, comp)
+    assert (algebra.residuation(leq, comp, lres, rres, masks)
+            == corpus.residuation_by_loops(leq, comp, lres, rres))
+    assert (algebra.join_semigroup_laws(leq, join, comp, masks).condition("distributivity").witness
+            == corpus.distributivity_by_loops(join, comp))
+    assert algebra.order_reflection(leq, comp, masks) == corpus.order_reflection_by_loops(leq, comp)
+    assert (residual_outcome(functools.partial(algebra.infer_residuals, masks=masks), leq, comp)
+            == residual_outcome(corpus.infer_residuals_by_loops, leq, comp))
 
 
 def test_enumerate_one_element():

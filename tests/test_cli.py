@@ -742,6 +742,11 @@ def test_text_carries_every_json_field(runner, tmp_path, c2_file, args):
         budget = NodeBudget()
         search_representation(parse_algebra(Path(args[1]).read_text()), int(args[3]), budget)
         assert payload["nodes"] == budget.used > 0
+    if args[:2] == ["lambek", "counter"]:
+        # the nodes the library's countermodel search spends on the same input
+        budget = NodeBudget()
+        lambek.countermodel_search(lambek.parse_sequent(args[2]), int(args[4]), budget=budget)
+        assert payload["nodes"] == budget.used > 0
     if args[0] == "represent":
         options = payload["options"]
         assert list(options) == ["unitalize"]

@@ -24,7 +24,7 @@ from resq.lambek import (
     parse_sequent,
     prove,
 )
-from resq.verifier import Exhausted
+from resq.verifier import Exhausted, NodeBudget
 
 # ten derivable and ten underivable sequents, each with at most 6 connectives
 DERIVABLE = [
@@ -491,6 +491,28 @@ def test_counter_node_spending_is_frozen(text, nodes):
     countermodel_search(s, max_base=2, node_budget=nodes)
     with pytest.raises(ResourceLimitError):
         countermodel_search(s, max_base=2, node_budget=nodes - 1)
+
+
+@pytest.mark.parametrize(
+    "text, nodes",
+    [("p*q |- q*p", 80), ("p |- p*(p\\p)", 38), ("p\\q, r |- p/q", 20)],
+)
+def test_counter_spends_a_given_budget(text, nodes):
+    # a NodeBudget handed in, as search_representation takes one, counts the
+    # frozen nodes, and its limit bounds the search as node_budget does
+    budget = NodeBudget()
+    countermodel_search(parse_sequent(text), max_base=2, budget=budget)
+    assert budget.used == nodes
+    short = NodeBudget(nodes - 1)
+    with pytest.raises(ResourceLimitError):
+        countermodel_search(parse_sequent(text), max_base=2, budget=short)
+    assert short.used == nodes
+
+
+def test_counter_takes_a_budget_or_a_node_budget_not_both():
+    with pytest.raises(ValueError, match="not both"):
+        countermodel_search(parse_sequent("p |- p"), max_base=2, node_budget=10,
+                            budget=NodeBudget(10))
 
 
 @pytest.mark.parametrize("budget, exhausted", [(1, 0), (10, 1), (38, 2)])

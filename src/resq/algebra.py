@@ -203,6 +203,14 @@ class CandidateMasks:
             self._read = rows, [row[-1] for row in rows]
         return self._read
 
+    def cones(self) -> list[int] | tuple[int, ...]:
+        """The lower cones, as read() gives them: off the pass when it has
+        been read, else off one transposition of the order alone
+        (relations.rel_converse), which costs less than the pass."""
+        if self._read is None:
+            return rel.rel_converse(self.leq)
+        return self._read[1]
+
 
 # The cubic laws below compare one whole row over the last index per step of
 # the first two, and run the scalar loop only on a row that mismatches, to
@@ -390,14 +398,6 @@ def _max_of(candidates: int, down: tuple[int, ...]) -> int | None:
             return i
         m ^= low
     return None
-
-
-def value_positions(values) -> dict[int, int]:
-    """Each value of the sequence mapped to the bitmask of its positions."""
-    out: dict[int, int] = {}
-    for i, v in enumerate(values):
-        out[v] = out.get(v, 0) | 1 << i
-    return out
 
 
 def infer_residuals(

@@ -3,12 +3,15 @@
 Subsets of the carrier are bitmask ints.  The closure operator m sends X to
 the lower bounds of its upper bounds; its fixpoints, ordered by inclusion,
 form a finite quantale under the closure of pairwise products, and the
-lower-cone map embeds the original algebra into it.
+lower-cone map embeds the original algebra into it.  The quantale's tables
+are read off that lattice with whole-row lookups rather than by closing a
+set per entry (build_quantale).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import Callable
 
 from .algebra import (
@@ -21,7 +24,7 @@ from .algebra import (
     residuation,
 )
 from .errors import EmbeddingViolation, NoResidualError, QuantaleLawError
-from .relations import inclusion_order, meet_rows, rel_converse
+from .relations import gather, inclusion_order, meet_rows, rel_converse, set_lanes
 
 
 @dataclass(frozen=True)
@@ -33,8 +36,9 @@ class Quantale:
     marker bit on top), and the order is exactly mask inclusion.  leq rows are
     bitmasks over quantale indices; comp and sup are index tables.
     candidate_masks is the candidate-mask pass of (leq, comp), built on its
-    first read and shared by check_quantale_laws, quantale_residuals and
-    the order reflection of relrep.represent_pipeline.
+    first read and shared by check_quantale_laws, quantale_residuals, the
+    order reflection of relrep.represent_pipeline and the cones of
+    relrep.hat.
     """
 
     labels: tuple[str, ...]
@@ -131,21 +135,6 @@ def closed_sets(A: FiniteResiduatedSemigroup, down) -> tuple[int, ...]:
     return tuple(sorted(family, key=_subset_sort_key(A.names)))
 
 
-def _pairwise_product(x_mask: int, y_mask: int, A: FiniteResiduatedSemigroup) -> int:
-    acc = 0
-    xs = x_mask
-    while xs:
-        xlow = xs & -xs
-        row = A.comp[xlow.bit_length() - 1]
-        ys = y_mask
-        while ys:
-            ylow = ys & -ys
-            acc |= 1 << row[ylow.bit_length() - 1]
-            ys ^= ylow
-        xs ^= xlow
-    return acc
-
-
 def _maximal(x_mask: int, leq) -> int:
     """The maximal elements of X: those whose up-set meets X only in themselves."""
     out = 0
@@ -158,27 +147,75 @@ def _maximal(x_mask: int, leq) -> int:
     return out
 
 
+def join_table(leq: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The join table of a finite lattice with order rows leq.
+
+    Bit y of leq[x] is set iff x <= y, so leq[x] is the up-set of x.  The
+    upper bounds of x and y are the elements above x v y, so
+    up(x v y) = up(x) & up(y), and by antisymmetry no other element has that
+    up-set: x v y is the element whose order row is leq[x] & leq[y].  Each
+    row of joins is one map through the dict from order rows to indices.
+    """
+    at = {row: i for i, row in enumerate(leq)}
+    return tuple(tuple(map(at.__getitem__, map(row.__and__, leq))) for row in leq)
+
+
+def join_rows(sup, u, v) -> list[int]:
+    """The elementwise join of the index rows u and v under the join table
+    sup: sup[u[i]][v[i]] for each i."""
+    return list(map(getitem, map(sup.__getitem__, u), v))
+
+
+def _join_over(sup, mask: int, rows, empty):
+    """The elementwise join of rows[i] over the bits i of mask; empty when
+    mask is empty."""
+    lanes = set_lanes(mask)
+    acc = next(lanes, None)
+    if acc is None:
+        return empty
+    acc = rows[acc]
+    for i in lanes:
+        acc = join_rows(sup, acc, rows[i])
+    return acc
+
+
 def build_quantale(A: FiniteResiduatedSemigroup) -> Quantale:
     """Quantale of closed sets: X;Y = m(pairwise products), sup = m(union).
 
-    Composition in a residuated semigroup is monotone, so every product x;y
-    of X;Y lies below a product of maximal elements of X and Y; those
-    products have the same upper bounds, hence the same closure, as all of
-    X;Y.
+    The closed sets ordered by inclusion are a lattice, so the joins are read
+    off its order rows (join_table).  The products are joins of lower cones:
+
+    * the upper bounds of a set S are those of the union of the lower cones
+      of its members, so m(S) = m(U {down(s) : s in S});
+    * each lower cone is closed, and the closure of a union of closed sets
+      is their join, so m(S) is the join of the cones down(s), s in S, and
+      the bottom m({}) when S is empty;
+    * composition in a residuated semigroup is monotone, and each member of
+      a finite set lies below a maximal one, so each product x;y of X;Y lies
+      below a product a;b of maximal elements a of X and b of Y, and down(x;y)
+      lies inside down(a;b).
+
+    Hence X;Y = V {down(a;b) : a maximal in X, b maximal in Y}, built in two
+    passes of elementwise row joins (join_rows): first, for each Y, the row
+    over a of the join of down(a;b) over the maximal b of Y; then row X of
+    the table joins, over the maximal a of X, row a of the transposition of
+    those rows.
     """
-    down = rel_converse(A.leq)  # the lower cones, for the closed sets and the closure map
+    down = rel_converse(A.leq)  # the lower cones, for the closed sets and the products
     elems = closed_sets(A, down)
     index = {mask: i for i, mask in enumerate(elems)}
     size = len(elems)
     leq = inclusion_order([(mask,) for mask in elems])
-    close = closure_map(A, down)
-    tops = [_maximal(x, A.leq) for x in elems]
-    comp = tuple(
-        tuple(index[close(_pairwise_product(x, y, A))] for y in tops) for x in tops
-    )
-    sup = tuple(tuple(map(index.__getitem__, map(close, map(x.__or__, elems)))) for x in elems)
-    bottom = index[close(0)]
+    sup = join_table(leq)
+    bottom = leq.index((1 << size) - 1)  # the one element whose up-set is everything
     top = index[(1 << A.n) - 1]
+    cone = tuple(map(index.__getitem__, down))
+    # cone_columns[b][a] is the index of down(a;b)
+    cone_columns = tuple(zip(*[gather(cone, row) for row in A.comp]))
+    tops = [_maximal(x, A.leq) for x in elems]
+    by_right = [_join_over(sup, t, cone_columns, (bottom,) * A.n) for t in tops]
+    by_left = tuple(zip(*by_right))  # by_left[a][j]: the join over maximal b of Y_j
+    comp = tuple(tuple(_join_over(sup, t, by_left, (bottom,) * size)) for t in tops)
     unit = None
     for e in range(size):
         if all(comp[e][x] == x and comp[x][e] == x for x in range(size)):

@@ -5,23 +5,49 @@ over the quantale carrier as a base.  Composing the lower-cone embedding with
 this hat map interprets the original algebra by relations over a finite base.
 Without a unit the hat map can conflate distinct elements, so an optional
 unitalization step freely adjoins one.
+
+Both are built from whole rows of the quantale's tables.  Row q of the
+converse of hat(a) is the lower cone of a;q, so the hats of all the embedded
+elements are one gather of lower cones per element and one transposition of
+the lot.  The unitalized joins are read off its order rows, the up-set of
+x v y being that of x meet that of y (completion.join_table), and each block
+of its product is a row of Q.comp joined elementwise with a constant or the
+identity row (completion.join_rows).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import relations as rel
-from .algebra import Check, FiniteResiduatedSemigroup, order_reflection, value_positions
-from .completion import Quantale, build_quantale, check_quantale_laws, embed
+from .algebra import Check, FiniteResiduatedSemigroup, order_reflection
+from .completion import (
+    Quantale,
+    build_quantale,
+    check_quantale_laws,
+    embed,
+    join_rows,
+    join_table,
+)
 from .errors import ParseError, quote
 from .relations import Interpretation, Relation
 
 
-def hat(Q: Quantale, a: int) -> Relation:
-    """The relation {(g, q) : g <= a;q} over the carrier of Q."""
-    positions = value_positions(Q.comp[a]).items()
-    return tuple(sum(qs for c, qs in positions if up >> c & 1) for up in Q.leq)
+def hat(Q: Quantale, elements) -> tuple[Relation, ...]:
+    """The relations {(g, q) : g <= a;q} over the carrier of Q, one for each
+    a of elements, in order.
+
+    Row q of the converse of hat(a) is {g : g <= a;q}, the lower cone of
+    a;q, so the converse is the lower cones gathered at row a of Q.comp.  The
+    converses of all the elements are stacked and transposed once
+    (relations.transpose).  The cones are read off Q.candidate_masks
+    (CandidateMasks.cones), the pass the law checks and residuals of Q have
+    read, or off the order when no check has read it.
+    """
+    cones = Q.candidate_masks.cones()
+    converses = [rel.gather(cones, Q.comp[a]) for a in elements]
+    return tuple(rel.unstack(rel.transpose(rel.stack(converses, Q.size))))
 
 
 def unitalize(Q: Quantale) -> Quantale:
@@ -30,6 +56,13 @@ def unitalize(Q: Quantale) -> Quantale:
     The carrier doubles to pairs (q, i) with i marking "join with the unit":
     order and joins are componentwise, the product is
     (p, i);(q, j) = (p;q v [j]p v [i]q, i&j) and the unit is (bottom, 1).
+    Pair (q, i) has index i * size + q, so the order row of (q, 0) is that of
+    q in both halves and the order row of (q, 1) is that of q in the upper
+    half, and the joins are read off the order rows (completion.join_table).
+    Row (p, i) of the product is four blocks, one per (i, j), each a whole-row
+    join (completion.join_rows) of row p of Q.comp with the constant row p
+    when j is set and with the identity row when i is set, shifted to the
+    upper half when both are.
     """
     if Q.unital:
         return Q
@@ -39,33 +72,20 @@ def unitalize(Q: Quantale) -> Quantale:
     labels = tuple(
         Q.labels[q] + ("+e" if i else "") for i in (0, 1) for q in range(size)
     )
-    total = 2 * size
-
-    def comp_pair(p: int, i: int, q: int, j: int) -> int:
-        base = Q.comp[p][q]
-        if j:
-            base = Q.sup[base][p]
-        if i:
-            base = Q.sup[base][q]
-        return (i & j) * size + base
-
-    comp = tuple(
-        tuple(comp_pair(x % size, x // size, y % size, y // size) for y in range(total))
-        for x in range(total)
-    )
-    sup = tuple(
-        tuple(
-            ((x // size) | (y // size)) * size + Q.sup[x % size][y % size]
-            for y in range(total)
-        )
-        for x in range(total)
-    )
+    leq = tuple(row | row << size for row in Q.leq) + tuple(row << size for row in Q.leq)
+    sup, identity = Q.sup, range(size)
+    lower, upper = [], []
+    for p, row in enumerate(Q.comp):
+        with_p = join_rows(sup, row, repeat(p))
+        lower.append(row + tuple(with_p))
+        upper.append(tuple(join_rows(sup, row, identity))
+                     + tuple(map(size.__add__, join_rows(sup, with_p, identity))))
     out = Quantale(
         labels=labels,
         masks=masks,
-        leq=rel.inclusion_order([(m,) for m in masks]),
-        comp=comp,
-        sup=sup,
+        leq=leq,
+        comp=tuple(lower + upper),
+        sup=join_table(leq),
         bottom=Q.bottom,
         top=size + Q.top,
         unit=size + Q.bottom,
@@ -116,7 +136,7 @@ def represent_pipeline(
     interp = Interpretation(
         names=A.names,
         base_labels=Q.labels,
-        relations=tuple(hat(Q, f[a]) for a in range(A.n)),
+        relations=hat(Q, f),
     )
     return RepresentResult(
         interpretation=interp,

@@ -165,6 +165,14 @@ def product_by_definition(x_mask: int, y_mask: int, A: FiniteResiduatedSemigroup
     )
 
 
+def hat_by_definition(Q, a: int) -> Relation:
+    """{(g, q) : g <= a;q} over the carrier of Q, in plain loops; oracle for
+    relrep.hat."""
+    return tuple(
+        sum(1 << q for q in range(Q.size) if Q.le(g, Q.comp[a][q])) for g in range(Q.size)
+    )
+
+
 def sup_by_fold(Q, indices) -> int:
     """The join of the indexed elements of Q, folding Q.sup from Q.bottom."""
     acc = Q.bottom

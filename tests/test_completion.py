@@ -5,6 +5,7 @@ from corpus import (
     closure_by_definition,
     large_quantale_algebras,
     product_by_definition,
+    quantale_50_model,
     sup_by_fold,
 )
 from resq import algebra, completion
@@ -116,8 +117,9 @@ def test_quantale_tables_match_closure_by_definition(corpus_all):
 
 
 def test_large_quantale_tables_match_closure_by_definition():
-    sizes = [_assert_tables_match_definition(A) for A in large_quantale_algebras()]
-    assert sizes == [16, 20, 32]
+    algebras = large_quantale_algebras() + [quantale_50_model()[0]]
+    sizes = [_assert_tables_match_definition(A) for A in algebras]
+    assert sizes == [16, 20, 32, 50]
 
 
 def test_nucleus_inequality(corpus_all):
@@ -126,7 +128,7 @@ def test_nucleus_inequality(corpus_all):
         Q = build_quantale(A)
         for i in range(Q.size):
             for j in range(Q.size):
-                raw = completion._pairwise_product(Q.masks[i], Q.masks[j], A)
+                raw = product_by_definition(Q.masks[i], Q.masks[j], A)
                 assert raw & ~Q.masks[Q.comp[i][j]] == 0
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from corpus import large_quantale_algebras, sup_by_fold
+from corpus import hat_by_definition, large_quantale_algebras, quantale_50_model, sup_by_fold
 from resq import algebra, relrep, verifier
 from resq import relations as rel
 from resq.completion import Quantale, build_quantale, embed
@@ -15,20 +15,19 @@ ONE = "elements: x\nleq: x<=x\ncomp: x;x=x\n"
 
 def test_hat_one_element():
     Q = build_quantale(algebra.parse_algebra(ONE))
-    assert hat(Q, 0) == (1,)  # the single pair (q, q)
+    assert hat(Q, [0]) == ((1,),)  # the single pair (q, q)
 
 
 def test_hat_c2_conflates_without_unit(c2):
     Q = build_quantale(c2)
     expected = rel.relation_from_pairs(2, [(0, 0), (0, 1)])
-    assert hat(Q, 0) == expected
-    assert hat(Q, 1) == expected
+    assert hat(Q, [0, 1]) == (expected, expected)
 
 
 def test_hat_monotone(corpus_all):
     for A in corpus_all[:40]:
         Q = build_quantale(A)
-        hats = [hat(Q, a) for a in range(Q.size)]
+        hats = hat(Q, range(Q.size))
         for a in range(Q.size):
             for b in range(Q.size):
                 if Q.le(a, b):
@@ -40,7 +39,7 @@ def test_hat_bottom_row_is_every_element(corpus_all):
     for A in corpus_all:
         for Q in (build_quantale(A), unitalize(build_quantale(A))):
             full = (1 << Q.size) - 1
-            assert all(hat(Q, a)[Q.bottom] == full for a in range(Q.size))
+            assert all(r[Q.bottom] == full for r in hat(Q, range(Q.size)))
 
 
 def test_unitalize_c2(c2):
@@ -73,6 +72,12 @@ def test_unitalize_embedding_preserves_structure(corpus_small):
                 assert U.le(p, q) == Q.le(p, q)
 
 
+def test_unitalize_order_is_mask_inclusion(corpus_all):
+    for A in corpus_all:
+        U = unitalize(build_quantale(A))
+        assert U.leq == rel.inclusion_order([(m,) for m in U.masks]), algebra.serialize(A)
+
+
 def test_unitalize_satisfies_quantale_laws(corpus_all):
     from resq.completion import check_quantale_laws
 
@@ -92,23 +97,50 @@ def test_every_element_is_the_join_of_the_elements_below_it(corpus_all):
 
 
 def hat_interpretation(Q):
-    return Interpretation(
-        names=Q.labels, base_labels=Q.labels, relations=tuple(hat(Q, a) for a in range(Q.size))
-    )
+    return Interpretation(names=Q.labels, base_labels=Q.labels, relations=hat(Q, range(Q.size)))
 
 
-def hat_by_definition(Q, a):
-    """{(g, q) : g <= a;q} over the carrier of Q."""
-    return tuple(
-        sum(1 << q for q in range(Q.size) if Q.le(g, Q.comp[a][q])) for g in range(Q.size)
-    )
+def _assert_hats_match_definition(Q):
+    expected = tuple(hat_by_definition(Q, a) for a in range(Q.size))
+    assert hat(Q, range(Q.size)) == expected
+    # any selection of the elements, in any order, repeats allowed
+    picked = [Q.size - 1, 0, Q.size - 1]
+    assert hat(Q, picked) == tuple(expected[a] for a in picked)
+    assert hat(Q, []) == ()
+
+
+def test_hats_match_definition(corpus_all):
+    for A in corpus_all:
+        Q = build_quantale(A)
+        _assert_hats_match_definition(Q)
+        _assert_hats_match_definition(unitalize(Q))
+
+
+def test_large_hats_match_definition():
+    for A in large_quantale_algebras():
+        Q = build_quantale(A)
+        _assert_hats_match_definition(Q)
+        _assert_hats_match_definition(unitalize(Q))
+    _, Q, _ = quantale_50_model()
+    assert Q.size == 50
+    _assert_hats_match_definition(Q)
+
+
+def test_hats_do_not_depend_on_a_read_candidate_mask_pass(corpus_small):
+    # the cones come off the pass once a check has read it, off the order before
+    for A in corpus_small[:40]:
+        Q = unitalize(build_quantale(A))
+        fresh = Quantale(Q.labels, Q.masks, Q.leq, Q.comp, Q.sup, Q.bottom, Q.top, Q.unit)
+        before = hat(fresh, range(fresh.size))
+        fresh.candidate_masks.read()
+        assert hat(fresh, range(fresh.size)) == before == hat(Q, range(Q.size))
 
 
 def test_auto_mode_unitalizes_exactly_when_plain_hats_fail_order(corpus_all):
     for A in corpus_all + large_quantale_algebras():
         Q0 = build_quantale(A)
         hats = tuple(hat_by_definition(Q0, a) for a in range(Q0.size))
-        assert tuple(hat(Q0, a) for a in range(Q0.size)) == hats
+        assert hat(Q0, range(Q0.size)) == hats
         interp = Interpretation(names=Q0.labels, base_labels=Q0.labels, relations=hats)
         order = verifier.check_representation(Q0, interp).condition("order-iff")
         result = represent_pipeline(A)

@@ -9,15 +9,15 @@ search assigns relations over growing bases with constraint propagation and
 base-point symmetry breaking, sweeping each branch's candidates a block at a
 time in bit-sliced form (relations.block_slices), for a batch of up to
 2**BLOCK_BITS // lanes surviving assignments of the branch before it at once,
-one run of the block each.  It charges the nodes of trying one candidate at
-a time in that walk's nested order, re-checks with the whole-relation
-kernels every surviving lane that walk reaches, and re-verifies anything it
-returns.
+one run of the block each.  Its nodes are those of trying one candidate at
+a time, and a budget raises exactly when that walk's count passes its limit,
+over the same base; the count a budget holds after it raises is not that
+walk's.  It re-checks with the whole-relation kernels every surviving lane
+that walk reaches, and re-verifies anything it returns.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -283,12 +283,17 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
     each survivor carries the nodes between it and the one before it, and a
     sweep spends nodes only while no later branch holds an assignment it has
     not swept, so what is spent always comes before the first assignment the
-    walk returns, and no lane past it is charged.  A charge that would pass
-    the limit is spent in the pieces the sweep of one assignment at a time
-    spent: the nodes up to each survivor and to the end of each run, those
-    carried from the branch before split in turn (_charge).  So a budget
-    that runs out raises where that sweep did, at most one block of one
-    branch past its limit, after at most a batch of work per branch.
+    walk returns, and no lane past it is charged.  Each charge is spent
+    whole, so what is spent is always a count the walk reaches before its
+    first assignment, and its count once the sweep ends: a budget raises
+    exactly when the walk's count passes its limit, after at most a batch of
+    work per branch, though budget.used is then past it by up to the charge.
+    No charge exceeds 2**BLOCK_BITS * (len(plan) + the branches): a block of
+    branch j has at most 2**BLOCK_BITS * (its steps + 1) nodes, a lane of
+    each mask each; what it charges and hands on over a batch is those and
+    what the batch's runs carry (a batch of many runs is the base's one
+    block), and the runs are survivors of one block of the branch before,
+    so by induction it is within the bound summed over the branches up to j.
     """
     operations = rel.OPERATIONS
     subset_mask, equal_mask = rel.subset_mask, rel.equal_mask
@@ -358,8 +363,8 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
     def sweep(j: int, parent, chunks):
         """The survivors of branch step j over the assignments of chunks,
         the survivors of branch step parent (None before the first branch):
-        one lazy chunk per block with survivors, of (codes, the charge of
-        the nodes since the survivor before)."""
+        one lazy chunk per block with survivors, of (codes, the nodes since
+        the survivor before)."""
         end = following[j]
         steps = steps_of[j]
         unknown = order[j]
@@ -391,17 +396,9 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
                     got = spread[u] = rel.spread_slices([codes[u] for codes, _ in batch], k)
             return got
 
-        def charge(start, stop) -> tuple:
-            """The nodes of the block between two points, each a run and the
-            count of mask bits up to a lane of it."""
-            amount = before[stop[0]] - before[start[0]] + stop[1] - start[1]
-            if start[0] == stop[0]:
-                return amount, None
-            return amount, functools.partial(_pieces, batch, masks, width, start, stop)
-
         def survivors(block, block_values):
             """The surviving lanes of the block, each with its codes and the
-            charge of the nodes since the last point."""
+            nodes since the one before."""
             nonlocal last
             counted = _counted_lanes(masks)
             while group := list(itertools.islice(counted, taken)):
@@ -415,16 +412,17 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
                     codes[unknown] = block * lanes + (position & (lanes - 1))
                     for c, column in zip(kept, columns):
                         codes[c] = column[index]
-                    yield tuple(codes), charge(last, (run, count))
-                    last = run, count
+                    point = before[run] + count
+                    yield tuple(codes), point - last
+                    last = point
 
         for chunk in chunks:
             while batch := list(itertools.islice(chunk, most)):
-                _charge(budget, batch[0][1])  # the nodes before the first run
+                budget.spend(batch[0][1])  # the nodes before the first run
                 runs = len(batch)
                 # the nodes before each run, past those of the first
                 before = list(itertools.accumulate(
-                    (nodes for _, (nodes, _) in batch[1:]), initial=0))
+                    (nodes for _, nodes in batch[1:]), initial=0))
                 full = rel.full_mask(k, runs)
                 spread: dict[int, tuple] = {}  # the values set before step j, run by run
                 checked = 0 if decoded is not None else runs  # runs re-checked
@@ -454,53 +452,25 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
                                                         operand(b, block_values))
                             mask &= equal_mask(full, got, operand(c, block_values))
                         masks.append(mask)
-                    last = (0, 0)  # the point charged or handed on last
+                    last = 0  # the nodes of the block charged or handed on
                     if mask:
                         yield survivors(block, block_values)
                     check_runs(runs)
-                    _charge(budget, charge(last, (runs - 1, sum(m.bit_count() for m in masks))))
+                    budget.spend(before[-1] + sum(m.bit_count() for m in masks) - last)
 
     budget.spend()  # the first step, a branch: nothing is forced before it
     # one assignment, of nothing
-    chunks = iter([iter([((None,) * len(plan), (0, None))])])
+    chunks = iter([iter([((None,) * len(plan), 0)])])
     parent = None  # the branch step whose survivors the next branch takes
     for j, (_, forced, _, _) in enumerate(plan):
         if forced is None:
             chunks = sweep(j, parent, chunks)
             parent = j
     for chunk in chunks:
-        for codes, charge in chunk:
-            _charge(budget, charge)
+        for codes, nodes in chunk:
+            budget.spend(nodes)
             return () if parent is None else tuple(recheck(parent, codes, order[:parent + 1]))
     return None
-
-
-def _charge(budget: NodeBudget, charge) -> None:
-    """Spend a charge, (nodes, pieces): at once when the nodes stay within
-    the limit or pieces is None, else each charge pieces() gives in turn,
-    down to the amounts the sweep of one assignment at a time spent."""
-    amount, pieces = charge
-    if pieces is not None and budget.used + amount > budget.limit:
-        for piece in pieces():
-            _charge(budget, piece)
-    else:
-        budget.spend(amount)
-
-
-def _pieces(batch, masks, width: int, start, stop):
-    """The charges of a swept block of a batch between two points, each a
-    run and the count of mask bits up to a lane of it, in the order of the
-    walk: the rest of each run, and the charge carried before the next
-    run, as the batch's assignment of that run holds it."""
-    first_run, count = start
-    last_run, last_count = stop
-    for run in range(first_run, last_run):
-        upto = (1 << ((run + 1) << width)) - 1
-        run_end = sum((m & upto).bit_count() for m in masks)
-        yield run_end - count, None
-        yield batch[run + 1][1]
-        count = run_end
-    yield last_count - count, None
 
 
 def _counted_lanes(masks):

@@ -887,12 +887,19 @@ def test_mismatched_residual_block_is_not_residuated(runner, tmp_path, command):
          "node budget exhausted while searching base 1; bases exhausted: none (limit 4)"),
         (["search", "ALGEBRA", "--max-base", "3", "--node-budget", "40"],
          "node budget exhausted while searching base 3; bases exhausted: 1, 2 (limit 40)"),
+        # one node short of the 158 that exhaust bases 1..3
+        (["search", "ALGEBRA", "--max-base", "3", "--node-budget", "157"],
+         "node budget exhausted while searching base 3; bases exhausted: 1, 2 (limit 157)"),
         (["pointalg", "--max-base", "3", "--node-budget", "50"],
          "node budget exhausted while searching base 2; bases exhausted: 1 (limit 50)"),
+        # one node short of the 12 188 that find {<,>}'s base-3 model
+        (["pointalg", "--max-base", "3", "--node-budget", "12187"],
+         "node budget exhausted while searching base 3; bases exhausted: 1, 2 (limit 12187)"),
         (["lambek", "counter", "p |- p*(p\\p)", "--max-base", "3", "--node-budget", "30"],
          "node budget exhausted while searching base 2; bases exhausted: 1 (limit 30)"),
     ],
-    ids=["search-base-1", "search-base-3", "pointalg-base-2", "lambek-counter-base-2"],
+    ids=["search-base-1", "search-base-3", "search-one-short", "pointalg-base-2",
+         "pointalg-one-short", "lambek-counter-base-2"],
 )
 def test_budget_error_says_how_far_the_search_got(runner, c2_file, args, line):
     result = runner.invoke(main, [c2_file if a == "ALGEBRA" else a for a in args],

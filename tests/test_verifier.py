@@ -265,23 +265,30 @@ def test_plan_is_the_one_read_off_its_definition(constraints):
     assert plan_search(*constraints) == plan_search_by_scan(*constraints)
 
 
-@given(constraint_lists(OPERATIONS, max_unknowns=4), st.integers(1, 3))
+def block_per_branch(plan: tuple) -> int:
+    """The most a charge of run_plan can hold, and so the most a budget that
+    runs out can pass its limit by: one block's nodes per branch, a node per
+    lane of each of its masks."""
+    branches = sum(forced is None for _, forced, _, _ in plan)
+    return (1 << rel.BLOCK_BITS) * (len(plan) + branches)
+
+
+@given(constraint_lists(OPERATIONS, max_unknowns=4), st.integers(1, 3), st.integers(0, 20_000))
 @settings(max_examples=150, deadline=None)
-def test_sweep_spends_the_nodes_of_the_scalar_walk(constraints, k):
+def test_sweep_spends_the_nodes_of_the_scalar_walk(constraints, k, limit):
     # the sliced sweep against one candidate at a time: the same first
     # assignment, node for node, and a budget error exactly where the
     # scalar walk raises one
     n, equations, inclusions = constraints
     plan = plan_search(n, equations, inclusions)
-    limit = 20_000
     scalar, sliced = NodeBudget(limit), NodeBudget(limit)
     try:
         expected = scalar_run_plan(plan, k, scalar)
     except ResourceLimitError:
         with pytest.raises(ResourceLimitError):
             run_plan(plan, k, sliced)
-        # the overshoot is within one block: a node per candidate and per step
-        assert sliced.used - limit <= (1 << k * k) * (len(plan) + 1)
+        # a charge is spent whole, so the overshoot is within one block a branch
+        assert 0 < sliced.used - limit <= block_per_branch(plan)
         return
     assert run_plan(plan, k, sliced) == expected
     assert sliced.used == scalar.used
@@ -311,8 +318,14 @@ def fixed_plan(label: str) -> tuple:
 def test_batched_sweep_spends_the_nodes_of_the_scalar_walk_on_fixed_plans(label, k):
     plan = fixed_plan(label)
     scalar, batched = NodeBudget(10**8), NodeBudget(10**8)
-    assert run_plan(plan, k, batched) == scalar_run_plan(plan, k, scalar)
+    expected = scalar_run_plan(plan, k, scalar)
+    assert run_plan(plan, k, batched) == expected
     assert batched.used == scalar.used
+    # the walk's count is the exact threshold: as a limit it completes, one
+    # less raises
+    assert run_plan(plan, k, NodeBudget(scalar.used)) == expected
+    with pytest.raises(ResourceLimitError):
+        run_plan(plan, k, NodeBudget(scalar.used - 1))
 
 
 @pytest.mark.parametrize("sequent, k", [
@@ -324,8 +337,10 @@ def test_batched_sweep_spends_the_nodes_of_the_scalar_walk_on_fixed_plans(label,
     # batches of the second, whose charges span runs of the second's block
     ("p\\q, q\\r |- p\\r", 2),
 ])
-def test_budget_that_runs_out_inside_a_batch_raises_within_one_block(sequent, k):
-    # a limit halfway through base k runs out between two runs of a batch
+def test_budget_that_runs_out_inside_a_batch_raises_with_the_scalar_walk(sequent, k):
+    # a limit halfway through base k runs out between two runs of a batch:
+    # the search raises over base k, as the scalar walk does, past the limit
+    # by at most one block a branch
     plan = sequent_plan(sequent)
     atoms = lambek.sequent_atoms(lambek.parse_sequent(sequent))
     below, up_to = NodeBudget(10**8), NodeBudget(10**8)
@@ -336,17 +351,17 @@ def test_budget_that_runs_out_inside_a_batch_raises_within_one_block(sequent, k)
     with pytest.raises(ResourceLimitError) as err:
         first_model(plan, atoms, k, budget)
     assert err.value.bases_exhausted == k - 1
-    assert 0 < budget.used - limit <= (1 << k * k) * (len(plan) + 1)
+    assert 0 < budget.used - limit <= block_per_branch(plan)
     with pytest.raises(ResourceLimitError):
         scalar_run_plan(plan, k, NodeBudget(limit - below.used))
 
 
 @pytest.mark.parametrize("sequent", ["p*q, q*r |- p*r", "(p/q)*q, (q/r)*r |- r*p"])
-def test_budget_that_runs_out_before_a_deep_model_raises_within_one_block(sequent):
+def test_budget_that_runs_out_before_a_deep_model_raises_with_the_scalar_walk(sequent):
     # three branches at base 2, the first model under a survivor of the
     # second that carries the nodes of many runs of its batch: a limit short
-    # of the model's nodes raises within one block, the carried nodes spent
-    # run by run
+    # of the model's nodes raises, as the scalar walk does, past the limit
+    # by at most one block a branch, the carried nodes spent whole
     plan = sequent_plan(sequent)
     found = NodeBudget(10**8)
     assert run_plan(plan, 2, found) is not None
@@ -354,7 +369,9 @@ def test_budget_that_runs_out_before_a_deep_model_raises_within_one_block(sequen
         budget = NodeBudget(limit)
         with pytest.raises(ResourceLimitError):
             run_plan(plan, 2, budget)
-        assert budget.used - limit <= (1 << 2 * 2) * (len(plan) + 1)
+        assert 0 < budget.used - limit <= block_per_branch(plan)
+        with pytest.raises(ResourceLimitError):
+            scalar_run_plan(plan, 2, NodeBudget(limit))
 
 
 @pytest.mark.parametrize("sequent, max_base, operation, flip, lane", [
@@ -636,6 +653,13 @@ def test_search_node_spending_is_frozen(c2):
     budget = verifier.NodeBudget(10**6)
     assert search_representation(S, 3, budget=budget).base_size == 3
     assert budget.used == 12188
+    # each count is the exact threshold: as a limit it completes, one less
+    # raises over the last base
+    for struct, max_base, nodes in [(c2, 3, 158), (c2, 4, 3361), (S, 3, 12188)]:
+        search_representation(struct, max_base, budget=NodeBudget(nodes))
+        with pytest.raises(ResourceLimitError) as err:
+            search_representation(struct, max_base, budget=NodeBudget(nodes - 1))
+        assert err.value.bases_exhausted == max_base - 1
 
 
 @pytest.mark.parametrize("budget, exhausted", [(1, 0), (5, 1), (40, 2)])
@@ -645,18 +669,6 @@ def test_budget_error_counts_the_bases_exhausted(c2, budget, exhausted):
         search_representation(c2, 3, budget=NodeBudget(budget))
     assert err.value.bases_exhausted == exhausted
     assert f"while searching base {exhausted + 1};" in str(err.value)
-
-
-def test_a_charge_past_the_limit_is_spent_piece_by_piece():
-    # a charge's pieces are taken only when its nodes would pass the limit,
-    # and spent in turn, a piece that would pass it split again, until one
-    # that cannot be split passes it
-    budget = NodeBudget(10)
-    verifier._charge(budget, (4, lambda: pytest.fail("a charge within the limit was split")))
-    nested = (5, lambda: iter([(2, None), (3, None)]))
-    with pytest.raises(ResourceLimitError):
-        verifier._charge(budget, (12, lambda: iter([(3, None), nested, (4, None)])))
-    assert budget.used == 4 + 3 + 2 + 3
 
 
 def test_budget_error_outside_a_search_counts_no_bases():

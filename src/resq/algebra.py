@@ -222,12 +222,16 @@ class CandidateMasks:
 # the pairs of rows x and y in the order.  From MASKED_LAWS_MIN = 8 elements on,
 # residuation, order reflection and the distributivity of
 # join_semigroup_laws are first read off the candidate masks
-# (CandidateMasks) in O(n^2) steps; their row loops then run only when that
-# reading does not show the law holds, to decide it and name the first
-# witness, so the witnesses do not depend on the path.  Monotonicity keeps
-# its scalar loop: it runs only on the small tables that validate and
-# enumerate_algebras read, where the set-up of a row form costs more than it
-# saves.
+# (CandidateMasks) in O(n^2) steps.  In join_semigroup_laws, associativity
+# is first decided over the join-irreducibles G (join_irreducibles) in
+# |G|^2 row steps over G, at every size, once the order laws, join_lub and
+# distributivity hold and G is not every element: every element is then a
+# join of members of G, and a product of joins is the join of the products.
+# Each row loop then runs only when that reading does not show the law
+# holds, to decide it and name the first witness, so the witnesses do not
+# depend on the path.  Monotonicity keeps its scalar loop: it runs only on
+# the small tables that validate and enumerate_algebras read, where the
+# set-up of a row form costs more than it saves.
 
 
 def associativity(comp) -> tuple[int, int, int] | None:
@@ -248,6 +252,39 @@ def associativity(comp) -> tuple[int, int, int] | None:
                     if x != row[comp_b[c]]:
                         return (a, b, c)
     return None
+
+
+def join_irreducibles(leq: tuple[int, ...]) -> tuple[int, ...]:
+    """G: the elements that are not the least upper bound of the elements
+    strictly below them, ascending; in a lattice, the join-irreducibles and
+    the bottom.  x is that bound exactly when the upper bounds of those
+    elements, the AND of their order rows, are the elements above x, its own
+    row; with none below x the AND stays all ones (-1), which no row is.
+    Each order row is ANDed into the rows of the elements strictly above it,
+    at most n^2 steps."""
+    bounds = [-1] * len(leq)
+    for y, up in enumerate(leq):
+        above = up & ~(1 << y)
+        while above:
+            low = above & -above
+            bounds[low.bit_length() - 1] &= up
+            above ^= low
+    return tuple([x for x, (up, common) in enumerate(zip(leq, bounds)) if common != up])
+
+
+def _associative_on(comp, G: tuple[int, ...]) -> bool:
+    """Whether (a;b);c = a;(b;c) for all a, b and c of G: row a;b of comp
+    read at G against row a read at row b read at G, one step per (a, b).
+    Both sides are itemgetters over |G| indices, so on one index both are
+    bare items."""
+    at_g = itemgetter(*G)
+    right_of = [(b, itemgetter(*map(comp[b].__getitem__, G))) for b in G]
+    for a in G:
+        row = comp[a]
+        for b, right in right_of:
+            if at_g(comp[row[b]]) != right(row):
+                return False
+    return True
 
 
 def monotonicity(leq: tuple[int, ...], comp) -> tuple[int, int, int] | None:
@@ -463,15 +500,39 @@ def join_semigroup_laws(leq: tuple[int, ...], join, comp,
     below the other, and they are equal by antisymmetry.  (b v b');a is the
     mirror case, with {a : a;b <= c}.  The row loop (distributivity) decides
     otherwise, and on smaller tables.
+
+    At every size, associativity holds without its row loop when the order
+    laws, join_lub and distributivity hold and (a;b);c = a;(b;c) for all a, b
+    and c of G = join_irreducibles(leq).  Proof: first, every x is the join
+    of the non-empty set G(x) of the members of G below x, by induction on
+    the size of the lower cone of x.  If x is in G, G(x) holds x, and x is its
+    largest member.  Otherwise x is the least upper bound of the non-empty set
+    S of elements strictly below x, each of which has a smaller cone
+    (transitivity, antisymmetry), so is the join of its own G(s), a subset of
+    G(x) (transitivity).  An upper bound of G(x) is then one of every such
+    G(s), so of every s, so lies above x; and x lies above G(x).  So x is the
+    least upper bound of G(x), and the iterated binary joins of a non-empty
+    set are its least upper bound (join_lub).  Second, distributivity over
+    binary joins on both sides gives it over non-empty finite joins by
+    induction.  So with x, y and z the joins of G(x), G(y) and G(z),
+    (x;y);z and x;(y;z) are the joins of (a;b);c and of a;(b;c) over a in
+    G(x), b in G(y) and c in G(z), which are the same elements.  The row loop
+    (associativity) decides when a precondition or the check over G fails,
+    and when G is every element, as in a chain, where it is that check.
     """
     reflexive, antisymmetric, transitive = order_checks(leq)
     lub = Check("join_lub", join_lub(leq, join))
     distributes = (len(leq) >= MASKED_LAWS_MIN and reflexive.passed and antisymmetric.passed
                    and lub.passed and _principal_candidates(masks or CandidateMasks(leq, comp)))
+    distributivity_witness = None if distributes else distributivity(join, comp)
+    preconditions = (reflexive.passed and antisymmetric.passed and transitive.passed
+                     and lub.passed and distributivity_witness is None)
+    G = join_irreducibles(leq) if preconditions else ()
+    associative = 0 < len(G) < len(leq) and _associative_on(comp, G)
     return Report((
         reflexive, antisymmetric, transitive, lub,
-        Check("associativity", associativity(comp)),
-        Check("distributivity", None if distributes else distributivity(join, comp)),
+        Check("associativity", None if associative else associativity(comp)),
+        Check("distributivity", distributivity_witness),
     ))
 
 

@@ -244,7 +244,9 @@ def check_quantale_laws(Q: Quantale) -> None:
     absorption is distributivity over every join in a finite lattice.  From
     algebra.MASKED_LAWS_MIN = 8 elements on, distributivity is read off
     Q.candidate_masks (algebra.join_semigroup_laws), the pass that
-    quantale_residuals and relrep's order reflection then reuse.
+    quantale_residuals and relrep's order reflection then reuse; at every
+    size, associativity is checked over the join-irreducibles of the
+    lattice alone once distributivity holds.
     """
     bottom, top, comp, e = Q.bottom, Q.top, Q.comp, Q.unit
     checks = join_semigroup_laws(Q.leq, Q.sup, comp, Q.candidate_masks).conditions + tuple(

@@ -324,10 +324,12 @@ class Stack(tuple):
     columns = property(operator.itemgetter(3))
 
 
+@lru_cache(maxsize=None)
 def field_bits(n: int) -> int:
     """The width of a field of a stack over n points: the least power of two
     of at least n bits and at least 8, a native int up to base 64, as the
-    transposition needs."""
+    transposition needs.  Cached, as every Operation.apply asks for it: one
+    entry per base size met."""
     return max(8, 1 << (n - 1).bit_length())
 
 
@@ -691,13 +693,14 @@ def _rres_rows(keys, s: Stack) -> list[int]:
     points costs two ORs."""
     _, count, width = s[:3]
     columns = transpose(s).rows
-    n = len(columns)
-    full = field_ones(count, width) * ((1 << n) - 1)
-    below = [0] * (n + 1)
-    above = [0] * (n + 1)
-    for y in range(n):
-        below[y + 1] = below[y] | columns[y]
-        above[n - 1 - y] = above[n - y] | columns[n - 1 - y]
+    full = field_ones(count, width) * ((1 << len(columns)) - 1)
+    below = [acc := 0]
+    for column in columns:
+        below.append(acc := acc | column)
+    above = [acc := 0]
+    for column in reversed(columns):
+        above.append(acc := acc | column)
+    above.reverse()
     out = []
     for key in keys:
         if not key:

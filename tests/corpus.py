@@ -63,6 +63,15 @@ def associativity_by_loops(comp) -> tuple[int, int, int] | None:
     return None
 
 
+def join_irreducibles_by_definition(leq, join) -> tuple[int, ...]:
+    """The x that no two elements strictly below x join to, ascending;
+    oracle for algebra.join_irreducibles on a lattice."""
+    n = len(leq)
+    below = [[y for y in range(n) if y != x and leq[y] >> x & 1] for x in range(n)]
+    return tuple(x for x in range(n)
+                 if all(join[y][z] != x for y in below[x] for z in below[x]))
+
+
 def residuation_by_loops(leq, comp, lres, rres) -> tuple[int, int, int] | None:
     n = len(leq)
     for a in range(n):

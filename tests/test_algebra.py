@@ -363,10 +363,12 @@ def test_infer_residuals_match_loops_on_large_quantales(monkeypatch):
     # is moved, the same first missing residual with the same candidates.
     # Residuation, the distributivity of join_semigroup_laws and order
     # reflection read the same pass and agree with their scalar oracles; each
-    # is decided both by the masks alone and by its loop
+    # is decided both by the masks alone and by its loop.  The associativity
+    # of join_semigroup_laws agrees with its oracle too, decided over the
+    # join-irreducibles alone on some tables and by its loop on others
     algebras = corpus.large_quantale_algebras() + [corpus.quantale_50_model()[0]]
     quantales = [completion.build_quantale(A) for A in algebras]
-    loops = count_calls(monkeypatch, MASKED_LAW_LOOPS)
+    loops = count_calls(monkeypatch, MASKED_LAW_LOOPS + ("associativity",))
     sizes = []
     missing = 0
     cases = 0
@@ -393,14 +395,16 @@ def test_infer_residuals_match_loops_on_large_quantales(monkeypatch):
             laws = algebra.join_semigroup_laws(Q.leq, Q.sup, comp, masks)
             assert (laws.condition("distributivity").witness
                     == corpus.distributivity_by_loops(Q.sup, comp))
+            assert laws.condition("associativity").witness == corpus.associativity_by_loops(comp)
             assert (algebra.order_reflection(Q.leq, comp, masks)
                     == corpus.order_reflection_by_loops(Q.leq, comp))
             cases += 1
     assert sizes == [16, 20, 32, 50]
     assert min(sizes) >= algebra.MASKED_LAWS_MIN
     assert missing >= 12
-    # every law ran its loop on some tables and was read off the masks alone
-    # on others
+    assert cases == 56
+    # every law ran its loop on some tables and was read off the masks (or
+    # the join-irreducibles) alone on others
     assert all(0 < count < cases for count in loops.values()), loops
 
 
@@ -460,6 +464,44 @@ def test_distributivity_lemma_needs_each_precondition(monkeypatch):
     # a;0 is never below 0 in the chain: its candidate set is empty
     assert 0 in masks.read()[0][0][:-1]
     assert outcomes == {"join_lub": False, "antisymmetry": False, "principal": True}
+
+
+def test_associativity_lemma_needs_distributivity(monkeypatch):
+    # the lattice 0 < a, b < t with t;t = a, t;a = b and every other product
+    # 0: the products of the join-irreducibles 0, a and b are all 0, so
+    # associativity holds over them, but t;(a v b) = a is not t;a v t;b = b
+    # and (t;t);t = 0 is not t;(t;t) = b.  Without distributivity the check
+    # over the join-irreducibles shows nothing, and the loop decides
+    zero, a, b, t = range(4)
+    leq = (0b1111, 0b1010, 0b1100, 0b1000)
+    join = ((zero, a, b, t), (a, a, t, t), (b, t, b, t), (t, t, t, t))
+    comp = ((zero,) * 4, (zero,) * 4, (zero,) * 4, (zero, b, zero, a))
+    assert algebra.join_irreducibles(leq) == (zero, a, b)
+    assert algebra._associative_on(comp, (zero, a, b))
+    loops = count_calls(monkeypatch, ["associativity"])
+    laws = algebra.join_semigroup_laws(leq, join, comp)
+    assert loops == {"associativity": 1}
+    assert [check.name for check in laws.failures] == ["associativity", "distributivity"]
+    assert laws.condition("associativity").witness == (t, t, t) == corpus.associativity_by_loops(comp)
+    assert (laws.condition("distributivity").witness == (a, a, b)
+            == corpus.distributivity_by_loops(join, comp))
+
+
+def test_join_irreducibles_match_definition(corpus_all):
+    # the library's G is the oracle's on every corpus quantale and on the
+    # large ones, the bottom included, and every element is the join of the
+    # members of G below it
+    quantales = [completion.build_quantale(A) for A in corpus_all]
+    large = [completion.build_quantale(A) for A in corpus.large_quantale_algebras()]
+    large.append(corpus.quantale_50_model()[1])
+    for Q in quantales + large:
+        G = algebra.join_irreducibles(Q.leq)
+        assert G == corpus.join_irreducibles_by_definition(Q.leq, Q.sup)
+        assert Q.bottom in G
+        for x in range(Q.size):
+            assert corpus.sup_by_fold(Q, [g for g in G if Q.le(g, x)]) == x
+    assert [(len(algebra.join_irreducibles(Q.leq)), Q.size) for Q in large] == [
+        (5, 16), (10, 20), (6, 32), (10, 50)]
 
 
 def assert_laws_match_loops(leq, comp, join, lres, rres):
@@ -545,8 +587,9 @@ def test_masked_laws_match_scalar_loops_on_mutated_quantales(tables):
     masks = algebra.CandidateMasks(leq, comp)
     assert (algebra.residuation(leq, comp, lres, rres, masks)
             == corpus.residuation_by_loops(leq, comp, lres, rres))
-    assert (algebra.join_semigroup_laws(leq, join, comp, masks).condition("distributivity").witness
-            == corpus.distributivity_by_loops(join, comp))
+    laws = algebra.join_semigroup_laws(leq, join, comp, masks)
+    assert laws.condition("distributivity").witness == corpus.distributivity_by_loops(join, comp)
+    assert laws.condition("associativity").witness == corpus.associativity_by_loops(comp)
     assert algebra.order_reflection(leq, comp, masks) == corpus.order_reflection_by_loops(leq, comp)
     assert (residual_outcome(functools.partial(algebra.infer_residuals, masks=masks), leq, comp)
             == residual_outcome(corpus.infer_residuals_by_loops, leq, comp))

@@ -31,11 +31,6 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
 
 ENUMERATION_CAP = 3
 
-# the fewest elements on which residuation, distributivity and order
-# reflection are read off the candidate masks (CandidateMasks) first; below,
-# their loops alone are cheaper than building and reading the masks
-MASKED_LAWS_MIN = 8
-
 
 @dataclass(frozen=True)
 class FiniteResiduatedSemigroup:
@@ -178,9 +173,9 @@ class CandidateMasks:
     one per b, and the order itself: row c of their converses is row c of
     the pass.  infer_residuals takes each residual's maximum from them, and
     residuation, the distributivity of join_semigroup_laws and order
-    reflection read them from MASKED_LAWS_MIN elements on, so a caller that
-    checks several laws of one table hands each the same instance and pays
-    for one pass.
+    reflection read them first, at every size, so a caller that checks
+    several laws of one table hands each the same instance and pays for one
+    pass.
     """
 
     __slots__ = ("leq", "comp", "_read")
@@ -219,19 +214,18 @@ class CandidateMasks:
 # indices of another row; with a single index an itemgetter returns the bare
 # item, so on one element every row mismatches and the scalar loop decides.
 # Order reflection asks whether x;q <= y;q for every q as one containment of
-# the pairs of rows x and y in the order.  From MASKED_LAWS_MIN = 8 elements on,
-# residuation, order reflection and the distributivity of
-# join_semigroup_laws are first read off the candidate masks
-# (CandidateMasks) in O(n^2) steps.  In join_semigroup_laws, associativity
-# is first decided over the join-irreducibles G (join_irreducibles) in
-# |G|^2 row steps over G, at every size, once the order laws, join_lub and
-# distributivity hold and G is not every element: every element is then a
-# join of members of G, and a product of joins is the join of the products.
-# Each row loop then runs only when that reading does not show the law
-# holds, to decide it and name the first witness, so the witnesses do not
-# depend on the path.  Monotonicity keeps its scalar loop: it runs only on
-# the small tables that validate and enumerate_algebras read, where the
-# set-up of a row form costs more than it saves.
+# the pairs of rows x and y in the order.  At every size, residuation,
+# order reflection and the distributivity of join_semigroup_laws are first
+# read off the candidate masks (CandidateMasks) in O(n^2) steps, and in
+# join_semigroup_laws associativity is first decided over the
+# join-irreducibles G (join_irreducibles) in |G|^2 row steps over G, once
+# the order laws, join_lub and distributivity hold and G is not every
+# element: every element is then a join of members of G, and a product of
+# joins is the join of the products.  Each row loop then runs only when that
+# reading does not show the law holds, to decide it and name the first
+# witness, so the witnesses do not depend on the path.  Monotonicity has one
+# path, its scalar loop: it runs only on the small tables that validate and
+# enumerate_algebras read.
 
 
 def associativity(comp) -> tuple[int, int, int] | None:
@@ -306,14 +300,12 @@ def residuation(leq: tuple[int, ...], comp, lres, rres,
                 masks: CandidateMasks | None = None) -> tuple[int, int, int] | None:
     """Some a, b, c where b <= a\\c, a;b <= c and a <= c/b do not all agree.
 
-    From MASKED_LAWS_MIN elements on, the law is read first off the candidate
-    masks of (leq, comp), masks or a pass built here.  It holds exactly when
-    every candidate set of a\\c and of c/b is the lower cone of that residual,
-    since b <= a\\c says that b lies in the cone of a\\c and a <= c/b that a
-    lies in the cone of c/b.  The rows (_residuation_rows) decide otherwise,
-    and on smaller tables."""
-    if len(leq) >= MASKED_LAWS_MIN and _residual_cones(masks or CandidateMasks(leq, comp),
-                                                        lres, rres):
+    The law is read first off the candidate masks of (leq, comp), masks or a
+    pass built here.  It holds exactly when every candidate set of a\\c and
+    of c/b is the lower cone of that residual, since b <= a\\c says that b
+    lies in the cone of a\\c and a <= c/b that a lies in the cone of c/b.
+    The rows (_residuation_rows) decide otherwise, and name the witness."""
+    if _residual_cones(masks or CandidateMasks(leq, comp), lres, rres):
         return None
     return _residuation_rows(leq, comp, lres, rres)
 
@@ -397,20 +389,17 @@ def order_reflection(leq: tuple[int, ...], comp,
     In a quantale join-generated by G this is exactly where the relations
     {(g, q) : g in G, g <= a;q} fail to reflect the order.
 
-    From MASKED_LAWS_MIN elements on, the law is read first off the candidate
-    masks of (leq, comp), masks or a pass built here: the a with a;q <= b;q
-    for every q are the AND over q of the candidate sets of (b;q)/q, and the
-    law holds exactly when that AND lies in the lower cone of b for every b.
-    The pairs of rows (_order_reflection_pairs) decide otherwise, and on
-    smaller tables.
+    The law is read first off the candidate masks of (leq, comp), masks or a
+    pass built here: the a with a;q <= b;q for every q are the AND over q of
+    the candidate sets of (b;q)/q, and the law holds exactly when that AND
+    lies in the lower cone of b for every b.  The pairs of rows
+    (_order_reflection_pairs) decide otherwise, and name the witness.
     """
-    n = len(leq)
-    if n >= MASKED_LAWS_MIN:
-        rows, down = (masks or CandidateMasks(leq, comp)).read()
-        right = range(n, 2 * n)
-        if not any(reduce(and_, map(getitem, rel.gather(rows, comp_b), right)) & ~cone
-                   for comp_b, cone in zip(comp, down)):
-            return None
+    rows, down = (masks or CandidateMasks(leq, comp)).read()
+    right = range(len(leq), 2 * len(leq))
+    if not any(reduce(and_, map(getitem, rel.gather(rows, comp_b), right)) & ~cone
+               for comp_b, cone in zip(comp, down)):
+        return None
     return _order_reflection_pairs(leq, comp)
 
 
@@ -449,10 +438,9 @@ def infer_residuals(
     when a candidate set is empty or has no maximum.  Every candidate set and
     lower cone is read off the candidate masks of (leq, comp), masks or a
     pass built here (CandidateMasks), at every size, and the maximum of each
-    distinct candidate set is searched once.  From MASKED_LAWS_MIN = 8
-    elements on, residuation, order reflection and the distributivity of
-    join_semigroup_laws read the same pass, so a caller that hands it to
-    them as well builds it once.
+    distinct candidate set is searched once.  Residuation, order
+    reflection and the distributivity of join_semigroup_laws read the same
+    pass, so a caller that hands it to them as well builds it once.
     """
     cands, down = (masks or CandidateMasks(leq, comp)).read()
     n = len(leq)
@@ -490,18 +478,18 @@ def join_semigroup_laws(leq: tuple[int, ...], join, comp,
     bound of a partial order, composition is associative and distributes over
     join), listed once for the completion's quantales and point-algebra reducts.
 
-    From MASKED_LAWS_MIN elements on, distributivity holds without its row
-    loop when the order is reflexive and antisymmetric, join_lub holds and
-    every candidate set of the masks of (leq, comp), masks or a pass built
-    here, is a principal lower cone.  Proof: when {b : a;b <= c} is the cone
-    of r, a;(b v b') <= c iff b v b' <= r iff b <= r and b' <= r (join_lub)
-    iff a;b <= c and a;b' <= c iff a;b v a;b' <= c (join_lub).  So a;(b v b')
-    and a;b v a;b' lie below the same elements; each lies below itself, so
-    below the other, and they are equal by antisymmetry.  (b v b');a is the
-    mirror case, with {a : a;b <= c}.  The row loop (distributivity) decides
-    otherwise, and on smaller tables.
+    Distributivity holds without its row loop when the order is reflexive
+    and antisymmetric, join_lub holds and every candidate set of the masks
+    of (leq, comp), masks or a pass built here, is a principal lower cone.
+    Proof: when {b : a;b <= c} is the cone of r, a;(b v b') <= c iff
+    b v b' <= r iff b <= r and b' <= r (join_lub) iff a;b <= c and a;b' <= c
+    iff a;b v a;b' <= c (join_lub).  So a;(b v b') and a;b v a;b' lie below
+    the same elements; each lies below itself, so below the other, and they
+    are equal by antisymmetry.  (b v b');a is the mirror case, with
+    {a : a;b <= c}.  The row loop (distributivity) decides otherwise, and
+    names the witness.
 
-    At every size, associativity holds without its row loop when the order
+    Associativity holds without its row loop when the order
     laws, join_lub and distributivity hold and (a;b);c = a;(b;c) for all a, b
     and c of G = join_irreducibles(leq).  Proof: first, every x is the join
     of the non-empty set G(x) of the members of G below x, by induction on
@@ -522,8 +510,8 @@ def join_semigroup_laws(leq: tuple[int, ...], join, comp,
     """
     reflexive, antisymmetric, transitive = order_checks(leq)
     lub = Check("join_lub", join_lub(leq, join))
-    distributes = (len(leq) >= MASKED_LAWS_MIN and reflexive.passed and antisymmetric.passed
-                   and lub.passed and _principal_candidates(masks or CandidateMasks(leq, comp)))
+    distributes = (reflexive.passed and antisymmetric.passed and lub.passed
+                   and _principal_candidates(masks or CandidateMasks(leq, comp)))
     distributivity_witness = None if distributes else distributivity(join, comp)
     preconditions = (reflexive.passed and antisymmetric.passed and transitive.passed
                      and lub.passed and distributivity_witness is None)
@@ -848,7 +836,11 @@ def close_relation_family(
     closure = RelationClosure(rel.gather(members, order))
     count = len(closure)
     ranked = rel.gather(codes, order)
-    if count * count >= 1 << n * n:  # the tables outnumber the codes: index a list by code
+    # the tables outnumber the codes: index a list by code.  A dict at every
+    # size took concrete from 111.9 to 108.8 verdicts/s and its tail from
+    # 29.2 to 31.2 ms (bench/run.py, 4 alternating pairs at seed 1, Python
+    # 3.11, 2-core x86-64)
+    if count * count >= 1 << n * n:
         rank = [0] * (1 << n * n)
         for k, code in enumerate(ranked):
             rank[code] = k

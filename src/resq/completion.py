@@ -241,11 +241,10 @@ def check_quantale_laws(Q: Quantale) -> None:
     laws on (leq, sup, comp), then the bounds, the bottom absorbing
     composition and, when Q is unital, the unit laws, each of the last three
     at the first element that breaks it.  Binary distributivity plus
-    absorption is distributivity over every join in a finite lattice.  From
-    algebra.MASKED_LAWS_MIN = 8 elements on, distributivity is read off
-    Q.candidate_masks (algebra.join_semigroup_laws), the pass that
-    quantale_residuals and relrep's order reflection then reuse; at every
-    size, associativity is checked over the join-irreducibles of the
+    absorption is distributivity over every join in a finite lattice.
+    Distributivity is read off Q.candidate_masks (algebra.join_semigroup_laws),
+    the pass that quantale_residuals and relrep's order reflection then
+    reuse, and associativity is checked over the join-irreducibles of the
     lattice alone once distributivity holds.
     """
     bottom, top, comp, e = Q.bottom, Q.top, Q.comp, Q.unit
@@ -269,8 +268,7 @@ def quantale_residuals(
 
     In a finite quantale each maximum exists and equals the supremum of its
     set.  The tables are checked exhaustively against the residuation law.
-    Both read Q.candidate_masks: the maxima at every size, the law from
-    algebra.MASKED_LAWS_MIN = 8 elements on.
+    Both the maxima and the law read Q.candidate_masks.
     """
     masks = Q.candidate_masks
     try:

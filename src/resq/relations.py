@@ -302,13 +302,6 @@ def gather(values, indices) -> tuple:
     return (values[indices[0]],) if indices else ()
 
 
-# The most fields a packed row is built from or cut into by shifts and masks;
-# rows of more fields are written and read as one run of bytes.  The shifts
-# cost a big-int operation per field on the whole row, the bytes a fixed
-# set-up: below 8 fields the shifts are cheaper, from about 8 on the bytes.
-SHIFTED_FIELDS_MAX = 8
-
-
 class Stack(tuple):
     """A family of count relations over len(rows) points, stacked: rows[y]
     holds row y of member j in field j, of width bits each; columns is None
@@ -345,23 +338,16 @@ def stack(family, n: int) -> Stack:
     """The stack of the relations of family over n points, with fields of
     field_bits(n)."""
     family = tuple(family)
-    if len(family) == 1:
-        return Stack((tuple(family[0]), 1, field_bits(n), None))
     return stack_fields(zip(*family), len(family), n)
 
 
 def stack_fields(fields, count: int, n: int) -> Stack:
     """The stack of count relations over n points whose row y holds the
-    values fields[y], one per member, with fields of field_bits(n).  Up to
-    SHIFTED_FIELDS_MAX members a row is summed from shifted values, above all
-    rows are written as one run of bytes."""
+    values fields[y], one per member, with fields of field_bits(n): all rows
+    are written as one run of bytes and cut into packed rows."""
     width = field_bits(n)
     if not count:
         return Stack(((0,) * n, 0, width, None))
-    if count <= SHIFTED_FIELDS_MAX:
-        shifts = range(0, count * width, width)
-        return Stack((tuple([sum(map(operator.lshift, values, shifts)) for values in fields]),
-                      count, width, None))
     size = count * width // 8
     data = _join_fields(itertools.chain.from_iterable(fields), width // 8)
     return Stack((tuple([pack_fields(data[start:start + size])
@@ -381,7 +367,10 @@ def stack_codes(codes, n: int) -> Stack:
 
 
 def unstack(s: Stack) -> list[Relation]:
-    """The members of the stack s, first field first."""
+    """The members of the stack s, first field first.  A stack of one
+    member is its rows: cutting them as fields would make a left residual's
+    Operation.apply cost 25-34% more at 2-4 points (3.70 against 2.96 us at
+    two points; Python 3.11, 2-core x86-64)."""
     rows, count = s[:2]
     if count == 1:
         return [tuple(rows)]
@@ -392,16 +381,11 @@ def unstack(s: Stack) -> list[Relation]:
 
 def stacked_rows(packed_rows, s: Stack) -> list:
     """The fields of each of packed_rows, packed like the rows of s: the row
-    of each member, first field first, as a sequence of ints.  Up to
-    SHIFTED_FIELDS_MAX fields a row is shifted and masked field by field,
-    above all rows are read as one run of bytes."""
+    of each member, first field first, as a sequence of ints.  All rows are
+    read as one run of bytes; with at most one field, a row needs no cut."""
     count, width = s[1:3]
     if count < 2:
         return [(packed,) * count for packed in packed_rows]
-    if count <= SHIFTED_FIELDS_MAX:
-        shifts = range(0, count * width, width)
-        mask = (1 << width) - 1
-        return [[packed >> shift & mask for shift in shifts] for packed in packed_rows]
     size = count * width // 8
     values = _split_fields(b"".join([packed.to_bytes(size, _CODE_ORDER)
                                      for packed in packed_rows]), width // 8)
@@ -434,8 +418,7 @@ def transpose(s: Stack) -> Stack:
     rows y and y + t, one XOR of the shifted rows cut to the columns with bit
     t clear in every field (_exchanges) says which bits differ, and two XORs
     swap them.  Fields are at least N bits wide (field_bits), so no bit
-    leaves its field on the way.  A single relation with no more pairs than
-    the (N / 2) * log2(N) exchanges moves them one at a time instead."""
+    leaves its field on the way."""
     rows, count, width, columns = s
     if columns is not None:
         return Stack((columns, count, width, rows))
@@ -443,15 +426,6 @@ def transpose(s: Stack) -> Stack:
     if n < 2 or not count:
         return Stack((rows, count, width, rows))
     size = 1 << (n - 1).bit_length()
-    if count == 1 and sum(map(int.bit_count, rows)) <= (size >> 1) * (size.bit_length() - 1):
-        out = [0] * n
-        for y, row in enumerate(rows):
-            bit = 1 << y
-            while row:
-                low = row & -row
-                out[low.bit_length() - 1] |= bit
-                row ^= low
-        return Stack((tuple(out), count, width, rows))
     out = [*rows, *(0,) * (size - n)]
     for t, kept, upper in _exchanges(size, count, width):
         for y in upper:
@@ -543,8 +517,11 @@ def block_slices(k: int, block: int, runs: int = 1) -> tuple[int, ...]:
 def _one_per_run(values, lanes: int) -> int:
     """The int whose run i of lanes bits holds values[i] (each below
     2**lanes): the fields of one bytes join when runs are whole bytes, else
-    (two lanes, at one point) one binary numeral, which parses about ten
-    times slower per bit than the bytes."""
+    (runs of two lanes, at one point) one binary numeral.  The numeral at
+    every base would cost 8-22 times the bytes at bases 2-4 (16.8 against
+    2.1 us for 16 runs at base 2) and took the search benchmark from 2480
+    to 2231 verdicts/s and its tail from 1.53 to 1.78 ms (4 alternating
+    pairs at seed 1; Python 3.11, 2-core x86-64)."""
     if lanes % 8:
         return int("".join(format(value, f"0{lanes}b") for value in reversed(values)), 2)
     return int.from_bytes(_join_fields(values, lanes >> 3), _CODE_ORDER)

@@ -118,9 +118,9 @@ def represent_pipeline(
     below it, hat(a) <= hat(b) holds exactly when a;q <= b;q for every q, so
     the condition is read off the tables by the order_reflection law, with
     the same first witness and no hat built (off Q0.candidate_masks, the
-    pass the completion's law checks and residuals already read, from
-    algebra.MASKED_LAWS_MIN = 8 elements on).  "on" always adjoins a unit (a
-    no-op for quantales that already have one) and "off" never does.
+    pass the completion's law checks and residuals already read).  "on"
+    always adjoins a unit (a no-op for quantales that already have one) and
+    "off" never does.
     """
     if unitalize_mode not in ("on", "off", "auto"):
         raise ValueError(f"unknown unitalize mode {unitalize_mode!r}")

@@ -400,7 +400,6 @@ def test_infer_residuals_match_loops_on_large_quantales(monkeypatch):
                     == corpus.order_reflection_by_loops(Q.leq, comp))
             cases += 1
     assert sizes == [16, 20, 32, 50]
-    assert min(sizes) >= algebra.MASKED_LAWS_MIN
     assert missing >= 12
     assert cases == 56
     # every law ran its loop on some tables and was read off the masks (or
@@ -409,13 +408,12 @@ def test_infer_residuals_match_loops_on_large_quantales(monkeypatch):
 
 
 def test_distributivity_lemma_needs_each_precondition(monkeypatch):
-    # above the crossover, tables whose candidate sets are principal lower
-    # cones but whose join is not a least upper bound, or whose order is not
-    # antisymmetric, and tables with an empty candidate set: the masks do not
-    # decide, the row loop does, and it agrees with the scalar oracle
+    # tables whose candidate sets are principal lower cones but whose join
+    # is not a least upper bound, or whose order is not antisymmetric, and
+    # tables with an empty candidate set: the masks do not decide, the row
+    # loop does, and it agrees with the scalar oracle
     Q = completion.build_quantale(corpus.large_quantale_algebras()[0])
     n = Q.size
-    assert n >= algebra.MASKED_LAWS_MIN
 
     # one join moved: (top v bottom) is bottom, and top;(top v bottom) is
     # then top;bottom where top;top v top;bottom is top;top
@@ -504,11 +502,39 @@ def test_join_irreducibles_match_definition(corpus_all):
         (5, 16), (10, 20), (6, 32), (10, 50)]
 
 
+def test_small_completions_read_the_masks_first(monkeypatch, corpus_all):
+    # the completions of the corpus algebras, of 1 to 6 elements, through
+    # the pipeline's law checks: the candidate masks show that residuation
+    # and distributivity hold on every one, so their loops never run, and
+    # order reflection runs its loop only on the completions that fail it;
+    # every witness is the oracle's
+    loops = count_calls(monkeypatch, MASKED_LAW_LOOPS)
+    quantales = [completion.build_quantale(A) for A in corpus_all]
+    residuals = [completion.quantale_residuals(Q) for Q in quantales]
+    reflections = [algebra.order_reflection(Q.leq, Q.comp, Q.candidate_masks) for Q in quantales]
+    assert loops == {"_residuation_rows": 0, "distributivity": 0, "_order_reflection_pairs": 68}
+    assert len(quantales) == 125
+    assert {Q.size for Q in quantales} == {1, 2, 3, 4, 5, 6}
+    for Q, (lres, rres), reflection in zip(quantales, residuals, reflections):
+        laws = algebra.join_semigroup_laws(Q.leq, Q.sup, Q.comp, Q.candidate_masks)
+        assert laws.condition("distributivity").witness is None
+        assert corpus.distributivity_by_loops(Q.sup, Q.comp) is None
+        assert (lres, rres) == corpus.infer_residuals_by_loops(Q.leq, Q.comp)
+        assert corpus.residuation_by_loops(Q.leq, Q.comp, lres, rres) is None
+        assert reflection == corpus.order_reflection_by_loops(Q.leq, Q.comp)
+    assert sum(reflection is not None for reflection in reflections) == 68
+
+
 def assert_laws_match_loops(leq, comp, join, lres, rres):
     """Each cubic law and the residual inference agree with its scalar
     oracle: the same first witness, or None; the same tables, or the same
-    missing residual."""
+    missing residual.  The distributivity and associativity of
+    join_semigroup_laws, read first off the masks and the join-irreducibles,
+    name the oracles' witnesses too."""
     assert algebra.associativity(comp) == corpus.associativity_by_loops(comp)
+    laws = algebra.join_semigroup_laws(leq, join, comp)
+    assert laws.condition("distributivity").witness == corpus.distributivity_by_loops(join, comp)
+    assert laws.condition("associativity").witness == corpus.associativity_by_loops(comp)
     assert (algebra.residuation(leq, comp, lres, rres)
             == corpus.residuation_by_loops(leq, comp, lres, rres))
     assert algebra.distributivity(join, comp) == corpus.distributivity_by_loops(join, comp)

@@ -243,8 +243,8 @@ def test_converse_swaps_pairs():
 
 # Stacked families over bases 0-10 and 63-65, where a field stops being a
 # native int (field_bits), of 0, 1, 2 and 33 members.  A member's density is
-# drawn from empty, full, sparse and dense, so both ways of transposing (one
-# set bit at a time, exchanges of rows) are taken.
+# drawn from empty, full, sparse and dense, so the exchanges of rows are
+# checked on single sparse members as well as on dense and mixed stacks.
 
 STACK_BASES = [*range(11), 63, 64, 65]
 STACK_SIZES = (0, 1, 2, 33)

@@ -835,17 +835,7 @@ def close_relation_family(
     order = sorted(range(len(members)), key=members.__getitem__)
     closure = RelationClosure(rel.gather(members, order))
     count = len(closure)
-    ranked = rel.gather(codes, order)
-    # the tables outnumber the codes: index a list by code.  A dict at every
-    # size took concrete from 111.9 to 108.8 verdicts/s and its tail from
-    # 29.2 to 31.2 ms (bench/run.py, 4 alternating pairs at seed 1, Python
-    # 3.11, 2-core x86-64)
-    if count * count >= 1 << n * n:
-        rank = [0] * (1 << n * n)
-        for k, code in enumerate(ranked):
-            rank[code] = k
-    else:
-        rank = dict(zip(ranked, range(count)))
+    rank = dict(zip(rel.gather(codes, order), range(count)))
     tables = []
     for column, member_keys in zip(columns, keys):
         # every column's fields in the order of the closure, then the code of

@@ -367,13 +367,8 @@ def stack_codes(codes, n: int) -> Stack:
 
 
 def unstack(s: Stack) -> list[Relation]:
-    """The members of the stack s, first field first.  A stack of one
-    member is its rows: cutting them as fields would make a left residual's
-    Operation.apply cost 25-34% more at 2-4 points (3.70 against 2.96 us at
-    two points; Python 3.11, 2-core x86-64)."""
+    """The members of the stack s, first field first."""
     rows, count = s[:2]
-    if count == 1:
-        return [tuple(rows)]
     if not rows:
         return [()] * count
     return list(zip(*stacked_rows(rows, s)))
@@ -516,15 +511,9 @@ def block_slices(k: int, block: int, runs: int = 1) -> tuple[int, ...]:
 
 def _one_per_run(values, lanes: int) -> int:
     """The int whose run i of lanes bits holds values[i] (each below
-    2**lanes): the fields of one bytes join when runs are whole bytes, else
-    (runs of two lanes, at one point) one binary numeral.  The numeral at
-    every base would cost 8-22 times the bytes at bases 2-4 (16.8 against
-    2.1 us for 16 runs at base 2) and took the search benchmark from 2480
-    to 2231 verdicts/s and its tail from 1.53 to 1.78 ms (4 alternating
-    pairs at seed 1; Python 3.11, 2-core x86-64)."""
-    if lanes % 8:
-        return int("".join(format(value, f"0{lanes}b") for value in reversed(values)), 2)
-    return int.from_bytes(_join_fields(values, lanes >> 3), _CODE_ORDER)
+    2**lanes), read as one binary numeral: runs of two lanes, at one point,
+    are not whole bytes."""
+    return int("".join(format(value, f"0{lanes}b") for value in reversed(values)), 2)
 
 
 def spread_slices(codes, k: int) -> tuple[int, ...]:

@@ -44,22 +44,6 @@ class NodeBudget:
             raise ResourceLimitError(self.limit)
 
 
-# The fewest relations whose conditions are compared as packed codes: below
-# it the set-up (the code of every relation, the expected codes of each row
-# packed apart) costs more than the tuple comparisons it saves, and where
-# that happens depends on the base as well as the count.  Measured with
-# bench/run.py (4 alternating pairs at seed 1, Python 3.11, 2-core x86-64):
-# codes at every count of up to 8 points took represent's p50 from 0.763 to
-# 0.817 ms and its rate from 866 to 830 verdicts/s, though the checker alone
-# on the 175 concrete closures of fewer than 32 members (5 seed-1 passes, in
-# process) went from 15.4 to 14.6 ms; tuples at every count took concrete
-# from 114 to 83 verdicts/s and its tail from 30.1 to 40.5 ms, past both
-# bounds, and the checker alone on all 250 closures from 0.47 to 1.05 s.
-# Codes cannot serve every base: above 8 points a code is no native int, and
-# over the 4 096 points of the largest dump it is 2 MB.
-PACKED_MIN_RELATIONS = 32
-
-
 def _table_condition(name, table, relations, family: rel.Stack, codes) -> Check:
     """Row a of the condition is op(R[a], R[b]) over every b, with op the
     operation named name, read off the row keys of R[a] (Operation.keys):
@@ -131,10 +115,9 @@ def check_representation(S, I: Interpretation) -> Report:
     if len({len(r) for r in relations}) > 1:
         raise DimensionMismatch("the relations of the interpretation have different bases")
     n = len(relations[0]) if relations else 0
-    # the relations are stacked, as codes when their conditions compare codes
-    # (at least PACKED_MIN_RELATIONS of them whose codes are native ints), and
-    # transposed once for both residuals
-    if len(relations) >= PACKED_MIN_RELATIONS and rel.native_codes(n):
+    # the relations are stacked, as codes when their codes are native ints,
+    # and transposed once for both residuals
+    if rel.native_codes(n):
         codes = list(map(rel.relation_code, relations))
         family = rel.stack_codes(codes, n)
     else:

@@ -554,13 +554,11 @@ def test_checkers_agree_with_table_cells_flipped_on_the_a4_closures():
     # one cell per table: in the first row of one table, the last row of
     # another and a drawn row of the third, the rows turning over the tables
     # from one draw to the next; the pairwise scan then stops at the cell
-    packed = 0
     for seed in range(50):
         base = 1 + seed % 3
         A, interp = algebra.generate_concrete(base, a4_generators(base, seed))
         if A.n < 2:
             continue
-        packed += A.n >= verifier.PACKED_MIN_RELATIONS
         rng = random.Random(seed)
         rows = [0, A.n - 1, rng.randrange(A.n)]
         cells = []
@@ -571,7 +569,6 @@ def test_checkers_agree_with_table_cells_flipped_on_the_a4_closures():
         report = assert_checkers_agree(with_cells(A, cells), interp)
         # a closure's tables are right, so each flipped cell is a failure
         assert [c.witness[:2] for c in report.conditions[1:]] == [cell[1:3] for cell in cells]
-    assert packed >= 10
 
 
 @pytest.mark.parametrize("base, gens, size, width", [
@@ -581,12 +578,10 @@ def test_checkers_agree_with_table_cells_flipped_on_the_a4_closures():
     (8, [(0, 4, 64, 4, 0, 0, 128, 4)], 32, 8),
 ])
 def test_checkers_agree_with_table_cells_flipped_at_every_native_width(base, gens, size, width):
-    # closures large enough for the packed comparison, over bases whose codes
-    # fill native fields of 2, 4 and 8 bytes; in each table a drawn cell of
-    # the first row and one of the last
+    # closures over bases whose codes fill native fields of 2, 4 and 8 bytes;
+    # in each table a drawn cell of the first row and one of the last
     A, interp = algebra.generate_concrete(base, gens)
     assert (A.n, rel.code_bytes(base)) == (size, width)
-    assert A.n >= verifier.PACKED_MIN_RELATIONS
     assert_checkers_agree(A, interp)
     rng = random.Random(base)
     for name, table in A.operations:

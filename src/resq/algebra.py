@@ -198,14 +198,6 @@ class CandidateMasks:
             self._read = rows, [row[-1] for row in rows]
         return self._read
 
-    def cones(self) -> list[int] | tuple[int, ...]:
-        """The lower cones, as read() gives them: off the pass when it has
-        been read, else off one transposition of the order alone
-        (relations.rel_converse), which costs less than the pass."""
-        if self._read is None:
-            return rel.rel_converse(self.leq)
-        return self._read[1]
-
 
 # The cubic laws below compare one whole row over the last index per step of
 # the first two, and run the scalar loop only on a row that mismatches, to
@@ -767,13 +759,17 @@ def close_relation_family(
     Every operation is computed relative to the full square over the base, so
     the closure is a residuated semigroup of relations by construction.  An
     empty generator family is seeded with the empty relation (the union of no
-    generators), whose residuals then populate the closure.  Row x of op(r, s)
-    is a function of key x of r (``relations.Operation.keys``), so each operation is
-    evaluated once per distinct key against a stack of members at once
-    (``relations.stack_codes``, ``Operation.rows``), and op(r, s) over those
-    members s is read as packed relation codes off the packed rows of r's
-    keys (``relations.keyed_codes``).  A generator of the wrong length, or
-    with a row that is not an int below 2 ** base_size, raises ValueError.
+    generators), whose residuals then populate the closure.  The closure runs
+    in rounds over stacks of relation codes (``relations.stack_codes``): the
+    run of a round is the members found in the round before it (every member
+    in the first), and each operation is evaluated at the run against all
+    members and at the members before the run against the run
+    (``relations.Operation.codes``), so each pair of members is evaluated in
+    the round after the later of them is found.  The codes not seen make the
+    next run.  Once a round finds nothing new, the members are sorted and one
+    evaluation of each operation at all members against all gives its table.
+    A generator of the wrong length, or with a row that is not an int below
+    2 ** base_size, raises ValueError.
     """
     n = base_size
     members: list[Relation] = []
@@ -801,77 +797,34 @@ def close_relation_family(
         given.add(rel.relation_code(g))
     add(given or {0})
 
-    # Members are taken in runs of discovery: a run is the members found since
-    # the previous run, in no particular order (the closure is sorted at the
-    # end).  columns[op] maps every key met so far to the fields of the rows it
-    # gives under op against the members of earlier runs.  A run is stacked
-    # from its codes, as are the members before it, and extends the columns
-    # to its members; then every earlier member is closed against the
-    # run, and every member of the run against all members so far.  Members
-    # found meanwhile make the next run.
     ops = [rel.OPERATIONS[name] for name in ("composition", "left-residual", "right-residual")]
-    columns: tuple[dict, ...] = tuple({} for _ in ops)
-    keys: tuple[list, ...] = tuple([] for _ in ops)
-    done = 0
-    while done < len(members):
-        start, stop = done, len(members)
-        # the stacks of the members before the run and of the run, the
-        # latter transposed once for the keys and rows of both residuals
-        earlier = rel.stack_codes(codes[:start], n)
-        later = rel.with_columns(rel.stack_codes(codes[start:stop], n))
-        against_run, against_all = [], []  # packed codes over the run, over members[:stop]
-        for op, column, member_keys in zip(ops, columns, keys):
-            member_keys.extend(op.keys(members[start:stop], later))
-            run, whole = _extend_columns(op, column, earlier, later, member_keys[start:])
-            against_run.append(rel.keyed_codes(run, member_keys[:start], n))
-            against_all.append(rel.keyed_codes(whole, member_keys[start:], n))
-        for packed, count in ((against_run, stop - start), (against_all, stop)):
-            new = set(rel.unpack_codes(itertools.chain.from_iterable(packed), count, n))
-            new -= seen
-            if new:
-                add(new)
-        done = stop
+    start = 0  # the first member of the run
+    while start < len(members):
+        # both stacks carry their columns, for the left residual's keys and
+        # the right residual's rows
+        everything = rel.with_columns(rel.stack_codes(codes, n))
+        run = rel.with_columns(rel.stack_codes(codes[start:], n))
+        found: set[int] = set()
+        for op in ops:
+            keyed = op.keys(members, everything)
+            found.update(rel.unpack_codes(op.codes(keyed[start:], everything), len(codes), n))
+            found.update(rel.unpack_codes(op.codes(keyed[:start], run), len(codes) - start, n))
+        start = len(members)
+        add(found - seen)
 
     order = sorted(range(len(members)), key=members.__getitem__)
     closure = RelationClosure(rel.gather(members, order))
+    ordered = rel.gather(codes, order)
     count = len(closure)
-    rank = dict(zip(rel.gather(codes, order), range(count)))
+    rank = dict(zip(ordered, range(count)))
+    everything = rel.with_columns(rel.stack_codes(ordered, n))
     tables = []
-    for column, member_keys in zip(columns, keys):
-        # every column's fields in the order of the closure, then the code of
-        # every entry, row by row, and its rank
-        rows = {}
-        for key, fields in column.items():
-            in_order = rel.gather(rel.field_codes(fields, n), order)
-            rows[key] = rel.pack_fields(rel.code_fields(in_order, n))
-        entries = rel.unpack_codes(rel.keyed_codes(rows, rel.gather(member_keys, order), n),
-                                   count, n)
+    for op in ops:
+        entries = rel.unpack_codes(op.codes(op.keys(closure, everything), everything), count, n)
         tables.append(tuple(rel.gather(rank, entries[a:a + count])
                             for a in range(0, count * count, count)))
     closure.comp, closure.lres, closure.rres = tables
     return closure
-
-
-def _extend_columns(op: rel.Operation, column: dict, earlier: rel.Stack, run: rel.Stack,
-                    run_keys):
-    """Extend column from the members stacked in earlier to those stacked in
-    run, the members found after them: key -> the fields of the rows key
-    gives under op against them.  Keys first met in run_keys (the keys of the
-    run's members) are filled in first, against earlier.  Returns the packed
-    rows of every key against the run and against all members so far."""
-    n = len(run.rows)
-    new = [key for key in dict.fromkeys(itertools.chain.from_iterable(run_keys))
-           if key not in column]
-    if new:
-        for key, fields in zip(new, rel.row_fields(op.rows(new, earlier), earlier.count, n)):
-            column[key] = bytearray(fields)
-    against_run = op.rows(list(column), run)
-    for fields, added in zip(column.values(), rel.row_fields(against_run, run.count, n)):
-        fields += added
-    run_rows = dict(zip(column, against_run))
-    if not earlier.count:  # the first run is all members so far
-        return run_rows, run_rows
-    return run_rows, dict(zip(column, map(rel.pack_fields, column.values())))
 
 
 def algebra_of_relations(

@@ -74,8 +74,9 @@ class _ErrorContract(click.Group):
 
 
 def _read_text(path: str) -> str:
+    """The text of the file at path, without a leading UTF-8 byte-order mark."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}") from None

@@ -183,15 +183,16 @@ def inclusion_order(family) -> tuple[int, ...]:
 # A relation over n points is also its n * n-bit code, pair (i, j) at bit
 # i * n + j, in a field of code_bytes(n) bytes: a native int up to base 8.
 # Row i of a code is its bits i * n .. i * n + n - 1, so a packed row of n-bit
-# rows shifted left by i * n holds them as row i of each field, and keyed_codes
-# ORs such shifts into a code in every field at once.
+# rows shifted left by i * n holds them as row i of each field, and
+# Operation.codes ORs such shifts into a code in every field at once.
 #
 # A family of relations over n points is stacked as n packed rows (Stack):
 # row y of the stack holds row y of member j in field j.  The rules of the
 # operations below act on a whole stack, so the row one key gives against
 # every member is one packed row, and a single relation is the stack of a
 # family of one, with its own rows as the stack's.  A stack whose fields are
-# as wide as codes (code_bits) gives packed rows keyed_codes reads.
+# as wide as codes (code_bits) gives packed rows that Operation.codes shifts
+# into packed codes.
 
 _CODE_ORDER = "little"
 _CODE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -258,40 +259,20 @@ def code_fields(codes, n: int) -> bytes:
     return _join_fields(codes, code_bytes(n))
 
 
-def field_codes(fields, n: int):
-    """The codes of the fields over n points held in the bytes fields, first
-    field first: a memoryview of native ints up to base 8 (on a
-    little-endian machine), a list otherwise."""
-    return _split_fields(fields, code_bytes(n))
-
-
 def pack_fields(fields) -> int:
     """The packed row whose fields are the bytes fields."""
     return int.from_bytes(fields, _CODE_ORDER)
 
 
-def keyed_codes(rows: dict, keyed, n: int):
-    """For the row keys of each relation in keyed, the packed codes over n
-    points whose row x, in every field, is the field of the packed row
-    rows[key x]: with rows[key] the stacked row a key gives under an
-    operation against a stack of codes' width (``Operation.rows``), these are
-    the codes of op(r, s) over the members s.  The shifted rows do not
-    overlap, so their sum is their OR."""
-    shifts = range(0, n * n, n or 1)
-    return (sum(map(operator.lshift, map(rows.__getitem__, keys), shifts)) for keys in keyed)
-
-
-def row_fields(packed_rows, count: int, n: int) -> list[bytes]:
-    """The fields of each packed row of count codes over n points: the
-    inverse of pack_fields."""
-    size = count * code_bytes(n)
-    return [packed.to_bytes(size, _CODE_ORDER) for packed in packed_rows]
-
-
 def unpack_codes(packed_rows, count: int, n: int):
     """The codes of packed rows of count fields each over n points: the
-    fields of the first row first, then those of the next."""
-    return field_codes(b"".join(row_fields(packed_rows, count, n)), n)
+    fields of the first row first, then those of the next, as a memoryview
+    of native ints up to base 8 (on a little-endian machine), a list
+    otherwise."""
+    width = code_bytes(n)
+    size = count * width
+    return _split_fields(b"".join([packed.to_bytes(size, _CODE_ORDER) for packed in packed_rows]),
+                         width)
 
 
 def gather(values, indices) -> tuple:
@@ -327,10 +308,10 @@ def field_bits(n: int) -> int:
 
 
 def code_bits(n: int) -> int:
-    """The width of a field of a stack over n points whose stacked rows are
-    packed rows of codes (keyed_codes): that of a code, n * n bits rounded
-    up to 1, 2, 4 or 8 bytes up to base 8 and to whole bytes above, so never
-    less than field_bits(n)."""
+    """The width of a field of a stack over n points whose stacked rows
+    Operation.codes shifts into packed codes: that of a code, n * n bits
+    rounded up to 1, 2, 4 or 8 bytes up to base 8 and to whole bytes above,
+    so never less than field_bits(n)."""
     return 8 * code_bytes(n)
 
 
@@ -717,13 +698,27 @@ class Operation:
     rows(keys, stack) is the packed row each of keys gives against all
     members s of the stack at once, field j holding the row against member
     j, and sliced(k, full, r, s) op lane by lane on sliced relations over k
-    points.  apply(r, s) is the whole relation op(r, s), read off keys and
-    rows with r and s the stacks of families of one.
+    points.  codes(keyed, family) is op(r, s) over the members s of a stack
+    of codes' width as packed codes, and apply(r, s) the whole relation
+    op(r, s), both read off keys and rows.
     """
 
     keys: Callable[[Sequence[Relation], Stack], list]
     rows: Callable[[Sequence, Stack], list[int]]
     sliced: Callable[[int, int, tuple, tuple], tuple[int, ...]]
+
+    def codes(self, keyed, family: Stack) -> list[int]:
+        """For the row keys of each relation r in keyed (keys), the packed
+        codes of op(r, s) over the members s of family, a stack of fields
+        code_bits wide: field j holds the code of op(r, s) for member j.  The
+        rows of the distinct keys come from one rows call, and row x of r's
+        codes is the row of its key x shifted to x * n; the shifted rows do
+        not overlap, so their sum is their OR."""
+        distinct = list(dict.fromkeys(itertools.chain.from_iterable(keyed)))
+        rows = dict(zip(distinct, self.rows(distinct, family)))
+        n = len(family.rows)
+        shifts = range(0, n * n, n or 1)
+        return [sum(map(operator.lshift, map(rows.__getitem__, keys), shifts)) for keys in keyed]
 
     def apply(self, r: Relation, s: Relation) -> Relation:
         """op(r, s); raises DimensionMismatch when the bases differ."""

@@ -41,11 +41,10 @@ def hat(Q: Quantale, elements) -> tuple[Relation, ...]:
     Row q of the converse of hat(a) is {g : g <= a;q}, the lower cone of
     a;q, so the converse is the lower cones gathered at row a of Q.comp.  The
     converses of all the elements are stacked and transposed once
-    (relations.transpose).  The cones are read off Q.candidate_masks
-    (CandidateMasks.cones), the pass the law checks and residuals of Q have
-    read, or off the order when no check has read it.
+    (relations.transpose).  The cones are read off Q.candidate_masks, the
+    pass the law checks and residuals of Q read.
     """
-    cones = Q.candidate_masks.cones()
+    cones = Q.candidate_masks.read()[1]
     converses = [rel.gather(cones, Q.comp[a]) for a in elements]
     return tuple(rel.unstack(rel.transpose(rel.stack(converses, Q.size))))
 

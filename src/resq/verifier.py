@@ -53,19 +53,15 @@ def _table_condition(name, table, relations, family: rel.Stack, codes) -> Check:
 
     When codes are given (the codes of the relations, and family their
     stack, relations.stack_codes), row a is the packed codes of
-    op(R[a], R[b]) over b (relations.keyed_codes of those packed rows), and
-    it is compared with those of R[table[a][b]] as one int; a row is
-    unpacked only when it differs, so the witness is the same.  Otherwise
-    each packed row is split into its fields, the rows against each R[b],
-    and row a is compared as tuples."""
+    op(R[a], R[b]) over b (Operation.codes), and it is compared with those
+    of R[table[a][b]] as one int; a row is unpacked only when it differs, so
+    the witness is the same.  Otherwise each packed row is split into its
+    fields, the rows against each R[b], and row a is compared as tuples."""
     op = rel.OPERATIONS[name]
     keyed = op.keys(relations, family)
-    distinct = list(dict.fromkeys(itertools.chain.from_iterable(keyed)))
-    packed_rows = op.rows(distinct, family)
     if codes is not None:
         n = len(family.rows)
-        rows = dict(zip(distinct, packed_rows))
-        for a, packed in enumerate(rel.keyed_codes(rows, keyed, n)):
+        for a, packed in enumerate(op.codes(keyed, family)):
             if packed != rel.pack_fields(rel.code_fields(rel.gather(codes, table[a]), n)):
                 actual = tuple(rel.decode_relation(code, n)
                                for code in rel.unpack_codes([packed], len(relations), n))
@@ -73,7 +69,8 @@ def _table_condition(name, table, relations, family: rel.Stack, codes) -> Check:
                 if failure is not None:
                     return failure
         return Check(name, None)
-    columns = dict(zip(distinct, rel.stacked_rows(packed_rows, family)))
+    distinct = list(dict.fromkeys(itertools.chain.from_iterable(keyed)))
+    columns = dict(zip(distinct, rel.stacked_rows(op.rows(distinct, family), family)))
     for a, keys in enumerate(keyed):
         actual = tuple(zip(*map(columns.__getitem__, keys))) if keys else ((),) * len(relations)
         failure = _row_failure(name, a, rel.gather(relations, table[a]), actual)

@@ -95,6 +95,30 @@ def test_unreadable_file_exit_two(runner, tmp_path, content):
         assert len(result.output.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("args, code", [
+    (["decide", "FILE"], 0),
+    (["verify", "ALGEBRA", "FILE"], 1),
+    (["lambek", "eval", "p |- p", "FILE"], 0),
+], ids=["algebra", "dump", "model"])
+def test_a_leading_byte_order_mark_is_ignored(runner, tmp_path, c2_file, args, code):
+    texts = {
+        "decide": C2_TEXT,
+        "verify": json.dumps(relrep.interpretation_payload(
+            relrep.represent_pipeline(make_c2()).interpretation)),
+        "lambek": json.dumps({"base": 1, "valuation": {"p": [[0, 0]]}}),
+    }
+    path = tmp_path / "input"
+    argv = [{"ALGEBRA": c2_file, "FILE": str(path)}.get(a, a) for a in args]
+    outcomes = []
+    for mark in ("", "\ufeff"):
+        path.write_text(mark + texts[args[0]], encoding="utf-8")
+        for fmt in ("text", "json"):
+            result = runner.invoke(main, argv + ["--format", fmt], catch_exceptions=False)
+            outcomes.append((result.exit_code, result.output))
+    assert outcomes[:2] == outcomes[2:]
+    assert [exit_code for exit_code, _ in outcomes] == [code] * 4
+
+
 @pytest.mark.parametrize("command", ["represent", "complete", "verify", "search"])
 def test_algebra_without_residuals_exit_one(runner, tmp_path, command):
     path = tmp_path / "antichain.alg"

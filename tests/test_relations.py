@@ -442,26 +442,28 @@ def test_codes_round_trip_at_every_field_width(n):
 
 
 @given(st.integers(1, 9).flatmap(lambda n: st.lists(mask_relation(n), max_size=6)))
-def test_keyed_codes_shift_packed_rows_into_packed_codes(family):
-    # row x of every member packed into one row and shifted to x * n: the
-    # packed codes of the members, with no carry from one field to the next
+def test_operation_codes_shift_packed_rows_into_packed_codes(family):
+    # the composition's keys 1, 2, 4, ..., the rows of the identity, give
+    # row x of every member as one packed row, shifted to x * n: the packed
+    # codes of the members, with no carry from one field to the next
     n = len(family[0]) if family else 1
-    rows = {x: rel.pack_fields(rel.code_fields([r[x] for r in family], n)) for x in range(n)}
-    (packed,) = rel.keyed_codes(rows, [tuple(range(n))], n)
+    stacked = rel.stack_codes(map(rel.relation_code, family), n)
+    (packed,) = rel.OPERATIONS["composition"].codes([tuple(1 << x for x in range(n))], stacked)
     assert packed == rel.pack_fields(rel.code_fields(map(rel.relation_code, family), n))
     assert [rel.decode_relation(code, n)
             for code in rel.unpack_codes([packed], len(family), n)] == family
 
 
-@given(st.data(), st.sampled_from(KEYED_OPS), st.integers(1, 4))
-def test_keyed_codes_of_op_rows_are_the_codes_of_op(data, name, n):
+@given(st.data(), st.sampled_from(KEYED_OPS), st.sampled_from([1, 2, 3, 4, 9]))
+def test_operation_codes_are_the_codes_of_op(data, name, n):
+    # keys read off one family, rows against another: the closure's step of
+    # the members before a run against the run
     op = rel.OPERATIONS[name]
     left = data.draw(st.lists(mask_relation(n), min_size=1, max_size=4))
     right = data.draw(st.lists(mask_relation(n), min_size=1, max_size=5))
     keyed = op.keys(left, rel.stack(left, n))
-    keys = list(dict.fromkeys(key for member_keys in keyed for key in member_keys))
-    rows = dict(zip(keys, op.rows(keys, rel.stack_codes(map(rel.relation_code, right), n))))
-    codes = rel.unpack_codes(rel.keyed_codes(rows, keyed, n), len(right), n)
+    stacked = rel.stack_codes(map(rel.relation_code, right), n)
+    codes = rel.unpack_codes(op.codes(keyed, stacked), len(right), n)
     assert list(codes) == [rel.relation_code(op.apply(r, s)) for r in left for s in right]
 
 

@@ -127,13 +127,12 @@ def test_large_hats_match_definition():
 
 
 def test_hats_do_not_depend_on_a_read_candidate_mask_pass(corpus_small):
-    # the cones come off the pass once a check has read it, off the order before
+    # a fresh quantale, whose pass no check has read, builds it for its hats,
+    # and gets those of the checked one
     for A in corpus_small[:40]:
         Q = unitalize(build_quantale(A))
         fresh = Quantale(Q.labels, Q.masks, Q.leq, Q.comp, Q.sup, Q.bottom, Q.top, Q.unit)
-        before = hat(fresh, range(fresh.size))
-        fresh.candidate_masks.read()
-        assert hat(fresh, range(fresh.size)) == before == hat(Q, range(Q.size))
+        assert hat(fresh, range(fresh.size)) == hat(Q, range(Q.size))
 
 
 def test_auto_mode_unitalizes_exactly_when_plain_hats_fail_order(corpus_all):

@@ -11,7 +11,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import and_, getitem, itemgetter
+from operator import and_, getitem, itemgetter, xor
 from typing import NamedTuple
 
 from . import relations as rel
@@ -150,18 +150,6 @@ def transitivity(leq: tuple[int, ...]) -> tuple[int, int, int] | None:
     return None
 
 
-def _order_table(leq: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The order as 0/1 rows: le[x][y] is 1 iff bit y of leq[x] is set."""
-    ys = range(len(leq))
-    return tuple(tuple(map((1).__and__, map(row.__rshift__, ys))) for row in leq)
-
-
-def _order_pairs(leq: tuple[int, ...]) -> set[tuple[int, int]]:
-    """The order as the set of its pairs (x, y), x <= y, with y below n."""
-    n = len(leq)
-    return {(x, y) for x, row in enumerate(leq) for y in range(n) if row >> y & 1}
-
-
 class CandidateMasks:
     """The candidate sets of both residuals of an order and a composition
     over n elements, with the lower cones, built on the first read().
@@ -171,11 +159,11 @@ class CandidateMasks:
     The rows are read off one transposition (relations.transpose) of the
     2n + 1 relations {(b, c) : a;b <= c}, one per a, {(a, c) : a;b <= c},
     one per b, and the order itself: row c of their converses is row c of
-    the pass.  infer_residuals takes each residual's maximum from them, and
-    residuation, the distributivity of join_semigroup_laws and order
-    reflection read them first, at every size, so a caller that checks
-    several laws of one table hands each the same instance and pays for one
-    pass.
+    the pass.  infer_residuals takes each residual's maximum from them,
+    residuation and order reflection decide and name their witnesses off
+    them, and the distributivity of join_semigroup_laws reads them first, at
+    every size, so a caller that checks several laws of one table hands each
+    the same instance and pays for one pass.
     """
 
     __slots__ = ("leq", "comp", "_read")
@@ -199,44 +187,42 @@ class CandidateMasks:
         return self._read
 
 
-# The cubic laws below compare one whole row over the last index per step of
-# the first two, and run the scalar loop only on a row that mismatches, to
-# name the first violating index.  Associativity, residuation and
-# distributivity read each row off the tables with an itemgetter over the
-# indices of another row; with a single index an itemgetter returns the bare
-# item, so on one element every row mismatches and the scalar loop decides.
-# Order reflection asks whether x;q <= y;q for every q as one containment of
-# the pairs of rows x and y in the order.  At every size, residuation,
-# order reflection and the distributivity of join_semigroup_laws are first
-# read off the candidate masks (CandidateMasks) in O(n^2) steps, and in
-# join_semigroup_laws associativity is first decided over the
-# join-irreducibles G (join_irreducibles) in |G|^2 row steps over G, once
-# the order laws, join_lub and distributivity hold and G is not every
-# element: every element is then a join of members of G, and a product of
-# joins is the join of the products.  Each row loop then runs only when that
-# reading does not show the law holds, to decide it and name the first
-# witness, so the witnesses do not depend on the path.  Monotonicity has one
-# path, its scalar loop: it runs only on the small tables that validate and
-# enumerate_algebras read.
+# Each law below has one implementation.  Associativity and distributivity
+# compare one whole row over the last index per step of the first two, read
+# off the tables with an itemgetter over the indices of another row (with a
+# single index both sides are bare items), and run the scalar loop only on a
+# row that mismatches, to name the first violating index.  Residuation and
+# order reflection are decided, and their first witnesses named, off the
+# candidate masks (CandidateMasks) in O(n^2) steps.  join_semigroup_laws
+# reads its distributivity off the same masks first, and decides its
+# associativity over the join-irreducibles G (join_irreducibles) once the
+# order laws, join_lub and distributivity hold: every element is then a join
+# of members of G, and a product of joins is the join of the products.  The
+# loop over every element runs only when that reading does not show the law
+# holds, to decide it and name the first witness, so the witnesses do not
+# depend on the path.  Monotonicity has one path, its scalar loop: it runs
+# only on the small tables that validate and enumerate_algebras read.
 
 
-def associativity(comp) -> tuple[int, int, int] | None:
-    """Some a, b, c with (a;b);c != a;(b;c): row a;b of comp against row a
-    read at the indices of row b.  Each step compares its first cell alone
-    before the row, so a table that fails there builds no getter."""
-    right_of = {}  # b -> the getter at row b, built on first use
-    for a, row in enumerate(comp):
-        for b, ab in enumerate(row):
-            comp_b, comp_ab = comp[b], comp[ab]
-            if comp_ab[0] != row[comp_b[0]]:
-                return (a, b, 0)
-            right = right_of.get(b)
-            if right is None:
-                right = right_of[b] = itemgetter(*comp_b)
-            if comp_ab != right(row):
-                for c, x in enumerate(comp_ab):
-                    if x != row[comp_b[c]]:
-                        return (a, b, c)
+def associativity(comp, G=None) -> tuple[int, int, int] | None:
+    """Some a, b, c of G (every element when None), first in the order of G,
+    with (a;b);c != a;(b;c): row a;b of comp read at G against row a read at
+    row b read at G, one step per (a, b), with every getter built first.
+    Each step compares its first cell alone before the rows, so a step that
+    fails there reads no row."""
+    G = range(len(comp)) if G is None else G
+    if not G:
+        return None
+    first, at_g = G[0], itemgetter(*G)
+    rights = [(comp[b], itemgetter(*map(comp[b].__getitem__, G))) for b in G]
+    for a in G:
+        row = comp[a]
+        for b, (comp_b, right) in zip(G, rights):
+            comp_ab = comp[row[b]]
+            if comp_ab[first] != row[comp_b[first]]:
+                return (a, b, first)
+            if at_g(comp_ab) != right(row):
+                return next((a, b, c) for c in G if comp_ab[c] != row[comp_b[c]])
     return None
 
 
@@ -258,21 +244,6 @@ def join_irreducibles(leq: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([x for x, (up, common) in enumerate(zip(leq, bounds)) if common != up])
 
 
-def _associative_on(comp, G: tuple[int, ...]) -> bool:
-    """Whether (a;b);c = a;(b;c) for all a, b and c of G: row a;b of comp
-    read at G against row a read at row b read at G, one step per (a, b).
-    Both sides are itemgetters over |G| indices, so on one index both are
-    bare items."""
-    at_g = itemgetter(*G)
-    right_of = [(b, itemgetter(*map(comp[b].__getitem__, G))) for b in G]
-    for a in G:
-        row = comp[a]
-        for b, right in right_of:
-            if at_g(comp[row[b]]) != right(row):
-                return False
-    return True
-
-
 def monotonicity(leq: tuple[int, ...], comp) -> tuple[int, int, int] | None:
     """Some a <= b and c with a;c not <= b;c or c;a not <= c;b."""
     n = len(leq)
@@ -292,47 +263,27 @@ def residuation(leq: tuple[int, ...], comp, lres, rres,
                 masks: CandidateMasks | None = None) -> tuple[int, int, int] | None:
     """Some a, b, c where b <= a\\c, a;b <= c and a <= c/b do not all agree.
 
-    The law is read first off the candidate masks of (leq, comp), masks or a
-    pass built here.  It holds exactly when every candidate set of a\\c and
-    of c/b is the lower cone of that residual, since b <= a\\c says that b
-    lies in the cone of a\\c and a <= c/b that a lies in the cone of c/b.
-    The rows (_residuation_rows) decide otherwise, and name the witness."""
-    if _residual_cones(masks or CandidateMasks(leq, comp), lres, rres):
-        return None
-    return _residuation_rows(leq, comp, lres, rres)
-
-
-def _residual_cones(masks: CandidateMasks, lres, rres) -> bool:
-    """Whether every candidate set of masks is the lower cone of its residual
-    in lres and rres."""
-    rows, down = masks.read()
+    Decided and named off the candidate masks of (leq, comp), masks or a
+    pass built here.  b <= a\\c says that b lies in the cone of a\\c and
+    a <= c/b that a lies in the cone of c/b, so the law holds exactly when
+    every candidate set {b : a;b <= c} and {a : a;b <= c} is the lower cone
+    of that residual, compared row by row.  Otherwise each set that differs
+    from its cone names the least violation it holds, (a, b, c) with b the
+    lowest member of the difference for a\\c, a the lowest for c/b, and the
+    least of those is the first witness."""
+    rows, down = (masks or CandidateMasks(leq, comp)).read()
     n = len(down)
-    return all(tuple(row[:n]) == rel.gather(down, lres_at)
-               and tuple(row[n:-1]) == rel.gather(down, rres_at)
-               for row, lres_at, rres_at in zip(rows, zip(*lres), rres))
-
-
-def _residuation_rows(leq, comp, lres, rres) -> tuple[int, int, int] | None:
-    """The first violation of residuation: the order row of a;b against the
-    order row of b read at row a of lres and the order row of a read at
-    column b of rres."""
-    n = len(leq)
-    le = _order_table(leq)
-    rres_at_column = [itemgetter(*column) for column in zip(*rres)]
-    for a in range(n):
-        comp_a = comp[a]
-        lres_a = itemgetter(*lres[a])
-        le_a = le[a]
-        for b, rres_at in enumerate(rres_at_column):
-            below = le[comp_a[b]]
-            if lres_a(le[b]) == below == rres_at(le_a):
-                continue
-            lres_row, row_ab, row_b, row_a = lres[a], leq[comp_a[b]], leq[b], leq[a]
-            for c in range(n):
-                bit = row_ab >> c & 1
-                if row_b >> lres_row[c] & 1 != bit or row_a >> rres[c][b] & 1 != bit:
-                    return (a, b, c)
-    return None
+    columns = tuple(zip(*lres))
+    if all(tuple(row[:n]) == rel.gather(down, lres_at)
+           and tuple(row[n:-1]) == rel.gather(down, rres_at)
+           for row, lres_at, rres_at in zip(rows, columns, rres)):
+        return None
+    return min([(a, (m & -m).bit_length() - 1, c)
+                for c, (row, lres_at) in enumerate(zip(rows, columns))
+                for a, m in enumerate(map(xor, row, rel.gather(down, lres_at))) if m]
+               + [((m & -m).bit_length() - 1, b, c)
+                  for c, (row, rres_at) in enumerate(zip(rows, rres))
+                  for b, m in enumerate(map(xor, row[n:], rel.gather(down, rres_at))) if m])
 
 
 def join_lub(leq: tuple[int, ...], join) -> tuple[int, int, int] | None:
@@ -381,29 +332,18 @@ def order_reflection(leq: tuple[int, ...], comp,
     In a quantale join-generated by G this is exactly where the relations
     {(g, q) : g in G, g <= a;q} fail to reflect the order.
 
-    The law is read first off the candidate masks of (leq, comp), masks or a
+    Decided and named off the candidate masks of (leq, comp), masks or a
     pass built here: the a with a;q <= b;q for every q are the AND over q of
-    the candidate sets of (b;q)/q, and the law holds exactly when that AND
-    lies in the lower cone of b for every b.  The pairs of rows
-    (_order_reflection_pairs) decide otherwise, and name the witness.
+    the candidate sets of (b;q)/q, so the a of a witness (a, b) are that AND
+    less the lower cone of b.  The law holds exactly when that is empty for
+    every b, and the first witness is the least a, then b.
     """
     rows, down = (masks or CandidateMasks(leq, comp)).read()
     right = range(len(leq), 2 * len(leq))
-    if not any(reduce(and_, map(getitem, rel.gather(rows, comp_b), right)) & ~cone
-               for comp_b, cone in zip(comp, down)):
-        return None
-    return _order_reflection_pairs(leq, comp)
-
-
-def _order_reflection_pairs(leq: tuple[int, ...], comp) -> tuple[int, int] | None:
-    """The first violation of order reflection: the pairs of rows a and b of
-    comp inside the order."""
-    order = _order_pairs(leq)
-    for a, comp_a in enumerate(comp):
-        for b, comp_b in enumerate(comp):
-            if not leq[a] >> b & 1 and order.issuperset(zip(comp_a, comp_b)):
-                return (a, b)
-    return None
+    escapes = (reduce(and_, map(getitem, rel.gather(rows, comp_b), right)) & ~cone
+               for comp_b, cone in zip(comp, down))
+    return min((((m & -m).bit_length() - 1, b) for b, m in enumerate(escapes) if m),
+               default=None)
 
 
 def _max_of(candidates: int, down: tuple[int, ...]) -> int | None:
@@ -481,9 +421,9 @@ def join_semigroup_laws(leq: tuple[int, ...], join, comp,
     {a : a;b <= c}.  The row loop (distributivity) decides otherwise, and
     names the witness.
 
-    Associativity holds without its row loop when the order
-    laws, join_lub and distributivity hold and (a;b);c = a;(b;c) for all a, b
-    and c of G = join_irreducibles(leq).  Proof: first, every x is the join
+    Associativity holds exactly when, given the order laws, join_lub and
+    distributivity, it holds over G = join_irreducibles(leq), that is when
+    associativity(comp, G) finds no witness.  Proof: first, every x is the join
     of the non-empty set G(x) of the members of G below x, by induction on
     the size of the lower cone of x.  If x is in G, G(x) holds x, and x is its
     largest member.  Otherwise x is the least upper bound of the non-empty set
@@ -496,9 +436,9 @@ def join_semigroup_laws(leq: tuple[int, ...], join, comp,
     binary joins on both sides gives it over non-empty finite joins by
     induction.  So with x, y and z the joins of G(x), G(y) and G(z),
     (x;y);z and x;(y;z) are the joins of (a;b);c and of a;(b;c) over a in
-    G(x), b in G(y) and c in G(z), which are the same elements.  The row loop
-    (associativity) decides when a precondition or the check over G fails,
-    and when G is every element, as in a chain, where it is that check.
+    G(x), b in G(y) and c in G(z), which are the same elements.  Associativity
+    over every element decides when a precondition fails, and names the
+    first witness when the check over G fails.
     """
     reflexive, antisymmetric, transitive = order_checks(leq)
     lub = Check("join_lub", join_lub(leq, join))
@@ -507,8 +447,7 @@ def join_semigroup_laws(leq: tuple[int, ...], join, comp,
     distributivity_witness = None if distributes else distributivity(join, comp)
     preconditions = (reflexive.passed and antisymmetric.passed and transitive.passed
                      and lub.passed and distributivity_witness is None)
-    G = join_irreducibles(leq) if preconditions else ()
-    associative = 0 < len(G) < len(leq) and _associative_on(comp, G)
+    associative = preconditions and associativity(comp, join_irreducibles(leq)) is None
     return Report((
         reflexive, antisymmetric, transitive, lub,
         Check("associativity", None if associative else associativity(comp)),

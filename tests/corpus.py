@@ -50,14 +50,16 @@ def closed_sets_by_scan(A: FiniteResiduatedSemigroup) -> tuple[int, ...]:
 # of resq.algebra
 
 
-def associativity_by_loops(comp) -> tuple[int, int, int] | None:
-    n = len(comp)
-    for a in range(n):
+def associativity_by_loops(comp, G=None) -> tuple[int, int, int] | None:
+    """The first a, b, c of the indices G, in their order (every element
+    when None), with (a;b);c != a;(b;c)."""
+    G = range(len(comp)) if G is None else G
+    for a in G:
         row = comp[a]
-        for b in range(n):
+        for b in G:
             ab = comp[row[b]]
             comp_b = comp[b]
-            for c in range(n):
+            for c in G:
                 if ab[c] != row[comp_b[c]]:
                     return (a, b, c)
     return None

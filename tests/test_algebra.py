@@ -340,20 +340,24 @@ def test_infer_residuals_match_definition():
     assert {n for n, k in outcomes if k == 2} == {1, 2, 3, 4, 5}
 
 
-# the loops that decide residuation, distributivity and order reflection
-# when the candidate masks do not show that the law holds
-MASKED_LAW_LOOPS = ("_residuation_rows", "distributivity", "_order_reflection_pairs")
+def count_paths(monkeypatch) -> dict:
+    """Wrap the two laws of join_semigroup_laws that have two paths: the
+    runs of the distributivity loop, which runs only when the candidate masks
+    do not show that the law holds, and of associativity over the
+    join-irreducibles G and over every element."""
+    calls = {"distributivity": 0, "associativity over G": 0, "associativity": 0}
+    distributivity, associativity = algebra.distributivity, algebra.associativity
 
+    def counted_distributivity(join, comp):
+        calls["distributivity"] += 1
+        return distributivity(join, comp)
 
-def count_calls(monkeypatch, names) -> dict:
-    """Wrap each algebra function named in names; name -> its call count."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, name=name, loop=getattr(algebra, name)):
-            calls[name] += 1
-            return loop(*args)
+    def counted_associativity(comp, G=None):
+        calls["associativity" if G is None else "associativity over G"] += 1
+        return associativity(comp, G)
 
-        monkeypatch.setattr(algebra, name, counted)
+    monkeypatch.setattr(algebra, "distributivity", counted_distributivity)
+    monkeypatch.setattr(algebra, "associativity", counted_associativity)
     return calls
 
 
@@ -362,13 +366,14 @@ def test_infer_residuals_match_loops_on_large_quantales(monkeypatch):
     # transposition: the same tables, and after one cell of the composition
     # is moved, the same first missing residual with the same candidates.
     # Residuation, the distributivity of join_semigroup_laws and order
-    # reflection read the same pass and agree with their scalar oracles; each
-    # is decided both by the masks alone and by its loop.  The associativity
-    # of join_semigroup_laws agrees with its oracle too, decided over the
-    # join-irreducibles alone on some tables and by its loop on others
+    # reflection read the same pass and agree with their scalar oracles.
+    # Distributivity is decided by the masks alone on some tables and by its
+    # loop on others; the associativity of join_semigroup_laws agrees with
+    # its oracle too, decided over the join-irreducibles alone on some tables
+    # and over every element on others
     algebras = corpus.large_quantale_algebras() + [corpus.quantale_50_model()[0]]
     quantales = [completion.build_quantale(A) for A in algebras]
-    loops = count_calls(monkeypatch, MASKED_LAW_LOOPS + ("associativity",))
+    loops = count_paths(monkeypatch)
     sizes = []
     missing = 0
     cases = 0
@@ -402,8 +407,7 @@ def test_infer_residuals_match_loops_on_large_quantales(monkeypatch):
     assert sizes == [16, 20, 32, 50]
     assert missing >= 12
     assert cases == 56
-    # every law ran its loop on some tables and was read off the masks (or
-    # the join-irreducibles) alone on others
+    # each path ran on some tables and not on others
     assert all(0 < count < cases for count in loops.values()), loops
 
 
@@ -453,9 +457,9 @@ def test_distributivity_lemma_needs_each_precondition(monkeypatch):
             "principal": algebra._principal_candidates(masks),
         }
         assert [law for law, holds in held.items() if not holds] == [failing]
-        loops = count_calls(monkeypatch, ["distributivity"])
+        loops = count_paths(monkeypatch)
         check = algebra.join_semigroup_laws(leq, join, comp, masks).condition("distributivity")
-        assert loops == {"distributivity": 1}
+        assert loops["distributivity"] == 1
         assert check.witness == corpus.distributivity_by_loops(join, comp)
         outcomes[failing] = check.passed
         monkeypatch.undo()
@@ -469,16 +473,18 @@ def test_associativity_lemma_needs_distributivity(monkeypatch):
     # 0: the products of the join-irreducibles 0, a and b are all 0, so
     # associativity holds over them, but t;(a v b) = a is not t;a v t;b = b
     # and (t;t);t = 0 is not t;(t;t) = b.  Without distributivity the check
-    # over the join-irreducibles shows nothing, and the loop decides
+    # over the join-irreducibles is not made, and associativity over every
+    # element decides
     zero, a, b, t = range(4)
     leq = (0b1111, 0b1010, 0b1100, 0b1000)
     join = ((zero, a, b, t), (a, a, t, t), (b, t, b, t), (t, t, t, t))
     comp = ((zero,) * 4, (zero,) * 4, (zero,) * 4, (zero, b, zero, a))
-    assert algebra.join_irreducibles(leq) == (zero, a, b)
-    assert algebra._associative_on(comp, (zero, a, b))
-    loops = count_calls(monkeypatch, ["associativity"])
+    G = algebra.join_irreducibles(leq)
+    assert G == (zero, a, b)
+    assert algebra.associativity(comp, G) is None is corpus.associativity_by_loops(comp, G)
+    loops = count_paths(monkeypatch)
     laws = algebra.join_semigroup_laws(leq, join, comp)
-    assert loops == {"associativity": 1}
+    assert loops == {"distributivity": 1, "associativity over G": 0, "associativity": 1}
     assert [check.name for check in laws.failures] == ["associativity", "distributivity"]
     assert laws.condition("associativity").witness == (t, t, t) == corpus.associativity_by_loops(comp)
     assert (laws.condition("distributivity").witness == (a, a, b)
@@ -504,15 +510,15 @@ def test_join_irreducibles_match_definition(corpus_all):
 
 def test_small_completions_read_the_masks_first(monkeypatch, corpus_all):
     # the completions of the corpus algebras, of 1 to 6 elements, through
-    # the pipeline's law checks: the candidate masks show that residuation
-    # and distributivity hold on every one, so their loops never run, and
-    # order reflection runs its loop only on the completions that fail it;
-    # every witness is the oracle's
-    loops = count_calls(monkeypatch, MASKED_LAW_LOOPS)
+    # the pipeline's law checks: the candidate masks show that distributivity
+    # holds on every one, so its loop never runs, and associativity is
+    # decided over the join-irreducibles alone; residuation holds on every
+    # one and order reflection fails on 68, and every witness is the oracle's
+    loops = count_paths(monkeypatch)
     quantales = [completion.build_quantale(A) for A in corpus_all]
     residuals = [completion.quantale_residuals(Q) for Q in quantales]
     reflections = [algebra.order_reflection(Q.leq, Q.comp, Q.candidate_masks) for Q in quantales]
-    assert loops == {"_residuation_rows": 0, "distributivity": 0, "_order_reflection_pairs": 68}
+    assert loops == {"distributivity": 0, "associativity over G": 125, "associativity": 0}
     assert len(quantales) == 125
     assert {Q.size for Q in quantales} == {1, 2, 3, 4, 5, 6}
     for Q, (lres, rres), reflection in zip(quantales, residuals, reflections):
@@ -567,6 +573,43 @@ def test_laws_match_scalar_loops_on_one_element(leq):
     table = ((0,),)
     assert_laws_match_loops(leq, table, table, table, table)
     assert algebra.associativity(table) is None
+
+
+@st.composite
+def tables_and_index_sets(draw):
+    """A table of 1 to 8 elements, random or associative (a relabeled
+    semilattice, cyclic group, left-zero band or projection onto an
+    idempotent map) with at most one cell changed, and ascending indices:
+    none, one, all of them or any subset."""
+    n = draw(st.integers(1, 8))
+    index = st.integers(0, n - 1)
+    kind = draw(st.sampled_from(["random", "max", "sum", "left", "idempotent"]))
+    if kind == "random":
+        comp = [list(draw(st.tuples(*[index] * n))) for _ in range(n)]
+    else:
+        label = draw(st.permutations(range(n)))
+        kept = sorted(draw(st.sets(index, min_size=1)))
+        f = [x if x in kept else draw(st.sampled_from(kept)) for x in range(n)]  # f∘f = f
+        rule = {"max": max, "sum": lambda x, y: (x + y) % n,
+                "left": lambda x, y: x, "idempotent": lambda x, y: f[x]}[kind]
+        comp = [[label[rule(x, y)] for y in range(n)] for x in range(n)]
+        comp = [[comp[label.index(x)][label.index(y)] for y in range(n)] for x in range(n)]
+        if draw(st.booleans()):
+            comp[draw(index)][draw(index)] = draw(index)
+    subsets = st.sets(index, min_size=min(n, 2)).map(sorted).map(tuple)
+    G = draw(st.one_of(subsets, st.just(tuple(range(n))), index.map(lambda x: (x,)), st.just(())))
+    return tuple(map(tuple, comp)), G
+
+
+@given(tables_and_index_sets())
+@settings(max_examples=400)
+def test_associativity_over_index_sets_matches_scalar_loops(case):
+    # associativity over G names the first witness over G^3, in the order
+    # of G, as the scalar loop over G^3 does, and over every element when G
+    # is None; the check over G is what join_semigroup_laws reads
+    comp, G = case
+    assert algebra.associativity(comp, G) == corpus.associativity_by_loops(comp, G)
+    assert algebra.associativity(comp) == corpus.associativity_by_loops(comp)
 
 
 @functools.lru_cache(maxsize=None)

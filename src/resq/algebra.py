@@ -682,9 +682,11 @@ class RelationClosure(tuple):
 
     A tuple of relations that also carries the member index of every
     operation: comp[i][j], lres[i][j] and rres[i][j] index self[i] ; self[j],
-    self[i] \\ self[j] and self[i] / self[j].
+    self[i] \\ self[j] and self[i] / self[j]; and their order by inclusion:
+    bit j of leq[i] is set iff self[i] lies inside self[j].
     """
 
+    leq: tuple[int, ...]
     comp: tuple[tuple[int, ...], ...]
     lres: tuple[tuple[int, ...], ...]
     rres: tuple[tuple[int, ...], ...]
@@ -706,7 +708,8 @@ def close_relation_family(
     (``relations.Operation.codes``), so each pair of members is evaluated in
     the round after the later of them is found.  The codes not seen make the
     next run.  Once a round finds nothing new, the members are sorted and one
-    evaluation of each operation at all members against all gives its table.
+    evaluation of each operation at all members against all gives its table;
+    the order by inclusion is read off the same stack of the sorted members.
     A generator of the wrong length, or with a row that is not an int below
     2 ** base_size, raises ValueError.
     """
@@ -757,6 +760,7 @@ def close_relation_family(
     count = len(closure)
     rank = dict(zip(ordered, range(count)))
     everything = rel.with_columns(rel.stack_codes(ordered, n))
+    closure.leq = rel.inclusion_order(closure, everything)
     tables = []
     for op in ops:
         entries = rel.unpack_codes(op.codes(op.keys(closure, everything), everything), count, n)
@@ -769,10 +773,11 @@ def close_relation_family(
 def algebra_of_relations(
     family: RelationClosure, names: tuple[str, ...] | None = None
 ) -> FiniteResiduatedSemigroup:
-    """Abstract tables of a closed family of relations, read off its closure."""
+    """Abstract tables and order of a closed family of relations, read off its
+    closure."""
     if names is None:
         names = tuple(f"r{i}" for i in range(len(family)))
-    return FiniteResiduatedSemigroup(names=names, leq=rel.inclusion_order(family),
+    return FiniteResiduatedSemigroup(names=names, leq=family.leq,
                                      comp=family.comp, lres=family.lres, rres=family.rres)
 
 

@@ -128,7 +128,8 @@ class ResourceLimitError(ResqError):
 
 
 class DimensionMismatch(ResqError):
-    """Relation operands live over bases of different sizes."""
+    """Relation operands live over bases of different sizes, or an
+    interpretation has fewer relations than its structure has elements."""
 
 
 class MissingAtomError(ResqError):

@@ -145,32 +145,6 @@ def meet_rows(mask: int, rows, full: int) -> int:
     return acc
 
 
-def inclusion_order(family) -> tuple[int, ...]:
-    """Order rows of a family by inclusion: bit j of row i set iff family[i] <=
-    family[j]; a set given as a bitmask m is the one-row relation (m,).
-
-    below[(x, row)] is the mask of the members whose row x contains row, so
-    the members above r are the AND of below over the rows of r."""
-    below: dict = {}
-    everything = (1 << len(family)) - 1
-    bits = [1 << j for j in range(len(family))]
-    out = []
-    for r in family:
-        above = everything
-        for key in enumerate(r):
-            mask = below.get(key)
-            if mask is None:
-                x, row = key
-                mask = 0
-                for bit, s in zip(bits, family):
-                    if not row & ~s[x]:
-                        mask |= bit
-                below[key] = mask
-            above &= mask
-        out.append(above)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # packed rows: relation codes and stacked families
 #
@@ -372,6 +346,75 @@ def field_ones(count: int, width: int) -> int:
     """The packed row of count fields of width bits holding 1 each: times a
     row, that row in every field."""
     return ((1 << count * width) - 1) // ((1 << width) - 1)
+
+
+def inclusion_order(family, stacked: Stack | None = None) -> tuple[int, ...]:
+    """Order rows of a sequence of relations over one base by inclusion: bit
+    j of row i set iff family[i] lies inside family[j]; a set given as a
+    bitmask m is the one-row relation (m,).  stacked is the stack of family
+    when the caller holds one; without it, family is stacked here with
+    fields of whole bytes as wide as its widest row.
+
+    For a value v of row y, v * ones & ~rows[y] marks the fields of the
+    members whose row y lacks a bit of v, and a packed row of such marks
+    becomes the mask of its unmarked fields (_clear_fields, one pass for all
+    rows).  Either each distinct key (y, v) gives the members whose row y
+    contains v, and a member's order row is the AND of those of its keys, or
+    each member's marks over all its rows are ORed and give its order row
+    directly: one compression per distinct key or one per member, whichever
+    are fewer."""
+    count = len(family)
+    if not count:
+        return ()
+    columns = list(zip(*family))
+    keys = [set(column) for column in columns]
+    spans = (max(map(max, keys), default=0).bit_length() + 7) // 8  # the bytes a row takes
+    if stacked is None:
+        width = 8 * max(1, spans)
+        rows = [pack_fields(_join_fields(column, width // 8)) for column in columns]
+    else:
+        rows, _, width = stacked[:3]
+    ones = field_ones(count, width)
+    full = ones * ((1 << width) - 1)
+    lacks = [full ^ row for row in rows]
+    if sum(map(len, keys)) < count:
+        below = iter(_clear_fields([v * ones & lack for values, lack in zip(keys, lacks)
+                                    for v in values], count, width, spans))
+        above = [(1 << count) - 1] * count
+        for values, column in zip(keys, columns):
+            above = list(map(operator.and_, above,
+                             map(dict(zip(values, below)).__getitem__, column)))
+        return tuple(above)
+    marks = []
+    for r in family:
+        acc = 0
+        for v, lack in zip(r, lacks):
+            if v:
+                acc |= v * ones & lack
+        marks.append(acc)
+    return tuple(_clear_fields(marks, count, width, spans))
+
+
+# byte 0 to the digit 1, every other byte to the digit 0
+_ZERO_DIGITS = bytes.maketrans(bytes(range(256)), b"1" + b"0" * 255)
+
+
+def _clear_fields(packed_rows, count: int, width: int, spans: int) -> list[int]:
+    """The mask of the fields that are 0 in each of packed_rows, count fields
+    of width bits each, whose bits lie in the low spans bytes of every field:
+    bit j set iff field j is 0.  All rows are written as one run of bytes,
+    the low bytes of each field are ORed into one (one slice per byte), and
+    each byte becomes a digit, 1 for 0; read last field first, the digits of
+    a row are its mask as a binary numeral."""
+    step = width // 8
+    data = b"".join([packed.to_bytes(count * step, _CODE_ORDER) for packed in packed_rows])
+    if step > 1:
+        folded = 0
+        for k in range(spans):
+            folded |= int.from_bytes(data[k::step], _CODE_ORDER)
+        data = folded.to_bytes(len(data) // step, _CODE_ORDER)
+    digits = data.translate(_ZERO_DIGITS)[::-1]  # the last row first
+    return [int(digits[start - count:start], 2) for start in range(len(digits), 0, -count)]
 
 
 def with_columns(s: Stack) -> Stack:

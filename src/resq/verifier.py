@@ -92,9 +92,10 @@ def _row_failure(name, a, expected, actual) -> Check | None:
     return None
 
 
-def _order_condition(leq, relations) -> Check:
-    """order-iff: a <= b exactly when the relation of a is inside that of b."""
-    for a, (want, got) in enumerate(zip(leq, rel.inclusion_order(relations))):
+def _order_condition(leq, relations, family: rel.Stack) -> Check:
+    """order-iff: a <= b exactly when the relation of a is inside that of b,
+    read off family, the stack of the relations (relations.inclusion_order)."""
+    for a, (want, got) in enumerate(zip(leq, rel.inclusion_order(relations, family))):
         diff = want ^ got
         if diff:
             return Check("order-iff", (a, (diff & -diff).bit_length() - 1))
@@ -107,7 +108,14 @@ def check_representation(S, I: Interpretation) -> Report:
     S lists its operations as (condition name, index table) pairs; every
     condition is always checked.  A witness is (a, b) for order-iff, else
     (a, b, x, y) with (x, y) the first pair where op(R[a], R[b]) is wrong.
+    R[a] is the a-th relation of I, and relations past S's elements are
+    ignored.  Raises DimensionMismatch, before any condition runs, when I has
+    fewer relations than S has elements or its relations lie over different
+    bases.
     """
+    if len(I.relations) < len(S.comp):
+        raise DimensionMismatch(f"the interpretation has fewer relations ({len(I.relations)}) "
+                                f"than the structure has elements ({len(S.comp)})")
     relations = I.relations[:len(S.comp)]
     if len({len(r) for r in relations}) > 1:
         raise DimensionMismatch("the relations of the interpretation have different bases")
@@ -120,7 +128,7 @@ def check_representation(S, I: Interpretation) -> Report:
     else:
         codes, family = None, rel.stack(relations, n)
     family = rel.with_columns(family)
-    return Report((_order_condition(S.leq, relations),) + tuple(
+    return Report((_order_condition(S.leq, relations, family),) + tuple(
         _table_condition(name, table, relations, family, codes) for name, table in S.operations
     ))
 

@@ -117,6 +117,14 @@ def order_reflection_by_loops(leq, comp) -> tuple[int, int] | None:
     return None
 
 
+def inclusion_order_by_loops(family) -> tuple[int, ...]:
+    """Order rows of a family by inclusion, one rel_subset per ordered pair
+    of members.  Oracle for relations.inclusion_order, which reads them off
+    a stack."""
+    return tuple(sum(1 << j for j, s in enumerate(family) if rel.rel_subset(r, s))
+                 for r in family)
+
+
 def infer_residuals_by_loops(leq, comp, names=None):
     """Both residual tables, each cell the maximum of its candidate set found
     on its own; raises NoResidualError at the first cell without one, every

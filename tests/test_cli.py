@@ -887,6 +887,25 @@ def test_verify_refuses_a_dump_base_above_the_cap(runner, tmp_path, form, what):
     assert result.stderr == f"error: {what} exceeds the cap (limit {cap})\n"
 
 
+def test_verify_passes_the_identity_dump_at_the_cap(runner, tmp_path):
+    # one relation over MAX_BASE points, the widest stack the checker reads
+    # the order off
+    cap = rel.MAX_BASE
+    identity = rel.pairs_text((x, x) for x in range(cap))
+    dump = f"base: {' '.join(map(str, range(cap)))}\nrel q:{identity}\n"
+    path = tmp_path / "one_q.alg"
+    path.write_text(ONE_Q)
+    rep = tmp_path / "one_q.rep"
+    rep.write_text(dump)
+    result, payload = run_json(runner, ["verify", str(path), str(rep)])
+    assert result.exit_code == 0, result.output
+    verification = payload["verification"]
+    assert verification.pop("all_pass") is True
+    assert {name: entry["status"] for name, entry in verification.items()} == {
+        "order-iff": "pass", "composition": "pass", "left-residual": "pass",
+        "right-residual": "pass"}
+
+
 @pytest.mark.parametrize("command", ["complete", "represent", "verify", "search"])
 def test_mismatched_residual_block_is_not_residuated(runner, tmp_path, command):
     # decide reports the same file as its verdict, valid: false with exit 1

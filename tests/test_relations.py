@@ -1,10 +1,19 @@
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corpus import all_relations, canonical_relations_by_scan, encode_relation, permute_relation
-from resq import lambek, pointalg
+from corpus import (
+    a4_generators,
+    all_relations,
+    canonical_relations_by_scan,
+    encode_relation,
+    inclusion_order_by_loops,
+    permute_relation,
+    quantale_50_model,
+)
+from resq import algebra, lambek, pointalg
 from resq import relations as rel
 from resq.algebra import transitivity
 from resq.completion import build_quantale
@@ -467,6 +476,24 @@ def test_operation_codes_are_the_codes_of_op(data, name, n):
     assert list(codes) == [rel.relation_code(op.apply(r, s)) for r in left for s in right]
 
 
+@st.composite
+def ordered_families(draw, n, max_size=12):
+    """Families over n points with inclusions among their members: drawn
+    relations, meets of drawn pairs of them and repeats, in any order."""
+    family = draw(st.lists(mask_relation(n), max_size=max_size))
+    if family:
+        pairs = draw(st.lists(st.tuples(st.sampled_from(family), st.sampled_from(family)),
+                              max_size=max_size))
+        family += [tuple(map(operator.and_, r, s)) for r, s in pairs]
+        family += draw(st.lists(st.sampled_from(family), max_size=4))
+    return draw(st.permutations(family))
+
+
+def distinct_keys(family) -> int:
+    """The distinct (y, row y) keys of the members of family."""
+    return sum(len(set(column)) for column in zip(*family))
+
+
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(mask_relation(n), max_size=12)))
 def test_inclusion_order_matches_pairwise_subset(family):
     order = rel.inclusion_order(family)
@@ -474,6 +501,68 @@ def test_inclusion_order_matches_pairwise_subset(family):
     for i, r in enumerate(family):
         for j, s in enumerate(family):
             assert bool(order[i] >> j & 1) == rel.rel_subset(r, s)
+
+
+@given(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 10, 12]).flatmap(ordered_families))
+def test_inclusion_order_matches_pairwise_subset_on_every_stack(family):
+    # the plain family, stacked with fields of whole bytes; its stack of
+    # rows, 9-12 points included; and its stack of codes, whose fields are
+    # 1 (bases 1-2), 2 (3-4), 4 (5) and 8 bytes (6-8) wide, and wider above
+    want = inclusion_order_by_loops(family)
+    assert rel.inclusion_order(family) == want
+    if family:
+        n = len(family[0])
+        codes = rel.stack_codes(map(rel.relation_code, family), n)
+        assert rel.inclusion_order(family, rel.stack(family, n)) == want
+        assert rel.inclusion_order(family, codes) == want
+
+
+@given(st.integers(1, 130).flatmap(
+    lambda bits: st.lists(st.integers(0, (1 << bits) - 1), max_size=40)))
+def test_inclusion_order_of_masks_as_one_row_relations(masks):
+    # the completion's closed sets, one row of up to 130 bits, wider than any
+    # native field; repeats included
+    family = [(m,) for m in masks + masks[::3]]
+    assert rel.inclusion_order(family) == inclusion_order_by_loops(family)
+
+
+@pytest.mark.parametrize("n, size, more_keys", [
+    (2, 40, False), (3, 60, False), (4, 12, True), (9, 8, True), (12, 30, True)])
+def test_inclusion_order_on_both_sides_of_the_key_count(n, size, more_keys):
+    # one compression per distinct key when there are fewer keys than
+    # members, one per member otherwise
+    rng = random.Random(size)
+    family = [tuple(rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n))
+              for _ in range(size)]
+    family += [tuple(map(operator.and_, r, s)) for r, s in zip(family, family[1:])]
+    assert (distinct_keys(family) > len(family)) == more_keys
+    want = inclusion_order_by_loops(family)
+    assert want != tuple(1 << i for i in range(len(family)))  # some inclusion between members
+    assert rel.inclusion_order(family) == want
+    assert rel.inclusion_order(family, rel.stack(family, n)) == want
+
+
+def test_inclusion_order_on_the_shapes_of_the_pipeline():
+    # the 50-point model's relations, more keys than members, and the
+    # 431-member closure of a4-20, fewer keys than members, each read off the
+    # stack its caller holds
+    A, _, interp = quantale_50_model()
+    hats = interp.relations
+    closure = algebra.close_relation_family(a4_generators(3, 20), 3)
+    assert (len(hats), distinct_keys(hats)) == (34, 422)
+    assert (len(closure), distinct_keys(closure)) == (431, 24)
+    assert rel.inclusion_order(hats, rel.stack(hats, 50)) == inclusion_order_by_loops(hats) == A.leq
+    stacked = rel.stack_codes(map(rel.relation_code, closure), 3)
+    assert rel.inclusion_order(closure, stacked) == inclusion_order_by_loops(closure) == closure.leq
+
+
+def test_inclusion_order_of_empty_and_one_member_families():
+    assert rel.inclusion_order([]) == ()
+    assert rel.inclusion_order([()]) == (1,)
+    assert rel.inclusion_order([(), ()]) == (0b11, 0b11)
+    assert rel.inclusion_order([(0b10, 0b01)]) == (1,)
+    assert rel.inclusion_order([(0b10, 0b01)], rel.stack([(0b10, 0b01)], 2)) == (1,)
+    assert rel.inclusion_order([(5,), (5,), (1,)]) == (0b011, 0b011, 0b111)
 
 
 def test_inclusion_order_of_bitmasks_as_one_row_relations():

@@ -571,14 +571,18 @@ def test_checkers_agree_with_table_cells_flipped_on_the_a4_closures():
         assert [c.witness[:2] for c in report.conditions[1:]] == [cell[1:3] for cell in cells]
 
 
-@pytest.mark.parametrize("base, gens, size, width", [
+# closures over bases whose codes fill native fields of 1, 2, 4 and 8 bytes
+NATIVE_WIDTH_CLOSURES = [
+    (2, [(0b01, 0)], 14, 1),
     (4, [(0b1110, 0b1100, 0b1000, 0)], 70, 2),  # the strict order
     (5, [(0, 4, 0, 0, 0), (8, 0, 8, 0, 0)], 42, 4),
     (6, [(16, 0, 0, 32, 0, 0), (0, 4, 4, 0, 0, 0)], 48, 8),
     (8, [(0, 4, 64, 4, 0, 0, 128, 4)], 32, 8),
-])
+]
+
+
+@pytest.mark.parametrize("base, gens, size, width", NATIVE_WIDTH_CLOSURES)
 def test_checkers_agree_with_table_cells_flipped_at_every_native_width(base, gens, size, width):
-    # closures over bases whose codes fill native fields of 2, 4 and 8 bytes;
     # in each table a drawn cell of the first row and one of the last
     A, interp = algebra.generate_concrete(base, gens)
     assert (A.n, rel.code_bytes(base)) == (size, width)
@@ -628,6 +632,48 @@ def test_checkers_agree_with_single_cells_flipped_on_a_50_point_model():
             b = rng.randrange(A.n)
             c = (table[a][b] + rng.randrange(1, A.n)) % A.n
             assert_checkers_agree(with_cells(A, [(name, a, b, c)]), interp)
+
+
+def with_order_bits(A, a, bits):
+    """A with the bits of row a of its order flipped."""
+    leq = list(A.leq)
+    leq[a] ^= bits
+    return dataclasses.replace(A, leq=tuple(leq))
+
+
+def test_checkers_agree_with_order_bits_set_and_cleared():
+    # an order the relations meet, one off-diagonal bit set and one cleared,
+    # then every off-diagonal bit of one row flipped, on the 50-point model,
+    # the base-9 closures and a closure per native code width: the order-iff
+    # witness is the bit, or the row's first
+    cases = [quantale_50_model()[::2]]
+    cases += [algebra.generate_concrete(9, gens) for gens in BASE_9_FAMILIES]
+    cases += [algebra.generate_concrete(base, gens) for base, gens, _, _ in NATIVE_WIDTH_CLOSURES]
+    for A, interp in cases:
+        assert check_representation(A, interp).condition("order-iff").passed
+        rng = random.Random(A.n)
+        pairs = [(a, b) for a in range(A.n) for b in range(A.n) if a != b]
+        for holds in (True, False):
+            a, b = rng.choice([(a, b) for a, b in pairs if A.le(a, b) == holds])
+            report = assert_checkers_agree(with_order_bits(A, a, 1 << b), interp)
+            assert report.condition("order-iff").witness == (a, b)
+        a = rng.randrange(A.n)
+        report = assert_checkers_agree(with_order_bits(A, a, (1 << A.n) - 1 ^ 1 << a), interp)
+        assert report.condition("order-iff").witness == (a, 1 if a == 0 else 0)
+
+
+def test_fewer_relations_than_elements_raise(c2):
+    interp = Interpretation(c2.names[:1], ("0", "1"), ((1, 0),))
+    with pytest.raises(DimensionMismatch, match=r"^the interpretation has fewer relations "
+                                                r"\(1\) than the structure has elements \(2\)$"):
+        check_representation(c2, interp)
+
+
+def test_relations_past_the_elements_are_ignored(c2):
+    # even over another base
+    interp = relrep.represent_pipeline(c2).interpretation
+    longer = Interpretation(interp.names + ("z",), interp.base_labels, interp.relations + ((1,),))
+    assert check_representation(c2, longer) == check_representation(c2, interp)
 
 
 def test_relations_over_different_bases_raise(c2):

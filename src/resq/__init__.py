@@ -1,59 +1,59 @@
-"""Workbench for finite residuated semigroups and their relational representations."""
+"""Workbench for finite residuated semigroups and their relational representations.
 
-from .algebra import (
-    Check,
-    FiniteResiduatedSemigroup,
-    Report,
-    enumerate_algebras,
-    generate_concrete,
-    infer_residuals,
-    parse_algebra,
-    serialize,
-    validate,
-)
-from .completion import Quantale, build_quantale, closed_sets, embed, quantale_residuals
-from .errors import ResqError
-from .lambek import Sequent, countermodel_search, derivable, evaluate, parse_sequent
-from .pointalg import build_point_algebra, frp_probe, reduct
-from .relations import Interpretation
-from .relrep import hat, represent_pipeline, unitalize
-from .verifier import (
-    Exhausted,
-    check_representation,
-    check_union_transitive,
-    search_representation,
-)
+The names in ``__all__`` load on first use (PEP 562): ``import resq`` imports
+no submodule, and ``resq.build_quantale`` imports ``resq.completion`` alone.
+"""
 
-__all__ = [
-    "FiniteResiduatedSemigroup",
-    "Check",
-    "Report",
-    "Quantale",
-    "Interpretation",
-    "Sequent",
-    "Exhausted",
-    "ResqError",
-    "parse_algebra",
-    "serialize",
-    "validate",
-    "infer_residuals",
-    "enumerate_algebras",
-    "generate_concrete",
-    "build_quantale",
-    "closed_sets",
-    "quantale_residuals",
-    "embed",
-    "hat",
-    "unitalize",
-    "represent_pipeline",
-    "check_representation",
-    "check_union_transitive",
-    "search_representation",
-    "build_point_algebra",
-    "reduct",
-    "frp_probe",
-    "parse_sequent",
-    "derivable",
-    "evaluate",
-    "countermodel_search",
-]
+from importlib import import_module
+
+# each export, in the order of __all__, with the module that defines it
+_HOME = {
+    "FiniteResiduatedSemigroup": "algebra",
+    "Check": "algebra",
+    "Report": "algebra",
+    "Quantale": "completion",
+    "Interpretation": "relations",
+    "Sequent": "lambek",
+    "Exhausted": "verifier",
+    "ResqError": "errors",
+    "parse_algebra": "algebra",
+    "serialize": "algebra",
+    "validate": "algebra",
+    "infer_residuals": "algebra",
+    "enumerate_algebras": "algebra",
+    "generate_concrete": "algebra",
+    "build_quantale": "completion",
+    "closed_sets": "completion",
+    "quantale_residuals": "completion",
+    "embed": "completion",
+    "hat": "relrep",
+    "unitalize": "relrep",
+    "represent_pipeline": "relrep",
+    "check_representation": "verifier",
+    "check_union_transitive": "verifier",
+    "search_representation": "verifier",
+    "build_point_algebra": "pointalg",
+    "reduct": "pointalg",
+    "frp_probe": "pointalg",
+    "parse_sequent": "lambek",
+    "derivable": "lambek",
+    "evaluate": "lambek",
+    "countermodel_search": "lambek",
+}
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    """The export name from its home module, imported on first access and
+    then bound here; any other name raises AttributeError."""
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import json
 import sys
+from typing import TYPE_CHECKING
 
 import click
 from click.core import ParameterSource
 
-from . import algebra, completion, lambek, pointalg, relrep, verifier
+# completion, relrep, verifier, lambek and pointalg are imported inside the
+# commands and renderers that use them, so a run loads only what it runs
+from . import algebra
 from . import relations as rel
 from .errors import (
     DimensionMismatch,
@@ -27,6 +30,9 @@ from .errors import (
     ResidualMismatchError,
     ResourceLimitError,
 )
+
+if TYPE_CHECKING:
+    from . import lambek
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -181,6 +187,8 @@ def _render_decide(payload: dict):
 @format_option
 def complete(path: str, fmt: str) -> None:
     """Print the quantale of Galois-closed subsets of the algebra."""
+    from . import completion
+
     A = _load_valid_algebra(path)
     Q = completion.build_quantale(A)
     payload = {"command": "complete", **completion.quantale_payload(Q)}
@@ -202,6 +210,8 @@ def complete(path: str, fmt: str) -> None:
 @format_option
 def represent(path: str, unitalize: str, output_path: str | None, fmt: str) -> None:
     """Build a relational representation, verify it, and dump it."""
+    from . import relrep, verifier
+
     A = _load_valid_algebra(path)
     result = relrep.represent_pipeline(A, unitalize_mode=unitalize)
     interp = result.interpretation
@@ -228,6 +238,8 @@ def represent(path: str, unitalize: str, output_path: str | None, fmt: str) -> N
 
 
 def _render_represent(payload: dict):
+    from . import relrep
+
     options = payload["options"]
     yield f"options: unitalize={options['unitalize']}"
     yield f"unitalized: {str(payload['unitalized']).lower()}"
@@ -267,6 +279,8 @@ def _render_verification(payload: dict):
 @format_option
 def verify(algebra_path: str, dump_path: str, fmt: str) -> None:
     """Check a representation dump against the four defining conditions."""
+    from . import relrep, verifier
+
     A = _load_algebra(algebra_path)
     interp = relrep.parse_interpretation(_read_text(dump_path), A)
     check = verifier.check_representation(A, interp)
@@ -286,6 +300,8 @@ def verify(algebra_path: str, dump_path: str, fmt: str) -> None:
 @format_option
 def search(path: str, max_base: int, node_budget: int | None, fmt: str) -> None:
     """Bounded search for a representation over bases of size 1..max-base."""
+    from . import verifier
+
     A = _load_valid_algebra(path)
     budget = verifier.NodeBudget(node_budget)
     outcome = verifier.search_representation(A, max_base, budget=budget)
@@ -303,8 +319,12 @@ def _render_search(payload: dict):
 def _outcome_payload(outcome) -> dict:
     """The verdict of a representation search, then max_base when it is
     exhausted, else base_size and the model it found."""
+    from . import verifier
+
     if isinstance(outcome, verifier.Exhausted):
         return {"verdict": "exhausted", "max_base": outcome.max_base}
+    from . import relrep
+
     return {"verdict": "found", "base_size": outcome.base_size,
             **relrep.interpretation_payload(outcome)}
 
@@ -314,6 +334,8 @@ def _render_search_outcome(payload: dict):
     when found, else max_base."""
     yield f"verdict: {payload['verdict']}"
     if payload["verdict"] == "found":
+        from . import relrep
+
         yield f"base_size: {payload['base_size']}"
         yield from relrep.format_interpretation_lines(payload)
     else:
@@ -328,6 +350,8 @@ def _render_search_outcome(payload: dict):
 @format_option
 def pointalg_cmd(generator_text: str, max_base: int, node_budget: int | None, fmt: str) -> None:
     """Close a point-algebra reduct and probe it for a bounded-base representation."""
+    from . import pointalg, verifier
+
     masks = [pointalg.parse_element(tok) for tok in generator_text.split(",") if tok.strip()]
     if not masks:
         raise ParseError("no generators given")
@@ -364,6 +388,8 @@ def lambek_group() -> None:
 @format_option
 def prove(sequent_text: str, node_budget: int | None, trace: bool, fmt: str) -> None:
     """Decide derivability of a sequent in the cut-free calculus."""
+    from . import lambek
+
     s = lambek.parse_sequent(sequent_text)
     proof = lambek.prove(s, node_budget=node_budget)
     payload = {
@@ -380,6 +406,8 @@ def prove(sequent_text: str, node_budget: int | None, trace: bool, fmt: str) -> 
 
 
 def _proof_payload(node: lambek.ProofNode) -> dict:
+    from . import lambek
+
     return {
         "rule": node.rule,
         "sequent": lambek.format_sequent(node.sequent),
@@ -401,6 +429,8 @@ def _proof_lines(node: dict, depth: int) -> list[str]:
 @format_option
 def counter(sequent_text: str, max_base: int, node_budget: int | None, fmt: str) -> None:
     """Search for a finite relational countermodel."""
+    from . import lambek, verifier
+
     s = lambek.parse_sequent(sequent_text)
     budget = verifier.NodeBudget(node_budget, default=lambek.DEFAULT_COUNTER_BUDGET)
     result = lambek.countermodel_search(s, max_base=max_base, budget=budget)
@@ -434,6 +464,8 @@ def _render_counter(payload: dict):
 @format_option
 def eval_cmd(sequent_text: str, model_path: str, fmt: str) -> None:
     """Evaluate a sequent in a model given as JSON: {"base": n, "valuation": {...}}."""
+    from . import lambek
+
     s = lambek.parse_sequent(sequent_text)
     holds = lambek.evaluate(s, lambek.parse_model(_read_text(model_path)))
     payload = {"command": "lambek-eval", "sequent": lambek.format_sequent(s), "holds": holds}

@@ -599,19 +599,98 @@ def test_base_five_search_ends_in_the_budget_error_within_bounded_memory(c2_file
 
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    env = {key: value for key, value in os.environ.items() if key != "RESQ_NODE_BUDGET"}
-    src = str(Path(resq.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
     proc = subprocess.run(
         [sys.executable, "-m", "resq.cli", "search", c2_file, "--max-base", "5",
          "--node-budget", "10000"],
-        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
+        capture_output=True, text=True, env=_fresh_env(), preexec_fn=cap_memory, timeout=120,
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.splitlines() == [
         "error: node budget exhausted while searching base 5; bases exhausted: 1, 2, 3, 4 "
         "(limit 10000)"
     ]
+
+
+def _fresh_env() -> dict:
+    """The environment for a new interpreter that imports this resq, without a
+    node budget set from outside."""
+    env = {key: value for key, value in os.environ.items() if key != "RESQ_NODE_BUDGET"}
+    src = str(Path(resq.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
+LATE_MODULES = {"completion", "relrep", "verifier", "lambek", "pointalg"}
+
+
+@pytest.mark.parametrize("args, code, unloaded", [
+    (["--help"], 0, LATE_MODULES),
+    (["decide", "ALGEBRA"], 0, LATE_MODULES),
+    (["complete", "ALGEBRA"], 0, {"verifier", "relrep", "lambek", "pointalg"}),
+    (["represent", "ALGEBRA"], 1, {"lambek", "pointalg"}),
+    (["verify", "ALGEBRA", "DUMP"], 1, {"lambek", "pointalg"}),
+    (["search", "ALGEBRA", "--max-base", "1"], 1, {"completion", "relrep", "lambek", "pointalg"}),
+    (["pointalg", "--max-base", "3"], 0, {"lambek"}),
+    (["lambek", "prove", "p, p\\q |- q"], 0, {"completion", "relrep", "pointalg"}),
+    (["lambek", "counter", "p*q |- q*p", "--max-base", "2"], 0,
+     {"completion", "relrep", "pointalg"}),
+    (["lambek", "eval", "p |- p", "MODEL"], 0, {"completion", "relrep", "pointalg"}),
+], ids=["help", "decide", "complete", "represent", "verify", "search-exhausted", "pointalg",
+        "lambek-prove", "lambek-counter", "lambek-eval"])
+def test_a_subcommand_loads_only_the_modules_it_runs(tmp_path, c2_file, args, code, unloaded):
+    dump = tmp_path / "c2.rep"
+    dump.write_text(relrep.format_interpretation(relrep.represent_pipeline(make_c2()).interpretation))
+    model = tmp_path / "model.json"
+    model.write_text(VALID_MODEL)
+    argv = [{"ALGEBRA": c2_file, "DUMP": str(dump), "MODEL": str(model)}.get(a, a) for a in args]
+    # -X importtime lists on stderr every module the fresh interpreter imports
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "resq.cli", *argv],
+        capture_output=True, text=True, env=_fresh_env(), timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    loaded = {name.removeprefix("resq.") for name in imported if name.startswith("resq.")}
+    assert {"algebra", "relations", "errors"} <= loaded
+    assert not loaded & unloaded
+
+
+NAMESPACE_PROBE = """
+import json, sys
+import resq
+fresh = sorted(name for name in sys.modules if name.startswith("resq."))
+listed = set(dir(resq))
+star = {}
+exec("from resq import *", star)
+try:
+    resq.no_such_name
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+exported = {name: getattr(resq, name) for name in resq.__all__}
+print(json.dumps({
+    "fresh": fresh,
+    "foreign": [name for name, value in exported.items() if not value.__module__.startswith("resq.")
+                or getattr(sys.modules[value.__module__], name) is not value],
+    "undir": sorted(set(resq.__all__) - listed),
+    "star": sorted(star.keys() - {"__builtins__"}),
+    "all": sorted(resq.__all__),
+    "missing": missing,
+}))
+"""
+
+
+def test_the_package_namespace_loads_its_exports_on_first_use():
+    proc = subprocess.run([sys.executable, "-c", NAMESPACE_PROBE], capture_output=True,
+                          text=True, env=_fresh_env(), timeout=120, check=True)
+    probe = json.loads(proc.stdout)
+    assert probe["fresh"] == []
+    assert probe["foreign"] == []
+    assert probe["undir"] == []
+    assert probe["star"] == probe["all"]
+    assert len(probe["all"]) == 31
+    assert probe["missing"] == "module 'resq' has no attribute 'no_such_name'"
 
 
 def test_deterministic_json_output(runner, c2_file):

@@ -192,7 +192,7 @@ def complete(path: str, fmt: str) -> None:
     A = _load_valid_algebra(path)
     Q = completion.build_quantale(A)
     payload = {"command": "complete", **completion.quantale_payload(Q)}
-    _emit(payload, fmt, lambda p: completion.format_quantale(Q).splitlines())
+    _emit(payload, fmt, completion.format_quantale_lines)
     sys.exit(EXIT_OK)
 
 
@@ -218,7 +218,7 @@ def represent(path: str, unitalize: str, output_path: str | None, fmt: str) -> N
     check = verifier.check_representation(A, interp)
     if output_path:
         with open(output_path, "w", encoding="utf-8") as handle:
-            handle.write(relrep.format_interpretation(interp))
+            handle.write(rel.format_interpretation(interp))
     reason = result.unitalize_reason
     Q0 = result.base_quantale
     payload = {
@@ -229,7 +229,7 @@ def represent(path: str, unitalize: str, output_path: str | None, fmt: str) -> N
             "condition": reason.name, **reason.payload(Q0.labels, Q0.labels)
         },
         "base_size": interp.base_size,
-        **relrep.interpretation_payload(interp),
+        **rel.interpretation_payload(interp),
         "verification": check.payload(A.names, interp.base_labels),
         "union_transitive": verifier.check_union_transitive(interp),
     }
@@ -238,8 +238,6 @@ def represent(path: str, unitalize: str, output_path: str | None, fmt: str) -> N
 
 
 def _render_represent(payload: dict):
-    from . import relrep
-
     options = payload["options"]
     yield f"options: unitalize={options['unitalize']}"
     yield f"unitalized: {str(payload['unitalized']).lower()}"
@@ -249,7 +247,7 @@ def _render_represent(payload: dict):
     else:
         yield f"unitalize_reason: {reason['condition']} {_render_condition(reason)}"
     yield f"base_size: {payload['base_size']}"
-    yield from relrep.format_interpretation_lines(payload)
+    yield from rel.format_interpretation_lines(payload)
     yield from _render_verification(payload)
 
 
@@ -279,10 +277,10 @@ def _render_verification(payload: dict):
 @format_option
 def verify(algebra_path: str, dump_path: str, fmt: str) -> None:
     """Check a representation dump against the four defining conditions."""
-    from . import relrep, verifier
+    from . import verifier
 
     A = _load_algebra(algebra_path)
-    interp = relrep.parse_interpretation(_read_text(dump_path), A)
+    interp = rel.parse_interpretation(_read_text(dump_path), A.names)
     check = verifier.check_representation(A, interp)
     payload = {
         "command": "verify",
@@ -323,10 +321,8 @@ def _outcome_payload(outcome) -> dict:
 
     if isinstance(outcome, verifier.Exhausted):
         return {"verdict": "exhausted", "max_base": outcome.max_base}
-    from . import relrep
-
     return {"verdict": "found", "base_size": outcome.base_size,
-            **relrep.interpretation_payload(outcome)}
+            **rel.interpretation_payload(outcome)}
 
 
 def _render_search_outcome(payload: dict):
@@ -334,10 +330,8 @@ def _render_search_outcome(payload: dict):
     when found, else max_base."""
     yield f"verdict: {payload['verdict']}"
     if payload["verdict"] == "found":
-        from . import relrep
-
         yield f"base_size: {payload['base_size']}"
-        yield from relrep.format_interpretation_lines(payload)
+        yield from rel.format_interpretation_lines(payload)
     else:
         yield f"max_base: {payload['max_base']}"
 
@@ -438,8 +432,7 @@ def counter(sequent_text: str, max_base: int, node_budget: int | None, fmt: str)
     if isinstance(result, verifier.Exhausted):
         payload.update(verdict="exhausted", max_base=result.max_base)
     else:
-        payload.update(verdict="found", base=result.base_size,
-                       valuation={name: rel.pair_lists(r) for name, r in result.valuation})
+        payload.update(verdict="found", **rel.model_payload(result))
     payload["nodes"] = budget.used
     _emit(payload, fmt, _render_counter)
     sys.exit(EXIT_VIOLATION if isinstance(result, verifier.Exhausted) else EXIT_OK)
@@ -452,9 +445,7 @@ def _render_counter(payload: dict):
     if payload["verdict"] == "exhausted":
         yield f"max_base: {payload['max_base']}"
     else:
-        yield f"base: {payload['base']}"
-        for name in sorted(payload["valuation"]):
-            yield f"v({name}):" + rel.pairs_text(payload["valuation"][name])
+        yield from rel.format_model_lines(payload)
     yield f"nodes: {payload['nodes']}"
 
 
@@ -467,7 +458,7 @@ def eval_cmd(sequent_text: str, model_path: str, fmt: str) -> None:
     from . import lambek
 
     s = lambek.parse_sequent(sequent_text)
-    holds = lambek.evaluate(s, lambek.parse_model(_read_text(model_path)))
+    holds = lambek.evaluate(s, rel.parse_model(_read_text(model_path)))
     payload = {"command": "lambek-eval", "sequent": lambek.format_sequent(s), "holds": holds}
     _emit(payload, fmt, lambda p: [f"sequent: {p['sequent']}", f"holds: {str(p['holds']).lower()}"])
     sys.exit(EXIT_OK if holds else EXIT_VIOLATION)

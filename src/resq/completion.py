@@ -319,24 +319,16 @@ def quantale_payload(Q: Quantale) -> dict:
     }
 
 
-def format_quantale(Q: Quantale) -> str:
-    lines = ["elements: " + " ".join(Q.labels)]
-    lines.append(
-        "leq:"
-        + "".join(
-            f" {i}<={j}"
-            for i in range(Q.size)
-            for j in range(Q.size)
-            if Q.le(i, j)
-        )
-    )
-    lines.append(
-        "comp:" + "".join(f" {i};{j}={Q.comp[i][j]}" for i in range(Q.size) for j in range(Q.size))
-    )
-    lines.append(
-        "sup:" + "".join(f" {i}+{j}={Q.sup[i][j]}" for i in range(Q.size) for j in range(Q.size))
-    )
-    lines.append(f"bottom: {Q.bottom}")
-    lines.append(f"top: {Q.top}")
-    lines.append(f"unit: {Q.unit if Q.unital else '-'}")
-    return "\n".join(lines) + "\n"
+def format_quantale_lines(payload: dict) -> list[str]:
+    """The text dump of a quantale's JSON dump (quantale_payload)."""
+    indices = range(len(payload["elements"]))
+    leq, comp, sup = payload["leq"], payload["comp"], payload["sup"]
+    return [
+        "elements: " + " ".join(payload["elements"]),
+        "leq:" + "".join(f" {i}<={j}" for i in indices for j in indices if leq[i][j]),
+        "comp:" + "".join(f" {i};{j}={comp[i][j]}" for i in indices for j in indices),
+        "sup:" + "".join(f" {i}+{j}={sup[i][j]}" for i in indices for j in indices),
+        f"bottom: {payload['bottom']}",
+        f"top: {payload['top']}",
+        f"unit: {payload['unit'] if payload['unital'] else '-'}",
+    ]

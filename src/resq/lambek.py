@@ -363,29 +363,6 @@ def _prove_split(ant, succ, memo, budget) -> ProofNode | None:
 # relational models
 
 
-def parse_model(text: str) -> Interpretation:
-    """Read a model given as JSON: {"base": n, "valuation": {"p": [[x, y], ...]}}.
-
-    base must be an int of at least 1 and each atom's value a list of [x, y]
-    int pairs, and no object may repeat a key; raises ParseError otherwise,
-    ResourceLimitError for a base above relations.MAX_BASE and DimensionMismatch
-    for a pair outside the base.  The atoms are sorted.
-    """
-    raw = rel.load_json(text, "model")
-    if not isinstance(raw, dict):
-        raise ParseError("model must be a JSON object with 'base' and 'valuation'")
-    base = raw.get("base")
-    if type(base) is not int or base < 1:
-        raise ParseError("model field 'base' must be an integer of at least 1")
-    rel.check_base_size(base, "model field 'base'")
-    named = raw.get("valuation")
-    if not isinstance(named, dict):
-        raise ParseError("model field 'valuation' must be an object")
-    atoms = sorted(named)
-    return Interpretation(tuple(atoms), tuple(map(str, range(base))),
-                          rel.read_relations(named, atoms, base, "valuation of"))
-
-
 def formula_value(f: Formula, M: Interpretation) -> Relation:
     """Extend the valuation over the full square of the base; raises
     MissingAtomError for an atom M does not name."""

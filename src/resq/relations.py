@@ -5,8 +5,8 @@ set iff the pair (i, j) belongs to the relation.  Tuples of ints are cheap,
 hashable and compare bitwise, which is what the inner loops need.  A family
 of relations is stacked (Stack) so that each operation acts on every member
 at once, and transpose gives the converses of a whole family.  Named
-relations over a base are an Interpretation, read from and written to the
-[x, y] pair lists of dumps and models here.
+relations over a base are an Interpretation; every dump and model that
+carries one is read and written here alone, as text and as JSON.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .errors import QUOTE_LIMIT, DimensionMismatch, ParseError, ResourceLimitErr
 
 Relation = tuple[int, ...]
 
-MAX_BASE = 4096  # a larger base of a dump or model is refused before its points exist
-
 
 def empty_relation(n: int) -> Relation:
     return (0,) * n
@@ -42,53 +40,6 @@ def relation_from_pairs(n: int, pairs) -> Relation:
     return tuple(rows)
 
 
-def load_json(text: str, what: str):
-    """The value of the JSON text of a dump or model (what names it in
-    messages); raises ParseError when the text is not JSON, nests too deep
-    or repeats a key in an object at any depth."""
-
-    def unique(pairs) -> dict:
-        out = {}
-        for key, value in pairs:
-            if key in out:
-                raise ParseError(f"{what} repeats the key {quote(key)}")
-            out[key] = value
-        return out
-
-    try:
-        return json.loads(text, object_pairs_hook=unique)
-    except ParseError:  # a repeated key; ParseError is a ValueError, so it must pass first
-        raise
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise ParseError(f"{what} is not valid JSON: {exc}") from None
-
-
-def check_base_size(size: int, what: str) -> None:
-    """Raise ResourceLimitError ('<what> exceeds the cap (limit MAX_BASE)')
-    for a base of more than MAX_BASE points."""
-    if size > MAX_BASE:
-        raise ResourceLimitError(MAX_BASE, f"{what} exceeds the cap")
-
-
-def is_pair_list(value) -> bool:
-    """Whether a JSON value is a list of [x, y] pairs of ints (bools excluded)."""
-    return isinstance(value, list) and all(
-        isinstance(p, list) and len(p) == 2 and all(type(v) is int for v in p) for p in value
-    )
-
-
-def read_relations(named: dict, names, base_size: int, what: str) -> tuple[Relation, ...]:
-    """The relation of each of names, read off its list of [x, y] pairs in
-    named; raises ParseError ('<what> <name> must be ...') for a value that is
-    no such list, DimensionMismatch for a pair outside the base."""
-    out = []
-    for name in names:
-        if not is_pair_list(named[name]):
-            raise ParseError(f"{what} {quote(name)} must be a list of [x, y] pairs")
-        out.append(relation_from_pairs(base_size, named[name]))
-    return tuple(out)
-
-
 def relation_pairs(r: Relation) -> list[tuple[int, int]]:
     """All pairs of the relation in row-major order."""
     out = []
@@ -98,16 +49,6 @@ def relation_pairs(r: Relation) -> list[tuple[int, int]]:
             out.append((x, low.bit_length() - 1))
             row ^= low
     return out
-
-
-def pair_lists(r: Relation) -> list[list[int]]:
-    """The pairs of the relation as the [x, y] lists of dumps and models."""
-    return [list(p) for p in relation_pairs(r)]
-
-
-def pairs_text(pairs) -> str:
-    """[x, y] pairs as the text of dumps and countermodels: ' (x,y)' each."""
-    return "".join(f" ({x},{y})" for x, y in pairs)
 
 
 def _check_dims(r: Relation, s: Relation) -> None:
@@ -842,3 +783,187 @@ class Interpretation:
     def valuation(self) -> tuple[tuple[str, Relation], ...]:
         """The (name, relation) pairs."""
         return tuple(zip(self.names, self.relations))
+
+
+# ---------------------------------------------------------------------------
+# dumps and models: an Interpretation as text and as JSON
+#
+# A representation dump labels its points and binds an algebra's elements; a
+# model numbers its points 0..k-1 and values atoms.  Both JSON forms are read
+# by one path: _load_json, _check_base_size and _read_relations.
+
+MAX_BASE = 4096  # a larger base of a dump or model is refused before its points exist
+
+
+def _load_json(text: str, what: str, not_object: str) -> dict:
+    """The object of the JSON text of a dump or model (what names it in
+    messages); raises ParseError when the text is not JSON, nests too deep or
+    repeats a key in an object at any depth, and ParseError(not_object) when
+    its value is no object."""
+
+    def unique(pairs) -> dict:
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise ParseError(f"{what} repeats the key {quote(key)}")
+            out[key] = value
+        return out
+
+    try:
+        payload = json.loads(text, object_pairs_hook=unique)
+    except ParseError:  # a repeated key; ParseError is a ValueError, so it must pass first
+        raise
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ParseError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ParseError(not_object)
+    return payload
+
+
+def _check_base_size(size: int, what: str) -> None:
+    """Raise ResourceLimitError ('<what> exceeds the cap (limit MAX_BASE)')
+    for a base of more than MAX_BASE points."""
+    if size > MAX_BASE:
+        raise ResourceLimitError(MAX_BASE, f"{what} exceeds the cap")
+
+
+def _read_relations(named: dict, names, base_size: int, what: str) -> tuple[Relation, ...]:
+    """The relation of each of names, read off its list of [x, y] pairs of
+    ints (bools excluded) in named; raises ParseError ('<what> <name> must be
+    ...') for a value that is no such list, DimensionMismatch for a pair
+    outside the base."""
+    out = []
+    for name in names:
+        pairs = named[name]
+        if not (isinstance(pairs, list) and all(isinstance(p, list) and len(p) == 2
+                                                and all(type(v) is int for v in p) for p in pairs)):
+            raise ParseError(f"{what} {quote(name)} must be a list of [x, y] pairs")
+        out.append(relation_from_pairs(base_size, pairs))
+    return tuple(out)
+
+
+def _pair_lists(r: Relation) -> list[list[int]]:
+    """The pairs of the relation as the [x, y] lists of dumps and models."""
+    return [list(p) for p in relation_pairs(r)]
+
+
+def _pairs_text(pairs) -> str:
+    """[x, y] pairs as the text of dumps and models: ' (x,y)' each."""
+    return "".join(f" ({x},{y})" for x, y in pairs)
+
+
+def interpretation_payload(I: Interpretation) -> dict:
+    """The JSON dump of I: its point labels, its names and their pairs."""
+    return {
+        "base": list(I.base_labels),
+        "elements": list(I.names),
+        "relations": {name: _pair_lists(r) for name, r in I.valuation},
+    }
+
+
+def format_interpretation_lines(payload: dict) -> list[str]:
+    """The text dump of a JSON dump: its base line, then a rel line per element."""
+    return ["base: " + " ".join(payload["base"])] + [
+        f"rel {name}:" + _pairs_text(payload["relations"][name]) for name in payload["elements"]
+    ]
+
+
+def format_interpretation(I: Interpretation) -> str:
+    return "\n".join(format_interpretation_lines(interpretation_payload(I))) + "\n"
+
+
+def parse_interpretation(text: str, names: tuple[str, ...]) -> Interpretation:
+    """Read a representation dump (text or its JSON mirror) and bind its
+    relations to the element names of an algebra.  A JSON dump's optional
+    'elements' must list the names, each once and in any order; other unknown
+    keys are ignored.  A base of more than MAX_BASE points raises
+    ResourceLimitError before any relation is read."""
+    if text.lstrip().startswith("{"):
+        no_base = "dump field 'base' must be a list of point labels"
+        payload = _load_json(text, "dump", no_base)
+        if not isinstance(payload.get("base"), list):
+            raise ParseError(no_base)
+        if not isinstance(payload.get("relations"), dict):
+            raise ParseError("dump field 'relations' must be an object")
+        elements = payload.get("elements", list(names))
+        if not (isinstance(elements, list) and len(elements) == len(names)
+                and all(isinstance(x, str) for x in elements) and set(elements) == set(names)):
+            raise ParseError("dump field 'elements' must name each element of the algebra once")
+        _check_base_size(len(payload["base"]), "dump field 'base'")
+        base = tuple(str(x) for x in payload["base"])
+        named = payload["relations"]
+    else:
+        base = None
+        named = {}
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("base:"):
+                if base is not None:
+                    raise ParseError("second base line", lineno)
+                base = tuple(line[len("base:"):].split())
+                _check_base_size(len(base), "dump base line")
+            elif line.startswith("rel "):
+                head, _, rest = line.partition(":")
+                name = head[len("rel "):].strip()
+                if name in named:
+                    raise ParseError(f"second relation for element {quote(name)}", lineno)
+                pairs = []
+                for token in rest.split():
+                    if not (token.startswith("(") and token.endswith(")")):
+                        raise ParseError(f"expected (x,y), got {quote(token)}", lineno)
+                    x, _, y = token[1:-1].partition(",")
+                    try:
+                        pairs.append([int(x), int(y)])
+                    except ValueError:
+                        raise ParseError(f"expected (x,y) with integer x, y, got {quote(token)}",
+                                         lineno) from None
+                named[name] = pairs
+            else:
+                raise ParseError(f"unexpected line {quote(line)}", lineno)
+        if base is None:
+            raise ParseError("missing base line")
+    if not base:
+        raise ParseError("dump base must list at least one point")
+    if len(set(base)) < len(base):
+        label = next(x for i, x in enumerate(base) if x in base[:i])
+        raise ParseError(f"duplicate base label {quote(label)}")
+    for name in named:
+        if name not in names:
+            raise ParseError(f"dump has a relation for {quote(name)}, which the algebra lacks")
+    for name in names:
+        if name not in named:
+            raise ParseError(f"dump has no relation for element {quote(name)}")
+    return Interpretation(names, base, _read_relations(named, names, len(base), "relation"))
+
+
+def model_payload(M: Interpretation) -> dict:
+    """The JSON model of M: its base size and the pairs of its names, not its labels."""
+    return {"base": M.base_size, "valuation": {name: _pair_lists(r) for name, r in M.valuation}}
+
+
+def format_model_lines(payload: dict) -> list[str]:
+    """The text of a JSON model: its base line, then a v line per atom, sorted."""
+    valuation = payload["valuation"]
+    return [f"base: {payload['base']}"] + [
+        f"v({name}):" + _pairs_text(valuation[name]) for name in sorted(valuation)
+    ]
+
+
+def parse_model(text: str) -> Interpretation:
+    """Read a model, the JSON {"base": k, "valuation": {"p": [[x, y], ...]}}
+    over the points 0..k-1, its atoms sorted and other keys ignored; raises
+    ParseError for a malformed model, ResourceLimitError for a base above
+    MAX_BASE and DimensionMismatch for a pair outside the base."""
+    raw = _load_json(text, "model", "model must be a JSON object with 'base' and 'valuation'")
+    base = raw.get("base")
+    if type(base) is not int or base < 1:
+        raise ParseError("model field 'base' must be an integer of at least 1")
+    _check_base_size(base, "model field 'base'")
+    named = raw.get("valuation")
+    if not isinstance(named, dict):
+        raise ParseError("model field 'valuation' must be an object")
+    atoms = tuple(sorted(named))
+    return Interpretation(atoms, tuple(map(str, range(base))),
+                          _read_relations(named, atoms, base, "valuation of"))

@@ -13,6 +13,8 @@ the lot.  The unitalized joins are read off its order rows, the up-set of
 x v y being that of x meet that of y (completion.join_table), and each block
 of its product is a row of Q.comp joined elementwise with a constant or the
 identity row (completion.join_rows).
+
+The dump of the interpretation is read and written by resq.relations.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .completion import (
     join_rows,
     join_table,
 )
-from .errors import ParseError, quote
 from .relations import Interpretation, Relation
 
 
@@ -145,89 +146,3 @@ def represent_pipeline(
         unitalize_reason=reason,
     )
 
-
-# ---------------------------------------------------------------------------
-# representation dump (the input contract of the verifier CLI)
-
-
-def interpretation_payload(I: Interpretation) -> dict:
-    return {
-        "base": list(I.base_labels),
-        "elements": list(I.names),
-        "relations": {name: rel.pair_lists(r) for name, r in I.valuation},
-    }
-
-
-def format_interpretation_lines(payload: dict) -> list[str]:
-    return ["base: " + " ".join(payload["base"])] + [
-        f"rel {name}:" + rel.pairs_text(payload["relations"][name]) for name in payload["elements"]
-    ]
-
-
-def format_interpretation(I: Interpretation) -> str:
-    return "\n".join(format_interpretation_lines(interpretation_payload(I))) + "\n"
-
-
-def parse_interpretation(text: str, A) -> Interpretation:
-    """Read a representation dump (text or its JSON mirror) and bind its
-    relations to A's elements.  A JSON dump's optional 'elements' must list
-    A's elements, each once and in any order; other unknown keys are ignored.
-    A base of more than relations.MAX_BASE points raises ResourceLimitError
-    before any relation is read."""
-    if text.lstrip().startswith("{"):
-        payload = rel.load_json(text, "dump")
-        if not isinstance(payload, dict) or not isinstance(payload.get("base"), list):
-            raise ParseError("dump field 'base' must be a list of point labels")
-        if not isinstance(payload.get("relations"), dict):
-            raise ParseError("dump field 'relations' must be an object")
-        elements = payload.get("elements", list(A.names))
-        if not (isinstance(elements, list) and len(elements) == len(A.names)
-                and all(isinstance(x, str) for x in elements) and set(elements) == set(A.names)):
-            raise ParseError("dump field 'elements' must name each element of the algebra once")
-        rel.check_base_size(len(payload["base"]), "dump field 'base'")
-        base = tuple(str(x) for x in payload["base"])
-        named = payload["relations"]
-    else:
-        base = None
-        named = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("base:"):
-                if base is not None:
-                    raise ParseError("second base line", lineno)
-                base = tuple(line[len("base:"):].split())
-                rel.check_base_size(len(base), "dump base line")
-            elif line.startswith("rel "):
-                head, _, rest = line.partition(":")
-                name = head[len("rel "):].strip()
-                if name in named:
-                    raise ParseError(f"second relation for element {quote(name)}", lineno)
-                pairs = []
-                for token in rest.split():
-                    if not (token.startswith("(") and token.endswith(")")):
-                        raise ParseError(f"expected (x,y), got {quote(token)}", lineno)
-                    x, _, y = token[1:-1].partition(",")
-                    try:
-                        pairs.append([int(x), int(y)])
-                    except ValueError:
-                        raise ParseError(f"expected (x,y) with integer x, y, got {quote(token)}",
-                                         lineno) from None
-                named[name] = pairs
-            else:
-                raise ParseError(f"unexpected line {quote(line)}", lineno)
-        if base is None:
-            raise ParseError("missing base line")
-    if not base:
-        raise ParseError("dump base must list at least one point")
-    if len(set(base)) < len(base):
-        label = next(x for i, x in enumerate(base) if x in base[:i])
-        raise ParseError(f"duplicate base label {quote(label)}")
-    for name in named:
-        if name not in A.names:
-            raise ParseError(f"dump has a relation for {quote(name)}, which the algebra lacks")
-    for name in A.names:
-        if name not in named:
-            raise ParseError(f"dump has no relation for element {quote(name)}")
-    return Interpretation(A.names, base, rel.read_relations(named, A.names, len(base), "relation"))

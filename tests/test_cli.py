@@ -103,7 +103,7 @@ def test_unreadable_file_exit_two(runner, tmp_path, content):
 def test_a_leading_byte_order_mark_is_ignored(runner, tmp_path, c2_file, args, code):
     texts = {
         "decide": C2_TEXT,
-        "verify": json.dumps(relrep.interpretation_payload(
+        "verify": json.dumps(rel.interpretation_payload(
             relrep.represent_pipeline(make_c2()).interpretation)),
         "lambek": json.dumps({"base": 1, "valuation": {"p": [[0, 0]]}}),
     }
@@ -340,7 +340,7 @@ def test_verify_text_dump(runner, tmp_path):
 
 
 def test_verify_reads_json_elements_in_any_order(runner, tmp_path, c2_file):
-    payload = relrep.interpretation_payload(relrep.represent_pipeline(make_c2()).interpretation)
+    payload = rel.interpretation_payload(relrep.represent_pipeline(make_c2()).interpretation)
     verdicts = []
     for elements in (payload["elements"], payload["elements"][::-1]):
         rep = tmp_path / "c2.json"
@@ -585,7 +585,7 @@ def test_lambek_long_product_countermodel_rechecks(runner):
         runner, ["lambek", "counter", LONG_PRODUCT.replace("|- p", "|- q"), "--max-base", "1"])
     assert result.exit_code == 0
     assert payload["verdict"] == "found" and payload["base"] == 1
-    model = lambek.parse_model(json.dumps({"base": 1, "valuation": payload["valuation"]}))
+    model = rel.parse_model(result.output)
     assert not lambek.evaluate(lambek.parse_sequent(payload["sequent"]), model)
 
 
@@ -628,21 +628,25 @@ LATE_MODULES = {"completion", "relrep", "verifier", "lambek", "pointalg"}
     (["decide", "ALGEBRA"], 0, LATE_MODULES),
     (["complete", "ALGEBRA"], 0, {"verifier", "relrep", "lambek", "pointalg"}),
     (["represent", "ALGEBRA"], 1, {"lambek", "pointalg"}),
-    (["verify", "ALGEBRA", "DUMP"], 1, {"lambek", "pointalg"}),
+    (["verify", "ALGEBRA", "DUMP"], 1, {"completion", "relrep", "lambek", "pointalg"}),
     (["search", "ALGEBRA", "--max-base", "1"], 1, {"completion", "relrep", "lambek", "pointalg"}),
-    (["pointalg", "--max-base", "3"], 0, {"lambek"}),
+    (["search", "ONE", "--max-base", "1"], 0, {"completion", "relrep", "lambek", "pointalg"}),
+    (["pointalg", "--max-base", "3"], 0, {"completion", "relrep", "lambek"}),
     (["lambek", "prove", "p, p\\q |- q"], 0, {"completion", "relrep", "pointalg"}),
     (["lambek", "counter", "p*q |- q*p", "--max-base", "2"], 0,
      {"completion", "relrep", "pointalg"}),
     (["lambek", "eval", "p |- p", "MODEL"], 0, {"completion", "relrep", "pointalg"}),
-], ids=["help", "decide", "complete", "represent", "verify", "search-exhausted", "pointalg",
-        "lambek-prove", "lambek-counter", "lambek-eval"])
+], ids=["help", "decide", "complete", "represent", "verify", "search-exhausted", "search-found",
+        "pointalg", "lambek-prove", "lambek-counter", "lambek-eval"])
 def test_a_subcommand_loads_only_the_modules_it_runs(tmp_path, c2_file, args, code, unloaded):
     dump = tmp_path / "c2.rep"
-    dump.write_text(relrep.format_interpretation(relrep.represent_pipeline(make_c2()).interpretation))
+    dump.write_text(rel.format_interpretation(relrep.represent_pipeline(make_c2()).interpretation))
     model = tmp_path / "model.json"
     model.write_text(VALID_MODEL)
-    argv = [{"ALGEBRA": c2_file, "DUMP": str(dump), "MODEL": str(model)}.get(a, a) for a in args]
+    one = tmp_path / "one.alg"
+    one.write_text(ONE)
+    paths = {"ALGEBRA": c2_file, "ONE": str(one), "DUMP": str(dump), "MODEL": str(model)}
+    argv = [paths.get(a, a) for a in args]
     # -X importtime lists on stderr every module the fresh interpreter imports
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "resq.cli", *argv],
@@ -970,8 +974,9 @@ def test_verify_passes_the_identity_dump_at_the_cap(runner, tmp_path):
     # one relation over MAX_BASE points, the widest stack the checker reads
     # the order off
     cap = rel.MAX_BASE
-    identity = rel.pairs_text((x, x) for x in range(cap))
-    dump = f"base: {' '.join(map(str, range(cap)))}\nrel q:{identity}\n"
+    identity = tuple(1 << x for x in range(cap))
+    dump = rel.format_interpretation(
+        rel.Interpretation(("q",), tuple(map(str, range(cap))), (identity,)))
     path = tmp_path / "one_q.alg"
     path.write_text(ONE_Q)
     rep = tmp_path / "one_q.rep"

@@ -18,13 +18,14 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import MALFORMED_MODELS, make_c2
 from resq import algebra, relrep
+from resq import relations as rel
 from resq.cli import main
 
 C2 = make_c2()
 ALGEBRA_SEED = algebra.serialize(C2)
 C2_DUMP = relrep.represent_pipeline(C2).interpretation
-DUMP_SEED = relrep.format_interpretation(C2_DUMP)
-JSON_DUMP_SEED = json.dumps(relrep.interpretation_payload(C2_DUMP))
+DUMP_SEED = rel.format_interpretation(C2_DUMP)
+JSON_DUMP_SEED = json.dumps(rel.interpretation_payload(C2_DUMP))
 MODEL_SEED = {"base": 2, "valuation": {"p": [[0, 1]], "q": [[1, 0]]}}
 SEQUENT_SEED = "(p/q)*q, r\\p |- p*(q\\r)"
 ALPHABET = "ab;=<:\\/,()[]{}\"|-*pqe01 \n#"

@@ -328,7 +328,10 @@ def test_element_order_sorts_by_cardinality_then_name():
 
 def test_dump_is_deterministic(c2):
     Q = build_quantale(c2)
-    assert completion.format_quantale(Q) == completion.format_quantale(build_quantale(c2))
     payload = completion.quantale_payload(Q)
+    assert payload == completion.quantale_payload(build_quantale(c2))
+    assert completion.format_quantale_lines(payload) == [
+        "elements: {a} {a,b}", "leq: 0<=0 0<=1 1<=1", "comp: 0;0=0 0;1=0 1;0=0 1;1=0",
+        "sup: 0+0=0 0+1=1 1+0=1 1+1=1", "bottom: 0", "top: 1", "unit: -"]
     assert payload["elements"] == ["{a}", "{a,b}"]
     assert payload["bottom"] == 0 and payload["unital"] is False

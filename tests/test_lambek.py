@@ -339,10 +339,10 @@ def test_prover_budget():
 def test_a_model_base_above_the_cap_is_refused_before_its_points_exist():
     # one past the cap, so a missing check would allocate only a few thousand points
     cap = rel.MAX_BASE
-    assert lambek.parse_model(f'{{"base": {cap}, "valuation": {{}}}}').base_size == cap
+    assert rel.parse_model(f'{{"base": {cap}, "valuation": {{}}}}').base_size == cap
     message = rf"model field 'base' exceeds the cap \(limit {cap}\)"
     with pytest.raises(ResourceLimitError, match=message):
-        lambek.parse_model(f'{{"base": {cap + 1}, "valuation": {{"p": [[0, 1]]}}}}')
+        rel.parse_model(f'{{"base": {cap + 1}, "valuation": {{"p": [[0, 1]]}}}}')
 
 
 def test_evaluate_axiom_in_any_model():

@@ -1,5 +1,7 @@
+import json
 import operator
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +12,11 @@ from corpus import (
     canonical_relations_by_scan,
     encode_relation,
     inclusion_order_by_loops,
+    make_c2,
     permute_relation,
     quantale_50_model,
 )
-from resq import algebra, lambek, pointalg
+from resq import algebra, cli, lambek, pointalg, relrep, verifier
 from resq import relations as rel
 from resq.algebra import transitivity
 from resq.completion import build_quantale
@@ -577,3 +580,41 @@ def test_every_listed_operation_and_connective_is_in_the_table(c2):
         assert {name for name, _ in structure.operations} <= set(rel.OPERATIONS)
     assert set(lambek.CONNECTIVE_OPERATION) == {lambek.Prod, lambek.Under, lambek.Over}
     assert set(lambek.CONNECTIVE_OPERATION.values()) <= set(rel.OPERATIONS)
+
+
+def random_interpretation(k: int) -> rel.Interpretation:
+    rng = random.Random(k)
+    names = ("p", "q", "r")[:rng.randint(1, 3)]
+    relations = tuple(tuple(rng.getrandbits(k) for _ in range(k)) for _ in names)
+    return rel.Interpretation(names, tuple(map(str, range(k))), relations)
+
+
+ROUND_TRIP_INPUTS = {
+    "c2-pipeline-dump": lambda: relrep.represent_pipeline(make_c2()).interpretation,
+    "found-base-1": lambda: verifier.search_representation(
+        algebra.parse_algebra("elements: x\nleq: x<=x\ncomp: x;x=x\n"), 1),
+    **{f"random-base-{k}": lambda k=k: random_interpretation(k) for k in range(1, 5)},
+}
+
+# each writer of a dump or model, read back by the reader of its form; the
+# found search and lambek counter payloads carry keys the readers ignore
+ROUND_TRIP_WRITERS = {
+    "text-dump": lambda I: rel.parse_interpretation(rel.format_interpretation(I), I.names),
+    "json-dump": lambda I: rel.parse_interpretation(
+        json.dumps(rel.interpretation_payload(I)), I.names),
+    "search-found-payload": lambda I: rel.parse_interpretation(
+        json.dumps({"command": "search", **cli._outcome_payload(I), "nodes": 0}), I.names),
+    "counter-payload": lambda I: rel.parse_model(json.dumps(
+        {"command": "lambek-counter", "sequent": "p |- q", "verdict": "found",
+         **rel.model_payload(I), "nodes": 0})),
+}
+
+
+@pytest.mark.parametrize("source", ROUND_TRIP_INPUTS)
+@pytest.mark.parametrize("writer", ROUND_TRIP_WRITERS)
+def test_every_writer_reads_back_to_the_same_interpretation(writer, source):
+    I = ROUND_TRIP_INPUTS[source]()
+    assert list(I.names) == sorted(I.names)  # a model's atoms come back sorted
+    if writer == "counter-payload":
+        I = replace(I, base_labels=tuple(map(str, range(I.base_size))))  # a model numbers its points
+    assert ROUND_TRIP_WRITERS[writer](I) == I

@@ -474,21 +474,35 @@ def block_slices(k: int, block: int, runs: int = 1) -> tuple[int, ...]:
     return low + tuple(full if block >> (p - width) & 1 else 0 for p in range(width, k * k))
 
 
-def _one_per_run(values, lanes: int) -> int:
+def _one_per_run(values, lanes: int) -> tuple[int, int]:
     """The int whose run i of lanes bits holds values[i] (each below
-    2**lanes), read as one binary numeral: runs of two lanes, at one point,
-    are not whole bytes."""
-    return int("".join(format(value, f"0{lanes}b") for value in reversed(values)), 2)
+    2**lanes), and the int with the lowest bit of each run set, over the
+    least power of two of runs, at least one, that holds the values (the
+    runs past them hold 0).  Both are joined pairwise: neighbouring runs,
+    then pairs of pairs, one shift and OR a pair, with an empty run after an
+    odd count; the pairs of starts are all alike, so a level joins them once.
+    One path for runs of any width, base 1's two-lane runs included."""
+    values = list(values)
+    starts, width = 1, lanes
+    while len(values) > 1:
+        if len(values) & 1:
+            values.append(0)
+        pairs = iter(values)
+        values = [low | high << width for low, high in zip(pairs, pairs)]
+        starts |= starts << width
+        width <<= 1
+    return (values[0] if values else 0), starts
 
 
 def spread_slices(codes, k: int) -> tuple[int, ...]:
     """The sliced relation whose run i is the relation of code codes[i] in
-    every lane.  With the codes laid out one to a run, slice p is bit p of
-    each run kept at the run's start, t, and filled up to the run's end,
-    (t << lanes) - t."""
+    every lane; k * k empty slices when there are no codes.  With the codes
+    laid out one to a run and the runs' starts (_one_per_run), slice p is
+    bit p of each run kept at the run's start, t, and filled up to the run's
+    end, (t << lanes) - t; the layout is empty past the last run, so no
+    slice reaches past it."""
     lanes = 1 << lane_bits(k)
-    packed = _one_per_run(codes, lanes)
-    starts = full_mask(k, len(codes)) // ((1 << lanes) - 1)
+    packed, starts = _one_per_run(codes, lanes)
     out = []
     for p in range(k * k):
         t = packed >> p & starts

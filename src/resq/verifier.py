@@ -18,6 +18,7 @@ that walk reaches, and re-verifies anything it returns.
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -258,9 +259,13 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
     steps up to the next branch are evaluated with the sliced operations
     (Operation.sliced), and each step's checks become a mask of the lanes
     that pass them.  The surviving lanes, those passing every step up to the
-    next branch, are taken in ascending order, run by run, with the codes of
-    their forced values read off the slices (relations.lane_codes) when a
-    branch follows, and the next branch takes them in batches in turn.
+    next branch, are handed on in ascending order, run by run, a batch at a
+    time (one survivor at a time when no branch follows), each batch as
+    columns: one per unknown, with a code per survivor, built from the
+    columns of the survivors' runs, the branched unknown's codes
+    (block * lanes + lane) and, when a branch follows, the codes of the
+    forced values read off their slices (relations.lane_codes).  The next
+    branch spreads a column over its runs as it is.
 
     Each survivor that the walk of one candidate at a time passes is
     re-checked once the next branch hands on a survivor of its run or ends
@@ -278,7 +283,8 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
     entered, in the nested order of that walk, where the nodes of an
     assignment's branch up to a survivor come before those of the survivor's
     own run at the next branch.  They are counted as popcounts of the masks:
-    each survivor carries the nodes between it and the one before it, and a
+    each survivor carries the nodes between it and the one before it, read
+    off the lanes that the block's steps cut (_counted_lanes), and a
     sweep spends nodes only while no later branch holds an assignment it has
     not swept, so what is spent always comes before the first assignment the
     walk returns, and no lane past it is charged.  Each charge is spent
@@ -358,11 +364,13 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
             raise AssertionError(f"lane {lane} of block {block} over base {k} {why}")
         return values
 
-    def sweep(j: int, parent, chunks):
-        """The survivors of branch step j over the assignments of chunks,
-        the survivors of branch step parent (None before the first branch):
-        one lazy chunk per block with survivors, of (codes, the nodes since
-        the survivor before)."""
+    def sweep(j: int, parent, batches):
+        """The survivors of branch step j over the assignments of batches,
+        the survivors of branch step parent (None before the first branch),
+        lazily, in batches of up to taken survivors of one block each.  A
+        batch is (columns, charges): columns[u] the codes of unknown u, one
+        per survivor (None where it is not set), and charges the nodes
+        between each survivor and the one before."""
         end = following[j]
         steps = steps_of[j]
         unknown = order[j]
@@ -383,7 +391,7 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
             below upto."""
             nonlocal checked
             for run in range(checked, upto):
-                recheck(parent, batch[run][0], decoded)
+                recheck(parent, [column[run] for column in batch], decoded)
             checked = max(checked, upto)
 
         def operand(u: int, block_values: dict):
@@ -391,98 +399,113 @@ def run_plan(plan: tuple, k: int, budget: NodeBudget):
             if got is None:
                 got = spread.get(u)
                 if got is None:
-                    got = spread[u] = rel.spread_slices([codes[u] for codes, _ in batch], k)
+                    got = spread[u] = rel.spread_slices(batch[u], k)
             return got
 
         def survivors(block, block_values):
-            """The surviving lanes of the block, each with its codes and the
-            nodes since the one before."""
+            """The surviving lanes of the block in batches of up to taken.
+            The codes of a batch are built by columns: those of the
+            survivors' runs, the branched unknown's, block * lanes + lane,
+            and one per kept forced value, read off its slices.  The runs of
+            a batch are re-checked before it is handed on."""
             nonlocal last
             counted = _counted_lanes(masks)
             while group := list(itertools.islice(counted, taken)):
-                positions = [position for position, _ in group]
-                columns = [rel.lane_codes(k, runs, block_values[c], positions) for c in kept]
-                for index, (position, count) in enumerate(group):
-                    run = position >> width
-                    if run >= checked:
-                        check_runs(run + 1)
-                    codes = list(batch[run][0])
-                    codes[unknown] = block * lanes + (position & (lanes - 1))
-                    for c, column in zip(kept, columns):
-                        codes[c] = column[index]
-                    point = before[run] + count
-                    yield tuple(codes), point - last
-                    last = point
+                positions, counts = zip(*group)
+                runs_of = [position >> width for position in positions]
+                columns = [rel.gather(column, runs_of) for column in batch]
+                columns[unknown] = [block * lanes + (position & (lanes - 1))
+                                    for position in positions]
+                for c in kept:
+                    columns[c] = rel.lane_codes(k, runs, block_values[c], positions)
+                points = [before[run] + count for run, count in zip(runs_of, counts)]
+                charges = [b - a for a, b in itertools.pairwise([last, *points])]
+                last = points[-1]
+                check_runs(runs_of[-1] + 1)
+                yield columns, charges
 
-        for chunk in chunks:
-            while batch := list(itertools.islice(chunk, most)):
-                budget.spend(batch[0][1])  # the nodes before the first run
-                runs = len(batch)
-                # the nodes before each run, past those of the first
-                before = list(itertools.accumulate(
-                    (nodes for _, nodes in batch[1:]), initial=0))
-                full = rel.full_mask(k, runs)
-                spread: dict[int, tuple] = {}  # the values set before step j, run by run
-                checked = 0 if decoded is not None else runs  # runs re-checked
-                for block in range(rel.block_count(k)):
-                    mask = rel.leader_mask(k, block) if j == 0 else full
-                    if not mask:
-                        continue
-                    block_values = {unknown: rel.block_slices(k, block, runs)}
-                    # masks[0] holds the candidates, masks[t] those that enter
-                    # step j + t: the end or the next branch when j + t == end
-                    masks = [mask]
-                    for c, forced, equations, inclusions in steps:
-                        if mask and forced is not None:
-                            op, a, b = forced
-                            block_values[c] = operations[op].sliced(
-                                k, full, operand(a, block_values), operand(b, block_values))
-                        for a, b, expected in inclusions:
-                            if not mask:
-                                break
-                            inside = subset_mask(full, operand(a, block_values),
-                                                 operand(b, block_values))
-                            mask &= inside if expected else full ^ inside
-                        for op, a, b, c in equations:
-                            if not mask:
-                                break
-                            got = operations[op].sliced(k, full, operand(a, block_values),
-                                                        operand(b, block_values))
-                            mask &= equal_mask(full, got, operand(c, block_values))
-                        masks.append(mask)
-                    last = 0  # the nodes of the block charged or handed on
-                    if mask:
-                        yield survivors(block, block_values)
-                    check_runs(runs)
-                    budget.spend(before[-1] + sum(m.bit_count() for m in masks) - last)
+        for batch, charges in batches:
+            budget.spend(charges[0])  # the nodes before the first run
+            runs = len(charges)
+            # the nodes before each run, past those of the first
+            before = list(itertools.accumulate(charges[1:], initial=0))
+            full = rel.full_mask(k, runs)
+            spread: dict[int, tuple] = {}  # the values set before step j, run by run
+            checked = 0 if decoded is not None else runs  # runs re-checked
+            for block in range(rel.block_count(k)):
+                mask = rel.leader_mask(k, block) if j == 0 else full
+                if not mask:
+                    continue
+                block_values = {unknown: rel.block_slices(k, block, runs)}
+                # masks[0] holds the candidates, masks[t] those that enter
+                # step j + t: the end or the next branch when j + t == end
+                masks = [mask]
+                for c, forced, equations, inclusions in steps:
+                    if mask and forced is not None:
+                        op, a, b = forced
+                        block_values[c] = operations[op].sliced(
+                            k, full, operand(a, block_values), operand(b, block_values))
+                    for a, b, expected in inclusions:
+                        if not mask:
+                            break
+                        inside = subset_mask(full, operand(a, block_values),
+                                             operand(b, block_values))
+                        mask &= inside if expected else full ^ inside
+                    for op, a, b, c in equations:
+                        if not mask:
+                            break
+                        got = operations[op].sliced(k, full, operand(a, block_values),
+                                                    operand(b, block_values))
+                        mask &= equal_mask(full, got, operand(c, block_values))
+                    masks.append(mask)
+                last = 0  # the nodes of the block charged or handed on
+                if mask:
+                    yield from survivors(block, block_values)
+                check_runs(runs)
+                budget.spend(before[-1] + sum(m.bit_count() for m in masks) - last)
 
     budget.spend()  # the first step, a branch: nothing is forced before it
-    # one assignment, of nothing
-    chunks = iter([iter([((None,) * len(plan), 0)])])
+    # one batch of one assignment, of nothing
+    batches = iter([([(None,)] * len(plan), [0])])
     parent = None  # the branch step whose survivors the next branch takes
     for j, (_, forced, _, _) in enumerate(plan):
         if forced is None:
-            chunks = sweep(j, parent, chunks)
+            batches = sweep(j, parent, batches)
             parent = j
-    for chunk in chunks:
-        for codes, nodes in chunk:
-            budget.spend(nodes)
-            return () if parent is None else tuple(recheck(parent, codes, order[:parent + 1]))
+    for columns, (nodes,) in batches:
+        # the last branch hands on one survivor at a time
+        budget.spend(nodes)
+        codes = [column[0] for column in columns]
+        return () if parent is None else tuple(recheck(parent, codes, order[:parent + 1]))
     return None
 
 
 def _counted_lanes(masks):
     """Each set lane of masks[-1], ascending, with the number of set bits of
-    all masks at lanes up to it: the bits between one lane and the next are
-    read off the bytes of each mask, so the counts cost one pass over them."""
+    all masks at lanes up to it.  The masks are nested, each inside the one
+    before, so the i-th lane counts i in each mask, i * len(masks) in all,
+    plus the lanes below it that a later step cut: those of m ^ masks[-1],
+    once for each mask m that holds them.  When no step cut a lane the count
+    is i * len(masks) alone; otherwise each distinct cut is read between one
+    lane and the next off its bytes, so the cuts cost one pass over them."""
+    last, depth = masks[-1], len(masks)
+    cuts = collections.Counter(m ^ last for m in masks if m != last)
+    if not cuts:
+        return zip(rel.set_lanes(last), itertools.count(depth, depth))
     size = (masks[0].bit_length() + 7) >> 3
-    data = [m.to_bytes(size, "little") for m in masks]
-    count = start = 0
-    for lane in rel.set_lanes(masks[-1]):
-        stop = lane + 1
-        low, high, shift = start >> 3, (stop + 7) >> 3, start & 7
-        keep = (1 << (stop - start)) - 1
-        for bits in data:
-            count += (int.from_bytes(bits[low:high], "little") >> shift & keep).bit_count()
-        yield lane, count
-        start = stop
+    data = [(cut.to_bytes(size, "little"), weight) for cut, weight in cuts.items()]
+
+    def counted():
+        count = start = 0
+        for lane in rel.set_lanes(last):
+            # the lane itself is in no cut: the cut lanes below it count
+            low, high, shift = start >> 3, (lane + 7) >> 3, start & 7
+            keep = (1 << (lane - start)) - 1
+            count += depth
+            for bits, weight in data:
+                count += weight * (int.from_bytes(bits[low:high], "little") >> shift
+                                   & keep).bit_count()
+            yield lane, count
+            start = lane + 1
+
+    return counted()

@@ -595,6 +595,15 @@ def scalar_run_plan(plan: tuple, k: int, budget):
             return None
 
 
+def counted_lanes_by_popcount(masks) -> list[tuple[int, int]]:
+    """Each set lane of masks[-1], ascending, with the popcount over all
+    masks of mask & ((2 << lane) - 1), the set bits at lanes up to it.
+    Oracle for the node counts verifier.run_plan hands on with its
+    survivors."""
+    lanes = [lane for lane, bit in enumerate(reversed(bin(masks[-1])[2:])) if bit == "1"]
+    return [(lane, sum((m & ((2 << lane) - 1)).bit_count() for m in masks)) for lane in lanes]
+
+
 def sequent_plan(text: str) -> tuple:
     """The plan lambek.countermodel_search runs for the sequent text, read
     off its definition: the atoms in sorted order, then each distinct

@@ -227,6 +227,52 @@ def test_a_full_batch_spreads_every_run_and_tiles_every_block(k):
         assert lane_relation(tiled, k, lane) == rel.decode_relation(lane & ((1 << width) - 1), k)
 
 
+def run_relations(sliced, k: int, runs: int) -> list:
+    """The relation each run of a sliced relation holds in all of its lanes,
+    None for a run whose lanes differ; no slice may reach past the runs."""
+    lanes = 1 << rel.lane_bits(k)
+    size = runs * lanes
+    assert all(s >> size == 0 for s in sliced)
+    bits = [format(s, f"0{size}b")[::-1] for s in sliced]
+    full, empty = "1" * lanes, "0" * lanes
+    out = []
+    for i in range(runs):
+        fields = [b[i * lanes:(i + 1) * lanes] for b in bits]
+        out.append(tuple(sum(1 << y for y in range(k) if fields[x * k + y] == full)
+                         for x in range(k))
+                   if all(f in (full, empty) for f in fields) else None)
+    return out
+
+
+def spread_run_counts(k: int) -> list[int]:
+    """The run counts up to a full batch that the pairwise join of
+    spread_slices pads or splits differently: 0 to 3, some odd counts, and
+    2**j - 1, 2**j and 2**j + 1."""
+    most = 1 << (rel.BLOCK_BITS - rel.lane_bits(k))
+    counts = {0, 1, 2, 3, 5, 7, 11, 13, 99, most - 2}
+    for j in range(1, most.bit_length()):
+        counts.update(((1 << j) - 1, 1 << j, (1 << j) + 1))
+    return sorted(c for c in counts if 0 <= c <= most)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_spread_slices_hold_each_code_in_every_lane_of_its_run(k):
+    # every run of every count, up to a full batch (one run from k = 4 on)
+    rng = random.Random(k)
+    for runs in spread_run_counts(k):
+        codes = [rng.randrange(1 << k * k) for _ in range(runs)]
+        if runs:
+            codes[-1] = (1 << k * k) - 1  # the last run full in every slice
+        sliced = rel.spread_slices(codes, k)
+        assert len(sliced) == k * k
+        assert run_relations(sliced, k, runs) == [rel.decode_relation(c, k) for c in codes]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_spreading_no_codes_gives_empty_slices(k):
+    assert rel.spread_slices([], k) == (0,) * (k * k)
+
+
 @given(st.integers(0, rel.block_count(5) - 1), st.lists(st.integers(0, (1 << 16) - 1), max_size=8))
 @settings(max_examples=30, deadline=None)
 def test_a_block_at_base_five_decodes_each_lane_to_its_code(block, lanes):

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import operator
 import random
 from collections import Counter
 
@@ -12,6 +13,7 @@ from corpus import (
     a4_generators,
     all_relations,
     check_representation_pairwise,
+    counted_lanes_by_popcount,
     plan_search_by_scan,
     quantale_50_model,
     scalar_run_plan,
@@ -271,6 +273,45 @@ def block_per_branch(plan: tuple) -> int:
     lane of each of its masks."""
     branches = sum(forced is None for _, forced, _, _ in plan)
     return (1 << rel.BLOCK_BITS) * (len(plan) + branches)
+
+
+def nested_masks(rng, lanes, depth, case):
+    """depth masks over lanes lanes, each inside the one before, as the steps
+    of a block leave them: masks[0] its candidates, masks[-1] its survivors.
+    The candidates are thinned to about a thousand at most, so the oracle
+    stays quick."""
+    masks = [functools.reduce(operator.and_, (rng.getrandbits(lanes)
+                                              for _ in range(1 if lanes <= 512 else 6)))]
+    for _ in range(depth - 1):
+        # a step cuts about a quarter of the lanes, or none
+        cut = rng.getrandbits(lanes) | rng.getrandbits(lanes) if rng.random() < 0.6 else -1
+        masks.append(masks[-1] & cut)
+    if case in ("lane 0", "top lane"):
+        bit = 1 if case == "lane 0" else 1 << (lanes - 1)
+        masks = [m | bit for m in masks]
+    elif case == "last empty":
+        masks[-1] = 0
+    elif case == "all equal":
+        masks = [masks[-1]] * depth
+    return masks
+
+
+@pytest.mark.parametrize("case", ["random", "last empty", "lane 0", "top lane", "all equal"])
+@pytest.mark.parametrize("lanes", [512, 1 << 16])
+def test_survivor_counts_match_the_popcount_oracle(lanes, case):
+    # each survivor's count is the popcount of every mask up to its lane,
+    # whether some step cut lanes (read off the cuts) or none did (i * depth)
+    rng = random.Random(f"{lanes} {case}")
+    for depth in (1, 2, 3, 4, 6, 6, 6):
+        masks = nested_masks(rng, lanes, depth, case)
+        assert all(b & ~a == 0 for a, b in zip(masks, masks[1:]))
+        expected = counted_lanes_by_popcount(masks)
+        assert list(verifier._counted_lanes(masks)) == expected
+        assert bool(expected) == (case != "last empty")
+        if case == "lane 0":
+            assert expected[0] == (0, depth)
+        if case == "top lane":
+            assert expected[-1] == (lanes - 1, sum(m.bit_count() for m in masks))
 
 
 @given(constraint_lists(OPERATIONS, max_unknowns=4), st.integers(1, 3), st.integers(0, 20_000))

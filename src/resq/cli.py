@@ -1,24 +1,31 @@
 """Command-line interface.
 
-Exit codes are uniform across subcommands: 0 success / all conditions pass,
-1 semantic violation or an exhausted search, 2 input error, 3 resource limit
-(node budget or recursion depth), 4 internal error.  Every subcommand renders
-the same payload as text or JSON (--format).  Subcommands raise; the group's
-invoke is the one place that maps an exception to its exit code and a single
-``error: ...`` line on stderr.
+Each deciding command (decide, represent, verify, search, pointalg and the
+lambek prove, counter and eval subcommands) ends by writing one Verdict: the
+verdict, the semantics it is a claim about ("square", or none for decide and
+lambek prove, which say nothing about relations), its evidence and its
+machine-independent stats.  As JSON it is one object with the keys command,
+verdict, semantics and stats beside the evidence's own; as text it is a
+``verdict:`` line, a ``semantics:`` line, the evidence lines and one
+``key: value`` line per stats entry.  The exit code is read off the verdict
+(EXIT_OF_VERDICT): 0 when the claim holds, 1 when it fails or a bounded search
+is exhausted.  The other exit codes are 2 input error, 3 resource limit (node
+budget or recursion depth) and 4 internal error.  Subcommands raise; the
+group's invoke is the one place that maps an exception to its exit code and a
+single ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 import click
 from click.core import ParameterSource
 
 # completion, relrep, verifier, lambek and pointalg are imported inside the
-# commands and renderers that use them, so a run loads only what it runs
+# commands and helpers that use them, so a run loads only what it runs
 from . import algebra
 from . import relations as rel
 from .errors import (
@@ -40,13 +47,43 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
+# an exhausted search is a bounded claim, told apart from a refutation by its
+# verdict, not by its exit code
+EXIT_OF_VERDICT = {
+    **dict.fromkeys(("valid", "represented", "found", "derivable", "holds"), EXIT_OK),
+    **dict.fromkeys(("invalid", "failing", "exhausted", "underivable", "fails"), EXIT_VIOLATION),
+}
 
-def _emit(payload: dict, fmt: str, render) -> None:
+
+def _emit(payload: dict, fmt: str, lines) -> None:
     if fmt == "json":
         click.echo(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        for line in render(payload):
+        for line in lines:
             click.echo(line)
+
+
+class Verdict(NamedTuple):
+    """What a deciding command found, with the JSON fields of its evidence
+    and the text lines that carry them."""
+
+    command: str
+    verdict: str
+    semantics: str | None
+    evidence: dict
+    lines: list[str]
+    stats: dict
+
+    def payload(self) -> dict:
+        return {"command": self.command, "verdict": self.verdict, "semantics": self.semantics,
+                "stats": self.stats, **self.evidence}
+
+    def write(self, fmt: str) -> NoReturn:
+        """Print the verdict in the format and exit with its code."""
+        _emit(self.payload(), fmt, [f"verdict: {self.verdict}",
+                                    f"semantics: {self.semantics or 'none'}", *self.lines,
+                                    *(f"{key}: {value}" for key, value in self.stats.items())])
+        sys.exit(EXIT_OF_VERDICT[self.verdict])
 
 
 class _ErrorContract(click.Group):
@@ -144,42 +181,28 @@ def main() -> None:
 def decide(path: str, fmt: str) -> None:
     """Decide whether a file denotes a residuated semigroup."""
     text = _read_text(path)
-    reason = None
+    reason = A = None
     try:
         A = algebra.parse_algebra(text)
     except NoResidualError as exc:
         # the order/composition tables are readable but admit no residuals,
         # which is a negative decision rather than an input error
-        payload = {"command": "decide", "valid": False, "reason": str(exc), "failures": []}
-        _emit(payload, fmt, _render_decide)
-        sys.exit(EXIT_VIOLATION)
+        reason = str(exc)
     except ResidualMismatchError as exc:
         # validate the structure with the residual tables as declared, so the
         # report carries a residuation-law witness
-        A = exc.algebra
-        reason = str(exc)
-    report = algebra.validate(A)
-    valid = report.valid and reason is None
-    payload = {
-        "command": "decide",
-        "valid": valid,
-        "failures": [
-            {"axiom": axiom, "witness": [A.names[i] for i in witness]}
-            for axiom, witness in report.failures
-        ],
-    }
+        A, reason = exc.algebra, str(exc)
+    failures = [] if A is None else [
+        {"axiom": axiom, "witness": [A.names[i] for i in witness]}
+        for axiom, witness in algebra.validate(A).failures
+    ]
+    valid = reason is None and not failures
+    evidence = {"valid": valid, "failures": failures}
+    lines = [f"failure: {f['axiom']} witness ({', '.join(f['witness'])})" for f in failures]
     if reason is not None:
-        payload["reason"] = reason
-    _emit(payload, fmt, _render_decide)
-    sys.exit(EXIT_OK if valid else EXIT_VIOLATION)
-
-
-def _render_decide(payload: dict):
-    yield f"valid: {str(payload['valid']).lower()}"
-    if payload.get("reason"):
-        yield f"reason: {payload['reason']}"
-    for failure in payload["failures"]:
-        yield f"failure: {failure['axiom']} witness ({', '.join(failure['witness'])})"
+        evidence["reason"] = reason
+        lines.insert(0, f"reason: {reason}")
+    Verdict("decide", "valid" if valid else "invalid", None, evidence, lines, {}).write(fmt)
 
 
 @main.command()
@@ -189,11 +212,8 @@ def complete(path: str, fmt: str) -> None:
     """Print the quantale of Galois-closed subsets of the algebra."""
     from . import completion
 
-    A = _load_valid_algebra(path)
-    Q = completion.build_quantale(A)
-    payload = {"command": "complete", **completion.quantale_payload(Q)}
-    _emit(payload, fmt, completion.format_quantale_lines)
-    sys.exit(EXIT_OK)
+    payload = completion.quantale_payload(completion.build_quantale(_load_valid_algebra(path)))
+    _emit({"command": "complete", **payload}, fmt, completion.format_quantale_lines(payload))
 
 
 @main.command()
@@ -210,19 +230,17 @@ def complete(path: str, fmt: str) -> None:
 @format_option
 def represent(path: str, unitalize: str, output_path: str | None, fmt: str) -> None:
     """Build a relational representation, verify it, and dump it."""
-    from . import relrep, verifier
+    from . import relrep
 
     A = _load_valid_algebra(path)
     result = relrep.represent_pipeline(A, unitalize_mode=unitalize)
     interp = result.interpretation
-    check = verifier.check_representation(A, interp)
     if output_path:
         with open(output_path, "w", encoding="utf-8") as handle:
             handle.write(rel.format_interpretation(interp))
     reason = result.unitalize_reason
     Q0 = result.base_quantale
-    payload = {
-        "command": "represent",
+    evidence = {
         "options": {"unitalize": unitalize},
         "unitalized": result.unitalized,
         "unitalize_reason": None if reason is None else {
@@ -230,25 +248,16 @@ def represent(path: str, unitalize: str, output_path: str | None, fmt: str) -> N
         },
         "base_size": interp.base_size,
         **rel.interpretation_payload(interp),
-        "verification": check.payload(A.names, interp.base_labels),
-        "union_transitive": verifier.check_union_transitive(interp),
     }
-    _emit(payload, fmt, _render_represent)
-    sys.exit(EXIT_OK if check.valid else EXIT_VIOLATION)
-
-
-def _render_represent(payload: dict):
-    options = payload["options"]
-    yield f"options: unitalize={options['unitalize']}"
-    yield f"unitalized: {str(payload['unitalized']).lower()}"
-    reason = payload["unitalize_reason"]
-    if reason is None:
-        yield "unitalize_reason: none"
-    else:
-        yield f"unitalize_reason: {reason['condition']} {_render_condition(reason)}"
-    yield f"base_size: {payload['base_size']}"
-    yield from rel.format_interpretation_lines(payload)
-    yield from _render_verification(payload)
+    lines = [
+        f"options: unitalize={unitalize}",
+        f"unitalized: {str(result.unitalized).lower()}",
+        "unitalize_reason: " + ("none" if reason is None else
+                                f"{reason.name} {_render_condition(evidence['unitalize_reason'])}"),
+        f"base_size: {interp.base_size}",
+        *rel.format_interpretation_lines(evidence),
+    ]
+    _check_verdict("represent", A, interp, evidence, lines, {"quantale_size": Q0.size}).write(fmt)
 
 
 def _render_condition(entry: dict) -> str:
@@ -261,14 +270,21 @@ def _render_condition(entry: dict) -> str:
     return line
 
 
-def _render_verification(payload: dict):
-    """One line per condition, the verdict, then the union-transitivity probe."""
-    verification = payload["verification"]
-    for name, entry in verification.items():
-        if name != "all_pass":
-            yield f"{name}: {_render_condition(entry)}"
-    yield f"all conditions pass: {str(verification['all_pass']).lower()}"
-    yield f"union transitive: {str(payload['union_transitive']).lower()}"
+def _check_verdict(command: str, A, interp, evidence: dict, lines: list[str],
+                   stats: dict) -> Verdict:
+    """Whether interp represents A by the four defining conditions, after the
+    given evidence: one line per condition, then the union-transitivity probe."""
+    from . import verifier
+
+    check = verifier.check_representation(A, interp)
+    verification = check.payload(A.names, interp.base_labels)
+    union_transitive = verifier.check_union_transitive(interp)
+    lines = [*lines, *(f"{name}: {_render_condition(entry)}"
+                       for name, entry in verification.items() if name != "all_pass"),
+             f"union transitive: {str(union_transitive).lower()}"]
+    evidence = {**evidence, "verification": verification, "union_transitive": union_transitive}
+    return Verdict(command, "represented" if check.valid else "failing", "square", evidence,
+                   lines, stats)
 
 
 @main.command()
@@ -277,18 +293,9 @@ def _render_verification(payload: dict):
 @format_option
 def verify(algebra_path: str, dump_path: str, fmt: str) -> None:
     """Check a representation dump against the four defining conditions."""
-    from . import verifier
-
     A = _load_algebra(algebra_path)
     interp = rel.parse_interpretation(_read_text(dump_path), A.names)
-    check = verifier.check_representation(A, interp)
-    payload = {
-        "command": "verify",
-        "verification": check.payload(A.names, interp.base_labels),
-        "union_transitive": verifier.check_union_transitive(interp),
-    }
-    _emit(payload, fmt, _render_verification)
-    sys.exit(EXIT_OK if check.valid else EXIT_VIOLATION)
+    _check_verdict("verify", A, interp, {}, [], {}).write(fmt)
 
 
 @main.command()
@@ -303,37 +310,23 @@ def search(path: str, max_base: int, node_budget: int | None, fmt: str) -> None:
     A = _load_valid_algebra(path)
     budget = verifier.NodeBudget(node_budget)
     outcome = verifier.search_representation(A, max_base, budget=budget)
-    _emit({"command": "search", **_outcome_payload(outcome), "nodes": budget.used},
-          fmt, _render_search)
-    sys.exit(EXIT_VIOLATION if isinstance(outcome, verifier.Exhausted) else EXIT_OK)
+    _search_verdict("search", outcome, budget.used, {}, []).write(fmt)
 
 
-def _render_search(payload: dict):
-    """The outcome of a representation search, then the nodes it spent."""
-    yield from _render_search_outcome(payload)
-    yield f"nodes: {payload['nodes']}"
-
-
-def _outcome_payload(outcome) -> dict:
-    """The verdict of a representation search, then max_base when it is
-    exhausted, else base_size and the model it found."""
+def _search_verdict(command: str, outcome, nodes: int, evidence: dict,
+                    lines: list[str]) -> Verdict:
+    """The outcome of a representation search after the given evidence:
+    base_size and the model it found, or max_base when it is exhausted."""
     from . import verifier
 
     if isinstance(outcome, verifier.Exhausted):
-        return {"verdict": "exhausted", "max_base": outcome.max_base}
-    return {"verdict": "found", "base_size": outcome.base_size,
-            **rel.interpretation_payload(outcome)}
-
-
-def _render_search_outcome(payload: dict):
-    """The verdict of a representation search, then base_size and the model
-    when found, else max_base."""
-    yield f"verdict: {payload['verdict']}"
-    if payload["verdict"] == "found":
-        yield f"base_size: {payload['base_size']}"
-        yield from rel.format_interpretation_lines(payload)
+        verdict, found = "exhausted", {"max_base": outcome.max_base}
+        lines = [*lines, f"max_base: {outcome.max_base}"]
     else:
-        yield f"max_base: {payload['max_base']}"
+        verdict, found = "found", {"base_size": outcome.base_size,
+                                   **rel.interpretation_payload(outcome)}
+        lines = [*lines, f"base_size: {outcome.base_size}", *rel.format_interpretation_lines(found)]
+    return Verdict(command, verdict, "square", {**evidence, **found}, lines, {"nodes": nodes})
 
 
 @main.command(name="pointalg")
@@ -344,30 +337,17 @@ def _render_search_outcome(payload: dict):
 @format_option
 def pointalg_cmd(generator_text: str, max_base: int, node_budget: int | None, fmt: str) -> None:
     """Close a point-algebra reduct and probe it for a bounded-base representation."""
-    from . import pointalg, verifier
+    from . import pointalg
 
     masks = [pointalg.parse_element(tok) for tok in generator_text.split(",") if tok.strip()]
     if not masks:
         raise ParseError("no generators given")
     S = pointalg.reduct(pointalg.build_point_algebra(), masks)
     result, stats = pointalg.frp_probe(S, max_base, node_budget=node_budget)
-    payload = {
-        "command": "pointalg",
-        "generators": [pointalg.render_element(m) for m in masks],
-        "carrier": list(S.names),
-        "stats": {"nodes": stats.nodes, "seconds": round(stats.seconds, 6)},
-        **_outcome_payload(result),
-    }
-    _emit(payload, fmt, _render_pointalg)
-    sys.exit(EXIT_VIOLATION if isinstance(result, verifier.Exhausted) else EXIT_OK)
-
-
-def _render_pointalg(payload: dict):
-    yield "generators: " + " ".join(payload["generators"])
-    yield "carrier: " + " ".join(payload["carrier"])
-    yield from _render_search_outcome(payload)
-    yield f"nodes: {payload['stats']['nodes']}"
-    yield f"seconds: {payload['stats']['seconds']}"
+    generators = [pointalg.render_element(m) for m in masks]
+    evidence = {"generators": generators, "carrier": list(S.names)}
+    lines = ["generators: " + " ".join(generators), "carrier: " + " ".join(S.names)]
+    _search_verdict("pointalg", result, stats.nodes, evidence, lines).write(fmt)
 
 
 @main.group(name="lambek")
@@ -386,17 +366,14 @@ def prove(sequent_text: str, node_budget: int | None, trace: bool, fmt: str) -> 
 
     s = lambek.parse_sequent(sequent_text)
     proof = lambek.prove(s, node_budget=node_budget)
-    payload = {
-        "command": "lambek-prove",
-        "sequent": lambek.format_sequent(s),
-        "derivable": proof is not None,
-    }
+    sequent = lambek.format_sequent(s)
+    evidence = {"sequent": sequent, "derivable": proof is not None}
+    lines = [f"sequent: {sequent}"]
     if trace and proof is not None:
-        payload["proof"] = _proof_payload(proof)
-    _emit(payload, fmt, lambda p: [f"sequent: {p['sequent']}",
-                                   f"derivable: {str(p['derivable']).lower()}"]
-          + (_proof_lines(p["proof"], 0) if "proof" in p else []))
-    sys.exit(EXIT_OK if proof is not None else EXIT_VIOLATION)
+        evidence["proof"] = _proof_payload(proof)
+        lines += _proof_lines(evidence["proof"], 0)
+    verdict = "underivable" if proof is None else "derivable"
+    Verdict("lambek-prove", verdict, None, evidence, lines, {}).write(fmt)
 
 
 def _proof_payload(node: lambek.ProofNode) -> dict:
@@ -428,25 +405,15 @@ def counter(sequent_text: str, max_base: int, node_budget: int | None, fmt: str)
     s = lambek.parse_sequent(sequent_text)
     budget = verifier.NodeBudget(node_budget, default=lambek.DEFAULT_COUNTER_BUDGET)
     result = lambek.countermodel_search(s, max_base=max_base, budget=budget)
-    payload = {"command": "lambek-counter", "sequent": lambek.format_sequent(s)}
+    sequent = lambek.format_sequent(s)
     if isinstance(result, verifier.Exhausted):
-        payload.update(verdict="exhausted", max_base=result.max_base)
+        verdict, evidence = "exhausted", {"max_base": result.max_base}
+        lines = [f"max_base: {result.max_base}"]
     else:
-        payload.update(verdict="found", **rel.model_payload(result))
-    payload["nodes"] = budget.used
-    _emit(payload, fmt, _render_counter)
-    sys.exit(EXIT_VIOLATION if isinstance(result, verifier.Exhausted) else EXIT_OK)
-
-
-def _render_counter(payload: dict):
-    """The outcome of a countermodel search, then the nodes it spent."""
-    yield f"sequent: {payload['sequent']}"
-    yield f"verdict: {payload['verdict']}"
-    if payload["verdict"] == "exhausted":
-        yield f"max_base: {payload['max_base']}"
-    else:
-        yield from rel.format_model_lines(payload)
-    yield f"nodes: {payload['nodes']}"
+        verdict, evidence = "found", rel.model_payload(result)
+        lines = rel.format_model_lines(evidence)
+    Verdict("lambek-counter", verdict, "square", {"sequent": sequent, **evidence},
+            [f"sequent: {sequent}", *lines], {"nodes": budget.used}).write(fmt)
 
 
 @lambek_group.command(name="eval")
@@ -459,9 +426,9 @@ def eval_cmd(sequent_text: str, model_path: str, fmt: str) -> None:
 
     s = lambek.parse_sequent(sequent_text)
     holds = lambek.evaluate(s, rel.parse_model(_read_text(model_path)))
-    payload = {"command": "lambek-eval", "sequent": lambek.format_sequent(s), "holds": holds}
-    _emit(payload, fmt, lambda p: [f"sequent: {p['sequent']}", f"holds: {str(p['holds']).lower()}"])
-    sys.exit(EXIT_OK if holds else EXIT_VIOLATION)
+    sequent = lambek.format_sequent(s)
+    Verdict("lambek-eval", "holds" if holds else "fails", "square",
+            {"sequent": sequent, "holds": holds}, [f"sequent: {sequent}"], {}).write(fmt)
 
 
 if __name__ == "__main__":

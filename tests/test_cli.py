@@ -17,6 +17,7 @@ from resq.verifier import NodeBudget, search_representation
 
 ONE = "elements: x\nleq: x<=x\ncomp: x;x=x\n"
 MUTATED_C2 = C2_TEXT + "lres: a\\a=a a\\b=b b\\a=b b\\b=b\n"  # a\\a altered to a
+ANTICHAIN = "elements: p q\nleq:\ncomp: p;p=p p;q=p q;p=p q;q=q\n"  # no residuals
 
 
 @pytest.fixture()
@@ -46,7 +47,7 @@ def test_decide_valid(runner, c2_file):
 def test_decide_text_and_json_agree(runner, c2_file):
     text = runner.invoke(main, ["decide", c2_file], catch_exceptions=False)
     _, payload = run_json(runner, ["decide", c2_file])
-    assert "valid: true" in text.output
+    assert "verdict: valid" in text.output.splitlines()
     assert payload["valid"] is True
 
 
@@ -61,7 +62,7 @@ def test_decide_mutated_residual_table(runner, tmp_path):
 
 def test_decide_no_residuals_exists(runner, tmp_path):
     path = tmp_path / "antichain.alg"
-    path.write_text("elements: p q\nleq:\ncomp: p;p=p p;q=p q;p=p q;q=q\n")
+    path.write_text(ANTICHAIN)
     result, payload = run_json(runner, ["decide", str(path)])
     assert result.exit_code == 1
     assert payload["valid"] is False
@@ -210,7 +211,7 @@ def test_long_element_names_keep_one_short_line(runner, tmp_path, command, text)
     if command == "decide":
         # a verdict on stdout; its reason line carries the error message
         assert result.stderr == ""
-        line = result.stdout.splitlines()[1]
+        line = result.stdout.splitlines()[2]
         assert line.startswith("reason: ")
     else:
         assert result.stdout == ""
@@ -314,6 +315,19 @@ def test_represent_json_output_feeds_verify(runner, tmp_path, c2_file):
     result, verify_payload = run_json(runner, ["verify", c2_file, str(dump_path)])
     assert result.exit_code == 1  # same residual-condition failures as represent
     assert verify_payload["verification"]["order-iff"]["status"] == "pass"
+
+
+def test_search_json_output_feeds_verify(runner, tmp_path):
+    path = tmp_path / "one.alg"
+    path.write_text(ONE)
+    found = runner.invoke(main, ["search", str(path), "--max-base", "1", "--format", "json"],
+                          catch_exceptions=False)
+    assert found.exit_code == 0 and json.loads(found.stdout)["verdict"] == "found"
+    dump_path = tmp_path / "one.json"
+    dump_path.write_text(found.stdout)  # the verdict's own keys are ignored by the parser
+    result, payload = run_json(runner, ["verify", str(path), str(dump_path)])
+    assert result.exit_code == 0
+    assert payload["verdict"] == "represented"
 
 
 def test_represent_output_file_feeds_verify(runner, tmp_path, c2_file):
@@ -524,8 +538,9 @@ def test_lambek_counter_exhausted(runner):
 
 def test_lambek_counter_output_feeds_eval(runner, tmp_path):
     counter, payload = run_json(runner, ["lambek", "counter", "p*q |- q*p", "--max-base", "2"])
+    assert counter.exit_code == 0 and payload["verdict"] == "found"
     model_path = tmp_path / "model.json"
-    model_path.write_text(json.dumps({"base": payload["base"], "valuation": payload["valuation"]}))
+    model_path.write_text(counter.stdout)  # the verdict's own keys are ignored by the reader
     result, eval_payload = run_json(runner, ["lambek", "eval", "p*q |- q*p", str(model_path)])
     assert result.exit_code == 1
     assert eval_payload["holds"] is False
@@ -556,8 +571,8 @@ DEEP_PROOF = ", ".join(["*".join(["p"] * 750)] * 2) + " |- " + "*".join(["p"] * 
 # the verdict of each command on LONG_PRODUCT: the count invariant refutes it
 # without a search node; p = {(0,1), (1,0)} makes p^1500 the identity,
 # outside p; the one-point model p = {(0,0)} satisfies it
-LONG_PRODUCT_VERDICTS = {"prove": (1, "derivable: false"), "counter": (0, "verdict: found"),
-                         "eval": (0, "holds: true")}
+LONG_PRODUCT_VERDICTS = {"prove": (1, "verdict: underivable"), "counter": (0, "verdict: found"),
+                         "eval": (0, "verdict: holds")}
 
 
 @pytest.mark.parametrize("command", ["prove", "counter", "eval"])
@@ -577,7 +592,7 @@ def test_lambek_deep_sequent_documented_exit(runner, tmp_path, command, sequent)
     else:
         code, line = LONG_PRODUCT_VERDICTS[command]
         assert result.exit_code == code, result.output
-        assert lines[0] == "sequent: " + LONG_PRODUCT and line in lines
+        assert lines[0] == line and "sequent: " + LONG_PRODUCT in lines
 
 
 def test_lambek_long_product_countermodel_rechecks(runner):
@@ -784,8 +799,22 @@ def test_represent_has_no_generator_choice(runner, c2_file):
     assert "Traceback" not in usage.output
 
 
-# the text line that carries each top-level JSON key other than "command"
+# the exit code of each verdict, the table the README documents
+EXIT_OF_VERDICT = {**dict.fromkeys(["valid", "represented", "found", "derivable", "holds"], 0),
+                   **dict.fromkeys(["invalid", "failing", "exhausted", "underivable", "fails"], 1)}
+
+# the JSON keys that repeat the verdict, true exactly when it is their own
+# name; the text leaves them out
+VERDICT_KEYS = {"valid", "derivable", "holds"}
+
+# the machine-independent stats of each command; the others report none
+STATS_OF_COMMAND = {"search": ["nodes"], "pointalg": ["nodes"], "lambek-counter": ["nodes"],
+                    "represent": ["quantale_size"]}
+
+# the text line that carries each evidence key of the JSON
 TEXT_LINE_OF_KEY = {
+    "reason": "reason: ",
+    "failures": "failure: ",
     "options": "options: ",
     "unitalized": "unitalized: ",
     "unitalize_reason": "unitalize_reason: ",
@@ -793,67 +822,86 @@ TEXT_LINE_OF_KEY = {
     "base": "base: ",
     "elements": "rel ",
     "relations": "rel ",
-    "verification": "all conditions pass: ",
+    "verification": "order-iff: ",
     "union_transitive": "union transitive: ",
     "generators": "generators: ",
     "carrier": "carrier: ",
-    "verdict": "verdict: ",
     "max_base": "max_base: ",
-    "stats": ("nodes: ", "seconds: "),
-    "nodes": "nodes: ",
     "sequent": "sequent: ",
-    "derivable": "derivable: ",
     "proof": "[",
     "valuation": "v(",
-    "holds": "holds: ",
 }
 
 
 @pytest.mark.parametrize(
     "args",
     [
+        ["decide", "ALGEBRA"],
+        ["decide", "MUTATED"],
+        ["decide", "ANTICHAIN"],
         ["represent", "ALGEBRA"],
         ["represent", "ALGEBRA", "--unitalize", "off"],
+        ["represent", "ONE"],
+        ["verify", "ALGEBRA", "DUMP"],
         ["pointalg", "--max-base", "3"],
         ["pointalg", "--max-base", "2"],
         ["search", "ALGEBRA", "--max-base", "2"],
         ["search", "ONE", "--max-base", "1"],
         ["lambek", "prove", "p |- (p*q)/q", "--trace"],
+        ["lambek", "prove", "p*q |- q*p"],
         ["lambek", "counter", "p*q |- q*p", "--max-base", "2"],
         ["lambek", "counter", "p |- p", "--max-base", "2"],
         ["lambek", "eval", "p*q |- q*p", "MODEL"],
+        ["lambek", "eval", "p |- p", "MODEL"],
     ],
-    ids=["represent", "represent-options", "pointalg-found", "pointalg-exhausted",
-         "search-exhausted", "search-found",
-         "lambek-prove", "lambek-counter-found", "lambek-counter-exhausted", "lambek-eval"],
+    ids=["decide-valid", "decide-invalid", "decide-no-residuals", "represent",
+         "represent-options", "represent-one", "verify", "pointalg-found", "pointalg-exhausted",
+         "search-exhausted", "search-found", "lambek-prove", "lambek-prove-underivable",
+         "lambek-counter-found", "lambek-counter-exhausted", "lambek-eval",
+         "lambek-eval-holds"],
 )
 def test_text_carries_every_json_field(runner, tmp_path, c2_file, args):
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps({"base": 2, "valuation": {"p": [[0, 1]], "q": [[1, 0]]}}))
-    one = tmp_path / "one.alg"
-    one.write_text(ONE)
-    args = [{"ALGEBRA": c2_file, "MODEL": str(model), "ONE": str(one)}.get(a, a) for a in args]
-    _, payload = run_json(runner, args)
-    lines = runner.invoke(main, args, catch_exceptions=False).output.splitlines()
+    files = {"MODEL": json.dumps({"base": 2, "valuation": {"p": [[0, 1]], "q": [[1, 0]]}}),
+             "ONE": ONE, "MUTATED": MUTATED_C2, "ANTICHAIN": ANTICHAIN,
+             "DUMP": rel.format_interpretation(relrep.represent_pipeline(make_c2()).interpretation)}
+    paths = {"ALGEBRA": c2_file}
+    for name, text in files.items():
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    args = [paths.get(a, a) for a in args]
+    json_run, payload = run_json(runner, args)
+    text_run = runner.invoke(main, args, catch_exceptions=False)
+    lines = text_run.output.splitlines()
+    verdict = payload["verdict"]
+    assert json_run.exit_code == text_run.exit_code == EXIT_OF_VERDICT[verdict]
+    semantics = None if payload["command"] in ("decide", "lambek-prove") else "square"
+    assert payload["semantics"] == semantics
+    assert lines[:2] == [f"verdict: {verdict}", f"semantics: {semantics or 'none'}"]
+    assert list(payload["stats"]) == STATS_OF_COMMAND.get(payload["command"], [])
+    for key, value in payload["stats"].items():
+        assert f"{key}: {value}" in lines, key
     for key, value in payload.items():
-        if key == "command":
+        if key in ("command", "verdict", "semantics", "stats"):
             continue
-        prefixes = TEXT_LINE_OF_KEY[key]
-        for prefix in (prefixes,) if isinstance(prefixes, str) else prefixes:
-            assert any(line.startswith(prefix) for line in lines), (key, prefix)
+        if key in VERDICT_KEYS:
+            assert value is (verdict == key)
+            assert not any(line.startswith(f"{key}:") for line in lines), key
+            continue
+        prefix = TEXT_LINE_OF_KEY[key]
+        assert any(line.startswith(prefix) for line in lines) == (value != []), key
         if isinstance(value, (bool, int, str)):
             rendered = str(value).lower() if isinstance(value, bool) else str(value)
-            assert f"{prefixes}{rendered}" in lines, key
+            assert f"{prefix}{rendered}" in lines, key
     if args[0] == "search":
         # the nodes the library's search spends on the same input
         budget = NodeBudget()
         search_representation(parse_algebra(Path(args[1]).read_text()), int(args[3]), budget)
-        assert payload["nodes"] == budget.used > 0
+        assert payload["stats"]["nodes"] == budget.used > 0
     if args[:2] == ["lambek", "counter"]:
         # the nodes the library's countermodel search spends on the same input
         budget = NodeBudget()
         lambek.countermodel_search(lambek.parse_sequent(args[2]), int(args[4]), budget=budget)
-        assert payload["nodes"] == budget.used > 0
+        assert payload["stats"]["nodes"] == budget.used > 0
     if args[0] == "represent":
         options = payload["options"]
         assert list(options) == ["unitalize"]

@@ -5,10 +5,10 @@ complete, represent, verify and search in both formats on four algebras: C2,
 one without residuals, one that fails associativity and the one-element
 algebra.  They also pin `lambek prove` (with and without --trace) on a
 derivable and an underivable sequent, `lambek counter` found and exhausted,
-and `lambek eval` on a model where the sequent holds, one where it fails and
-one that lacks an atom.  A refactor that changes any output line, JSON key or
-exit code fails here.  `pointalg` is left out because it prints wall-clock seconds.
-To re-record deliberately:
+`lambek eval` on a model where the sequent holds, one where it fails and one
+that lacks an atom, and `pointalg` found at base 3 ({<,>}), found at base 2
+({<,=}) and exhausted ({<,>} up to base 2).  A refactor that changes any
+output line, JSON key or exit code fails here.  To re-record deliberately:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -31,6 +31,9 @@ ALGEBRAS = [
     ("non_associative.alg", "two_elements.dump", "3"),
     ("one.alg", "one.dump", "1"),
 ]
+
+# (--generators, --max-base)
+POINT_PROBES = [("<,>", "3"), ("<,=", "3"), ("<,>", "2")]
 
 DERIVABLE = "p/q, q |- p"
 UNDERIVABLE = "p*q |- q*p"
@@ -59,6 +62,8 @@ def cases() -> list[list[str]]:
         out += [["lambek", "counter", UNDERIVABLE, "--max-base", "2", *tail],
                 ["lambek", "counter", DERIVABLE, "--max-base", "2", *tail]]
         out += [["lambek", "eval", UNDERIVABLE, model, *tail] for model in MODELS]
+        out += [["pointalg", "--generators", generators, "--max-base", max_base, *tail]
+                for generators, max_base in POINT_PROBES]
     return out
 
 

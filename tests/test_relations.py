@@ -649,10 +649,10 @@ ROUND_TRIP_WRITERS = {
     "json-dump": lambda I: rel.parse_interpretation(
         json.dumps(rel.interpretation_payload(I)), I.names),
     "search-found-payload": lambda I: rel.parse_interpretation(
-        json.dumps({"command": "search", **cli._outcome_payload(I), "nodes": 0}), I.names),
+        json.dumps(cli._search_verdict("search", I, 0, {}, []).payload()), I.names),
     "counter-payload": lambda I: rel.parse_model(json.dumps(
         {"command": "lambek-counter", "sequent": "p |- q", "verdict": "found",
-         **rel.model_payload(I), "nodes": 0})),
+         "semantics": "square", **rel.model_payload(I), "stats": {"nodes": 0}})),
 }
 
 

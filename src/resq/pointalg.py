@@ -8,7 +8,6 @@ ordered semigroups fed to the bounded representation search.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -149,7 +148,6 @@ def reduct(P: PointAlgebra, generator_elements) -> SPStructure:
 @dataclass(frozen=True)
 class ProbeStats:
     nodes: int
-    seconds: float
 
 
 def frp_probe(S: SPStructure, max_base: int, node_budget: int | None = None):
@@ -160,7 +158,5 @@ def frp_probe(S: SPStructure, max_base: int, node_budget: int | None = None):
     to probe: the verdict is whatever the exhaustive bounded search proves.
     """
     budget = NodeBudget(node_budget)
-    start = time.perf_counter()
     result = search_representation(S, max_base, budget=budget)
-    stats = ProbeStats(nodes=budget.used, seconds=time.perf_counter() - start)
-    return result, stats
+    return result, ProbeStats(nodes=budget.used)

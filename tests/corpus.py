@@ -1,9 +1,15 @@
-"""Deterministic corpus of algebras shared across the test suite.
+"""Deterministic corpus of algebras shared across the test suite, and the
+oracles that check resq against definitions.
 
 The n <= 3 part is the full labeled enumeration.  The n = 4 part mixes
 construction strategies so the completion and representation machinery sees
 chains, direct products, a group, relation closures, and zero-adjoined
 semigroups; the list is deterministic and deduplicated up to isomorphism.
+
+Every oracle that evaluates a relational operation or an inclusion (the
+pairwise representation check, the inclusion order, the scalar search walk
+and the naive countermodel search) evaluates it in tests/oracles.py, which
+reads each one off its pair-set definition and imports nothing from resq.
 """
 
 from __future__ import annotations
@@ -12,18 +18,16 @@ import functools
 import itertools
 import random
 
+import oracles
 from resq import algebra, lambek, relrep
 from resq import relations as rel
 from resq.algebra import (
-    Check,
     FiniteResiduatedSemigroup,
-    Report,
     _associative_tables,
     _partial_orders,
     infer_residuals,
     monotonicity,
 )
-from resq.completion import _subset_sort_key
 from resq.errors import NoResidualError
 from resq.pointalg import ATOM_EQ, ATOM_GT, ATOM_LT
 from resq.relations import Interpretation, Relation
@@ -39,9 +43,14 @@ def make_c2() -> FiniteResiduatedSemigroup:
 
 
 def closed_sets_by_scan(A: FiniteResiduatedSemigroup) -> tuple[int, ...]:
-    """Reference enumeration over all 2^n subsets; oracle for completion.closed_sets."""
+    """Reference enumeration over all 2^n subsets, by size, then by the
+    sorted names of their members; oracle for completion.closed_sets."""
+    def key(x: int):
+        members = sorted(A.names[i] for i in range(A.n) if x >> i & 1)
+        return len(members), members
+
     family = [x for x in range(1 << A.n) if closure_by_definition(x, A) == x]
-    return tuple(sorted(family, key=_subset_sort_key(A.names)))
+    return tuple(sorted(family, key=key))
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +127,10 @@ def order_reflection_by_loops(leq, comp) -> tuple[int, int] | None:
 
 
 def inclusion_order_by_loops(family) -> tuple[int, ...]:
-    """Order rows of a family by inclusion, one rel_subset per ordered pair
-    of members.  Oracle for relations.inclusion_order, which reads them off
-    a stack."""
-    return tuple(sum(1 << j for j, s in enumerate(family) if rel.rel_subset(r, s))
+    """Order rows of a family by inclusion, one pair-set inclusion per
+    ordered pair of members.  Oracle for relations.inclusion_order, which
+    reads them off a stack."""
+    return tuple(sum(1 << j for j, s in enumerate(family) if oracles.included(r, s))
                  for r in family)
 
 
@@ -550,17 +559,18 @@ def plan_search_by_scan(n: int, equations, inclusions) -> tuple:
 def scalar_run_plan(plan: tuple, k: int, budget):
     """verifier.run_plan trying one candidate at a time: branched unknowns
     take relations ascending by encoding, the first one the minimal
-    encodings of their orbits only, and every constraint is checked with the
-    relational kernels.  One node per step entered and one per candidate.
+    encodings of their orbits only, and every value is forced and every
+    constraint checked by definition.  One node per step entered and one
+    per candidate.
     Oracle for the sliced sweep's verdicts and node counts."""
     every = list(all_relations(k))
     first = canonical_relations_by_scan(k)
     values = [None] * len(plan)
 
     def holds(equations, inclusions) -> bool:
-        return (all(rel.rel_subset(values[a], values[b]) == expected
+        return (all(oracles.included(values[a], values[b]) == expected
                     for a, b, expected in inclusions)
-                and all(rel.OPERATIONS[op].apply(values[a], values[b]) == values[c]
+                and all(oracles.apply(op, values[a], values[b]) == values[c]
                         for op, a, b, c in equations))
 
     branches = []
@@ -574,7 +584,7 @@ def scalar_run_plan(plan: tuple, k: int, budget):
             branches.append((i, iter(every if branches else first)))
         else:
             op, a, b = forced
-            values[c] = rel.OPERATIONS[op].apply(values[a], values[b])
+            values[c] = oracles.apply(op, values[a], values[b])
             if holds(equations, inclusions):
                 i += 1
                 continue
@@ -638,17 +648,17 @@ def structure_plan(S) -> tuple:
 
 def naive_countermodel(s: lambek.Sequent, max_base: int):
     """The first model over bases 1..max_base that refutes the sequent, found
-    by evaluating it under every valuation in product order: atoms sorted,
-    relations ascending by encoding, the first atom over base-permutation
-    orbit representatives.  Oracle for lambek.countermodel_search."""
+    by evaluating it by definition under every valuation in product order:
+    atoms sorted, relations ascending by encoding, the first atom over
+    base-permutation orbit representatives.  Oracle for
+    lambek.countermodel_search."""
     atoms = lambek.sequent_atoms(s)
     for k in range(1, max_base + 1):
         rest = list(all_relations(k))
         for values in itertools.product(canonical_relations_by_scan(k),
                                         *[rest] * (len(atoms) - 1)):
-            model = lambek_model(k, tuple(zip(atoms, values)))
-            if not lambek.evaluate(s, model):
-                return model
+            if not oracles.sequent_holds(s, dict(zip(atoms, values))):
+                return lambek_model(k, tuple(zip(atoms, values)))
     return Exhausted(max_base)
 
 
@@ -706,30 +716,30 @@ BASE_9_FAMILIES = (
 )
 
 
-def check_representation_pairwise(S, I) -> Report:
-    """The four-condition check with one kernel call per ordered pair of
-    elements, scanning pairs in lexicographic order.  Oracle for
-    verifier.check_representation, which evaluates whole rows per key."""
+def check_representation_pairwise(S, I) -> tuple[tuple[str, tuple[int, ...] | None], ...]:
+    """The four-condition check read off the definitions, one ordered pair
+    of elements at a time in lexicographic order: each condition as a
+    (name, witness) pair, the witness None when the condition holds.  Oracle
+    for verifier.check_representation, which evaluates whole rows per key
+    and whose Checks compare equal to these pairs."""
     n = len(S.comp)
     R = I.relations
 
     def order_condition():
         for a in range(n):
             for b in range(n):
-                if S.le(a, b) != rel.rel_subset(R[a], R[b]):
-                    return Check("order-iff", (a, b))
-        return Check("order-iff", None)
+                if S.le(a, b) != oracles.included(R[a], R[b]):
+                    return ("order-iff", (a, b))
+        return ("order-iff", None)
 
-    def table_condition(name, table, op):
+    def table_condition(name, table):
         for a in range(n):
             for b in range(n):
                 expected = R[table[a][b]]
-                actual = op(R[a], R[b])
+                actual = oracles.apply(name, R[a], R[b])
                 if expected != actual:
-                    x, y = min(set(rel.relation_pairs(expected)) ^ set(rel.relation_pairs(actual)))
-                    return Check(name, (a, b, x, y))
-        return Check(name, None)
+                    return (name, (a, b, *min(oracles.pairs(expected) ^ oracles.pairs(actual))))
+        return (name, None)
 
-    return Report((order_condition(),) + tuple(
-        table_condition(name, table, rel.OPERATIONS[name].apply) for name, table in S.operations
-    ))
+    return (order_condition(),) + tuple(table_condition(name, table)
+                                        for name, table in S.operations)

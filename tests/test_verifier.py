@@ -1,9 +1,11 @@
 import dataclasses
 import functools
 import itertools
+import json
 import operator
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from corpus import (
     sequent_plan,
     structure_plan,
 )
+from make_cond34_ledger import ledger_entries
 from resq import algebra, lambek, pointalg, relrep, verifier
 from resq import relations as rel
 from resq.errors import ClosureSizeError, DimensionMismatch, ResourceLimitError
@@ -187,14 +190,14 @@ def test_sp_explicit_witness_for_point_reduct():
 
 
 def naive_search(struct, k):
-    import itertools
-
+    """The first relation tuple over k points, in product order, that the
+    definitional checker accepts, or None."""
     n = len(struct.names)
     for combo in itertools.product(all_relations(k), repeat=n):
         interp = Interpretation(
             names=struct.names, base_labels=tuple(map(str, range(k))), relations=combo
         )
-        if check_representation(struct, interp).valid:
+        if all(witness is None for _, witness in check_representation_pairwise(struct, interp)):
             return interp
     return None
 
@@ -492,13 +495,14 @@ def test_found_interpretations_reverify():
 
 
 # check_representation evaluates each operation once per distinct row key and
-# right operand; check_representation_pairwise makes one kernel call per pair.
-# The reports must agree, statuses and first witnesses included.
+# right operand; check_representation_pairwise reads each pair of elements off
+# the pair-set definitions.  The reports must agree, statuses and first
+# witnesses included.
 
 
 def assert_checkers_agree(S, interp):
     report = check_representation(S, interp)
-    assert report == check_representation_pairwise(S, interp)
+    assert report.conditions == check_representation_pairwise(S, interp)
     return report
 
 
@@ -516,6 +520,44 @@ def test_checkers_agree_on_the_pipeline_over_the_corpus(corpus_all, mode):
         result = relrep.represent_pipeline(A, unitalize_mode=mode)
         failed += not assert_checkers_agree(A, result.interpretation).valid
     assert failed > 0  # the residual conditions fail on part of the corpus
+
+
+def test_ledger_statuses_are_the_ones_read_off_the_definitions(corpus_all):
+    # every committed status of the frozen ledger, re-derived with the
+    # pairwise checker on the pair-set definitions, not the library's checker
+    ledger = json.loads((Path(__file__).parent / "data" / "cond34_ledger.json").read_text())
+    assert len(ledger) == len(corpus_all) == 125
+    assert ledger_entries(corpus_all) == ledger
+
+
+def opposite(A):
+    """A^op, whose a;b is b;a in A: its left residual a\\c is c/a in A and
+    its right residual c/b is b\\c in A."""
+    e = range(A.n)
+    return dataclasses.replace(A, comp=tuple(tuple(A.comp[b][a] for b in e) for a in e),
+                               lres=tuple(tuple(A.rres[c][a] for c in e) for a in e),
+                               rres=tuple(tuple(A.lres[b][c] for b in e) for c in e))
+
+
+def found_base(result):
+    return result.base_size if isinstance(result, Interpretation) else result
+
+
+def test_the_opposite_algebra_mirrors_every_verdict(corpus_small):
+    # the converses represent A^op wherever the relations represent A, the
+    # residuals trading places: (R;S)^c = S^c;R^c, (R\S)^c = S^c/R^c
+    swapped = {"left-residual": "right-residual", "right-residual": "left-residual"}
+    for A in corpus_small:
+        op = opposite(A)
+        assert algebra.validate(op).valid
+        interp = relrep.represent_pipeline(A).interpretation
+        converses = Interpretation(interp.names, interp.base_labels,
+                                   tuple(map(rel.rel_converse, interp.relations)))
+        statuses = {swapped.get(c.name, c.name): c.passed
+                    for c in check_representation(A, interp).conditions}
+        mirrored = {c.name: c.passed for c in check_representation(op, converses).conditions}
+        assert mirrored == statuses
+        assert found_base(search_representation(op, 2)) == found_base(search_representation(A, 2))
 
 
 POINT_REDUCTS = [

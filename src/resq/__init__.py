@@ -17,10 +17,8 @@ _HOME = {
     "Exhausted": "verifier",
     "ResqError": "errors",
     "parse_algebra": "algebra",
-    "serialize": "algebra",
     "validate": "algebra",
     "infer_residuals": "algebra",
-    "enumerate_algebras": "algebra",
     "generate_concrete": "algebra",
     "build_quantale": "completion",
     "closed_sets": "completion",

@@ -1,4 +1,4 @@
-"""Finite residuated semigroups: tables, parsing, validation, enumeration.
+"""Finite residuated semigroups: tables, parsing, validation, relation closures.
 
 Elements are dense indices 0..n-1; names are surface syntax only.  The order
 is stored as row bitmasks (bit j of leq[i] set iff element i <= element j),
@@ -7,10 +7,9 @@ composition and the two residuals as n x n index tables.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import and_, getitem, itemgetter, xor
 from typing import NamedTuple
 
@@ -21,15 +20,12 @@ from .errors import (
     NoResidualError,
     ParseError,
     ResidualMismatchError,
-    ResourceLimitError,
     quote,
     quote_name,
 )
 from .relations import Interpretation, Relation
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
-
-ENUMERATION_CAP = 3
 
 
 @dataclass(frozen=True)
@@ -201,7 +197,7 @@ class CandidateMasks:
 # loop over every element runs only when that reading does not show the law
 # holds, to decide it and name the first witness, so the witnesses do not
 # depend on the path.  Monotonicity has one path, its scalar loop: it runs
-# only on the small tables that validate and enumerate_algebras read.
+# only on the tables that validate reads.
 
 
 def associativity(comp, G=None) -> tuple[int, int, int] | None:
@@ -593,84 +589,6 @@ def parse_algebra(text: str) -> FiniteResiduatedSemigroup:
         # callers can report the law violation itself
         raise ResidualMismatchError(mismatch, A)
     return A
-
-
-def serialize(A: FiniteResiduatedSemigroup) -> str:
-    """Canonical text form: blocks in fixed order, entries sorted by name."""
-    lines = ["elements: " + " ".join(A.names)]
-    pairs = sorted(
-        (A.names[i], A.names[j])
-        for i in range(A.n)
-        for j in range(A.n)
-        if i != j and A.le(i, j)
-    )
-    lines.append("leq:" + "".join(f" {x}<={y}" for x, y in pairs))
-
-    def table_line(label: str, sep: str, table) -> str:
-        entries = sorted(
-            (A.names[i], A.names[j], A.names[table[i][j]])
-            for i in range(A.n)
-            for j in range(A.n)
-        )
-        return f"{label}:" + "".join(f" {x}{sep}{y}={z}" for x, y, z in entries)
-
-    lines.append(table_line("comp", ";", A.comp))
-    lines.append(table_line("lres", "\\", A.lres))
-    lines.append(table_line("rres", "/", A.rres))
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# enumeration
-
-
-@lru_cache(maxsize=None)
-def _partial_orders(n: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for bits in itertools.product((0, 1), repeat=len(off_diagonal)):
-        rows = [1 << i for i in range(n)]
-        for (i, j), bit in zip(off_diagonal, bits):
-            if bit:
-                rows[i] |= 1 << j
-        if antisymmetry(rows) is None and transitivity(rows) is None:
-            out.append(tuple(rows))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _associative_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    # tables in lexicographic order, each a tuple of n of the n ** n rows
-    rows = tuple(itertools.product(range(n), repeat=n))
-    return tuple(comp for comp in itertools.product(rows, repeat=n) if associativity(comp) is None)
-
-
-def default_names(n: int) -> tuple[str, ...]:
-    return tuple(f"e{i}" for i in range(n))
-
-
-def enumerate_algebras(n: int):
-    """Yield every residuated semigroup on the n labeled elements e0..e{n-1}
-    exactly once; isomorphic copies are all yielded.
-
-    Runs over all partial orders and all associative monotone composition
-    tables, keeping those whose residuals exist.  Raises ResourceLimitError
-    for n above ENUMERATION_CAP, whose tables are too many to scan.
-    """
-    if n < 1:
-        raise ValueError("carrier must be nonempty")
-    if n > ENUMERATION_CAP:
-        raise ResourceLimitError(ENUMERATION_CAP, f"enumeration of size {n} exceeds the cap")
-    names = default_names(n)
-    for leq in _partial_orders(n):
-        for comp in _associative_tables(n):
-            if monotonicity(leq, comp) is not None:
-                continue
-            try:
-                lres, rres = infer_residuals(leq, comp)
-            except NoResidualError:
-                continue
-            yield FiniteResiduatedSemigroup(names=names, leq=leq, comp=comp, lres=lres, rres=rres)
 
 
 # ---------------------------------------------------------------------------

@@ -343,11 +343,11 @@ def pointalg_cmd(generator_text: str, max_base: int, node_budget: int | None, fm
     if not masks:
         raise ParseError("no generators given")
     S = pointalg.reduct(pointalg.build_point_algebra(), masks)
-    result, stats = pointalg.frp_probe(S, max_base, node_budget=node_budget)
+    result, nodes = pointalg.frp_probe(S, max_base, node_budget=node_budget)
     generators = [pointalg.render_element(m) for m in masks]
     evidence = {"generators": generators, "carrier": list(S.names)}
     lines = ["generators: " + " ".join(generators), "carrier: " + " ".join(S.names)]
-    _search_verdict("pointalg", result, stats.nodes, evidence, lines).write(fmt)
+    _search_verdict("pointalg", result, nodes, evidence, lines).write(fmt)
 
 
 @main.group(name="lambek")

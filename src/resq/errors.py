@@ -68,8 +68,8 @@ class NoResidualError(NotResiduatedError):
 
     The attributes hold element indices; the message names the elements by
     names[i] when names are given, by their indices otherwise.  It is
-    formatted when read, since the enumerators raise and discard most of
-    these errors.
+    formatted when read, since the enumerations of the test corpus raise and
+    discard most of these errors.
     """
 
     def __init__(self, left: int, right: int, side: str, candidates: Iterable[int],

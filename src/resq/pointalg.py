@@ -145,18 +145,14 @@ def reduct(P: PointAlgebra, generator_elements) -> SPStructure:
     return S
 
 
-@dataclass(frozen=True)
-class ProbeStats:
-    nodes: int
-
-
 def frp_probe(S: SPStructure, max_base: int, node_budget: int | None = None):
-    """Bounded-base representation search for a reduct; returns (result, stats).
+    """Bounded-base representation search for a reduct; returns (result, nodes).
 
     The result is either a verified Interpretation or Exhausted(max_base).
     The infinite-base question for a reduct is treated strictly as something
     to probe: the verdict is whatever the exhaustive bounded search proves.
+    The nodes are those the search spent.
     """
     budget = NodeBudget(node_budget)
     result = search_representation(S, max_base, budget=budget)
-    return result, ProbeStats(nodes=budget.used)
+    return result, budget.used

@@ -318,6 +318,10 @@ def inclusion_order(family, stacked: Stack | None = None) -> tuple[int, ...]:
     ones = field_ones(count, width)
     full = ones * ((1 << width) - 1)
     lacks = [full ^ row for row in rows]
+    # Both ways stay, because one compression per member alone took 21-27 ms
+    # against 4.3-4.6 ms on the 100 calls of the concrete workload, and one
+    # per key alone 7.7-12 ms against 4.8-5.9 ms on the 268 calls of the
+    # represent workload (in process, best of 5-7)
     if sum(map(len, keys)) < count:
         below = iter(_clear_fields([v * ones & lack for values, lack in zip(keys, lacks)
                                     for v in values], count, width, spans))

@@ -122,7 +122,10 @@ def check_representation(S, I: Interpretation) -> Report:
         raise DimensionMismatch("the relations of the interpretation have different bases")
     n = len(relations[0]) if relations else 0
     # the relations are stacked, as codes when their codes are native ints,
-    # and transposed once for both residuals
+    # and transposed once for both residuals.  Both paths stay, because
+    # stacked rows alone took 192-202 ms against 83 ms on the 50 closures of
+    # the concrete workload (in process, best of 5-7), though 22-24 ms
+    # against 24-26 ms on the 131 items of the represent workload
     if rel.native_codes(n):
         codes = list(map(rel.relation_code, relations))
         family = rel.stack_codes(codes, n)

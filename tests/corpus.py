@@ -23,12 +23,13 @@ from resq import algebra, lambek, relrep
 from resq import relations as rel
 from resq.algebra import (
     FiniteResiduatedSemigroup,
-    _associative_tables,
-    _partial_orders,
+    antisymmetry,
+    associativity,
     infer_residuals,
     monotonicity,
+    transitivity,
 )
-from resq.errors import NoResidualError
+from resq.errors import NoResidualError, ResourceLimitError
 from resq.pointalg import ATOM_EQ, ATOM_GT, ATOM_LT
 from resq.relations import Interpretation, Relation
 from resq.verifier import Exhausted, plan_search
@@ -362,12 +363,94 @@ def adjoin_zero(leq, comp) -> FiniteResiduatedSemigroup:
     )
 
 
+# ---------------------------------------------------------------------------
+# the canonical text form, which keys the ledger, and the labeled enumeration
+# of the n <= 3 corpus; no command and no benchmark workload runs either
+
+
+def serialize(A: FiniteResiduatedSemigroup) -> str:
+    """Canonical text form: blocks in fixed order, entries sorted by name."""
+    lines = ["elements: " + " ".join(A.names)]
+    pairs = sorted(
+        (A.names[i], A.names[j])
+        for i in range(A.n)
+        for j in range(A.n)
+        if i != j and A.le(i, j)
+    )
+    lines.append("leq:" + "".join(f" {x}<={y}" for x, y in pairs))
+
+    def table_line(label: str, sep: str, table) -> str:
+        entries = sorted(
+            (A.names[i], A.names[j], A.names[table[i][j]])
+            for i in range(A.n)
+            for j in range(A.n)
+        )
+        return f"{label}:" + "".join(f" {x}{sep}{y}={z}" for x, y, z in entries)
+
+    lines.append(table_line("comp", ";", A.comp))
+    lines.append(table_line("lres", "\\", A.lres))
+    lines.append(table_line("rres", "/", A.rres))
+    return "\n".join(lines) + "\n"
+
+
+ENUMERATION_CAP = 3
+
+
+@functools.lru_cache(maxsize=None)
+def _partial_orders(n: int) -> tuple[tuple[int, ...], ...]:
+    out = []
+    off_diagonal = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for bits in itertools.product((0, 1), repeat=len(off_diagonal)):
+        rows = [1 << i for i in range(n)]
+        for (i, j), bit in zip(off_diagonal, bits):
+            if bit:
+                rows[i] |= 1 << j
+        if antisymmetry(rows) is None and transitivity(rows) is None:
+            out.append(tuple(rows))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _associative_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    # tables in lexicographic order, each a tuple of n of the n ** n rows
+    rows = tuple(itertools.product(range(n), repeat=n))
+    return tuple(comp for comp in itertools.product(rows, repeat=n) if associativity(comp) is None)
+
+
+def default_names(n: int) -> tuple[str, ...]:
+    return tuple(f"e{i}" for i in range(n))
+
+
+def enumerate_algebras(n: int):
+    """Yield every residuated semigroup on the n labeled elements e0..e{n-1}
+    exactly once; isomorphic copies are all yielded.
+
+    Runs over all partial orders and all associative monotone composition
+    tables, keeping those whose residuals exist.  Raises ResourceLimitError
+    for n above ENUMERATION_CAP, whose tables are too many to scan.
+    """
+    if n < 1:
+        raise ValueError("carrier must be nonempty")
+    if n > ENUMERATION_CAP:
+        raise ResourceLimitError(ENUMERATION_CAP, f"enumeration of size {n} exceeds the cap")
+    names = default_names(n)
+    for leq in _partial_orders(n):
+        for comp in _associative_tables(n):
+            if monotonicity(leq, comp) is not None:
+                continue
+            try:
+                lres, rres = infer_residuals(leq, comp)
+            except NoResidualError:
+                continue
+            yield FiniteResiduatedSemigroup(names=names, leq=leq, comp=comp, lres=lres, rres=rres)
+
+
 def _chain_algebra(comp_rows) -> FiniteResiduatedSemigroup:
     n = len(comp_rows)
     leq = tuple(sum(1 << j for j in range(i, n)) for i in range(n))
     comp = tuple(tuple(row) for row in comp_rows)
     lres, rres = infer_residuals(leq, comp)
-    return FiniteResiduatedSemigroup(algebra.default_names(n), leq, comp, lres, rres)
+    return FiniteResiduatedSemigroup(default_names(n), leq, comp, lres, rres)
 
 
 def _discrete_algebra(comp_rows) -> FiniteResiduatedSemigroup:
@@ -375,7 +458,7 @@ def _discrete_algebra(comp_rows) -> FiniteResiduatedSemigroup:
     leq = tuple(1 << i for i in range(n))
     comp = tuple(tuple(row) for row in comp_rows)
     lres, rres = infer_residuals(leq, comp)
-    return FiniteResiduatedSemigroup(algebra.default_names(n), leq, comp, lres, rres)
+    return FiniteResiduatedSemigroup(default_names(n), leq, comp, lres, rres)
 
 
 # single-generator families over a 3-point base whose closures have 4 members
@@ -418,7 +501,7 @@ def build_n4_corpus(limit: int = N4_CORPUS_SIZE):
         assert algebra.validate(A).valid
         out.append(A)
 
-    algs2 = list(algebra.enumerate_algebras(2))
+    algs2 = list(enumerate_algebras(2))
     for A in algs2:
         for B in algs2:
             record(direct_product(A, B))
@@ -454,7 +537,7 @@ def build_n4_corpus(limit: int = N4_CORPUS_SIZE):
 
 def build_small_corpus():
     """All labeled residuated semigroups with n <= 3, plus the C2 fixture."""
-    out = [a for n in (1, 2, 3) for a in algebra.enumerate_algebras(n)]
+    out = [a for n in (1, 2, 3) for a in enumerate_algebras(n)]
     out.append(make_c2())
     return out
 

@@ -15,9 +15,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from corpus import build_n4_corpus, build_small_corpus, check_representation_pairwise  # noqa: E402
+from corpus import (  # noqa: E402
+    build_n4_corpus,
+    build_small_corpus,
+    check_representation_pairwise,
+    serialize,
+)
 
-from resq import algebra, relrep  # noqa: E402
+from resq import relrep  # noqa: E402
 
 
 def ledger_entries(algebras):
@@ -26,7 +31,7 @@ def ledger_entries(algebras):
     for A in algebras:
         interp = relrep.represent_pipeline(A).interpretation
         witnesses = dict(check_representation_pairwise(A, interp))
-        entries[algebra.serialize(A)] = {
+        entries[serialize(A)] = {
             name: witnesses[name] is None for name in ("left-residual", "right-residual")
         }
     return entries

@@ -3,8 +3,9 @@
 A relation over the points 0..n-1 is given as a tuple of n row masks, bit y
 of row x set iff (x, y) is one of its pairs; that is the form the relations
 of resq take.  Every operation here is read off its definition on the set of
-pairs, and this module imports nothing from resq (test_oracles.py enforces
-that), so an oracle built on it never evaluates through the code it checks.
+pairs, and this module imports nothing from resq (test_source_rules.py
+enforces that), so an oracle built on it never evaluates through the code it
+checks.
 
 Each distinct (operation, r, s) is evaluated once and memoised on the
 relation tuples: the oracles ask for the same few relations many times.

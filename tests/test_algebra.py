@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 import corpus
 import oracles
-from corpus import C2_TEXT, a4_generators, canonical_key, check_representation_pairwise
+from corpus import (C2_TEXT, a4_generators, canonical_key, check_representation_pairwise,
+                    default_names, enumerate_algebras, serialize)
 from resq import algebra, completion
-from resq.algebra import Check, FiniteResiduatedSemigroup, Report, _partial_orders
+from resq.algebra import Check, FiniteResiduatedSemigroup, Report
 from resq.errors import (ClosureSizeError, NoResidualError, NotResiduatedError, ParseError,
                          ResourceLimitError)
 from resq import relations as rel
@@ -174,7 +175,7 @@ def assert_first_witnesses(A):
 
 
 def _random_structure(rng, reflexive):
-    names = algebra.default_names(3)
+    names = default_names(3)
     leq = tuple(rng.randrange(8) | (1 << i if reflexive else 0) for i in range(3))
     tables = [
         tuple(tuple(rng.randrange(3) for _ in range(3)) for _ in range(3))
@@ -236,7 +237,7 @@ def test_order_reflection_reports_first_violation():
     rng = random.Random(7)
     witnesses = set()
     for _ in range(300):
-        leq = rng.choice(_partial_orders(3))
+        leq = rng.choice(corpus._partial_orders(3))
         comp = tuple(tuple(rng.randrange(3) for _ in range(3)) for _ in range(3))
         expected = next(
             (
@@ -666,7 +667,7 @@ def test_masked_laws_match_scalar_loops_on_mutated_quantales(tables):
 
 
 def test_enumerate_one_element():
-    assert len(list(algebra.enumerate_algebras(1))) == 1
+    assert len(list(enumerate_algebras(1))) == 1
 
 
 def naive_enumerate_two():
@@ -709,7 +710,7 @@ def naive_enumerate_two():
 
 
 def test_enumerate_two_matches_naive_count():
-    algs = list(algebra.enumerate_algebras(2))
+    algs = list(enumerate_algebras(2))
     assert len(algs) == naive_enumerate_two() == 6
 
 
@@ -721,11 +722,9 @@ def test_enumerate_outputs_validate(corpus_small):
 def test_inferred_residuals_never_fail_validation():
     # over every order and monotone associative table on two elements,
     # successful inference always yields a law-abiding structure
-    from resq.algebra import _associative_tables, _partial_orders, monotonicity
-
-    for leq in _partial_orders(2):
-        for comp in _associative_tables(2):
-            if monotonicity(leq, comp) is not None:
+    for leq in corpus._partial_orders(2):
+        for comp in corpus._associative_tables(2):
+            if algebra.monotonicity(leq, comp) is not None:
                 continue
             try:
                 lres, rres = algebra.infer_residuals(leq, comp)
@@ -737,7 +736,7 @@ def test_inferred_residuals_never_fail_validation():
 
 def test_enumerate_cap():
     with pytest.raises(ResourceLimitError):
-        next(algebra.enumerate_algebras(4))
+        next(enumerate_algebras(4))
 
 
 def test_canonical_key_invariant_under_relabeling(c2):
@@ -753,7 +752,7 @@ def test_canonical_key_invariant_under_relabeling(c2):
 
 def test_serialize_parse_round_trip(corpus_small):
     for A in corpus_small[:40]:
-        assert algebra.parse_algebra(algebra.serialize(A)) == A
+        assert algebra.parse_algebra(serialize(A)) == A
 
 
 def test_every_ledger_key_round_trips():
@@ -762,13 +761,13 @@ def test_every_ledger_key_round_trips():
     ledger = json.loads((Path(__file__).parent / "data" / "cond34_ledger.json").read_text())
     assert any("." in key for key in ledger)
     for key in ledger:
-        assert algebra.serialize(algebra.parse_algebra(key)) == key
+        assert serialize(algebra.parse_algebra(key)) == key
 
 
 def test_serialize_is_canonical(c2):
-    text = algebra.serialize(c2)
+    text = serialize(c2)
     assert text.startswith("elements: a b\nleq: a<=b\n")
-    assert algebra.serialize(algebra.parse_algebra(text)) == text
+    assert serialize(algebra.parse_algebra(text)) == text
 
 
 def test_generate_concrete_singleton_full():

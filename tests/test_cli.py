@@ -708,7 +708,7 @@ def test_the_package_namespace_loads_its_exports_on_first_use():
     assert probe["foreign"] == []
     assert probe["undir"] == []
     assert probe["star"] == probe["all"]
-    assert len(probe["all"]) == 31
+    assert len(probe["all"]) == 29
     assert probe["missing"] == "module 'resq' has no attribute 'no_such_name'"
 
 

@@ -16,13 +16,13 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from corpus import MALFORMED_MODELS, make_c2
-from resq import algebra, relrep
+from corpus import MALFORMED_MODELS, make_c2, serialize
+from resq import relrep
 from resq import relations as rel
 from resq.cli import main
 
 C2 = make_c2()
-ALGEBRA_SEED = algebra.serialize(C2)
+ALGEBRA_SEED = serialize(C2)
 C2_DUMP = relrep.represent_pipeline(C2).interpretation
 DUMP_SEED = rel.format_interpretation(C2_DUMP)
 JSON_DUMP_SEED = json.dumps(rel.interpretation_payload(C2_DUMP))

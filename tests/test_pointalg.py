@@ -143,11 +143,11 @@ def test_check_sp_laws_rejects_each_broken_law(join, comp, message):
 
 def test_probe_lt_eq_found_at_base_two(P):
     S = reduct(P, [ATOM_LT, ATOM_EQ])
-    result, stats = frp_probe(S, 3)
+    result, nodes = frp_probe(S, 3)
     assert isinstance(result, Interpretation)
     assert result.base_size == 2
     assert check_representation(S, result).valid
-    assert stats.nodes > 0
+    assert nodes > 0
 
 
 def test_probe_lt_found_at_base_one(P):
@@ -164,7 +164,7 @@ def test_probe_lt_gt_regression(P):
     # frozen after the first exhaustive run: the join/composition conditions
     # admit a 3-point model for this reduct, found after exhausting base 2
     S = reduct(P, [ATOM_LT, ATOM_GT])
-    result, stats = frp_probe(S, 3)
+    result, _ = frp_probe(S, 3)
     assert isinstance(result, Interpretation)
     assert result.base_size == 3
     assert check_representation(S, result).valid

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from corpus import hat_by_definition, large_quantale_algebras, quantale_50_model, sup_by_fold
+from corpus import (hat_by_definition, large_quantale_algebras, quantale_50_model, serialize,
+                    sup_by_fold)
 from resq import algebra, relrep, verifier
 from resq import relations as rel
 from resq.completion import Quantale, build_quantale, embed
@@ -75,7 +76,7 @@ def test_unitalize_embedding_preserves_structure(corpus_small):
 def test_unitalize_order_is_mask_inclusion(corpus_all):
     for A in corpus_all:
         U = unitalize(build_quantale(A))
-        assert U.leq == rel.inclusion_order([(m,) for m in U.masks]), algebra.serialize(A)
+        assert U.leq == rel.inclusion_order([(m,) for m in U.masks]), serialize(A)
 
 
 def test_unitalize_satisfies_quantale_laws(corpus_all):
@@ -93,7 +94,7 @@ def test_every_element_is_the_join_of_the_elements_below_it(corpus_all):
         for quantale in (Q, unitalize(Q)):
             for q in range(quantale.size):
                 below = (g for g in range(quantale.size) if quantale.le(g, q))
-                assert sup_by_fold(quantale, below) == q, (q, algebra.serialize(A))
+                assert sup_by_fold(quantale, below) == q, (q, serialize(A))
 
 
 def hat_interpretation(Q):
@@ -143,8 +144,8 @@ def test_auto_mode_unitalizes_exactly_when_plain_hats_fail_order(corpus_all):
         interp = Interpretation(names=Q0.labels, base_labels=Q0.labels, relations=hats)
         order = verifier.check_representation(Q0, interp).condition("order-iff")
         result = represent_pipeline(A)
-        assert result.unitalized == (not order.passed), algebra.serialize(A)
-        assert result.unitalize_reason == order, algebra.serialize(A)
+        assert result.unitalized == (not order.passed), serialize(A)
+        assert result.unitalize_reason == order, serialize(A)
 
 
 def test_hat_check_reflection_fails_on_c2_without_unit(c2):
@@ -213,7 +214,7 @@ def test_represent_relations_are_the_hats_of_the_embedded_elements(corpus_small)
             result = represent_pipeline(A, unitalize_mode=mode)
             f = embed(A, result.base_quantale)
             expected = tuple(hat_by_definition(result.quantale, f[a]) for a in range(A.n))
-            assert result.interpretation.relations == expected, (mode, algebra.serialize(A))
+            assert result.interpretation.relations == expected, (mode, serialize(A))
             assert result.interpretation.base_labels == result.quantale.labels
 
 
@@ -222,7 +223,7 @@ def test_auto_mode_representation_reflects_the_order(corpus_all):
     for A in corpus_all:
         result = represent_pipeline(A)
         report = verifier.check_representation(A, result.interpretation)
-        assert report.condition("order-iff").passed, algebra.serialize(A)
+        assert report.condition("order-iff").passed, serialize(A)
 
 
 def test_represent_pipeline_has_no_generator_choice(c2):

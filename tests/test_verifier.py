@@ -16,6 +16,7 @@ from corpus import (
     all_relations,
     check_representation_pairwise,
     counted_lanes_by_popcount,
+    enumerate_algebras,
     plan_search_by_scan,
     quantale_50_model,
     scalar_run_plan,
@@ -206,7 +207,7 @@ def test_search_agrees_with_naive_product_enumeration(c2):
     # dual-route check of exhaustiveness: the pruned, symmetry-broken search
     # and a plain scan over every relation tuple must reach the same verdicts
     P = pointalg.build_point_algebra()
-    structures = [*algebra.enumerate_algebras(2), c2, algebra.parse_algebra(ONE)] + [
+    structures = [*enumerate_algebras(2), c2, algebra.parse_algebra(ONE)] + [
         pointalg.reduct(P, gens) for gens in (
             [pointalg.ATOM_LT],
             [pointalg.ATOM_LT, pointalg.ATOM_EQ],

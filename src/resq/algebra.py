@@ -139,7 +139,7 @@ def transitivity(leq: tuple[int, ...]) -> tuple[int, int, int] | None:
         while above:
             low = above & -above
             j = low.bit_length() - 1
-            escape = leq[j] & ~row
+            escape = leq[j] ^ (leq[j] & row)
             if escape:
                 return (i, j, (escape & -escape).bit_length() - 1)
             above ^= low
@@ -232,7 +232,7 @@ def join_irreducibles(leq: tuple[int, ...]) -> tuple[int, ...]:
     at most n^2 steps."""
     bounds = [-1] * len(leq)
     for y, up in enumerate(leq):
-        above = up & ~(1 << y)
+        above = up ^ (up & (1 << y))
         while above:
             low = above & -above
             bounds[low.bit_length() - 1] &= up
@@ -336,8 +336,8 @@ def order_reflection(leq: tuple[int, ...], comp,
     """
     rows, down = (masks or CandidateMasks(leq, comp)).read()
     right = range(len(leq), 2 * len(leq))
-    escapes = (reduce(and_, map(getitem, rel.gather(rows, comp_b), right)) & ~cone
-               for comp_b, cone in zip(comp, down))
+    meets = (reduce(and_, map(getitem, rel.gather(rows, comp_b), right)) for comp_b in comp)
+    escapes = (m ^ (m & cone) for m, cone in zip(meets, down))
     return min((((m & -m).bit_length() - 1, b) for b, m in enumerate(escapes) if m),
                default=None)
 
@@ -348,7 +348,7 @@ def _max_of(candidates: int, down: tuple[int, ...]) -> int | None:
     while m:
         low = m & -m
         i = low.bit_length() - 1
-        if candidates & ~down[i] == 0:
+        if candidates & down[i] == candidates:
             return i
         m ^= low
     return None

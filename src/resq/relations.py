@@ -63,7 +63,7 @@ def rel_subset(r: Relation, s: Relation) -> bool:
     if len(r) != len(s):
         _check_dims(r, s)
     for a, b in zip(r, s):
-        if a & ~b:
+        if a & b != a:
             return False
     return True
 
@@ -296,14 +296,14 @@ def inclusion_order(family, stacked: Stack | None = None) -> tuple[int, ...]:
     when the caller holds one; without it, family is stacked here with
     fields of whole bytes as wide as its widest row.
 
-    For a value v of row y, v * ones & ~rows[y] marks the fields of the
-    members whose row y lacks a bit of v, and a packed row of such marks
-    becomes the mask of its unmarked fields (_clear_fields, one pass for all
-    rows).  Either each distinct key (y, v) gives the members whose row y
-    contains v, and a member's order row is the AND of those of its keys, or
-    each member's marks over all its rows are ORed and give its order row
-    directly: one compression per distinct key or one per member, whichever
-    are fewer."""
+    For a value v of row y, v * ones & lack, with lack = full ^ rows[y],
+    marks the fields of the members whose row y lacks a bit of v, and a
+    packed row of such marks becomes the mask of its unmarked fields
+    (_clear_fields, one pass for all rows).  Either each distinct key (y, v)
+    gives the members whose row y contains v, and a member's order row is
+    the AND of those of its keys, or each member's marks over all its rows
+    are ORed and give its order row directly: one compression per distinct
+    key or one per member, whichever are fewer."""
     count = len(family)
     if not count:
         return ()
@@ -431,6 +431,15 @@ def _exchanges(size: int, count: int, width: int) -> tuple:
 # relation of lane j passes the test.  A batch of runs lays several blocks
 # side by side, run i holding lanes i * lanes to (i + 1) * lanes - 1: its
 # slices are as wide as runs * lanes bits, at most 2**BLOCK_BITS.
+#
+# Every slice and mask lies in [0, full], and the lanes of x less those of y
+# are x ^ (x & y), never x & ~y: ~y is -(y + 1), a new int as wide as y, and
+# ANDing a negative int converts it to two's complement once more.  On
+# 2**16-lane ints x & ~y takes 3.3-3.7 us and x ^ (x & y) 0.56-0.60 us
+# (timeit, Python 3.11), and the search workload's verdicts/s rose 11-14%.
+# Complementing every slice once per call (full ^ v) and ANDing that was no
+# faster (a search pass 5.58-5.70 ms against 5.59-5.65 ms), as the kernels
+# skip the terms of empty slices and most complements would go unread.
 
 BLOCK_BITS = 16
 
@@ -559,7 +568,7 @@ def sliced_lres(k: int, full: int, r, s) -> tuple[int, ...]:
             bad = 0
             for z, a in enumerate(column):
                 if a:
-                    bad |= a & ~s[z * k + y]
+                    bad |= a ^ (a & s[z * k + y])
             out.append(full ^ bad)
     return tuple(out)
 
@@ -573,7 +582,7 @@ def sliced_rres(k: int, full: int, r, s) -> tuple[int, ...]:
             bad = 0
             for b, a in zip(s[y:y + k], row):
                 if b:
-                    bad |= b & ~a
+                    bad |= b ^ (b & a)
             out.append(full ^ bad)
     return tuple(out)
 
@@ -588,7 +597,7 @@ def subset_mask(full: int, r, s) -> int:
     bad = 0
     for a, b in zip(r, s):
         if a:
-            bad |= a & ~b
+            bad |= a ^ (a & b)
     return full ^ bad
 
 
@@ -760,8 +769,9 @@ def leader_mask(k: int, block: int) -> int:
             if p == q:
                 continue
             a, b = slices[q], slices[p]
-            less |= same & b & ~a
-            same &= ~(a ^ b)
+            t = same & b
+            less |= t ^ (t & a)
+            same ^= same & (a ^ b)
             if not same:
                 break
         keep = less | same

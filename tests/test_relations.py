@@ -188,6 +188,45 @@ def test_sliced_operations_agree_lane_by_lane(data, k):
             assert (same >> lane & 1) == (a == b)
 
 
+def code_relation(code: int, k: int) -> tuple[int, ...]:
+    """The relation over k points whose pair (x, y) is bit x * k + y of code."""
+    return tuple(code >> x * k & ((1 << k) - 1) for x in range(k))
+
+
+@pytest.mark.parametrize("k, codes", [
+    (1, [1]),
+    (2, [0b0110]),
+    (3, [0b011_100_110]),
+    (2, [0, 0b1111, 0b0110, 0b1001, 0b0011]),  # a batch of five runs
+])
+def test_every_lane_of_the_sliced_kernels_agrees_with_the_pair_set_definitions(k, codes):
+    # every lane of block 0 in each run (2, 16 and 512 lanes a run), with run
+    # i of the spread operand holding codes[i] in every lane, in both orders
+    # and against itself, checked against tests/oracles.py, which shares no
+    # code with resq; the kernels take the lanes of x less those of y as
+    # x ^ (x & y), which needs every slice and mask to lie in [0, full]
+    runs, width = len(codes), rel.lane_bits(k)
+    full = rel.full_mask(k, runs)
+    assert full == (1 << (runs << width)) - 1
+    spread = (rel.spread_slices(codes, k), lambda lane: code_relation(codes[lane >> width], k))
+    block = (rel.block_slices(k, 0, runs),
+             lambda lane: code_relation(lane & ((1 << width) - 1), k))
+    orders = ((spread, block), (block, spread), (block, block))
+    for (left, left_of), (right, right_of) in orders:
+        assert all(0 <= s <= full for s in left + right)
+        outs = {name: op.sliced(k, full, left, right) for name, op in rel.OPERATIONS.items()}
+        inside = rel.subset_mask(full, left, right)
+        same = rel.equal_mask(full, left, right)
+        assert all(0 <= s <= full for out in outs.values() for s in out)
+        assert 0 <= inside <= full and 0 <= same <= full
+        for lane in range(runs << width):
+            a, b = left_of(lane), right_of(lane)
+            for name, out in outs.items():
+                assert lane_relation(out, k, lane) == oracles.apply(name, a, b), (name, lane)
+            assert (inside >> lane & 1) == oracles.included(a, b), lane
+            assert (same >> lane & 1) == (a == b), lane
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_a_full_batch_spreads_every_run_and_tiles_every_block(k):
     # 2**BLOCK_BITS lanes: 32 768 runs of two lanes, 4 096 of 16, 128 of 512

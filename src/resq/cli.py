@@ -365,7 +365,7 @@ def prove(sequent_text: str, node_budget: int | None, trace: bool, fmt: str) -> 
     from . import lambek
 
     s = lambek.parse_sequent(sequent_text)
-    proof = lambek.prove(s, node_budget=node_budget)
+    proof = lambek.prove(s, node_budget=node_budget, tree=trace)
     sequent = lambek.format_sequent(s)
     evidence = {"sequent": sequent, "derivable": proof is not None}
     lines = [f"sequent: {sequent}"]

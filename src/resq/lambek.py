@@ -4,6 +4,8 @@ Formulas are built from atoms with a product and two residuals.  Backward
 proof search terminates because every premise of every rule has strictly
 fewer connectives; sequents are memoized, and the search is pruned by the
 count invariant and cut at invertible rules without changing its proofs.
+The memo records a proved sequent as True unless a proof tree is asked for;
+derivable asks for none, and goes through prove.
 Antecedents are kept nonempty throughout (also inside the right residual
 rules), since the semantics is residuated semigroups of relations, which
 have no unit.
@@ -270,9 +272,11 @@ class ProofNode:
     premises: tuple["ProofNode", ...]
 
 
-def prove(s: Sequent, node_budget: int | None = None) -> ProofNode | None:
+def prove(s: Sequent, node_budget: int | None = None, *,
+          tree: bool = True) -> ProofNode | bool | None:
     """The first proof of s in the rule order ax, r-under, r-over, r-prod, then
-    the left rules position by position, or None.
+    the left rules position by position, or None.  With tree off, the same
+    search records each subsequent it proves as True, and returns True.
 
     An unbalanced sequent (antecedent count unlike the succedent's) has no
     proof and costs no node.  Every rule keeps a sequent balanced, so the
@@ -283,79 +287,85 @@ def prove(s: Sequent, node_budget: int | None = None) -> ProofNode | None:
     budget = NodeBudget(node_budget, default=DEFAULT_PROVER_BUDGET)
     if sum(f.count for f in s.antecedent) != s.succedent.count:
         return None
-    memo: dict[tuple, ProofNode | None] = {}
-    return _prove(s.antecedent, s.succedent, memo, budget)
+    memo: dict[tuple, ProofNode | bool | None] = {}
+    return _prove(s.antecedent, s.succedent, memo, budget, _node if tree else _proved)
 
 
 def derivable(s: Sequent, node_budget: int | None = None) -> bool:
-    return prove(s, node_budget) is not None
+    """Whether s has a proof, through prove's search with each proved subsequent as True."""
+    return prove(s, node_budget, tree=False) is not None
 
 
 def _node(rule: str, ant, succ, *premises) -> ProofNode:
     return ProofNode(rule=rule, sequent=Sequent(ant, succ), premises=premises)
 
 
-def _prove(ant, succ, memo, budget) -> ProofNode | None:
+def _proved(rule: str, ant, succ, *premises) -> bool:
+    return True
+
+
+def _prove(ant, succ, memo, budget, node) -> ProofNode | bool | None:
     key = (ant, succ)
     if key in memo:
         return memo[key]
     budget.spend()
     if len(ant) == 1 and ant[0] == succ:
-        result = _node("ax", ant, succ)
+        result = node("ax", ant, succ)
     # r-under and r-over are invertible: their premise decides the sequent
     elif isinstance(succ, Under):
-        sub = _prove((succ.left, *ant), succ.right, memo, budget)
-        result = None if sub is None else _node("r-under", ant, succ, sub)
+        sub = _prove((succ.left, *ant), succ.right, memo, budget, node)
+        result = None if sub is None else node("r-under", ant, succ, sub)
     elif isinstance(succ, Over):
-        sub = _prove((*ant, succ.right), succ.left, memo, budget)
-        result = None if sub is None else _node("r-over", ant, succ, sub)
+        sub = _prove((*ant, succ.right), succ.left, memo, budget, node)
+        result = None if sub is None else node("r-over", ant, succ, sub)
     else:
-        result = _prove_split(ant, succ, memo, budget)
+        result = _prove_split(ant, succ, memo, budget, node)
     memo[key] = result
     return result
 
 
-def _prove_split(ant, succ, memo, budget) -> ProofNode | None:
-    """r-prod, then the left rules; prefix[i] is the count of ant[:i]."""
+def _prove_split(ant, succ, memo, budget, node) -> ProofNode | bool | None:
+    """r-prod, then the left rules; prefix[i] is the count of ant[:i], and
+    node(rule, ant, succ, *premises) records a proved sequent."""
     prefix = list(accumulate((f.count for f in ant), initial=0))
     if isinstance(succ, Prod):
         for i in range(1, len(ant)):
             if prefix[i] != succ.left.count:
                 continue
-            left = _prove(ant[:i], succ.left, memo, budget)
+            left = _prove(ant[:i], succ.left, memo, budget, node)
             if left is None:
                 continue
-            right = _prove(ant[i:], succ.right, memo, budget)
+            right = _prove(ant[i:], succ.right, memo, budget, node)
             if right is not None:
-                return _node("r-prod", ant, succ, left, right)
+                return node("r-prod", ant, succ, left, right)
 
     for i, f in enumerate(ant):
         if isinstance(f, Prod):
             # l-prod is invertible: its premise decides the sequent
-            sub = _prove(ant[:i] + (f.left, f.right) + ant[i + 1:], succ, memo, budget)
-            return None if sub is None else _node("l-prod", ant, succ, sub)
+            sub = _prove(ant[:i] + (f.left, f.right) + ant[i + 1:], succ, memo, budget, node)
+            return None if sub is None else node("l-prod", ant, succ, sub)
         if isinstance(f, Under):
             # Delta, Gamma, f, Theta with Gamma = ant[j:i] nonempty
             for j in range(i):
                 if prefix[i] - prefix[j] != f.left.count:
                     continue
-                arg = _prove(ant[j:i], f.left, memo, budget)
+                arg = _prove(ant[j:i], f.left, memo, budget, node)
                 if arg is None:
                     continue
-                body = _prove(ant[:j] + (f.right,) + ant[i + 1:], succ, memo, budget)
+                body = _prove(ant[:j] + (f.right,) + ant[i + 1:], succ, memo, budget, node)
                 if body is not None:
-                    return _node("l-under", ant, succ, arg, body)
+                    return node("l-under", ant, succ, arg, body)
         elif isinstance(f, Over):
             # Delta, f, Gamma, Theta with Gamma = ant[i+1:j] nonempty
             for j in range(i + 2, len(ant) + 1):
                 if prefix[j] - prefix[i + 1] != f.right.count:
                     continue
-                arg = _prove(ant[i + 1: j], f.right, memo, budget)
+                arg = _prove(ant[i + 1: j], f.right, memo, budget, node)
                 if arg is None:
                     continue
-                body = _prove(ant[:i] + (f.left,) + ant[j:], succ, memo, budget)
+                body = _prove(ant[:i] + (f.left,) + ant[j:], succ, memo, budget, node)
                 if body is not None:
-                    return _node("l-over", ant, succ, arg, body)
+                    return node("l-over", ant, succ, arg, body)
     return None
 
 

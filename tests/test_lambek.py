@@ -202,11 +202,40 @@ def test_lifting_derivation_has_trace():
     assert proof.premises[0].rule == "r-prod"
 
 
-def test_suite_verdicts():
-    for text in DERIVABLE:
-        assert derivable(parse_sequent(text)), text
-    for text in UNDERIVABLE:
-        assert not derivable(parse_sequent(text)), text
+def test_suite_verdicts(monkeypatch):
+    sequents = [(parse_sequent(text), text in DERIVABLE) for text in DERIVABLE + UNDERIVABLE]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("derivable built a proof tree")
+
+    # the verdict records proved subsequents as True: no tree, no sequent
+    monkeypatch.setattr(lambek, "ProofNode", refuse)
+    monkeypatch.setattr(lambek, "Sequent", refuse)
+    for s, verdict in sequents:
+        assert derivable(s) is verdict, format_sequent(s)
+
+
+def test_derivable_runs_the_search_of_the_module_attribute_prove(monkeypatch):
+    # bench/tracer.py wraps lambek.prove and lambek.NodeBudget: derivable
+    # must call the first once and create its budget inside that call
+    calls, budgets = [], []
+    traced = lambek.prove
+
+    def prove_wrapper(*args, **kwargs):
+        calls.append(args)
+        return traced(*args, **kwargs)
+
+    class RecordingBudget(NodeBudget):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            budgets.append((self, len(calls)))
+
+    monkeypatch.setattr(lambek, "prove", prove_wrapper)
+    monkeypatch.setattr(lambek, "NodeBudget", RecordingBudget)
+    assert derivable(parse_sequent(DIVISIONS_6))
+    assert len(calls) == 1
+    [(budget, inside)] = budgets
+    assert inside == 1 and budget.used == 14
 
 
 def naive_derivable(ant, succ):
@@ -260,6 +289,7 @@ def test_prover_matches_naive_reference_on_balanced_sequents(s):
     assert balanced(s)
     proof = prove(s)
     assert (proof is not None) == naive_derivable(s.antecedent, s.succedent)
+    assert prove(s, tree=False) is (None if proof is None else True)
     if proof is not None:
         assert proof.sequent == s
         assert invalid_proof_step(proof) is None
@@ -306,12 +336,14 @@ DIVISIONS_6 = ", ".join(f"a{i}/a{i + 1}" for i in range(6)) + " |- a0/a6"
 
 @pytest.mark.parametrize("text, verdict, nodes", [(CHAIN_8, False, 0), (DIVISIONS_6, True, 14)])
 def test_prover_node_spending_is_frozen(text, verdict, nodes):
-    # one node per distinct sequent searched; the unbalanced chain costs none
+    # one node per distinct sequent searched, with the proof tree or without;
+    # the unbalanced chain costs none
     s = parse_sequent(text)
-    assert derivable(s, node_budget=nodes) is verdict
-    if nodes:
-        with pytest.raises(ResourceLimitError):
-            derivable(s, node_budget=nodes - 1)
+    for decide in (derivable, lambda s, node_budget: prove(s, node_budget) is not None):
+        assert decide(s, node_budget=nodes) is verdict
+        if nodes:
+            with pytest.raises(ResourceLimitError):
+                decide(s, node_budget=nodes - 1)
 
 
 @given(sequents())

@@ -17,6 +17,7 @@ from corpus import (
     check_representation_pairwise,
     counted_lanes_by_popcount,
     enumerate_algebras,
+    make_c2,
     plan_search_by_scan,
     quantale_50_model,
     scalar_run_plan,
@@ -341,14 +342,21 @@ def test_sweep_spends_the_nodes_of_the_scalar_walk(constraints, k, limit):
 
 # (label, k): countermodel plans whose first branch leaves about a hundred
 # survivors at k = 3, so the second branch takes them as one batch; the
-# {<,>} reduct's representation plan; and a plan of three branches at k = 2,
-# where a batch of the third takes the survivors of batches of the second
+# {<,>} reduct's representation plan; a plan of three branches at k = 2,
+# where a batch of the third takes the survivors of batches of the second;
+# and representation plans of C2 and of ledger algebras (by position in
+# the ledger file) at k = 3: #12 and #81 exhaust base 3, #124 is found
+# there, and all three re-check right residuals at keys with gaps
 FIXED_PLANS = [
     ("p |- (q/p)\\q", 3),
     ("p, q |- p*q", 3),
     ("p*q |- q*p", 3),
     ("{<,>}", 3),
     ("p\\q, q\\r |- p\\r", 2),
+    ("C2", 3),
+    ("ledger #12", 3),
+    ("ledger #81", 3),
+    ("ledger #124", 3),
 ]
 
 
@@ -356,6 +364,12 @@ def fixed_plan(label: str) -> tuple:
     if label == "{<,>}":
         P = pointalg.build_point_algebra()
         return structure_plan(pointalg.reduct(P, [pointalg.ATOM_LT, pointalg.ATOM_GT]))
+    if label == "C2":
+        return structure_plan(make_c2())
+    if label.startswith("ledger #"):
+        ledger = json.loads((Path(__file__).parent / "data" / "cond34_ledger.json").read_text())
+        position = int(label.removeprefix("ledger #"))
+        return structure_plan(algebra.parse_algebra(list(ledger)[position]))
     return sequent_plan(label)
 
 
